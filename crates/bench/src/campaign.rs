@@ -291,16 +291,13 @@ pub fn scenario_for(cfg: &CampaignConfig, case: &ChaosCase) -> Scenario {
         .with_pre_gst_drop(case.pre_gst_drop)
         .with_duplication(case.dup_prob)
         .with_reordering(case.reorder_prob);
-    Scenario::builder()
-        .n_for_f(cfg.f)
-        .clients(cfg.clients)
-        .requests(cfg.requests_per_client)
-        .seed(case.seed)
-        .network(network)
-        .workload(cfg.workload)
-        .faults(case.plan.clone())
-        .adversaries(case.adversaries.clone())
-        .build()
+    Scenario::small(cfg.f)
+        .with_load(cfg.clients, cfg.requests_per_client)
+        .with_seed(case.seed)
+        .with_network(network)
+        .with_workload(cfg.workload)
+        .with_faults(case.plan.clone())
+        .with_adversaries(case.adversaries.clone())
 }
 
 /// Run one case against an arbitrary runner (the sabotage tests inject

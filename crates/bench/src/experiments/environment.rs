@@ -21,11 +21,7 @@ pub fn e1_replicas(quick: bool) -> ExperimentResult {
         vec!["n", "formula", "latency ms", "msgs/req"],
     );
     let reqs = load(quick, 25);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
 
     let mb = ProtocolId::MinBft.run(&s);
     audit(&mb, &[]);
@@ -99,11 +95,7 @@ pub fn e2_topology(quick: bool) -> ExperimentResult {
         vec!["msgs/req", "latency ms", "imbalance"],
     );
     let reqs = load(quick, 20);
-    let s = Scenario::builder()
-        .n_for_f(4)
-        .clients(1)
-        .requests(reqs)
-        .build(); // n = 13
+    let s = Scenario::small(4).with_load(1, reqs); // n = 13
 
     let pb = ProtocolId::Pbft.run(&s);
     audit(&pb, &[]);
@@ -160,11 +152,8 @@ pub fn e3_auth(quick: bool) -> ExperimentResult {
         vec!["latency ms", "replica CPU ms", "bytes/req"],
     );
     let reqs = load(quick, 25);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build()
+    let s = Scenario::small(1)
+        .with_load(1, reqs)
         .with_cost_model(CryptoCostModel::realistic());
 
     let mac = Protocol::Pbft(PbftOptions {
@@ -232,12 +221,7 @@ pub fn e4_responsiveness(quick: bool) -> ExperimentResult {
         let net = NetworkConfig::lan()
             .with_base_delay(SimDuration::from_micros(delay_us))
             .with_delta(delta_bound);
-        let s = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(reqs)
-            .network(net)
-            .build();
+        let s = Scenario::small(1).with_load(1, reqs).with_network(net);
         let hs = ProtocolId::HotStuff.run(&s);
         audit(&hs, &[]);
         let tm = ProtocolId::Tendermint.run(&s);

@@ -32,9 +32,7 @@ pub fn f1_lifecycle(quick: bool) -> ExperimentResult {
     // windows, so the backups need that long to accumulate enough
     // clear-quorum time to elect a new leader (a shorter outage is simply
     // ridden out in the old view — no view change to observe).
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .build()
+    let s = Scenario::small(1)
         .with_load(1, load(quick, 40).max(24))
         .with_faults(FaultPlan::none().crash_recover(
             NodeId::replica(0),
@@ -99,11 +97,7 @@ pub fn f2_pbft_anatomy(quick: bool) -> ExperimentResult {
     for f in [1usize, 2, 3, 4] {
         let n = 3 * f + 1;
         let reqs = load(quick, 30);
-        let s = Scenario::builder()
-            .n_for_f(f)
-            .clients(1)
-            .requests(reqs)
-            .build();
+        let s = Scenario::small(f).with_load(1, reqs);
         let out = ProtocolId::Pbft.run(&s);
         audit(&out, &[]);
         let measured = msgs_per_req(&out);

@@ -25,11 +25,7 @@ pub fn p1_commitment(quick: bool) -> ExperimentResult {
         vec!["fault-free ms", "crash ms", "attacked req/s"],
     );
     let reqs = load(quick, 25);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(2), SimTime::ZERO));
@@ -111,11 +107,7 @@ pub fn p2_phases(quick: bool) -> ExperimentResult {
         vec!["phases (design space)", "latency ms", "latency/δ"],
     );
     let reqs = load(quick, 25);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
     let delta = s.network.base_delay.0 as f64;
 
     let runs: Vec<(&str, usize, f64)> = vec![
@@ -182,11 +174,7 @@ pub fn p3_viewchange(quick: bool) -> ExperimentResult {
         ],
     );
     let reqs = load(quick, 25);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(0), SimTime(4_000_000)));
@@ -266,11 +254,8 @@ pub fn p4_checkpoint(quick: bool) -> ExperimentResult {
     let heal_at = SimTime(reqs * 300_000);
     for interval in [0u64, 16, 64] {
         let peers: Vec<NodeId> = (0..3).map(NodeId::replica).collect();
-        let mut s = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(reqs)
-            .build()
+        let mut s = Scenario::small(1)
+            .with_load(1, reqs)
             .with_faults(FaultPlan::none().isolate(
                 NodeId::replica(3),
                 peers,
@@ -334,11 +319,7 @@ pub fn p5_recovery(quick: bool) -> ExperimentResult {
     );
     let reqs = load(quick, 120);
     for (label, n_override) in [("n = 3f+1 = 4", None), ("n = 3f+2k+1 = 6", Some(6))] {
-        let mut s = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(reqs)
-            .build();
+        let mut s = Scenario::small(1).with_load(1, reqs);
         s.n_override = n_override;
         // one replica is crashed outright: recovery now eats into the margin
         let s = s.with_faults(FaultPlan::none().crash(NodeId::replica(1), SimTime::ZERO));
@@ -384,11 +365,7 @@ pub fn p6_clients(quick: bool) -> ExperimentResult {
     );
     let q = QuorumRules::classic(1);
     let reqs = load(quick, 20);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
 
     let per_req = |out: &bft_sim::runner::RunOutcome| {
         out.metrics.node(NodeId::client(0)).msgs_received as f64 / accepted(out).max(1) as f64

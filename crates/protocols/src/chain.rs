@@ -25,13 +25,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy,
 };
 
 /// Chain messages.
@@ -101,18 +101,14 @@ pub struct ChainReplica {
     /// Sequence log: seq → batch (buffered until contiguous, then kept for
     /// re-dissemination after reconfiguration).
     log: BTreeMap<SeqNum, Vec<SignedRequest>>,
-    executed_reqs: BTreeMap<RequestId, ()>,
     known: BTreeMap<RequestId, SignedRequest>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
+    exec: Execution,
     mempool: VecDeque<SignedRequest>,
-    /// Stall machinery.
-    vc_timer: Option<TimerId>,
+    /// Stall machinery: τ2 over relayed requests, then a settle window.
+    intake: Intake,
     settle_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
     /// Reports received for the current stall round: replica → last_seq.
     reports: BTreeMap<ReplicaId, SeqNum>,
-    view_timeout: SimDuration,
     batch_size: usize,
 }
 
@@ -133,16 +129,12 @@ impl ChainReplica {
             suspects: Vec::new(),
             next_seq: SeqNum(1),
             log: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
             known: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
+            exec: Execution::new().skipping_executed(),
             mempool: VecDeque::new(),
-            vc_timer: None,
+            intake: Intake::new(view_timeout),
             settle_timer: None,
-            pending_reqs: Vec::new(),
             reports: BTreeMap::new(),
-            view_timeout,
             batch_size,
         }
     }
@@ -187,14 +179,14 @@ impl ChainReplica {
         if !self.is_head() {
             return;
         }
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         let in_log: Vec<RequestId> = self
             .log
             .values()
             .flat_map(|b| b.iter().map(|r| r.request.id))
             .collect();
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_log.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_log.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -222,11 +214,8 @@ impl ChainReplica {
     }
 
     fn try_execute_and_forward(&mut self, hops: u32, ctx: &mut Context<'_, ChainMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(batch) = self.log.get(&next).cloned() else {
-                break;
-            };
+        while let Some(batch) = self.log.get(&self.exec.cursor().next()).cloned() {
+            let next = self.exec.cursor().next();
             let digest = digest_of(&batch);
             let view = self.view;
             ctx.observe(Observation::Commit {
@@ -235,50 +224,12 @@ impl ChainReplica {
                 digest,
                 speculative: false,
             });
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    continue;
+            let replies = self.replies_to_clients();
+            let mut send = reply_to_client(Some(CryptoOp::MacGen), ChainMsg::Reply);
+            self.exec.run(ctx, Some(&batch), view, |ctx, reply, seq| {
+                if replies {
+                    send(ctx, reply, seq);
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                if self.replies_to_clients() {
-                    let reply = Reply {
-                        request: signed.request.id,
-                        view,
-                        result,
-                        state_digest,
-                        speculative: false,
-                    };
-                    ctx.charge_crypto(CryptoOp::MacGen);
-                    ctx.send(
-                        NodeId::Client(signed.request.id.client),
-                        ChainMsg::Reply(reply),
-                    );
-                }
-            }
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
             });
             // forward down the pipeline with one more MAC accumulated
             if let Some(successor) = self.successor() {
@@ -294,11 +245,7 @@ impl ChainReplica {
                     },
                 );
             }
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
@@ -306,7 +253,7 @@ impl ChainReplica {
         // broadcast a report; silent replicas are the suspects
         let me = self.me;
         let view = self.view;
-        let last_seq = self.exec_cursor;
+        let last_seq = self.exec.cursor();
         ctx.charge_crypto(CryptoOp::MacGen);
         ctx.broadcast_replicas(ChainMsg::StallReport {
             view,
@@ -359,9 +306,7 @@ impl ChainReplica {
         self.view = view;
         self.suspects = suspects;
         self.reports.clear();
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         if let Some(t) = self.settle_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -369,7 +314,7 @@ impl ChainReplica {
         if self.is_head() {
             // re-disseminate everything above the resume point so stragglers
             // fill their gaps, then fresh requests
-            self.next_seq = self.next_seq.max(self.exec_cursor.next());
+            self.next_seq = self.next_seq.max(self.exec.cursor().next());
             let replay: Vec<(SeqNum, Vec<SignedRequest>)> = self
                 .log
                 .range(resume_from.next()..)
@@ -401,15 +346,12 @@ impl ChainReplica {
                 .known
                 .values()
                 .filter(|r| {
-                    !self.executed_reqs.contains_key(&r.request.id)
-                        && !in_log.contains(&r.request.id)
+                    !self.exec.is_executed(&r.request.id) && !in_log.contains(&r.request.id)
                 })
                 .cloned()
                 .collect();
-            for r in todo {
-                if !self.mempool.iter().any(|m| m.request.id == r.request.id) {
-                    self.mempool.push_back(r);
-                }
+            for r in &todo {
+                enqueue_unique(&mut self.mempool, r);
             }
             self.disseminate(ctx);
         }
@@ -426,45 +368,24 @@ impl Actor<ChainMsg> for ChainReplica {
     fn on_message(&mut self, from: NodeId, msg: &ChainMsg, ctx: &mut Context<'_, ChainMsg>) {
         match msg {
             ChainMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
-                    return;
-                }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id && self.replies_to_clients() {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), ChainMsg::Reply(reply));
-                        }
+                // only the chain's reply suffix answers clients
+                let replies = self.replies_to_clients();
+                let mut send = reply_to_client(None, ChainMsg::Reply);
+                let answer = |ctx: &mut Context<'_, ChainMsg>, reply, seq| {
+                    if replies {
+                        send(ctx, reply, seq);
                     }
+                };
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, self.view, answer) {
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
                 if self.is_head() {
-                    if !self
-                        .mempool
-                        .iter()
-                        .any(|r| r.request.id == signed.request.id)
-                    {
-                        self.mempool.push_back(signed.clone());
-                    }
+                    enqueue_unique(&mut self.mempool, signed);
                     self.disseminate(ctx);
                 } else {
-                    let head = self.head();
-                    ctx.send(NodeId::Replica(head), ChainMsg::Request(signed.clone()));
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    self.intake
+                        .relay(ctx, signed, self.head(), ChainMsg::Request, true);
                 }
             }
             ChainMsg::Chained {
@@ -515,11 +436,8 @@ impl Actor<ChainMsg> for ChainReplica {
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, ChainMsg>) {
         match kind {
-            TimerKind::T2ViewChange if Some(id) == self.vc_timer => {
-                self.vc_timer = None;
-                if !self.pending_reqs.is_empty() {
-                    self.on_stall(ctx);
-                }
+            TimerKind::T2ViewChange if self.intake.fired(id) && self.intake.has_pending() => {
+                self.on_stall(ctx);
             }
             TimerKind::T5ViewSync if Some(id) == self.settle_timer => {
                 self.settle_timer = None;
@@ -535,6 +453,7 @@ pub struct ChainClientProto;
 
 impl ClientProtocol for ChainClientProto {
     type Msg = ChainMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> ChainMsg {
         ChainMsg::Request(req)
@@ -546,43 +465,14 @@ impl ClientProtocol for ChainClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run Chain under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<ChainMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(ChainReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                view_timeout,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<ChainClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<ChainClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        ChainReplica::new(me, q, store, view_timeout, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]

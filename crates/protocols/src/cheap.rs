@@ -19,13 +19,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy,
 };
 
 /// CheapBFT messages.
@@ -123,9 +123,7 @@ pub struct CheapReplica {
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, CheapSlot>,
     mempool: VecDeque<SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
+    exec: Execution,
     /// Passive: update attestations per (seq, digest).
     update_votes: BTreeMap<(SeqNum, Digest), Vec<ReplicaId>>,
     /// Pending updates (batches) awaiting enough attestations.
@@ -152,9 +150,7 @@ impl CheapReplica {
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
+            exec: Execution::new(),
             update_votes: BTreeMap::new(),
             update_batches: BTreeMap::new(),
             transition_votes: Vec::new(),
@@ -217,9 +213,9 @@ impl CheapReplica {
             .filter(|s| !s.executed)
             .flat_map(|s| s.batch.iter().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_slots.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -363,74 +359,31 @@ impl CheapReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, CheapMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        let (me, active, view) = (self.me, self.is_active(), View(self.epoch as u64));
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let digest = slot.digest.unwrap_or(Digest::ZERO);
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
+            // passives apply state but do not serve clients
+            let mut send = reply_to_client(Some(CryptoOp::Sign), CheapMsg::Reply);
+            self.exec
+                .run(ctx, Some(&slot.batch), view, |ctx, reply, seq| {
+                    if active {
+                        send(ctx, reply, seq);
+                    }
                 });
-                self.executed_reqs.insert(signed.request.id, ());
-                // passives apply state but do not serve clients
-                if self.is_active() {
-                    let reply = Reply {
-                        request: signed.request.id,
-                        view: View(self.epoch as u64),
-                        result,
-                        state_digest,
-                        speculative: false,
-                    };
-                    ctx.charge_crypto(CryptoOp::Sign);
-                    ctx.send(
-                        NodeId::Client(signed.request.id.client),
-                        CheapMsg::Reply(reply),
-                    );
-                }
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
             // ship the batch to passives (optimistic epoch only; in the
             // fallback everyone is active)
-            if self.epoch == 0 && self.is_active() {
-                let me = self.me;
+            if self.epoch == 0 && active {
+                let update = CheapMsg::Update {
+                    seq: self.exec.cursor(),
+                    digest: slot.digest.unwrap_or(Digest::ZERO),
+                    batch: slot.batch.clone(),
+                    from: me,
+                };
                 let passives = self.passives();
-                ctx.multicast(
-                    passives,
-                    CheapMsg::Update {
-                        seq: next,
-                        digest,
-                        batch,
-                        from: me,
-                    },
-                );
+                ctx.multicast(passives, update);
             }
         }
     }
@@ -546,32 +499,12 @@ impl Actor<CheapMsg> for CheapReplica {
     fn on_message(&mut self, from: NodeId, msg: &CheapMsg, ctx: &mut Context<'_, CheapMsg>) {
         match msg {
             CheapMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                let view = View(self.epoch as u64);
+                let answer = reply_to_client(None, CheapMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: View(self.epoch as u64),
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), CheapMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                if !self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id)
-                {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 if self.is_leader() {
                     self.propose(ctx);
                 } else {
@@ -676,6 +609,7 @@ pub struct CheapClientProto;
 
 impl ClientProtocol for CheapClientProto {
     type Msg = CheapMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> CheapMsg {
         CheapMsg::Request(req)
@@ -687,43 +621,14 @@ impl ClientProtocol for CheapClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run CheapBFT under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let t3 = SimDuration(scenario.network.delta.0 * 2);
-
-    let mut sim = scenario.build_engine::<CheapMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(CheapReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                t3,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<CheapClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<CheapClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        CheapReplica::new(me, q, store, t3, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]

@@ -8,20 +8,28 @@
 //! * [`GenericClient`] — the requester client (dimension P6) shared by most
 //!   protocols: closed-loop submission, reply collection against a
 //!   protocol-specific quorum, retransmission.
+//! * [`Execution`], [`Intake`], [`ViewGate`] — the parts of Figure 1's
+//!   replica lifecycle that do not vary between protocols: in-order
+//!   execution with replies, request intake with retransmission answers and
+//!   the τ2 leader watch, and view-tagged message admission.
+//! * [`launch`] / [`launch_with_clients`] — build the engine, install
+//!   replicas and clients, run to completion.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bft_core::workload::{Workload, WorkloadConfig};
 use bft_crypto::sign::PartyId;
-use bft_crypto::{digest_of, CryptoCostModel, KeyStore, Signature};
+use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature};
 use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
-    NodeId, Observation, SimDuration, SimTime, Simulation, ThreadedEngine, TimerId,
+    NodeId, Observation, RunOutcome, SimDuration, SimTime, Simulation, Stage, ThreadedEngine,
+    TimerId,
 };
+use bft_state::{Snapshot, StateMachine};
 use bft_types::{
-    ClientId, Digest, QuorumRules, ReplicaId, Reply, Request, RequestId, TimerKind, Transaction,
-    WireSize,
+    ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
+    Transaction, View, WireSize,
 };
 
 /// A client request plus the client's signature over it.
@@ -243,27 +251,6 @@ impl Scenario {
         self.n_override.map_or(min_n, |n| n.max(min_n))
     }
 
-    /// Start a fluent builder seeded with the [`Scenario::small`]`(1)`
-    /// defaults. Mirrors `NetworkConfig::with_*`:
-    ///
-    /// ```
-    /// use bft_protocols::common::Scenario;
-    /// use bft_sim::NetworkConfig;
-    ///
-    /// let s = Scenario::builder()
-    ///     .n_for_f(1)
-    ///     .requests(120)
-    ///     .network(NetworkConfig::lan())
-    ///     .build();
-    /// assert_eq!(s.f, 1);
-    /// assert_eq!(s.requests_per_client, 120);
-    /// ```
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder {
-            scenario: Scenario::small(1),
-        }
-    }
-
     /// The key store all parties in this scenario share.
     pub fn key_store(&self) -> Arc<KeyStore> {
         let mut master = [0u8; 32];
@@ -362,114 +349,6 @@ impl Scenario {
     }
 }
 
-/// Fluent builder for [`Scenario`], started with [`Scenario::builder`].
-///
-/// Every knob has a setter, so experiments construct scenarios without
-/// struct-literal field pokes and new `Scenario` fields don't ripple through
-/// call sites.
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    scenario: Scenario,
-}
-
-impl ScenarioBuilder {
-    /// Set the fault threshold `f` (the replica count follows from the
-    /// protocol's formula unless [`Self::n`] overrides it).
-    pub fn n_for_f(mut self, f: usize) -> Self {
-        self.scenario.f = f;
-        self
-    }
-
-    /// Override the replica count (clamped up to the protocol's minimum).
-    pub fn n(mut self, n: usize) -> Self {
-        self.scenario.n_override = Some(n);
-        self
-    }
-
-    /// Set the number of clients.
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.scenario.clients = clients;
-        self
-    }
-
-    /// Set the per-client request count.
-    pub fn requests(mut self, requests_per_client: u64) -> Self {
-        self.scenario.requests_per_client = requests_per_client;
-        self
-    }
-
-    /// Set the network configuration.
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.scenario.network = network;
-        self
-    }
-
-    /// Set the fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.scenario.faults = faults;
-        self
-    }
-
-    /// Set the Byzantine adversary placements.
-    pub fn adversaries(mut self, adversaries: Vec<AdversarySpec>) -> Self {
-        self.scenario.adversaries = adversaries;
-        self
-    }
-
-    /// Set the transaction mix.
-    pub fn workload(mut self, workload: WorkloadConfig) -> Self {
-        self.scenario.workload = workload;
-        self
-    }
-
-    /// Set the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.scenario.seed = seed;
-        self
-    }
-
-    /// Set the crypto cost model.
-    pub fn cost_model(mut self, cost_model: CryptoCostModel) -> Self {
-        self.scenario.cost_model = cost_model;
-        self
-    }
-
-    /// Set the checkpoint interval (0 disables checkpointing).
-    pub fn checkpoint_interval(mut self, interval: u64) -> Self {
-        self.scenario.checkpoint_interval = interval;
-        self
-    }
-
-    /// Set the batch size.
-    pub fn batch(mut self, batch_size: usize) -> Self {
-        self.scenario.batch_size = batch_size;
-        self
-    }
-
-    /// Set the virtual-time budget.
-    pub fn max_time(mut self, max_time: SimDuration) -> Self {
-        self.scenario.max_time = max_time;
-        self
-    }
-
-    /// Set the event-queue scheduler.
-    pub fn scheduler(mut self, scheduler: bft_sim::SchedulerKind) -> Self {
-        self.scenario.scheduler = scheduler;
-        self
-    }
-
-    /// Set the execution engine.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.scenario.engine = engine;
-        self
-    }
-
-    /// Finish, yielding the scenario.
-    pub fn build(self) -> Scenario {
-        self.scenario
-    }
-}
-
 /// Where a generic client sends its requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitPolicy {
@@ -481,9 +360,9 @@ pub enum SubmitPolicy {
 }
 
 /// Hooks a protocol provides to use [`GenericClient`].
-pub trait ClientProtocol: 'static {
+pub trait ClientProtocol: Send + 'static {
     /// The protocol's message type.
-    type Msg: WireSize + Clone + serde::Serialize + 'static;
+    type Msg: WireSize + Clone + serde::Serialize + Send + Sync + 'static;
 
     /// Wrap a signed request for submission.
     fn wrap_request(req: SignedRequest) -> Self::Msg;
@@ -492,10 +371,13 @@ pub trait ClientProtocol: 'static {
     fn unwrap_reply(msg: &Self::Msg) -> Option<&Reply>;
 
     /// Submission policy.
-    fn submit_policy() -> SubmitPolicy;
+    const SUBMIT: SubmitPolicy;
 
-    /// The reply quorum for the given rules.
-    fn reply_quorum(q: &QuorumRules) -> usize;
+    /// The reply quorum for the given rules: `f+1` matching replies unless
+    /// the protocol says otherwise.
+    fn reply_quorum(q: &QuorumRules) -> usize {
+        q.weak()
+    }
 }
 
 /// One open-loop request in flight: its payload, submission time, reply
@@ -587,7 +469,7 @@ impl<P: ClientProtocol> GenericClient<P> {
     }
 
     fn dispatch(&mut self, signed: SignedRequest, retransmit: bool, ctx: &mut Context<'_, P::Msg>) {
-        match P::submit_policy() {
+        match P::SUBMIT {
             SubmitPolicy::LeaderThenBroadcast if !retransmit => {
                 ctx.send(NodeId::Replica(self.leader_hint), P::wrap_request(signed));
             }
@@ -650,15 +532,6 @@ impl<P: ClientProtocol> GenericClient<P> {
                 txn: pending.signed.request.txn,
                 result: agreed.result.clone(),
             });
-        }
-    }
-
-    /// Completed request count.
-    pub fn completed(&self) -> u64 {
-        if self.arrival.is_some() {
-            self.done
-        } else {
-            self.sent.saturating_sub(self.in_flight.is_some() as u64)
         }
     }
 }
@@ -765,26 +638,16 @@ impl<P: ClientProtocol> Actor<P::Msg> for GenericClient<P> {
 
 /// Drive an engine until every expected client acceptance has been
 /// observed, the workload drains, or the time budget runs out (virtual
-/// time on the sim engine, wall clock on the threaded engine). Returns the
-/// finished outcome.
-pub fn run_to_completion<M: WireSize + serde::Serialize + Send + Sync + 'static>(
-    engine: Engine<M>,
-    total_requests: u64,
-    max_time: SimDuration,
-) -> bft_sim::RunOutcome {
-    run_to_completion_with_drain(engine, total_requests, max_time, SimDuration::ZERO)
-}
-
-/// Like [`run_to_completion`], but keeps the run going for `drain` extra
-/// time after the last client acceptance, letting in-flight messages settle
-/// (used by protocols whose convergence outlasts the last reply, e.g. Q/U's
-/// trailing fast-forwards).
-pub fn run_to_completion_with_drain<M: WireSize + serde::Serialize + Send + Sync + 'static>(
+/// time on the sim engine, wall clock on the threaded engine), then keep it
+/// going for `drain` extra time so in-flight messages settle (Q/U's
+/// trailing fast-forwards outlast the last reply). Returns the finished
+/// outcome.
+fn run_to_completion<M: WireSize + serde::Serialize + Send + Sync + 'static>(
     engine: Engine<M>,
     total_requests: u64,
     max_time: SimDuration,
     drain: SimDuration,
-) -> bft_sim::RunOutcome {
+) -> RunOutcome {
     let mut sim = match engine {
         Engine::Threaded(eng) => {
             // `max_time` doubles as the wall-clock budget: the deadlock
@@ -822,6 +685,45 @@ pub fn run_to_completion_with_drain<M: WireSize + serde::Serialize + Send + Sync
         }
     }
     sim.finish()
+}
+
+/// Run a protocol under `scenario`: build the engine for `n` replicas,
+/// install `replica(i, q, store)` for each of them and `client(c, q)` for
+/// each scenario client, and drive the run to completion (plus `drain`).
+pub fn launch_with_clients<M, R, C>(
+    scenario: &Scenario,
+    n: usize,
+    drain: SimDuration,
+    mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
+    mut client: impl FnMut(u64, QuorumRules) -> C,
+) -> RunOutcome
+where
+    M: WireSize + serde::Serialize + Send + Sync + 'static,
+    R: Actor<M> + Send + 'static,
+    C: Actor<M> + Send + 'static,
+{
+    let q = QuorumRules { n, f: scenario.f };
+    let store = scenario.key_store();
+    let mut engine = scenario.build_engine::<M>(n);
+    for i in 0..n as u32 {
+        engine.add_replica(i, Box::new(replica(ReplicaId(i), q, store.clone())));
+    }
+    for c in 0..scenario.clients as u64 {
+        engine.add_client(c, Box::new(client(c, q)));
+    }
+    run_to_completion(engine, scenario.total_requests(), scenario.max_time, drain)
+}
+
+/// [`launch_with_clients`] with [`GenericClient`]s and no drain — the shape
+/// of every protocol whose client is the plain requester.
+pub fn launch<P: ClientProtocol, R: Actor<P::Msg> + Send + 'static>(
+    scenario: &Scenario,
+    n: usize,
+    replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
+) -> RunOutcome {
+    launch_with_clients(scenario, n, SimDuration::ZERO, replica, |c, q| {
+        GenericClient::<P>::new(scenario, q, c)
+    })
 }
 
 /// Protocol-agnostic state-transfer/catch-up driver — the generalization of
@@ -976,6 +878,500 @@ impl Catchup {
     }
 }
 
+/// Mempool de-duplication: queue `signed` unless it is queued already.
+pub fn enqueue_unique(mempool: &mut VecDeque<SignedRequest>, signed: &SignedRequest) {
+    if !mempool.iter().any(|r| r.request.id == signed.request.id) {
+        mempool.push_back(signed.clone());
+    }
+}
+
+/// A `deliver` closure for [`Execution`] and [`Intake::admit`]: charge
+/// `auth` (if any) and send the reply, wrapped by `wrap`, to its client.
+pub fn reply_to_client<M: WireSize + serde::Serialize + 'static>(
+    auth: Option<CryptoOp>,
+    wrap: impl Fn(Reply) -> M,
+) -> impl FnMut(&mut Context<'_, M>, Reply, SeqNum) {
+    move |ctx, reply, _| {
+        if let Some(op) = auth {
+            ctx.charge_crypto(op);
+        }
+        ctx.send(NodeId::Client(reply.request.client), wrap(reply));
+    }
+}
+
+/// The execution stage of Figure 1, shared by every replicated protocol:
+/// the state machine, the set of executed requests and the cursor over
+/// consensus slots. It runs committed batches in order and hands each
+/// [`Reply`] to the protocol's `deliver` closure, which authenticates and
+/// sends it (plain send, CheapBFT's actives-only, SBFT's exec share to the
+/// collector, Zyzzyva's `SpecReply`) — `deliver` also receives the state
+/// machine sequence number the request executed at.
+///
+/// The ordering stage decides *which* batch sits in the next slot and
+/// whether it is committed; this stage only ever executes a batch it is
+/// actually handed, so a slot whose proposal has not arrived cannot be
+/// executed as an empty placeholder.
+#[derive(Debug, Default)]
+pub struct Execution {
+    sm: StateMachine,
+    executed: BTreeSet<RequestId>,
+    /// Last executed consensus slot (slot space ≠ request space when
+    /// batches hold several requests).
+    cursor: SeqNum,
+    speculative: bool,
+    skip_executed: bool,
+}
+
+impl Execution {
+    /// A stage at slot 0 with an empty state machine.
+    pub fn new() -> Execution {
+        Execution::default()
+    }
+
+    /// Execute speculatively (PoE, Zyzzyva): effects can be undone by
+    /// [`Execution::rollback`] and replies are marked speculative.
+    pub fn speculative(mut self) -> Execution {
+        self.speculative = true;
+        self
+    }
+
+    /// Skip requests of a batch that already executed (protocols whose
+    /// ordering stage can decide one request in two slots: Chain, HotStuff,
+    /// Kauri, Prime, Tendermint, Themis).
+    pub fn skipping_executed(mut self) -> Execution {
+        self.skip_executed = true;
+        self
+    }
+
+    /// Last executed consensus slot.
+    pub fn cursor(&self) -> SeqNum {
+        self.cursor
+    }
+
+    /// Re-aim the cursor after a rollback.
+    pub fn set_cursor(&mut self, slot: SeqNum) {
+        self.cursor = slot;
+    }
+
+    /// Read access to the state machine (digest, snapshots, read path).
+    pub fn sm(&self) -> &StateMachine {
+        &self.sm
+    }
+
+    /// Whether `id` has executed here (and was not rolled back).
+    pub fn is_executed(&self, id: &RequestId) -> bool {
+        self.executed.contains(id)
+    }
+
+    /// Record `id` as executed without applying it — what PBFT's test-only
+    /// `DropExecution` sabotage does to the request it silently skips.
+    #[doc(hidden)]
+    pub fn mark_executed(&mut self, id: RequestId) {
+        self.executed.insert(id);
+    }
+
+    /// The reply this replica would re-send for `id`: the client's cached
+    /// result, if `id` is still the client's latest executed request.
+    pub fn cached_reply(&self, id: RequestId, view: View) -> Option<Reply> {
+        let (cached, result) = self.sm.cached_reply(id.client)?;
+        (*cached == id).then(|| Reply {
+            request: id,
+            view,
+            result: result.clone(),
+            state_digest: self.sm.digest(),
+            speculative: self.speculative,
+        })
+    }
+
+    /// Execute one request at the next state-machine sequence number:
+    /// charge its `Op::Work` (1 µs per unit), apply it, observe the
+    /// execution, mark it executed and deliver the reply. Already-executed
+    /// requests are skipped when the stage was built
+    /// [`skipping_executed`](Execution::skipping_executed).
+    pub fn execute<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        signed: &SignedRequest,
+        view: View,
+        deliver: &mut impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+    ) {
+        let id = signed.request.id;
+        if self.skip_executed && self.executed.contains(&id) {
+            return;
+        }
+        let seq = self.sm.last_executed().next();
+        let work: u32 = signed
+            .request
+            .txn
+            .ops
+            .iter()
+            .map(|op| if let Op::Work(w) = op { *w } else { 0 })
+            .sum();
+        if work > 0 {
+            ctx.charge(SimDuration(work as u64 * 1_000));
+        }
+        let (result, state_digest) = if self.speculative {
+            self.sm.execute_speculative(seq, &signed.request)
+        } else {
+            self.sm.execute(seq, &signed.request)
+        };
+        ctx.observe(Observation::Execute {
+            seq,
+            request: id,
+            state_digest,
+        });
+        self.executed.insert(id);
+        let reply = Reply {
+            request: id,
+            view,
+            result,
+            state_digest,
+            speculative: self.speculative,
+        };
+        deliver(ctx, reply, seq);
+    }
+
+    /// Run the committed batch of the slot after the cursor, bracketed by
+    /// the Execution/Ordering stage observations, and advance the cursor.
+    /// `batch` is `None` while the slot's proposal has not been installed:
+    /// nothing happens then and `false` comes back — the caller retries
+    /// when the proposal lands.
+    pub fn run<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        batch: Option<&[SignedRequest]>,
+        view: View,
+        deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+    ) -> bool {
+        self.run_then(ctx, batch, view, deliver, |_| {})
+    }
+
+    /// [`Execution::run`], calling `epilogue` after the last request and
+    /// before the stage is left (PoE observes its speculative commit
+    /// there).
+    pub fn run_then<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        batch: Option<&[SignedRequest]>,
+        view: View,
+        mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+        epilogue: impl FnOnce(&mut Context<'_, M>),
+    ) -> bool {
+        let Some(batch) = batch else {
+            return false;
+        };
+        ctx.observe(Observation::StageEnter {
+            stage: Stage::Execution,
+        });
+        for signed in batch {
+            self.execute(ctx, signed, view, &mut deliver);
+        }
+        epilogue(ctx);
+        self.finish(ctx);
+        true
+    }
+
+    /// Close a slot executed request by request with
+    /// [`Execution::execute`]: advance the cursor and re-enter Ordering.
+    pub fn finish<M: WireSize + serde::Serialize + 'static>(&mut self, ctx: &mut Context<'_, M>) {
+        self.cursor = self.cursor.next();
+        ctx.observe(Observation::StageEnter {
+            stage: Stage::Ordering,
+        });
+    }
+
+    /// Undo every execution at state-machine sequence number ≥ `from`
+    /// (speculation that did not survive a view change): the requests
+    /// become executable again. Observes the rollback if anything was
+    /// undone; the caller re-aims the cursor.
+    pub fn rollback<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        from: SeqNum,
+    ) {
+        let undone: Vec<RequestId> = self
+            .sm
+            .history()
+            .iter()
+            .filter(|e| e.seq >= from)
+            .map(|e| e.request)
+            .collect();
+        if self.sm.rollback_to(from) > 0 {
+            ctx.observe(Observation::Rollback { from_seq: from });
+        }
+        for id in undone {
+            self.executed.remove(&id);
+        }
+    }
+
+    /// Mark speculative executions up to `seq` final.
+    pub fn confirm_up_to(&mut self, seq: SeqNum) {
+        self.sm.confirm_up_to(seq);
+    }
+
+    /// Replace the machine state with `snapshot`, which covers consensus
+    /// slots up to `slot`.
+    pub fn install_snapshot(&mut self, snapshot: &Snapshot, slot: SeqNum) {
+        self.sm.install_snapshot(snapshot);
+        self.cursor = slot;
+    }
+
+    /// Drop undo/history bookkeeping at or below `seq` (stable checkpoint).
+    pub fn truncate_below(&mut self, seq: SeqNum) {
+        self.sm.truncate_below(seq);
+    }
+}
+
+/// Request intake on the path every replicated protocol shares: verify the
+/// client signature, answer a retransmission of an executed request from
+/// the reply cache ([`Intake::admit`]), and — at a backup — forward the
+/// request to the leader, remember it as outstanding and hold the leader
+/// accountable with the view-change timer τ2 ([`Intake::relay`]). The same
+/// τ2 handle is re-armed by a protocol's view-change code and disarmed when
+/// the outstanding set drains ([`Intake::settle`]).
+#[derive(Debug)]
+pub struct Intake {
+    /// Requests relayed (or merely seen) and not yet executed here.
+    pending: Vec<RequestId>,
+    timer: Option<TimerId>,
+    timeout: SimDuration,
+}
+
+impl Intake {
+    /// An intake whose τ2 runs for `view_timeout`.
+    pub fn new(view_timeout: SimDuration) -> Intake {
+        Intake {
+            pending: Vec::new(),
+            timer: None,
+            timeout: view_timeout,
+        }
+    }
+
+    /// Charge for and check the client's signature on a request.
+    pub fn verify<M: WireSize + serde::Serialize + 'static>(
+        ctx: &mut Context<'_, M>,
+        store: &KeyStore,
+        signed: &SignedRequest,
+    ) -> bool {
+        ctx.charge_crypto(CryptoOp::Verify); // client signatures are real signatures
+        signed.verify(store)
+    }
+
+    /// Verify a client request and decide whether it is new work. A
+    /// request this replica already executed is answered through `deliver`
+    /// when the client's cached reply is still for that request (`deliver`
+    /// gets the reply and the last executed state-machine sequence number),
+    /// and dropped either way. Returns `true` for a valid, unexecuted
+    /// request.
+    pub fn admit<M: WireSize + serde::Serialize + 'static>(
+        ctx: &mut Context<'_, M>,
+        store: &KeyStore,
+        exec: &Execution,
+        signed: &SignedRequest,
+        view: View,
+        deliver: impl FnOnce(&mut Context<'_, M>, Reply, SeqNum),
+    ) -> bool {
+        if !Self::verify(ctx, store, signed) {
+            return false;
+        }
+        if let Some(reply) = exec.cached_reply(signed.request.id, view) {
+            deliver(ctx, reply, exec.sm.last_executed());
+            return false;
+        }
+        !exec.is_executed(&signed.request.id)
+    }
+
+    /// Backup path: forward the request to `leader` (wrapped by `wrap`)
+    /// and [`watch`](Intake::watch) it.
+    pub fn relay<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        signed: &SignedRequest,
+        leader: ReplicaId,
+        wrap: impl FnOnce(SignedRequest) -> M,
+        may_arm: bool,
+    ) {
+        ctx.send(NodeId::Replica(leader), wrap(signed.clone()));
+        self.watch(ctx, signed.request.id, may_arm);
+    }
+
+    /// Remember `id` as outstanding and, unless a view change is already
+    /// under way (`may_arm` false), make sure τ2 is running.
+    pub fn watch<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        id: RequestId,
+        may_arm: bool,
+    ) {
+        if !self.pending.contains(&id) {
+            self.pending.push(id);
+        }
+        if may_arm {
+            self.arm(ctx);
+        }
+    }
+
+    /// After execution progress: forget outstanding requests that have
+    /// executed and stop τ2 once none remain.
+    pub fn settle<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        exec: &Execution,
+    ) {
+        self.pending.retain(|id| !exec.is_executed(id));
+        if self.pending.is_empty() {
+            self.disarm(ctx);
+        }
+    }
+
+    /// Whether relayed requests are still outstanding.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Forget every outstanding request (a new view starts clean).
+    pub fn clear_pending(&mut self) {
+        self.pending.clear();
+    }
+
+    /// Start τ2 unless it is already running; `true` if it was started.
+    pub fn arm<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+    ) -> bool {
+        if self.timer.is_some() {
+            return false;
+        }
+        self.rearm(ctx);
+        true
+    }
+
+    /// Start a fresh τ2 span; a span already running is orphaned (its pop
+    /// no longer matches [`Intake::fired`]), not cancelled.
+    pub fn rearm<M: WireSize + serde::Serialize + 'static>(&mut self, ctx: &mut Context<'_, M>) {
+        self.rearm_for(ctx, self.timeout);
+    }
+
+    /// [`Intake::rearm`] with an explicit span.
+    pub fn rearm_for<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        span: SimDuration,
+    ) {
+        self.timer = Some(ctx.set_timer(TimerKind::T2ViewChange, span));
+    }
+
+    /// Cancel τ2 if it is running.
+    pub fn disarm<M: WireSize + serde::Serialize + 'static>(&mut self, ctx: &mut Context<'_, M>) {
+        if let Some(t) = self.timer.take() {
+            ctx.cancel_timer(t);
+        }
+    }
+
+    /// Timer pop: `true` (and τ2 is marked stopped) iff `id` is the live τ2.
+    pub fn fired(&mut self, id: TimerId) -> bool {
+        let hit = self.timer == Some(id);
+        if hit {
+            self.timer = None;
+        }
+        hit
+    }
+
+    /// Forget the τ2 handle without cancelling it (the timer died with a
+    /// crashed incarnation).
+    pub fn forget_timer(&mut self) {
+        self.timer = None;
+    }
+}
+
+/// The view gate in front of a protocol's ordering messages: the current
+/// view, whether a view change is in progress, and the bounded buffer of
+/// messages that raced ahead of the new-view message that would make them
+/// current.
+#[derive(Debug)]
+pub struct ViewGate<M> {
+    view: View,
+    in_view_change: bool,
+    future: Vec<(View, NodeId, M)>,
+}
+
+impl<M> Default for ViewGate<M> {
+    fn default() -> Self {
+        ViewGate {
+            view: View(0),
+            in_view_change: false,
+            future: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> ViewGate<M> {
+    /// Buffered messages beyond this many are dropped (flood bound).
+    pub const CAPACITY: usize = 10_000;
+
+    /// A gate in view 0, normal operation, nothing buffered.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The current view.
+    pub fn view(&self) -> View {
+        self.view
+    }
+
+    /// Whether a view change is in progress.
+    pub fn in_view_change(&self) -> bool {
+        self.in_view_change
+    }
+
+    /// Enter (`true`) or abandon (`false`) a view change without
+    /// installing a view.
+    pub fn set_in_view_change(&mut self, on: bool) {
+        self.in_view_change = on;
+    }
+
+    /// Install `view`: it becomes current and normal operation resumes.
+    /// Buffered messages stay put until
+    /// [`replay_after_install`](ViewGate::replay_after_install).
+    pub fn install(&mut self, view: View) {
+        self.view = view;
+        self.in_view_change = false;
+    }
+
+    /// Admit a message tagged `view`: `true` iff it belongs to the current
+    /// view in normal operation. A message ahead of the view — or for the
+    /// current view while a view change is in progress — is buffered for
+    /// replay; a stale one is dropped.
+    pub fn admit(&mut self, from: NodeId, view: View, msg: &M) -> bool {
+        if view > self.view || (self.in_view_change && view == self.view) {
+            if self.future.len() < Self::CAPACITY {
+                self.future.push((view, from, msg.clone()));
+            }
+            false
+        } else {
+            view == self.view && !self.in_view_change
+        }
+    }
+
+    /// After installing a view: take the buffered messages of exactly that
+    /// view, in arrival order, for re-delivery; later views stay buffered
+    /// and stale ones are dropped.
+    pub fn replay_after_install(&mut self) -> Vec<(NodeId, M)> {
+        let cur = self.view;
+        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future)
+            .into_iter()
+            .filter(|(v, _, _)| *v >= cur)
+            .partition(|(v, _, _)| *v == cur);
+        self.future = later;
+        now.into_iter().map(|(_, from, m)| (from, m)).collect()
+    }
+
+    /// Back to view 0 with nothing buffered (amnesia restart).
+    pub fn reset(&mut self) {
+        *self = Self::default();
+    }
+}
+
 /// A re-proposable consensus entry: `(slot, batch digest, batch)` — the
 /// unit view-change messages carry.
 pub type BatchEntry = (bft_types::SeqNum, Digest, Vec<SignedRequest>);
@@ -984,19 +1380,305 @@ pub type BatchEntry = (bft_types::SeqNum, Digest, Vec<SignedRequest>);
 /// reported.
 pub type VcVotes = BTreeMap<bft_types::View, Vec<(ReplicaId, Vec<BatchEntry>)>>;
 
-/// Helper: the set of replica ids `0..n` as `NodeId`s.
-pub fn replica_nodes(n: usize) -> impl Iterator<Item = NodeId> + Clone {
-    (0..n as u32).map(NodeId::replica)
-}
-
-/// Helper: pretty digest for markers.
-pub fn short(d: &Digest) -> String {
-    d.short_hex()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Minimal protocol message for driving the shared pieces.
+    #[derive(Debug, Clone, PartialEq, serde::Serialize)]
+    enum TMsg {
+        Request(SignedRequest),
+        Vote(u32),
+    }
+
+    impl WireSize for TMsg {
+        fn wire_size(&self) -> usize {
+            1
+        }
+    }
+
+    /// An actor that runs one closure at start-up: the way to get a
+    /// [`Context`] in a unit test.
+    struct Script<F>(Option<F>);
+
+    impl<F: FnOnce(&mut Context<'_, TMsg>)> Actor<TMsg> for Script<F> {
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg>) {
+            (self.0.take().expect("starts once"))(ctx);
+        }
+
+        fn on_message(&mut self, _: NodeId, _: &TMsg, _: &mut Context<'_, TMsg>) {}
+
+        fn on_timer(&mut self, _: TimerId, _: TimerKind, ctx: &mut Context<'_, TMsg>) {
+            ctx.observe(Observation::Marker { label: "timer" });
+        }
+    }
+
+    /// Run `script` as replica 0 of a two-replica LAN (free crypto) and
+    /// return everything the run observed.
+    fn on_replica(script: impl FnOnce(&mut Context<'_, TMsg>) + 'static) -> RunOutcome {
+        let mut sim = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
+        sim.add_replica(0, Box::new(Script(Some(script))));
+        sim.add_replica(1, Box::new(Script(Some(|_: &mut Context<'_, TMsg>| {}))));
+        sim.run(SimTime(1_000_000));
+        sim.finish()
+    }
+
+    fn signed(store: &KeyStore, client: u64, ts: u64, op: Op) -> SignedRequest {
+        let txn = Transaction::single(op);
+        SignedRequest::new(store, Request::new(ClientId(client), ts, txn))
+    }
+
+    /// A `deliver` closure that records `(request, sm seq)` into `sink`.
+    type Sink = Rc<RefCell<Vec<(RequestId, SeqNum)>>>;
+    fn record(sink: &Sink) -> impl FnMut(&mut Context<'_, TMsg>, Reply, SeqNum) {
+        let sink = sink.clone();
+        move |_, reply, seq| sink.borrow_mut().push((reply.request, seq))
+    }
+
+    fn executions(out: &RunOutcome) -> Vec<(SimTime, SeqNum)> {
+        out.log
+            .entries
+            .iter()
+            .filter_map(|e| match e.obs {
+                Observation::Execute { seq, .. } => Some((e.at, seq)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn duplicate_in_a_batch_executes_once_when_skipping_executed() {
+        let store = Scenario::small(1).key_store();
+        let (a, b) = (
+            signed(&store, 1, 1, Op::Add(0, 5)),
+            signed(&store, 2, 1, Op::Add(0, 1)),
+        );
+        let replies = Sink::default();
+        let sink = replies.clone();
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new().skipping_executed();
+            let batch = [a.clone(), a, b];
+            assert!(exec.run(ctx, Some(&batch), View(3), record(&sink)));
+            assert_eq!(exec.cursor(), SeqNum(1), "one slot, whatever it held");
+            assert_eq!(exec.sm().store().get(0), Some(6));
+        });
+        let ids: Vec<u64> = replies.borrow().iter().map(|(id, _)| id.client.0).collect();
+        assert_eq!(ids, vec![1, 2], "the duplicate is neither run nor answered");
+        assert_eq!(executions(&out).len(), 2);
+        // the slot is bracketed by the Execution and Ordering stages
+        let stage = |e: &bft_sim::obs::LoggedObservation| match e.obs {
+            Observation::StageEnter { stage } => Some(stage),
+            _ => None,
+        };
+        let entries = &out.log.entries;
+        assert_eq!(entries.first().and_then(stage), Some(Stage::Execution));
+        assert_eq!(entries.last().and_then(stage), Some(Stage::Ordering));
+    }
+
+    #[test]
+    fn retransmission_is_answered_from_the_cache_only_for_the_cached_id() {
+        let store = Scenario::small(1).key_store();
+        let first = signed(&store, 1, 1, Op::Put(1, 10));
+        let second = signed(&store, 1, 2, Op::Put(1, 20));
+        let fresh = signed(&store, 2, 1, Op::Get(1));
+        let mut forged = second.clone();
+        forged.request.txn = Transaction::single(Op::Put(1, 99));
+        let answered = Sink::default();
+        let sink = answered.clone();
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            let batch = [first.clone(), second.clone()];
+            exec.run(ctx, Some(&batch), View(0), |_, _, _| {});
+            let view = View(4);
+            let admit = |ctx: &mut Context<'_, TMsg>, req| {
+                Intake::admit(ctx, &store, &exec, req, view, record(&sink))
+            };
+            assert!(!admit(ctx, &second), "the latest request: answered");
+            assert!(!admit(ctx, &first), "an older one: dropped silently");
+            assert!(
+                !admit(ctx, &forged),
+                "a bad signature never reaches the cache"
+            );
+            assert!(admit(ctx, &fresh));
+            let reply = exec.cached_reply(second.request.id, view).expect("cached");
+            assert_eq!((reply.view, reply.speculative), (view, false));
+            assert_eq!(exec.sm().last_executed(), SeqNum(2), "nothing re-executed");
+        });
+        let second_id = RequestId {
+            client: ClientId(1),
+            timestamp: 2,
+        };
+        assert_eq!(*answered.borrow(), vec![(second_id, SeqNum(2))]);
+        assert_eq!(executions(&out).len(), 2);
+    }
+
+    #[test]
+    fn speculative_run_then_rollback_restores_digest_and_executed_set() {
+        let store = Scenario::small(1).key_store();
+        let keep = signed(&store, 1, 1, Op::Put(1, 1));
+        let undo = [
+            signed(&store, 1, 2, Op::Put(1, 2)),
+            signed(&store, 2, 1, Op::Put(2, 2)),
+        ];
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new().speculative();
+            let spec = Sink::default();
+            let first = std::slice::from_ref(&keep);
+            exec.run(ctx, Some(first), View(0), record(&spec));
+            let digest = exec.sm().digest();
+            let spec_commit = Observation::Marker { label: "epilogue" };
+            let check = |_: &mut Context<'_, TMsg>, reply: Reply, _| assert!(reply.speculative);
+            exec.run_then(ctx, Some(&undo), View(0), check, |ctx| {
+                ctx.observe(spec_commit)
+            });
+            assert!(exec.is_executed(&undo[1].request.id));
+            exec.rollback(ctx, SeqNum(2));
+            exec.set_cursor(SeqNum(1));
+            assert_eq!(exec.sm().digest(), digest);
+            assert_eq!(exec.sm().last_executed(), SeqNum(1));
+            assert!(exec.is_executed(&keep.request.id));
+            assert!(!exec.is_executed(&undo[0].request.id));
+            assert!(!exec.is_executed(&undo[1].request.id));
+            // the undone requests are new work again
+            assert!(Intake::admit(
+                ctx,
+                &store,
+                &exec,
+                &undo[0],
+                View(1),
+                record(&spec)
+            ));
+            // nothing left to undo: no second observation
+            exec.rollback(ctx, SeqNum(2));
+        });
+        let rollbacks = out.log.count(
+            |e| matches!(e.obs, Observation::Rollback { from_seq } if from_seq == SeqNum(2)),
+        );
+        assert_eq!(rollbacks, 1);
+        // the epilogue runs after the last request, inside the stage bracket
+        let at = |obs: Observation| out.log.entries.iter().rposition(|e| e.obs == obs);
+        let epilogue = at(Observation::Marker { label: "epilogue" }).expect("ran");
+        assert_eq!(executions(&out).len(), 3);
+        assert!(matches!(
+            out.log.entries[epilogue - 1].obs,
+            Observation::Execute { seq: SeqNum(3), .. }
+        ));
+        assert_eq!(
+            out.log.entries[epilogue + 1].obs,
+            Observation::StageEnter {
+                stage: Stage::Ordering
+            }
+        );
+    }
+
+    #[test]
+    fn slot_without_its_batch_waits_and_executes_when_the_batch_arrives() {
+        let store = Scenario::small(1).key_store();
+        let req = signed(&store, 1, 1, Op::Put(1, 1));
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            // committed, but the proposal has not been installed
+            assert!(!exec.run(ctx, None, View(0), |_, _, _| unreachable!()));
+            assert_eq!(exec.cursor(), SeqNum(0));
+            assert_eq!(exec.sm().last_executed(), SeqNum(0));
+            ctx.observe(Observation::Marker { label: "proposal" });
+            assert!(exec.run(ctx, Some(&[req]), View(0), |_, _, _| {}));
+            assert_eq!(exec.cursor(), SeqNum(1));
+        });
+        // nothing at all was observed before the proposal landed
+        assert_eq!(
+            out.log.entries[0].obs,
+            Observation::Marker { label: "proposal" }
+        );
+        assert_eq!(executions(&out).len(), 1);
+    }
+
+    #[test]
+    fn work_ops_charge_one_microsecond_per_unit_before_the_execute() {
+        let store = Scenario::small(1).key_store();
+        let mut busy = signed(&store, 1, 1, Op::Work(7));
+        busy.request.txn.ops.push(Op::Work(3));
+        let idle = signed(&store, 2, 1, Op::Get(0));
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            exec.run(ctx, Some(&[busy, idle]), View(0), |_, _, _| {});
+        });
+        assert_eq!(
+            executions(&out),
+            vec![(SimTime(10_000), SeqNum(1)), (SimTime(10_000), SeqNum(2))]
+        );
+    }
+
+    #[test]
+    fn relayed_requests_hold_one_view_timer_until_they_execute() {
+        let store = Scenario::small(1).key_store();
+        let req = signed(&store, 1, 1, Op::Put(1, 1));
+        let out = on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            let mut intake = Intake::new(SimDuration(500));
+            intake.relay(ctx, &req, ReplicaId(1), TMsg::Request, false);
+            assert!(intake.has_pending());
+            assert!(intake.arm(ctx), "a view change in progress left τ2 alone");
+            intake.relay(ctx, &req, ReplicaId(1), TMsg::Request, true);
+            assert!(!intake.arm(ctx), "still the one τ2");
+            intake.settle(ctx, &exec);
+            assert!(intake.has_pending(), "not executed yet");
+            exec.run(ctx, Some(&[req]), View(0), |_, _, _| {});
+            intake.settle(ctx, &exec);
+            assert!(!intake.has_pending());
+            assert!(intake.arm(ctx), "settling the last request stopped τ2");
+            intake.disarm(ctx);
+        });
+        assert_eq!(
+            out.metrics.replica_msgs_sent(),
+            2,
+            "each relay is forwarded"
+        );
+        assert_eq!(
+            out.log.marker_count("timer"),
+            0,
+            "both spans were cancelled"
+        );
+    }
+
+    #[test]
+    fn view_gate_buffers_ahead_replays_in_order_and_drops_stale() {
+        let mut gate: ViewGate<TMsg> = ViewGate::new();
+        let peer = NodeId::replica(1);
+        assert!(gate.admit(peer, View(0), &TMsg::Vote(0)), "current view");
+        // ahead of the view: buffered
+        assert!(!gate.admit(peer, View(2), &TMsg::Vote(20)));
+        assert!(!gate.admit(peer, View(1), &TMsg::Vote(10)));
+        assert!(!gate.admit(NodeId::replica(2), View(1), &TMsg::Vote(11)));
+        // same view while a view change is in progress: buffered too
+        gate.set_in_view_change(true);
+        assert!(!gate.admit(peer, View(0), &TMsg::Vote(1)));
+        gate.install(View(1));
+        assert!(!gate.in_view_change());
+        // stale: dropped, not buffered
+        assert!(!gate.admit(peer, View(0), &TMsg::Vote(2)));
+        let replay = gate.replay_after_install();
+        assert_eq!(
+            replay,
+            vec![(peer, TMsg::Vote(10)), (NodeId::replica(2), TMsg::Vote(11))],
+            "exactly the new view's messages, in arrival order"
+        );
+        assert!(gate.replay_after_install().is_empty());
+        // view 2's message survived; view 0's same-view message did not
+        gate.install(View(2));
+        assert_eq!(gate.replay_after_install(), vec![(peer, TMsg::Vote(20))]);
+        // the buffer is bounded
+        for i in 0..ViewGate::<TMsg>::CAPACITY as u32 + 5 {
+            assert!(!gate.admit(peer, View(3), &TMsg::Vote(i)));
+        }
+        gate.install(View(3));
+        assert_eq!(
+            gate.replay_after_install().len(),
+            ViewGate::<TMsg>::CAPACITY
+        );
+    }
 
     #[test]
     fn quorum_tracker_counts_distinct() {

@@ -20,13 +20,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// FaB messages.
@@ -119,19 +119,13 @@ pub struct FabReplica {
     me: ReplicaId,
     q: QuorumRules,
     store: Arc<KeyStore>,
-    view: View,
+    gate: ViewGate<FabMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, FabSlot>,
     mempool: VecDeque<SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
+    intake: Intake,
     vc_votes: crate::common::VcVotes,
-    vc_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, FabMsg)>,
-    view_timeout: SimDuration,
     batch_size: usize,
 }
 
@@ -148,25 +142,19 @@ impl FabReplica {
             me,
             q,
             store,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new(),
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
-            view_timeout,
             batch_size,
         }
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -179,7 +167,7 @@ impl FabReplica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, FabMsg>) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
         let in_slots: Vec<RequestId> = self
@@ -188,9 +176,9 @@ impl FabReplica {
             .filter(|s| !s.executed)
             .flat_map(|s| s.batch.iter().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_slots.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -199,7 +187,7 @@ impl FabReplica {
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
@@ -216,7 +204,7 @@ impl FabReplica {
     }
 
     fn accept(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, FabMsg>) {
-        let view = self.view;
+        let view = self.gate.view();
         let me = self.me;
         {
             let slot = self.slots.entry(seq).or_default();
@@ -243,7 +231,7 @@ impl FabReplica {
         ctx: &mut Context<'_, FabMsg>,
     ) {
         let quorum = self.accept_quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
@@ -264,81 +252,36 @@ impl FabReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, FabMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    FabMsg::Reply(reply),
-                );
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+            self.exec.run(
+                ctx,
+                Some(&slot.batch),
+                self.gate.view(),
+                reply_to_client(Some(CryptoOp::Sign), FabMsg::Reply),
+            );
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, FabMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
         let accepted: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
             .slots
             .iter()
-            .filter(|(seq, s)| s.accepted && !s.executed && **seq > self.exec_cursor)
+            .filter(|(seq, s)| s.accepted && !s.executed && **seq > self.exec.cursor())
             .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
@@ -349,7 +292,7 @@ impl FabReplica {
             from: me,
         });
         self.record_vc(me, target, accepted, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(
@@ -365,13 +308,13 @@ impl FabReplica {
         }
         votes.push((from, accepted));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
         // the new-view quorum is n − f = 4f+1 (the recovery certificate)
         if target.leader_of(self.q.n) == self.me
-            && self.in_view_change
+            && self.gate.in_view_change()
             && have >= self.q.n - self.q.f
         {
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
@@ -410,17 +353,14 @@ impl FabReplica {
         proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, FabMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
         let mut stranded: Vec<SignedRequest> = Vec::new();
         self.slots.retain(|seq, slot| {
@@ -431,12 +371,11 @@ impl FabReplica {
                 true
             }
         });
-        for r in stranded {
-            if !self.executed_reqs.contains_key(&r.request.id)
-                && !self.mempool.iter().any(|m| m.request.id == r.request.id)
-            {
-                self.mempool.push_back(r);
-            }
+        for r in stranded
+            .iter()
+            .filter(|r| !self.exec.is_executed(&r.request.id))
+        {
+            enqueue_unique(&mut self.mempool, r);
         }
         let max_seq = proposals
             .iter()
@@ -464,35 +403,11 @@ impl FabReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             self.propose(ctx);
         }
-        // replay racing messages
-        let cur = self.view;
-        let msg_view = |m: &FabMsg| match m {
-            FabMsg::Propose { view, .. } | FabMsg::Accept { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: FabMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -507,44 +422,18 @@ impl Actor<FabMsg> for FabReplica {
     fn on_message(&mut self, from: NodeId, msg: &FabMsg, ctx: &mut Context<'_, FabMsg>) {
         match msg {
             FabMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                let view = self.gate.view();
+                let answer = reply_to_client(None, FabMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), FabMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                let in_mempool = self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id);
-                if !in_mempool {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 if self.is_leader() {
                     self.propose(ctx);
                 } else {
-                    let leader = self.leader();
-                    ctx.send(NodeId::Replica(leader), FabMsg::Request(signed.clone()));
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() && !self.in_view_change {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    let may_arm = !self.gate.in_view_change();
+                    self.intake
+                        .relay(ctx, signed, self.leader(), FabMsg::Request, may_arm);
                 }
             }
             FabMsg::Propose {
@@ -553,13 +442,7 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 batch,
             } => {
-                let m = FabMsg::Propose {
-                    view: *view,
-                    seq: *seq,
-                    digest: *digest,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, *view, m) {
+                if !self.gate.admit(from, *view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -588,13 +471,7 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 from: r,
             } => {
-                let m = FabMsg::Accept {
-                    view: *view,
-                    seq: *seq,
-                    digest: *digest,
-                    from: *r,
-                };
-                if !self.view_ok(from, *view, m) {
+                if !self.gate.admit(from, *view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -609,7 +486,7 @@ impl Actor<FabMsg> for FabReplica {
                 self.record_vc(*r, *new_view, accepted.clone(), ctx);
             }
             FabMsg::NewView { view, proposals } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, proposals.clone(), ctx);
                 }
@@ -619,19 +496,18 @@ impl Actor<FabMsg> for FabReplica {
     }
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, FabMsg>) {
-        if kind == TimerKind::T2ViewChange && Some(id) == self.vc_timer {
-            self.vc_timer = None;
-            if self.in_view_change {
+        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
+            if self.gate.in_view_change() {
                 let target = self
                     .vc_votes
                     .keys()
                     .max()
                     .copied()
-                    .unwrap_or(self.view)
+                    .unwrap_or(self.gate.view())
                     .next();
                 self.start_view_change(target, ctx);
-            } else if !self.pending_reqs.is_empty() {
-                let target = self.view.next();
+            } else if self.intake.has_pending() {
+                let target = self.gate.view().next();
                 self.start_view_change(target, ctx);
             }
         }
@@ -643,6 +519,7 @@ pub struct FabClientProto;
 
 impl ClientProtocol for FabClientProto {
     type Msg = FabMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> FabMsg {
         FabMsg::Request(req)
@@ -654,43 +531,14 @@ impl ClientProtocol for FabClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run FaB under a scenario (n = 5f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(5 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<FabMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(FabReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                view_timeout,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<FabClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<FabClientProto, _>(scenario, scenario.n(5 * scenario.f + 1), |me, q, store| {
+        FabReplica::new(me, q, store, view_timeout, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]

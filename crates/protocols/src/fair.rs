@@ -31,13 +31,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario, SignedRequest,
+    SubmitPolicy, ViewGate,
 };
 
 /// Fair-protocol messages.
@@ -194,7 +194,7 @@ pub struct FairReplica {
     me: ReplicaId,
     q: QuorumRules,
     store: Arc<KeyStore>,
-    view: View,
+    gate: ViewGate<FairMsg>,
     next_seq: SeqNum,
     round: u64,
     slots: BTreeMap<SeqNum, FairSlot>,
@@ -202,16 +202,12 @@ pub struct FairReplica {
     pending: Vec<SignedRequest>,
     /// Round batches collected by the leader: round → replica → batch.
     round_batches: BTreeMap<u64, Vec<(ReplicaId, Vec<SignedRequest>)>>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
+    /// τ2 only: pending work is `pending` itself, nothing is relayed.
+    intake: Intake,
     vc_votes: BTreeMap<View, Vec<(ReplicaId, Vec<FairEntry>)>>,
-    vc_timer: Option<TimerId>,
-    future_msgs: Vec<(NodeId, FairMsg)>,
     round_timer: Option<TimerId>,
     round_period: SimDuration,
-    view_timeout: SimDuration,
     /// Fingerprint of the last `RoundBatch` stream state: (view, exec
     /// cursor, hash of pending ids). Unchanged across ticks means the
     /// stream is a pure retransmission.
@@ -233,29 +229,24 @@ impl FairReplica {
             me,
             q,
             store,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             round: 0,
             slots: BTreeMap::new(),
             pending: Vec::new(),
             round_batches: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new().skipping_executed(),
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            future_msgs: Vec::new(),
             round_timer: None,
             round_period,
-            view_timeout,
             stream_fp: None,
             idle_ticks: 0,
         }
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -292,9 +283,8 @@ impl FairReplica {
     fn on_round_tick(&mut self, ctx: &mut Context<'_, FairMsg>) {
         self.round += 1;
         let round = self.round;
-        let executed = &self.executed_reqs;
-        self.pending
-            .retain(|r| !executed.contains_key(&r.request.id));
+        let exec = &self.exec;
+        self.pending.retain(|r| !exec.is_executed(&r.request.id));
         // De-duplicate the preordering stream: fingerprint what a
         // RoundBatch this tick would carry (plus the view and execution
         // progress). An unchanged fingerprint means resending is pure
@@ -302,8 +292,8 @@ impl FairReplica {
         // by an equivocating leader that never lets the round commit —
         // backs off instead of flooding the leader every period.
         let fp = (
-            self.view.0,
-            self.exec_cursor.0,
+            self.gate.view().0,
+            self.exec.cursor().0,
             self.pending.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
                 (h ^ r.request.id.client.0)
                     .wrapping_mul(0x0100_0000_01b3)
@@ -342,8 +332,8 @@ impl FairReplica {
             }
         }
         // liveness pressure: pending work arms τ2
-        if !self.pending.is_empty() && self.vc_timer.is_none() && !self.in_view_change {
-            self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        if !self.pending.is_empty() && !self.gate.in_view_change() {
+            self.intake.arm(ctx);
         }
         self.round_timer = Some(ctx.set_timer(TimerKind::T6PreorderRound, self.round_period));
     }
@@ -355,7 +345,7 @@ impl FairReplica {
         entries: Vec<SignedRequest>,
         ctx: &mut Context<'_, FairMsg>,
     ) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
         let needed = self.batch_quorum();
@@ -370,7 +360,7 @@ impl FairReplica {
             let merged = fair_merge(&batches, self.merge_support());
             let fresh: Vec<&SignedRequest> = merged
                 .iter()
-                .filter(|r| !self.executed_reqs.contains_key(&r.request.id))
+                .filter(|r| !self.exec.is_executed(&r.request.id))
                 .collect();
             if fresh.is_empty() {
                 return;
@@ -380,7 +370,7 @@ impl FairReplica {
             let digest = digest_of(&batches);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
@@ -408,7 +398,7 @@ impl FairReplica {
         ctx: &mut Context<'_, FairMsg>,
     ) {
         let quorum = self.q.quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let me = self.me;
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
@@ -441,7 +431,7 @@ impl FairReplica {
         ctx: &mut Context<'_, FairMsg>,
     ) {
         let quorum = self.q.quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
@@ -462,69 +452,21 @@ impl FairReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        let support = self.merge_support();
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
             // the execution order is DERIVED from the batch set — identical
             // at every replica, independent of the leader
-            let merged = fair_merge(&slot.batches, self.merge_support());
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &merged {
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    continue;
-                }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    FairMsg::Reply(reply),
-                );
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+            let merged = fair_merge(&slot.batches, support);
+            let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
+            self.exec.run(ctx, Some(&merged), self.gate.view(), deliver);
             slot.executed = true;
-            self.exec_cursor = next;
-            let executed = &self.executed_reqs;
-            self.pending
-                .retain(|r| !executed.contains_key(&r.request.id));
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
+            let exec = &self.exec;
+            self.pending.retain(|r| !exec.is_executed(&r.request.id));
             if self.pending.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
+                self.intake.disarm(ctx);
             }
         }
     }
@@ -532,20 +474,20 @@ impl FairReplica {
     // ---- view change ---------------------------------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, FairMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
         let prepared: Vec<FairEntry> = self
             .slots
             .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec_cursor)
+            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
             .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batches.clone()))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
@@ -556,7 +498,7 @@ impl FairReplica {
             from: me,
         });
         self.record_vc(me, target, prepared, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(
@@ -572,11 +514,14 @@ impl FairReplica {
         }
         votes.push((from, prepared));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
             let mut proposals: BTreeMap<SeqNum, (Digest, Vec<ReplicaBatch>)> = BTreeMap::new();
             for (_, prepared) in &votes {
@@ -601,18 +546,15 @@ impl FairReplica {
         proposals: Vec<FairEntry>,
         ctx: &mut Context<'_, FairMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
         self.round_batches.clear();
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
         // dead slots' requests remain in `pending` (they were never removed)
         self.slots
@@ -643,7 +585,7 @@ impl FairReplica {
             }
             if me != leader {
                 ctx.charge_crypto(CryptoOp::Sign);
-                let view = self.view;
+                let view = self.gate.view();
                 ctx.broadcast_replicas(FairMsg::Prepare {
                     view,
                     seq,
@@ -657,35 +599,10 @@ impl FairReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
         }
-        let cur = self.view;
-        let msg_view = |m: &FairMsg| match m {
-            FairMsg::FairPropose { view, .. }
-            | FairMsg::Prepare { view, .. }
-            | FairMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: FairMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -701,23 +618,9 @@ impl Actor<FairMsg> for FairReplica {
     fn on_message(&mut self, from: NodeId, msg: &FairMsg, ctx: &mut Context<'_, FairMsg>) {
         match msg {
             FairMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
-                    return;
-                }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), FairMsg::Reply(reply));
-                        }
-                    }
+                let view = self.gate.view();
+                let answer = reply_to_client(None, FairMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
                 // record in RECEIVE ORDER — the fairness-critical step
@@ -744,13 +647,7 @@ impl Actor<FairMsg> for FairReplica {
                 batches,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = FairMsg::FairPropose {
-                    view,
-                    seq,
-                    digest,
-                    batches: batches.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -796,13 +693,7 @@ impl Actor<FairMsg> for FairReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = FairMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -815,13 +706,7 @@ impl Actor<FairMsg> for FairReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = FairMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -836,7 +721,7 @@ impl Actor<FairMsg> for FairReplica {
                 self.record_vc(*r, *new_view, prepared.clone(), ctx);
             }
             FairMsg::NewView { view, proposals } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, proposals.clone(), ctx);
                 }
@@ -851,19 +736,18 @@ impl Actor<FairMsg> for FairReplica {
                 self.round_timer = None;
                 self.on_round_tick(ctx);
             }
-            TimerKind::T2ViewChange if Some(id) == self.vc_timer => {
-                self.vc_timer = None;
-                if self.in_view_change {
+            TimerKind::T2ViewChange if self.intake.fired(id) => {
+                if self.gate.in_view_change() {
                     let target = self
                         .vc_votes
                         .keys()
                         .max()
                         .copied()
-                        .unwrap_or(self.view)
+                        .unwrap_or(self.gate.view())
                         .next();
                     self.start_view_change(target, ctx);
                 } else if !self.pending.is_empty() {
-                    let target = self.view.next();
+                    let target = self.gate.view().next();
                     self.start_view_change(target, ctx);
                 }
             }
@@ -877,6 +761,7 @@ pub struct FairClientProto;
 
 impl ClientProtocol for FairClientProto {
     type Msg = FairMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> FairMsg {
         FairMsg::Request(req)
@@ -888,44 +773,15 @@ impl ClientProtocol for FairClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::Broadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run the fair protocol under a scenario (n = 4f+1, γ = 1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(4 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let round_period = SimDuration(scenario.network.base_delay.0 * 4);
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<FairMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(FairReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                round_period,
-                view_timeout,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<FairClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<FairClientProto, _>(scenario, scenario.n(4 * scenario.f + 1), |me, q, store| {
+        FairReplica::new(me, q, store, round_period, view_timeout)
+    })
 }
 
 /// Fairness metric: mean absolute displacement between the order clients

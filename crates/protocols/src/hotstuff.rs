@@ -25,13 +25,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy,
 };
 
 /// The three vote phases.
@@ -147,9 +147,7 @@ pub struct HotStuffReplica {
     /// Decided slots awaiting execution order.
     decided: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>, View)>,
     mempool: VecDeque<SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
+    exec: Execution,
     /// New-view messages per view (pacemaker).
     new_views: BTreeMap<View, Vec<ReplicaId>>,
     /// τ5 pacemaker timer.
@@ -211,9 +209,7 @@ impl HotStuffReplica {
             locks: BTreeMap::new(),
             decided: BTreeMap::new(),
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
+            exec: Execution::new().skipping_executed(),
             new_views: BTreeMap::new(),
             t5: None,
             t5_timeout,
@@ -294,7 +290,7 @@ impl HotStuffReplica {
         // before extending the history — otherwise the slot would become a
         // permanent gap in the execution order.
         let (seq, digest, batch) = if let Some(qc) = self.high_qc {
-            if qc.seq > self.exec_cursor && !self.decided.contains_key(&qc.seq) {
+            if qc.seq > self.exec.cursor() && !self.decided.contains_key(&qc.seq) {
                 let Some(batch) = self.batches.get(&qc.digest).cloned() else {
                     return; // batch not known yet; a new-view message will carry it
                 };
@@ -332,9 +328,8 @@ impl HotStuffReplica {
 
     /// Pull a fresh batch from the mempool for the next free slot.
     fn next_fresh_batch(&mut self) -> Option<(SeqNum, Digest, Vec<SignedRequest>)> {
-        let executed = &self.executed_reqs;
-        self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id));
+        let exec = &self.exec;
+        self.mempool.retain(|r| !exec.is_executed(&r.request.id));
         if self.mempool.is_empty() {
             return None;
         }
@@ -343,7 +338,7 @@ impl HotStuffReplica {
         let seq = SeqNum(
             self.high_qc
                 .map(|qc| qc.seq.0)
-                .unwrap_or(self.exec_cursor.0)
+                .unwrap_or(self.exec.cursor().0)
                 + 1,
         );
         Some((seq, digest_of(&batch), batch))
@@ -396,7 +391,7 @@ impl HotStuffReplica {
         // never vote on a slot that has already decided or executed
         // here — a lagging leader proposing into history cannot be
         // allowed to re-open it
-        if seq <= self.exec_cursor || self.decided.contains_key(&seq) {
+        if seq <= self.exec.cursor() || self.decided.contains_key(&seq) {
             return;
         }
         // safety rule (per slot): an unlocked slot is free; a locked
@@ -449,7 +444,7 @@ impl HotStuffReplica {
         if view != self.view || !self.is_leader() {
             return;
         }
-        if seq <= self.exec_cursor || self.decided.contains_key(&seq) {
+        if seq <= self.exec.cursor() || self.decided.contains_key(&seq) {
             return;
         }
         let voters = self.votes.entry((phase, seq, digest)).or_default();
@@ -502,7 +497,7 @@ impl HotStuffReplica {
             HsPhase::Commit => {
                 // decide — exactly once per slot; a re-announced or stale
                 // certificate for a decided slot is dropped
-                if qc.seq <= self.exec_cursor || self.decided.contains_key(&qc.seq) {
+                if qc.seq <= self.exec.cursor() || self.decided.contains_key(&qc.seq) {
                     return;
                 }
                 let batch = self
@@ -530,51 +525,11 @@ impl HotStuffReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        while let Some((_, batch, view)) = self.decided.get(&self.exec_cursor.next()).cloned() {
-            let next = self.exec_cursor.next();
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    continue;
-                }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    HsMsg::Reply(reply),
-                );
-            }
-            self.exec_cursor = next;
-            self.locks.retain(|seq, _| *seq > next);
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
+        while let Some((_, batch, view)) = self.decided.get(&self.exec.cursor().next()) {
+            let deliver = reply_to_client(Some(CryptoOp::Sign), HsMsg::Reply);
+            self.exec.run(ctx, Some(batch), *view, deliver);
+            let done = self.exec.cursor();
+            self.locks.retain(|seq, _| *seq > done);
         }
     }
 
@@ -662,32 +617,11 @@ impl Actor<HsMsg> for HotStuffReplica {
     fn on_message(&mut self, from: NodeId, msg: &HsMsg, ctx: &mut Context<'_, HsMsg>) {
         match msg {
             HsMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                let answer = reply_to_client(None, HsMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, self.view, answer) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), HsMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                if !self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id)
-                {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 self.arm_pacemaker(ctx);
                 self.maybe_propose(ctx);
             }
@@ -753,12 +687,11 @@ impl Actor<HsMsg> for HotStuffReplica {
             let target = self.view.next();
             // return any current proposal's batch to the mempool
             if let Some((_, _, batch)) = self.cur.take() {
-                for r in batch {
-                    if !self.executed_reqs.contains_key(&r.request.id)
-                        && !self.mempool.iter().any(|m| m.request.id == r.request.id)
-                    {
-                        self.mempool.push_back(r);
-                    }
+                for r in batch
+                    .iter()
+                    .filter(|r| !self.exec.is_executed(&r.request.id))
+                {
+                    enqueue_unique(&mut self.mempool, r);
                 }
             }
             self.advance_view(target, ctx);
@@ -775,6 +708,7 @@ pub struct HsClientProto;
 
 impl ClientProtocol for HsClientProto {
     type Msg = HsMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> HsMsg {
         HsMsg::Request(req)
@@ -786,43 +720,14 @@ impl ClientProtocol for HsClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::Broadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run HotStuff under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let t5 = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<HsMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(HotStuffReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                t5,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<HsClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<HsClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        HotStuffReplica::new(me, q, store, t5, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]

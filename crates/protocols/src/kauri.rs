@@ -27,13 +27,13 @@ use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::topology::Topology;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// Aggregation phases.
@@ -160,20 +160,14 @@ pub struct KauriReplica {
     q: QuorumRules,
     store: Arc<KeyStore>,
     fanout: usize,
-    view: View,
+    gate: ViewGate<KauriMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, KauriSlot>,
     mempool: VecDeque<SignedRequest>,
     known: BTreeMap<RequestId, SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
+    intake: Intake,
     vc_votes: crate::common::VcVotes,
-    vc_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, KauriMsg)>,
-    view_timeout: SimDuration,
     agg_timeout: SimDuration,
     batch_size: usize,
 }
@@ -194,20 +188,14 @@ impl KauriReplica {
             q,
             store,
             fanout,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             mempool: VecDeque::new(),
             known: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new().skipping_executed(),
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
-            view_timeout,
             agg_timeout,
             batch_size,
         }
@@ -215,13 +203,13 @@ impl KauriReplica {
 
     fn tree(&self) -> Topology {
         Topology::Tree {
-            root: self.view.leader_of(self.q.n),
+            root: self.gate.view().leader_of(self.q.n),
             fanout: self.fanout,
         }
     }
 
     fn root(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_root(&self) -> bool {
@@ -237,7 +225,7 @@ impl KauriReplica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        if !self.is_root() || self.in_view_change {
+        if !self.is_root() || self.gate.in_view_change() {
             return;
         }
         let in_slots: Vec<RequestId> = self
@@ -246,9 +234,9 @@ impl KauriReplica {
             .filter(|s| !s.executed)
             .flat_map(|s| s.batch.iter().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_slots.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -283,7 +271,7 @@ impl KauriReplica {
             slot.digest = Some(digest);
             slot.batch = batch.clone();
         }
-        let view = self.view;
+        let view = self.gate.view();
         // disseminate down
         for child in self.children() {
             ctx.send(
@@ -344,7 +332,7 @@ impl KauriReplica {
         let quorum = self.q.quorum();
         let is_root = self.is_root();
         let me = self.me;
-        let view = self.view;
+        let view = self.gate.view();
         let parent = self.parent();
 
         let slot = self.slots.entry(seq).or_default();
@@ -449,7 +437,7 @@ impl KauriReplica {
         digest: Digest,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        let view = self.view;
+        let view = self.gate.view();
         // forward the certificate down the tree
         for child in self.children() {
             ctx.send(
@@ -494,79 +482,31 @@ impl KauriReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    continue;
-                }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    KauriMsg::Reply(reply),
-                );
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+            self.exec.run(
+                ctx,
+                Some(&slot.batch),
+                self.gate.view(),
+                reply_to_client(Some(CryptoOp::Sign), KauriMsg::Reply),
+            );
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
     // ---- reconfiguration (tree rotation) ---------------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, KauriMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
@@ -576,7 +516,7 @@ impl KauriReplica {
         let certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
             .slots
             .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec_cursor)
+            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
             .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
@@ -587,7 +527,7 @@ impl KauriReplica {
             from: me,
         });
         self.record_vc(me, target, certified, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(
@@ -603,11 +543,14 @@ impl KauriReplica {
         }
         votes.push((from, certified));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
             let mut assignments: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
             for (_, certified) in &votes {
@@ -634,17 +577,14 @@ impl KauriReplica {
         assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = assignments.iter().map(|(s, _, _)| *s).collect();
         let mut stranded: Vec<SignedRequest> = Vec::new();
         self.slots.retain(|seq, slot| {
@@ -655,12 +595,11 @@ impl KauriReplica {
                 true
             }
         });
-        for r in stranded {
-            if !self.executed_reqs.contains_key(&r.request.id)
-                && !self.mempool.iter().any(|m| m.request.id == r.request.id)
-            {
-                self.mempool.push_back(r);
-            }
+        for r in stranded
+            .iter()
+            .filter(|r| !self.exec.is_executed(&r.request.id))
+        {
+            enqueue_unique(&mut self.mempool, r);
         }
         let max_seq = assignments
             .iter()
@@ -671,7 +610,7 @@ impl KauriReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             for (seq, digest, batch) in assignments {
                 if seq <= exec_cursor {
                     continue;
@@ -703,33 +642,8 @@ impl KauriReplica {
                 }
             }
         }
-        let cur = self.view;
-        let msg_view = |m: &KauriMsg| match m {
-            KauriMsg::Disseminate { view, .. }
-            | KauriMsg::Aggregate { view, .. }
-            | KauriMsg::QcDown { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: KauriMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -744,43 +658,20 @@ impl Actor<KauriMsg> for KauriReplica {
     fn on_message(&mut self, from: NodeId, msg: &KauriMsg, ctx: &mut Context<'_, KauriMsg>) {
         match msg {
             KauriMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
-                    return;
-                }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), KauriMsg::Reply(reply));
-                        }
-                    }
+                let view = self.gate.view();
+                let answer = reply_to_client(None, KauriMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
-                if !self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id)
-                {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 if self.is_root() {
                     self.propose(ctx);
                 } else {
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() && !self.in_view_change {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    // clients broadcast, so the root has the request too:
+                    // nothing to forward, only τ2 to hold it accountable
+                    let may_arm = !self.gate.in_view_change();
+                    self.intake.watch(ctx, signed.request.id, may_arm);
                 }
             }
             KauriMsg::Disseminate {
@@ -790,13 +681,7 @@ impl Actor<KauriMsg> for KauriReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = KauriMsg::Disseminate {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 // only our tree parent may disseminate to us
@@ -820,15 +705,7 @@ impl Actor<KauriMsg> for KauriReplica {
             } => {
                 let (phase, view, seq, digest, count, r) =
                     (*phase, *view, *seq, *digest, *count, *r);
-                let m = KauriMsg::Aggregate {
-                    phase,
-                    view,
-                    seq,
-                    digest,
-                    count,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 self.on_aggregate(phase, seq, digest, count, r, ctx);
@@ -840,13 +717,7 @@ impl Actor<KauriMsg> for KauriReplica {
                 digest,
             } => {
                 let (phase, view, seq, digest) = (*phase, *view, *seq, *digest);
-                let m = KauriMsg::QcDown {
-                    phase,
-                    view,
-                    seq,
-                    digest,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.parent().unwrap_or(self.root())) {
@@ -864,7 +735,7 @@ impl Actor<KauriMsg> for KauriReplica {
                 self.record_vc(*r, *new_view, certified.clone(), ctx);
             }
             KauriMsg::NewView { view, assignments } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, assignments.clone(), ctx);
                 }
@@ -891,19 +762,18 @@ impl Actor<KauriMsg> for KauriReplica {
                     self.push_aggregate(phase, seq, digest, true, ctx);
                 }
             }
-            TimerKind::T2ViewChange if Some(id) == self.vc_timer => {
-                self.vc_timer = None;
-                if self.in_view_change {
+            TimerKind::T2ViewChange if self.intake.fired(id) => {
+                if self.gate.in_view_change() {
                     let target = self
                         .vc_votes
                         .keys()
                         .max()
                         .copied()
-                        .unwrap_or(self.view)
+                        .unwrap_or(self.gate.view())
                         .next();
                     self.start_view_change(target, ctx);
-                } else if !self.pending_reqs.is_empty() {
-                    let target = self.view.next();
+                } else if self.intake.has_pending() {
+                    let target = self.gate.view().next();
                     self.start_view_change(target, ctx);
                 }
             }
@@ -917,6 +787,7 @@ pub struct KauriClientProto;
 
 impl ClientProtocol for KauriClientProto {
     type Msg = KauriMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> KauriMsg {
         KauriMsg::Request(req)
@@ -928,46 +799,16 @@ impl ClientProtocol for KauriClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::Broadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run Kauri under a scenario with the given tree fan-out.
 pub fn run(scenario: &Scenario, fanout: usize) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
     let agg_timeout = SimDuration(scenario.network.delta.0);
-
-    let mut sim = scenario.build_engine::<KauriMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(KauriReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                fanout,
-                view_timeout,
-                agg_timeout,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<KauriClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<KauriClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        let batch = scenario.batch_size;
+        KauriReplica::new(me, q, store, fanout, view_timeout, agg_timeout, batch)
+    })
 }
 
 #[cfg(test)]

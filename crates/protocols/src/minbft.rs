@@ -25,13 +25,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// A unique identifier produced by the trusted component: an attested
@@ -196,19 +196,13 @@ pub struct MinBftReplica {
     store: Arc<KeyStore>,
     usig: Usig,
     verifier: UiVerifier,
-    view: View,
+    gate: ViewGate<MinBftMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, MinSlot>,
     mempool: VecDeque<SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
+    intake: Intake,
     vc_votes: BTreeMap<View, Vec<ReplicaId>>,
-    vc_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, MinBftMsg)>,
-    view_timeout: SimDuration,
     batch_size: usize,
 }
 
@@ -227,25 +221,19 @@ impl MinBftReplica {
             store,
             usig: Usig::new(me),
             verifier: UiVerifier::default(),
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new(),
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
-            view_timeout,
             batch_size,
         }
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -260,7 +248,7 @@ impl MinBftReplica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
         let in_slots: Vec<RequestId> = self
@@ -269,9 +257,9 @@ impl MinBftReplica {
             .filter(|s| !s.executed)
             .flat_map(|s| s.batch.iter().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_slots.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -282,7 +270,7 @@ impl MinBftReplica {
             // USIG attestation (modeled at signature cost)
             ctx.charge_crypto(CryptoOp::Sign);
             let ui = self.usig.create_ui(digest);
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
@@ -299,7 +287,7 @@ impl MinBftReplica {
     }
 
     fn send_commit(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, MinBftMsg>) {
-        let view = self.view;
+        let view = self.gate.view();
         let me = self.me;
         {
             let slot = self.slots.entry(seq).or_default();
@@ -328,7 +316,7 @@ impl MinBftReplica {
         ctx: &mut Context<'_, MinBftMsg>,
     ) {
         let quorum = self.commit_quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
@@ -349,74 +337,29 @@ impl MinBftReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    MinBftMsg::Reply(reply),
-                );
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+            self.exec.run(
+                ctx,
+                Some(&slot.batch),
+                self.gate.view(),
+                reply_to_client(Some(CryptoOp::Sign), MinBftMsg::Reply),
+            );
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, MinBftMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
@@ -427,7 +370,7 @@ impl MinBftReplica {
             from: me,
         });
         self.record_vc(me, target, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(&mut self, from: ReplicaId, target: View, ctx: &mut Context<'_, MinBftMsg>) {
@@ -440,19 +383,19 @@ impl MinBftReplica {
         // join on a single foreign request (f+1 would need f ≥ 1 peers in a
         // 2f+1 cluster; one attested request from another replica suffices
         // to at least consider the view suspect — we join at f+1 as usual)
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
         if target.leader_of(self.q.n) == self.me
-            && self.in_view_change
+            && self.gate.in_view_change()
             && have >= self.commit_quorum()
         {
             // re-propose undecided slots
             let proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
                 .slots
                 .iter()
-                .filter(|(seq, s)| !s.executed && **seq > self.exec_cursor && s.digest.is_some())
+                .filter(|(seq, s)| !s.executed && **seq > self.exec.cursor() && s.digest.is_some())
                 .map(|(seq, s)| (*seq, s.digest.unwrap(), s.batch.clone()))
                 .collect();
             ctx.charge_crypto(CryptoOp::Sign);
@@ -470,17 +413,14 @@ impl MinBftReplica {
         proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, MinBftMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
         let mut stranded: Vec<SignedRequest> = Vec::new();
         self.slots.retain(|seq, slot| {
@@ -491,12 +431,11 @@ impl MinBftReplica {
                 true
             }
         });
-        for r in stranded {
-            if !self.executed_reqs.contains_key(&r.request.id)
-                && !self.mempool.iter().any(|m| m.request.id == r.request.id)
-            {
-                self.mempool.push_back(r);
-            }
+        for r in stranded
+            .iter()
+            .filter(|r| !self.exec.is_executed(&r.request.id))
+        {
+            enqueue_unique(&mut self.mempool, r);
         }
         let max_seq = proposals
             .iter()
@@ -524,34 +463,11 @@ impl MinBftReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             self.propose(ctx);
         }
-        let cur = self.view;
-        let msg_view = |m: &MinBftMsg| match m {
-            MinBftMsg::Prepare { view, .. } | MinBftMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: MinBftMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -566,44 +482,18 @@ impl Actor<MinBftMsg> for MinBftReplica {
     fn on_message(&mut self, from: NodeId, msg: &MinBftMsg, ctx: &mut Context<'_, MinBftMsg>) {
         match msg {
             MinBftMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                let view = self.gate.view();
+                let answer = reply_to_client(None, MinBftMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), MinBftMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                if !self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id)
-                {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 if self.is_leader() {
                     self.propose(ctx);
                 } else {
-                    let leader = self.leader();
-                    ctx.send(NodeId::Replica(leader), MinBftMsg::Request(signed.clone()));
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() && !self.in_view_change {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    let may_arm = !self.gate.in_view_change();
+                    self.intake
+                        .relay(ctx, signed, self.leader(), MinBftMsg::Request, may_arm);
                 }
             }
             MinBftMsg::Prepare {
@@ -613,13 +503,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 batch,
             } => {
                 let (view, seq, ui) = (*view, *seq, *ui);
-                let m = MinBftMsg::Prepare {
-                    view,
-                    seq,
-                    ui,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) || ui.replica != self.leader() {
@@ -656,14 +540,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, ui, r) = (*view, *seq, *digest, *ui, *r);
-                let m = MinBftMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    ui,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if ui.replica != r || ui.digest != digest {
@@ -677,7 +554,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 self.record_vc(*r, *new_view, ctx);
             }
             MinBftMsg::NewView { view, proposals } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, proposals.clone(), ctx);
                 }
@@ -687,19 +564,18 @@ impl Actor<MinBftMsg> for MinBftReplica {
     }
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, MinBftMsg>) {
-        if kind == TimerKind::T2ViewChange && Some(id) == self.vc_timer {
-            self.vc_timer = None;
-            if self.in_view_change {
+        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
+            if self.gate.in_view_change() {
                 let target = self
                     .vc_votes
                     .keys()
                     .max()
                     .copied()
-                    .unwrap_or(self.view)
+                    .unwrap_or(self.gate.view())
                     .next();
                 self.start_view_change(target, ctx);
-            } else if !self.pending_reqs.is_empty() {
-                let target = self.view.next();
+            } else if self.intake.has_pending() {
+                let target = self.gate.view().next();
                 self.start_view_change(target, ctx);
             }
         }
@@ -711,6 +587,7 @@ pub struct MinBftClientProto;
 
 impl ClientProtocol for MinBftClientProto {
     type Msg = MinBftMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> MinBftMsg {
         MinBftMsg::Request(req)
@@ -722,43 +599,14 @@ impl ClientProtocol for MinBftClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run MinBFT under a scenario (n = 2f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(2 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<MinBftMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(MinBftReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                view_timeout,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<MinBftClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<MinBftClientProto, _>(scenario, scenario.n(2 * scenario.f + 1), |me, q, store| {
+        MinBftReplica::new(me, q, store, view_timeout, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]

@@ -35,15 +35,15 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{
     Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, Stage, TimerId,
 };
-use bft_state::{CheckpointManager, Snapshot, StateMachine};
+use bft_state::{CheckpointManager, Snapshot};
 use bft_types::{
     ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View,
     WireSize,
 };
 
 use crate::common::{
-    run_to_completion, Catchup, ClientProtocol, GenericClient, Scenario, SignedRequest,
-    SubmitPolicy,
+    enqueue_unique, launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol,
+    Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -329,38 +329,34 @@ pub struct PbftReplica {
     cfg: PbftConfig,
     behavior: Behavior,
     store: Arc<KeyStore>,
-    view: View,
+    /// Current view, view-change flag, and the ordering messages that
+    /// arrived for a view not installed yet (they race ahead of the
+    /// new-view message); replayed on installation.
+    gate: ViewGate<PbftMsg>,
     /// Leader-only: next sequence number to assign.
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, Slot>,
     mempool: VecDeque<SignedRequest>,
-    /// Requests already executed (dedup across retransmissions).
-    executed_reqs: BTreeMap<RequestId, ()>,
     /// Requests processed by `try_execute` (drives the `DropExecution`
     /// sabotage counter; identical across replicas since execution order
     /// is identical).
     exec_seen: u64,
-    sm: StateMachine,
-    /// Last executed consensus slot (slot space ≠ request space when
-    /// batches hold several requests).
-    exec_cursor: SeqNum,
+    exec: Execution,
     ckpt: CheckpointManager,
     /// Local snapshots keyed by slot sequence number.
     snapshots: BTreeMap<SeqNum, Snapshot>,
     /// Slot seqs this replica already attested (checkpoint broadcast sent).
     attested: BTreeMap<SeqNum, ()>,
-    in_view_change: bool,
     /// Collected view-change messages per target view.
     vc_msgs: BTreeMap<View, Vec<VcEntry>>,
     /// MAC mode: acks per (view, vc sender).
     vc_acks: BTreeMap<(View, ReplicaId), Vec<ReplicaId>>,
     /// Pending partial-batch timer.
     batch_timer: Option<TimerId>,
-    /// Ordering messages that arrived for a view we have not installed yet
-    /// (they race ahead of the new-view message); replayed on installation.
-    future_msgs: Vec<(NodeId, PbftMsg)>,
-    /// τ2 timer for the currently pending request set.
-    vc_timer: Option<TimerId>,
+    /// τ2 for the currently pending request set (PBFT re-arms it on every
+    /// relayed request and disarms it on every executed slot, so the
+    /// intake's outstanding set stays unused).
+    intake: Intake,
     /// When the live τ2 span started (recovery-aware discipline: scheduled
     /// rejuvenation windows during the span do not count against the
     /// leader).
@@ -395,23 +391,19 @@ impl PbftReplica {
             cfg,
             behavior,
             store,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
             exec_seen: 0,
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
+            exec: Execution::new(),
             ckpt,
             snapshots: BTreeMap::new(),
             attested: BTreeMap::new(),
-            in_view_change: false,
             vc_msgs: BTreeMap::new(),
             vc_acks: BTreeMap::new(),
             batch_timer: None,
-            future_msgs: Vec::new(),
-            vc_timer: None,
+            intake: Intake::new(view_timeout),
             vc_armed_at: SimTime::ZERO,
             recovery_timer: None,
             recovering: false,
@@ -423,7 +415,7 @@ impl PbftReplica {
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.cfg.q.n)
+        self.gate.view().leader_of(self.cfg.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -442,6 +434,14 @@ impl PbftReplica {
         match self.cfg.auth {
             PbftAuth::Mac => ctx.charge_crypto_n(CryptoOp::MacGen, self.cfg.q.n - 1),
             PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
+        }
+    }
+
+    /// What authenticating one reply to a client costs.
+    fn reply_auth(&self) -> CryptoOp {
+        match self.cfg.auth {
+            PbftAuth::Mac => CryptoOp::MacGen,
+            PbftAuth::Signature => CryptoOp::Sign,
         }
     }
 
@@ -472,25 +472,10 @@ impl PbftReplica {
     // ---- request intake -------------------------------------------------
 
     fn on_request(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PbftMsg>) {
-        ctx.charge_crypto(CryptoOp::Verify); // client signatures are real signatures
-        if !signed.verify(&self.store) {
-            return;
-        }
         // de-dup: answered already?
-        if let Some((cached, result)) = self.sm.cached_reply(signed.request.id.client) {
-            if *cached == signed.request.id {
-                let reply = Reply {
-                    request: *cached,
-                    view: self.view,
-                    result: result.clone(),
-                    state_digest: self.sm.digest(),
-                    speculative: false,
-                };
-                ctx.send(NodeId::Client(cached.client), PbftMsg::Reply(reply));
-                return;
-            }
-        }
-        if self.executed_reqs.contains_key(&signed.request.id) {
+        let view = self.gate.view();
+        let answer = reply_to_client(None, PbftMsg::Reply);
+        if !Intake::admit(ctx, &self.store, &self.exec, &signed, view, answer) {
             return;
         }
         let in_mempool = self
@@ -539,15 +524,12 @@ impl PbftReplica {
         // offset probe, counter total)
         let reply = Reply {
             request: signed.request.id,
-            view: self.view,
-            result: self.sm.read_only_results(&signed.request.txn),
-            state_digest: self.sm.digest(),
+            view: self.gate.view(),
+            result: self.exec.sm().read_only_results(&signed.request.txn),
+            state_digest: self.exec.sm().digest(),
             speculative: true, // tentative: matching across 2f+1 finalizes it
         };
-        match self.cfg.auth {
-            PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacGen),
-            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
-        }
+        ctx.charge_crypto(self.reply_auth());
         ctx.send(
             NodeId::Client(signed.request.id.client),
             PbftMsg::Reply(reply),
@@ -555,15 +537,8 @@ impl PbftReplica {
     }
 
     fn arm_view_timer(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if self.vc_timer.is_none() && !self.in_view_change {
+        if !self.gate.in_view_change() && self.intake.arm(ctx) {
             self.vc_armed_at = ctx.now();
-            self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.cfg.view_timeout));
-        }
-    }
-
-    fn disarm_view_timer(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
         }
     }
 
@@ -616,7 +591,7 @@ impl PbftReplica {
     }
 
     fn propose_inner(&mut self, force_partial: bool, ctx: &mut Context<'_, PbftMsg>) {
-        if !self.is_leader() || self.in_view_change || self.recovering {
+        if !self.is_leader() || self.gate.in_view_change() || self.recovering {
             return;
         }
         if let Behavior::Favor(favored) = self.behavior {
@@ -636,9 +611,9 @@ impl PbftReplica {
             .filter(|s| !s.executed)
             .flat_map(|s| s.batch.iter().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !active.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !active.contains(&r.request.id));
         while !self.mempool.is_empty() && self.next_seq <= self.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
@@ -657,7 +632,7 @@ impl PbftReplica {
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
             let seq = self.next_seq;
             self.next_seq = self.next_seq.next();
-            let view = self.view;
+            let view = self.gate.view();
 
             if self.behavior == Behavior::Equivocate && !self.mempool.is_empty() {
                 // send batch A to one half, a different batch B to the other
@@ -699,7 +674,7 @@ impl PbftReplica {
         batch_b: Vec<SignedRequest>,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        let view = self.view;
+        let view = self.gate.view();
         let da = digest_of(&batch_a);
         let db = digest_of(&batch_b);
         let n = self.cfg.q.n;
@@ -738,20 +713,7 @@ impl PbftReplica {
         batch: Vec<SignedRequest>,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            // the pre-prepare raced ahead of the new-view message: buffer it
-            self.buffer(
-                from,
-                PbftMsg::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch,
-                },
-            );
-            return;
-        }
-        if self.recovering || self.in_view_change || view != self.view {
+        if self.recovering {
             return;
         }
         if from != NodeId::Replica(self.leader()) {
@@ -868,9 +830,10 @@ impl PbftReplica {
     // ---- execution -------------------------------------------------------
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let before = self.exec_cursor;
+        let before = self.exec.cursor();
+        let auth = self.reply_auth();
         loop {
-            let next = self.exec_cursor.next();
+            let next = self.exec.cursor().next();
             let Some(slot) = self.slots.get(&next) else {
                 break;
             };
@@ -880,93 +843,49 @@ impl PbftReplica {
             let batch = slot.batch.clone();
             let view = slot.view;
             self.enter_stage(Stage::Execution, ctx);
+            let mut deliver = reply_to_client(Some(auth), PbftMsg::Reply);
             for signed in &batch {
                 let drop_this = matches!(
                     self.cfg.sabotage,
                     PbftSabotage::DropExecution(k) if self.exec_seen == k
                 );
                 self.exec_seen += 1;
-                if drop_this {
-                    // skip the state transition entirely but answer the
-                    // client with a deterministic fabricated result: every
-                    // replica fabricates identically, so digests (and the
-                    // digest-based safety auditor) stay unanimous
-                    let fabricated = Reply {
-                        request: signed.request.id,
-                        view,
-                        result: bft_types::TxnResult {
-                            reads: signed
-                                .request
-                                .txn
-                                .ops
-                                .iter()
-                                .filter(|op| {
-                                    !matches!(op, Op::Put(_, _) | Op::Delete(_) | Op::Work(_))
-                                })
-                                .map(|_| Some(0))
-                                .collect(),
-                        },
-                        state_digest: self.sm.digest(),
-                        speculative: false,
-                    };
-                    match self.cfg.auth {
-                        PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacGen),
-                        PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
-                    }
-                    ctx.send(
-                        NodeId::Client(signed.request.id.client),
-                        PbftMsg::Reply(fabricated),
-                    );
+                if !drop_this {
+                    self.exec.execute(ctx, signed, view, &mut deliver);
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                // charge execution work for Work ops
-                let work: u32 = signed
+                // skip the state transition entirely but answer the client
+                // with a deterministic fabricated result: every replica
+                // fabricates identically, so digests (and the digest-based
+                // safety auditor) stay unanimous
+                self.exec.mark_executed(signed.request.id);
+                let reads = signed
                     .request
                     .txn
                     .ops
                     .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                let reply = Reply {
+                    .filter(|op| !matches!(op, Op::Put(_, _) | Op::Delete(_) | Op::Work(_)));
+                let fabricated = Reply {
                     request: signed.request.id,
                     view,
-                    result,
-                    state_digest,
+                    result: bft_types::TxnResult {
+                        reads: reads.map(|_| Some(0)).collect(),
+                    },
+                    state_digest: self.exec.sm().digest(),
                     speculative: false,
                 };
-                match self.cfg.auth {
-                    PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacGen),
-                    PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
-                }
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    PbftMsg::Reply(reply),
-                );
+                deliver(ctx, fabricated, SeqNum(0));
             }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
-            slot.executed = true;
-            self.exec_cursor = next;
-            for signed in &batch {
-                self.executed_reqs.insert(signed.request.id, ());
-            }
+            self.slots.get_mut(&next).expect("slot exists").executed = true;
             let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
             self.mempool.retain(|r| !ids.contains(&r.request.id));
-            self.enter_stage(Stage::Ordering, ctx);
+            self.exec.finish(ctx);
+            self.stage = Stage::Ordering;
             // outstanding work done? disarm τ2; else re-arm
-            self.disarm_view_timer(ctx);
+            self.intake.disarm(ctx);
             self.maybe_checkpoint(ctx);
         }
-        if self.exec_cursor > before {
+        if self.exec.cursor() > before {
             // execution progress means we are back in step with the quorum
             self.rejoining = false;
             if self.catchup.active() {
@@ -981,14 +900,14 @@ impl PbftReplica {
         if self.cfg.checkpoint_interval == 0 {
             return;
         }
-        let last = self.exec_cursor;
+        let last = self.exec.cursor();
         if last.0 > 0
             && last.0.is_multiple_of(self.cfg.checkpoint_interval)
             && !self.attested.contains_key(&last)
             && last > self.low_water()
         {
             self.enter_stage(Stage::Checkpointing, ctx);
-            let snap = self.sm.snapshot();
+            let snap = self.exec.sm().snapshot();
             let state_digest = snap.digest;
             self.snapshots.insert(last, snap);
             self.attested.insert(last, ());
@@ -1020,14 +939,14 @@ impl PbftReplica {
                 state_digest,
             });
             // garbage-collect ordered slots at or below the checkpoint
-            let executed_here = self.exec_cursor;
+            let executed_here = self.exec.cursor();
             self.slots
                 .retain(|s, slot| *s > proof.seq || !slot.executed);
             self.snapshots.retain(|s, _| *s >= proof.seq);
             self.attested.retain(|s, _| *s > proof.seq.prev());
-            self.sm.truncate_below(SeqNum(
-                self.sm.last_executed().0.saturating_sub(self.cfg.window),
-            ));
+            let horizon = self.exec.sm().last_executed().0;
+            self.exec
+                .truncate_below(SeqNum(horizon.saturating_sub(self.cfg.window)));
             // in-dark? the cluster is at `seq` but we have not executed it
             if executed_here < proof.seq {
                 let me = self.me;
@@ -1071,12 +990,11 @@ impl PbftReplica {
         snapshot: Snapshot,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        if slot_seq <= self.exec_cursor {
+        if slot_seq <= self.exec.cursor() {
             return;
         }
         // install: the snapshot's machine state replaces ours
-        self.sm.install_snapshot(&snapshot);
-        self.exec_cursor = slot_seq;
+        self.exec.install_snapshot(&snapshot, slot_seq);
         // drop every slot the snapshot covers
         self.slots.retain(|s, _| *s > slot_seq);
         self.snapshots.insert(slot_seq, snapshot);
@@ -1092,104 +1010,64 @@ impl PbftReplica {
         self.try_execute(ctx);
     }
 
-    /// Buffer an ordering message for a view we have not installed yet.
-    fn buffer(&mut self, from: NodeId, msg: PbftMsg) {
-        if self.future_msgs.len() < 10_000 {
-            self.future_msgs.push((from, msg));
-        }
-    }
-
     /// Replay buffered ordering messages that now match the current view.
     fn replay_buffered(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let view = self.view;
-        let msg_view = |m: &PbftMsg| match m {
-            PbftMsg::PrePrepare { view, .. }
-            | PbftMsg::Prepare { view, .. }
-            | PbftMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(view));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > view))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.handle_ordering(from, &msg, ctx);
         }
     }
 
-    /// Dispatch one ordering-stage message (also used for replay). The
-    /// payload is borrowed; only a pre-prepare's batch is cloned (it is
-    /// retained in the slot), votes are consumed without allocating.
+    /// Dispatch one ordering-stage message of the current view (also used
+    /// for replay); one that raced ahead of its view is buffered by the
+    /// gate. The payload is borrowed; only a pre-prepare's batch is cloned
+    /// (it is retained in the slot), votes are consumed without allocating.
     fn handle_ordering(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+        let view = match msg {
+            PbftMsg::PrePrepare { view, .. }
+            | PbftMsg::Prepare { view, .. }
+            | PbftMsg::Commit { view, .. } => *view,
+            _ => unreachable!("handle_ordering only receives ordering messages"),
+        };
+        if !self.gate.admit(from, view, msg) {
+            return;
+        }
         match msg {
             PbftMsg::PrePrepare {
-                view,
-                seq,
-                digest,
-                batch,
-            } => self.on_pre_prepare(from, *view, *seq, *digest, batch.clone(), ctx),
+                seq, digest, batch, ..
+            } => self.on_pre_prepare(from, view, *seq, *digest, batch.clone(), ctx),
             PbftMsg::Prepare {
-                view,
                 seq,
                 digest,
                 from: r,
+                ..
             } => {
-                let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if view > self.view || (self.in_view_change && view == self.view) {
-                    self.buffer(
-                        from,
-                        PbftMsg::Prepare {
-                            view,
-                            seq,
-                            digest,
-                            from: r,
-                        },
-                    );
-                } else if view == self.view && !self.in_view_change {
-                    self.charge_verify_auth(ctx);
-                    self.record_prepare(r, view, seq, digest, ctx);
-                }
+                self.charge_verify_auth(ctx);
+                self.record_prepare(*r, view, *seq, *digest, ctx);
             }
             PbftMsg::Commit {
-                view,
                 seq,
                 digest,
                 from: r,
+                ..
             } => {
-                let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if view > self.view || (self.in_view_change && view == self.view) {
-                    self.buffer(
-                        from,
-                        PbftMsg::Commit {
-                            view,
-                            seq,
-                            digest,
-                            from: r,
-                        },
-                    );
-                } else if view == self.view && !self.in_view_change {
-                    self.charge_verify_auth(ctx);
-                    self.record_commit(r, view, seq, digest, ctx);
-                }
+                self.charge_verify_auth(ctx);
+                self.record_commit(*r, view, *seq, *digest, ctx);
             }
-            _ => unreachable!("handle_ordering only receives ordering messages"),
+            _ => {}
         }
     }
 
     // ---- view change -----------------------------------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PbftMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
         if self.cfg.sabotage == PbftSabotage::DisableViewChange {
             return;
         }
-        self.in_view_change = true;
-        self.disarm_view_timer(ctx);
+        self.gate.set_in_view_change(true);
+        self.intake.disarm(ctx);
         self.enter_stage(Stage::ViewChange, ctx);
         let stable = (
             self.low_water(),
@@ -1222,7 +1100,7 @@ impl PbftReplica {
         // move to the one after (doubling is elided; the constant timeout
         // re-fires)
         self.vc_armed_at = ctx.now();
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.cfg.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_view_change(
@@ -1257,7 +1135,7 @@ impl PbftReplica {
         }
 
         // join rule: f+1 replicas moved to a higher view → join them
-        if new_view > self.view && !self.in_view_change && have > self.cfg.q.f {
+        if new_view > self.gate.view() && !self.gate.in_view_change() && have > self.cfg.q.f {
             self.start_view_change(new_view, ctx);
             return;
         }
@@ -1292,7 +1170,7 @@ impl PbftReplica {
         if new_view.leader_of(self.cfg.q.n) != self.me {
             return;
         }
-        if !self.in_view_change || !self.vc_ready(new_view) {
+        if !self.gate.in_view_change() || !self.vc_ready(new_view) {
             return;
         }
         let entries = self.vc_msgs.get(&new_view).cloned().unwrap_or_default();
@@ -1348,7 +1226,7 @@ impl PbftReplica {
         pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        if view < self.view {
+        if view < self.gate.view() {
             return;
         }
         if from != NodeId::Replica(view.leader_of(self.cfg.q.n)) {
@@ -1364,10 +1242,9 @@ impl PbftReplica {
         pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.rejoining = false;
-        self.disarm_view_timer(ctx);
+        self.intake.disarm(ctx);
         self.vc_msgs.retain(|v, _| *v > view);
         self.vc_acks.retain(|(v, _), _| *v > view);
         ctx.observe(Observation::NewView { view });
@@ -1378,7 +1255,7 @@ impl PbftReplica {
         // can propose them again. The slots themselves are cleared — their
         // (view, seq) assignment died with the old view.
         let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let mut stranded: Vec<SignedRequest> = Vec::new();
         self.slots.retain(|seq, slot| {
             if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
@@ -1388,12 +1265,11 @@ impl PbftReplica {
                 true
             }
         });
-        for r in stranded {
-            if !self.executed_reqs.contains_key(&r.request.id)
-                && !self.mempool.iter().any(|m| m.request.id == r.request.id)
-            {
-                self.mempool.push_back(r);
-            }
+        for r in stranded
+            .iter()
+            .filter(|r| !self.exec.is_executed(&r.request.id))
+        {
+            enqueue_unique(&mut self.mempool, r);
         }
 
         // adopt re-proposals: run them through the ordering machinery as if
@@ -1436,7 +1312,7 @@ impl PbftReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             // re-propose whatever is still in the mempool
             self.propose(ctx);
         }
@@ -1459,7 +1335,7 @@ impl PbftReplica {
             // rejuvenation complete
             self.recovering = false;
             self.rejoining = true;
-            self.in_view_change = false;
+            self.gate.set_in_view_change(false);
             ctx.observe(Observation::RecoveryDone);
             self.enter_stage(Stage::Ordering, ctx);
             // schedule the next round (full rotation later)
@@ -1487,7 +1363,7 @@ impl PbftReplica {
             self.mempool.clear();
             self.vc_msgs.clear();
             self.vc_acks.clear();
-            self.disarm_view_timer(ctx);
+            self.intake.disarm(ctx);
             if let Some(t) = self.batch_timer.take() {
                 ctx.cancel_timer(t);
             }
@@ -1499,7 +1375,7 @@ impl PbftReplica {
     /// Solicit a snapshot from the next catch-up window of peers.
     fn begin_catchup(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         let me = self.me;
-        let have = self.exec_cursor;
+        let have = self.exec.cursor();
         self.catchup.begin(ctx, |peer, ctx| {
             ctx.send(
                 NodeId::Replica(peer),
@@ -1517,17 +1393,17 @@ impl PbftReplica {
     fn maybe_adopt_view(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
         let adopted = match msg {
             PbftMsg::PrePrepare { view, .. }
-                if *view > self.view && from == NodeId::Replica(view.leader_of(self.cfg.q.n)) =>
+                if *view > self.gate.view()
+                    && from == NodeId::Replica(view.leader_of(self.cfg.q.n)) =>
             {
                 Some(*view)
             }
             _ => None,
         };
         let Some(view) = adopted else { return };
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.rejoining = false;
-        self.disarm_view_timer(ctx);
+        self.intake.disarm(ctx);
         self.vc_msgs.retain(|v, _| *v > view);
         self.vc_acks.retain(|(v, _), _| *v > view);
         ctx.observe(Observation::NewView { view });
@@ -1608,7 +1484,7 @@ impl Actor<PbftMsg> for PbftReplica {
             TimerKind::T1WaitReplies => {
                 // replicas use τ1 only for catch-up solicitation retries
                 let me = self.me;
-                let have = self.exec_cursor;
+                let have = self.exec.cursor();
                 self.catchup.on_timer(id, ctx, |peer, ctx| {
                     ctx.send(
                         NodeId::Replica(peer),
@@ -1616,7 +1492,7 @@ impl Actor<PbftMsg> for PbftReplica {
                     );
                 });
             }
-            TimerKind::T2ViewChange if Some(id) == self.vc_timer => {
+            TimerKind::T2ViewChange if self.intake.fired(id) => {
                 // recovery-aware discipline: time in which a peer sat in a
                 // scheduled rejuvenation window does not count against the
                 // leader — extend τ2 by exactly the stolen amount so only
@@ -1625,23 +1501,22 @@ impl Actor<PbftMsg> for PbftReplica {
                 let stolen = self.scheduled_dark_overlap(self.vc_armed_at, now);
                 if stolen > SimDuration::ZERO {
                     self.vc_armed_at = now;
-                    self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, stolen));
+                    self.intake.rearm_for(ctx, stolen);
                     return;
                 }
-                self.vc_timer = None;
                 // pending work still outstanding → (next) view change
-                let target = if self.in_view_change {
+                let target = if self.gate.in_view_change() {
                     // consecutive view change: the attempt failed
                     self.vc_msgs
                         .keys()
                         .max()
                         .copied()
-                        .unwrap_or(self.view)
+                        .unwrap_or(self.gate.view())
                         .next()
                 } else {
-                    self.view.next()
+                    self.gate.view().next()
                 };
-                self.in_view_change = false;
+                self.gate.set_in_view_change(false);
                 self.start_view_change(target, ctx);
             }
             TimerKind::T7Heartbeat if Some(id) == self.batch_timer => {
@@ -1658,11 +1533,11 @@ impl Actor<PbftMsg> for PbftReplica {
     fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PbftMsg>) {
         // Timers armed before the crash popped into the void while we were
         // down: the handles are dead, not merely stale.
-        self.vc_timer = None;
+        self.intake.forget_timer();
         self.batch_timer = None;
         self.recovery_timer = None;
         self.recovering = false;
-        self.in_view_change = false;
+        self.gate.set_in_view_change(false);
         self.recovery_buffer.clear();
         if mode == RestartMode::Amnesia {
             // Volatile memory is gone; the last stable checkpoint is the
@@ -1673,27 +1548,19 @@ impl Actor<PbftMsg> for PbftReplica {
                 .ckpt
                 .reset_to_stable()
                 .or_else(|| self.snapshots.get(&stable_seq).cloned());
-            self.sm = StateMachine::new();
+            self.exec = Execution::new();
             self.slots.clear();
             self.mempool.clear();
-            self.executed_reqs.clear();
             self.vc_msgs.clear();
             self.vc_acks.clear();
-            self.future_msgs.clear();
+            self.gate.reset();
             self.attested.clear();
             self.snapshots.clear();
-            self.view = View(0);
-            match stable_snap {
-                Some(snap) => {
-                    self.sm.install_snapshot(&snap);
-                    self.exec_cursor = stable_seq;
-                    self.next_seq = stable_seq.next();
-                    self.snapshots.insert(stable_seq, snap);
-                }
-                None => {
-                    self.exec_cursor = SeqNum(0);
-                    self.next_seq = SeqNum(1);
-                }
+            self.next_seq = SeqNum(1);
+            if let Some(snap) = stable_snap {
+                self.exec.install_snapshot(&snap, stable_seq);
+                self.next_seq = stable_seq.next();
+                self.snapshots.insert(stable_seq, snap);
             }
             ctx.observe(Observation::Marker {
                 label: "amnesia-restart",
@@ -1718,6 +1585,7 @@ pub struct PbftClientProto;
 
 impl ClientProtocol for PbftClientProto {
     type Msg = PbftMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> PbftMsg {
         PbftMsg::Request(req)
@@ -1728,14 +1596,6 @@ impl ClientProtocol for PbftClientProto {
             PbftMsg::Reply(r) => Some(r),
             _ => None,
         }
-    }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak() // f+1
     }
 }
 
@@ -1908,77 +1768,44 @@ impl Default for PbftOptions {
     }
 }
 
+/// The replica constructor both PBFT entry points share.
+fn replica_for<'a>(
+    scenario: &'a Scenario,
+    options: &'a PbftOptions,
+) -> impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> PbftReplica + 'a {
+    move |me, q, store| {
+        let mut cfg = PbftConfig::from_scenario(scenario, q.n);
+        cfg.auth = options.auth;
+        cfg.recovery_period = options.recovery_period;
+        cfg.sabotage = options.sabotage;
+        let behavior = options
+            .behaviors
+            .iter()
+            .find(|(r, _)| *r == me)
+            .map_or(Behavior::Honest, |(_, b)| *b);
+        PbftReplica::new(me, cfg, store, behavior)
+    }
+}
+
 /// Run PBFT under a scenario. Returns the raw outcome for auditing and
 /// reporting.
 pub fn run(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
     let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
-    let mut cfg = PbftConfig::from_scenario(scenario, n);
-    cfg.auth = options.auth;
-    cfg.recovery_period = options.recovery_period;
-    cfg.sabotage = options.sabotage;
-
-    let mut sim = scenario.build_engine::<PbftMsg>(n);
-    for i in 0..n as u32 {
-        let behavior = options
-            .behaviors
-            .iter()
-            .find(|(r, _)| *r == ReplicaId(i))
-            .map(|(_, b)| *b)
-            .unwrap_or(Behavior::Honest);
-        sim.add_replica(
-            i,
-            Box::new(PbftReplica::new(
-                ReplicaId(i),
-                cfg.clone(),
-                store.clone(),
-                behavior,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<PbftClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<PbftClientProto, _>(scenario, n, replica_for(scenario, options))
 }
 
 /// Run PBFT with read-optimized clients (P6: read-only requests answered
 /// from current state with a 2f+1 reply quorum).
 pub fn run_with_read_optimization(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
     let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
-    let mut cfg = PbftConfig::from_scenario(scenario, n);
-    cfg.auth = options.auth;
-    cfg.recovery_period = options.recovery_period;
-    cfg.sabotage = options.sabotage;
-
-    let mut sim = scenario.build_engine::<PbftMsg>(n);
-    for i in 0..n as u32 {
-        let behavior = options
-            .behaviors
-            .iter()
-            .find(|(r, _)| *r == ReplicaId(i))
-            .map(|(_, b)| *b)
-            .unwrap_or(Behavior::Honest);
-        sim.add_replica(
-            i,
-            Box::new(PbftReplica::new(
-                ReplicaId(i),
-                cfg.clone(),
-                store.clone(),
-                behavior,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(c, Box::new(PbftReadClient::new(scenario, q, c)));
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    let client = |c, q| PbftReadClient::new(scenario, q, c);
+    launch_with_clients(
+        scenario,
+        n,
+        SimDuration::ZERO,
+        replica_for(scenario, options),
+        client,
+    )
 }
 
 #[cfg(test)]

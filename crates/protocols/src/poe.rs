@@ -23,13 +23,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// PoE messages.
@@ -140,7 +140,10 @@ pub enum PoeBehavior {
 #[derive(Debug, Clone, Default)]
 struct PoeSlot {
     digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+    /// `None` until the proposal carrying the batch is installed: a
+    /// certificate can outrun its proposal, and an absent batch must never
+    /// be executed as an empty one.
+    batch: Option<Vec<SignedRequest>>,
     supports: Vec<ReplicaId>,
     certified: bool,
     executed: bool,
@@ -155,22 +158,16 @@ pub struct PoeReplica {
     q: QuorumRules,
     store: Arc<KeyStore>,
     behavior: PoeBehavior,
-    view: View,
+    gate: ViewGate<PoeMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, PoeSlot>,
     known: BTreeMap<RequestId, SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
+    intake: Intake,
     vc_votes: crate::common::VcVotes,
-    vc_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, PoeMsg)>,
     /// The latest new-view installed, kept to bring stale replicas up to
     /// date when their view-change messages reveal they are behind.
     last_new_view: Option<(View, Vec<crate::common::BatchEntry>)>,
-    view_timeout: SimDuration,
     batch_size: usize,
     silenced: bool,
     mempool: VecDeque<SignedRequest>,
@@ -191,20 +188,14 @@ impl PoeReplica {
             q,
             store,
             behavior,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             known: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new().speculative(),
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
             last_new_view: None,
-            view_timeout,
             batch_size,
             silenced: false,
             mempool: VecDeque::new(),
@@ -212,7 +203,7 @@ impl PoeReplica {
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -220,18 +211,18 @@ impl PoeReplica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        if !self.is_leader() || self.in_view_change || self.silenced {
+        if !self.is_leader() || self.gate.in_view_change() || self.silenced {
             return;
         }
         let in_slots: Vec<RequestId> = self
             .slots
             .values()
             .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
+            .flat_map(|s| s.batch.iter().flatten().map(|r| r.request.id))
             .collect();
-        let executed = &self.executed_reqs;
+        let exec = &self.exec;
         self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id) && !in_slots.contains(&r.request.id));
+            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -240,11 +231,11 @@ impl PoeReplica {
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
-                slot.batch = batch.clone();
+                slot.batch = Some(batch.clone());
             }
             ctx.broadcast_replicas(PoeMsg::Propose {
                 view,
@@ -268,7 +259,7 @@ impl PoeReplica {
             return;
         }
         let quorum = self.q.quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let behavior = self.behavior;
         let slot = self.slots.entry(seq).or_default();
         if slot.digest != Some(digest) || slot.certified {
@@ -327,91 +318,46 @@ impl PoeReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
-            if !slot.certified
-                || slot.executed
-                || slot.batch.is_empty() && slot.digest.is_some() && !slot.batch.is_empty()
-            {
-                break;
-            }
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.certified || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let digest = slot.digest.unwrap_or(Digest::ZERO);
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            let sm_start = self.sm.last_executed().next();
-            for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute_speculative(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: true,
-                };
-                ctx.charge_crypto(CryptoOp::MacGen);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    PoeMsg::Reply(reply),
-                );
-            }
-            ctx.observe(Observation::Commit {
-                seq: next,
+            let view = self.gate.view();
+            let sm_start = self.exec.sm().last_executed().next();
+            // executing *is* PoE's (speculative) commit
+            let commit = Observation::Commit {
+                seq: self.exec.cursor().next(),
                 view,
-                digest,
+                digest: slot.digest.unwrap_or(Digest::ZERO),
                 speculative: true,
-            });
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+            };
+            let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
+            // certified but the proposal is still in flight: wait for it
+            // (the Propose handler re-enters here)
+            if !self
+                .exec
+                .run_then(ctx, slot.batch.as_deref(), view, deliver, |ctx| {
+                    ctx.observe(commit)
+                })
+            {
+                break;
+            }
             slot.executed = true;
             slot.sm_start = Some(sm_start);
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
     // ---- view change with rollback ----------------------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PoeMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return; // already campaigning for this view or higher
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
@@ -419,7 +365,7 @@ impl PoeReplica {
             .slots
             .iter()
             .filter(|(_, s)| s.certified)
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
+            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.batch.clone()?)))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
         let me = self.me;
@@ -429,7 +375,7 @@ impl PoeReplica {
             from: me,
         });
         self.record_vc(me, target, certified, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(
@@ -445,11 +391,14 @@ impl PoeReplica {
         }
         votes.push((from, certified));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             // union of certified entries; fresh assignments for known
             // requests not covered
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
@@ -498,12 +447,9 @@ impl PoeReplica {
         assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, PoeMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
@@ -527,32 +473,21 @@ impl PoeReplica {
             .map(|(s, _, _)| *s)
             .max()
             .unwrap_or(SeqNum(0));
-        if rollback_slot.is_none() && self.exec_cursor > max_assigned {
+        if rollback_slot.is_none() && self.exec.cursor() > max_assigned {
             rollback_slot = Some(max_assigned.next());
         }
         if let Some(first_bad) = rollback_slot {
             if let Some(sm_start) = self.slots.get(&first_bad).and_then(|s| s.sm_start) {
-                let undone = self.sm.rollback_to(sm_start);
-                if undone > 0 {
-                    ctx.observe(Observation::Rollback { from_seq: sm_start });
-                }
-                // forget execution bookkeeping for the undone slots
-                let dead: Vec<RequestId> = self
-                    .slots
-                    .range(first_bad..)
-                    .flat_map(|(_, s)| s.batch.iter().map(|r| r.request.id))
-                    .collect();
-                for id in dead {
-                    self.executed_reqs.remove(&id);
-                }
-                self.exec_cursor = first_bad.prev();
+                self.exec.rollback(ctx, sm_start);
+                self.exec.set_cursor(first_bad.prev());
             }
         }
 
         // adopt assignments
-        self.slots.retain(|seq, _| *seq <= self.exec_cursor);
+        let exec_cursor = self.exec.cursor();
+        self.slots.retain(|seq, _| *seq <= exec_cursor);
         for (seq, digest, batch) in &assignments {
-            if *seq <= self.exec_cursor {
+            if *seq <= exec_cursor {
                 continue;
             }
             for r in batch {
@@ -560,44 +495,18 @@ impl PoeReplica {
             }
             let slot = self.slots.entry(*seq).or_default();
             slot.digest = Some(*digest);
-            slot.batch = batch.clone();
+            slot.batch = Some(batch.clone());
             slot.certified = true; // carried by the new-view quorum
             slot.executed = false;
             slot.supports.clear();
         }
-        self.next_seq = SeqNum(max_assigned.0.max(self.exec_cursor.0) + 1);
+        self.next_seq = SeqNum(max_assigned.0.max(exec_cursor.0) + 1);
         self.try_execute(ctx);
         if self.is_leader() {
             self.propose(ctx);
         }
-        // replay future messages
-        let cur = self.view;
-        let msg_view = |m: &PoeMsg| match m {
-            PoeMsg::Propose { view, .. }
-            | PoeMsg::Support { view, .. }
-            | PoeMsg::Certify { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: PoeMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -612,45 +521,19 @@ impl Actor<PoeMsg> for PoeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
-                    return;
-                }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: true,
-                            };
-                            ctx.send(NodeId::Client(id.client), PoeMsg::Reply(reply));
-                        }
-                    }
+                let view = self.gate.view();
+                let answer = reply_to_client(None, PoeMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
                 if self.is_leader() {
-                    if !self
-                        .mempool
-                        .iter()
-                        .any(|r| r.request.id == signed.request.id)
-                    {
-                        self.mempool.push_back(signed.clone());
-                    }
+                    enqueue_unique(&mut self.mempool, signed);
                     self.propose(ctx);
                 } else {
-                    let leader = self.leader();
-                    ctx.send(NodeId::Replica(leader), PoeMsg::Request(signed.clone()));
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() && !self.in_view_change {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    let may_arm = !self.gate.in_view_change();
+                    self.intake
+                        .relay(ctx, signed, self.leader(), PoeMsg::Request, may_arm);
                 }
             }
             PoeMsg::Propose {
@@ -660,13 +543,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = PoeMsg::Propose {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -680,13 +557,20 @@ impl Actor<PoeMsg> for PoeReplica {
                 for r in batch.iter() {
                     self.known.entry(r.request.id).or_insert_with(|| r.clone());
                 }
-                {
+                let certified = {
                     let slot = self.slots.entry(seq).or_default();
                     if slot.digest.is_some() && slot.digest != Some(digest) {
                         return;
                     }
                     slot.digest = Some(digest);
-                    slot.batch = batch.clone();
+                    slot.batch = Some(batch.clone());
+                    slot.certified
+                };
+                if certified {
+                    // late proposal for a slot whose certificate already
+                    // arrived: the batch is in place, execution can resume
+                    self.try_execute(ctx);
+                    return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
                 let leader = self.leader();
@@ -708,13 +592,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = PoeMsg::Support {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -727,13 +605,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                let m = PoeMsg::Certify {
-                    view,
-                    seq,
-                    digest,
-                    shares,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if shares < self.q.quorum() {
@@ -749,7 +621,7 @@ impl Actor<PoeMsg> for PoeReplica {
             } => {
                 let (new_view, r) = (*new_view, *r);
                 ctx.charge_crypto(CryptoOp::Verify);
-                if new_view <= self.view {
+                if new_view <= self.gate.view() {
                     // the sender is behind: bring it up to date
                     if let Some((v, assignments)) = self.last_new_view.clone() {
                         ctx.send(
@@ -765,7 +637,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 self.record_vc(r, new_view, certified.clone(), ctx);
             }
             PoeMsg::NewView { view, assignments } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, assignments.clone(), ctx);
                 }
@@ -775,20 +647,19 @@ impl Actor<PoeMsg> for PoeReplica {
     }
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, PoeMsg>) {
-        if kind == TimerKind::T2ViewChange && Some(id) == self.vc_timer {
-            self.vc_timer = None;
-            if self.in_view_change {
+        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
+            if self.gate.in_view_change() {
                 // the campaign failed: escalate to the next view
                 let target = self
                     .vc_votes
                     .keys()
                     .max()
                     .copied()
-                    .unwrap_or(self.view)
+                    .unwrap_or(self.gate.view())
                     .next();
                 self.start_view_change(target, ctx);
-            } else if !self.pending_reqs.is_empty() {
-                let target = self.view.next();
+            } else if self.intake.has_pending() {
+                let target = self.gate.view().next();
                 self.start_view_change(target, ctx);
             }
         }
@@ -800,6 +671,7 @@ pub struct PoeClientProto;
 
 impl ClientProtocol for PoeClientProto {
     type Msg = PoeMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> PoeMsg {
         PoeMsg::Request(req)
@@ -812,10 +684,6 @@ impl ClientProtocol for PoeClientProto {
         }
     }
 
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
     fn reply_quorum(q: &QuorumRules) -> usize {
         q.quorum() // 2f+1
     }
@@ -823,37 +691,14 @@ impl ClientProtocol for PoeClientProto {
 
 /// Run PoE under a scenario.
 pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PoeBehavior)]) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<PoeMsg>(n);
-    for i in 0..n as u32 {
+    launch::<PoeClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
         let behavior = behaviors
             .iter()
-            .find(|(r, _)| *r == ReplicaId(i))
-            .map(|(_, b)| *b)
-            .unwrap_or(PoeBehavior::Honest);
-        sim.add_replica(
-            i,
-            Box::new(PoeReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                behavior,
-                view_timeout,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<PoeClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+            .find(|(r, _)| *r == me)
+            .map_or(PoeBehavior::Honest, |(_, b)| *b);
+        PoeReplica::new(me, q, store, behavior, view_timeout, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]
@@ -934,6 +779,45 @@ mod tests {
         SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
         assert!(out.log.marker_count("withheld-certify") >= 1);
         assert_eq!(accepted(&out), 20, "liveness despite the attack");
+    }
+
+    /// Regression for the certificate-outruns-its-proposal escape: with the
+    /// leader's traffic strategically held, a `Certify` overtakes the
+    /// `Propose` it certifies. Executing the empty placeholder slot used to
+    /// skip the slot's requests and diverge honest state (the campaign's
+    /// `DivergentState` at these seeds); the slot now waits for its batch.
+    #[test]
+    fn certificate_outrunning_its_proposal_cannot_skip_the_slot() {
+        use crate::registry::ProtocolId;
+        use crate::suite::semantic_config;
+        use bft_sim::campaign::check_outcome_with_semantics;
+        use bft_sim::{AdversarySpec, Attack};
+
+        for (hold_us, prob, seed) in [
+            (22_259u64, 0.71, 7u64),
+            (21_165, 0.56, 13),
+            (10_240, 0.60, 20),
+            (30_570, 0.58, 55),
+        ] {
+            let s = Scenario::small(1)
+                .with_load(1, 8)
+                .with_seed(seed)
+                .with_adversaries(vec![AdversarySpec::new(
+                    0,
+                    Attack::Delay {
+                        hold: SimDuration(hold_us * 1_000),
+                        prob,
+                    },
+                )]);
+            let out = run(&s, &[]);
+            let semantic = semantic_config(ProtocolId::Poe, &s);
+            let violation =
+                check_outcome_with_semantics(&out.log, vec![NodeId::replica(0)], 8, &semantic);
+            assert_eq!(
+                violation, None,
+                "seed {seed}: a held proposal must delay its slot, not empty it"
+            );
+        }
     }
 
     #[test]

@@ -26,13 +26,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario, SignedRequest,
+    SubmitPolicy, ViewGate,
 };
 
 /// Prime messages.
@@ -180,7 +180,7 @@ pub struct PrimeReplica {
     q: QuorumRules,
     store: Arc<KeyStore>,
     behavior: PrimeBehavior,
-    view: View,
+    gate: ViewGate<PrimeMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, PrimeSlot>,
     /// Preorder state keyed by (origin, origin_seq).
@@ -189,12 +189,8 @@ pub struct PrimeReplica {
     my_origin_seq: u64,
     /// Request id → preorder key (dedup).
     by_request: BTreeMap<RequestId, (ReplicaId, u64)>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    in_view_change: bool,
+    exec: Execution,
     vc_votes: crate::common::VcVotes,
-    future_msgs: Vec<(NodeId, PrimeMsg)>,
     /// τ7 heartbeat timer (performance monitor).
     monitor_timer: Option<TimerId>,
     heartbeat: SimDuration,
@@ -219,18 +215,14 @@ impl PrimeReplica {
             q,
             store,
             behavior,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             preorder: BTreeMap::new(),
             my_origin_seq: 0,
             by_request: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            in_view_change: false,
+            exec: Execution::new().skipping_executed(),
             vc_votes: BTreeMap::new(),
-            future_msgs: Vec::new(),
             monitor_timer: None,
             heartbeat,
             order_bound,
@@ -239,7 +231,7 @@ impl PrimeReplica {
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -250,7 +242,7 @@ impl PrimeReplica {
 
     fn originate(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PrimeMsg>) {
         if self.by_request.contains_key(&signed.request.id)
-            || self.executed_reqs.contains_key(&signed.request.id)
+            || self.exec.is_executed(&signed.request.id)
         {
             return;
         }
@@ -339,7 +331,7 @@ impl PrimeReplica {
     // ---- ordering core (PBFT shape) ---------------------------------------
 
     fn propose_eligible(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
         loop {
@@ -350,7 +342,7 @@ impl PrimeReplica {
                 .filter(|(_, e)| {
                     e.eligible_at.is_some()
                         && !e.ordered
-                        && !self.executed_reqs.contains_key(&e.request.request.id)
+                        && !self.exec.is_executed(&e.request.request.id)
                 })
                 .map(|(k, e)| (*k, e.eligible_at.unwrap()))
                 .collect();
@@ -375,7 +367,7 @@ impl PrimeReplica {
             if let PrimeBehavior::DelayLeader(d) = self.behavior {
                 ctx.charge(d); // the delay attack
             }
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
@@ -398,7 +390,7 @@ impl PrimeReplica {
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
         let quorum = 2 * self.q.f;
-        let view = self.view;
+        let view = self.gate.view();
         let me = self.me;
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
@@ -431,7 +423,7 @@ impl PrimeReplica {
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
         let quorum = self.q.quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
@@ -452,72 +444,32 @@ impl PrimeReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            let batch = slot.batch.clone();
-            let view = self.view;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    continue;
-                }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                if let Some(key) = self.by_request.get(&signed.request.id) {
-                    if let Some(e) = self.preorder.get_mut(key) {
+            let (by_request, preorder) = (&self.by_request, &mut self.preorder);
+            let mut send = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
+            let view = self.gate.view();
+            self.exec
+                .run(ctx, Some(&slot.batch), view, |ctx, reply, seq| {
+                    // executed means ordered, whatever the monitor last saw
+                    if let Some(e) = by_request
+                        .get(&reply.request)
+                        .and_then(|key| preorder.get_mut(key))
+                    {
                         e.ordered = true;
                     }
-                }
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.send(
-                    NodeId::Client(signed.request.id.client),
-                    PrimeMsg::Reply(reply),
-                );
-            }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
+                    send(ctx, reply, seq);
+                });
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
         }
     }
 
     // ---- the performance monitor (τ7) --------------------------------------
 
     fn check_leader_performance(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        if self.in_view_change {
+        if self.gate.in_view_change() {
             return;
         }
         let now = ctx.now();
@@ -525,7 +477,7 @@ impl PrimeReplica {
         let oldest: Option<SimTime> = self
             .preorder
             .values()
-            .filter(|e| !e.ordered && !self.executed_reqs.contains_key(&e.request.request.id))
+            .filter(|e| !e.ordered && !self.exec.is_executed(&e.request.request.id))
             .filter_map(|e| e.eligible_at)
             .min();
         if let Some(t) = oldest {
@@ -535,7 +487,7 @@ impl PrimeReplica {
                 ctx.observe(Observation::Marker {
                     label: "leader-underperforming",
                 });
-                let target = self.view.next();
+                let target = self.gate.view().next();
                 self.start_view_change(target, ctx);
             }
         }
@@ -544,20 +496,20 @@ impl PrimeReplica {
     // ---- view change --------------------------------------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PrimeMsg>) {
-        if target <= self.view {
+        if target <= self.gate.view() {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
         let prepared: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
             .slots
             .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec_cursor)
+            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
             .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
@@ -583,11 +535,14 @@ impl PrimeReplica {
         }
         votes.push((from, prepared));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
             let mut re_proposals: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
             for (_, prepared) in &votes {
@@ -614,14 +569,13 @@ impl PrimeReplica {
         pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
         // dead slots: release their requests back to the eligible pool
         let mut released: Vec<RequestId> = Vec::new();
@@ -636,7 +590,7 @@ impl PrimeReplica {
         for id in released {
             if let Some(key) = self.by_request.get(&id) {
                 if let Some(e) = self.preorder.get_mut(key) {
-                    if !self.executed_reqs.contains_key(&id) {
+                    if !self.exec.is_executed(&id) {
                         e.ordered = false;
                     }
                 }
@@ -668,7 +622,7 @@ impl PrimeReplica {
             }
             if me != leader {
                 ctx.charge_crypto(CryptoOp::Sign);
-                let view = self.view;
+                let view = self.gate.view();
                 ctx.broadcast_replicas(PrimeMsg::Prepare {
                     view,
                     seq,
@@ -682,36 +636,11 @@ impl PrimeReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             self.propose_eligible(ctx);
         }
-        let cur = self.view;
-        let msg_view = |m: &PrimeMsg| match m {
-            PrimeMsg::PrePrepare { view, .. }
-            | PrimeMsg::Prepare { view, .. }
-            | PrimeMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: PrimeMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -727,26 +656,11 @@ impl Actor<PrimeMsg> for PrimeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PrimeMsg, ctx: &mut Context<'_, PrimeMsg>) {
         match msg {
             PrimeMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
-                    return;
+                let view = self.gate.view();
+                let answer = reply_to_client(None, PrimeMsg::Reply);
+                if Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                    self.originate(signed.clone(), ctx);
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: self.view,
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), PrimeMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                self.originate(signed.clone(), ctx);
             }
             PrimeMsg::PoRequest {
                 origin,
@@ -771,13 +685,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = PrimeMsg::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -826,13 +734,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = PrimeMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -845,13 +747,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = PrimeMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -866,7 +762,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 self.record_vc(*r, *new_view, prepared.clone(), ctx);
             }
             PrimeMsg::NewView { view, pre_prepares } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, pre_prepares.clone(), ctx);
                 }
@@ -888,6 +784,7 @@ pub struct PrimeClientProto;
 
 impl ClientProtocol for PrimeClientProto {
     type Msg = PrimeMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> PrimeMsg {
         PrimeMsg::Request(req)
@@ -899,53 +796,22 @@ impl ClientProtocol for PrimeClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::Broadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run Prime under a scenario.
 pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PrimeBehavior)]) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let heartbeat = SimDuration(scenario.network.delta.0 / 2);
     // a correct leader orders an eligible request within ~2 network
     // traversals; triple that is the tolerance bound
     let order_bound = SimDuration(scenario.network.delta.0 * 2);
-
-    let mut sim = scenario.build_engine::<PrimeMsg>(n);
-    for i in 0..n as u32 {
+    launch::<PrimeClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
         let behavior = behaviors
             .iter()
-            .find(|(r, _)| *r == ReplicaId(i))
-            .map(|(_, b)| *b)
-            .unwrap_or(PrimeBehavior::Honest);
-        sim.add_replica(
-            i,
-            Box::new(PrimeReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                behavior,
-                heartbeat,
-                order_bound,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<PrimeClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+            .find(|(r, _)| *r == me)
+            .map_or(PrimeBehavior::Honest, |(_, b)| *b);
+        let batch = scenario.batch_size;
+        PrimeReplica::new(me, q, store, behavior, heartbeat, order_bound, batch)
+    })
 }
 
 #[cfg(test)]

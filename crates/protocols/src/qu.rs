@@ -37,7 +37,7 @@ use bft_types::{
     Value, WireSize,
 };
 
-use crate::common::{run_to_completion_with_drain, Scenario, SignedRequest};
+use crate::common::{launch_with_clients, Scenario, SignedRequest};
 use bft_core::workload::Workload;
 use rand::Rng;
 
@@ -475,24 +475,15 @@ impl Actor<QuMsg> for QuClient {
     }
 }
 
-/// Run Q/U under a scenario (n = 5f+1).
+/// Run Q/U under a scenario (n = 5f+1). The run drains for 50 ms after the
+/// last reply: trailing fast-forwards outlast it.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(5 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
-
-    let mut sim = scenario.build_engine::<QuMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(i, Box::new(QuReplica::new(ReplicaId(i), store.clone())));
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(c, Box::new(QuClient::new(scenario, q, c)));
-    }
-    run_to_completion_with_drain(
-        sim,
-        scenario.total_requests(),
-        scenario.max_time,
+    launch_with_clients(
+        scenario,
+        scenario.n(5 * scenario.f + 1),
         SimDuration::from_millis(50),
+        |me, _, store| QuReplica::new(me, store),
+        |c, q| QuClient::new(scenario, q, c),
     )
 }
 

@@ -185,21 +185,15 @@ impl ProtocolId {
                 partitions: false,
                 ..ChaosTolerance::full()
             },
-            // Campaign findings: divergent execution state under post-GST
-            // reordering (tree aggregation and speculative execution
-            // assume quasi-FIFO delivery); PoE also diverges under the
-            // reordering a pre-GST storm induces. SBFT used to carry the
-            // same exclusions (plus healed partitions) until its
-            // commit-outran-pre-prepare bug was fixed — a commit
-            // certificate arriving before its delayed pre-prepare
+            // SBFT and PoE used to be excluded from reordering and GST
+            // storms (SBFT from healed partitions too) for one shared
+            // defect: a certificate arriving before its delayed proposal
             // committed an empty placeholder slot, silently skipping the
-            // slot's requests — after which the unscoped sweep (100
-            // seeds) measures clean, so it is back to the full envelope.
-            ProtocolId::Poe => ChaosTolerance {
-                reordering: false,
-                gst_storm: false,
-                ..ChaosTolerance::full()
-            },
+            // slot's requests and diverging execution state. SBFT's copy
+            // was fixed first; PoE's went when the shared execution stage
+            // made "no batch, no execution" an invariant. Both measure
+            // clean unscoped (SBFT 100 seeds, PoE 300) and carry the full
+            // envelope.
             // Campaign finding: HotStuff also diverges when a slowed link
             // (which reorders across links) or a pre-GST storm perturbs
             // delivery order.
@@ -315,17 +309,15 @@ impl ProtocolId {
                 corruption: false,
                 ..ByzantineTolerance::full()
             },
-            // Campaign findings — SAFETY: PoE's speculative execution
-            // diverges honest state whenever wire attacks desynchronize
-            // its rollback path: strategic holds at the retransmission
-            // scale (DivergentState at two of fifteen delay seeds) and an
-            // equivocate+corrupt stack on the leader (seed 20; ddmin
-            // keeps both attacks — either alone is absorbed).
-            ProtocolId::Poe => ByzantineTolerance {
-                delay: false,
-                corruption: false,
-                ..ByzantineTolerance::full()
-            },
+            // PoE's former `delay: false` / `corruption: false` safety
+            // exclusions (DivergentState under strategic holds, and under
+            // an equivocate+corrupt stack on the leader) were the same
+            // defect SBFT had: a `Certify` outrunning its held or
+            // wire-rejected `Propose` executed an empty placeholder slot.
+            // The shared execution stage refuses a slot whose batch is
+            // not held; re-measured clean with `BFT_BYZ_UNSCOPED=1`
+            // (delay 300 seeds, corrupt 100, equivocate+corrupt 200,
+            // 100 per remaining class, 300 mixed).
             // Campaign findings: Prime's preordering pipeline starves when
             // a compromised replica equivocates its ordering stream, holds
             // it back, or feeds it corrupt (wire-rejected) envelopes; τ7
@@ -723,11 +715,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_and_stays_safe() {
-        let scenario = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(5)
-            .build();
+        let scenario = Scenario::small(1).with_load(1, 5);
         for entry in registry() {
             let out = entry.id.run(&scenario);
             SafetyAuditor::all_correct().assert_safe(&out.log);

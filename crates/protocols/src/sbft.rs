@@ -28,13 +28,12 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    launch, ClientProtocol, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewGate,
 };
 
 /// SBFT protocol messages.
@@ -177,7 +176,11 @@ impl WireSize for SbftMsg {
 #[derive(Debug, Clone, Default)]
 struct SbftSlot {
     digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+    /// `None` until the pre-prepare carrying the batch is installed: a
+    /// commit certificate can outrun its (delayed) pre-prepare, and
+    /// executing an empty placeholder would silently skip the slot's
+    /// requests and desynchronize this replica's execution stream for good.
+    batch: Option<Vec<SignedRequest>>,
     /// First-round shares (collector only).
     shares: Vec<ReplicaId>,
     /// Second-round shares (collector only, slow path).
@@ -194,32 +197,56 @@ struct SbftSlot {
     certified: bool,
 }
 
+/// The collector's side of threshold replies.
+#[derive(Debug, Default)]
+struct ThresholdReplies {
+    /// Exec shares per (seq, request).
+    shares: BTreeMap<(SeqNum, RequestId), (Vec<ReplicaId>, Option<Reply>)>,
+    /// Threshold replies already combined from `weak` exec shares — the
+    /// only replies a client may be handed (a bare cached result from one
+    /// replica must never stand in for one; the client accepts a single
+    /// signature only because it is threshold-backed by f+1 executions).
+    combined: BTreeMap<RequestId, Reply>,
+}
+
+impl ThresholdReplies {
+    /// Record `from`'s execution share; at `weak` (f+1) matching shares
+    /// combine them and send the client its ONE reply.
+    fn record(
+        &mut self,
+        weak: usize,
+        from: ReplicaId,
+        seq: SeqNum,
+        reply: Reply,
+        ctx: &mut Context<'_, SbftMsg>,
+    ) {
+        let request = reply.request;
+        let entry = self.shares.entry((seq, request)).or_default();
+        if !entry.0.contains(&from) {
+            entry.0.push(from);
+        }
+        let reply = entry.1.get_or_insert(reply).clone();
+        if entry.0.len() >= weak && !self.combined.contains_key(&request) {
+            ctx.charge_crypto(CryptoOp::ThresholdCombine);
+            self.combined.insert(request, reply.clone());
+            ctx.send(NodeId::Client(request.client), SbftMsg::Reply(reply));
+        }
+    }
+}
+
 /// An SBFT replica (the leader doubles as the collector).
 pub struct SbftReplica {
     me: ReplicaId,
     q: QuorumRules,
     store: Arc<KeyStore>,
-    view: View,
+    gate: ViewGate<SbftMsg>,
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, SbftSlot>,
     known: BTreeMap<RequestId, SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
-    exec_cursor: SeqNum,
-    /// Collector: exec shares per (seq, request).
-    exec_shares: BTreeMap<(SeqNum, RequestId), (Vec<ReplicaId>, Option<Reply>)>,
-    /// Collector: threshold replies already combined from `weak` exec
-    /// shares — the only replies a client may be handed (a bare cached
-    /// result from one replica must never stand in for one; the client
-    /// accepts a single signature only because it is threshold-backed by
-    /// f+1 executions).
-    combined: BTreeMap<RequestId, Reply>,
-    in_view_change: bool,
+    exec: Execution,
+    intake: Intake,
+    replies: ThresholdReplies,
     vc_votes: crate::common::VcVotes,
-    vc_timer: Option<TimerId>,
-    pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, SbftMsg)>,
-    view_timeout: SimDuration,
     /// τ3 duration: how long the collector waits for the full share set.
     t3_timeout: SimDuration,
     batch_size: usize,
@@ -239,28 +266,21 @@ impl SbftReplica {
             me,
             q,
             store,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             known: BTreeMap::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
-            exec_cursor: SeqNum(0),
-            exec_shares: BTreeMap::new(),
-            combined: BTreeMap::new(),
-            in_view_change: false,
+            exec: Execution::new(),
+            intake: Intake::new(view_timeout),
+            replies: ThresholdReplies::default(),
             vc_votes: BTreeMap::new(),
-            vc_timer: None,
-            pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
-            view_timeout,
             t3_timeout,
             batch_size,
         }
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -268,21 +288,19 @@ impl SbftReplica {
     }
 
     fn propose_known(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
         let in_slots: Vec<RequestId> = self
             .slots
             .values()
             .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
+            .flat_map(|s| s.batch.iter().flatten().map(|r| r.request.id))
             .collect();
         let todo: Vec<SignedRequest> = self
             .known
             .values()
-            .filter(|r| {
-                !self.executed_reqs.contains_key(&r.request.id) && !in_slots.contains(&r.request.id)
-            })
+            .filter(|r| !self.exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id))
             .cloned()
             .collect();
         for chunk in todo.chunks(self.batch_size.max(1)) {
@@ -292,11 +310,11 @@ impl SbftReplica {
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.view;
+            let view = self.gate.view();
             {
                 let slot = self.slots.entry(seq).or_default();
                 slot.digest = Some(digest);
-                slot.batch = batch.clone();
+                slot.batch = Some(batch.clone());
             }
             ctx.broadcast_replicas(SbftMsg::PrePrepare {
                 view,
@@ -331,7 +349,7 @@ impl SbftReplica {
             return;
         }
         let n = self.q.n;
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest != Some(digest) || slot.certified {
             return;
@@ -360,7 +378,7 @@ impl SbftReplica {
 
     fn on_t3(&mut self, seq: SeqNum, ctx: &mut Context<'_, SbftMsg>) {
         // fast path failed: fall back to the slow (two extra linear phases)
-        let view = self.view;
+        let view = self.gate.view();
         let quorum = self.q.quorum();
         let slot = self.slots.entry(seq).or_default();
         if slot.certified || slot.digest.is_none() {
@@ -389,7 +407,7 @@ impl SbftReplica {
     }
 
     fn on_commit_proof(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
-        let view = self.view;
+        let view = self.gate.view();
         let me = self.me;
         let leader = self.leader();
         let slot = self.slots.entry(seq).or_default();
@@ -425,7 +443,7 @@ impl SbftReplica {
             return;
         }
         let quorum = self.q.quorum();
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.digest != Some(digest) || slot.committed {
             return;
@@ -441,7 +459,7 @@ impl SbftReplica {
     }
 
     fn commit_slot(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
-        let view = self.view;
+        let view = self.gate.view();
         let slot = self.slots.entry(seq).or_default();
         if slot.committed {
             return;
@@ -465,132 +483,59 @@ impl SbftReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        loop {
-            let next = self.exec_cursor.next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
+        let (me, leader, weak) = (self.me, self.leader(), self.q.weak());
+        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
             if !slot.committed || slot.executed {
                 break;
             }
-            // Never execute a slot whose batch we don't actually hold: a
-            // commit certificate can outrun its (delayed) pre-prepare, and
-            // executing the empty placeholder batch would silently skip
-            // the slot's requests and desynchronize this replica's
-            // execution stream for good. The late pre-prepare re-enters
-            // here once it fills the batch in.
-            if slot.digest != Some(digest_of(&slot.batch)) {
-                break;
-            }
-            let batch = slot.batch.clone();
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Execution,
-            });
-            for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                self.executed_reqs.insert(signed.request.id, ());
-                self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view: self.view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
-                // execution share to the collector (threshold reply)
+            let next = self.exec.cursor().next();
+            let replies = &mut self.replies;
+            // execution share to the collector (threshold reply)
+            let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-                let leader = self.leader();
-                let me = self.me;
                 if me == leader {
-                    self.record_exec_share(me, next, signed.request.id, state_digest, reply, ctx);
+                    replies.record(weak, me, next, reply, ctx);
                 } else {
                     ctx.send(
                         NodeId::Replica(leader),
                         SbftMsg::ExecShare {
                             seq: next,
-                            request: signed.request.id,
-                            state_digest,
+                            request: reply.request,
+                            state_digest: reply.state_digest,
                             reply,
                             from: me,
                         },
                     );
                 }
+            };
+            // no batch yet (the certificate outran its pre-prepare): the
+            // late pre-prepare re-enters here once it fills the batch in
+            if !self
+                .exec
+                .run(ctx, slot.batch.as_deref(), self.gate.view(), share)
+            {
+                break;
             }
-            let slot = self.slots.get_mut(&next).expect("slot exists");
             slot.executed = true;
-            self.exec_cursor = next;
-            ctx.observe(Observation::StageEnter {
-                stage: Stage::Ordering,
-            });
-            if self.pending_reqs.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
-        }
-    }
-
-    fn record_exec_share(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        request: RequestId,
-        _state_digest: Digest,
-        reply: Reply,
-        ctx: &mut Context<'_, SbftMsg>,
-    ) {
-        let weak = self.q.weak();
-        let entry = self
-            .exec_shares
-            .entry((seq, request))
-            .or_insert((Vec::new(), None));
-        if !entry.0.contains(&from) {
-            entry.0.push(from);
-        }
-        entry.1.get_or_insert(reply);
-        let ready = entry.0.len() >= weak;
-        let combined_reply = entry.1.clone();
-        if ready && !self.combined.contains_key(&request) {
-            // f+1 matching execution shares: combine and send ONE reply
-            ctx.charge_crypto(CryptoOp::ThresholdCombine);
-            if let Some(reply) = combined_reply {
-                self.combined.insert(request, reply.clone());
-                ctx.send(NodeId::Client(request.client), SbftMsg::Reply(reply));
-            }
+            self.intake.settle(ctx, &self.exec);
         }
     }
 
     // ---- view change (PBFT-pattern, signatures) ---------------------------
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, SbftMsg>) {
-        if target <= self.view || self.in_view_change {
+        if target <= self.gate.view() || self.gate.in_view_change() {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
         let signed_slots: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
             .slots
             .iter()
-            .filter(|(seq, s)| s.signed && !s.executed && **seq > self.exec_cursor)
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
+            .filter(|(seq, s)| s.signed && !s.executed && **seq > self.exec.cursor())
+            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.batch.clone()?)))
             .collect();
         ctx.charge_crypto(CryptoOp::Sign);
         let me = self.me;
@@ -600,7 +545,7 @@ impl SbftReplica {
             from: me,
         });
         self.record_vc(me, target, signed_slots, ctx);
-        self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
+        self.intake.rearm(ctx);
     }
 
     fn record_vc(
@@ -616,11 +561,14 @@ impl SbftReplica {
         }
         votes.push((from, signed_slots));
         let have = votes.len();
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
             let mut re_proposals: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
             for (_, slots) in &votes {
@@ -647,23 +595,20 @@ impl SbftReplica {
         pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
         ctx: &mut Context<'_, SbftMsg>,
     ) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.intake.disarm(ctx);
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
         // drop dead slots, remember their requests
-        let exec_cursor = self.exec_cursor;
+        let exec_cursor = self.exec.cursor();
         let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
         let mut stranded: Vec<SignedRequest> = Vec::new();
         self.slots.retain(|seq, slot| {
             if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.append(&mut slot.batch);
+                stranded.extend(slot.batch.take().unwrap_or_default());
                 false
             } else {
                 true
@@ -689,7 +634,7 @@ impl SbftReplica {
                     continue;
                 }
                 slot.digest = Some(digest);
-                slot.batch = batch;
+                slot.batch = Some(batch);
                 slot.signed = false;
                 slot.certified = false;
                 slot.committed = false;
@@ -703,7 +648,7 @@ impl SbftReplica {
                 self.slots.entry(seq).or_default().t3 = Some(t3);
                 self.record_share(me, seq, digest, ctx);
             } else {
-                let view = self.view;
+                let view = self.gate.view();
                 ctx.send(
                     NodeId::Replica(leader),
                     SbftMsg::SignShare {
@@ -719,44 +664,43 @@ impl SbftReplica {
             self.next_seq = self
                 .next_seq
                 .max(max_seq.next())
-                .max(self.exec_cursor.next());
+                .max(self.exec.cursor().next());
             self.propose_known(ctx);
         }
-        // replay racing messages
-        let cur = self.view;
-        let msg_view = |m: &SbftMsg| match m {
-            SbftMsg::PrePrepare { view, .. }
-            | SbftMsg::SignShare { view, .. }
-            | SbftMsg::FullCommitProof { view, .. }
-            | SbftMsg::CommitProof { view, .. }
-            | SbftMsg::CommitShare { view, .. }
-            | SbftMsg::FullExecuteProof { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
         }
     }
 
-    fn buffer(&mut self, from: NodeId, msg: SbftMsg) {
-        if self.future_msgs.len() < 10_000 {
-            self.future_msgs.push((from, msg));
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: SbftMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            self.buffer(from, msg);
-            false
-        } else {
-            view == self.view && !self.in_view_change
+    /// A retransmission of an executed request: only the combined threshold
+    /// reply may answer it — a bare cached result from a single replica
+    /// would let one (possibly compromised-wire) node vouch for a write no
+    /// honest quorum has executed.
+    fn answer_retransmission(&mut self, id: RequestId, ctx: &mut Context<'_, SbftMsg>) {
+        if let Some(reply) = self.replies.combined.get(&id).cloned() {
+            ctx.send(NodeId::Client(id.client), SbftMsg::Reply(reply));
+        } else if !self.is_leader() {
+            // re-send our exec share so the collector can (re-)combine the
+            // threshold reply
+            let seq = self
+                .slots
+                .iter()
+                .find(|(_, s)| s.executed && s.batch.iter().flatten().any(|r| r.request.id == id))
+                .map(|(seq, _)| *seq);
+            let reply = self.exec.cached_reply(id, self.gate.view());
+            if let (Some(seq), Some(reply)) = (seq, reply) {
+                ctx.charge_crypto(CryptoOp::ThresholdShareGen);
+                ctx.send(
+                    NodeId::Replica(self.leader()),
+                    SbftMsg::ExecShare {
+                        seq,
+                        request: id,
+                        state_digest: reply.state_digest,
+                        reply,
+                        from: self.me,
+                    },
+                );
+            }
         }
     }
 }
@@ -771,69 +715,20 @@ impl Actor<SbftMsg> for SbftReplica {
     fn on_message(&mut self, from: NodeId, msg: &SbftMsg, ctx: &mut Context<'_, SbftMsg>) {
         match msg {
             SbftMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                if !Intake::verify(ctx, &self.store, signed) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    // retransmission of an executed request: only the
-                    // combined threshold reply may answer it — a bare
-                    // cached result from a single replica would let one
-                    // (possibly compromised-wire) node vouch for a write
-                    // no honest quorum has executed
-                    let id = signed.request.id;
-                    if let Some(reply) = self.combined.get(&id).cloned() {
-                        ctx.send(NodeId::Client(id.client), SbftMsg::Reply(reply));
-                    } else if !self.is_leader() {
-                        // re-send our exec share so the collector can
-                        // (re-)combine the threshold reply
-                        let seq = self
-                            .slots
-                            .iter()
-                            .find(|(_, s)| s.executed && s.batch.iter().any(|r| r.request.id == id))
-                            .map(|(seq, _)| *seq);
-                        if let (Some(seq), Some((cached, result))) =
-                            (seq, self.sm.cached_reply(id.client))
-                        {
-                            if *cached == id {
-                                let reply = Reply {
-                                    request: id,
-                                    view: self.view,
-                                    result: result.clone(),
-                                    state_digest: self.sm.digest(),
-                                    speculative: false,
-                                };
-                                ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-                                let leader = self.leader();
-                                let me = self.me;
-                                ctx.send(
-                                    NodeId::Replica(leader),
-                                    SbftMsg::ExecShare {
-                                        seq,
-                                        request: id,
-                                        state_digest: reply.state_digest,
-                                        reply,
-                                        from: me,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                if self.exec.is_executed(&signed.request.id) {
+                    self.answer_retransmission(signed.request.id, ctx);
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
                 if self.is_leader() {
                     self.propose_known(ctx);
                 } else {
-                    let leader = self.leader();
-                    ctx.send(NodeId::Replica(leader), SbftMsg::Request(signed.clone()));
-                    if !self.pending_reqs.contains(&signed.request.id) {
-                        self.pending_reqs.push(signed.request.id);
-                    }
-                    if self.vc_timer.is_none() && !self.in_view_change {
-                        self.vc_timer =
-                            Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-                    }
+                    let may_arm = !self.gate.in_view_change();
+                    self.intake
+                        .relay(ctx, signed, self.leader(), SbftMsg::Request, may_arm);
                 }
             }
             SbftMsg::PrePrepare {
@@ -843,13 +738,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = SbftMsg::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -866,7 +755,7 @@ impl Actor<SbftMsg> for SbftReplica {
                         return;
                     }
                     slot.digest = Some(digest);
-                    slot.batch = batch.clone();
+                    slot.batch = Some(batch.clone());
                     slot.committed
                 };
                 if committed {
@@ -895,13 +784,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = SbftMsg::SignShare {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -914,13 +797,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                let m = SbftMsg::FullCommitProof {
-                    view,
-                    seq,
-                    digest,
-                    shares,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if shares < self.q.n {
@@ -940,13 +817,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                let m = SbftMsg::CommitProof {
-                    view,
-                    seq,
-                    digest,
-                    shares,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if shares < self.q.quorum() {
@@ -961,13 +832,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                let m = SbftMsg::CommitShare {
-                    view,
-                    seq,
-                    digest,
-                    from: r,
-                };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -975,8 +840,7 @@ impl Actor<SbftMsg> for SbftReplica {
             }
             SbftMsg::FullExecuteProof { view, seq, digest } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                let m = SbftMsg::FullExecuteProof { view, seq, digest };
-                if !self.view_ok(from, view, m) {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
@@ -984,14 +848,14 @@ impl Actor<SbftMsg> for SbftReplica {
             }
             SbftMsg::ExecShare {
                 seq,
-                request,
-                state_digest,
                 reply,
                 from: r,
+                ..
             } => {
                 if self.is_leader() {
                     ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
-                    self.record_exec_share(*r, *seq, *request, *state_digest, reply.clone(), ctx);
+                    self.replies
+                        .record(self.q.weak(), *r, *seq, reply.clone(), ctx);
                 }
             }
             SbftMsg::ViewChange {
@@ -1003,7 +867,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 self.record_vc(*r, *new_view, signed_slots.clone(), ctx);
             }
             SbftMsg::NewView { view, pre_prepares } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, pre_prepares.clone(), ctx);
                 }
@@ -1025,12 +889,9 @@ impl Actor<SbftMsg> for SbftReplica {
                     self.on_t3(seq, ctx);
                 }
             }
-            TimerKind::T2ViewChange if Some(id) == self.vc_timer => {
-                self.vc_timer = None;
-                if !self.pending_reqs.is_empty() {
-                    let target = self.view.next();
-                    self.start_view_change(target, ctx);
-                }
+            TimerKind::T2ViewChange if self.intake.fired(id) && self.intake.has_pending() => {
+                let target = self.gate.view().next();
+                self.start_view_change(target, ctx);
             }
             _ => {}
         }
@@ -1042,6 +903,7 @@ pub struct SbftClientProto;
 
 impl ClientProtocol for SbftClientProto {
     type Msg = SbftMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> SbftMsg {
         SbftMsg::Request(req)
@@ -1054,10 +916,6 @@ impl ClientProtocol for SbftClientProto {
         }
     }
 
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::LeaderThenBroadcast
-    }
-
     fn reply_quorum(_q: &QuorumRules) -> usize {
         1 // the reply carries a threshold signature
     }
@@ -1065,33 +923,11 @@ impl ClientProtocol for SbftClientProto {
 
 /// Run SBFT under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
     let t3 = SimDuration(scenario.network.delta.0 / 2);
-
-    let mut sim = scenario.build_engine::<SbftMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(SbftReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                view_timeout,
-                t3,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<SbftClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<SbftClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        SbftReplica::new(me, q, store, view_timeout, t3, scenario.batch_size)
+    })
 }
 
 #[cfg(test)]
@@ -1198,12 +1034,9 @@ mod tests {
             (23_930, 0.59, 50),
             (31_446, 0.71, 17),
         ] {
-            let s = Scenario::builder()
-                .n_for_f(1)
-                .clients(1)
-                .requests(8)
-                .seed(seed)
-                .build()
+            let s = Scenario::small(1)
+                .with_load(1, 8)
+                .with_seed(seed)
                 .with_adversaries(vec![AdversarySpec::new(
                     0,
                     Attack::Delay {

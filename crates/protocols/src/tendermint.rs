@@ -23,13 +23,13 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy,
 };
 
 /// Vote kinds.
@@ -128,8 +128,7 @@ pub struct TendermintReplica {
     /// Enable the informed-leader optimization.
     opt_informed: bool,
     mempool: VecDeque<SignedRequest>,
-    executed_reqs: BTreeMap<RequestId, ()>,
-    sm: StateMachine,
+    exec: Execution,
     /// Sent votes dedup: (kind, height, round).
     voted: BTreeMap<(VoteKind, SeqNum, u32), ()>,
     /// Messages that arrived ahead of our state, keyed by height: the
@@ -174,8 +173,7 @@ impl TendermintReplica {
             informed: true, // height 1 has no predecessor to learn about
             opt_informed,
             mempool: VecDeque::new(),
-            executed_reqs: BTreeMap::new(),
-            sm: StateMachine::new(),
+            exec: Execution::new().skipping_executed(),
             voted: BTreeMap::new(),
             pending: BTreeMap::new(),
             decided: false,
@@ -222,9 +220,8 @@ impl TendermintReplica {
         if !self.i_propose_now() {
             return;
         }
-        let executed = &self.executed_reqs;
-        self.mempool
-            .retain(|r| !executed.contains_key(&r.request.id));
+        let exec = &self.exec;
+        self.mempool.retain(|r| !exec.is_executed(&r.request.id));
         // re-propose the locked value if we hold a lock, else a new batch
         let (digest, batch) = if let Some((locked_digest, _)) = self.locked {
             let batch = self
@@ -383,48 +380,14 @@ impl TendermintReplica {
             digest,
             speculative: false,
         });
-        let batch = self.batches.get(&digest).cloned().unwrap_or_default();
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Execution,
-        });
-        for signed in &batch {
-            if self.executed_reqs.contains_key(&signed.request.id) {
-                continue;
-            }
-            let seq = self.sm.last_executed().next();
-            let work: u32 = signed
-                .request
-                .txn
-                .ops
-                .iter()
-                .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                .sum();
-            if work > 0 {
-                ctx.charge(SimDuration(work as u64 * 1_000));
-            }
-            let (result, state_digest) = self.sm.execute(seq, &signed.request);
-            ctx.observe(Observation::Execute {
-                seq,
-                request: signed.request.id,
-                state_digest,
-            });
-            self.executed_reqs.insert(signed.request.id, ());
-            let reply = Reply {
-                request: signed.request.id,
-                view: View(height.0),
-                result,
-                state_digest,
-                speculative: false,
-            };
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.send(
-                NodeId::Client(signed.request.id.client),
-                TmMsg::Reply(reply),
-            );
-        }
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        let batch = self.batches.get(&digest).map(Vec::as_slice);
+        let deliver = reply_to_client(Some(CryptoOp::Sign), TmMsg::Reply);
+        self.exec.run(
+            ctx,
+            Some(batch.unwrap_or_default()),
+            View(height.0),
+            deliver,
+        );
         // informed? we ourselves saw 2f+1 precommits for this height
         self.informed = true;
         self.enter_height(height.next(), ctx);
@@ -526,32 +489,12 @@ impl Actor<TmMsg> for TendermintReplica {
     fn on_message(&mut self, from: NodeId, msg: &TmMsg, ctx: &mut Context<'_, TmMsg>) {
         match msg {
             TmMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if !signed.verify(&self.store) {
+                let view = View(self.height.0);
+                let answer = reply_to_client(None, TmMsg::Reply);
+                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                if self.executed_reqs.contains_key(&signed.request.id) {
-                    if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                        if *id == signed.request.id {
-                            let reply = Reply {
-                                request: *id,
-                                view: View(self.height.0),
-                                result: result.clone(),
-                                state_digest: self.sm.digest(),
-                                speculative: false,
-                            };
-                            ctx.send(NodeId::Client(id.client), TmMsg::Reply(reply));
-                        }
-                    }
-                    return;
-                }
-                if !self
-                    .mempool
-                    .iter()
-                    .any(|r| r.request.id == signed.request.id)
-                {
-                    self.mempool.push_back(signed.clone());
-                }
+                enqueue_unique(&mut self.mempool, signed);
                 self.schedule_propose(ctx);
                 self.arm_round_timer(ctx);
             }
@@ -610,6 +553,7 @@ pub struct TmClientProto;
 
 impl ClientProtocol for TmClientProto {
     type Msg = TmMsg;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> TmMsg {
         TmMsg::Request(req)
@@ -621,45 +565,16 @@ impl ClientProtocol for TmClientProto {
             _ => None,
         }
     }
-
-    fn submit_policy() -> SubmitPolicy {
-        SubmitPolicy::Broadcast
-    }
-
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
 }
 
 /// Run Tendermint. `informed_leader_opt` enables the responsive
 /// optimization the paper attributes to HotStuff-2.
 pub fn run(scenario: &Scenario, informed_leader_opt: bool) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let delta = scenario.network.delta;
-
-    let mut sim = scenario.build_engine::<TmMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(TendermintReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                delta,
-                informed_leader_opt,
-                scenario.batch_size,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(
-            c,
-            Box::new(GenericClient::<TmClientProto>::new(scenario, q, c)),
-        );
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch::<TmClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
+        let batch = scenario.batch_size;
+        TendermintReplica::new(me, q, store, delta, informed_leader_opt, batch)
+    })
 }
 
 #[cfg(test)]

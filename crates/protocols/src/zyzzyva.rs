@@ -29,13 +29,12 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
-use bft_state::StateMachine;
 use bft_types::{
-    ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
+    ClientId, Digest, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
     TxnResult, View, WireSize,
 };
 
-use crate::common::{run_to_completion, Scenario, SignedRequest};
+use crate::common::{launch_with_clients, Execution, Intake, Scenario, SignedRequest, ViewGate};
 use bft_core::client::ReplyCollector;
 use bft_core::workload::Workload;
 
@@ -129,25 +128,22 @@ pub struct ZyzzyvaReplica {
     me: ReplicaId,
     q: QuorumRules,
     store: Arc<KeyStore>,
-    view: View,
+    /// Gates order assignments that raced ahead of the new-view message.
+    gate: ViewGate<ZyzzyvaMsg>,
     next_seq: SeqNum,
     /// Ordered-but-not-yet-executed assignments (gap buffer).
     pending: BTreeMap<SeqNum, SignedRequest>,
     /// All requests this replica has seen, for re-proposal after view
     /// change.
     known: BTreeMap<RequestId, SignedRequest>,
-    executed: BTreeMap<RequestId, SeqNum>,
-    sm: StateMachine,
+    /// Speculative; requests are ordered one by one, so the state machine's
+    /// sequence number is the slot and the stage's slot cursor goes unused.
+    exec: Execution,
     /// Highest history position covered by a commit certificate.
     max_cc: SeqNum,
-    /// τ2 timers per outstanding confirm-request.
-    vc_timer: Option<TimerId>,
-    pending_confirm: Vec<RequestId>,
-    in_view_change: bool,
+    /// τ2 over outstanding confirm-requests.
+    intake: Intake,
     vc_votes: BTreeMap<View, Vec<(ReplicaId, SeqNum)>>,
-    view_timeout: SimDuration,
-    /// Order assignments that raced ahead of the new-view message.
-    future_orders: Vec<(NodeId, ZyzzyvaMsg)>,
 }
 
 impl ZyzzyvaReplica {
@@ -162,24 +158,19 @@ impl ZyzzyvaReplica {
             me,
             q,
             store,
-            view: View(0),
+            gate: ViewGate::new(),
             next_seq: SeqNum(1),
             pending: BTreeMap::new(),
             known: BTreeMap::new(),
-            executed: BTreeMap::new(),
-            sm: StateMachine::new(),
+            exec: Execution::new().speculative(),
             max_cc: SeqNum(0),
-            vc_timer: None,
-            pending_confirm: Vec::new(),
-            in_view_change: false,
+            intake: Intake::new(view_timeout),
             vc_votes: BTreeMap::new(),
-            view_timeout,
-            future_orders: Vec::new(),
         }
     }
 
     fn leader(&self) -> ReplicaId {
-        self.view.leader_of(self.q.n)
+        self.gate.view().leader_of(self.q.n)
     }
 
     fn is_leader(&self) -> bool {
@@ -187,10 +178,10 @@ impl ZyzzyvaReplica {
     }
 
     fn order(&mut self, signed: SignedRequest, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if !self.is_leader() || self.in_view_change {
+        if !self.is_leader() || self.gate.in_view_change() {
             return;
         }
-        if self.executed.contains_key(&signed.request.id) {
+        if self.exec.is_executed(&signed.request.id) {
             return;
         }
         // already ordered and in flight?
@@ -206,7 +197,7 @@ impl ZyzzyvaReplica {
         let digest = signed.digest();
         ctx.charge_crypto(CryptoOp::Hash);
         ctx.charge_crypto(CryptoOp::Sign); // order requests are signed
-        let view = self.view;
+        let view = self.gate.view();
         ctx.broadcast_replicas(ZyzzyvaMsg::OrderReq {
             view,
             seq,
@@ -228,50 +219,24 @@ impl ZyzzyvaReplica {
     }
 
     fn execute_ready(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        while let Some(signed) = self.pending.remove(&self.sm.last_executed().next()) {
-            let seq = self.sm.last_executed().next();
-            let work: u32 = signed
-                .request
-                .txn
-                .ops
-                .iter()
-                .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                .sum();
-            if work > 0 {
-                ctx.charge(SimDuration(work as u64 * 1_000));
-            }
-            let (result, state_digest) = self.sm.execute_speculative(seq, &signed.request);
-            ctx.observe(Observation::Execute {
-                seq,
-                request: signed.request.id,
-                state_digest,
-            });
-            ctx.observe(Observation::Commit {
-                seq,
-                view: self.view,
-                digest: signed.digest(),
-                speculative: true,
-            });
-            self.executed.insert(signed.request.id, seq);
-            self.pending_confirm.retain(|r| *r != signed.request.id);
-            let reply = Reply {
-                request: signed.request.id,
-                view: self.view,
-                result,
-                state_digest,
-                speculative: true,
+        let view = self.gate.view();
+        while let Some(signed) = self.pending.remove(&self.exec.sm().last_executed().next()) {
+            let mut spec_reply = |ctx: &mut Context<'_, ZyzzyvaMsg>, reply: Reply, seq| {
+                ctx.observe(Observation::Commit {
+                    seq,
+                    view,
+                    digest: signed.digest(),
+                    speculative: true,
+                });
+                ctx.charge_crypto(CryptoOp::MacGen);
+                ctx.send(
+                    NodeId::Client(reply.request.client),
+                    ZyzzyvaMsg::SpecReply { reply, seq },
+                );
             };
-            ctx.charge_crypto(CryptoOp::MacGen);
-            ctx.send(
-                NodeId::Client(signed.request.id.client),
-                ZyzzyvaMsg::SpecReply { reply, seq },
-            );
+            self.exec.execute(ctx, &signed, view, &mut spec_reply);
         }
-        if self.pending_confirm.is_empty() {
-            if let Some(t) = self.vc_timer.take() {
-                ctx.cancel_timer(t);
-            }
-        }
+        self.intake.settle(ctx, &self.exec);
     }
 
     fn on_commit_cert(
@@ -285,18 +250,18 @@ impl ZyzzyvaReplica {
         // adopt: everything up to seq is now committed (final). The final
         // commit is observed with the *state* digest at the certified
         // position — matching certificates imply matching histories.
-        if seq > self.max_cc && seq <= self.sm.last_executed() {
+        if seq > self.max_cc && seq <= self.exec.sm().last_executed() {
             ctx.observe(Observation::Commit {
                 seq,
-                view: self.view,
+                view: self.gate.view(),
                 digest: state_digest,
                 speculative: false,
             });
             self.max_cc = seq;
-            self.sm.confirm_up_to(seq);
+            self.exec.confirm_up_to(seq);
         }
         let me = self.me;
-        let view = self.view;
+        let view = self.gate.view();
         ctx.charge_crypto(CryptoOp::MacGen);
         ctx.send(
             NodeId::Client(request.client),
@@ -309,52 +274,34 @@ impl ZyzzyvaReplica {
         );
     }
 
-    fn on_confirm_request(&mut self, signed: SignedRequest, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        ctx.charge_crypto(CryptoOp::Verify);
-        if !signed.verify(&self.store) {
-            return;
-        }
+    fn on_confirm_request(&mut self, signed: &SignedRequest, ctx: &mut Context<'_, ZyzzyvaMsg>) {
         // answer from cache if already executed
-        if self.executed.contains_key(&signed.request.id) {
-            if let Some((id, result)) = self.sm.cached_reply(signed.request.id.client) {
-                if *id == signed.request.id {
-                    let reply = Reply {
-                        request: *id,
-                        view: self.view,
-                        result: result.clone(),
-                        state_digest: self.sm.digest(),
-                        speculative: true,
-                    };
-                    let seq = self.sm.last_executed();
-                    ctx.send(
-                        NodeId::Client(id.client),
-                        ZyzzyvaMsg::SpecReply { reply, seq },
-                    );
-                    return;
-                }
-            }
+        let answer = |ctx: &mut Context<'_, ZyzzyvaMsg>, reply: Reply, seq| {
+            ctx.send(
+                NodeId::Client(reply.request.client),
+                ZyzzyvaMsg::SpecReply { reply, seq },
+            );
+        };
+        let view = self.gate.view();
+        if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+            return;
         }
         self.known.insert(signed.request.id, signed.clone());
         if self.is_leader() {
-            self.order(signed, ctx);
+            self.order(signed.clone(), ctx);
         } else {
             // forward to the leader and hold it accountable (τ2)
-            let leader = self.leader();
-            ctx.send(NodeId::Replica(leader), ZyzzyvaMsg::Request(signed.clone()));
-            if !self.pending_confirm.contains(&signed.request.id) {
-                self.pending_confirm.push(signed.request.id);
-            }
-            if self.vc_timer.is_none() && !self.in_view_change {
-                self.vc_timer = Some(ctx.set_timer(TimerKind::T2ViewChange, self.view_timeout));
-            }
+            let may_arm = !self.gate.in_view_change();
+            self.intake
+                .relay(ctx, signed, self.leader(), ZyzzyvaMsg::Request, may_arm);
         }
     }
 
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if target <= self.view || self.in_view_change {
+        if target <= self.gate.view() || self.gate.in_view_change() {
             return;
         }
-        self.in_view_change = true;
+        self.gate.set_in_view_change(true);
         ctx.observe(Observation::StageEnter {
             stage: Stage::ViewChange,
         });
@@ -383,11 +330,14 @@ impl ZyzzyvaReplica {
         votes.push((from, max_cc));
         let have = votes.len();
         // join rule
-        if target > self.view && !self.in_view_change && have > self.q.f {
+        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
             self.start_view_change(target, ctx);
             return;
         }
-        if target.leader_of(self.q.n) == self.me && self.in_view_change && have >= self.q.quorum() {
+        if target.leader_of(self.q.n) == self.me
+            && self.gate.in_view_change()
+            && have >= self.q.quorum()
+        {
             let from_seq = votes.iter().map(|(_, cc)| *cc).max().unwrap_or(SeqNum(0));
             ctx.charge_crypto(CryptoOp::Sign);
             ctx.broadcast_replicas(ZyzzyvaMsg::NewView {
@@ -399,36 +349,19 @@ impl ZyzzyvaReplica {
     }
 
     fn install_view(&mut self, view: View, from_seq: SeqNum, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        self.view = view;
-        self.in_view_change = false;
+        self.gate.install(view);
         self.vc_votes.retain(|v, _| *v > view);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.pending_confirm.clear();
+        self.intake.disarm(ctx);
+        self.intake.clear_pending();
         ctx.observe(Observation::NewView { view });
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
         // roll back speculation above the agreed commit point
         let restart_from = from_seq.max(self.max_cc);
-        if self.sm.last_executed() > restart_from {
-            let undone = self.sm.rollback_to(restart_from.next());
-            if undone > 0 {
-                ctx.observe(Observation::Rollback {
-                    from_seq: restart_from.next(),
-                });
-                // rolled-back requests become re-orderable
-                let rolled: Vec<RequestId> = self
-                    .executed
-                    .iter()
-                    .filter(|(_, s)| **s > restart_from)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in rolled {
-                    self.executed.remove(&id);
-                }
-            }
+        if self.exec.sm().last_executed() > restart_from {
+            // rolled-back requests become re-orderable
+            self.exec.rollback(ctx, restart_from.next());
         }
         self.pending.retain(|s, _| *s > restart_from);
         self.next_seq = restart_from.next();
@@ -437,7 +370,7 @@ impl ZyzzyvaReplica {
             let todo: Vec<SignedRequest> = self
                 .known
                 .values()
-                .filter(|r| !self.executed.contains_key(&r.request.id))
+                .filter(|r| !self.exec.is_executed(&r.request.id))
                 .cloned()
                 .collect();
             for r in todo {
@@ -445,15 +378,7 @@ impl ZyzzyvaReplica {
             }
         }
         // replay order assignments that raced ahead of the new-view
-        let cur = self.view;
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_orders)
-            .into_iter()
-            .partition(|(_, m)| matches!(m, ZyzzyvaMsg::OrderReq { view, .. } if *view == cur));
-        self.future_orders = later
-            .into_iter()
-            .filter(|(_, m)| matches!(m, ZyzzyvaMsg::OrderReq { view, .. } if *view > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
         }
     }
@@ -469,13 +394,12 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
     fn on_message(&mut self, from: NodeId, msg: &ZyzzyvaMsg, ctx: &mut Context<'_, ZyzzyvaMsg>) {
         match msg {
             ZyzzyvaMsg::Request(signed) => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                if signed.verify(&self.store) {
+                if Intake::verify(ctx, &self.store, signed) {
                     self.known.insert(signed.request.id, signed.clone());
                     self.order(signed.clone(), ctx);
                 }
             }
-            ZyzzyvaMsg::ConfirmRequest(signed) => self.on_confirm_request(signed.clone(), ctx),
+            ZyzzyvaMsg::ConfirmRequest(signed) => self.on_confirm_request(signed, ctx),
             ZyzzyvaMsg::OrderReq {
                 view,
                 seq,
@@ -483,21 +407,7 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
                 request,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if view > self.view || (self.in_view_change && view == self.view) {
-                    if self.future_orders.len() < 10_000 {
-                        self.future_orders.push((
-                            from,
-                            ZyzzyvaMsg::OrderReq {
-                                view,
-                                seq,
-                                digest,
-                                request: request.clone(),
-                            },
-                        ));
-                    }
-                    return;
-                }
-                if view != self.view || self.in_view_change {
+                if !self.gate.admit(from, view, msg) {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -507,7 +417,7 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
                 if digest_of(&request.request) != digest {
                     return;
                 }
-                if seq <= self.sm.last_executed() {
+                if seq <= self.exec.sm().last_executed() {
                     return; // old or conflicting assignment
                 }
                 self.accept_order(seq, request.clone(), ctx);
@@ -519,7 +429,7 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
                 state_digest,
                 replicas,
             } => {
-                if replicas.len() >= self.q.quorum() && *view <= self.view {
+                if replicas.len() >= self.q.quorum() && *view <= self.gate.view() {
                     self.on_commit_cert(*request, *seq, *state_digest, ctx);
                 }
             }
@@ -532,7 +442,7 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
                 self.record_vc(*r, *new_view, *max_cc, ctx);
             }
             ZyzzyvaMsg::NewView { view, from_seq } => {
-                if *view >= self.view && from == NodeId::Replica(view.leader_of(self.q.n)) {
+                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
                     ctx.charge_crypto(CryptoOp::Verify);
                     self.install_view(*view, *from_seq, ctx);
                 }
@@ -542,12 +452,9 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
     }
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if kind == TimerKind::T2ViewChange && Some(id) == self.vc_timer {
-            self.vc_timer = None;
-            if !self.pending_confirm.is_empty() {
-                let target = self.view.next();
-                self.start_view_change(target, ctx);
-            }
+        if kind == TimerKind::T2ViewChange && self.intake.fired(id) && self.intake.has_pending() {
+            let target = self.gate.view().next();
+            self.start_view_change(target, ctx);
         }
     }
 }
@@ -787,26 +694,14 @@ pub fn run(scenario: &Scenario, variant: ZyzzyvaVariant) -> RunOutcome {
             (n, 4 * scenario.f + 1)
         }
     };
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-
-    let mut sim = scenario.build_engine::<ZyzzyvaMsg>(n);
-    for i in 0..n as u32 {
-        sim.add_replica(
-            i,
-            Box::new(ZyzzyvaReplica::new(
-                ReplicaId(i),
-                q,
-                store.clone(),
-                view_timeout,
-            )),
-        );
-    }
-    for c in 0..scenario.clients as u64 {
-        sim.add_client(c, Box::new(ZyzzyvaClient::new(scenario, q, fast_quorum, c)));
-    }
-    run_to_completion(sim, scenario.total_requests(), scenario.max_time)
+    launch_with_clients(
+        scenario,
+        n,
+        SimDuration::ZERO,
+        |me, q, store| ZyzzyvaReplica::new(me, q, store, view_timeout),
+        |c, q| ZyzzyvaClient::new(scenario, q, fast_quorum, c),
+    )
 }
 
 #[cfg(test)]

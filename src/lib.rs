@@ -29,7 +29,7 @@
 //! use untrusted_txn::prelude::*;
 //!
 //! // a 4-replica PBFT cluster, one client, 20 transactions
-//! let scenario = Scenario::builder().n_for_f(1).clients(1).requests(20).build();
+//! let scenario = Scenario::small(1).with_load(1, 20);
 //! let outcome = ProtocolId::Pbft.run(&scenario);
 //!
 //! // every run is audited: no two correct replicas may disagree
@@ -58,10 +58,10 @@ pub mod prelude {
     pub use bft_protocols::pbft::{self, Behavior, PbftAuth, PbftOptions};
     pub use bft_protocols::registry::{registry, Protocol, ProtocolEntry, ProtocolId};
     pub use bft_protocols::zyzzyva::{self, ZyzzyvaVariant};
+    pub use bft_protocols::Scenario;
     pub use bft_protocols::{
         chain, cheap, fab, fair, hotstuff, kauri, minbft, poe, prime, qu, sbft, tendermint,
     };
-    pub use bft_protocols::{Scenario, ScenarioBuilder};
     pub use bft_sim::{
         AdversarySpec, Attack, AttackKind, EngineKind, FaultPlan, NetworkConfig, NodeId,
         Observation, RunOutcome, SafetyAuditor, SimDuration, SimTime,

@@ -42,11 +42,7 @@ fn exp_p5_full_mode_liveness_is_repaired() {
     use untrusted_txn::prelude::*;
 
     for (n_override, floor) in [(None, 110), (Some(6), 110)] {
-        let mut s = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(120)
-            .build();
+        let mut s = Scenario::small(1).with_load(1, 120);
         s.n_override = n_override;
         let s = s.with_faults(FaultPlan::none().crash(NodeId::replica(1), SimTime::ZERO));
         let out = Protocol::Pbft(PbftOptions {

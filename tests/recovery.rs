@@ -41,13 +41,10 @@ fn churn_plan() -> FaultPlan {
 }
 
 fn churn_scenario(scheduler: SchedulerKind, workload: WorkloadConfig) -> Scenario {
-    Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(40)
-        .scheduler(scheduler)
-        .workload(workload)
-        .build()
+    Scenario::small(1)
+        .with_load(1, 40)
+        .with_scheduler(scheduler)
+        .with_workload(workload)
         .with_faults(churn_plan())
 }
 
