@@ -24,8 +24,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy,
+    drop_ordered, enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake,
+    Scenario, SignedRequest, SlotLog, SubmitPolicy,
 };
 
 /// CheapBFT messages.
@@ -101,13 +101,9 @@ impl WireSize for CheapMsg {
 
 #[derive(Debug, Clone, Default)]
 struct CheapSlot {
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
     agrees: Vec<ReplicaId>,
     confirms: Vec<ReplicaId>,
     agreed: bool,
-    committed: bool,
-    executed: bool,
     sent_confirm: bool,
     /// τ3 agreement timer (leader only).
     t3: Option<TimerId>,
@@ -121,7 +117,7 @@ pub struct CheapReplica {
     /// 0 = optimistic (2f+1 actives), 1+ = pessimistic fallback.
     epoch: u32,
     next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, CheapSlot>,
+    log: SlotLog<CheapSlot>,
     mempool: VecDeque<SignedRequest>,
     exec: Execution,
     /// Passive: update attestations per (seq, digest).
@@ -148,7 +144,7 @@ impl CheapReplica {
             store,
             epoch: 0,
             next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
+            log: SlotLog::default(),
             mempool: VecDeque::new(),
             exec: Execution::new(),
             update_votes: BTreeMap::new(),
@@ -207,15 +203,7 @@ impl CheapReplica {
         if !self.is_leader() {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.exec, &self.log);
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
@@ -225,11 +213,7 @@ impl CheapReplica {
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
             let epoch = self.epoch;
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = batch.clone();
-            }
+            self.log.install(seq, digest, batch.clone());
             let actives: Vec<NodeId> = self
                 .actives()
                 .into_iter()
@@ -246,7 +230,7 @@ impl CheapReplica {
             );
             // arm τ3: if the agreement round stalls, transition
             let t3 = ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout);
-            self.slots.entry(seq).or_default().t3 = Some(t3);
+            self.log.slot(seq).ext.t3 = Some(t3);
             self.send_agree(seq, digest, ctx);
         }
     }
@@ -281,14 +265,16 @@ impl CheapReplica {
     ) {
         let quorum = self.agree_quorum();
         let optimistic = self.epoch == 0;
-        let slot = self.slots.entry(seq).or_default();
+        let slot = self.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
+        let matches = slot.digest == Some(digest);
+        let slot = &mut slot.ext;
         if !slot.agrees.contains(&from) {
             slot.agrees.push(from);
         }
-        if !slot.agreed && slot.agrees.len() >= quorum && slot.digest == Some(digest) {
+        if !slot.agreed && slot.agrees.len() >= quorum && matches {
             slot.agreed = true;
             if let Some(t) = slot.t3.take() {
                 ctx.cancel_timer(t);
@@ -308,7 +294,7 @@ impl CheapReplica {
         let epoch = self.epoch;
         let me = self.me;
         {
-            let slot = self.slots.entry(seq).or_default();
+            let slot = &mut self.log.slot(seq).ext;
             if slot.sent_confirm {
                 return;
             }
@@ -332,18 +318,18 @@ impl CheapReplica {
         ctx: &mut Context<'_, CheapMsg>,
     ) {
         let quorum = self.q.quorum();
-        let slot = self.slots.entry(seq).or_default();
-        if !slot.confirms.contains(&from) {
-            slot.confirms.push(from);
+        let slot = self.log.slot(seq);
+        if !slot.ext.confirms.contains(&from) {
+            slot.ext.confirms.push(from);
         }
-        if !slot.committed && slot.confirms.len() >= quorum && slot.digest == Some(digest) {
+        if !slot.committed && slot.ext.confirms.len() >= quorum && slot.digest == Some(digest) {
             self.commit_slot(seq, digest, ctx);
         }
     }
 
     fn commit_slot(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, CheapMsg>) {
         {
-            let slot = self.slots.entry(seq).or_default();
+            let slot = self.log.slot(seq);
             if slot.committed {
                 return;
             }
@@ -360,32 +346,29 @@ impl CheapReplica {
 
     fn try_execute(&mut self, ctx: &mut Context<'_, CheapMsg>) {
         let (me, active, view) = (self.me, self.is_active(), View(self.epoch as u64));
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
+        // ship executed batches to passives (optimistic epoch only; in the
+        // fallback everyone is active)
+        let passives = (self.epoch == 0 && active).then(|| self.passives());
+        // passives apply state but do not serve clients
+        let mut send = reply_to_client(Some(CryptoOp::Sign), CheapMsg::Reply);
+        let deliver = |ctx: &mut Context<'_, CheapMsg>, reply: Reply, seq| {
+            if active {
+                send(ctx, reply, seq);
             }
-            // passives apply state but do not serve clients
-            let mut send = reply_to_client(Some(CryptoOp::Sign), CheapMsg::Reply);
-            self.exec
-                .run(ctx, Some(&slot.batch), view, |ctx, reply, seq| {
-                    if active {
-                        send(ctx, reply, seq);
-                    }
-                });
-            slot.executed = true;
-            // ship the batch to passives (optimistic epoch only; in the
-            // fallback everyone is active)
-            if self.epoch == 0 && active {
+        };
+        self.exec
+            .drain(ctx, &mut self.log, view, deliver, |ctx, _, log, seq| {
+                let (Some(passives), Some(slot)) = (&passives, log.get(&seq)) else {
+                    return;
+                };
                 let update = CheapMsg::Update {
-                    seq: self.exec.cursor(),
+                    seq,
                     digest: slot.digest.unwrap_or(Digest::ZERO),
-                    batch: slot.batch.clone(),
+                    batch: slot.batch.clone().unwrap_or_default(),
                     from: me,
                 };
-                let passives = self.passives();
-                ctx.multicast(passives, update);
-            }
-        }
+                ctx.multicast(passives.clone(), update);
+            });
     }
 
     fn on_update(
@@ -408,11 +391,7 @@ impl CheapReplica {
         // f+1 matching updates guarantee one correct active vouches
         if votes.len() >= self.q.weak() {
             if let Some(batch) = self.update_batches.get(&(seq, digest)).cloned() {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.digest.is_none() {
-                    slot.digest = Some(digest);
-                    slot.batch = batch;
-                }
+                self.log.install(seq, digest, batch);
                 self.commit_slot(seq, digest, ctx);
             }
         }
@@ -455,21 +434,9 @@ impl CheapReplica {
             // restart agreement for all unexecuted slots under fallback
             // rules; the leader re-sends full pre-prepares because former
             // passives have never seen these batches
-            let unfinished: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-                .slots
-                .iter()
-                .filter(|(_, s)| !s.executed && s.digest.is_some())
-                .map(|(seq, s)| (*seq, s.digest.unwrap(), s.batch.clone()))
-                .collect();
+            let unfinished = self.log.entries_above(self.exec.cursor(), |_| true);
             for (seq, digest, batch) in unfinished {
-                {
-                    let slot = self.slots.entry(seq).or_default();
-                    slot.agreed = false;
-                    slot.committed = false;
-                    slot.sent_confirm = false;
-                    slot.agrees.clear();
-                    slot.confirms.clear();
-                }
+                self.log.slot(seq).reset();
                 if self.is_leader() {
                     let epoch = self.epoch;
                     ctx.charge_crypto(CryptoOp::Sign);
@@ -533,15 +500,9 @@ impl Actor<CheapMsg> for CheapReplica {
                 }
                 let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
                 self.mempool.retain(|r| !ids.contains(&r.request.id));
-                {
-                    let slot = self.slots.entry(*seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(*digest) {
-                        return;
-                    }
-                    slot.digest = Some(*digest);
-                    slot.batch = batch.clone();
+                if self.log.install(*seq, *digest, batch.clone()) {
+                    self.send_agree(*seq, *digest, ctx);
                 }
-                self.send_agree(*seq, *digest, ctx);
             }
             CheapMsg::Agree {
                 epoch,
@@ -585,20 +546,15 @@ impl Actor<CheapMsg> for CheapReplica {
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, CheapMsg>) {
         if kind == TimerKind::T3BackupFailure {
-            let seq = self
-                .slots
-                .iter()
-                .find(|(_, s)| s.t3 == Some(id))
-                .map(|(seq, _)| *seq);
-            if let Some(seq) = seq {
-                if let Some(slot) = self.slots.get_mut(&seq) {
-                    slot.t3 = None;
-                    if !slot.agreed {
-                        // an active replica is unresponsive: the optimistic
-                        // assumption failed
-                        self.demand_transition(ctx);
-                    }
-                }
+            let owner = self.log.values_mut().find(|s| s.ext.t3 == Some(id));
+            let stalled = owner.is_some_and(|slot| {
+                slot.ext.t3 = None;
+                !slot.ext.agreed
+            });
+            if stalled {
+                // an active replica is unresponsive: the optimistic
+                // assumption failed
+                self.demand_transition(ctx);
             }
         }
     }

@@ -3,15 +3,16 @@
 //! * [`Scenario`] — the experiment description (cluster size, workload,
 //!   network, faults, seeds) under which protocols are compared.
 //! * [`SignedRequest`] — a client request carrying the client's signature.
-//! * [`QuorumTracker`] — counts distinct-sender votes per (view, seq,
-//!   digest) key; the core of every agreement phase.
 //! * [`GenericClient`] — the requester client (dimension P6) shared by most
 //!   protocols: closed-loop submission, reply collection against a
 //!   protocol-specific quorum, retransmission.
-//! * [`Execution`], [`Intake`], [`ViewGate`] — the parts of Figure 1's
-//!   replica lifecycle that do not vary between protocols: in-order
-//!   execution with replies, request intake with retransmission answers and
-//!   the τ2 leader watch, and view-tagged message admission.
+//! * [`Execution`], [`SlotLog`], [`Intake`], [`ViewGate`], [`ViewChange`] —
+//!   the parts of Figure 1's replica lifecycle that do not vary between
+//!   protocols: in-order execution of the committed-slot log with replies,
+//!   request intake with retransmission answers and the τ2 leader watch,
+//!   view-tagged message admission, and the PBFT-pattern view change
+//!   (`ViewChanger`: a protocol supplies what it reports, how its new
+//!   leader assembles and how it adopts one re-proposal).
 //! * [`launch`] / [`launch_with_clients`] — build the engine, install
 //!   replicas and clients, run to completion.
 
@@ -63,54 +64,6 @@ impl SignedRequest {
 impl WireSize for SignedRequest {
     fn wire_size(&self) -> usize {
         self.request.wire_size() + Signature::WIRE_SIZE
-    }
-}
-
-/// Counts distinct-sender votes for keys of type `K` (typically
-/// `(View, SeqNum, Digest)`), the primitive under every prepare/commit/vote
-/// phase.
-#[derive(Debug, Clone)]
-pub struct QuorumTracker<K: Ord> {
-    votes: BTreeMap<K, Vec<ReplicaId>>,
-}
-
-impl<K: Ord + Clone> Default for QuorumTracker<K> {
-    fn default() -> Self {
-        QuorumTracker {
-            votes: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Ord + Clone> QuorumTracker<K> {
-    /// New empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a vote. Returns the number of distinct voters for the key
-    /// after insertion (duplicates do not increase the count).
-    pub fn vote(&mut self, key: K, from: ReplicaId) -> usize {
-        let voters = self.votes.entry(key).or_default();
-        if !voters.contains(&from) {
-            voters.push(from);
-        }
-        voters.len()
-    }
-
-    /// Current count for a key.
-    pub fn count(&self, key: &K) -> usize {
-        self.votes.get(key).map_or(0, |v| v.len())
-    }
-
-    /// Voters for a key.
-    pub fn voters(&self, key: &K) -> &[ReplicaId] {
-        self.votes.get(key).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Drop all keys for which `pred` is false (garbage collection).
-    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
-        self.votes.retain(|k, _| pred(k));
     }
 }
 
@@ -783,12 +736,6 @@ impl Catchup {
         }
     }
 
-    /// Override the in-flight window (peers solicited per round).
-    pub fn with_window(mut self, window: usize) -> Catchup {
-        self.window = window.max(1);
-        self
-    }
-
     /// Whether a catch-up round is in flight.
     pub fn active(&self) -> bool {
         self.active
@@ -899,6 +846,135 @@ pub fn reply_to_client<M: WireSize + serde::Serialize + 'static>(
     }
 }
 
+/// An [`Entry`] whose payload is the batch itself.
+pub type BatchEntry = Entry<Vec<SignedRequest>>;
+
+/// One consensus slot: what every ordering stage knows about a sequence
+/// number — the proposal's digest, its batch once the proposal itself has
+/// arrived, whether the slot is committed — plus the protocol's own
+/// agreement state `ext` (vote lists, phase flags, timers). Whether a slot
+/// has *executed* is not stored: it has iff it is at or below the
+/// [`Execution`] cursor.
+#[derive(Debug, Clone, Default)]
+pub struct Slot<X> {
+    /// Digest of the proposal, known from the proposal or from a
+    /// certificate that outran it.
+    pub digest: Option<Digest>,
+    /// The batch; `None` until the proposal carrying it is installed, so a
+    /// slot that committed ahead of its proposal cannot execute as empty.
+    pub batch: Option<Vec<SignedRequest>>,
+    /// Committed (for the speculative protocols: certified) — executable
+    /// once every earlier slot has executed.
+    pub committed: bool,
+    /// Protocol-specific agreement state.
+    pub ext: X,
+}
+
+impl<X: Default> Slot<X> {
+    /// Forget the agreement reached so far (a new view re-runs it).
+    pub fn reset(&mut self) {
+        self.committed = false;
+        self.ext = X::default();
+    }
+}
+
+/// The committed-slot log: consensus slots by sequence number. The map is
+/// exposed (`Deref`) for protocol-specific queries; the verbs every
+/// protocol shares live here.
+#[derive(Debug)]
+pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
+
+impl<X> Default for SlotLog<X> {
+    fn default() -> Self {
+        SlotLog(BTreeMap::new())
+    }
+}
+
+impl<X> std::ops::Deref for SlotLog<X> {
+    type Target = BTreeMap<SeqNum, Slot<X>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<X> std::ops::DerefMut for SlotLog<X> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<X: Default> SlotLog<X> {
+    /// The slot at `seq`, created empty if absent.
+    pub fn slot(&mut self, seq: SeqNum) -> &mut Slot<X> {
+        self.0.entry(seq).or_default()
+    }
+
+    /// Install a proposal. `false` (and nothing changes) if the slot
+    /// already holds a different digest — the first proposal stands.
+    pub fn install(&mut self, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) -> bool {
+        let slot = self.slot(seq);
+        let fresh = slot.digest.is_none_or(|held| held == digest);
+        if fresh {
+            (slot.digest, slot.batch) = (Some(digest), Some(batch));
+        }
+        fresh
+    }
+
+    /// Install a new view's re-proposal over whatever the slot held and
+    /// [`reset`](Slot::reset) its agreement state.
+    pub fn reinstall(
+        &mut self,
+        seq: SeqNum,
+        digest: Digest,
+        batch: Vec<SignedRequest>,
+    ) -> &mut Slot<X> {
+        let slot = self.slot(seq);
+        (slot.digest, slot.batch) = (Some(digest), Some(batch));
+        slot.reset();
+        slot
+    }
+
+    /// Drop every slot above `cursor` that a new view does not re-propose
+    /// and hand back the requests stranded in them.
+    pub fn strand(&mut self, cursor: SeqNum, re_proposed: &[SeqNum]) -> Vec<SignedRequest> {
+        let mut stranded = Vec::new();
+        self.0.retain(|seq, slot| {
+            let dead = *seq > cursor && !re_proposed.contains(seq);
+            if dead {
+                stranded.extend(slot.batch.take().unwrap_or_default());
+            }
+            !dead
+        });
+        stranded
+    }
+
+    /// Requests sitting in slots above `cursor` (proposed, not executed):
+    /// a leader must not propose them a second time.
+    pub fn in_flight(&self, cursor: SeqNum) -> impl Iterator<Item = RequestId> + '_ {
+        self.above(cursor)
+            .flat_map(|(_, s)| s.batch.iter().flatten().map(|r| r.request.id))
+    }
+
+    /// The slots above `cursor` that satisfy `keep` and hold a proposal,
+    /// as re-proposable entries — what a view-change message reports.
+    pub fn entries_above(
+        &self,
+        cursor: SeqNum,
+        keep: impl Fn(&Slot<X>) -> bool,
+    ) -> Vec<BatchEntry> {
+        self.above(cursor)
+            .filter(|(_, s)| keep(s))
+            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.batch.clone()?)))
+            .collect()
+    }
+
+    fn above(&self, cursor: SeqNum) -> impl Iterator<Item = (&SeqNum, &Slot<X>)> {
+        use std::ops::Bound::{Excluded, Unbounded};
+        self.0.range((Excluded(cursor), Unbounded))
+    }
+}
+
 /// The execution stage of Figure 1, shared by every replicated protocol:
 /// the state machine, the set of executed requests and the cursor over
 /// consensus slots. It runs committed batches in order and hands each
@@ -920,12 +996,29 @@ pub struct Execution {
     cursor: SeqNum,
     speculative: bool,
     skip_executed: bool,
+    /// Test-only sabotage: silently skip the request at this position of
+    /// the execution stream (see [`Execution::dropping_nth`]).
+    drop_nth: Option<u64>,
+    /// Requests [`Execution::execute`] has been handed.
+    seen: u64,
 }
 
 impl Execution {
     /// A stage at slot 0 with an empty state machine.
     pub fn new() -> Execution {
         Execution::default()
+    }
+
+    /// Back to slot 0 with an empty state machine, keeping the stage's
+    /// mode (amnesia restart).
+    pub fn reset(&mut self) {
+        *self = Execution {
+            speculative: self.speculative,
+            skip_executed: self.skip_executed,
+            drop_nth: self.drop_nth,
+            seen: self.seen,
+            ..Execution::default()
+        };
     }
 
     /// Execute speculatively (PoE, Zyzzyva): effects can be undone by
@@ -963,11 +1056,15 @@ impl Execution {
         self.executed.contains(id)
     }
 
-    /// Record `id` as executed without applying it — what PBFT's test-only
-    /// `DropExecution` sabotage does to the request it silently skips.
+    /// Test-only sabotage (PBFT's `DropExecution`): the `k`-th request
+    /// handed to this stage (0-based) is marked executed and answered with
+    /// a fabricated result without being applied. Every replica fabricates
+    /// identically, so digests stay unanimous — only the semantic checkers
+    /// can catch the lost update.
     #[doc(hidden)]
-    pub fn mark_executed(&mut self, id: RequestId) {
-        self.executed.insert(id);
+    pub fn dropping_nth(mut self, k: Option<u64>) -> Execution {
+        self.drop_nth = k;
+        self
     }
 
     /// The reply this replica would re-send for `id`: the client's cached
@@ -998,6 +1095,22 @@ impl Execution {
         let id = signed.request.id;
         if self.skip_executed && self.executed.contains(&id) {
             return;
+        }
+        self.seen += 1;
+        if self.drop_nth == Some(self.seen - 1) {
+            self.executed.insert(id);
+            let ops = signed.request.txn.ops.iter();
+            let reads = ops.filter(|op| !matches!(op, Op::Put(..) | Op::Delete(_) | Op::Work(_)));
+            let fabricated = Reply {
+                request: id,
+                view,
+                result: bft_types::TxnResult {
+                    reads: reads.map(|_| Some(0)).collect(),
+                },
+                state_digest: self.sm.digest(),
+                speculative: false,
+            };
+            return deliver(ctx, fabricated, SeqNum(0));
         }
         let seq = self.sm.last_executed().next();
         let work: u32 = signed
@@ -1067,17 +1180,56 @@ impl Execution {
             self.execute(ctx, signed, view, &mut deliver);
         }
         epilogue(ctx);
-        self.finish(ctx);
-        true
-    }
-
-    /// Close a slot executed request by request with
-    /// [`Execution::execute`]: advance the cursor and re-enter Ordering.
-    pub fn finish<M: WireSize + serde::Serialize + 'static>(&mut self, ctx: &mut Context<'_, M>) {
         self.cursor = self.cursor.next();
         ctx.observe(Observation::StageEnter {
             stage: Stage::Ordering,
         });
+        true
+    }
+
+    /// The one cursor loop over a committed-slot log: while the slot after
+    /// the cursor is committed *and holds its batch*, run it and call
+    /// `after_slot` (the protocol's per-slot bookkeeping: settling the
+    /// intake, a checkpoint, shipping the batch to passive replicas) with
+    /// the stage, the log and the slot just executed. A gap, an
+    /// uncommitted slot or a slot still waiting for its proposal stops the
+    /// loop; the caller re-enters when that changes.
+    pub fn drain<M: WireSize + serde::Serialize + 'static, X>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        log: &mut SlotLog<X>,
+        view: View,
+        deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+        after_slot: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
+    ) {
+        self.drain_then(ctx, log, view, deliver, |_, _, _| {}, after_slot);
+    }
+
+    /// [`Execution::drain`], calling `epilogue` with each slot after its
+    /// last request and before the stage is left (see
+    /// [`Execution::run_then`]).
+    pub fn drain_then<M: WireSize + serde::Serialize + 'static, X>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        log: &mut SlotLog<X>,
+        view: View,
+        mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+        mut epilogue: impl FnMut(&mut Context<'_, M>, SeqNum, &Slot<X>),
+        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
+    ) {
+        loop {
+            let next = self.cursor.next();
+            let Some(slot) = log.get(&next).filter(|s| s.committed) else {
+                return;
+            };
+            let batch = slot.batch.as_deref();
+            if !self.run_then(ctx, batch, view, &mut deliver, |ctx| {
+                epilogue(ctx, next, slot)
+            }) {
+                return;
+            }
+            after_slot(ctx, self, log, next);
+        }
     }
 
     /// Undo every execution at state-machine sequence number ≥ `from`
@@ -1372,13 +1524,522 @@ impl<M: Clone> ViewGate<M> {
     }
 }
 
-/// A re-proposable consensus entry: `(slot, batch digest, batch)` — the
-/// unit view-change messages carry.
-pub type BatchEntry = (bft_types::SeqNum, Digest, Vec<SignedRequest>);
+/// A re-proposable consensus entry: `(slot, digest, payload)` — the unit
+/// view-change and new-view messages carry. The payload is the batch
+/// ([`BatchEntry`]) or, for Themis, the per-replica batch set.
+pub type Entry<P> = (SeqNum, Digest, P);
 
-/// View-change votes collected per target view: sender plus the entries it
-/// reported.
-pub type VcVotes = BTreeMap<bft_types::View, Vec<(ReplicaId, Vec<BatchEntry>)>>;
+/// The two messages of the PBFT-pattern view change, embedded in each
+/// member's message enum.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ViewMsg<P> {
+    /// Replica → all: abandon the view, carrying the entries the sender
+    /// would lose.
+    ViewChange {
+        /// Target view.
+        new_view: View,
+        /// What the sender reports (see `ViewChanger::report`).
+        report: Vec<Entry<P>>,
+        /// Sender.
+        from: ReplicaId,
+    },
+    /// New leader → all: install the view with these re-proposals.
+    NewView {
+        /// Installed view.
+        view: View,
+        /// Re-proposals.
+        proposals: Vec<Entry<P>>,
+    },
+}
+
+/// As a tagged tuple (the vendored derive does not do generic types).
+impl<P: serde::Serialize> serde::Serialize for ViewMsg<P> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        match self {
+            ViewMsg::ViewChange {
+                new_view,
+                report,
+                from,
+            } => (0u8, new_view, report, from).serialize(serializer),
+            ViewMsg::NewView { view, proposals } => (1u8, view, proposals).serialize(serializer),
+        }
+    }
+}
+
+impl<P> ViewMsg<P> {
+    /// Wire size: tag, view, per entry 40 bytes of slot and digest plus
+    /// `payload` bytes, and a `sig`-byte authenticator.
+    pub fn wire_size(&self, sig: usize, payload: impl Fn(&P) -> usize) -> usize {
+        let entries = match self {
+            ViewMsg::ViewChange { report, .. } => report,
+            ViewMsg::NewView { proposals, .. } => proposals,
+        };
+        let entries = entries.iter().map(|(_, _, p)| 40 + payload(p));
+        1 + 8 + entries.sum::<usize>() + sig
+    }
+}
+
+/// One view-change vote: the voter and the entries it reported.
+type Vote<P> = (ReplicaId, Vec<Entry<P>>);
+
+/// What [`ViewChange::record`] tells the replica to do about a vote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VcStep {
+    /// Nothing: a duplicate, or no threshold crossed.
+    Wait,
+    /// f+1 replicas want the target view and this one is not campaigning
+    /// yet: at least one of them is correct, so join.
+    Join,
+    /// This replica leads the target view, is campaigning, and holds a
+    /// new-view quorum of votes: assemble and install the view.
+    Assemble,
+}
+
+/// The vote table of the PBFT-pattern view change — per target view, who
+/// voted and the entries each voter reported — with the rules that do not
+/// vary between protocols: one vote per sender, join at f+1, assemble only
+/// at the target's leader at the protocol's quorum, escalate on τ2.
+#[derive(Debug)]
+pub struct ViewChange<P> {
+    votes: BTreeMap<View, Vec<Vote<P>>>,
+}
+
+impl<P> Default for ViewChange<P> {
+    fn default() -> Self {
+        ViewChange {
+            votes: BTreeMap::new(),
+        }
+    }
+}
+
+impl<P: Clone> ViewChange<P> {
+    /// Record `from`'s vote for `target` at replica `me`, which is in
+    /// `view` and `campaigning` or not; `quorum` is the protocol's new-view
+    /// quorum.
+    pub fn record(
+        &mut self,
+        (me, q): (ReplicaId, QuorumRules),
+        quorum: usize,
+        (view, campaigning): (View, bool),
+        from: ReplicaId,
+        target: View,
+        report: Vec<Entry<P>>,
+    ) -> VcStep {
+        let votes = self.votes.entry(target).or_default();
+        if votes.iter().any(|(r, _)| *r == from) {
+            return VcStep::Wait;
+        }
+        votes.push((from, report));
+        if target > view && !campaigning && votes.len() > q.f {
+            VcStep::Join
+        } else if target.leader_of(q.n) == me && campaigning && votes.len() >= quorum {
+            VcStep::Assemble
+        } else {
+            VcStep::Wait
+        }
+    }
+
+    /// The votes collected for `target`, in arrival order.
+    pub fn votes(&self, target: View) -> &[Vote<P>] {
+        self.votes.get(&target).map_or(&[], Vec::as_slice)
+    }
+
+    /// Per slot, the first entry any voter for `target` reported: the
+    /// re-proposals most of the family's new leaders assemble.
+    pub fn first_seen_union(&self, target: View) -> Vec<Entry<P>> {
+        let mut union: BTreeMap<SeqNum, (Digest, &P)> = BTreeMap::new();
+        let entries = self.votes(target).iter().flat_map(|(_, entries)| entries);
+        for (seq, digest, payload) in entries {
+            union.entry(*seq).or_insert((*digest, payload));
+        }
+        let entry =
+            |(seq, (digest, payload)): (SeqNum, (Digest, &P))| (seq, digest, payload.clone());
+        union.into_iter().map(entry).collect()
+    }
+
+    /// Whether a campaign for `target` would add nothing: one for that
+    /// view or a higher one has been voted for already.
+    pub fn covers(&self, target: View) -> bool {
+        self.votes.keys().max().is_some_and(|v| *v >= target)
+    }
+
+    /// The view τ2 demands next: past every view voted for so far while a
+    /// campaign is stuck, the next view when outstanding work indicts the
+    /// leader, none otherwise.
+    pub fn escalation(&self, view: View, campaigning: bool, work_pending: bool) -> Option<View> {
+        if campaigning {
+            let voted = self.votes.keys().max().copied();
+            Some(voted.unwrap_or(view).max(view).next())
+        } else {
+            work_pending.then(|| view.next())
+        }
+    }
+
+    /// `view` is installed: votes for it and for earlier views are moot.
+    pub fn prune(&mut self, view: View) {
+        self.votes.retain(|v, _| *v > view);
+    }
+}
+
+/// Leader housekeeping before proposing: drop from the mempool what has
+/// executed or already sits in an open slot.
+pub fn drop_ordered<X: Default>(
+    mempool: &mut VecDeque<SignedRequest>,
+    exec: &Execution,
+    log: &SlotLog<X>,
+) {
+    let open: Vec<RequestId> = log.in_flight(exec.cursor()).collect();
+    mempool.retain(|r| !exec.is_executed(&r.request.id) && !open.contains(&r.request.id));
+}
+
+/// Requeue stranded requests that have not executed, once each.
+pub fn requeue_unexecuted(
+    mempool: &mut VecDeque<SignedRequest>,
+    exec: &Execution,
+    stranded: &[SignedRequest],
+) {
+    for r in stranded.iter().filter(|r| !exec.is_executed(&r.request.id)) {
+        enqueue_unique(mempool, r);
+    }
+}
+
+/// The replica skeleton the PBFT-pattern family embeds: who this replica
+/// is plus the lifecycle stages that do not vary between its members.
+pub(crate) struct Core<M, X, P> {
+    pub me: ReplicaId,
+    pub q: QuorumRules,
+    pub gate: ViewGate<M>,
+    pub votes: ViewChange<P>,
+    pub intake: Intake,
+    pub exec: Execution,
+    pub log: SlotLog<X>,
+    /// Leader-only: next sequence number to assign.
+    pub next_seq: SeqNum,
+}
+
+impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X, P> {
+    /// A replica in view 0 with an empty log, executing through `exec`.
+    pub fn new(me: ReplicaId, q: QuorumRules, view_timeout: SimDuration, exec: Execution) -> Self {
+        Core {
+            me,
+            q,
+            gate: ViewGate::new(),
+            votes: ViewChange::default(),
+            intake: Intake::new(view_timeout),
+            exec,
+            log: SlotLog::default(),
+            next_seq: SeqNum(1),
+        }
+    }
+
+    /// The leader of the current view.
+    pub fn leader(&self) -> ReplicaId {
+        self.gate.view().leader_of(self.q.n)
+    }
+
+    /// Whether this replica leads the current view.
+    pub fn is_leader(&self) -> bool {
+        self.leader() == self.me
+    }
+
+    /// The open slots satisfying `keep`, as a view-change report.
+    pub fn open_entries(&self, keep: impl Fn(&Slot<X>) -> bool) -> Vec<BatchEntry> {
+        self.log.entries_above(self.exec.cursor(), keep)
+    }
+
+    /// [`Execution::drain`] in the current view: replies go to the clients
+    /// (authenticated by `auth`, wrapped by `wrap`) and the intake settles
+    /// after each slot.
+    pub fn execute_ready(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        auth: CryptoOp,
+        wrap: impl Fn(Reply) -> M,
+    ) {
+        let (view, intake) = (self.gate.view(), &mut self.intake);
+        let settle = |ctx: &mut Context<'_, M>, exec: &mut Execution, _: &mut SlotLog<X>, _| {
+            intake.settle(ctx, exec)
+        };
+        let deliver = reply_to_client(Some(auth), wrap);
+        self.exec.drain(ctx, &mut self.log, view, deliver, settle);
+    }
+}
+
+/// The PBFT-pattern view change (MinBFT, FaB, Prime, Themis, Kauri, SBFT,
+/// PoE): replicas broadcast a signed view-change vote carrying what they
+/// would lose; f+1 votes pull the rest in; the target view's leader
+/// assembles a new-view message from a quorum of votes; everyone installs
+/// it, re-runs agreement on the re-proposed slots and requeues what was
+/// stranded. The provided methods are that lifecycle; a protocol says only
+/// **what it reports**, **how its new leader assembles** and **how it
+/// adopts one re-proposal** (plus how those travel on its wire).
+pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
+    /// The protocol's message type.
+    type Msg: WireSize + Clone + serde::Serialize + 'static;
+    /// Its per-slot agreement state.
+    type Ext: Default;
+    /// What a re-proposal carries per slot (the batch; Themis: the
+    /// per-replica batch set).
+    type Payload: Clone;
+
+    /// The skeleton this replica embeds.
+    fn core(&mut self) -> &mut Core<Self::Msg, Self::Ext, Self::Payload>;
+
+    /// Votes the target's leader needs before it may assemble: 2f+1.
+    fn new_view_quorum(q: QuorumRules) -> usize {
+        q.quorum()
+    }
+
+    /// Whether work is outstanding that the current leader should have
+    /// ordered by the time τ2 fires.
+    fn work_pending(&mut self) -> bool {
+        self.core().intake.has_pending()
+    }
+
+    /// The family's two messages inside the protocol's message enum.
+    fn wire(msg: ViewMsg<Self::Payload>) -> Self::Msg;
+
+    /// What this replica reports when it abandons the view.
+    fn report(&mut self, ctx: &mut Context<'_, Self::Msg>) -> Vec<Entry<Self::Payload>>;
+
+    /// How the new leader turns the votes for `target` into re-proposals:
+    /// unless the protocol knows better, the first-seen union.
+    fn assemble(&mut self, target: View) -> Vec<Entry<Self::Payload>> {
+        self.core().votes.first_seen_union(target)
+    }
+
+    /// Adopt one re-proposal above the execution cursor: reinstall the slot
+    /// and cast this replica's first vote of the new view for it.
+    fn adopt(&mut self, entry: Entry<Self::Payload>, ctx: &mut Context<'_, Self::Msg>);
+
+    /// Take back the requests of slots the new view did not re-propose.
+    fn requeue(&mut self, stranded: Vec<SignedRequest>);
+
+    /// The new leader resumes proposing.
+    fn resume(&mut self, ctx: &mut Context<'_, Self::Msg>);
+
+    /// Abandon the current view for `target`: enter the view-change stage,
+    /// broadcast a signed vote carrying [`report`](ViewChanger::report),
+    /// count it, and give the campaign one τ2 to succeed. A no-op for a
+    /// view not ahead of the current one or already covered by a campaign.
+    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, Self::Msg>) {
+        let core = self.core();
+        if target <= core.gate.view() || (core.gate.in_view_change() && core.votes.covers(target)) {
+            return;
+        }
+        core.gate.set_in_view_change(true);
+        ctx.observe(Observation::StageEnter {
+            stage: Stage::ViewChange,
+        });
+        let (report, from) = (self.report(ctx), self.core().me);
+        ctx.charge_crypto(CryptoOp::Sign);
+        ctx.broadcast_replicas(Self::wire(ViewMsg::ViewChange {
+            new_view: target,
+            report: report.clone(),
+            from,
+        }));
+        self.on_view_change(from, target, report, ctx);
+        self.core().intake.rearm(ctx);
+    }
+
+    /// One of the family's messages arrived from `from`.
+    fn on_view_msg(
+        &mut self,
+        from: NodeId,
+        msg: &ViewMsg<Self::Payload>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) {
+        match msg {
+            ViewMsg::ViewChange {
+                new_view,
+                report,
+                from,
+            } => {
+                ctx.charge_crypto(CryptoOp::Verify);
+                self.on_view_change(*from, *new_view, report.clone(), ctx);
+            }
+            ViewMsg::NewView { view, proposals } => {
+                // only from the leader of a view not behind the current one
+                let core = self.core();
+                let leader = NodeId::Replica(view.leader_of(core.q.n));
+                if *view >= core.gate.view() && from == leader {
+                    ctx.charge_crypto(CryptoOp::Verify);
+                    self.install_view(*view, proposals.clone(), ctx);
+                }
+            }
+        }
+    }
+
+    /// Count a (verified) view-change vote and act on the thresholds it
+    /// crosses: join the campaign, or assemble and install the view.
+    fn on_view_change(
+        &mut self,
+        from: ReplicaId,
+        target: View,
+        report: Vec<Entry<Self::Payload>>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) {
+        let core = self.core();
+        let (identity, quorum) = ((core.me, core.q), Self::new_view_quorum(core.q));
+        let at = (core.gate.view(), core.gate.in_view_change());
+        match core
+            .votes
+            .record(identity, quorum, at, from, target, report)
+        {
+            VcStep::Wait => {}
+            VcStep::Join => self.start_view_change(target, ctx),
+            VcStep::Assemble => {
+                let proposals = self.assemble(target);
+                ctx.charge_crypto(CryptoOp::Sign);
+                ctx.broadcast_replicas(Self::wire(ViewMsg::NewView {
+                    view: target,
+                    proposals: proposals.clone(),
+                }));
+                self.install_view(target, proposals, ctx);
+            }
+        }
+    }
+
+    /// Install `view`: leave the view-change stage, adopt the re-proposals
+    /// and replay the messages that raced ahead of the new-view message.
+    fn install_view(
+        &mut self,
+        view: View,
+        proposals: Vec<Entry<Self::Payload>>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) {
+        let core = self.core();
+        core.gate.install(view);
+        core.votes.prune(view);
+        core.intake.disarm(ctx);
+        ctx.observe(Observation::NewView { view });
+        ctx.observe(Observation::StageEnter {
+            stage: Stage::Ordering,
+        });
+        self.adopt_view(proposals, ctx);
+        for (from, msg) in self.core().gate.replay_after_install() {
+            self.on_message(from, &msg, ctx);
+        }
+    }
+
+    /// Carry the log into the installed view: strand and requeue what was
+    /// not re-proposed, [`adopt`](ViewChanger::adopt) each re-proposal above
+    /// the cursor, and let the new leader continue past them.
+    fn adopt_view(
+        &mut self,
+        proposals: Vec<Entry<Self::Payload>>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) {
+        let core = self.core();
+        let cursor = core.exec.cursor();
+        let re_proposed: Vec<SeqNum> = proposals.iter().map(|(seq, ..)| *seq).collect();
+        let stranded = core.log.strand(cursor, &re_proposed);
+        self.requeue(stranded);
+        for entry in proposals.into_iter().filter(|(seq, ..)| *seq > cursor) {
+            self.adopt(entry, ctx);
+        }
+        let core = self.core();
+        if core.is_leader() {
+            let past = re_proposed
+                .into_iter()
+                .fold(core.exec.cursor(), SeqNum::max);
+            core.next_seq = core.next_seq.max(past.next());
+            self.resume(ctx);
+        }
+    }
+
+    /// A timer popped: if it is the live τ2, escalate (see
+    /// [`ViewChange::escalation`]).
+    fn on_view_timer(&mut self, id: TimerId, ctx: &mut Context<'_, Self::Msg>) {
+        if !self.core().intake.fired(id) {
+            return;
+        }
+        let work_pending = self.work_pending();
+        let core = self.core();
+        let (view, campaigning) = (core.gate.view(), core.gate.in_view_change());
+        if let Some(target) = core.votes.escalation(view, campaigning, work_pending) {
+            self.start_view_change(target, ctx);
+        }
+    }
+}
+
+/// Test harness for handler-level regressions: a four-replica LAN in which
+/// one replica is real and another plays a script at it.
+#[cfg(test)]
+pub(crate) mod script {
+    use super::*;
+
+    /// Sends `now` to replica `to` at start-up and `late` 5 ms afterwards;
+    /// ignores everything it receives.
+    pub(crate) struct Script<M> {
+        pub to: u32,
+        pub now: Vec<M>,
+        pub late: Vec<M>,
+    }
+
+    impl<M: WireSize + Clone + serde::Serialize + 'static> Actor<M> for Script<M> {
+        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+            for msg in self.now.drain(..) {
+                ctx.send(NodeId::replica(self.to), msg);
+            }
+            ctx.set_timer(TimerKind::T1WaitReplies, SimDuration::from_millis(5));
+        }
+
+        fn on_message(&mut self, _: NodeId, _: &M, _: &mut Context<'_, M>) {}
+
+        fn on_timer(&mut self, _: TimerId, _: TimerKind, ctx: &mut Context<'_, M>) {
+            for msg in self.late.drain(..) {
+                ctx.send(NodeId::replica(self.to), msg);
+            }
+        }
+    }
+
+    /// A signed write and the digest of the state reached by executing it
+    /// first.
+    pub(crate) fn first_write(store: &KeyStore) -> (SignedRequest, Digest) {
+        let txn = Transaction::single(Op::Put(7, 7));
+        let signed = SignedRequest::new(store, Request::new(ClientId(0), 1, txn));
+        let digest = StateMachine::new().execute(SeqNum(1), &signed.request).1;
+        (signed, digest)
+    }
+
+    /// `(node, request, post-state digest)` of every execution observed.
+    pub(crate) fn executions(out: &RunOutcome) -> Vec<(NodeId, RequestId, Digest)> {
+        let entries = out.log.entries.iter();
+        let executed = entries.filter_map(|e| match e.obs {
+            Observation::Execute {
+                request,
+                state_digest,
+                ..
+            } => Some((e.node, request, state_digest)),
+            _ => None,
+        });
+        executed.collect()
+    }
+
+    /// Run `script` as replica `from` against `replica` (installed as
+    /// replica `script.to`) for 50 ms; the other two replicas stay silent.
+    pub(crate) fn play<M, R>(from: u32, script: Script<M>, replica: R) -> RunOutcome
+    where
+        M: WireSize + Clone + serde::Serialize + Send + Sync + 'static,
+        R: Actor<M> + Send + 'static,
+    {
+        let mut sim = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
+        let to = script.to;
+        let silent = |to| Script {
+            to,
+            now: Vec::new(),
+            late: Vec::new(),
+        };
+        for id in (0..4).filter(|id| *id != from && *id != to) {
+            sim.add_replica(id, Box::new(silent(to)));
+        }
+        sim.add_replica(from, Box::new(script));
+        sim.add_replica(to, Box::new(replica));
+        sim.run(SimTime(50_000_000));
+        sim.finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1681,16 +2342,148 @@ mod tests {
     }
 
     #[test]
-    fn quorum_tracker_counts_distinct() {
-        let mut t: QuorumTracker<(u64, u8)> = QuorumTracker::new();
-        assert_eq!(t.vote((1, 0), ReplicaId(0)), 1);
-        assert_eq!(t.vote((1, 0), ReplicaId(0)), 1, "duplicate ignored");
-        assert_eq!(t.vote((1, 0), ReplicaId(1)), 2);
-        assert_eq!(t.vote((2, 0), ReplicaId(1)), 1, "separate key");
-        assert_eq!(t.count(&(1, 0)), 2);
-        t.retain(|k| k.0 > 1);
-        assert_eq!(t.count(&(1, 0)), 0);
-        assert_eq!(t.count(&(2, 0)), 1);
+    fn drain_stops_at_a_missing_batch_or_slot_and_resumes_when_it_arrives() {
+        let store = Scenario::small(1).key_store();
+        let reqs: Vec<SignedRequest> = (1..=3)
+            .map(|ts| signed(&store, 1, ts, Op::Put(ts, 1)))
+            .collect();
+        let replies = Sink::default();
+        let sink = replies.clone();
+        on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            let mut log: SlotLog<u8> = SlotLog::default();
+            let digest = |r: &SignedRequest| digest_of(&vec![r.clone()]);
+            let mut drain = |ctx: &mut Context<'_, TMsg>, log: &mut SlotLog<u8>| {
+                let mut slots = Vec::new();
+                let after = |_: &mut Context<'_, TMsg>, exec: &mut Execution, _: &mut _, seq| {
+                    assert_eq!(exec.cursor(), seq, "called once the slot has executed");
+                    slots.push(seq.0);
+                };
+                exec.drain(ctx, log, View(0), record(&sink), after);
+                slots
+            };
+            // slot 1 committed by a certificate that outran its proposal
+            let slot = log.slot(SeqNum(1));
+            (slot.digest, slot.committed) = (Some(digest(&reqs[0])), true);
+            // slot 3 fully there, slot 2 missing altogether
+            assert!(log.install(SeqNum(3), digest(&reqs[2]), vec![reqs[2].clone()]));
+            log.slot(SeqNum(3)).committed = true;
+            assert!(drain(ctx, &mut log).is_empty(), "committed, but no batch");
+            // the proposal lands: slot 1 runs, the gap at 2 stops the loop
+            assert!(log.install(SeqNum(1), digest(&reqs[0]), vec![reqs[0].clone()]));
+            assert!(!log.install(SeqNum(1), digest(&reqs[1]), vec![reqs[1].clone()]));
+            assert_eq!(drain(ctx, &mut log), vec![1]);
+            // slot 2 installed but not committed: still stopped
+            assert!(log.install(SeqNum(2), digest(&reqs[1]), vec![reqs[1].clone()]));
+            assert!(drain(ctx, &mut log).is_empty());
+            log.slot(SeqNum(2)).committed = true;
+            assert_eq!(drain(ctx, &mut log), vec![2, 3], "resumes through slot 3");
+        });
+        let order: Vec<u64> = replies
+            .borrow()
+            .iter()
+            .map(|(id, _)| id.timestamp)
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn strand_returns_dead_slots_and_requeue_skips_what_executed() {
+        let store = Scenario::small(1).key_store();
+        let reqs: Vec<SignedRequest> = (1..=5)
+            .map(|ts| signed(&store, 1, ts, Op::Put(ts, 1)))
+            .collect();
+        let batch = reqs.clone();
+        on_replica(move |ctx| {
+            let mut exec = Execution::new();
+            let mut log: SlotLog<Vec<u32>> = SlotLog::default();
+            for (i, r) in batch.iter().enumerate() {
+                let seq = SeqNum(i as u64 + 1);
+                log.install(seq, digest_of(&vec![r.clone()]), vec![r.clone()]);
+                log.slot(seq).ext.push(7);
+            }
+            log.slot(SeqNum(1)).committed = true;
+            exec.drain(ctx, &mut log, View(0), |_, _, _| {}, |_, _, _, _| {});
+            assert_eq!(exec.cursor(), SeqNum(1));
+            let in_flight: Vec<u64> = log
+                .in_flight(exec.cursor())
+                .map(|id| id.timestamp)
+                .collect();
+            assert_eq!(in_flight, vec![2, 3, 4, 5]);
+            // the new view re-proposes slots 2 and 4: 3 and 5 die, 1 executed
+            let stranded = log.strand(exec.cursor(), &[SeqNum(2), SeqNum(4)]);
+            let ids: Vec<u64> = stranded.iter().map(|r| r.request.id.timestamp).collect();
+            assert_eq!(ids, vec![3, 5]);
+            assert_eq!(log.keys().map(|s| s.0).collect::<Vec<_>>(), vec![1, 2, 4]);
+            // request 1 executed, request 3 is queued already: only 5 is new
+            let mut mempool = VecDeque::from([batch[2].clone()]);
+            let mut back = stranded.clone();
+            back.push(batch[0].clone());
+            requeue_unexecuted(&mut mempool, &exec, &back);
+            let queued: Vec<u64> = mempool.iter().map(|r| r.request.id.timestamp).collect();
+            assert_eq!(queued, vec![3, 5]);
+            // a reinstalled slot starts the new view's agreement from scratch
+            log.slot(SeqNum(2)).committed = true;
+            let slot = log.reinstall(SeqNum(2), Digest::ZERO, vec![batch[4].clone()]);
+            assert!(slot.ext.is_empty() && !slot.committed);
+            assert_eq!(slot.digest, Some(Digest::ZERO));
+            let entries = log.entries_above(exec.cursor(), |s| s.ext.is_empty());
+            assert_eq!(
+                entries,
+                vec![(SeqNum(2), Digest::ZERO, vec![batch[4].clone()])]
+            );
+        });
+    }
+
+    #[test]
+    fn view_change_votes_dedupe_join_assemble_prune_and_escalate() {
+        let q = QuorumRules { n: 4, f: 1 };
+        let me = (ReplicaId(2), q); // leads view 2
+        let (normal, campaigning) = ((View(0), false), (View(0), true));
+        let entry = |seq, payload: u8| vec![(SeqNum(seq), Digest::ZERO, payload)];
+        let mut votes: ViewChange<u8> = ViewChange::default();
+        let mut vote = |at, from, target, report| {
+            let step = votes.record(me, 3, at, ReplicaId(from), View(target), report);
+            (step, votes.votes(View(target)).len())
+        };
+        // one vote is below f+1; the same sender again changes nothing
+        assert_eq!(vote(normal, 0, 2, entry(7, 10)), (VcStep::Wait, 1));
+        assert_eq!(vote(normal, 0, 2, entry(7, 11)), (VcStep::Wait, 1));
+        // f+1 distinct voters: join — but only a replica not yet campaigning
+        assert_eq!(vote(normal, 1, 2, entry(7, 20)), (VcStep::Join, 2));
+        // the quorum, at the target's leader, while campaigning: assemble
+        assert_eq!(vote(campaigning, 2, 2, entry(8, 30)), (VcStep::Assemble, 3));
+        assert_eq!(vote(campaigning, 3, 5, Vec::new()), (VcStep::Wait, 1));
+        assert_eq!(
+            votes.first_seen_union(View(2)),
+            vec![(SeqNum(7), Digest::ZERO, 10), (SeqNum(8), Digest::ZERO, 30)],
+            "per slot, the first entry reported"
+        );
+        // a replica that does not lead the target assembles nothing, whatever
+        // it holds; neither does the leader below its quorum
+        let mut other: ViewChange<u8> = ViewChange::default();
+        for (from, holder, quorum, want) in [
+            (0, ReplicaId(1), 3, VcStep::Wait),
+            (1, ReplicaId(1), 3, VcStep::Wait),
+            (2, ReplicaId(1), 3, VcStep::Wait),
+            (3, ReplicaId(2), 5, VcStep::Wait),
+        ] {
+            let from = ReplicaId(from);
+            let got = other.record((holder, q), quorum, campaigning, from, View(2), Vec::new());
+            assert_eq!(got, want);
+        }
+        // τ2: past every view voted for while campaigning, else view + 1
+        // only if work is pending
+        assert!(votes.covers(View(5)) && !votes.covers(View(6)));
+        assert_eq!(votes.escalation(View(0), true, false), Some(View(6)));
+        assert_eq!(votes.escalation(View(0), false, true), Some(View(1)));
+        assert_eq!(votes.escalation(View(0), false, false), None);
+        // installing view 2 drops its votes and older ones, keeps view 5's
+        votes.prune(View(2));
+        assert!(votes.votes(View(2)).is_empty());
+        assert_eq!(votes.votes(View(5)).len(), 1);
+        votes.prune(View(5));
+        assert_eq!(votes.escalation(View(5), true, false), Some(View(6)));
     }
 
     #[test]

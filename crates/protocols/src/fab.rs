@@ -25,8 +25,9 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewGate,
+    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
+    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
+    ViewMsg,
 };
 
 /// FaB messages.
@@ -58,22 +59,8 @@ pub enum FabMsg {
         /// Sender.
         from: ReplicaId,
     },
-    /// Replica → all: abandon the view, carrying accepted slots.
-    ViewChange {
-        /// Target view.
-        new_view: View,
-        /// (seq, digest, batch) entries this replica accepted.
-        accepted: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader → all.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change: votes carry the slots the sender accepted.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for FabMsg {
@@ -83,49 +70,23 @@ impl WireSize for FabMsg {
             FabMsg::Reply(r) => 1 + r.wire_size(),
             FabMsg::Propose { batch, .. } => 1 + 16 + 32 + batch.wire_size() + 72,
             FabMsg::Accept { .. } => 1 + 16 + 32 + 4 + 72,
-            FabMsg::ViewChange { accepted, .. } => {
-                1 + 8
-                    + accepted
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
-            FabMsg::NewView { proposals, .. } => {
-                1 + 8
-                    + proposals
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
+            FabMsg::View(m) => m.wire_size(72, WireSize::wire_size),
         }
     }
 }
 
 #[derive(Debug, Clone, Default)]
-struct FabSlot {
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+pub(crate) struct FabSlot {
     accepts: Vec<ReplicaId>,
     /// This replica sent its accept.
     accepted: bool,
-    committed: bool,
-    executed: bool,
 }
 
 /// A FaB replica.
 pub struct FabReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<FabMsg, FabSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
-    gate: ViewGate<FabMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, FabSlot>,
     mempool: VecDeque<SignedRequest>,
-    exec: Execution,
-    intake: Intake,
-    vc_votes: crate::common::VcVotes,
     batch_size: usize,
 }
 
@@ -139,60 +100,33 @@ impl FabReplica {
         batch_size: usize,
     ) -> Self {
         FabReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new()),
             store,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            exec: Execution::new(),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
             batch_size,
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
     /// The accept quorum: 4f+1 of 5f+1 (`fast_quorum`).
     fn accept_quorum(&self) -> usize {
-        self.q.fast_quorum()
+        self.core.q.fast_quorum()
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, FabMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = batch.clone();
-            }
+            let view = self.core.gate.view();
+            self.core.log.install(seq, digest, batch.clone());
             ctx.broadcast_replicas(FabMsg::Propose {
                 view,
                 seq,
@@ -204,14 +138,14 @@ impl FabReplica {
     }
 
     fn accept(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, FabMsg>) {
-        let view = self.gate.view();
-        let me = self.me;
+        let view = self.core.gate.view();
+        let me = self.core.me;
         {
-            let slot = self.slots.entry(seq).or_default();
-            if slot.accepted {
+            let slot = self.core.log.slot(seq);
+            if slot.ext.accepted {
                 return;
             }
-            slot.accepted = true;
+            slot.ext.accepted = true;
         }
         ctx.charge_crypto(CryptoOp::Sign);
         ctx.broadcast_replicas(FabMsg::Accept {
@@ -231,15 +165,15 @@ impl FabReplica {
         ctx: &mut Context<'_, FabMsg>,
     ) {
         let quorum = self.accept_quorum();
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.accepts.contains(&from) {
-            slot.accepts.push(from);
+        if !slot.ext.accepts.contains(&from) {
+            slot.ext.accepts.push(from);
         }
-        if !slot.committed && slot.accepts.len() >= quorum && slot.digest == Some(digest) {
+        if !slot.committed && slot.ext.accepts.len() >= quorum && slot.digest == Some(digest) {
             slot.committed = true;
             ctx.observe(Observation::Commit {
                 seq,
@@ -247,168 +181,64 @@ impl FabReplica {
                 digest,
                 speculative: false,
             });
-            self.try_execute(ctx);
+            self.core.execute_ready(ctx, CryptoOp::Sign, FabMsg::Reply);
         }
     }
+}
 
-    fn try_execute(&mut self, ctx: &mut Context<'_, FabMsg>) {
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
-            }
-            self.exec.run(
-                ctx,
-                Some(&slot.batch),
-                self.gate.view(),
-                reply_to_client(Some(CryptoOp::Sign), FabMsg::Reply),
-            );
-            slot.executed = true;
-            self.intake.settle(ctx, &self.exec);
-        }
+impl ViewChanger for FabReplica {
+    type Msg = FabMsg;
+    type Ext = FabSlot;
+    type Payload = Vec<SignedRequest>;
+
+    fn core(&mut self) -> &mut Core<FabMsg, FabSlot, Vec<SignedRequest>> {
+        &mut self.core
     }
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, FabMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        let accepted: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-            .slots
-            .iter()
-            .filter(|(seq, s)| s.accepted && !s.executed && **seq > self.exec.cursor())
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
-            .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(FabMsg::ViewChange {
-            new_view: target,
-            accepted: accepted.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, accepted, ctx);
-        self.intake.rearm(ctx);
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> FabMsg {
+        FabMsg::View(msg)
     }
 
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        accepted: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, FabMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        votes.push((from, accepted));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        // the new-view quorum is n − f = 4f+1 (the recovery certificate)
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.n - self.q.f
-        {
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            // a value accepted by ≥ 2f+1 replicas in the VC set may have
-            // committed: it must be re-proposed
-            let mut counts: BTreeMap<(SeqNum, Digest), (usize, Vec<SignedRequest>)> =
-                BTreeMap::new();
-            for (_, accepted) in &votes {
-                for (seq, digest, batch) in accepted {
-                    let e = counts.entry((*seq, *digest)).or_insert((0, batch.clone()));
-                    e.0 += 1;
-                }
-            }
-            let mut proposals: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
-            for ((seq, digest), (count, batch)) in counts {
-                // prefer the digest with the most accept witnesses per slot
-                let dominant = proposals.get(&seq).map(|_| false).unwrap_or(true);
-                if dominant || count > self.q.f {
-                    proposals.insert(seq, (digest, batch));
-                }
-            }
-            let proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)> =
-                proposals.into_iter().map(|(s, (d, b))| (s, d, b)).collect();
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(FabMsg::NewView {
-                view: target,
-                proposals: proposals.clone(),
-            });
-            self.install_view(target, proposals, ctx);
-        }
+    /// n − f = 4f+1: the recovery certificate.
+    fn new_view_quorum(q: QuorumRules) -> usize {
+        q.n - q.f
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, FabMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
-        let mut stranded: Vec<SignedRequest> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.append(&mut slot.batch);
-                false
-            } else {
-                true
+    /// The slots this replica accepted.
+    fn report(&mut self, _: &mut Context<'_, FabMsg>) -> Vec<BatchEntry> {
+        self.core.open_entries(|s| s.ext.accepted)
+    }
+
+    /// A value accepted by ≥ 2f+1 replicas of the vote set may have
+    /// committed and must be re-proposed: per slot, the first digest
+    /// reported stands unless another has more than f accept witnesses.
+    fn assemble(&mut self, target: View) -> Vec<BatchEntry> {
+        let votes = self.core.votes.votes(target);
+        let mut counts: BTreeMap<(SeqNum, Digest), (usize, &Vec<SignedRequest>)> = BTreeMap::new();
+        for (seq, digest, batch) in votes.iter().flat_map(|(_, accepted)| accepted) {
+            counts.entry((*seq, *digest)).or_insert((0, batch)).0 += 1;
+        }
+        let mut proposals: BTreeMap<SeqNum, (Digest, &Vec<SignedRequest>)> = BTreeMap::new();
+        for ((seq, digest), (count, batch)) in counts {
+            if !proposals.contains_key(&seq) || count > self.core.q.f {
+                proposals.insert(seq, (digest, batch));
             }
-        });
-        for r in stranded
-            .iter()
-            .filter(|r| !self.exec.is_executed(&r.request.id))
-        {
-            enqueue_unique(&mut self.mempool, r);
         }
-        let max_seq = proposals
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        for (seq, digest, batch) in proposals {
-            if seq <= exec_cursor {
-                continue;
-            }
-            {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.executed {
-                    continue;
-                }
-                slot.digest = Some(digest);
-                slot.batch = batch;
-                slot.accepted = false;
-                slot.committed = false;
-                slot.accepts.clear();
-            }
-            self.accept(seq, digest, ctx);
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            self.propose(ctx);
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
+        let entry = |(s, (d, b)): (SeqNum, (Digest, &Vec<SignedRequest>))| (s, d, b.clone());
+        proposals.into_iter().map(entry).collect()
+    }
+
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, FabMsg>) {
+        self.core.log.reinstall(seq, digest, batch);
+        self.accept(seq, digest, ctx);
+    }
+
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, FabMsg>) {
+        self.propose(ctx);
     }
 }
 
@@ -422,18 +252,23 @@ impl Actor<FabMsg> for FabReplica {
     fn on_message(&mut self, from: NodeId, msg: &FabMsg, ctx: &mut Context<'_, FabMsg>) {
         match msg {
             FabMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, FabMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 enqueue_unique(&mut self.mempool, signed);
-                if self.is_leader() {
+                if self.core.is_leader() {
                     self.propose(ctx);
                 } else {
-                    let may_arm = !self.gate.in_view_change();
-                    self.intake
-                        .relay(ctx, signed, self.leader(), FabMsg::Request, may_arm);
+                    let may_arm = !self.core.gate.in_view_change();
+                    self.core.intake.relay(
+                        ctx,
+                        signed,
+                        self.core.leader(),
+                        FabMsg::Request,
+                        may_arm,
+                    );
                 }
             }
             FabMsg::Propose {
@@ -442,10 +277,10 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 batch,
             } => {
-                if !self.gate.admit(from, *view, msg) {
+                if !self.core.gate.admit(from, *view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
+                if from != NodeId::Replica(self.core.leader()) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -455,15 +290,9 @@ impl Actor<FabMsg> for FabReplica {
                 }
                 let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
                 self.mempool.retain(|r| !ids.contains(&r.request.id));
-                {
-                    let slot = self.slots.entry(*seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(*digest) {
-                        return;
-                    }
-                    slot.digest = Some(*digest);
-                    slot.batch = batch.clone();
+                if self.core.log.install(*seq, *digest, batch.clone()) {
+                    self.accept(*seq, *digest, ctx);
                 }
-                self.accept(*seq, *digest, ctx);
             }
             FabMsg::Accept {
                 view,
@@ -471,46 +300,19 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 from: r,
             } => {
-                if !self.gate.admit(from, *view, msg) {
+                if !self.core.gate.admit(from, *view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
                 self.record_accept(*r, *seq, *digest, ctx);
             }
-            FabMsg::ViewChange {
-                new_view,
-                accepted,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, accepted.clone(), ctx);
-            }
-            FabMsg::NewView { view, proposals } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, proposals.clone(), ctx);
-                }
-            }
+            FabMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             FabMsg::Reply(_) => {}
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, FabMsg>) {
-        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
-            if self.gate.in_view_change() {
-                let target = self
-                    .vc_votes
-                    .keys()
-                    .max()
-                    .copied()
-                    .unwrap_or(self.gate.view())
-                    .next();
-                self.start_view_change(target, ctx);
-            } else if self.intake.has_pending() {
-                let target = self.gate.view().next();
-                self.start_view_change(target, ctx);
-            }
-        }
+    fn on_timer(&mut self, id: TimerId, _: TimerKind, ctx: &mut Context<'_, FabMsg>) {
+        self.on_view_timer(id, ctx);
     }
 }
 

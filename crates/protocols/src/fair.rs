@@ -36,8 +36,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario, SignedRequest,
-    SubmitPolicy, ViewGate,
+    launch, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Fair-protocol messages.
@@ -91,22 +91,8 @@ pub enum FairMsg {
         /// Sender.
         from: ReplicaId,
     },
-    /// View change.
-    ViewChange {
-        /// Target view.
-        new_view: View,
-        /// Prepared proposals.
-        prepared: Vec<FairEntry>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader installs the view.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        proposals: Vec<FairEntry>,
-    },
+    /// View change: votes carry the sender's prepared batch sets.
+    View(ViewMsg<Vec<ReplicaBatch>>),
 }
 
 impl WireSize for FairMsg {
@@ -123,22 +109,7 @@ impl WireSize for FairMsg {
             FairMsg::RoundBatch { entries, .. } => 1 + 8 + entries.wire_size() + 4 + 64,
             FairMsg::FairPropose { batches, .. } => 1 + 16 + 32 + batches_size(batches) + 64,
             FairMsg::Prepare { .. } | FairMsg::Commit { .. } => 1 + 16 + 32 + 4 + 64,
-            FairMsg::ViewChange { prepared, .. } => {
-                1 + 8
-                    + prepared
-                        .iter()
-                        .map(|(_, _, b)| 40 + batches_size(b))
-                        .sum::<usize>()
-                    + 64
-            }
-            FairMsg::NewView { proposals, .. } => {
-                1 + 8
-                    + proposals
-                        .iter()
-                        .map(|(_, _, b)| 40 + batches_size(b))
-                        .sum::<usize>()
-                    + 64
-            }
+            FairMsg::View(m) => m.wire_size(64, batches_size),
         }
     }
 }
@@ -147,7 +118,7 @@ impl WireSize for FairMsg {
 pub type ReplicaBatch = (ReplicaId, Vec<SignedRequest>);
 
 /// A re-proposable fair slot: `(slot, digest, the collected batch set)`.
-pub type FairEntry = (SeqNum, Digest, Vec<ReplicaBatch>);
+pub type FairEntry = Entry<Vec<ReplicaBatch>>;
 
 /// Deterministic γ-fair merge: requests supported by ≥ `support` of the
 /// batches, ordered by the median of their positions in the batches that
@@ -178,34 +149,25 @@ pub fn fair_merge(batches: &[ReplicaBatch], support: usize) -> Vec<SignedRequest
 }
 
 #[derive(Debug, Clone, Default)]
-struct FairSlot {
-    digest: Option<Digest>,
-    batches: Vec<(ReplicaId, Vec<SignedRequest>)>,
+pub(crate) struct FairSlot {
+    /// The proposal as agreed on: the collected receive-order batches. The
+    /// slot's `batch` is their [`fair_merge`].
+    batches: Vec<ReplicaBatch>,
     prepares: Vec<ReplicaId>,
     commits: Vec<ReplicaId>,
     prepared: bool,
-    committed: bool,
-    executed: bool,
     sent_commit: bool,
 }
 
 /// A fair-protocol replica.
 pub struct FairReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<FairMsg, FairSlot, Vec<ReplicaBatch>>,
     store: Arc<KeyStore>,
-    gate: ViewGate<FairMsg>,
-    next_seq: SeqNum,
     round: u64,
-    slots: BTreeMap<SeqNum, FairSlot>,
     /// Pending requests in receive order.
     pending: Vec<SignedRequest>,
     /// Round batches collected by the leader: round → replica → batch.
     round_batches: BTreeMap<u64, Vec<(ReplicaId, Vec<SignedRequest>)>>,
-    exec: Execution,
-    /// τ2 only: pending work is `pending` itself, nothing is relayed.
-    intake: Intake,
-    vc_votes: BTreeMap<View, Vec<(ReplicaId, Vec<FairEntry>)>>,
     round_timer: Option<TimerId>,
     round_period: SimDuration,
     /// Fingerprint of the last `RoundBatch` stream state: (view, exec
@@ -226,18 +188,11 @@ impl FairReplica {
         view_timeout: SimDuration,
     ) -> Self {
         FairReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new().skipping_executed()),
             store,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
             round: 0,
-            slots: BTreeMap::new(),
             pending: Vec::new(),
             round_batches: BTreeMap::new(),
-            exec: Execution::new().skipping_executed(),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
             round_timer: None,
             round_period,
             stream_fp: None,
@@ -245,22 +200,14 @@ impl FairReplica {
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
     /// Batches needed per proposal: n − f.
     fn batch_quorum(&self) -> usize {
-        self.q.n - self.q.f
+        self.core.q.n - self.core.q.f
     }
 
     /// Support needed for a request to enter the merge: f + 1.
     fn merge_support(&self) -> usize {
-        self.q.f + 1
+        self.core.q.f + 1
     }
 
     /// How many rounds apart a replica with a stalled stream resends its
@@ -283,7 +230,7 @@ impl FairReplica {
     fn on_round_tick(&mut self, ctx: &mut Context<'_, FairMsg>) {
         self.round += 1;
         let round = self.round;
-        let exec = &self.exec;
+        let exec = &self.core.exec;
         self.pending.retain(|r| !exec.is_executed(&r.request.id));
         // De-duplicate the preordering stream: fingerprint what a
         // RoundBatch this tick would carry (plus the view and execution
@@ -292,8 +239,8 @@ impl FairReplica {
         // by an equivocating leader that never lets the round commit —
         // backs off instead of flooding the leader every period.
         let fp = (
-            self.gate.view().0,
-            self.exec.cursor().0,
+            self.core.gate.view().0,
+            self.core.exec.cursor().0,
             self.pending.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
                 (h ^ r.request.id.client.0)
                     .wrapping_mul(0x0100_0000_01b3)
@@ -308,10 +255,10 @@ impl FairReplica {
             self.idle_ticks = 0;
         }
         let entries = self.pending.clone();
-        let me = self.me;
-        if !entries.is_empty() || self.is_leader() {
-            let leader = self.leader();
-            if leader == self.me {
+        let me = self.core.me;
+        if !entries.is_empty() || self.core.is_leader() {
+            let leader = self.core.leader();
+            if leader == self.core.me {
                 // The leader's own record is local (no wire traffic) and
                 // anchors the quorum, so it never backs off.
                 ctx.charge_crypto(CryptoOp::Sign);
@@ -332,8 +279,8 @@ impl FairReplica {
             }
         }
         // liveness pressure: pending work arms τ2
-        if !self.pending.is_empty() && !self.gate.in_view_change() {
-            self.intake.arm(ctx);
+        if !self.pending.is_empty() && !self.core.gate.in_view_change() {
+            self.core.intake.arm(ctx);
         }
         self.round_timer = Some(ctx.set_timer(TimerKind::T6PreorderRound, self.round_period));
     }
@@ -345,7 +292,7 @@ impl FairReplica {
         entries: Vec<SignedRequest>,
         ctx: &mut Context<'_, FairMsg>,
     ) {
-        if !self.is_leader() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
         let needed = self.batch_quorum();
@@ -360,34 +307,42 @@ impl FairReplica {
             let merged = fair_merge(&batches, self.merge_support());
             let fresh: Vec<&SignedRequest> = merged
                 .iter()
-                .filter(|r| !self.exec.is_executed(&r.request.id))
+                .filter(|r| !self.core.exec.is_executed(&r.request.id))
                 .collect();
             if fresh.is_empty() {
                 return;
             }
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batches);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batches = batches.clone();
-            }
+            let view = self.core.gate.view();
+            self.install(seq, digest, batches.clone());
             ctx.broadcast_replicas(FairMsg::FairPropose {
                 view,
                 seq,
                 digest,
                 batches,
             });
-            let me = self.me;
+            let me = self.core.me;
             self.record_prepare(me, seq, digest, ctx);
         } else {
             // old rounds that never filled up: garbage-collect
             self.round_batches.retain(|r, _| *r + 8 > round);
         }
+    }
+
+    /// Install a proposal: the batch set as agreed on, and the execution
+    /// order DERIVED from it — identical at every replica, independent of
+    /// the leader. `false` if the slot holds a different proposal.
+    fn install(&mut self, seq: SeqNum, digest: Digest, batches: Vec<ReplicaBatch>) -> bool {
+        let merged = fair_merge(&batches, self.merge_support());
+        let fresh = self.core.log.install(seq, digest, merged);
+        if fresh {
+            self.core.log.slot(seq).ext.batches = batches;
+        }
+        fresh
     }
 
     fn record_prepare(
@@ -397,20 +352,20 @@ impl FairReplica {
         digest: Digest,
         ctx: &mut Context<'_, FairMsg>,
     ) {
-        let quorum = self.q.quorum();
-        let view = self.gate.view();
-        let me = self.me;
-        let slot = self.slots.entry(seq).or_default();
+        let quorum = self.core.q.quorum();
+        let view = self.core.gate.view();
+        let me = self.core.me;
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.prepares.contains(&from) {
-            slot.prepares.push(from);
+        if !slot.ext.prepares.contains(&from) {
+            slot.ext.prepares.push(from);
         }
-        if slot.digest == Some(digest) && !slot.prepared && slot.prepares.len() >= quorum {
-            slot.prepared = true;
-            if !slot.sent_commit {
-                slot.sent_commit = true;
+        if slot.digest == Some(digest) && !slot.ext.prepared && slot.ext.prepares.len() >= quorum {
+            slot.ext.prepared = true;
+            if !slot.ext.sent_commit {
+                slot.ext.sent_commit = true;
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.broadcast_replicas(FairMsg::Commit {
                     view,
@@ -430,16 +385,16 @@ impl FairReplica {
         digest: Digest,
         ctx: &mut Context<'_, FairMsg>,
     ) {
-        let quorum = self.q.quorum();
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let quorum = self.core.q.quorum();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.commits.contains(&from) {
-            slot.commits.push(from);
+        if !slot.ext.commits.contains(&from) {
+            slot.ext.commits.push(from);
         }
-        if slot.prepared && !slot.committed && slot.commits.len() >= quorum {
+        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
             slot.committed = true;
             ctx.observe(Observation::Commit {
                 seq,
@@ -452,159 +407,74 @@ impl FairReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
-        let support = self.merge_support();
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
-            }
-            // the execution order is DERIVED from the batch set — identical
-            // at every replica, independent of the leader
-            let merged = fair_merge(&slot.batches, support);
-            let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
-            self.exec.run(ctx, Some(&merged), self.gate.view(), deliver);
-            slot.executed = true;
-            let exec = &self.exec;
-            self.pending.retain(|r| !exec.is_executed(&r.request.id));
-            if self.pending.is_empty() {
-                self.intake.disarm(ctx);
-            }
-        }
-    }
-
-    // ---- view change ---------------------------------------------------
-
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, FairMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        let prepared: Vec<FairEntry> = self
-            .slots
-            .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batches.clone()))
-            .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(FairMsg::ViewChange {
-            new_view: target,
-            prepared: prepared.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, prepared, ctx);
-        self.intake.rearm(ctx);
-    }
-
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        prepared: Vec<FairEntry>,
-        ctx: &mut Context<'_, FairMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        votes.push((from, prepared));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            let mut proposals: BTreeMap<SeqNum, (Digest, Vec<ReplicaBatch>)> = BTreeMap::new();
-            for (_, prepared) in &votes {
-                for (seq, digest, batches) in prepared {
-                    proposals.entry(*seq).or_insert((*digest, batches.clone()));
+        let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
+        let (pending, intake) = (&mut self.pending, &mut self.core.intake);
+        self.core.exec.drain(
+            ctx,
+            &mut self.core.log,
+            self.core.gate.view(),
+            deliver,
+            |ctx, exec, _, _| {
+                pending.retain(|r| !exec.is_executed(&r.request.id));
+                if pending.is_empty() {
+                    intake.disarm(ctx);
                 }
-            }
-            let proposals: Vec<FairEntry> =
-                proposals.into_iter().map(|(s, (d, b))| (s, d, b)).collect();
+            },
+        );
+    }
+}
+
+impl ViewChanger for FairReplica {
+    type Msg = FairMsg;
+    type Ext = FairSlot;
+    type Payload = Vec<ReplicaBatch>;
+
+    fn core(&mut self) -> &mut Core<FairMsg, FairSlot, Vec<ReplicaBatch>> {
+        &mut self.core
+    }
+
+    fn wire(msg: ViewMsg<Vec<ReplicaBatch>>) -> FairMsg {
+        FairMsg::View(msg)
+    }
+
+    /// Pending work is `pending` itself: nothing is relayed.
+    fn work_pending(&mut self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// The batch sets this replica holds a prepare quorum for.
+    fn report(&mut self, _: &mut Context<'_, FairMsg>) -> Vec<FairEntry> {
+        let cursor = self.core.exec.cursor();
+        let open = self.core.log.iter().filter(|(seq, _)| **seq > cursor);
+        open.filter(|(_, s)| s.ext.prepared)
+            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.ext.batches.clone())))
+            .collect()
+    }
+
+    fn adopt(&mut self, (seq, digest, batches): FairEntry, ctx: &mut Context<'_, FairMsg>) {
+        let merged = fair_merge(&batches, self.merge_support());
+        self.core.log.reinstall(seq, digest, merged).ext.batches = batches;
+        if !self.core.is_leader() {
             ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(FairMsg::NewView {
-                view: target,
-                proposals: proposals.clone(),
+            let (view, from) = (self.core.gate.view(), self.core.me);
+            ctx.broadcast_replicas(FairMsg::Prepare {
+                view,
+                seq,
+                digest,
+                from,
             });
-            self.install_view(target, proposals, ctx);
+            self.record_prepare(from, seq, digest, ctx);
         }
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        proposals: Vec<FairEntry>,
-        ctx: &mut Context<'_, FairMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
+    /// Nothing to take back — a dead slot's requests never left `pending`;
+    /// but the round batches collected for the old leader die with its view.
+    fn requeue(&mut self, _: Vec<SignedRequest>) {
         self.round_batches.clear();
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
-        // dead slots' requests remain in `pending` (they were never removed)
-        self.slots
-            .retain(|seq, slot| *seq <= exec_cursor || slot.executed || re_proposed.contains(seq));
-        let max_seq = proposals
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        let leader = self.leader();
-        let me = self.me;
-        for (seq, digest, batches) in proposals {
-            if seq <= exec_cursor {
-                continue;
-            }
-            {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.executed {
-                    continue;
-                }
-                slot.digest = Some(digest);
-                slot.batches = batches;
-                slot.prepared = false;
-                slot.committed = false;
-                slot.sent_commit = false;
-                slot.prepares.clear();
-                slot.commits.clear();
-            }
-            if me != leader {
-                ctx.charge_crypto(CryptoOp::Sign);
-                let view = self.gate.view();
-                ctx.broadcast_replicas(FairMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_prepare(me, seq, digest, ctx);
-            }
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
     }
+
+    /// The next preordering round proposes; there is no backlog to flush.
+    fn resume(&mut self, _: &mut Context<'_, FairMsg>) {}
 }
 
 impl Actor<FairMsg> for FairReplica {
@@ -618,9 +488,9 @@ impl Actor<FairMsg> for FairReplica {
     fn on_message(&mut self, from: NodeId, msg: &FairMsg, ctx: &mut Context<'_, FairMsg>) {
         match msg {
             FairMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, FairMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 // record in RECEIVE ORDER — the fairness-critical step
@@ -647,10 +517,10 @@ impl Actor<FairMsg> for FairReplica {
                 batches,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
+                if from != NodeId::Replica(self.core.leader()) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -665,16 +535,11 @@ impl Actor<FairMsg> for FairReplica {
                 if senders.len() < self.batch_quorum() {
                     return; // not enough receive-order witnesses: unfair
                 }
-                {
-                    let slot = self.slots.entry(seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(digest) {
-                        return;
-                    }
-                    slot.digest = Some(digest);
-                    slot.batches = batches.clone();
+                if !self.install(seq, digest, batches.clone()) {
+                    return;
                 }
-                let me = self.me;
-                let leader = self.leader();
+                let me = self.core.me;
+                let leader = self.core.leader();
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.broadcast_replicas(FairMsg::Prepare {
                     view,
@@ -693,7 +558,7 @@ impl Actor<FairMsg> for FairReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -706,26 +571,13 @@ impl Actor<FairMsg> for FairReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
                 self.record_commit(r, seq, digest, ctx);
             }
-            FairMsg::ViewChange {
-                new_view,
-                prepared,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, prepared.clone(), ctx);
-            }
-            FairMsg::NewView { view, proposals } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, proposals.clone(), ctx);
-                }
-            }
+            FairMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             FairMsg::Reply(_) => {}
         }
     }
@@ -736,22 +588,9 @@ impl Actor<FairMsg> for FairReplica {
                 self.round_timer = None;
                 self.on_round_tick(ctx);
             }
-            TimerKind::T2ViewChange if self.intake.fired(id) => {
-                if self.gate.in_view_change() {
-                    let target = self
-                        .vc_votes
-                        .keys()
-                        .max()
-                        .copied()
-                        .unwrap_or(self.gate.view())
-                        .next();
-                    self.start_view_change(target, ctx);
-                } else if !self.pending.is_empty() {
-                    let target = self.gate.view().next();
-                    self.start_view_change(target, ctx);
-                }
+            _ => {
+                self.on_view_timer(id, ctx);
             }
-            _ => {}
         }
     }
 }

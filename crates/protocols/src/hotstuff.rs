@@ -109,7 +109,7 @@ pub enum HsMsg {
         /// Sender's high QC.
         high_qc: Option<Qc>,
         /// The batch certified by `high_qc`, if this sender has it.
-        high_batch: Vec<SignedRequest>,
+        high_batch: Option<Vec<SignedRequest>>,
     },
 }
 
@@ -122,7 +122,11 @@ impl WireSize for HsMsg {
             HsMsg::Proposal { batch, .. } => 1 + 16 + 32 + batch.wire_size() + QC,
             HsMsg::Vote { .. } => 1 + 1 + 16 + 32 + 72,
             HsMsg::QcAnnounce { .. } => 1 + QC,
-            HsMsg::NewView { high_batch, .. } => 1 + 8 + 4 + QC + high_batch.wire_size(),
+            HsMsg::NewView { high_batch, .. } => {
+                // an absent batch travels as an empty one
+                let entries = high_batch.iter().flatten();
+                1 + 8 + 4 + QC + 4 + entries.map(WireSize::wire_size).sum::<usize>()
+            }
         }
     }
 }
@@ -145,7 +149,7 @@ pub struct HotStuffReplica {
     /// — the flattened form of HotStuff's branch-extension rule.
     locks: BTreeMap<SeqNum, Qc>,
     /// Decided slots awaiting execution order.
-    decided: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>, View)>,
+    decided: BTreeMap<SeqNum, (Digest, View)>,
     mempool: VecDeque<SignedRequest>,
     exec: Execution,
     /// New-view messages per view (pacemaker).
@@ -380,13 +384,21 @@ impl HotStuffReplica {
         justify: Option<Qc>,
         ctx: &mut Context<'_, HsMsg>,
     ) {
-        if view != self.view {
+        // a slot that decided ahead of this proposal (its commit certificate
+        // outran it) has been waiting for the batch, whatever the view now
+        let awaited = !self.batches.contains_key(&digest)
+            && self.decided.get(&seq).is_some_and(|(d, _)| *d == digest);
+        if view != self.view && !awaited {
             return;
         }
         ctx.charge_crypto(CryptoOp::Verify);
         ctx.charge_crypto(CryptoOp::Hash);
         if digest_of(&batch) != digest {
             return;
+        }
+        if awaited {
+            self.batches.insert(digest, batch);
+            return self.try_execute(ctx);
         }
         // never vote on a slot that has already decided or executed
         // here — a lagging leader proposing into history cannot be
@@ -500,24 +512,13 @@ impl HotStuffReplica {
                 if qc.seq <= self.exec.cursor() || self.decided.contains_key(&qc.seq) {
                     return;
                 }
-                let batch = self
-                    .batches
-                    .get(&qc.digest)
-                    .cloned()
-                    .or_else(|| {
-                        self.cur
-                            .as_ref()
-                            .filter(|(_, d, _)| *d == qc.digest)
-                            .map(|(_, _, b)| b.clone())
-                    })
-                    .unwrap_or_default();
                 ctx.observe(Observation::Commit {
                     seq: qc.seq,
                     view: qc.view,
                     digest: qc.digest,
                     speculative: false,
                 });
-                self.decided.insert(qc.seq, (qc.digest, batch, qc.view));
+                self.decided.insert(qc.seq, (qc.digest, qc.view));
                 self.try_execute(ctx);
                 self.advance_view(qc.view.next(), ctx);
             }
@@ -525,9 +526,14 @@ impl HotStuffReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        while let Some((_, batch, view)) = self.decided.get(&self.exec.cursor().next()) {
+        while let Some((digest, view)) = self.decided.get(&self.exec.cursor().next()) {
             let deliver = reply_to_client(Some(CryptoOp::Sign), HsMsg::Reply);
-            self.exec.run(ctx, Some(batch), *view, deliver);
+            // no batch, no execution: a slot decided ahead of its proposal
+            // waits for it (the proposal handler re-enters here)
+            let batch = self.batches.get(digest).map(Vec::as_slice);
+            if !self.exec.run(ctx, batch, *view, deliver) {
+                break;
+            }
             let done = self.exec.cursor();
             self.locks.retain(|seq, _| *seq > done);
         }
@@ -546,9 +552,7 @@ impl HotStuffReplica {
         // pacemaker: tell the new leader our high QC
         let me = self.me;
         let high_qc = self.high_qc;
-        let high_batch = high_qc
-            .and_then(|qc| self.batches.get(&qc.digest).cloned())
-            .unwrap_or_default();
+        let high_batch = high_qc.and_then(|qc| self.batches.get(&qc.digest).cloned());
         let leader = self.leader_of(target);
         if leader != self.me {
             ctx.charge_crypto(CryptoOp::Sign);
@@ -576,15 +580,15 @@ impl HotStuffReplica {
         from: ReplicaId,
         view: View,
         high_qc: Option<Qc>,
-        high_batch: Vec<SignedRequest>,
+        high_batch: Option<Vec<SignedRequest>>,
         ctx: &mut Context<'_, HsMsg>,
     ) {
         if let Some(qc) = high_qc {
             if self.high_qc.is_none_or(|h| qc.view > h.view) {
                 self.high_qc = Some(qc);
             }
-            if !high_batch.is_empty() {
-                self.batches.entry(qc.digest).or_insert(high_batch);
+            if let Some(batch) = high_batch {
+                self.batches.entry(qc.digest).or_insert(batch);
             }
         }
         let entry = self.new_views.entry(view).or_default();
@@ -750,6 +754,48 @@ mod tests {
             out.log.max_view() >= View(29),
             "got {:?}",
             out.log.max_view()
+        );
+    }
+
+    /// Regression: a commit certificate that outruns its (delayed)
+    /// proposal used to decide the slot with an empty placeholder batch,
+    /// "execute" it, and drop the late proposal as history — silently
+    /// skipping the slot's requests and diverging this replica's state for
+    /// good. The slot must wait for its batch and execute it when it lands.
+    #[test]
+    fn commit_qc_ahead_of_its_proposal_waits_for_the_batch() {
+        use crate::common::script::{executions, first_write, play, Script};
+
+        let store = Scenario::small(1).key_store();
+        let (signed, want) = first_write(&store);
+        let batch = vec![signed.clone()];
+        let (view, seq, digest) = (View(0), SeqNum(1), digest_of(&batch));
+        let qc = Qc {
+            phase: HsPhase::Commit,
+            view,
+            seq,
+            digest,
+        };
+        // replica 0 leads view 0: its certificate arrives first, its
+        // proposal 5 ms later — by then replica 1 is in view 1
+        let leader = Script {
+            to: 1,
+            now: vec![HsMsg::QcAnnounce { qc }],
+            late: vec![HsMsg::Proposal {
+                view,
+                seq,
+                digest,
+                batch,
+                justify: None,
+            }],
+        };
+        let (q, t5) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(40));
+        let replica = HotStuffReplica::new(ReplicaId(1), q, store, t5, 1);
+        let out = play(0, leader, replica);
+        assert_eq!(
+            executions(&out),
+            vec![(NodeId::replica(1), signed.request.id, want)],
+            "the slot's request executes exactly once, on the state every other replica reaches"
         );
     }
 

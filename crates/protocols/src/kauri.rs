@@ -32,8 +32,9 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewGate,
+    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
+    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
+    ViewMsg,
 };
 
 /// Aggregation phases.
@@ -89,23 +90,9 @@ pub enum KauriMsg {
         /// Digest.
         digest: Digest,
     },
-    /// Reconfiguration demand (clique control plane), carrying certified
-    /// slots for re-proposal.
-    Complaint {
-        /// Target view.
-        new_view: View,
-        /// Slots with a prepare certificate: (seq, digest, batch).
-        certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New root installs the view.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// Reconfiguration (clique control plane): complaints carry the slots
+    /// the sender saw a prepare certificate for; the new root installs the view.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for KauriMsg {
@@ -116,38 +103,20 @@ impl WireSize for KauriMsg {
             KauriMsg::Disseminate { batch, .. } => 1 + 16 + 32 + batch.wire_size() + 96,
             KauriMsg::Aggregate { .. } => 1 + 1 + 16 + 32 + 8 + 4 + 96,
             KauriMsg::QcDown { .. } => 1 + 1 + 16 + 32 + 96,
-            KauriMsg::Complaint { certified, .. } => {
-                1 + 8
-                    + certified
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
-            KauriMsg::NewView { assignments, .. } => {
-                1 + 8
-                    + assignments
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
+            KauriMsg::View(m) => m.wire_size(72, WireSize::wire_size),
         }
     }
 }
 
 #[derive(Debug, Clone, Default)]
-struct KauriSlot {
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+pub(crate) struct KauriSlot {
     /// Per phase: child → reported subtree count.
     child_counts: BTreeMap<(KauriPhase, ReplicaId), usize>,
     /// Per phase: best aggregate forwarded so far (monotone re-send).
     forwarded: BTreeMap<KauriPhase, usize>,
-    /// Phase certificates seen.
+    /// Prepare certificate seen (the commit certificate is the slot's
+    /// `committed`).
     prepared: bool,
-    committed: bool,
-    executed: bool,
     /// Own share contributed per phase.
     voted: BTreeMap<KauriPhase, bool>,
     /// Partial-aggregation timers per phase.
@@ -156,18 +125,11 @@ struct KauriSlot {
 
 /// A Kauri replica.
 pub struct KauriReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<KauriMsg, KauriSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
     fanout: usize,
-    gate: ViewGate<KauriMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, KauriSlot>,
     mempool: VecDeque<SignedRequest>,
     known: BTreeMap<RequestId, SignedRequest>,
-    exec: Execution,
-    intake: Intake,
-    vc_votes: crate::common::VcVotes,
     agg_timeout: SimDuration,
     batch_size: usize,
 }
@@ -184,64 +146,42 @@ impl KauriReplica {
         batch_size: usize,
     ) -> Self {
         KauriReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new().skipping_executed()),
             store,
             fanout,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             mempool: VecDeque::new(),
             known: BTreeMap::new(),
-            exec: Execution::new().skipping_executed(),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
             agg_timeout,
             batch_size,
         }
     }
 
+    /// The view's tree: its leader is the root.
     fn tree(&self) -> Topology {
         Topology::Tree {
-            root: self.gate.view().leader_of(self.q.n),
+            root: self.core.leader(),
             fanout: self.fanout,
         }
     }
 
-    fn root(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_root(&self) -> bool {
-        self.root() == self.me
-    }
-
     fn children(&self) -> Vec<ReplicaId> {
-        self.tree().children(self.q.n, self.me)
+        self.tree().children(self.core.q.n, self.core.me)
     }
 
     fn parent(&self) -> Option<ReplicaId> {
-        self.tree().parent(self.q.n, self.me)
+        self.tree().parent(self.core.q.n, self.core.me)
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        if !self.is_root() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
@@ -263,15 +203,10 @@ impl KauriReplica {
         }
         let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
         self.mempool.retain(|r| !ids.contains(&r.request.id));
-        {
-            let slot = self.slots.entry(seq).or_default();
-            if slot.digest.is_some() && slot.digest != Some(digest) {
-                return;
-            }
-            slot.digest = Some(digest);
-            slot.batch = batch.clone();
+        if !self.core.log.install(seq, digest, batch.clone()) {
+            return;
         }
-        let view = self.gate.view();
+        let view = self.core.gate.view();
         // disseminate down
         for child in self.children() {
             ctx.send(
@@ -286,6 +221,9 @@ impl KauriReplica {
         }
         // vote (prepare phase)
         self.contribute(KauriPhase::Prepare, seq, digest, ctx);
+        // a commit certificate that outran this proposal was waiting for it
+        self.core
+            .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
     }
 
     /// Contribute this replica's own share for a phase and (re)compute the
@@ -298,7 +236,7 @@ impl KauriReplica {
         ctx: &mut Context<'_, KauriMsg>,
     ) {
         {
-            let slot = self.slots.entry(seq).or_default();
+            let slot = &mut self.core.log.slot(seq).ext;
             if *slot.voted.get(&phase).unwrap_or(&false) {
                 return;
             }
@@ -309,11 +247,7 @@ impl KauriReplica {
         // timeout); leaves report immediately
         if !self.children().is_empty() {
             let t = ctx.set_timer(TimerKind::T4QuorumConstruction, self.agg_timeout);
-            self.slots
-                .entry(seq)
-                .or_default()
-                .agg_timer
-                .insert(phase, t);
+            self.core.log.slot(seq).ext.agg_timer.insert(phase, t);
         }
         self.push_aggregate(phase, seq, digest, false, ctx);
     }
@@ -329,16 +263,21 @@ impl KauriReplica {
         ctx: &mut Context<'_, KauriMsg>,
     ) {
         let children = self.children();
-        let quorum = self.q.quorum();
-        let is_root = self.is_root();
-        let me = self.me;
-        let view = self.gate.view();
+        let quorum = self.core.q.quorum();
+        let is_root = self.core.is_leader();
+        let me = self.core.me;
+        let view = self.core.gate.view();
         let parent = self.parent();
 
-        let slot = self.slots.entry(seq).or_default();
+        let slot = self.core.log.slot(seq);
         if slot.digest != Some(digest) {
             return;
         }
+        let already = match phase {
+            KauriPhase::Prepare => slot.ext.prepared,
+            KauriPhase::Commit => slot.committed,
+        };
+        let slot = &mut slot.ext;
         let own = usize::from(*slot.voted.get(&phase).unwrap_or(&false));
         let children_sum: usize = children
             .iter()
@@ -350,10 +289,6 @@ impl KauriReplica {
             .all(|c| slot.child_counts.contains_key(&(phase, *c)));
 
         if is_root {
-            let already = match phase {
-                KauriPhase::Prepare => slot.prepared,
-                KauriPhase::Commit => slot.committed,
-            };
             if !already && total >= quorum {
                 if let Some(t) = slot.agg_timer.remove(&phase) {
                     ctx.cancel_timer(t);
@@ -415,14 +350,14 @@ impl KauriReplica {
         }
         ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
         {
-            let slot = self.slots.entry(seq).or_default();
+            let slot = &mut self.core.log.slot(seq).ext;
             let entry = slot.child_counts.entry((phase, from)).or_insert(0);
             *entry = (*entry).max(count);
         }
         // a late-arriving report may complete the aggregate after a timeout
         let all_reported = {
             let children = self.children();
-            let slot = self.slots.entry(seq).or_default();
+            let slot = &self.core.log.slot(seq).ext;
             children
                 .iter()
                 .all(|c| slot.child_counts.contains_key(&(phase, *c)))
@@ -437,7 +372,7 @@ impl KauriReplica {
         digest: Digest,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        let view = self.gate.view();
+        let view = self.core.gate.view();
         // forward the certificate down the tree
         for child in self.children() {
             ctx.send(
@@ -453,7 +388,7 @@ impl KauriReplica {
         match phase {
             KauriPhase::Prepare => {
                 {
-                    let slot = self.slots.entry(seq).or_default();
+                    let slot = &mut self.core.log.slot(seq).ext;
                     if slot.prepared {
                         return;
                     }
@@ -464,7 +399,7 @@ impl KauriReplica {
             }
             KauriPhase::Commit => {
                 {
-                    let slot = self.slots.entry(seq).or_default();
+                    let slot = self.core.log.slot(seq);
                     if slot.committed {
                         return;
                     }
@@ -476,175 +411,53 @@ impl KauriReplica {
                     digest,
                     speculative: false,
                 });
-                self.try_execute(ctx);
+                self.core
+                    .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
             }
         }
     }
+}
 
-    fn try_execute(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
-            }
-            self.exec.run(
-                ctx,
-                Some(&slot.batch),
-                self.gate.view(),
-                reply_to_client(Some(CryptoOp::Sign), KauriMsg::Reply),
-            );
-            slot.executed = true;
-            self.intake.settle(ctx, &self.exec);
-        }
+/// Reconfiguration: complaints are the view-change votes, and installing a
+/// view rotates the tree.
+impl ViewChanger for KauriReplica {
+    type Msg = KauriMsg;
+    type Ext = KauriSlot;
+    type Payload = Vec<SignedRequest>;
+
+    fn core(&mut self) -> &mut Core<KauriMsg, KauriSlot, Vec<SignedRequest>> {
+        &mut self.core
     }
 
-    // ---- reconfiguration (tree rotation) ---------------------------------
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> KauriMsg {
+        KauriMsg::View(msg)
+    }
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, KauriMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
+    /// The slots this replica saw a prepare certificate for.
+    fn report(&mut self, ctx: &mut Context<'_, KauriMsg>) -> Vec<BatchEntry> {
         ctx.observe(Observation::Marker {
             label: "tree-reconfiguration",
         });
-        let certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-            .slots
-            .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
-            .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(KauriMsg::Complaint {
-            new_view: target,
-            certified: certified.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, certified, ctx);
-        self.intake.rearm(ctx);
+        self.core.open_entries(|s| s.ext.prepared)
     }
 
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, KauriMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
+    /// The per-view aggregation state dies with the old tree; the new root
+    /// re-disseminates the slot through the new one.
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, KauriMsg>) {
+        if let Some(slot) = self.core.log.get_mut(&seq) {
+            slot.reset();
         }
-        votes.push((from, certified));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            let mut assignments: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
-            for (_, certified) in &votes {
-                for (seq, digest, batch) in certified {
-                    assignments.entry(*seq).or_insert((*digest, batch.clone()));
-                }
-            }
-            let assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = assignments
-                .into_iter()
-                .map(|(s, (d, b))| (s, d, b))
-                .collect();
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(KauriMsg::NewView {
-                view: target,
-                assignments: assignments.clone(),
-            });
-            self.install_view(target, assignments, ctx);
+        if self.core.is_leader() {
+            self.adopt_proposal(seq, digest, batch, ctx);
         }
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, KauriMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = assignments.iter().map(|(s, _, _)| *s).collect();
-        let mut stranded: Vec<SignedRequest> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.append(&mut slot.batch);
-                false
-            } else {
-                true
-            }
-        });
-        for r in stranded
-            .iter()
-            .filter(|r| !self.exec.is_executed(&r.request.id))
-        {
-            enqueue_unique(&mut self.mempool, r);
-        }
-        let max_seq = assignments
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        if self.is_root() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            for (seq, digest, batch) in assignments {
-                if seq <= exec_cursor {
-                    continue;
-                }
-                // reset the slot's per-view aggregation state, then
-                // re-disseminate through the NEW tree
-                if let Some(slot) = self.slots.get_mut(&seq) {
-                    if slot.executed {
-                        continue;
-                    }
-                    slot.child_counts.clear();
-                    slot.forwarded.clear();
-                    slot.voted.clear();
-                    slot.prepared = false;
-                    slot.committed = false;
-                }
-                self.adopt_proposal(seq, digest, batch, ctx);
-            }
-            self.propose(ctx);
-        } else {
-            // wipe the per-view aggregation state; the root re-disseminates
-            for (_, slot) in self.slots.iter_mut() {
-                if !slot.executed {
-                    slot.child_counts.clear();
-                    slot.forwarded.clear();
-                    slot.voted.clear();
-                    slot.prepared = false;
-                    slot.committed = false;
-                }
-            }
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, KauriMsg>) {
+        self.propose(ctx);
     }
 }
 
@@ -658,20 +471,20 @@ impl Actor<KauriMsg> for KauriReplica {
     fn on_message(&mut self, from: NodeId, msg: &KauriMsg, ctx: &mut Context<'_, KauriMsg>) {
         match msg {
             KauriMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, KauriMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
                 enqueue_unique(&mut self.mempool, signed);
-                if self.is_root() {
+                if self.core.is_leader() {
                     self.propose(ctx);
                 } else {
                     // clients broadcast, so the root has the request too:
                     // nothing to forward, only τ2 to hold it accountable
-                    let may_arm = !self.gate.in_view_change();
-                    self.intake.watch(ctx, signed.request.id, may_arm);
+                    let may_arm = !self.core.gate.in_view_change();
+                    self.core.intake.watch(ctx, signed.request.id, may_arm);
                 }
             }
             KauriMsg::Disseminate {
@@ -681,11 +494,11 @@ impl Actor<KauriMsg> for KauriReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 // only our tree parent may disseminate to us
-                if from != NodeId::Replica(self.parent().unwrap_or(self.root())) {
+                if from != NodeId::Replica(self.parent().unwrap_or(self.core.leader())) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -705,7 +518,7 @@ impl Actor<KauriMsg> for KauriReplica {
             } => {
                 let (phase, view, seq, digest, count, r) =
                     (*phase, *view, *seq, *digest, *count, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 self.on_aggregate(phase, seq, digest, count, r, ctx);
@@ -717,29 +530,16 @@ impl Actor<KauriMsg> for KauriReplica {
                 digest,
             } => {
                 let (phase, view, seq, digest) = (*phase, *view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.parent().unwrap_or(self.root())) {
+                if from != NodeId::Replica(self.parent().unwrap_or(self.core.leader())) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
                 self.on_qc(phase, seq, digest, ctx);
             }
-            KauriMsg::Complaint {
-                new_view,
-                certified,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, certified.clone(), ctx);
-            }
-            KauriMsg::NewView { view, assignments } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, assignments.clone(), ctx);
-                }
-            }
+            KauriMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             KauriMsg::Reply(_) => {}
         }
     }
@@ -749,35 +549,19 @@ impl Actor<KauriMsg> for KauriReplica {
             TimerKind::T4QuorumConstruction => {
                 // partial aggregation: forward what we have
                 let hit: Option<(SeqNum, KauriPhase, Digest)> =
-                    self.slots.iter().find_map(|(seq, s)| {
-                        s.agg_timer
-                            .iter()
-                            .find(|(_, t)| **t == id)
-                            .map(|(phase, _)| (*seq, *phase, s.digest.unwrap_or(Digest::ZERO)))
+                    self.core.log.iter().find_map(|(seq, s)| {
+                        let mut timers = s.ext.agg_timer.iter();
+                        let (phase, _) = timers.find(|(_, t)| **t == id)?;
+                        Some((*seq, *phase, s.digest.unwrap_or(Digest::ZERO)))
                     });
                 if let Some((seq, phase, digest)) = hit {
-                    if let Some(slot) = self.slots.get_mut(&seq) {
-                        slot.agg_timer.remove(&phase);
-                    }
+                    self.core.log.slot(seq).ext.agg_timer.remove(&phase);
                     self.push_aggregate(phase, seq, digest, true, ctx);
                 }
             }
-            TimerKind::T2ViewChange if self.intake.fired(id) => {
-                if self.gate.in_view_change() {
-                    let target = self
-                        .vc_votes
-                        .keys()
-                        .max()
-                        .copied()
-                        .unwrap_or(self.gate.view())
-                        .next();
-                    self.start_view_change(target, ctx);
-                } else if self.intake.has_pending() {
-                    let target = self.gate.view().next();
-                    self.start_view_change(target, ctx);
-                }
+            _ => {
+                self.on_view_timer(id, ctx);
             }
-            _ => {}
         }
     }
 }

@@ -30,8 +30,9 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewGate,
+    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
+    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
+    ViewMsg,
 };
 
 /// A unique identifier produced by the trusted component: an attested
@@ -143,20 +144,9 @@ pub enum MinBftMsg {
         /// Voter.
         from: ReplicaId,
     },
-    /// Replica → all: request a view change.
-    ReqViewChange {
-        /// Target view.
-        new_view: View,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader → all: install view, re-proposing undecided slots.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change: a request carries nothing (the new leader re-proposes the
+    /// undecided slots of its own log), the new-view message those slots.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for MinBftMsg {
@@ -166,43 +156,27 @@ impl WireSize for MinBftMsg {
             MinBftMsg::Reply(r) => 1 + r.wire_size(),
             MinBftMsg::Prepare { batch, .. } => 1 + 16 + Ui::WIRE_SIZE + batch.wire_size(),
             MinBftMsg::Commit { .. } => 1 + 16 + 32 + Ui::WIRE_SIZE + 4,
-            MinBftMsg::ReqViewChange { .. } => 1 + 8 + 4 + 64,
-            MinBftMsg::NewView { proposals, .. } => {
-                1 + 8
-                    + proposals
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
+            // + 4: unlike the family's signed votes, the attested request
+            // carries its sender in the clear
+            MinBftMsg::View(m @ ViewMsg::ViewChange { .. }) => m.wire_size(68, WireSize::wire_size),
+            MinBftMsg::View(m) => m.wire_size(64, WireSize::wire_size),
         }
     }
 }
 
 #[derive(Debug, Clone, Default)]
-struct MinSlot {
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+pub(crate) struct MinSlot {
     commits: Vec<ReplicaId>,
-    committed: bool,
-    executed: bool,
     sent_commit: bool,
 }
 
 /// A MinBFT replica with its trusted component.
 pub struct MinBftReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<MinBftMsg, MinSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
     usig: Usig,
     verifier: UiVerifier,
-    gate: ViewGate<MinBftMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, MinSlot>,
     mempool: VecDeque<SignedRequest>,
-    exec: Execution,
-    intake: Intake,
-    vc_votes: BTreeMap<View, Vec<ReplicaId>>,
     batch_size: usize,
 }
 
@@ -216,66 +190,39 @@ impl MinBftReplica {
         batch_size: usize,
     ) -> Self {
         MinBftReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new()),
             store,
             usig: Usig::new(me),
             verifier: UiVerifier::default(),
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             mempool: VecDeque::new(),
-            exec: Execution::new(),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
             batch_size,
         }
-    }
-
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
     }
 
     /// Commit quorum: a simple majority (`f+1` of `2f+1`) — trusted
     /// hardware removes equivocation, so single-correct-replica
     /// intersection suffices.
     fn commit_quorum(&self) -> usize {
-        self.q.trusted_quorum()
+        self.core.q.trusted_quorum()
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             // USIG attestation (modeled at signature cost)
             ctx.charge_crypto(CryptoOp::Sign);
             let ui = self.usig.create_ui(digest);
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = batch.clone();
-            }
+            let view = self.core.gate.view();
+            self.core.log.install(seq, digest, batch.clone());
             ctx.broadcast_replicas(MinBftMsg::Prepare {
                 view,
                 seq,
@@ -287,14 +234,14 @@ impl MinBftReplica {
     }
 
     fn send_commit(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, MinBftMsg>) {
-        let view = self.gate.view();
-        let me = self.me;
+        let view = self.core.gate.view();
+        let me = self.core.me;
         {
-            let slot = self.slots.entry(seq).or_default();
-            if slot.sent_commit {
+            let slot = self.core.log.slot(seq);
+            if slot.ext.sent_commit {
                 return;
             }
-            slot.sent_commit = true;
+            slot.ext.sent_commit = true;
         }
         ctx.charge_crypto(CryptoOp::Sign);
         let ui = self.usig.create_ui(digest);
@@ -316,15 +263,15 @@ impl MinBftReplica {
         ctx: &mut Context<'_, MinBftMsg>,
     ) {
         let quorum = self.commit_quorum();
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.commits.contains(&from) {
-            slot.commits.push(from);
+        if !slot.ext.commits.contains(&from) {
+            slot.ext.commits.push(from);
         }
-        if !slot.committed && slot.commits.len() >= quorum && slot.digest == Some(digest) {
+        if !slot.committed && slot.ext.commits.len() >= quorum && slot.digest == Some(digest) {
             slot.committed = true;
             ctx.observe(Observation::Commit {
                 seq,
@@ -332,143 +279,52 @@ impl MinBftReplica {
                 digest,
                 speculative: false,
             });
-            self.try_execute(ctx);
+            self.core
+                .execute_ready(ctx, CryptoOp::Sign, MinBftMsg::Reply);
         }
     }
+}
 
-    fn try_execute(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
-            }
-            self.exec.run(
-                ctx,
-                Some(&slot.batch),
-                self.gate.view(),
-                reply_to_client(Some(CryptoOp::Sign), MinBftMsg::Reply),
-            );
-            slot.executed = true;
-            self.intake.settle(ctx, &self.exec);
-        }
+impl ViewChanger for MinBftReplica {
+    type Msg = MinBftMsg;
+    type Ext = MinSlot;
+    type Payload = Vec<SignedRequest>;
+
+    fn core(&mut self) -> &mut Core<MinBftMsg, MinSlot, Vec<SignedRequest>> {
+        &mut self.core
     }
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, MinBftMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(MinBftMsg::ReqViewChange {
-            new_view: target,
-            from: me,
-        });
-        self.record_vc(me, target, ctx);
-        self.intake.rearm(ctx);
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> MinBftMsg {
+        MinBftMsg::View(msg)
     }
 
-    fn record_vc(&mut self, from: ReplicaId, target: View, ctx: &mut Context<'_, MinBftMsg>) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.contains(&from) {
-            return;
-        }
-        votes.push(from);
-        let have = votes.len();
-        // join on a single foreign request (f+1 would need f ≥ 1 peers in a
-        // 2f+1 cluster; one attested request from another replica suffices
-        // to at least consider the view suspect — we join at f+1 as usual)
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.commit_quorum()
-        {
-            // re-propose undecided slots
-            let proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-                .slots
-                .iter()
-                .filter(|(seq, s)| !s.executed && **seq > self.exec.cursor() && s.digest.is_some())
-                .map(|(seq, s)| (*seq, s.digest.unwrap(), s.batch.clone()))
-                .collect();
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(MinBftMsg::NewView {
-                view: target,
-                proposals: proposals.clone(),
-            });
-            self.install_view(target, proposals, ctx);
-        }
+    /// f+1: with attested, non-equivocating votes one correct replica in
+    /// the quorum suffices.
+    fn new_view_quorum(q: QuorumRules) -> usize {
+        q.trusted_quorum()
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        proposals: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, MinBftMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = proposals.iter().map(|(s, _, _)| *s).collect();
-        let mut stranded: Vec<SignedRequest> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.append(&mut slot.batch);
-                false
-            } else {
-                true
-            }
-        });
-        for r in stranded
-            .iter()
-            .filter(|r| !self.exec.is_executed(&r.request.id))
-        {
-            enqueue_unique(&mut self.mempool, r);
-        }
-        let max_seq = proposals
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        for (seq, digest, batch) in proposals {
-            if seq <= exec_cursor {
-                continue;
-            }
-            {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.executed {
-                    continue;
-                }
-                slot.digest = Some(digest);
-                slot.batch = batch;
-                slot.committed = false;
-                slot.sent_commit = false;
-                slot.commits.clear();
-            }
-            self.send_commit(seq, digest, ctx);
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            self.propose(ctx);
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
+    /// Nothing: the USIG makes every proposal the new leader holds
+    /// unforgeable, so it re-proposes from its own log.
+    fn report(&mut self, _: &mut Context<'_, MinBftMsg>) -> Vec<BatchEntry> {
+        Vec::new()
+    }
+
+    fn assemble(&mut self, _: View) -> Vec<BatchEntry> {
+        self.core.open_entries(|_| true)
+    }
+
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, MinBftMsg>) {
+        self.core.log.reinstall(seq, digest, batch);
+        self.send_commit(seq, digest, ctx);
+    }
+
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
+        self.propose(ctx);
     }
 }
 
@@ -482,18 +338,23 @@ impl Actor<MinBftMsg> for MinBftReplica {
     fn on_message(&mut self, from: NodeId, msg: &MinBftMsg, ctx: &mut Context<'_, MinBftMsg>) {
         match msg {
             MinBftMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, MinBftMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 enqueue_unique(&mut self.mempool, signed);
-                if self.is_leader() {
+                if self.core.is_leader() {
                     self.propose(ctx);
                 } else {
-                    let may_arm = !self.gate.in_view_change();
-                    self.intake
-                        .relay(ctx, signed, self.leader(), MinBftMsg::Request, may_arm);
+                    let may_arm = !self.core.gate.in_view_change();
+                    self.core.intake.relay(
+                        ctx,
+                        signed,
+                        self.core.leader(),
+                        MinBftMsg::Request,
+                        may_arm,
+                    );
                 }
             }
             MinBftMsg::Prepare {
@@ -503,10 +364,10 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 batch,
             } => {
                 let (view, seq, ui) = (*view, *seq, *ui);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) || ui.replica != self.leader() {
+                if from != NodeId::Replica(self.core.leader()) || ui.replica != self.core.leader() {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify); // UI attestation check
@@ -522,15 +383,9 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 }
                 let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
                 self.mempool.retain(|r| !ids.contains(&r.request.id));
-                {
-                    let slot = self.slots.entry(seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(digest) {
-                        return;
-                    }
-                    slot.digest = Some(digest);
-                    slot.batch = batch.clone();
+                if self.core.log.install(seq, digest, batch.clone()) {
+                    self.send_commit(seq, digest, ctx);
                 }
-                self.send_commit(seq, digest, ctx);
             }
             MinBftMsg::Commit {
                 view,
@@ -540,7 +395,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, ui, r) = (*view, *seq, *digest, *ui, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 if ui.replica != r || ui.digest != digest {
@@ -549,36 +404,13 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 ctx.charge_crypto(CryptoOp::Verify);
                 self.record_commit(r, seq, digest, ctx);
             }
-            MinBftMsg::ReqViewChange { new_view, from: r } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, ctx);
-            }
-            MinBftMsg::NewView { view, proposals } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, proposals.clone(), ctx);
-                }
-            }
+            MinBftMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             MinBftMsg::Reply(_) => {}
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, MinBftMsg>) {
-        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
-            if self.gate.in_view_change() {
-                let target = self
-                    .vc_votes
-                    .keys()
-                    .max()
-                    .copied()
-                    .unwrap_or(self.gate.view())
-                    .next();
-                self.start_view_change(target, ctx);
-            } else if self.intake.has_pending() {
-                let target = self.gate.view().next();
-                self.start_view_change(target, ctx);
-            }
-        }
+    fn on_timer(&mut self, id: TimerId, _: TimerKind, ctx: &mut Context<'_, MinBftMsg>) {
+        self.on_view_timer(id, ctx);
     }
 }
 

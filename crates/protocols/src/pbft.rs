@@ -37,13 +37,12 @@ use bft_sim::{
 };
 use bft_state::{CheckpointManager, Snapshot};
 use bft_types::{
-    ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View,
-    WireSize,
+    ClientId, Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    enqueue_unique, launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol,
-    Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewGate,
+    drop_ordered, launch, launch_with_clients, reply_to_client, requeue_unexecuted, Catchup,
+    ClientProtocol, Execution, Intake, Scenario, SignedRequest, SlotLog, SubmitPolicy, ViewGate,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -235,18 +234,15 @@ pub enum Behavior {
     DelayLeader(SimDuration),
 }
 
-/// One consensus slot (a sequence number within a view).
+/// PBFT's agreement state for one consensus slot (a sequence number within
+/// a view).
 #[derive(Debug, Clone, Default)]
-struct Slot {
+struct PbftSlot {
     view: View,
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
     pre_prepared: bool,
     prepares: Vec<ReplicaId>,
     commits: Vec<ReplicaId>,
     prepared: bool,
-    committed: bool,
-    executed: bool,
     /// This replica sent its commit for the slot.
     sent_commit: bool,
 }
@@ -306,6 +302,22 @@ pub enum PbftSabotage {
 }
 
 impl PbftConfig {
+    /// Charge the cost of authenticating one outgoing broadcast.
+    fn charge_broadcast_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
+        match self.auth {
+            PbftAuth::Mac => ctx.charge_crypto_n(CryptoOp::MacGen, self.q.n - 1),
+            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
+        }
+    }
+
+    /// Charge the cost of verifying one incoming message.
+    fn charge_verify_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
+        match self.auth {
+            PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacVerify),
+            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Verify),
+        }
+    }
+
     /// Config from a scenario (timeouts derived from Δ).
     pub fn from_scenario(s: &Scenario, n: usize) -> PbftConfig {
         PbftConfig {
@@ -323,6 +335,118 @@ impl PbftConfig {
     }
 }
 
+/// Enter `to` (observing the transition) unless already there.
+fn enter_stage(stage: &mut Stage, to: Stage, ctx: &mut Context<'_, PbftMsg>) {
+    if *stage != to {
+        *stage = to;
+        ctx.observe(Observation::StageEnter { stage: to });
+    }
+}
+
+/// PBFT's checkpointing stage: a snapshot every `checkpoint_interval`
+/// slots, attestations towards a stable checkpoint, and the garbage
+/// collection a stable checkpoint allows. It is driven from the execution
+/// loop (after each slot) and by peers' checkpoint messages, so it borrows
+/// the execution stage and the slot log instead of owning them.
+struct Checkpoints {
+    me: ReplicaId,
+    cfg: PbftConfig,
+    ckpt: CheckpointManager,
+    /// Local snapshots keyed by slot sequence number.
+    snapshots: BTreeMap<SeqNum, Snapshot>,
+    /// Slot seqs this replica already attested (checkpoint broadcast sent).
+    attested: BTreeMap<SeqNum, ()>,
+}
+
+impl Checkpoints {
+    fn new(me: ReplicaId, cfg: PbftConfig) -> Checkpoints {
+        Checkpoints {
+            me,
+            ckpt: CheckpointManager::new(cfg.checkpoint_interval, cfg.q.quorum()),
+            cfg,
+            snapshots: BTreeMap::new(),
+            attested: BTreeMap::new(),
+        }
+    }
+
+    fn maybe_checkpoint(
+        &mut self,
+        stage: &mut Stage,
+        exec: &mut Execution,
+        log: &mut SlotLog<PbftSlot>,
+        ctx: &mut Context<'_, PbftMsg>,
+    ) {
+        if self.cfg.checkpoint_interval == 0 {
+            return;
+        }
+        let last = exec.cursor();
+        if last.0 > 0
+            && last.0.is_multiple_of(self.cfg.checkpoint_interval)
+            && !self.attested.contains_key(&last)
+            && last > self.ckpt.low_water()
+        {
+            enter_stage(stage, Stage::Checkpointing, ctx);
+            let snap = exec.sm().snapshot();
+            let state_digest = snap.digest;
+            self.snapshots.insert(last, snap);
+            self.attested.insert(last, ());
+            self.cfg.charge_broadcast_auth(ctx);
+            let me = self.me;
+            ctx.broadcast_replicas(PbftMsg::Checkpoint {
+                seq: last,
+                state_digest,
+                from: me,
+            });
+            self.on_checkpoint(me, last, state_digest, exec, log, ctx);
+            enter_stage(stage, Stage::Ordering, ctx);
+        }
+    }
+
+    fn on_checkpoint(
+        &mut self,
+        from: ReplicaId,
+        seq: SeqNum,
+        state_digest: Digest,
+        exec: &mut Execution,
+        log: &mut SlotLog<PbftSlot>,
+        ctx: &mut Context<'_, PbftMsg>,
+    ) {
+        if from != self.me {
+            self.cfg.charge_verify_auth(ctx);
+        }
+        if let Some(proof) = self.ckpt.add_attestation(from, seq, state_digest) {
+            ctx.observe(Observation::StableCheckpoint {
+                seq: proof.seq,
+                state_digest,
+            });
+            // garbage-collect executed slots at or below the checkpoint
+            let executed_here = exec.cursor();
+            log.retain(|s, _| *s > proof.seq.min(executed_here));
+            self.snapshots.retain(|s, _| *s >= proof.seq);
+            self.attested.retain(|s, _| *s > proof.seq.prev());
+            let horizon = exec.sm().last_executed().0;
+            exec.truncate_below(SeqNum(horizon.saturating_sub(self.cfg.window)));
+            // in-dark? the cluster is at `seq` but we have not executed it
+            if executed_here < proof.seq {
+                let me = self.me;
+                ctx.observe(Observation::Marker {
+                    label: "in-dark-catchup",
+                });
+                // 2f+1 attesters: one of them is not this replica
+                if let Some(target) = proof.attesters.iter().find(|r| **r != me) {
+                    ctx.send(
+                        NodeId::Replica(*target),
+                        PbftMsg::StateRequest {
+                            from: me,
+                            have: executed_here,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A PBFT replica actor.
 pub struct PbftReplica {
     me: ReplicaId,
@@ -335,18 +459,10 @@ pub struct PbftReplica {
     gate: ViewGate<PbftMsg>,
     /// Leader-only: next sequence number to assign.
     next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, Slot>,
+    log: SlotLog<PbftSlot>,
     mempool: VecDeque<SignedRequest>,
-    /// Requests processed by `try_execute` (drives the `DropExecution`
-    /// sabotage counter; identical across replicas since execution order
-    /// is identical).
-    exec_seen: u64,
     exec: Execution,
-    ckpt: CheckpointManager,
-    /// Local snapshots keyed by slot sequence number.
-    snapshots: BTreeMap<SeqNum, Snapshot>,
-    /// Slot seqs this replica already attested (checkpoint broadcast sent).
-    attested: BTreeMap<SeqNum, ()>,
+    ckpts: Checkpoints,
     /// Collected view-change messages per target view.
     vc_msgs: BTreeMap<View, Vec<VcEntry>>,
     /// MAC mode: acks per (view, vc sender).
@@ -383,23 +499,23 @@ pub struct PbftReplica {
 impl PbftReplica {
     /// Create a replica.
     pub fn new(me: ReplicaId, cfg: PbftConfig, store: Arc<KeyStore>, behavior: Behavior) -> Self {
-        let ckpt = CheckpointManager::new(cfg.checkpoint_interval, cfg.q.quorum());
         let n = cfg.q.n;
         let view_timeout = cfg.view_timeout;
+        let dropped = match cfg.sabotage {
+            PbftSabotage::DropExecution(k) => Some(k),
+            _ => None,
+        };
         PbftReplica {
             me,
+            ckpts: Checkpoints::new(me, cfg.clone()),
             cfg,
             behavior,
             store,
             gate: ViewGate::new(),
             next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
+            log: SlotLog::default(),
             mempool: VecDeque::new(),
-            exec_seen: 0,
-            exec: Execution::new(),
-            ckpt,
-            snapshots: BTreeMap::new(),
-            attested: BTreeMap::new(),
+            exec: Execution::new().dropping_nth(dropped),
             vc_msgs: BTreeMap::new(),
             vc_acks: BTreeMap::new(),
             batch_timer: None,
@@ -423,18 +539,7 @@ impl PbftReplica {
     }
 
     fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, PbftMsg>) {
-        if self.stage != stage {
-            self.stage = stage;
-            ctx.observe(Observation::StageEnter { stage });
-        }
-    }
-
-    /// Charge the cost of authenticating one outgoing broadcast.
-    fn charge_broadcast_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        match self.cfg.auth {
-            PbftAuth::Mac => ctx.charge_crypto_n(CryptoOp::MacGen, self.cfg.q.n - 1),
-            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
-        }
+        enter_stage(&mut self.stage, stage, ctx);
     }
 
     /// What authenticating one reply to a client costs.
@@ -445,28 +550,16 @@ impl PbftReplica {
         }
     }
 
-    /// Charge the cost of verifying one incoming message.
-    fn charge_verify_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        match self.cfg.auth {
-            PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacVerify),
-            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Verify),
-        }
-    }
-
-    fn slot(&mut self, seq: SeqNum) -> &mut Slot {
-        self.slots.entry(seq).or_default()
-    }
-
     fn high_water(&self) -> SeqNum {
         if self.cfg.checkpoint_interval == 0 {
             SeqNum(u64::MAX)
         } else {
-            self.ckpt.high_water(self.cfg.window)
+            self.ckpts.ckpt.high_water(self.cfg.window)
         }
     }
 
     fn low_water(&self) -> SeqNum {
-        self.ckpt.low_water()
+        self.ckpts.ckpt.low_water()
     }
 
     // ---- request intake -------------------------------------------------
@@ -482,10 +575,8 @@ impl PbftReplica {
             .mempool
             .iter()
             .any(|r| r.request.id == signed.request.id);
-        let in_slot = self
-            .slots
-            .values()
-            .any(|s| !s.executed && s.batch.iter().any(|r| r.request.id == signed.request.id));
+        let cursor = self.exec.cursor();
+        let in_slot = (self.log.in_flight(cursor)).any(|id| id == signed.request.id);
         if in_mempool || in_slot {
             // already queued/proposed; a backup (re)starts its τ2 timer so a
             // leader swallowing the request cannot stall liveness
@@ -604,16 +695,7 @@ impl PbftReplica {
             v.sort_by_key(|r| r.request.id.client != favored);
             self.mempool = v.into();
         }
-        // drop anything already executed or sitting in an active slot
-        let active: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !active.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.exec, &self.log);
         while !self.mempool.is_empty() && self.next_seq <= self.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
@@ -646,12 +728,12 @@ impl PbftReplica {
 
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
-            self.charge_broadcast_auth(ctx);
-            let slot = self.slot(seq);
-            slot.view = view;
+            self.cfg.charge_broadcast_auth(ctx);
+            let slot = self.log.slot(seq);
             slot.digest = Some(digest);
-            slot.batch = batch.clone();
-            slot.pre_prepared = true;
+            slot.batch = Some(batch.clone());
+            slot.ext.view = view;
+            slot.ext.pre_prepared = true;
             let msg = PbftMsg::PrePrepare {
                 view,
                 seq,
@@ -678,7 +760,7 @@ impl PbftReplica {
         let da = digest_of(&batch_a);
         let db = digest_of(&batch_b);
         let n = self.cfg.q.n;
-        self.charge_broadcast_auth(ctx);
+        self.cfg.charge_broadcast_auth(ctx);
         for i in 0..n as u32 {
             let to = ReplicaId(i);
             if to == self.me {
@@ -722,14 +804,14 @@ impl PbftReplica {
         if seq <= self.low_water() || seq > self.high_water() {
             return; // outside the log window
         }
-        self.charge_verify_auth(ctx);
+        self.cfg.charge_verify_auth(ctx);
         ctx.charge_crypto(CryptoOp::Hash);
         if digest_of(&batch) != digest {
             return;
         }
         let me = self.me;
-        let slot = self.slot(seq);
-        if slot.pre_prepared && slot.view == view {
+        let slot = self.log.slot(seq);
+        if slot.ext.pre_prepared && slot.ext.view == view {
             // conflicting pre-prepare for the same (view, seq): ignore —
             // this is exactly what stops an equivocating leader
             if slot.digest != Some(digest) {
@@ -739,17 +821,17 @@ impl PbftReplica {
             }
             return;
         }
-        slot.view = view;
+        let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
         slot.digest = Some(digest);
-        slot.batch = batch;
-        slot.pre_prepared = true;
-        let ids: Vec<RequestId> = slot.batch.iter().map(|r| r.request.id).collect();
+        slot.batch = Some(batch);
+        slot.ext.view = view;
+        slot.ext.pre_prepared = true;
         // a valid pre-prepare from the current leader means we are in the
         // quorum's working view
         self.rejoining = false;
         self.mempool.retain(|r| !ids.contains(&r.request.id));
         self.arm_view_timer(ctx);
-        self.charge_broadcast_auth(ctx);
+        self.cfg.charge_broadcast_auth(ctx);
         ctx.broadcast_replicas(PbftMsg::Prepare {
             view,
             seq,
@@ -770,13 +852,14 @@ impl PbftReplica {
     ) {
         let quorum_prepare = 2 * self.cfg.q.f; // 2f prepares + pre-prepare
         let me = self.me;
-        let slot = self.slot(seq);
-        if slot.view != view && slot.pre_prepared {
+        let slot = self.log.slot(seq);
+        if slot.ext.view != view && slot.ext.pre_prepared {
             return;
         }
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
+        let slot = &mut slot.ext;
         if !slot.prepares.contains(&from) {
             slot.prepares.push(from);
         }
@@ -784,7 +867,7 @@ impl PbftReplica {
             slot.prepared = true;
             if !slot.sent_commit {
                 slot.sent_commit = true;
-                self.charge_broadcast_auth(ctx);
+                self.cfg.charge_broadcast_auth(ctx);
                 ctx.broadcast_replicas(PbftMsg::Commit {
                     view,
                     seq,
@@ -808,14 +891,14 @@ impl PbftReplica {
             PbftSabotage::CommitQuorumOffByOne => self.cfg.q.quorum() - 1,
             _ => self.cfg.q.quorum(), // 2f+1 commits
         };
-        let slot = self.slot(seq);
+        let slot = self.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.commits.contains(&from) {
-            slot.commits.push(from);
+        if !slot.ext.commits.contains(&from) {
+            slot.ext.commits.push(from);
         }
-        if slot.prepared && !slot.committed && slot.commits.len() >= quorum {
+        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
             slot.committed = true;
             ctx.observe(Observation::Commit {
                 seq,
@@ -831,60 +914,27 @@ impl PbftReplica {
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         let before = self.exec.cursor();
-        let auth = self.reply_auth();
-        loop {
-            let next = self.exec.cursor().next();
-            let Some(slot) = self.slots.get(&next) else {
-                break;
-            };
-            if !slot.committed || slot.executed {
-                break;
-            }
-            let batch = slot.batch.clone();
-            let view = slot.view;
-            self.enter_stage(Stage::Execution, ctx);
-            let mut deliver = reply_to_client(Some(auth), PbftMsg::Reply);
-            for signed in &batch {
-                let drop_this = matches!(
-                    self.cfg.sabotage,
-                    PbftSabotage::DropExecution(k) if self.exec_seen == k
-                );
-                self.exec_seen += 1;
-                if !drop_this {
-                    self.exec.execute(ctx, signed, view, &mut deliver);
-                    continue;
-                }
-                // skip the state transition entirely but answer the client
-                // with a deterministic fabricated result: every replica
-                // fabricates identically, so digests (and the digest-based
-                // safety auditor) stay unanimous
-                self.exec.mark_executed(signed.request.id);
-                let reads = signed
-                    .request
-                    .txn
-                    .ops
+        let deliver = reply_to_client(Some(self.reply_auth()), PbftMsg::Reply);
+        let (mempool, intake) = (&mut self.mempool, &mut self.intake);
+        let (stage, ckpts) = (&mut self.stage, &mut self.ckpts);
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            self.gate.view(),
+            deliver,
+            |ctx, exec, log, seq| {
+                let batch = log.get(&seq).and_then(|s| s.batch.as_deref());
+                let ids: Vec<RequestId> = batch
                     .iter()
-                    .filter(|op| !matches!(op, Op::Put(_, _) | Op::Delete(_) | Op::Work(_)));
-                let fabricated = Reply {
-                    request: signed.request.id,
-                    view,
-                    result: bft_types::TxnResult {
-                        reads: reads.map(|_| Some(0)).collect(),
-                    },
-                    state_digest: self.exec.sm().digest(),
-                    speculative: false,
-                };
-                deliver(ctx, fabricated, SeqNum(0));
-            }
-            self.slots.get_mut(&next).expect("slot exists").executed = true;
-            let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-            self.mempool.retain(|r| !ids.contains(&r.request.id));
-            self.exec.finish(ctx);
-            self.stage = Stage::Ordering;
-            // outstanding work done? disarm τ2; else re-arm
-            self.intake.disarm(ctx);
-            self.maybe_checkpoint(ctx);
-        }
+                    .flat_map(|b| b.iter().map(|r| r.request.id))
+                    .collect();
+                mempool.retain(|r| !ids.contains(&r.request.id));
+                *stage = Stage::Ordering;
+                // outstanding work done? disarm τ2; else re-arm
+                intake.disarm(ctx);
+                ckpts.maybe_checkpoint(stage, exec, log, ctx);
+            },
+        );
         if self.exec.cursor() > before {
             // execution progress means we are back in step with the quorum
             self.rejoining = false;
@@ -896,82 +946,8 @@ impl PbftReplica {
 
     // ---- checkpointing ---------------------------------------------------
 
-    fn maybe_checkpoint(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if self.cfg.checkpoint_interval == 0 {
-            return;
-        }
-        let last = self.exec.cursor();
-        if last.0 > 0
-            && last.0.is_multiple_of(self.cfg.checkpoint_interval)
-            && !self.attested.contains_key(&last)
-            && last > self.low_water()
-        {
-            self.enter_stage(Stage::Checkpointing, ctx);
-            let snap = self.exec.sm().snapshot();
-            let state_digest = snap.digest;
-            self.snapshots.insert(last, snap);
-            self.attested.insert(last, ());
-            self.charge_broadcast_auth(ctx);
-            let me = self.me;
-            ctx.broadcast_replicas(PbftMsg::Checkpoint {
-                seq: last,
-                state_digest,
-                from: me,
-            });
-            self.on_checkpoint(me, last, state_digest, ctx);
-            self.enter_stage(Stage::Ordering, ctx);
-        }
-    }
-
-    fn on_checkpoint(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        state_digest: Digest,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        if from != self.me {
-            self.charge_verify_auth(ctx);
-        }
-        if let Some(proof) = self.ckpt.add_attestation(from, seq, state_digest) {
-            ctx.observe(Observation::StableCheckpoint {
-                seq: proof.seq,
-                state_digest,
-            });
-            // garbage-collect ordered slots at or below the checkpoint
-            let executed_here = self.exec.cursor();
-            self.slots
-                .retain(|s, slot| *s > proof.seq || !slot.executed);
-            self.snapshots.retain(|s, _| *s >= proof.seq);
-            self.attested.retain(|s, _| *s > proof.seq.prev());
-            let horizon = self.exec.sm().last_executed().0;
-            self.exec
-                .truncate_below(SeqNum(horizon.saturating_sub(self.cfg.window)));
-            // in-dark? the cluster is at `seq` but we have not executed it
-            if executed_here < proof.seq {
-                let me = self.me;
-                ctx.observe(Observation::Marker {
-                    label: "in-dark-catchup",
-                });
-                let target = proof
-                    .attesters
-                    .iter()
-                    .find(|r| **r != me)
-                    .copied()
-                    .unwrap_or(self.leader());
-                ctx.send(
-                    NodeId::Replica(target),
-                    PbftMsg::StateRequest {
-                        from: me,
-                        have: executed_here,
-                    },
-                );
-            }
-        }
-    }
-
     fn on_state_request(&mut self, from: ReplicaId, have: SeqNum, ctx: &mut Context<'_, PbftMsg>) {
-        if let Some((slot_seq, snap)) = self.snapshots.iter().next_back() {
+        if let Some((slot_seq, snap)) = self.ckpts.snapshots.iter().next_back() {
             if *slot_seq > have {
                 ctx.send(
                     NodeId::Replica(from),
@@ -996,8 +972,8 @@ impl PbftReplica {
         // install: the snapshot's machine state replaces ours
         self.exec.install_snapshot(&snapshot, slot_seq);
         // drop every slot the snapshot covers
-        self.slots.retain(|s, _| *s > slot_seq);
-        self.snapshots.insert(slot_seq, snapshot);
+        self.log.retain(|s, _| *s > slot_seq);
+        self.ckpts.snapshots.insert(slot_seq, snapshot);
         self.next_seq = self.next_seq.max(slot_seq.next());
         ctx.count_state_transfer();
         if self.catchup.active() {
@@ -1041,7 +1017,7 @@ impl PbftReplica {
                 from: r,
                 ..
             } => {
-                self.charge_verify_auth(ctx);
+                self.cfg.charge_verify_auth(ctx);
                 self.record_prepare(*r, view, *seq, *digest, ctx);
             }
             PbftMsg::Commit {
@@ -1050,7 +1026,7 @@ impl PbftReplica {
                 from: r,
                 ..
             } => {
-                self.charge_verify_auth(ctx);
+                self.cfg.charge_verify_auth(ctx);
                 self.record_commit(*r, view, *seq, *digest, ctx);
             }
             _ => {}
@@ -1071,22 +1047,26 @@ impl PbftReplica {
         self.enter_stage(Stage::ViewChange, ctx);
         let stable = (
             self.low_water(),
-            self.ckpt.stable().map(|p| p.digest).unwrap_or(Digest::ZERO),
+            self.ckpts
+                .ckpt
+                .stable()
+                .map(|p| p.digest)
+                .unwrap_or(Digest::ZERO),
         );
         let prepared: Vec<PreparedEntry> = self
-            .slots
+            .log
             .iter()
-            .filter(|(seq, s)| s.prepared && **seq > stable.0)
+            .filter(|(seq, s)| s.ext.prepared && **seq > stable.0)
             .map(|(seq, s)| PreparedEntry {
                 seq: *seq,
-                view: s.view,
+                view: s.ext.view,
                 digest: s.digest.unwrap_or(Digest::ZERO),
-                batch: s.batch.clone(),
+                batch: s.batch.clone().unwrap_or_default(),
             })
             .collect();
         // view-change messages are signed even in MAC mode? No — in MAC
         // mode they are MAC'd and acks compensate; either way one auth op:
-        self.charge_broadcast_auth(ctx);
+        self.cfg.charge_broadcast_auth(ctx);
         let me = self.me;
         let msg = PbftMsg::ViewChange {
             new_view: target,
@@ -1232,7 +1212,7 @@ impl PbftReplica {
         if from != NodeId::Replica(view.leader_of(self.cfg.q.n)) {
             return;
         }
-        self.charge_verify_auth(ctx);
+        self.cfg.charge_verify_auth(ctx);
         self.install_view(view, pre_prepares, ctx);
     }
 
@@ -1256,21 +1236,8 @@ impl PbftReplica {
         // (view, seq) assignment died with the old view.
         let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
         let exec_cursor = self.exec.cursor();
-        let mut stranded: Vec<SignedRequest> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.append(&mut slot.batch);
-                false
-            } else {
-                true
-            }
-        });
-        for r in stranded
-            .iter()
-            .filter(|r| !self.exec.is_executed(&r.request.id))
-        {
-            enqueue_unique(&mut self.mempool, r);
-        }
+        let stranded = self.log.strand(exec_cursor, &re_proposed);
+        requeue_unexecuted(&mut self.mempool, &self.exec, &stranded);
 
         // adopt re-proposals: run them through the ordering machinery as if
         // they were fresh pre-prepares in the new view
@@ -1282,23 +1249,16 @@ impl PbftReplica {
         let leader = self.leader();
         let me = self.me;
         for (seq, digest, batch) in pre_prepares {
-            let slot = self.slot(seq);
-            if slot.executed {
+            if seq <= exec_cursor {
                 continue;
             }
-            slot.view = view;
-            slot.digest = Some(digest);
-            slot.batch = batch;
-            slot.pre_prepared = true;
-            slot.prepared = false;
-            slot.committed = false;
-            slot.sent_commit = false;
-            slot.prepares.clear();
-            slot.commits.clear();
-            let ids: Vec<RequestId> = slot.batch.iter().map(|r| r.request.id).collect();
+            let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
+            let slot = self.log.reinstall(seq, digest, batch);
+            slot.ext.view = view;
+            slot.ext.pre_prepared = true;
             self.mempool.retain(|r| !ids.contains(&r.request.id));
             if me != leader {
-                self.charge_broadcast_auth(ctx);
+                self.cfg.charge_broadcast_auth(ctx);
                 ctx.broadcast_replicas(PbftMsg::Prepare {
                     view,
                     seq,
@@ -1440,14 +1400,18 @@ impl Actor<PbftMsg> for PbftReplica {
                 seq,
                 state_digest,
                 from: r,
-            } => self.on_checkpoint(*r, *seq, *state_digest, ctx),
+            } => {
+                let (exec, log) = (&mut self.exec, &mut self.log);
+                self.ckpts
+                    .on_checkpoint(*r, *seq, *state_digest, exec, log, ctx)
+            }
             PbftMsg::ViewChange {
                 new_view,
                 stable,
                 prepared,
                 from: r,
             } => {
-                self.charge_verify_auth(ctx);
+                self.cfg.charge_verify_auth(ctx);
                 self.record_view_change(*r, *new_view, *stable, prepared.clone(), ctx);
             }
             PbftMsg::ViewChangeAck {
@@ -1543,24 +1507,25 @@ impl Actor<PbftMsg> for PbftReplica {
             // Volatile memory is gone; the last stable checkpoint is the
             // only durable artifact. Reload it and rebuild from there —
             // everything since comes back via catch-up.
-            let stable_seq = self.ckpt.low_water();
+            let stable_seq = self.ckpts.ckpt.low_water();
             let stable_snap = self
+                .ckpts
                 .ckpt
                 .reset_to_stable()
-                .or_else(|| self.snapshots.get(&stable_seq).cloned());
-            self.exec = Execution::new();
-            self.slots.clear();
+                .or_else(|| self.ckpts.snapshots.get(&stable_seq).cloned());
+            self.exec.reset();
+            self.log.clear();
             self.mempool.clear();
             self.vc_msgs.clear();
             self.vc_acks.clear();
             self.gate.reset();
-            self.attested.clear();
-            self.snapshots.clear();
+            self.ckpts.attested.clear();
+            self.ckpts.snapshots.clear();
             self.next_seq = SeqNum(1);
             if let Some(snap) = stable_snap {
                 self.exec.install_snapshot(&snap, stable_seq);
                 self.next_seq = stable_seq.next();
-                self.snapshots.insert(stable_seq, snap);
+                self.ckpts.snapshots.insert(stable_seq, snap);
             }
             ctx.observe(Observation::Marker {
                 label: "amnesia-restart",

@@ -28,8 +28,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewGate,
+    drop_ordered, enqueue_unique, launch, reply_to_client, BatchEntry, ClientProtocol, Core,
+    Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// PoE messages.
@@ -73,24 +73,9 @@ pub enum PoeMsg {
         /// Shares combined (≥ 2f+1).
         shares: usize,
     },
-    /// Replica → all: abandon the view; carries the certified prefix this
-    /// replica knows.
-    ViewChange {
-        /// Target view.
-        new_view: View,
-        /// Certified slots: (seq, digest, batch).
-        certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader → all.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals (certified entries survive; gaps are re-proposed
-        /// fresh).
-        assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change: votes carry every certified slot; the new-view message
+    /// the gap-free assignment sequence.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for PoeMsg {
@@ -101,22 +86,7 @@ impl WireSize for PoeMsg {
             PoeMsg::Propose { batch, .. } => 1 + 16 + 32 + batch.wire_size() + 72,
             PoeMsg::Support { .. } => 1 + 16 + 32 + 4 + 72,
             PoeMsg::Certify { .. } => 1 + 16 + 32 + 96,
-            PoeMsg::ViewChange { certified, .. } => {
-                1 + 8
-                    + certified
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
-            PoeMsg::NewView { assignments, .. } => {
-                1 + 8
-                    + assignments
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
+            PoeMsg::View(m) => m.wire_size(72, WireSize::wire_size),
         }
     }
 }
@@ -138,15 +108,10 @@ pub enum PoeBehavior {
 }
 
 #[derive(Debug, Clone, Default)]
-struct PoeSlot {
-    digest: Option<Digest>,
-    /// `None` until the proposal carrying the batch is installed: a
-    /// certificate can outrun its proposal, and an absent batch must never
-    /// be executed as an empty one.
-    batch: Option<Vec<SignedRequest>>,
+pub(crate) struct PoeSlot {
+    /// Support shares (leader only). A certified slot is the log's
+    /// `committed`: executing it is PoE's speculative commit.
     supports: Vec<ReplicaId>,
-    certified: bool,
-    executed: bool,
     /// First state-machine sequence number this slot's batch occupies
     /// (set at execution; needed to aim rollbacks).
     sm_start: Option<SeqNum>,
@@ -154,20 +119,13 @@ struct PoeSlot {
 
 /// A PoE replica.
 pub struct PoeReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<PoeMsg, PoeSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
     behavior: PoeBehavior,
-    gate: ViewGate<PoeMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, PoeSlot>,
     known: BTreeMap<RequestId, SignedRequest>,
-    exec: Execution,
-    intake: Intake,
-    vc_votes: crate::common::VcVotes,
     /// The latest new-view installed, kept to bring stale replicas up to
     /// date when their view-change messages reveal they are behind.
-    last_new_view: Option<(View, Vec<crate::common::BatchEntry>)>,
+    last_new_view: Option<ViewMsg<Vec<SignedRequest>>>,
     batch_size: usize,
     silenced: bool,
     mempool: VecDeque<SignedRequest>,
@@ -184,17 +142,10 @@ impl PoeReplica {
         batch_size: usize,
     ) -> Self {
         PoeReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new().speculative()),
             store,
             behavior,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             known: BTreeMap::new(),
-            exec: Execution::new().speculative(),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
             last_new_view: None,
             batch_size,
             silenced: false,
@@ -202,41 +153,21 @@ impl PoeReplica {
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
     fn propose(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() || self.silenced {
+        if !self.core.is_leader() || self.core.gate.in_view_change() || self.silenced {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().flatten().map(|r| r.request.id))
-            .collect();
-        let exec = &self.exec;
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id));
+        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
         while !self.mempool.is_empty() {
             let take = self.batch_size.min(self.mempool.len());
             let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = Some(batch.clone());
-            }
+            let view = self.core.gate.view();
+            self.core.log.install(seq, digest, batch.clone());
             ctx.broadcast_replicas(PoeMsg::Propose {
                 view,
                 seq,
@@ -244,7 +175,7 @@ impl PoeReplica {
                 batch,
             });
             ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-            self.record_support(self.me, seq, digest, ctx);
+            self.record_support(self.core.me, seq, digest, ctx);
         }
     }
 
@@ -255,23 +186,23 @@ impl PoeReplica {
         digest: Digest,
         ctx: &mut Context<'_, PoeMsg>,
     ) {
-        if !self.is_leader() || self.silenced {
+        if !self.core.is_leader() || self.silenced {
             return;
         }
-        let quorum = self.q.quorum();
-        let view = self.gate.view();
+        let quorum = self.core.q.quorum();
+        let view = self.core.gate.view();
         let behavior = self.behavior;
-        let slot = self.slots.entry(seq).or_default();
-        if slot.digest != Some(digest) || slot.certified {
+        let slot = self.core.log.slot(seq);
+        if slot.digest != Some(digest) || slot.committed {
             return;
         }
-        if !slot.supports.contains(&from) {
-            slot.supports.push(from);
+        if !slot.ext.supports.contains(&from) {
+            slot.ext.supports.push(from);
         }
-        if slot.supports.len() >= quorum {
-            slot.certified = true;
+        if slot.ext.supports.len() >= quorum {
+            slot.committed = true;
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
-            let shares = slot.supports.len();
+            let shares = slot.ext.supports.len();
             match behavior {
                 PoeBehavior::WithholdCertify {
                     seq: trigger,
@@ -307,206 +238,149 @@ impl PoeReplica {
     }
 
     fn on_certify(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, PoeMsg>) {
-        {
-            let slot = self.slots.entry(seq).or_default();
-            if slot.digest.is_none() {
-                slot.digest = Some(digest);
-            }
-            slot.certified = true;
-        }
+        let slot = self.core.log.slot(seq);
+        slot.digest.get_or_insert(digest);
+        slot.committed = true;
         self.try_execute(ctx);
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.certified || slot.executed {
-                break;
-            }
-            let view = self.gate.view();
-            let sm_start = self.exec.sm().last_executed().next();
+        let view = self.core.gate.view();
+        let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
+        let intake = &mut self.core.intake;
+        // a certified slot whose proposal is still in flight stops the loop
+        // (the Propose handler re-enters here)
+        self.core.exec.drain_then(
+            ctx,
+            &mut self.core.log,
+            view,
+            deliver,
             // executing *is* PoE's (speculative) commit
-            let commit = Observation::Commit {
-                seq: self.exec.cursor().next(),
-                view,
-                digest: slot.digest.unwrap_or(Digest::ZERO),
-                speculative: true,
-            };
-            let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
-            // certified but the proposal is still in flight: wait for it
-            // (the Propose handler re-enters here)
-            if !self
-                .exec
-                .run_then(ctx, slot.batch.as_deref(), view, deliver, |ctx| {
-                    ctx.observe(commit)
+            |ctx, seq, slot| {
+                ctx.observe(Observation::Commit {
+                    seq,
+                    view,
+                    digest: slot.digest.unwrap_or(Digest::ZERO),
+                    speculative: true,
                 })
-            {
-                break;
-            }
-            slot.executed = true;
-            slot.sm_start = Some(sm_start);
-            self.intake.settle(ctx, &self.exec);
-        }
+            },
+            |ctx, exec, log, seq| {
+                // the batch occupies the last state-machine sequence numbers
+                let slot = log.slot(seq);
+                let len = slot.batch.as_ref().map_or(0, Vec::len) as u64;
+                slot.ext.sm_start = Some(SeqNum(exec.sm().last_executed().0 + 1 - len));
+                intake.settle(ctx, exec);
+            },
+        );
+    }
+}
+
+/// View change with rollback.
+impl ViewChanger for PoeReplica {
+    type Msg = PoeMsg;
+    type Ext = PoeSlot;
+    type Payload = Vec<SignedRequest>;
+
+    fn core(&mut self) -> &mut Core<PoeMsg, PoeSlot, Vec<SignedRequest>> {
+        &mut self.core
     }
 
-    // ---- view change with rollback ----------------------------------------
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> PoeMsg {
+        PoeMsg::View(msg)
+    }
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PoeMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return; // already campaigning for this view or higher
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        let certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-            .slots
+    /// Every certified slot, executed or not: what this replica executed
+    /// speculatively only survives if a quorum vouches for it.
+    fn report(&mut self, _: &mut Context<'_, PoeMsg>) -> Vec<BatchEntry> {
+        self.core.log.entries_above(SeqNum(0), |s| s.committed)
+    }
+
+    /// The union of certified entries, then fresh slots for known requests
+    /// none of them covers, compacted so the sequence is gap-free from 1.
+    fn assemble(&mut self, target: View) -> Vec<BatchEntry> {
+        let union = self.core.votes.first_seen_union(target);
+        let mut assignments: Vec<(Digest, Vec<SignedRequest>)> =
+            union.into_iter().map(|(_, d, b)| (d, b)).collect();
+        let covered: Vec<RequestId> = assignments
             .iter()
-            .filter(|(_, s)| s.certified)
-            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.batch.clone()?)))
+            .flat_map(|(_, b)| b.iter().map(|r| r.request.id))
             .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(PoeMsg::ViewChange {
-            new_view: target,
-            certified: certified.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, certified, ctx);
-        self.intake.rearm(ctx);
+        let uncovered: Vec<SignedRequest> = self
+            .known
+            .values()
+            .filter(|r| !covered.contains(&r.request.id))
+            .cloned()
+            .collect();
+        for chunk in uncovered.chunks(self.batch_size.max(1)) {
+            let batch = chunk.to_vec();
+            assignments.push((digest_of(&batch), batch));
+        }
+        let numbered = assignments.into_iter().enumerate();
+        numbered
+            .map(|(i, (d, b))| (SeqNum(i as u64 + 1), d, b))
+            .collect()
     }
 
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        certified: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PoeMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
+    /// The new-view quorum carries the certificate: an adopted slot is
+    /// executable at once.
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, _: &mut Context<'_, PoeMsg>) {
+        for r in &batch {
+            let known = self.known.entry(r.request.id);
+            known.or_insert_with(|| r.clone());
         }
-        votes.push((from, certified));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            // union of certified entries; fresh assignments for known
-            // requests not covered
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            let mut assignments: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
-            for (_, certified) in &votes {
-                for (seq, digest, batch) in certified {
-                    assignments.entry(*seq).or_insert((*digest, batch.clone()));
-                }
-            }
-            // re-assign uncovered known requests to fresh slots after the max
-            let mut max_seq = assignments.keys().max().copied().unwrap_or(SeqNum(0));
-            let covered: Vec<RequestId> = assignments
-                .values()
-                .flat_map(|(_, b)| b.iter().map(|r| r.request.id))
-                .collect();
-            let uncovered: Vec<SignedRequest> = self
-                .known
-                .values()
-                .filter(|r| !covered.contains(&r.request.id))
-                .cloned()
-                .collect();
-            for chunk in uncovered.chunks(self.batch_size.max(1)) {
-                max_seq = max_seq.next();
-                let batch = chunk.to_vec();
-                let digest = digest_of(&batch);
-                assignments.insert(max_seq, (digest, batch));
-            }
-            // compact the assignment sequence so it is gap-free from 1
-            let compacted: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = assignments
-                .into_values()
-                .enumerate()
-                .map(|(i, (d, b))| (SeqNum(i as u64 + 1), d, b))
-                .collect();
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(PoeMsg::NewView {
-                view: target,
-                assignments: compacted.clone(),
-            });
-            self.install_view(target, compacted, ctx);
-        }
+        self.core.log.reinstall(seq, digest, batch).committed = true;
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        assignments: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PoeMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        self.last_new_view = Some((view, assignments.clone()));
+    /// Nothing is stranded: the assignment sequence is gap-free and every
+    /// known request is in it.
+    fn requeue(&mut self, _: Vec<SignedRequest>) {}
 
-        // rollback check: find the first executed slot whose assignment in
-        // the new view differs from what we executed
-        let mut rollback_slot: Option<SeqNum> = None;
-        for (seq, digest, _) in &assignments {
-            if let Some(slot) = self.slots.get(seq) {
-                if slot.executed && slot.digest != Some(*digest) {
-                    rollback_slot = Some(*seq);
-                    break;
-                }
-            }
-        }
-        // also: any executed slot beyond the assignment range dies
-        let max_assigned = assignments
+    fn resume(&mut self, ctx: &mut Context<'_, PoeMsg>) {
+        self.propose(ctx);
+    }
+
+    /// PoE's adoption differs from the family's in what happens *below*
+    /// the assignments: speculative executions the new view does not
+    /// confirm are rolled back first, then every slot above the (possibly
+    /// re-aimed) cursor is replaced by the assignments.
+    fn adopt_view(&mut self, assignments: Vec<BatchEntry>, ctx: &mut Context<'_, PoeMsg>) {
+        self.last_new_view = Some(ViewMsg::NewView {
+            view: self.core.gate.view(),
+            proposals: assignments.clone(),
+        });
+        // the first executed slot whose assignment differs from what we
+        // executed; failing that, any executed slot beyond the assignments
+        let cursor = self.core.exec.cursor();
+        let diverged = |(seq, digest, _): &&BatchEntry| {
+            *seq <= cursor
+                && self
+                    .core
+                    .log
+                    .get(seq)
+                    .is_some_and(|s| s.digest != Some(*digest))
+        };
+        let max_assigned = assignments.iter().map(|(s, ..)| *s).max();
+        let max_assigned = max_assigned.unwrap_or(SeqNum(0));
+        let first_bad = assignments
             .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(SeqNum(0));
-        if rollback_slot.is_none() && self.exec.cursor() > max_assigned {
-            rollback_slot = Some(max_assigned.next());
-        }
-        if let Some(first_bad) = rollback_slot {
-            if let Some(sm_start) = self.slots.get(&first_bad).and_then(|s| s.sm_start) {
-                self.exec.rollback(ctx, sm_start);
-                self.exec.set_cursor(first_bad.prev());
+            .find(diverged)
+            .map(|(seq, ..)| *seq)
+            .or_else(|| (cursor > max_assigned).then(|| max_assigned.next()));
+        if let Some(first_bad) = first_bad {
+            if let Some(sm_start) = self.core.log.get(&first_bad).and_then(|s| s.ext.sm_start) {
+                self.core.exec.rollback(ctx, sm_start);
+                self.core.exec.set_cursor(first_bad.prev());
             }
         }
-
-        // adopt assignments
-        let exec_cursor = self.exec.cursor();
-        self.slots.retain(|seq, _| *seq <= exec_cursor);
-        for (seq, digest, batch) in &assignments {
-            if *seq <= exec_cursor {
-                continue;
-            }
-            for r in batch {
-                self.known.entry(r.request.id).or_insert_with(|| r.clone());
-            }
-            let slot = self.slots.entry(*seq).or_default();
-            slot.digest = Some(*digest);
-            slot.batch = Some(batch.clone());
-            slot.certified = true; // carried by the new-view quorum
-            slot.executed = false;
-            slot.supports.clear();
+        let cursor = self.core.exec.cursor();
+        self.core.log.retain(|seq, _| *seq <= cursor);
+        for entry in assignments.into_iter().filter(|(seq, ..)| *seq > cursor) {
+            self.adopt(entry, ctx);
         }
-        self.next_seq = SeqNum(max_assigned.0.max(exec_cursor.0) + 1);
+        self.core.next_seq = max_assigned.max(cursor).next();
         self.try_execute(ctx);
-        if self.is_leader() {
-            self.propose(ctx);
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
+        if self.core.is_leader() {
+            self.resume(ctx);
         }
     }
 }
@@ -521,19 +395,24 @@ impl Actor<PoeMsg> for PoeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, PoeMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
-                if self.is_leader() {
+                if self.core.is_leader() {
                     enqueue_unique(&mut self.mempool, signed);
                     self.propose(ctx);
                 } else {
-                    let may_arm = !self.gate.in_view_change();
-                    self.intake
-                        .relay(ctx, signed, self.leader(), PoeMsg::Request, may_arm);
+                    let may_arm = !self.core.gate.in_view_change();
+                    self.core.intake.relay(
+                        ctx,
+                        signed,
+                        self.core.leader(),
+                        PoeMsg::Request,
+                        may_arm,
+                    );
                 }
             }
             PoeMsg::Propose {
@@ -543,10 +422,10 @@ impl Actor<PoeMsg> for PoeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
+                if from != NodeId::Replica(self.core.leader()) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -557,24 +436,18 @@ impl Actor<PoeMsg> for PoeReplica {
                 for r in batch.iter() {
                     self.known.entry(r.request.id).or_insert_with(|| r.clone());
                 }
-                let certified = {
-                    let slot = self.slots.entry(seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(digest) {
-                        return;
-                    }
-                    slot.digest = Some(digest);
-                    slot.batch = Some(batch.clone());
-                    slot.certified
-                };
-                if certified {
+                if !self.core.log.install(seq, digest, batch.clone()) {
+                    return;
+                }
+                if self.core.log.slot(seq).committed {
                     // late proposal for a slot whose certificate already
                     // arrived: the batch is in place, execution can resume
                     self.try_execute(ctx);
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-                let leader = self.leader();
-                let me = self.me;
+                let leader = self.core.leader();
+                let me = self.core.me;
                 ctx.send(
                     NodeId::Replica(leader),
                     PoeMsg::Support {
@@ -592,7 +465,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -605,64 +478,34 @@ impl Actor<PoeMsg> for PoeReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if shares < self.q.quorum() {
+                if shares < self.core.q.quorum() {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
                 self.on_certify(seq, digest, ctx);
             }
-            PoeMsg::ViewChange {
-                new_view,
-                certified,
-                from: r,
-            } => {
-                let (new_view, r) = (*new_view, *r);
-                ctx.charge_crypto(CryptoOp::Verify);
-                if new_view <= self.gate.view() {
-                    // the sender is behind: bring it up to date
-                    if let Some((v, assignments)) = self.last_new_view.clone() {
-                        ctx.send(
-                            NodeId::Replica(r),
-                            PoeMsg::NewView {
-                                view: v,
-                                assignments,
-                            },
-                        );
+            PoeMsg::View(vc) => {
+                if let ViewMsg::ViewChange { new_view, from, .. } = vc {
+                    if *new_view <= self.core.gate.view() {
+                        // the sender is behind: bring it up to date
+                        ctx.charge_crypto(CryptoOp::Verify);
+                        if let Some(new_view) = self.last_new_view.clone() {
+                            ctx.send(NodeId::Replica(*from), PoeMsg::View(new_view));
+                        }
+                        return;
                     }
-                    return;
                 }
-                self.record_vc(r, new_view, certified.clone(), ctx);
-            }
-            PoeMsg::NewView { view, assignments } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, assignments.clone(), ctx);
-                }
+                self.on_view_msg(from, vc, ctx);
             }
             PoeMsg::Reply(_) => {}
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, PoeMsg>) {
-        if kind == TimerKind::T2ViewChange && self.intake.fired(id) {
-            if self.gate.in_view_change() {
-                // the campaign failed: escalate to the next view
-                let target = self
-                    .vc_votes
-                    .keys()
-                    .max()
-                    .copied()
-                    .unwrap_or(self.gate.view())
-                    .next();
-                self.start_view_change(target, ctx);
-            } else if self.intake.has_pending() {
-                let target = self.gate.view().next();
-                self.start_view_change(target, ctx);
-            }
-        }
+    fn on_timer(&mut self, id: TimerId, _: TimerKind, ctx: &mut Context<'_, PoeMsg>) {
+        self.on_view_timer(id, ctx);
     }
 }
 

@@ -31,8 +31,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario, SignedRequest,
-    SubmitPolicy, ViewGate,
+    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Intake, Scenario,
+    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Prime messages.
@@ -95,22 +95,9 @@ pub enum PrimeMsg {
         /// Sender.
         from: ReplicaId,
     },
-    /// View change (performance-triggered or timeout-triggered).
-    ViewChange {
-        /// Target view.
-        new_view: View,
-        /// Prepared entries for re-proposal.
-        prepared: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader installs the view.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change (performance- or timeout-triggered): votes carry the
+    /// sender's prepared slots.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for PrimeMsg {
@@ -122,22 +109,7 @@ impl WireSize for PrimeMsg {
             PrimeMsg::PoAck { .. } => 1 + 4 + 8 + 32 + 4 + 64,
             PrimeMsg::PrePrepare { batch, .. } => 1 + 16 + 32 + batch.wire_size() + 64,
             PrimeMsg::Prepare { .. } | PrimeMsg::Commit { .. } => 1 + 16 + 32 + 4 + 64,
-            PrimeMsg::ViewChange { prepared, .. } => {
-                1 + 8
-                    + prepared
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
-            PrimeMsg::NewView { pre_prepares, .. } => {
-                1 + 8
-                    + pre_prepares
-                        .iter()
-                        .map(|(_, _, b)| 40 + b.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
+            PrimeMsg::View(m) => m.wire_size(64, WireSize::wire_size),
         }
     }
 }
@@ -154,14 +126,10 @@ pub enum PrimeBehavior {
 }
 
 #[derive(Debug, Clone, Default)]
-struct PrimeSlot {
-    digest: Option<Digest>,
-    batch: Vec<SignedRequest>,
+pub(crate) struct PrimeSlot {
     prepares: Vec<ReplicaId>,
     commits: Vec<ReplicaId>,
     prepared: bool,
-    committed: bool,
-    executed: bool,
     sent_commit: bool,
 }
 
@@ -176,21 +144,15 @@ struct PreorderEntry {
 
 /// A Prime replica.
 pub struct PrimeReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<PrimeMsg, PrimeSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
     behavior: PrimeBehavior,
-    gate: ViewGate<PrimeMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, PrimeSlot>,
     /// Preorder state keyed by (origin, origin_seq).
     preorder: BTreeMap<(ReplicaId, u64), PreorderEntry>,
     /// Requests this replica originated (origin_seq counter).
     my_origin_seq: u64,
     /// Request id → preorder key (dedup).
     by_request: BTreeMap<RequestId, (ReplicaId, u64)>,
-    exec: Execution,
-    vc_votes: crate::common::VcVotes,
     /// τ7 heartbeat timer (performance monitor).
     monitor_timer: Option<TimerId>,
     heartbeat: SimDuration,
@@ -211,18 +173,20 @@ impl PrimeReplica {
         batch_size: usize,
     ) -> Self {
         PrimeReplica {
-            me,
-            q,
+            // τ2 runs only while campaigning (in normal operation the τ7
+            // monitor holds the leader accountable), for twice the ordering
+            // bound: 4Δ, the family's view-change timeout
+            core: Core::new(
+                me,
+                q,
+                SimDuration(order_bound.0 * 2),
+                Execution::new().skipping_executed(),
+            ),
             store,
             behavior,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             preorder: BTreeMap::new(),
             my_origin_seq: 0,
             by_request: BTreeMap::new(),
-            exec: Execution::new().skipping_executed(),
-            vc_votes: BTreeMap::new(),
             monitor_timer: None,
             heartbeat,
             order_bound,
@@ -230,36 +194,28 @@ impl PrimeReplica {
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
     // ---- preordering -------------------------------------------------------
 
     fn originate(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PrimeMsg>) {
         if self.by_request.contains_key(&signed.request.id)
-            || self.exec.is_executed(&signed.request.id)
+            || self.core.exec.is_executed(&signed.request.id)
         {
             return;
         }
         self.my_origin_seq += 1;
-        let key = (self.me, self.my_origin_seq);
+        let key = (self.core.me, self.my_origin_seq);
         self.by_request.insert(signed.request.id, key);
         self.preorder.insert(
             key,
             PreorderEntry {
                 request: signed.clone(),
-                acks: vec![self.me],
+                acks: vec![self.core.me],
                 eligible_at: None,
                 ordered: false,
             },
         );
         ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
+        let me = self.core.me;
         let origin_seq = self.my_origin_seq;
         ctx.broadcast_replicas(PrimeMsg::PoRequest {
             origin: me,
@@ -288,12 +244,12 @@ impl PrimeReplica {
             eligible_at: None,
             ordered: false,
         });
-        if !entry.acks.contains(&self.me) {
-            entry.acks.push(self.me);
+        if !entry.acks.contains(&self.core.me) {
+            entry.acks.push(self.core.me);
         }
         // acknowledge all-to-all
         ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
+        let me = self.core.me;
         ctx.broadcast_replicas(PrimeMsg::PoAck {
             origin,
             origin_seq,
@@ -310,7 +266,7 @@ impl PrimeReplica {
         from: ReplicaId,
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
-        let quorum = self.q.quorum();
+        let quorum = self.core.q.quorum();
         let now = ctx.now();
         let key = (origin, origin_seq);
         let Some(entry) = self.preorder.get_mut(&key) else {
@@ -322,7 +278,7 @@ impl PrimeReplica {
         if entry.eligible_at.is_none() && entry.acks.len() >= quorum {
             entry.eligible_at = Some(now);
             ctx.observe(Observation::Marker { label: "eligible" });
-            if self.is_leader() {
+            if self.core.is_leader() {
                 self.propose_eligible(ctx);
             }
         }
@@ -331,7 +287,7 @@ impl PrimeReplica {
     // ---- ordering core (PBFT shape) ---------------------------------------
 
     fn propose_eligible(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
         loop {
@@ -342,7 +298,7 @@ impl PrimeReplica {
                 .filter(|(_, e)| {
                     e.eligible_at.is_some()
                         && !e.ordered
-                        && !self.exec.is_executed(&e.request.request.id)
+                        && !self.core.exec.is_executed(&e.request.request.id)
                 })
                 .map(|(k, e)| (*k, e.eligible_at.unwrap()))
                 .collect();
@@ -359,20 +315,16 @@ impl PrimeReplica {
             for k in &take {
                 self.preorder.get_mut(k).expect("exists").ordered = true;
             }
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
             if let PrimeBehavior::DelayLeader(d) = self.behavior {
                 ctx.charge(d); // the delay attack
             }
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = batch.clone();
-            }
+            let view = self.core.gate.view();
+            self.core.log.install(seq, digest, batch.clone());
             ctx.broadcast_replicas(PrimeMsg::PrePrepare {
                 view,
                 seq,
@@ -389,20 +341,20 @@ impl PrimeReplica {
         digest: Digest,
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
-        let quorum = 2 * self.q.f;
-        let view = self.gate.view();
-        let me = self.me;
-        let slot = self.slots.entry(seq).or_default();
+        let quorum = 2 * self.core.q.f;
+        let view = self.core.gate.view();
+        let me = self.core.me;
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.prepares.contains(&from) {
-            slot.prepares.push(from);
+        if !slot.ext.prepares.contains(&from) {
+            slot.ext.prepares.push(from);
         }
-        if slot.digest == Some(digest) && !slot.prepared && slot.prepares.len() >= quorum {
-            slot.prepared = true;
-            if !slot.sent_commit {
-                slot.sent_commit = true;
+        if slot.digest == Some(digest) && !slot.ext.prepared && slot.ext.prepares.len() >= quorum {
+            slot.ext.prepared = true;
+            if !slot.ext.sent_commit {
+                slot.ext.sent_commit = true;
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.broadcast_replicas(PrimeMsg::Commit {
                     view,
@@ -422,16 +374,16 @@ impl PrimeReplica {
         digest: Digest,
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
-        let quorum = self.q.quorum();
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let quorum = self.core.q.quorum();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.digest != Some(digest) {
             return;
         }
-        if !slot.commits.contains(&from) {
-            slot.commits.push(from);
+        if !slot.ext.commits.contains(&from) {
+            slot.ext.commits.push(from);
         }
-        if slot.prepared && !slot.committed && slot.commits.len() >= quorum {
+        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
             slot.committed = true;
             ctx.observe(Observation::Commit {
                 seq,
@@ -444,32 +396,28 @@ impl PrimeReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
+        let (by_request, preorder) = (&self.by_request, &mut self.preorder);
+        let mut send = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
+        let deliver = |ctx: &mut Context<'_, PrimeMsg>, reply: Reply, seq| {
+            // executed means ordered, whatever the monitor last saw
+            if let Some(e) = by_request
+                .get(&reply.request)
+                .and_then(|key| preorder.get_mut(key))
+            {
+                e.ordered = true;
             }
-            let (by_request, preorder) = (&self.by_request, &mut self.preorder);
-            let mut send = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
-            let view = self.gate.view();
-            self.exec
-                .run(ctx, Some(&slot.batch), view, |ctx, reply, seq| {
-                    // executed means ordered, whatever the monitor last saw
-                    if let Some(e) = by_request
-                        .get(&reply.request)
-                        .and_then(|key| preorder.get_mut(key))
-                    {
-                        e.ordered = true;
-                    }
-                    send(ctx, reply, seq);
-                });
-            slot.executed = true;
-        }
+            send(ctx, reply, seq);
+        };
+        let view = self.core.gate.view();
+        self.core
+            .exec
+            .drain(ctx, &mut self.core.log, view, deliver, |_, _, _, _| {});
     }
 
     // ---- the performance monitor (τ7) --------------------------------------
 
     fn check_leader_performance(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        if self.gate.in_view_change() {
+        if self.core.gate.in_view_change() {
             return;
         }
         let now = ctx.now();
@@ -477,7 +425,7 @@ impl PrimeReplica {
         let oldest: Option<SimTime> = self
             .preorder
             .values()
-            .filter(|e| !e.ordered && !self.exec.is_executed(&e.request.request.id))
+            .filter(|e| !e.ordered && !self.core.exec.is_executed(&e.request.request.id))
             .filter_map(|e| e.eligible_at)
             .min();
         if let Some(t) = oldest {
@@ -487,161 +435,58 @@ impl PrimeReplica {
                 ctx.observe(Observation::Marker {
                     label: "leader-underperforming",
                 });
-                let target = self.gate.view().next();
+                let target = self.core.gate.view().next();
                 self.start_view_change(target, ctx);
             }
         }
     }
+}
 
-    // ---- view change --------------------------------------------------------
+impl ViewChanger for PrimeReplica {
+    type Msg = PrimeMsg;
+    type Ext = PrimeSlot;
+    type Payload = Vec<SignedRequest>;
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PrimeMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.gate.in_view_change() && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        let prepared: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-            .slots
-            .iter()
-            .filter(|(seq, s)| s.prepared && !s.executed && **seq > self.exec.cursor())
-            .map(|(seq, s)| (*seq, s.digest.unwrap_or(Digest::ZERO), s.batch.clone()))
-            .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(PrimeMsg::ViewChange {
-            new_view: target,
-            prepared: prepared.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, prepared, ctx);
+    fn core(&mut self) -> &mut Core<PrimeMsg, PrimeSlot, Vec<SignedRequest>> {
+        &mut self.core
     }
 
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        prepared: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PrimeMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        votes.push((from, prepared));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            let mut re_proposals: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
-            for (_, prepared) in &votes {
-                for (seq, digest, batch) in prepared {
-                    re_proposals.entry(*seq).or_insert((*digest, batch.clone()));
-                }
-            }
-            let pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = re_proposals
-                .into_iter()
-                .map(|(s, (d, b))| (s, d, b))
-                .collect();
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> PrimeMsg {
+        PrimeMsg::View(msg)
+    }
+
+    /// The slots this replica holds a prepare quorum for.
+    fn report(&mut self, _: &mut Context<'_, PrimeMsg>) -> Vec<BatchEntry> {
+        self.core.open_entries(|s| s.ext.prepared)
+    }
+
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, PrimeMsg>) {
+        self.core.log.reinstall(seq, digest, batch);
+        if !self.core.is_leader() {
             ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(PrimeMsg::NewView {
-                view: target,
-                pre_prepares: pre_prepares.clone(),
+            let (view, from) = (self.core.gate.view(), self.core.me);
+            ctx.broadcast_replicas(PrimeMsg::Prepare {
+                view,
+                seq,
+                digest,
+                from,
             });
-            self.install_view(target, pre_prepares, ctx);
+            self.record_prepare(from, seq, digest, ctx);
         }
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PrimeMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
-        // dead slots: release their requests back to the eligible pool
-        let mut released: Vec<RequestId> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                released.extend(slot.batch.iter().map(|r| r.request.id));
-                false
-            } else {
-                true
-            }
-        });
-        for id in released {
-            if let Some(key) = self.by_request.get(&id) {
-                if let Some(e) = self.preorder.get_mut(key) {
-                    if !self.exec.is_executed(&id) {
-                        e.ordered = false;
-                    }
-                }
+    /// Dead slots release their requests back to the eligible pool.
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        for id in stranded.iter().map(|r| r.request.id) {
+            let key = self.by_request.get(&id);
+            if let Some(e) = key.and_then(|key| self.preorder.get_mut(key)) {
+                e.ordered &= self.core.exec.is_executed(&id);
             }
         }
-        let max_seq = pre_prepares
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        let leader = self.leader();
-        let me = self.me;
-        for (seq, digest, batch) in pre_prepares {
-            if seq <= exec_cursor {
-                continue;
-            }
-            {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.executed {
-                    continue;
-                }
-                slot.digest = Some(digest);
-                slot.batch = batch;
-                slot.prepared = false;
-                slot.committed = false;
-                slot.sent_commit = false;
-                slot.prepares.clear();
-                slot.commits.clear();
-            }
-            if me != leader {
-                ctx.charge_crypto(CryptoOp::Sign);
-                let view = self.gate.view();
-                ctx.broadcast_replicas(PrimeMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_prepare(me, seq, digest, ctx);
-            }
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            self.propose_eligible(ctx);
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
+        self.propose_eligible(ctx);
     }
 }
 
@@ -656,9 +501,9 @@ impl Actor<PrimeMsg> for PrimeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PrimeMsg, ctx: &mut Context<'_, PrimeMsg>) {
         match msg {
             PrimeMsg::Request(signed) => {
-                let view = self.gate.view();
+                let view = self.core.gate.view();
                 let answer = reply_to_client(None, PrimeMsg::Reply);
-                if Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+                if Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     self.originate(signed.clone(), ctx);
                 }
             }
@@ -685,10 +530,10 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
+                if from != NodeId::Replica(self.core.leader()) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -709,15 +554,10 @@ impl Actor<PrimeMsg> for PrimeReplica {
                             .insert(r.request.id, (ReplicaId(u32::MAX), 0));
                     }
                 }
-                {
-                    let slot = self.slots.entry(seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(digest) {
-                        return;
-                    }
-                    slot.digest = Some(digest);
-                    slot.batch = batch.clone();
+                if !self.core.log.install(seq, digest, batch.clone()) {
+                    return;
                 }
-                let me = self.me;
+                let me = self.core.me;
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.broadcast_replicas(PrimeMsg::Prepare {
                     view,
@@ -734,7 +574,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -747,26 +587,13 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
                 self.record_commit(r, seq, digest, ctx);
             }
-            PrimeMsg::ViewChange {
-                new_view,
-                prepared,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, prepared.clone(), ctx);
-            }
-            PrimeMsg::NewView { view, pre_prepares } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, pre_prepares.clone(), ctx);
-                }
-            }
+            PrimeMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             PrimeMsg::Reply(_) => {}
         }
     }
@@ -775,6 +602,8 @@ impl Actor<PrimeMsg> for PrimeReplica {
         if kind == TimerKind::T7Heartbeat && Some(id) == self.monitor_timer {
             self.check_leader_performance(ctx);
             self.monitor_timer = Some(ctx.set_timer(TimerKind::T7Heartbeat, self.heartbeat));
+        } else {
+            self.on_view_timer(id, ctx);
         }
     }
 }
@@ -826,6 +655,29 @@ mod tests {
 
     fn throughput(out: &RunOutcome) -> f64 {
         accepted(out) as f64 / (out.end_time.0 as f64 / 1e9)
+    }
+
+    /// Regression: the leader is down and the leader of the next view is
+    /// mute, so the new-view message of view 1 is never heard. Prime armed
+    /// no timer while campaigning (and its τ7 monitor stands down during a
+    /// view change), so it never left that view change; τ2 now escalates
+    /// the stuck campaign to view 2.
+    #[test]
+    fn lost_new_view_is_retried() {
+        use bft_sim::{AdversarySpec, Attack, FaultPlan, NodeId};
+        let s = Scenario::small(2)
+            .with_load(1, 10)
+            .with_faults(FaultPlan::none().crash(NodeId::replica(0), SimTime::ZERO))
+            .with_adversaries(vec![AdversarySpec::new(1, Attack::mute())]);
+        let out = run(&s, &[]);
+        let suspects = vec![NodeId::replica(0), NodeId::replica(1)];
+        SafetyAuditor::excluding(suspects).assert_safe(&out.log);
+        assert!(
+            out.log.max_view() >= View(2),
+            "got {:?}",
+            out.log.max_view()
+        );
+        assert_eq!(accepted(&out), 10);
     }
 
     #[test]

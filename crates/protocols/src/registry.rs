@@ -193,31 +193,12 @@ impl ProtocolId {
             // was fixed first; PoE's went when the shared execution stage
             // made "no batch, no execution" an invariant. Both measure
             // clean unscoped (SBFT 100 seeds, PoE 300) and carry the full
-            // envelope.
-            // Campaign finding: HotStuff also diverges when a slowed link
-            // (which reorders across links) or a pre-GST storm perturbs
-            // delivery order.
-            ProtocolId::HotStuff => ChaosTolerance {
-                slow_links: false,
-                reordering: false,
-                gst_storm: false,
-                ..ChaosTolerance::full()
-            },
-            // Campaign findings: Kauri's tree aggregation diverges whenever
-            // delivery order through the tree is perturbed — post-GST
-            // reordering, pre-GST drop storms, a slowed internal link,
-            // transient isolation of an internal node, crash churn of the
-            // root, and even non-root crash churn once duplication is in
-            // play. Only benign-network misbehavior (duplication) stays
-            // within its envelope.
-            ProtocolId::Kauri => ChaosTolerance {
-                crashes: false,
-                leader_crash: false,
-                partitions: false,
-                slow_links: false,
-                reordering: false,
-                gst_storm: false,
-            },
+            // envelope. So do HotStuff and Kauri since the same defect went
+            // there too — a commit QC that outruns its proposal waits for
+            // the batch. HotStuff's slow-link, reordering and GST-storm
+            // exclusions and Kauri's whole list (it tolerated duplication
+            // only) measure clean: 120 seeds per class, 400 with all of
+            // them on.
             // Campaign finding: speculative client-side commitment tolerates
             // reordering and GST storms in isolation but strands requests
             // when both hit the same run.
@@ -226,28 +207,31 @@ impl ProtocolId {
                 ..ChaosTolerance::full()
             },
             // Campaign findings: order-fair preordering loses a request
-            // when reordering rides on crash churn plus a healed partition,
-            // and a pre-GST drop storm alone can stall it completely.
+            // when reordering rides on crash churn plus a healed partition;
+            // a pre-GST drop storm stalls it when it rides on crash churn
+            // (1 of 400 seeds; ddmin: r2 crashes at 4.0 ms, recovers at
+            // 5.9 ms, crashes again at 10.5 ms under GST 46 ms, drop 0.18).
             ProtocolId::Fair => ChaosTolerance {
                 reordering: false,
                 gst_storm: false,
                 ..ChaosTolerance::full()
             },
             // Campaign findings: the Δ-wait rotation never recovers after a
-            // pre-GST drop storm (0/N requests accepted); reordered
-            // proposals diverge state and stall progress — a single slowed
-            // link (which reorders across links) is already enough; and
-            // crash churn concurrent with a healed partition stalls rounds
-            // permanently.
+            // pre-GST drop storm (0/N requests accepted), and crash churn
+            // concurrent with a healed partition or with reordering stalls
+            // rounds permanently (ddmin: one crashed replica under
+            // reorder 0.22). State no longer diverges — a precommit quorum
+            // that outruns its proposal waits for the batch — so slowed
+            // links are back in the envelope (400 seeds clean).
             ProtocolId::Tendermint | ProtocolId::TendermintInformed => ChaosTolerance {
                 partitions: false,
-                slow_links: false,
                 reordering: false,
                 gst_storm: false,
                 ..ChaosTolerance::full()
             },
-            // Campaign finding: preordering timers do not always resume
-            // after a pre-GST drop storm.
+            // Campaign finding: 1 of 120 storm-class seeds stalls (0/8) —
+            // ddmin: r0 isolated 8.2–28.7 ms plus r1→r0 slowed by 1 ms,
+            // under duplication 0.23 and reordering 0.19.
             ProtocolId::Prime => ChaosTolerance {
                 gst_storm: false,
                 ..ChaosTolerance::full()
@@ -262,11 +246,10 @@ impl ProtocolId {
     ///
     /// The exclusions below are measured findings from the unscoped
     /// campaign (`BFT_BYZ_UNSCOPED=1`, 15 seeds per protocol per attack
-    /// class; see EXPERIMENTS.md, "Byzantine tolerance envelopes"). Most
-    /// are liveness deficits, but three are *safety* escapes among the
-    /// honest replicas: PoE diverges state under strategic delay, and
-    /// HotStuff and Kauri diverge when corruption (rejected at the wire,
-    /// so effectively relay loss) perturbs dissemination. Like the chaos
+    /// class; see EXPERIMENTS.md, "Byzantine tolerance envelopes"). All
+    /// that remain are liveness deficits: the safety escapes once listed
+    /// here (SBFT, PoE, HotStuff, Kauri) were one defect — executing a
+    /// slot whose batch had not arrived — and are repaired. Like the chaos
     /// findings, the flags scope the generator so the remaining envelope
     /// is enforced in CI while the gap stays recorded executably.
     pub fn byzantine_tolerance(self) -> ByzantineTolerance {
@@ -328,30 +311,29 @@ impl ProtocolId {
                 corruption: false,
                 ..ByzantineTolerance::full()
             },
-            // Campaign findings — SAFETY: HotStuff's chained commits
-            // assume order-consistent delivery, and every wire attack
-            // that perturbs it diverges honest state: corruption
-            // (wire-rejected, so relay loss; seed 4), strategic holds
-            // (seed 50), and replay+equivocate stacks on the leader
-            // (seeds 47, 49). Only censorship and replay alone are
-            // absorbed.
+            // HotStuff's former safety exclusions (state diverging under
+            // corruption, strategic holds and replay+equivocate stacks:
+            // seeds 4, 47, 49, 50) were commit QCs outrunning their
+            // proposals and executing empty placeholders; delay and
+            // corruption measure clean now (400 seeds each and together).
+            // What remains is liveness: an equivocate+censor stack on the
+            // leader strands requests (2/8; ddmin
+            // `r0:equivocate(p=0.51)+censor(r3, both)`).
             ProtocolId::HotStuff => ByzantineTolerance {
                 equivocation: false,
-                delay: false,
-                corruption: false,
                 ..ByzantineTolerance::full()
             },
             // Campaign findings: through Kauri's aggregation tree a
             // compromised internal node is a single point of dissemination
-            // — corruption (wire-rejected, so relay loss) makes honest
-            // roots commit divergent state (SAFETY, seed 4), and totally
-            // censoring one internal node severs its subtree for good
-            // (0/8, ddmin-minimal `r1:censor(all, both)`); near-timeout
-            // holds on the root likewise strand the last batch (7/8).
+            // — totally censoring one severs its subtree for good (0/8,
+            // ddmin-minimal `r1:censor(all, both)`), and near-timeout holds
+            // on the root strand the last batch (7/8). The former SAFETY
+            // exclusion for corruption (wire-rejected, so relay loss: an
+            // empty placeholder executed in place of the lost proposal) is
+            // repaired and measures clean over 400 seeds.
             ProtocolId::Kauri => ByzantineTolerance {
                 censorship: false,
                 delay: false,
-                corruption: false,
                 ..ByzantineTolerance::full()
             },
             // Campaign findings: order-fair batching amplifies equivocated
@@ -398,11 +380,8 @@ impl ProtocolId {
     /// Campaign finding (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
     /// 40-request workloads; see EXPERIMENTS.md, "Recovery campaign"):
     /// every protocol rides out the full churn gallery on a clean network
-    /// — 1700 cases, zero violations. Even Kauri, whose *chaos* envelope
-    /// excludes crash churn, survives here: its tree aggregation only
-    /// diverges when duplication or reordering ride along with the churn,
-    /// and the recovery mode generates neither. So no protocol carries a
-    /// measured `durable` exclusion.
+    /// — 1700 cases, zero violations. So no protocol carries a measured
+    /// `durable` exclusion.
     pub fn recovery_tolerance(self) -> RecoveryTolerance {
         match self {
             // The PBFT family implements the full amnesia-restart path:

@@ -33,7 +33,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, ClientProtocol, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewGate,
+    launch, BatchEntry, ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest,
+    SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// SBFT protocol messages.
@@ -122,23 +123,8 @@ pub enum SbftMsg {
         /// Signer.
         from: ReplicaId,
     },
-    /// Replica → all: abandon the view, carrying signed-but-unexecuted
-    /// slots for re-proposal.
-    ViewChange {
-        /// Target view.
-        new_view: View,
-        /// (seq, digest, batch) this replica produced shares for.
-        signed_slots: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader → all: install view with re-proposals.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// Re-proposals.
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change: votes carry the signed-but-unexecuted slots.
+    View(ViewMsg<Vec<SignedRequest>>),
 }
 
 impl WireSize for SbftMsg {
@@ -153,34 +139,13 @@ impl WireSize for SbftMsg {
             | SbftMsg::CommitProof { .. }
             | SbftMsg::FullExecuteProof { .. } => 1 + 16 + 32 + ThresholdSig::WIRE_SIZE,
             SbftMsg::ExecShare { reply, .. } => 1 + 8 + 16 + 32 + reply.wire_size() + 72,
-            SbftMsg::ViewChange { signed_slots, .. } => {
-                1 + 8
-                    + signed_slots
-                        .iter()
-                        .map(|(_, _, b)| 8 + 32 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
-            SbftMsg::NewView { pre_prepares, .. } => {
-                1 + 8
-                    + pre_prepares
-                        .iter()
-                        .map(|(_, _, b)| 8 + 32 + b.wire_size())
-                        .sum::<usize>()
-                    + 72
-            }
+            SbftMsg::View(m) => m.wire_size(72, WireSize::wire_size),
         }
     }
 }
 
 #[derive(Debug, Clone, Default)]
-struct SbftSlot {
-    digest: Option<Digest>,
-    /// `None` until the pre-prepare carrying the batch is installed: a
-    /// commit certificate can outrun its (delayed) pre-prepare, and
-    /// executing an empty placeholder would silently skip the slot's
-    /// requests and desynchronize this replica's execution stream for good.
-    batch: Option<Vec<SignedRequest>>,
+pub(crate) struct SbftSlot {
     /// First-round shares (collector only).
     shares: Vec<ReplicaId>,
     /// Second-round shares (collector only, slow path).
@@ -189,8 +154,6 @@ struct SbftSlot {
     signed: bool,
     /// Slow-path state: prepared via CommitProof.
     prepared: bool,
-    committed: bool,
-    executed: bool,
     /// Collector: τ3 timer for the fast path.
     t3: Option<TimerId>,
     /// Collector already certified (fast or slow).
@@ -236,17 +199,10 @@ impl ThresholdReplies {
 
 /// An SBFT replica (the leader doubles as the collector).
 pub struct SbftReplica {
-    me: ReplicaId,
-    q: QuorumRules,
+    core: Core<SbftMsg, SbftSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
-    gate: ViewGate<SbftMsg>,
-    next_seq: SeqNum,
-    slots: BTreeMap<SeqNum, SbftSlot>,
     known: BTreeMap<RequestId, SignedRequest>,
-    exec: Execution,
-    intake: Intake,
     replies: ThresholdReplies,
-    vc_votes: crate::common::VcVotes,
     /// τ3 duration: how long the collector waits for the full share set.
     t3_timeout: SimDuration,
     batch_size: usize,
@@ -263,59 +219,38 @@ impl SbftReplica {
         batch_size: usize,
     ) -> Self {
         SbftReplica {
-            me,
-            q,
+            core: Core::new(me, q, view_timeout, Execution::new()),
             store,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            slots: BTreeMap::new(),
             known: BTreeMap::new(),
-            exec: Execution::new(),
-            intake: Intake::new(view_timeout),
             replies: ThresholdReplies::default(),
-            vc_votes: BTreeMap::new(),
             t3_timeout,
             batch_size,
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
     fn propose_known(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        let in_slots: Vec<RequestId> = self
-            .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().flatten().map(|r| r.request.id))
-            .collect();
+        let cursor = self.core.exec.cursor();
+        let in_slots: Vec<RequestId> = self.core.log.in_flight(cursor).collect();
         let todo: Vec<SignedRequest> = self
             .known
             .values()
-            .filter(|r| !self.exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id))
+            .filter(|r| {
+                !self.core.exec.is_executed(&r.request.id) && !in_slots.contains(&r.request.id)
+            })
             .cloned()
             .collect();
         for chunk in todo.chunks(self.batch_size.max(1)) {
             let batch = chunk.to_vec();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
+            let seq = self.core.next_seq;
+            self.core.next_seq = self.core.next_seq.next();
             let digest = digest_of(&batch);
             ctx.charge_crypto(CryptoOp::Hash);
             ctx.charge_crypto(CryptoOp::Sign);
-            let view = self.gate.view();
-            {
-                let slot = self.slots.entry(seq).or_default();
-                slot.digest = Some(digest);
-                slot.batch = Some(batch.clone());
-            }
+            let view = self.core.gate.view();
+            self.core.log.install(seq, digest, batch.clone());
             ctx.broadcast_replicas(SbftMsg::PrePrepare {
                 view,
                 seq,
@@ -325,13 +260,13 @@ impl SbftReplica {
             // the collector contributes its own share and starts τ3
             self.sign_slot(seq, digest, ctx);
             let t3 = ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout);
-            self.slots.entry(seq).or_default().t3 = Some(t3);
-            self.record_share(self.me, seq, digest, ctx);
+            self.core.log.slot(seq).ext.t3 = Some(t3);
+            self.record_share(self.core.me, seq, digest, ctx);
         }
     }
 
     fn sign_slot(&mut self, seq: SeqNum, _digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
-        let slot = self.slots.entry(seq).or_default();
+        let slot = &mut self.core.log.slot(seq).ext;
         if !slot.signed {
             slot.signed = true;
             ctx.charge_crypto(CryptoOp::ThresholdShareGen);
@@ -345,15 +280,16 @@ impl SbftReplica {
         digest: Digest,
         ctx: &mut Context<'_, SbftMsg>,
     ) {
-        if !self.is_leader() {
+        if !self.core.is_leader() {
             return;
         }
-        let n = self.q.n;
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
-        if slot.digest != Some(digest) || slot.certified {
+        let n = self.core.q.n;
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
+        if slot.digest != Some(digest) || slot.ext.certified {
             return;
         }
+        let slot = &mut slot.ext;
         if !slot.shares.contains(&from) {
             slot.shares.push(from);
         }
@@ -378,16 +314,16 @@ impl SbftReplica {
 
     fn on_t3(&mut self, seq: SeqNum, ctx: &mut Context<'_, SbftMsg>) {
         // fast path failed: fall back to the slow (two extra linear phases)
-        let view = self.gate.view();
-        let quorum = self.q.quorum();
-        let slot = self.slots.entry(seq).or_default();
-        if slot.certified || slot.digest.is_none() {
+        let view = self.core.gate.view();
+        let quorum = self.core.q.quorum();
+        let slot = self.core.log.slot(seq);
+        let Some(digest) = slot.digest.filter(|_| !slot.ext.certified) else {
             return;
-        }
+        };
+        let slot = &mut slot.ext;
         slot.t3 = None;
         if slot.shares.len() >= quorum {
             slot.certified = true;
-            let digest = slot.digest.expect("checked");
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             ctx.observe(Observation::Marker { label: "slow-path" });
             ctx.broadcast_replicas(SbftMsg::CommitProof {
@@ -401,20 +337,19 @@ impl SbftReplica {
         } else {
             // not even a quorum of shares: keep waiting; τ2-equivalent view
             // change pressure comes from clients re-broadcasting
-            let t3 = ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout);
-            self.slots.entry(seq).or_default().t3 = Some(t3);
+            slot.t3 = Some(ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout));
         }
     }
 
     fn on_commit_proof(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
-        let view = self.gate.view();
-        let me = self.me;
-        let leader = self.leader();
-        let slot = self.slots.entry(seq).or_default();
+        let view = self.core.gate.view();
+        let me = self.core.me;
+        let leader = self.core.leader();
+        let slot = self.core.log.slot(seq);
         if slot.committed {
             return;
         }
-        slot.prepared = true;
+        slot.ext.prepared = true;
         ctx.charge_crypto(CryptoOp::ThresholdVerify);
         ctx.charge_crypto(CryptoOp::ThresholdShareGen);
         if me == leader {
@@ -439,19 +374,19 @@ impl SbftReplica {
         digest: Digest,
         ctx: &mut Context<'_, SbftMsg>,
     ) {
-        if !self.is_leader() {
+        if !self.core.is_leader() {
             return;
         }
-        let quorum = self.q.quorum();
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let quorum = self.core.q.quorum();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.digest != Some(digest) || slot.committed {
             return;
         }
-        if !slot.commit_shares.contains(&from) {
-            slot.commit_shares.push(from);
+        if !slot.ext.commit_shares.contains(&from) {
+            slot.ext.commit_shares.push(from);
         }
-        if slot.commit_shares.len() >= quorum {
+        if slot.ext.commit_shares.len() >= quorum {
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             ctx.broadcast_replicas(SbftMsg::FullExecuteProof { view, seq, digest });
             self.commit_slot(seq, digest, ctx);
@@ -459,8 +394,8 @@ impl SbftReplica {
     }
 
     fn commit_slot(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
-        let view = self.gate.view();
-        let slot = self.slots.entry(seq).or_default();
+        let view = self.core.gate.view();
+        let slot = self.core.log.slot(seq);
         if slot.committed {
             return;
         }
@@ -483,193 +418,40 @@ impl SbftReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        let (me, leader, weak) = (self.me, self.leader(), self.q.weak());
-        while let Some(slot) = self.slots.get_mut(&self.exec.cursor().next()) {
-            if !slot.committed || slot.executed {
-                break;
-            }
-            let next = self.exec.cursor().next();
-            let replies = &mut self.replies;
-            // execution share to the collector (threshold reply)
-            let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
-                ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-                if me == leader {
-                    replies.record(weak, me, next, reply, ctx);
-                } else {
-                    ctx.send(
-                        NodeId::Replica(leader),
-                        SbftMsg::ExecShare {
-                            seq: next,
-                            request: reply.request,
-                            state_digest: reply.state_digest,
-                            reply,
-                            from: me,
-                        },
-                    );
-                }
-            };
-            // no batch yet (the certificate outran its pre-prepare): the
-            // late pre-prepare re-enters here once it fills the batch in
-            if !self
-                .exec
-                .run(ctx, slot.batch.as_deref(), self.gate.view(), share)
-            {
-                break;
-            }
-            slot.executed = true;
-            self.intake.settle(ctx, &self.exec);
-        }
-    }
-
-    // ---- view change (PBFT-pattern, signatures) ---------------------------
-
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, SbftMsg>) {
-        if target <= self.gate.view() || self.gate.in_view_change() {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        let signed_slots: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = self
-            .slots
-            .iter()
-            .filter(|(seq, s)| s.signed && !s.executed && **seq > self.exec.cursor())
-            .filter_map(|(seq, s)| Some((*seq, s.digest?, s.batch.clone()?)))
-            .collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        ctx.broadcast_replicas(SbftMsg::ViewChange {
-            new_view: target,
-            signed_slots: signed_slots.clone(),
-            from: me,
-        });
-        self.record_vc(me, target, signed_slots, ctx);
-        self.intake.rearm(ctx);
-    }
-
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        signed_slots: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, SbftMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        votes.push((from, signed_slots));
-        let have = votes.len();
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            let votes = self.vc_votes.get(&target).cloned().unwrap_or_default();
-            let mut re_proposals: BTreeMap<SeqNum, (Digest, Vec<SignedRequest>)> = BTreeMap::new();
-            for (_, slots) in &votes {
-                for (seq, digest, batch) in slots {
-                    re_proposals.entry(*seq).or_insert((*digest, batch.clone()));
-                }
-            }
-            let pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = re_proposals
-                .into_iter()
-                .map(|(s, (d, b))| (s, d, b))
-                .collect();
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(SbftMsg::NewView {
-                view: target,
-                pre_prepares: pre_prepares.clone(),
-            });
-            self.install_view(target, pre_prepares, ctx);
-        }
-    }
-
-    fn install_view(
-        &mut self,
-        view: View,
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, SbftMsg>,
-    ) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        // drop dead slots, remember their requests
-        let exec_cursor = self.exec.cursor();
-        let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
-        let mut stranded: Vec<SignedRequest> = Vec::new();
-        self.slots.retain(|seq, slot| {
-            if *seq > exec_cursor && !slot.executed && !re_proposed.contains(seq) {
-                stranded.extend(slot.batch.take().unwrap_or_default());
-                false
-            } else {
-                true
-            }
-        });
-        for r in stranded {
-            self.known.entry(r.request.id).or_insert(r);
-        }
-        let max_seq = pre_prepares
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(exec_cursor);
-        let leader = self.leader();
-        let me = self.me;
-        for (seq, digest, batch) in pre_prepares {
-            if seq <= exec_cursor {
-                continue;
-            }
-            {
-                let slot = self.slots.entry(seq).or_default();
-                if slot.executed {
-                    continue;
-                }
-                slot.digest = Some(digest);
-                slot.batch = Some(batch);
-                slot.signed = false;
-                slot.certified = false;
-                slot.committed = false;
-                slot.prepared = false;
-                slot.shares.clear();
-                slot.commit_shares.clear();
-            }
-            self.sign_slot(seq, digest, ctx);
+        let (me, leader, weak) = (self.core.me, self.core.leader(), self.core.q.weak());
+        let (replies, intake) = (&mut self.replies, &mut self.core.intake);
+        // the slot being executed: exec shares are per (slot, request)
+        let slot = std::cell::Cell::new(self.core.exec.cursor().next());
+        // execution share to the collector (threshold reply)
+        let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
+            ctx.charge_crypto(CryptoOp::ThresholdShareGen);
             if me == leader {
-                let t3 = ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout);
-                self.slots.entry(seq).or_default().t3 = Some(t3);
-                self.record_share(me, seq, digest, ctx);
+                replies.record(weak, me, slot.get(), reply, ctx);
             } else {
-                let view = self.gate.view();
                 ctx.send(
                     NodeId::Replica(leader),
-                    SbftMsg::SignShare {
-                        view,
-                        seq,
-                        digest,
+                    SbftMsg::ExecShare {
+                        seq: slot.get(),
+                        request: reply.request,
+                        state_digest: reply.state_digest,
+                        reply,
                         from: me,
                     },
                 );
             }
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            self.propose_known(ctx);
-        }
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
-        }
+        };
+        // a slot whose certificate outran its pre-prepare stops the loop;
+        // the late pre-prepare re-enters here once it fills the batch in
+        self.core.exec.drain(
+            ctx,
+            &mut self.core.log,
+            self.core.gate.view(),
+            share,
+            |ctx, exec, _, _| {
+                slot.set(exec.cursor().next());
+                intake.settle(ctx, exec);
+            },
+        );
     }
 
     /// A retransmission of an executed request: only the combined threshold
@@ -679,29 +461,82 @@ impl SbftReplica {
     fn answer_retransmission(&mut self, id: RequestId, ctx: &mut Context<'_, SbftMsg>) {
         if let Some(reply) = self.replies.combined.get(&id).cloned() {
             ctx.send(NodeId::Client(id.client), SbftMsg::Reply(reply));
-        } else if !self.is_leader() {
+        } else if !self.core.is_leader() {
             // re-send our exec share so the collector can (re-)combine the
             // threshold reply
-            let seq = self
-                .slots
-                .iter()
-                .find(|(_, s)| s.executed && s.batch.iter().flatten().any(|r| r.request.id == id))
-                .map(|(seq, _)| *seq);
-            let reply = self.exec.cached_reply(id, self.gate.view());
+            let executed = self.core.log.range(..=self.core.exec.cursor());
+            let seq = executed
+                .filter(|(_, s)| s.batch.iter().flatten().any(|r| r.request.id == id))
+                .map(|(seq, _)| *seq)
+                .next();
+            let reply = self.core.exec.cached_reply(id, self.core.gate.view());
             if let (Some(seq), Some(reply)) = (seq, reply) {
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
                 ctx.send(
-                    NodeId::Replica(self.leader()),
+                    NodeId::Replica(self.core.leader()),
                     SbftMsg::ExecShare {
                         seq,
                         request: id,
                         state_digest: reply.state_digest,
                         reply,
-                        from: self.me,
+                        from: self.core.me,
                     },
                 );
             }
         }
+    }
+}
+
+/// View change, PBFT-pattern over signatures.
+impl ViewChanger for SbftReplica {
+    type Msg = SbftMsg;
+    type Ext = SbftSlot;
+    type Payload = Vec<SignedRequest>;
+
+    fn core(&mut self) -> &mut Core<SbftMsg, SbftSlot, Vec<SignedRequest>> {
+        &mut self.core
+    }
+
+    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> SbftMsg {
+        SbftMsg::View(msg)
+    }
+
+    /// The slots this replica produced a share for: any of them may have
+    /// been certified without this replica hearing of it.
+    fn report(&mut self, _: &mut Context<'_, SbftMsg>) -> Vec<BatchEntry> {
+        self.core.open_entries(|s| s.ext.signed)
+    }
+
+    fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, SbftMsg>) {
+        self.core.log.reinstall(seq, digest, batch);
+        self.sign_slot(seq, digest, ctx);
+        let (from, leader) = (self.core.me, self.core.leader());
+        if from == leader {
+            let t3 = ctx.set_timer(TimerKind::T3BackupFailure, self.t3_timeout);
+            self.core.log.slot(seq).ext.t3 = Some(t3);
+            self.record_share(from, seq, digest, ctx);
+        } else {
+            let view = self.core.gate.view();
+            let share = SbftMsg::SignShare {
+                view,
+                seq,
+                digest,
+                from,
+            };
+            ctx.send(NodeId::Replica(leader), share);
+        }
+    }
+
+    /// Stranded requests go back to the known set the next leader proposes
+    /// from.
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        for r in stranded {
+            self.known.entry(r.request.id).or_insert(r);
+        }
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, SbftMsg>) {
+        self.propose_known(ctx);
     }
 }
 
@@ -718,17 +553,22 @@ impl Actor<SbftMsg> for SbftReplica {
                 if !Intake::verify(ctx, &self.store, signed) {
                     return;
                 }
-                if self.exec.is_executed(&signed.request.id) {
+                if self.core.exec.is_executed(&signed.request.id) {
                     self.answer_retransmission(signed.request.id, ctx);
                     return;
                 }
                 self.known.insert(signed.request.id, signed.clone());
-                if self.is_leader() {
+                if self.core.is_leader() {
                     self.propose_known(ctx);
                 } else {
-                    let may_arm = !self.gate.in_view_change();
-                    self.intake
-                        .relay(ctx, signed, self.leader(), SbftMsg::Request, may_arm);
+                    let may_arm = !self.core.gate.in_view_change();
+                    self.core.intake.relay(
+                        ctx,
+                        signed,
+                        self.core.leader(),
+                        SbftMsg::Request,
+                        may_arm,
+                    );
                 }
             }
             SbftMsg::PrePrepare {
@@ -738,10 +578,10 @@ impl Actor<SbftMsg> for SbftReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
+                if from != NodeId::Replica(self.core.leader()) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -749,24 +589,18 @@ impl Actor<SbftMsg> for SbftReplica {
                 if digest_of(batch) != digest {
                     return;
                 }
-                let committed = {
-                    let slot = self.slots.entry(seq).or_default();
-                    if slot.digest.is_some() && slot.digest != Some(digest) {
-                        return;
-                    }
-                    slot.digest = Some(digest);
-                    slot.batch = Some(batch.clone());
-                    slot.committed
-                };
-                if committed {
+                if !self.core.log.install(seq, digest, batch.clone()) {
+                    return;
+                }
+                if self.core.log.slot(seq).committed {
                     // late pre-prepare for a slot whose certificate already
                     // arrived: the batch is in place, execution can resume
                     self.try_execute(ctx);
                     return;
                 }
                 self.sign_slot(seq, digest, ctx);
-                let leader = self.leader();
-                let me = self.me;
+                let leader = self.core.leader();
+                let me = self.core.me;
                 ctx.send(
                     NodeId::Replica(leader),
                     SbftMsg::SignShare {
@@ -784,7 +618,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -797,17 +631,13 @@ impl Actor<SbftMsg> for SbftReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if shares < self.q.n {
+                if shares < self.core.q.n {
                     return; // not a valid fast-path certificate
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
-                let slot = self.slots.entry(seq).or_default();
-                if slot.digest.is_none() {
-                    slot.digest = Some(digest);
-                }
                 self.commit_slot(seq, digest, ctx);
             }
             SbftMsg::CommitProof {
@@ -817,10 +647,10 @@ impl Actor<SbftMsg> for SbftReplica {
                 shares,
             } => {
                 let (view, seq, digest, shares) = (*view, *seq, *digest, *shares);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
-                if shares < self.q.quorum() {
+                if shares < self.core.q.quorum() {
                     return;
                 }
                 self.on_commit_proof(seq, digest, ctx);
@@ -832,7 +662,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -840,7 +670,7 @@ impl Actor<SbftMsg> for SbftReplica {
             }
             SbftMsg::FullExecuteProof { view, seq, digest } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.core.gate.admit(from, view, msg) {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
@@ -852,26 +682,13 @@ impl Actor<SbftMsg> for SbftReplica {
                 from: r,
                 ..
             } => {
-                if self.is_leader() {
+                if self.core.is_leader() {
                     ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
                     self.replies
-                        .record(self.q.weak(), *r, *seq, reply.clone(), ctx);
+                        .record(self.core.q.weak(), *r, *seq, reply.clone(), ctx);
                 }
             }
-            SbftMsg::ViewChange {
-                new_view,
-                signed_slots,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, signed_slots.clone(), ctx);
-            }
-            SbftMsg::NewView { view, pre_prepares } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, pre_prepares.clone(), ctx);
-                }
-            }
+            SbftMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             SbftMsg::Reply(_) => {}
         }
     }
@@ -880,20 +697,14 @@ impl Actor<SbftMsg> for SbftReplica {
         match kind {
             TimerKind::T3BackupFailure => {
                 // find the slot owning this timer
-                let seq = self
-                    .slots
-                    .iter()
-                    .find(|(_, s)| s.t3 == Some(id))
-                    .map(|(seq, _)| *seq);
-                if let Some(seq) = seq {
+                let owner = self.core.log.iter().find(|(_, s)| s.ext.t3 == Some(id));
+                if let Some(seq) = owner.map(|(seq, _)| *seq) {
                     self.on_t3(seq, ctx);
                 }
             }
-            TimerKind::T2ViewChange if self.intake.fired(id) && self.intake.has_pending() => {
-                let target = self.gate.view().next();
-                self.start_view_change(target, ctx);
+            _ => {
+                self.on_view_timer(id, ctx);
             }
-            _ => {}
         }
     }
 }
@@ -974,6 +785,24 @@ mod tests {
         SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
         assert!(out.log.max_view() >= bft_types::View(1));
         assert_eq!(accepted(&out), 20);
+    }
+
+    /// Regression: with the leaders of views 0 *and* 1 down, the campaign
+    /// for view 1 can never produce a new-view message. SBFT used to refuse
+    /// to start a view change while one was in progress and its τ2 only
+    /// ever aimed at `view + 1`, so every replica sat in that campaign for
+    /// good; the shared escalation rule moves them on to view 2.
+    #[test]
+    fn silent_new_leader_is_voted_out() {
+        let down = vec![NodeId::replica(0), NodeId::replica(1)];
+        let faults = down.iter().fold(FaultPlan::none(), |plan, node| {
+            plan.crash(*node, SimTime::ZERO)
+        });
+        let s = Scenario::small(2).with_load(1, 10).with_faults(faults);
+        let out = run(&s);
+        SafetyAuditor::excluding(down).assert_safe(&out.log);
+        assert_eq!(out.log.max_view(), bft_types::View(2));
+        assert_eq!(accepted(&out), 10);
     }
 
     #[test]

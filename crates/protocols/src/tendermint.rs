@@ -138,8 +138,8 @@ pub struct TendermintReplica {
     /// rounds faster can ship a future-round proposal. Replayed on
     /// entering the height/round; bounded window against flooding.
     pending: BTreeMap<SeqNum, Vec<PendingMsg>>,
-    /// Decided this height already.
-    decided: bool,
+    /// The value decided this height, until it has executed.
+    decided: Option<Digest>,
     /// Δ-wait timer before proposing (τ5).
     propose_timer: Option<TimerId>,
     /// Round timeout (τ4).
@@ -176,7 +176,7 @@ impl TendermintReplica {
             exec: Execution::new().skipping_executed(),
             voted: BTreeMap::new(),
             pending: BTreeMap::new(),
-            decided: false,
+            decided: None,
             propose_timer: None,
             round_timer: None,
             delta,
@@ -192,7 +192,7 @@ impl TendermintReplica {
     fn i_propose_now(&self) -> bool {
         self.proposer(self.height, self.round) == self.me
             && self.proposal.is_none()
-            && !self.decided
+            && self.decided.is_none()
     }
 
     fn schedule_propose(&mut self, ctx: &mut Context<'_, TmMsg>) {
@@ -224,11 +224,11 @@ impl TendermintReplica {
         self.mempool.retain(|r| !exec.is_executed(&r.request.id));
         // re-propose the locked value if we hold a lock, else a new batch
         let (digest, batch) = if let Some((locked_digest, _)) = self.locked {
-            let batch = self
-                .batches
-                .get(&locked_digest)
-                .cloned()
-                .unwrap_or_default();
+            // locked on a value whose batch never arrived: nothing to
+            // re-propose — the round times out to the next proposer
+            let Some(batch) = self.batches.get(&locked_digest).cloned() else {
+                return;
+            };
             (locked_digest, batch)
         } else {
             if self.mempool.is_empty() {
@@ -274,13 +274,19 @@ impl TendermintReplica {
             );
             return;
         }
-        if height != self.height || round != self.round || self.decided {
+        if height != self.height || from != self.proposer(height, round) {
             return;
         }
-        if from != self.proposer(height, round) {
-            return;
-        }
+        // whatever the round by now: a precommit quorum may still decide
+        // this value, and then the height needs its batch
         self.batches.insert(digest, batch.clone());
+        if self.decided == Some(digest) {
+            // the quorum outran this proposal and was waiting for it
+            return self.execute_decided(digest, ctx);
+        }
+        if round != self.round || self.decided.is_some() {
+            return;
+        }
         let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
         self.mempool.retain(|r| !ids.contains(&r.request.id));
         self.proposal = Some((digest, batch));
@@ -369,25 +375,29 @@ impl TendermintReplica {
     }
 
     fn decide(&mut self, digest: Digest, round: u32, ctx: &mut Context<'_, TmMsg>) {
-        if self.decided {
+        if self.decided.is_some() {
             return;
         }
-        self.decided = true;
-        let height = self.height;
+        self.decided = Some(digest);
         ctx.observe(Observation::Commit {
-            seq: height,
+            seq: self.height,
             view: View(round as u64),
             digest,
             speculative: false,
         });
+        self.execute_decided(digest, ctx);
+    }
+
+    /// Execute this height's decided value and move on. No batch, no
+    /// execution: decided ahead of its proposal, the height waits for it
+    /// (the proposal handler re-enters here).
+    fn execute_decided(&mut self, digest: Digest, ctx: &mut Context<'_, TmMsg>) {
+        let height = self.height;
         let batch = self.batches.get(&digest).map(Vec::as_slice);
         let deliver = reply_to_client(Some(CryptoOp::Sign), TmMsg::Reply);
-        self.exec.run(
-            ctx,
-            Some(batch.unwrap_or_default()),
-            View(height.0),
-            deliver,
-        );
+        if !self.exec.run(ctx, batch, View(height.0), deliver) {
+            return;
+        }
         // informed? we ourselves saw 2f+1 precommits for this height
         self.informed = true;
         self.enter_height(height.next(), ctx);
@@ -398,7 +408,7 @@ impl TendermintReplica {
         self.round = 0;
         self.proposal = None;
         self.locked = None;
-        self.decided = false;
+        self.decided = None;
         self.votes.retain(|(_, h, _, _), _| *h >= height);
         self.voted.retain(|(_, h, _), _| *h >= height);
         if let Some(t) = self.round_timer.take() {
@@ -534,7 +544,7 @@ impl Actor<TmMsg> for TendermintReplica {
             }
             TimerKind::T4QuorumConstruction if Some(id) == self.round_timer => {
                 self.round_timer = None;
-                if self.decided || self.mempool.is_empty() && self.proposal.is_none() {
+                if self.decided.is_some() || self.mempool.is_empty() && self.proposal.is_none() {
                     return;
                 }
                 // the round stalled: prevote/precommit nil to unblock
@@ -589,6 +599,48 @@ mod tests {
     fn mean_latency(out: &RunOutcome) -> f64 {
         let l = out.log.client_latencies();
         l.iter().map(|(_, d)| d.as_millis_f64()).sum::<f64>() / l.len() as f64
+    }
+
+    /// Regression: a precommit quorum that outruns its (delayed) proposal
+    /// used to decide the height on an empty placeholder batch, "execute"
+    /// it and move on, dropping the late proposal as a stale height — the
+    /// height's requests were skipped and this replica's state diverged.
+    /// The height must wait for its batch and execute it when it lands.
+    #[test]
+    fn precommit_quorum_ahead_of_its_proposal_waits_for_the_batch() {
+        use crate::common::script::{executions, first_write, play, Script};
+
+        let store = Scenario::small(1).key_store();
+        let (signed, want) = first_write(&store);
+        let batch = vec![signed.clone()];
+        let (height, round, digest) = (SeqNum(1), 0, digest_of(&batch));
+        let precommit = |from| TmMsg::Vote {
+            kind: VoteKind::Precommit,
+            height,
+            round,
+            digest: Some(digest),
+            from: ReplicaId(from),
+        };
+        // replica 1 proposes height 1: 2f+1 precommits reach replica 2
+        // first, the proposal itself 5 ms later
+        let proposer = Script {
+            to: 2,
+            now: vec![precommit(0), precommit(1), precommit(3)],
+            late: vec![TmMsg::Proposal {
+                height,
+                round,
+                digest,
+                batch,
+            }],
+        };
+        let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
+        let replica = TendermintReplica::new(ReplicaId(2), q, store, delta, false, 1);
+        let out = play(1, proposer, replica);
+        assert_eq!(
+            executions(&out),
+            vec![(NodeId::replica(2), signed.request.id, want)],
+            "the height's request executes exactly once, on the state every other replica reaches"
+        );
     }
 
     #[test]
