@@ -15,9 +15,9 @@
 //!   '02 variant) `view-change-ack` messages substitute for the
 //!   non-repudiation signatures would provide (design choice 11).
 //! * **Checkpointing** — every `interval` sequence numbers replicas
-//!   snapshot their state and exchange checkpoint attestations; 2f+1
+//!   digest their state and exchange checkpoint attestations; 2f+1
 //!   matching attestations make the checkpoint stable, the log truncates,
-//!   and in-dark replicas catch up by state transfer.
+//!   and in-dark replicas catch up by transfer of a rebuilt snapshot.
 //! * **Recovery** — optional proactive rejuvenation on the watchdog timer
 //!   τ8 (replicas take turns; a recovering replica is unavailable and
 //!   re-syncs via state transfer afterwards).
@@ -343,7 +343,7 @@ fn enter_stage(stage: &mut Stage, to: Stage, ctx: &mut Context<'_, PbftMsg>) {
     }
 }
 
-/// PBFT's checkpointing stage: a snapshot every `checkpoint_interval`
+/// PBFT's checkpointing stage: a state digest every `checkpoint_interval`
 /// slots, attestations towards a stable checkpoint, and the garbage
 /// collection a stable checkpoint allows. It is driven from the execution
 /// loop (after each slot) and by peers' checkpoint messages, so it borrows
@@ -352,10 +352,6 @@ struct Checkpoints {
     me: ReplicaId,
     cfg: PbftConfig,
     ckpt: CheckpointManager,
-    /// Local snapshots keyed by slot sequence number.
-    snapshots: BTreeMap<SeqNum, Snapshot>,
-    /// Slot seqs this replica already attested (checkpoint broadcast sent).
-    attested: BTreeMap<SeqNum, ()>,
 }
 
 impl Checkpoints {
@@ -364,8 +360,6 @@ impl Checkpoints {
             me,
             ckpt: CheckpointManager::new(cfg.checkpoint_interval, cfg.q.quorum()),
             cfg,
-            snapshots: BTreeMap::new(),
-            attested: BTreeMap::new(),
         }
     }
 
@@ -376,20 +370,9 @@ impl Checkpoints {
         log: &mut SlotLog<PbftSlot>,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        if self.cfg.checkpoint_interval == 0 {
-            return;
-        }
         let last = exec.cursor();
-        if last.0 > 0
-            && last.0.is_multiple_of(self.cfg.checkpoint_interval)
-            && !self.attested.contains_key(&last)
-            && last > self.ckpt.low_water()
-        {
+        if let Some(state_digest) = self.ckpt.checkpoint(last, exec.sm()) {
             enter_stage(stage, Stage::Checkpointing, ctx);
-            let snap = exec.sm().snapshot();
-            let state_digest = snap.digest;
-            self.snapshots.insert(last, snap);
-            self.attested.insert(last, ());
             self.cfg.charge_broadcast_auth(ctx);
             let me = self.me;
             ctx.broadcast_replicas(PbftMsg::Checkpoint {
@@ -422,10 +405,8 @@ impl Checkpoints {
             // garbage-collect executed slots at or below the checkpoint
             let executed_here = exec.cursor();
             log.retain(|s, _| *s > proof.seq.min(executed_here));
-            self.snapshots.retain(|s, _| *s >= proof.seq);
-            self.attested.retain(|s, _| *s > proof.seq.prev());
-            let horizon = exec.sm().last_executed().0;
-            exec.truncate_below(SeqNum(horizon.saturating_sub(self.cfg.window)));
+            let horizon = exec.sm().last_executed();
+            exec.truncate_below(self.ckpt.undo_floor(horizon, self.cfg.window));
             // in-dark? the cluster is at `seq` but we have not executed it
             if executed_here < proof.seq {
                 let me = self.me;
@@ -947,33 +928,30 @@ impl PbftReplica {
     // ---- checkpointing ---------------------------------------------------
 
     fn on_state_request(&mut self, from: ReplicaId, have: SeqNum, ctx: &mut Context<'_, PbftMsg>) {
-        if let Some((slot_seq, snap)) = self.ckpts.snapshots.iter().next_back() {
-            if *slot_seq > have {
-                ctx.send(
-                    NodeId::Replica(from),
-                    PbftMsg::StateTransfer {
-                        slot_seq: *slot_seq,
-                        snapshot: Box::new(snap.clone()),
-                    },
-                );
-            }
+        let served = self.ckpts.ckpt.latest_snapshot(have, self.exec.sm());
+        if let Some((slot_seq, snapshot)) = served {
+            let snapshot = Box::new(snapshot);
+            ctx.send(
+                NodeId::Replica(from),
+                PbftMsg::StateTransfer { slot_seq, snapshot },
+            );
         }
     }
 
     fn on_state_transfer(
         &mut self,
         slot_seq: SeqNum,
-        snapshot: Snapshot,
+        snapshot: &Snapshot,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
         if slot_seq <= self.exec.cursor() {
             return;
         }
         // install: the snapshot's machine state replaces ours
-        self.exec.install_snapshot(&snapshot, slot_seq);
+        self.exec.install_snapshot(snapshot, slot_seq);
         // drop every slot the snapshot covers
         self.log.retain(|s, _| *s > slot_seq);
-        self.ckpts.snapshots.insert(slot_seq, snapshot);
+        self.ckpts.ckpt.mark_installed(slot_seq, self.exec.sm());
         self.next_seq = self.next_seq.max(slot_seq.next());
         ctx.count_state_transfer();
         if self.catchup.active() {
@@ -1433,7 +1411,7 @@ impl Actor<PbftMsg> for PbftReplica {
             } => self.on_new_view(from, *view, pre_prepares.clone(), ctx),
             PbftMsg::StateRequest { from: r, have } => self.on_state_request(*r, *have, ctx),
             PbftMsg::StateTransfer { slot_seq, snapshot } => {
-                self.on_state_transfer(*slot_seq, (**snapshot).clone(), ctx)
+                self.on_state_transfer(*slot_seq, snapshot, ctx)
             }
             PbftMsg::ReadOnly(signed) => self.on_read_only(signed.clone(), ctx),
             PbftMsg::Reply(_) => {} // replicas ignore replies
@@ -1505,27 +1483,19 @@ impl Actor<PbftMsg> for PbftReplica {
         self.recovery_buffer.clear();
         if mode == RestartMode::Amnesia {
             // Volatile memory is gone; the last stable checkpoint is the
-            // only durable artifact. Reload it and rebuild from there —
-            // everything since comes back via catch-up.
-            let stable_seq = self.ckpts.ckpt.low_water();
-            let stable_snap = self
-                .ckpts
-                .ckpt
-                .reset_to_stable()
-                .or_else(|| self.ckpts.snapshots.get(&stable_seq).cloned());
+            // only durable artifact. Reload it (rebuilt from its mark before
+            // memory is wiped) — everything since comes back via catch-up.
+            let stable = self.ckpts.ckpt.reset_to_stable(self.exec.sm());
             self.exec.reset();
             self.log.clear();
             self.mempool.clear();
             self.vc_msgs.clear();
             self.vc_acks.clear();
             self.gate.reset();
-            self.ckpts.attested.clear();
-            self.ckpts.snapshots.clear();
             self.next_seq = SeqNum(1);
-            if let Some(snap) = stable_snap {
+            if let Some((stable_seq, snap)) = stable {
                 self.exec.install_snapshot(&snap, stable_seq);
                 self.next_seq = stable_seq.next();
-                self.ckpts.snapshots.insert(stable_seq, snap);
             }
             ctx.observe(Observation::Marker {
                 label: "amnesia-restart",
@@ -1787,6 +1757,88 @@ mod tests {
         outcome.log.client_latencies().len()
     }
 
+    /// What a [`Spy`] saw at its replica.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        /// A checkpoint attestation `(seq, state digest)` arrived.
+        Attested(SeqNum, Digest),
+        /// A state request arrived while the replica stood at `cursor`.
+        Asked { cursor: SeqNum },
+        /// A snapshot `(slot seq, state digest)` arrived.
+        Shipped(SeqNum, Digest),
+        /// The replica restarted: where it stood before, and what it holds
+        /// after against its stable checkpoint proof.
+        Restarted {
+            before: SeqNum,
+            after: (SeqNum, Digest),
+            stable: Option<(SeqNum, Digest)>,
+        },
+    }
+
+    /// A PBFT replica that records the checkpoint traffic around it.
+    struct Spy {
+        inner: PbftReplica,
+        seen: Arc<std::sync::Mutex<Vec<Seen>>>,
+    }
+
+    impl Spy {
+        fn saw(&self, seen: Seen) {
+            self.seen.lock().expect("no panic while held").push(seen);
+        }
+    }
+
+    impl Actor<PbftMsg> for Spy {
+        fn on_start(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+            let cursor = self.inner.exec.cursor();
+            match msg {
+                PbftMsg::Checkpoint {
+                    seq, state_digest, ..
+                } => self.saw(Seen::Attested(*seq, *state_digest)),
+                PbftMsg::StateRequest { .. } => self.saw(Seen::Asked { cursor }),
+                PbftMsg::StateTransfer { slot_seq, snapshot } => {
+                    self.saw(Seen::Shipped(*slot_seq, snapshot.digest))
+                }
+                _ => {}
+            }
+            self.inner.on_message(from, msg, ctx);
+        }
+
+        fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, PbftMsg>) {
+            self.inner.on_timer(id, kind, ctx);
+        }
+
+        fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PbftMsg>) {
+            let before = self.inner.exec.cursor();
+            self.inner.on_recover(mode, ctx);
+            let exec = &self.inner.exec;
+            let stable = self.inner.ckpts.ckpt.stable();
+            self.saw(Seen::Restarted {
+                before,
+                after: (exec.cursor(), exec.sm().digest()),
+                stable: stable.map(|p| (p.seq, p.digest)),
+            });
+        }
+    }
+
+    /// [`run`] with every replica wrapped in a [`Spy`]; returns what they
+    /// saw, in order.
+    fn run_spied(scenario: &Scenario) -> (RunOutcome, Vec<Seen>) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let options = PbftOptions::default();
+        let mut replica = replica_for(scenario, &options);
+        let n = scenario.n(3 * scenario.f + 1);
+        let out = launch::<PbftClientProto, _>(scenario, n, |me, q, store| Spy {
+            inner: replica(me, q, store),
+            seen: seen.clone(),
+        });
+        let seen = seen.lock().expect("run over").clone();
+        (out, seen)
+    }
+
     #[test]
     fn fault_free_run_commits_everything() {
         let s = Scenario::small(1).with_load(2, 20);
@@ -1884,21 +1936,67 @@ mod tests {
         let peers: Vec<NodeId> = (0..3).map(NodeId::replica).collect();
         // traffic must continue past the heal at 100 ms so checkpoint
         // attestations reach the healed replica and reveal it is behind
-        let s = Scenario::small(1)
-            .with_load(1, 250)
-            .with_faults(FaultPlan::none().isolate(
-                NodeId::replica(3),
-                peers,
-                SimTime::ZERO,
-                SimTime(100_000_000),
-            ));
-        let out = run(&s, &PbftOptions::default());
+        let mut faults = FaultPlan::none().isolate(
+            NodeId::replica(3),
+            peers.clone(),
+            SimTime::ZERO,
+            SimTime(100_000_000),
+        );
+        // its own messages travel slowly, so a peer has executed past the
+        // checkpoint by the time it is asked for it
+        for peer in peers {
+            faults = faults.slow_link(NodeId::replica(3), peer, SimDuration::from_millis(3));
+        }
+        let s = Scenario::small(1).with_load(1, 250).with_faults(faults);
+        let (out, seen) = run_spied(&s);
         audit_excluding(&out, &[]);
         assert_eq!(accepted(&out), 250);
         assert!(
             out.log.marker_count("state-transferred") > 0,
             "the in-dark replica must catch up via state transfer"
         );
+        // a checkpoint holds no copy of the state: what is shipped is
+        // rebuilt when the request arrives, and must still be the state the
+        // server attested although it has moved on since
+        let mut shipped = seen.iter().enumerate().filter_map(|(i, s)| match *s {
+            Seen::Shipped(slot_seq, digest) => Some((i, slot_seq, digest)),
+            _ => None,
+        });
+        let (i, slot_seq, digest) = shipped.next().expect("a snapshot was shipped");
+        assert!(seen.contains(&Seen::Attested(slot_seq, digest)));
+        let asked = seen[..i].iter().rev().find_map(|s| match s {
+            Seen::Asked { cursor } => Some(*cursor),
+            _ => None,
+        });
+        let server_stood_at = asked.expect("shipped on request");
+        assert!(server_stood_at > slot_seq, "{server_stood_at} {slot_seq}");
+    }
+
+    #[test]
+    fn amnesia_restart_reinstalls_the_stable_checkpoint() {
+        // replica 2 loses its memory well past the first stable checkpoint
+        let s = Scenario::small(1).with_load(4, 100).with_faults(
+            FaultPlan::none().crash_recover_amnesia(
+                NodeId::replica(2),
+                SimTime(21_700_000),
+                SimTime(25_000_000),
+            ),
+        );
+        let (out, seen) = run_spied(&s);
+        audit_excluding(&out, &[]);
+        assert_eq!(accepted(&out), 400);
+        assert_eq!(out.log.marker_count("amnesia-restart"), 1);
+        let restarted = seen.iter().find_map(|s| match *s {
+            Seen::Restarted {
+                before,
+                after,
+                stable,
+            } => Some((before, after, stable.expect("a stable checkpoint"))),
+            _ => None,
+        });
+        let (before, after, stable) = restarted.expect("replica 2 restarted");
+        assert!(before > stable.0, "the state had moved on: {before}");
+        assert_eq!(after, stable, "the stable state is what comes back");
     }
 
     #[test]

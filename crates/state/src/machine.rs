@@ -10,9 +10,9 @@
 //!   commitment; if the optimistic assumption fails, [`StateMachine::rollback_to`]
 //!   undoes every effect at or above a sequence number using the undo log.
 //! * **Snapshots** ([`StateMachine::snapshot`]) — the checkpointing stage
-//!   (P4) captures the state at a sequence number so the log prefix can be
-//!   garbage-collected and in-dark replicas can catch up by installing a
-//!   snapshot ([`StateMachine::install_snapshot`]).
+//!   (P4) garbage-collects the log below a sequence number; in-dark
+//!   replicas catch up by [`StateMachine::install_snapshot`] of the state
+//!   there, rebuilt from the undo log ([`StateMachine::snapshot_at`]).
 //! * **At-most-once semantics** — replies are cached per client; a
 //!   re-executed request id returns the cached reply instead of applying
 //!   effects twice (the standard PBFT client-handling rule).
@@ -275,6 +275,26 @@ impl StateMachine {
         }
     }
 
+    /// The snapshot [`Self::snapshot`] returned when the machine stood at
+    /// `seq`, rebuilt by rolling a copy of the machine back through the
+    /// undo log. `None` when `seq` is ahead of the machine or below what
+    /// the undo log reaches (truncated, or cut by an installed snapshot).
+    pub fn snapshot_at(&self, seq: SeqNum) -> Option<Snapshot> {
+        // the undo log holds one record per sequence number up to the last
+        let above = self.last_executed.0.checked_sub(seq.0)?;
+        if above > self.undo.len() as u64 {
+            return None;
+        }
+        let mut then = self.clone();
+        then.rollback_to(seq.next());
+        Some(Snapshot {
+            seq,
+            digest: then.digest(),
+            app: then.app,
+            replies: then.replies,
+        })
+    }
+
     /// Install a snapshot, discarding the current state (how an in-dark
     /// replica catches up from a stable checkpoint).
     pub fn install_snapshot(&mut self, snap: &Snapshot) {
@@ -402,6 +422,35 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_at_reaches_exactly_as_far_as_the_undo_log() {
+        let mut sm = StateMachine::new();
+        let mut taken = Vec::new();
+        for i in 1..=20u64 {
+            sm.execute(SeqNum(i), &req(1, i, vec![Op::Put(i % 3, i as i64)]));
+            taken.push(sm.snapshot());
+        }
+        assert_eq!(
+            sm.snapshot_at(SeqNum(0)).unwrap().digest,
+            StateMachine::new().digest()
+        );
+        assert_eq!(sm.snapshot_at(SeqNum(20)), Some(sm.snapshot()));
+        assert_eq!(sm.snapshot_at(SeqNum(21)), None, "ahead of the machine");
+        // truncation at 12 keeps the records above it: 12 is the last
+        // reachable point, 11 is not
+        sm.truncate_below(SeqNum(12));
+        assert_eq!(sm.snapshot_at(SeqNum(12)).as_ref(), Some(&taken[11]));
+        assert_eq!(sm.snapshot_at(SeqNum(11)), None);
+        // an installed snapshot has no past
+        let mut fresh = StateMachine::new();
+        fresh.install_snapshot(&taken[14]);
+        assert_eq!(fresh.snapshot_at(SeqNum(15)).as_ref(), Some(&taken[14]));
+        assert_eq!(fresh.snapshot_at(SeqNum(14)), None);
+        fresh.execute(SeqNum(16), &req(1, 16, vec![Op::Put(1, 16)]));
+        assert_eq!(fresh.snapshot_at(SeqNum(15)).as_ref(), Some(&taken[14]));
+        assert_eq!(fresh.snapshot_at(SeqNum(16)).as_ref(), Some(&taken[15]));
+    }
+
+    #[test]
     fn truncate_bounds_memory() {
         let mut sm = StateMachine::new();
         for i in 1..=100u64 {
@@ -474,6 +523,62 @@ mod tests {
             sm.rollback_to(SeqNum(rollback_from));
             prop_assert_eq!(sm.digest(), checkpoint_digest);
             prop_assert_eq!(sm.last_executed(), SeqNum(rollback_from - 1));
+        }
+
+        /// `snapshot_at(s)` is the snapshot taken when the machine stood
+        /// at `s`, for every `s` the undo log still reaches — over all
+        /// three apps, with at-most-once replays, rollbacks of a
+        /// speculative tail and a truncation somewhere in the history.
+        #[test]
+        fn snapshot_at_equals_the_snapshot_taken_there(
+            ops in prop::collection::vec(
+                (1u64..4, 0u64..6, -20i64..20, 0u8..8, prop::bool::ANY), 1..80
+            ),
+            truncate_at in 0u64..80,
+            rollback in 0u64..6,
+        ) {
+            let mut sm = StateMachine::new();
+            let mut taken = vec![sm.snapshot()];
+            let mut last: BTreeMap<u64, Request> = BTreeMap::new();
+            for (i, (client, key, val, kind, replay)) in ops.iter().enumerate() {
+                let op = match kind {
+                    0 => Op::Get(*key),
+                    1 => Op::Put(*key, *val),
+                    2 => Op::Add(*key, *val),
+                    3 => Op::Delete(*key),
+                    4 => Op::Append(*key, *val),
+                    5 => Op::ReadAt(*key, 0),
+                    6 => Op::GAdd(*key, val.unsigned_abs()),
+                    _ => Op::GRead(*key),
+                };
+                // a replay re-orders the client's last request: the reply
+                // cache answers, nothing is applied twice
+                let fresh = req(*client, i as u64 + 1, vec![op.clone(), op]);
+                let r = match last.get(client) {
+                    Some(prev) if *replay => prev.clone(),
+                    _ => fresh,
+                };
+                last.insert(*client, r.clone());
+                sm.execute_speculative(sm.last_executed().next(), &r);
+                taken.push(sm.snapshot());
+            }
+            let top = sm.last_executed().0;
+            let floor = truncate_at.min(top);
+            sm.truncate_below(SeqNum(floor));
+            // un-execute a speculative tail, as Zyzzyva/PoE do
+            let top = top - rollback.min(top - floor);
+            sm.rollback_to(SeqNum(top + 1));
+            for s in 0..=top + 1 {
+                let rebuilt = sm.snapshot_at(SeqNum(s));
+                if s < floor || s > top {
+                    prop_assert_eq!(rebuilt, None);
+                } else {
+                    prop_assert_eq!(rebuilt.as_ref(), Some(&taken[s as usize]));
+                    prop_assert_eq!(rebuilt.unwrap().digest, taken[s as usize].digest);
+                }
+            }
+            // the machine itself is untouched by rebuilding
+            prop_assert_eq!(sm.snapshot(), taken[top as usize].clone());
         }
 
         /// Snapshot/install is lossless at any point in a history.
