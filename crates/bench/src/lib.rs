@@ -34,6 +34,7 @@ pub mod campaign;
 pub mod experiments;
 pub mod parallel;
 pub mod realtime;
+pub mod run_length;
 pub mod simload;
 pub mod table;
 

@@ -101,6 +101,7 @@ pub struct ChainReplica {
     /// Sequence log: seq → batch (buffered until contiguous, then kept for
     /// re-dissemination after reconfiguration).
     log: BTreeMap<SeqNum, Vec<SignedRequest>>,
+    /// Requests seen and not yet executed (a new head re-proposes them).
     known: BTreeMap<RequestId, SignedRequest>,
     exec: Execution,
     mempool: VecDeque<SignedRequest>,
@@ -175,16 +176,20 @@ impl ChainReplica {
         chain[chain.len() - suffix..].contains(&self.me)
     }
 
+    /// The requests logged above the execution cursor (what the log holds
+    /// at or below it has executed).
+    fn unexecuted_in_log(&self) -> Vec<RequestId> {
+        let above = self.log.range(self.exec.cursor().next()..);
+        above
+            .flat_map(|(_, b)| b.iter().map(|r| r.request.id))
+            .collect()
+    }
+
     fn disseminate(&mut self, ctx: &mut Context<'_, ChainMsg>) {
         if !self.is_head() {
             return;
         }
-        let exec = &self.exec;
-        let in_log: Vec<RequestId> = self
-            .log
-            .values()
-            .flat_map(|b| b.iter().map(|r| r.request.id))
-            .collect();
+        let (exec, in_log) = (&self.exec, self.unexecuted_in_log());
         self.mempool
             .retain(|r| !exec.is_executed(&r.request.id) && !in_log.contains(&r.request.id));
         while !self.mempool.is_empty() {
@@ -206,7 +211,8 @@ impl ChainReplica {
         hops: u32,
         ctx: &mut Context<'_, ChainMsg>,
     ) {
-        for r in &batch {
+        let exec = &self.exec;
+        for r in batch.iter().filter(|r| !exec.is_executed(&r.request.id)) {
             self.known.entry(r.request.id).or_insert_with(|| r.clone());
         }
         self.log.entry(seq).or_insert(batch);
@@ -226,7 +232,9 @@ impl ChainReplica {
             });
             let replies = self.replies_to_clients();
             let mut send = reply_to_client(Some(CryptoOp::MacGen), ChainMsg::Reply);
+            let known = &mut self.known;
             self.exec.run(ctx, Some(&batch), view, |ctx, reply, seq| {
+                known.remove(&reply.request);
                 if replies {
                     send(ctx, reply, seq);
                 }
@@ -337,11 +345,7 @@ impl ChainReplica {
                 }
             }
             // anything known but unexecuted and unlogged gets fresh slots
-            let in_log: Vec<RequestId> = self
-                .log
-                .values()
-                .flat_map(|b| b.iter().map(|r| r.request.id))
-                .collect();
+            let in_log = self.unexecuted_in_log();
             let todo: Vec<SignedRequest> = self
                 .known
                 .values()
@@ -483,6 +487,24 @@ mod tests {
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
+    }
+
+    /// What the head scans per dissemination — the log above the cursor —
+    /// and what a new head scans — `known` — hold only unexecuted requests,
+    /// not all 300 the run logged.
+    #[test]
+    fn scans_cover_only_requests_not_yet_executed() {
+        use crate::common::script::peak_size;
+        let s = Scenario::small(1).with_load(2, 150);
+        let timeout = SimDuration(s.network.delta.0 * 4);
+        let (out, peak) = peak_size::<ChainClientProto, _>(
+            &s,
+            4,
+            |me, q, store| ChainReplica::new(me, q, store, timeout, 1),
+            |r| r.known.len().max(r.unexecuted_in_log().len()),
+        );
+        assert_eq!(accepted(&out), 300);
+        assert!(peak <= 2, "scanned {peak} requests with 2 clients");
     }
 
     #[test]

@@ -623,10 +623,7 @@ fn run_to_completion<M: WireSize + serde::Serialize + Send + Sync + 'static>(
     loop {
         t = t + step;
         sim.run(t);
-        let accepted = sim
-            .log()
-            .count(|e| matches!(e.obs, Observation::ClientAccept { .. }));
-        if accepted as u64 >= total_requests {
+        if sim.accepted() >= total_requests {
             if drain.0 > 0 {
                 sim.run(t + drain);
             }
@@ -938,15 +935,10 @@ impl<X: Default> SlotLog<X> {
     /// Drop every slot above `cursor` that a new view does not re-propose
     /// and hand back the requests stranded in them.
     pub fn strand(&mut self, cursor: SeqNum, re_proposed: &[SeqNum]) -> Vec<SignedRequest> {
-        let mut stranded = Vec::new();
-        self.0.retain(|seq, slot| {
-            let dead = *seq > cursor && !re_proposed.contains(seq);
-            if dead {
-                stranded.extend(slot.batch.take().unwrap_or_default());
-            }
-            !dead
-        });
-        stranded
+        let open = self.above(cursor).map(|(seq, _)| *seq);
+        let dead: Vec<SeqNum> = open.filter(|seq| !re_proposed.contains(seq)).collect();
+        let slots = dead.iter().filter_map(|seq| self.0.remove(seq));
+        slots.flat_map(|s| s.batch.unwrap_or_default()).collect()
     }
 
     /// Requests sitting in slots above `cursor` (proposed, not executed):
@@ -1374,6 +1366,11 @@ impl Intake {
         if self.pending.is_empty() {
             self.disarm(ctx);
         }
+    }
+
+    /// The outstanding request watched longest.
+    pub fn oldest(&self) -> Option<RequestId> {
+        self.pending.first().copied()
     }
 
     /// Whether relayed requests are still outstanding.
@@ -1994,6 +1991,58 @@ pub(crate) mod script {
         }
     }
 
+    /// A replica under a gauge: after every event it handles, `size` reads
+    /// one of its structures and the largest reading so far is kept.
+    struct Gauged<R> {
+        replica: R,
+        size: fn(&R) -> usize,
+        peak: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl<R> Gauged<R> {
+        fn read(&self) {
+            let size = (self.size)(&self.replica);
+            self.peak
+                .fetch_max(size, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl<M, R: Actor<M>> Actor<M> for Gauged<R> {
+        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+            self.replica.on_start(ctx);
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: &M, ctx: &mut Context<'_, M>) {
+            self.replica.on_message(from, msg, ctx);
+            self.read();
+        }
+
+        fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, M>) {
+            self.replica.on_timer(id, kind, ctx);
+            self.read();
+        }
+    }
+
+    /// Run `scenario` with `n` replicas built by `replica` and report,
+    /// beside the outcome, the largest `size` any of them showed after any
+    /// event — the white-box check that a structure holds only what is
+    /// still in flight, however long the run.
+    pub(crate) fn peak_size<P: ClientProtocol, R: Actor<P::Msg> + Send + 'static>(
+        scenario: &Scenario,
+        n: usize,
+        mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
+        size: fn(&R) -> usize,
+    ) -> (RunOutcome, usize) {
+        let peak = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let out = launch::<P, _>(scenario, n, |me, q, store| Gauged {
+            replica: replica(me, q, store),
+            size,
+            peak: peak.clone(),
+        });
+        let peak = peak.load(std::sync::atomic::Ordering::Relaxed);
+        (out, peak)
+    }
+
     /// A signed write and the digest of the state reached by executing it
     /// first.
     pub(crate) fn first_write(store: &KeyStore) -> (SignedRequest, Digest) {
@@ -2484,6 +2533,28 @@ mod tests {
         assert_eq!(votes.votes(View(5)).len(), 1);
         votes.prune(View(5));
         assert_eq!(votes.escalation(View(5), true, false), Some(View(6)));
+    }
+
+    /// The driver polls the engine's accept counter at the 50 ms stop
+    /// points where it used to re-count the whole log: the stop time and
+    /// the event count of a closed-loop run, an open-loop run and a drained
+    /// (Q/U) run are those of commit `db65181`, the last with the recount.
+    #[test]
+    fn driver_stops_where_the_log_recount_stopped() {
+        use crate::registry::ProtocolId;
+        let closed = Scenario::small(1).with_load(2, 150);
+        let open_loop = bft_core::workload::WorkloadConfig::uniform().open_loop(500);
+        let open = Scenario::small(1).with_load(2, 40).with_workload(open_loop);
+        for (protocol, scenario, want) in [
+            (ProtocolId::Pbft, &closed, (100_000_000, 9_471)),
+            (ProtocolId::Pbft, &open, (100_000_000, 2_610)),
+            (ProtocolId::Qu, &closed, (100_000_000, 3_900)),
+        ] {
+            let out = protocol.run(scenario);
+            let accepted = out.log.client_latencies().len() as u64;
+            assert_eq!(accepted, scenario.total_requests());
+            assert_eq!((out.end_time.0, out.events_processed), want);
+        }
     }
 
     #[test]

@@ -444,8 +444,7 @@ impl ViewChanger for FairReplica {
 
     /// The batch sets this replica holds a prepare quorum for.
     fn report(&mut self, _: &mut Context<'_, FairMsg>) -> Vec<FairEntry> {
-        let cursor = self.core.exec.cursor();
-        let open = self.core.log.iter().filter(|(seq, _)| **seq > cursor);
+        let open = self.core.log.range(self.core.exec.cursor().next()..);
         open.filter(|(_, s)| s.ext.prepared)
             .filter_map(|(seq, s)| Some((*seq, s.digest?, s.ext.batches.clone())))
             .collect()

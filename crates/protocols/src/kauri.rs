@@ -26,7 +26,7 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::topology::Topology;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
@@ -119,8 +119,6 @@ pub(crate) struct KauriSlot {
     prepared: bool,
     /// Own share contributed per phase.
     voted: BTreeMap<KauriPhase, bool>,
-    /// Partial-aggregation timers per phase.
-    agg_timer: BTreeMap<KauriPhase, TimerId>,
 }
 
 /// A Kauri replica.
@@ -129,8 +127,17 @@ pub struct KauriReplica {
     store: Arc<KeyStore>,
     fanout: usize,
     mempool: VecDeque<SignedRequest>,
-    known: BTreeMap<RequestId, SignedRequest>,
+    /// Pending partial-aggregation timers (τ4) by the slot and phase they
+    /// guard; an entry leaves when its timer is cancelled or fires.
+    agg_timers: BTreeMap<(SeqNum, KauriPhase), TimerId>,
     agg_timeout: SimDuration,
+    view_timeout: SimDuration,
+    /// When the oldest outstanding request became the oldest. Clients
+    /// broadcast, so with several of them some request is outstanding here
+    /// at all times and τ2 never stops for want of work; it must give each
+    /// request a full span from this moment (PBFT's rule), not the
+    /// remainder of a span armed for requests long executed.
+    waiting_since: SimTime,
     batch_size: usize,
 }
 
@@ -150,8 +157,10 @@ impl KauriReplica {
             store,
             fanout,
             mempool: VecDeque::new(),
-            known: BTreeMap::new(),
+            agg_timers: BTreeMap::new(),
             agg_timeout,
+            view_timeout,
+            waiting_since: SimTime::ZERO,
             batch_size,
         }
     }
@@ -198,9 +207,6 @@ impl KauriReplica {
         batch: Vec<SignedRequest>,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        for r in &batch {
-            self.known.entry(r.request.id).or_insert_with(|| r.clone());
-        }
         let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
         self.mempool.retain(|r| !ids.contains(&r.request.id));
         if !self.core.log.install(seq, digest, batch.clone()) {
@@ -222,8 +228,18 @@ impl KauriReplica {
         // vote (prepare phase)
         self.contribute(KauriPhase::Prepare, seq, digest, ctx);
         // a commit certificate that outran this proposal was waiting for it
+        self.execute_ready(ctx);
+    }
+
+    /// Execute what has committed, noting when the oldest outstanding
+    /// request changes (see [`KauriReplica::waiting_since`]).
+    fn execute_ready(&mut self, ctx: &mut Context<'_, KauriMsg>) {
+        let waited_for = self.core.intake.oldest();
         self.core
             .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
+        if self.core.intake.oldest() != waited_for {
+            self.waiting_since = ctx.now();
+        }
     }
 
     /// Contribute this replica's own share for a phase and (re)compute the
@@ -247,7 +263,7 @@ impl KauriReplica {
         // timeout); leaves report immediately
         if !self.children().is_empty() {
             let t = ctx.set_timer(TimerKind::T4QuorumConstruction, self.agg_timeout);
-            self.core.log.slot(seq).ext.agg_timer.insert(phase, t);
+            self.agg_timers.insert((seq, phase), t);
         }
         self.push_aggregate(phase, seq, digest, false, ctx);
     }
@@ -290,7 +306,7 @@ impl KauriReplica {
 
         if is_root {
             if !already && total >= quorum {
-                if let Some(t) = slot.agg_timer.remove(&phase) {
+                if let Some(t) = self.agg_timers.remove(&(seq, phase)) {
                     ctx.cancel_timer(t);
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdCombine);
@@ -315,7 +331,7 @@ impl KauriReplica {
         if total > forwarded && (all_reported || force || children.is_empty()) {
             slot.forwarded.insert(phase, total);
             if all_reported {
-                if let Some(t) = slot.agg_timer.remove(&phase) {
+                if let Some(t) = self.agg_timers.remove(&(seq, phase)) {
                     ctx.cancel_timer(t);
                 }
             }
@@ -411,8 +427,7 @@ impl KauriReplica {
                     digest,
                     speculative: false,
                 });
-                self.core
-                    .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
+                self.execute_ready(ctx);
             }
         }
     }
@@ -454,6 +469,10 @@ impl ViewChanger for KauriReplica {
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
         requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+        // aggregation above the cursor dies with the old tree: those slots
+        // were stranded just now or are about to be reset by `adopt`
+        let cursor = self.core.exec.cursor();
+        self.agg_timers.retain(|(at, _), _| *at <= cursor);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, KauriMsg>) {
@@ -476,7 +495,6 @@ impl Actor<KauriMsg> for KauriReplica {
                 if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
-                self.known.insert(signed.request.id, signed.clone());
                 enqueue_unique(&mut self.mempool, signed);
                 if self.core.is_leader() {
                     self.propose(ctx);
@@ -548,19 +566,23 @@ impl Actor<KauriMsg> for KauriReplica {
         match kind {
             TimerKind::T4QuorumConstruction => {
                 // partial aggregation: forward what we have
-                let hit: Option<(SeqNum, KauriPhase, Digest)> =
-                    self.core.log.iter().find_map(|(seq, s)| {
-                        let mut timers = s.ext.agg_timer.iter();
-                        let (phase, _) = timers.find(|(_, t)| **t == id)?;
-                        Some((*seq, *phase, s.digest.unwrap_or(Digest::ZERO)))
-                    });
-                if let Some((seq, phase, digest)) = hit {
-                    self.core.log.slot(seq).ext.agg_timer.remove(&phase);
+                let hit = self.agg_timers.iter().find(|(_, t)| **t == id);
+                if let Some((seq, phase)) = hit.map(|(at, _)| *at) {
+                    self.agg_timers.remove(&(seq, phase));
+                    let digest = self.core.log.slot(seq).digest.unwrap_or(Digest::ZERO);
                     self.push_aggregate(phase, seq, digest, true, ctx);
                 }
             }
             _ => {
-                self.on_view_timer(id, ctx);
+                // τ2 armed for a request that has since executed: the one
+                // now oldest gets the rest of its own span
+                let due = self.waiting_since + self.view_timeout;
+                let early = !self.core.gate.in_view_change() && ctx.now() < due;
+                if early && self.core.intake.fired(id) {
+                    self.core.intake.rearm_for(ctx, due.since(ctx.now()));
+                } else {
+                    self.on_view_timer(id, ctx);
+                }
             }
         }
     }
@@ -598,7 +620,7 @@ pub fn run(scenario: &Scenario, fanout: usize) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
+    use bft_sim::{FaultPlan, SafetyAuditor};
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
@@ -610,6 +632,48 @@ mod tests {
         let out = run(&s, 2);
         SafetyAuditor::all_correct().assert_safe(&out.log);
         assert_eq!(accepted(&out), 20);
+    }
+
+    fn peak_timers(s: &Scenario) -> (RunOutcome, usize) {
+        let delta = s.network.delta;
+        let view_timeout = SimDuration(delta.0 * 4);
+        crate::common::script::peak_size::<KauriClientProto, _>(
+            s,
+            4,
+            |me, q, store| KauriReplica::new(me, q, store, 2, view_timeout, delta, 1),
+            |r| r.agg_timers.len(),
+        )
+    }
+
+    /// The τ4 index is what a firing timer searches: it must hold the
+    /// aggregations under way, not one entry per slot and phase of the run —
+    /// neither when every timer is cancelled (fault-free) nor when every
+    /// one fires (r3, the leaf under r1, is down).
+    #[test]
+    fn timer_index_holds_only_aggregations_under_way() {
+        let s = Scenario::small(1).with_load(2, 150);
+        let (out, peak) = peak_timers(&s);
+        assert_eq!(accepted(&out), 300);
+        assert!(peak <= 4, "fault-free: {peak} timers indexed");
+        let leaf_down = FaultPlan::none().crash(NodeId::replica(3), SimTime::ZERO);
+        let (out, peak) = peak_timers(&s.with_faults(leaf_down));
+        assert_eq!(accepted(&out), 300);
+        assert!(peak <= 4, "leaf down: {peak} timers indexed");
+    }
+
+    /// Regression: two clients that broadcast keep some request outstanding
+    /// at every replica at all times; τ2, armed once and disarmed only when
+    /// nothing is outstanding, then fired 4Δ into a run that was making
+    /// progress, and kept firing — 3 views by request 800, 183 views and the
+    /// 20 000 000-event guard at 6 400 requests per client. Progress now
+    /// restarts it.
+    #[test]
+    fn steady_progress_needs_no_reconfiguration() {
+        let s = Scenario::small(1).with_load(2, 400);
+        let out = run(&s, 2);
+        assert_eq!(accepted(&out), 800);
+        assert_eq!(out.log.max_view(), View(0));
+        assert_eq!(out.log.marker_count("tree-reconfiguration"), 0);
     }
 
     #[test]

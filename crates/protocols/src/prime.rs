@@ -147,7 +147,8 @@ pub struct PrimeReplica {
     core: Core<PrimeMsg, PrimeSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
     behavior: PrimeBehavior,
-    /// Preorder state keyed by (origin, origin_seq).
+    /// Preorder state keyed by (origin, origin_seq), until the request has
+    /// executed.
     preorder: BTreeMap<(ReplicaId, u64), PreorderEntry>,
     /// Requests this replica originated (origin_seq counter).
     my_origin_seq: u64,
@@ -417,6 +418,12 @@ impl PrimeReplica {
     // ---- the performance monitor (τ7) --------------------------------------
 
     fn check_leader_performance(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
+        // an executed request's entry has one thing left to do — announce
+        // its eligibility; dropping it after that, once per heartbeat, keeps
+        // this scan and the proposer's to the requests still in flight
+        let exec = &self.core.exec;
+        self.preorder
+            .retain(|_, e| e.eligible_at.is_none() || !exec.is_executed(&e.request.request.id));
         if self.core.gate.in_view_change() {
             return;
         }
@@ -678,6 +685,27 @@ mod tests {
             out.log.max_view()
         );
         assert_eq!(accepted(&out), 10);
+    }
+
+    /// `preorder` is what the proposer and the τ7 monitor scan: it must hold
+    /// the requests in flight, not the 1 200 entries (4 origins × 300
+    /// requests) the run preorders.
+    #[test]
+    fn preorder_holds_only_requests_still_in_flight() {
+        use crate::common::script::peak_size;
+        let s = Scenario::small(1).with_load(2, 150);
+        let delta = s.network.delta.0;
+        let (out, peak) = peak_size::<PrimeClientProto, _>(
+            &s,
+            4,
+            |me, q, store| {
+                let (heartbeat, bound) = (SimDuration(delta / 2), SimDuration(delta * 2));
+                PrimeReplica::new(me, q, store, PrimeBehavior::Honest, heartbeat, bound, 1)
+            },
+            |r| r.preorder.len(),
+        );
+        assert_eq!(accepted(&out), 300);
+        assert!(peak <= 100, "preorder grew to {peak} entries");
     }
 
     #[test]

@@ -39,6 +39,7 @@ use bft_types::{
 
 use crate::common::{launch_with_clients, Scenario, SignedRequest};
 use bft_core::workload::Workload;
+use bft_state::kv::{set_digest, xor_into};
 use rand::Rng;
 
 /// Q/U messages.
@@ -79,6 +80,14 @@ impl WireSize for QuMsg {
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     objects: BTreeMap<Key, (u64, Value)>,
+    /// XOR of the objects' leaf hashes — the incremental set-hash of
+    /// [`bft_state::KvStore`], so the digest costs O(1) per write and per
+    /// probe instead of a pass over the whole table.
+    acc: [u8; 32],
+}
+
+fn leaf_hash(key: Key, object: (u64, Value)) -> [u8; 32] {
+    bft_crypto::digest_of(&("qu-leaf", key, object)).0
 }
 
 impl ObjectStore {
@@ -97,7 +106,10 @@ impl ObjectStore {
         let (current, _) = self.get(key);
         if expected >= current {
             let new_version = expected + 1;
-            self.objects.insert(key, (new_version, value));
+            let old = self.objects.insert(key, (new_version, value));
+            for object in old.into_iter().chain([(new_version, value)]) {
+                xor_into(&mut self.acc, &leaf_hash(key, object));
+            }
             (true, new_version)
         } else {
             (false, current)
@@ -106,7 +118,7 @@ impl ObjectStore {
 
     /// Digest over the full object state (for convergence checks).
     pub fn digest(&self) -> Digest {
-        bft_crypto::digest_of(&self.objects.iter().collect::<Vec<_>>())
+        set_digest(b"qu-state", &self.acc, self.objects.len())
     }
 }
 
@@ -494,6 +506,37 @@ mod tests {
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
+    }
+
+    /// The table digest recomputed from the table alone (test oracle for
+    /// the incremental accumulator).
+    fn recomputed_digest(store: &ObjectStore) -> Digest {
+        let mut fresh = ObjectStore {
+            objects: store.objects.clone(),
+            acc: [0; 32],
+        };
+        for (key, object) in &store.objects {
+            xor_into(&mut fresh.acc, &leaf_hash(*key, *object));
+        }
+        fresh.digest()
+    }
+
+    proptest::proptest! {
+        /// Applied writes, fast-forwards and refusals in any order: the
+        /// incremental digest equals a from-scratch recomputation after
+        /// every one, and a refused write leaves it alone.
+        #[test]
+        fn incremental_table_digest_matches_recompute(
+            ops in proptest::collection::vec((0u64..8, -50i64..50, 0u64..6), 0..200)
+        ) {
+            let mut store = ObjectStore::default();
+            for (key, value, expected) in ops {
+                let before = store.digest();
+                let (applied, _) = store.write(key, value, expected);
+                proptest::prop_assert_eq!(store.digest(), recomputed_digest(&store));
+                proptest::prop_assert_eq!(applied, store.digest() != before);
+            }
+        }
     }
 
     #[test]

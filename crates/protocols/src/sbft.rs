@@ -201,6 +201,7 @@ impl ThresholdReplies {
 pub struct SbftReplica {
     core: Core<SbftMsg, SbftSlot, Vec<SignedRequest>>,
     store: Arc<KeyStore>,
+    /// Requests seen and not yet executed: what a leader proposes from.
     known: BTreeMap<RequestId, SignedRequest>,
     replies: ThresholdReplies,
     /// τ3 duration: how long the collector waits for the full share set.
@@ -420,10 +421,12 @@ impl SbftReplica {
     fn try_execute(&mut self, ctx: &mut Context<'_, SbftMsg>) {
         let (me, leader, weak) = (self.core.me, self.core.leader(), self.core.q.weak());
         let (replies, intake) = (&mut self.replies, &mut self.core.intake);
+        let known = &mut self.known;
         // the slot being executed: exec shares are per (slot, request)
         let slot = std::cell::Cell::new(self.core.exec.cursor().next());
         // execution share to the collector (threshold reply)
         let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
+            known.remove(&reply.request);
             ctx.charge_crypto(CryptoOp::ThresholdShareGen);
             if me == leader {
                 replies.record(weak, me, slot.get(), reply, ctx);
@@ -696,8 +699,9 @@ impl Actor<SbftMsg> for SbftReplica {
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, SbftMsg>) {
         match kind {
             TimerKind::T3BackupFailure => {
-                // find the slot owning this timer
-                let owner = self.core.log.iter().find(|(_, s)| s.ext.t3 == Some(id));
+                // the slot owning this timer is uncertified, so above the cursor
+                let mut open = self.core.log.range(self.core.exec.cursor().next()..);
+                let owner = open.find(|(_, s)| s.ext.t3 == Some(id));
                 if let Some(seq) = owner.map(|(seq, _)| *seq) {
                     self.on_t3(seq, ctx);
                 }
@@ -749,6 +753,32 @@ mod tests {
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
+    }
+
+    /// `known` is what every proposal scans: it must hold the requests not
+    /// yet executed, not all 300 the run saw.
+    #[test]
+    fn known_holds_only_requests_not_yet_executed() {
+        use crate::common::script::peak_size;
+        let s = Scenario::small(1).with_load(2, 150);
+        let delta = s.network.delta.0;
+        let (out, peak) = peak_size::<SbftClientProto, _>(
+            &s,
+            4,
+            |me, q, store| {
+                SbftReplica::new(
+                    me,
+                    q,
+                    store,
+                    SimDuration(delta * 4),
+                    SimDuration(delta / 2),
+                    1,
+                )
+            },
+            |r| r.known.len(),
+        );
+        assert_eq!(accepted(&out), 300);
+        assert!(peak <= 2, "known grew to {peak} requests with 2 clients");
     }
 
     #[test]

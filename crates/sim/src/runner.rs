@@ -153,6 +153,9 @@ struct SimState<M> {
     rng: ChaCha8Rng,
     metrics: Metrics,
     log: ObservationLog,
+    /// `ClientAccept` observations in `log`, counted as they are pushed so
+    /// a driver can poll completion without re-reading the log.
+    accepted: u64,
     cost_model: CryptoCostModel,
     /// Dense per-op cost lookup derived from `cost_model`: the hot path
     /// indexes an array instead of matching on the op.
@@ -483,6 +486,7 @@ impl<'a, M: WireSize + Serialize> Context<'a, M> {
         match &mut self.inner {
             CtxInner::Sim(s) => {
                 let now = s.now();
+                s.state.accepted += u64::from(matches!(obs, Observation::ClientAccept { .. }));
                 s.state.log.push(now, node, obs);
             }
             CtxInner::Threaded(t) => t.observe(obs),
@@ -783,6 +787,7 @@ impl<M: WireSize + Serialize + 'static> Simulation<M> {
                 rng: ChaCha8Rng::seed_from_u64(seed),
                 metrics: Metrics::default(),
                 log: ObservationLog::default(),
+                accepted: 0,
                 cost_model: free,
                 cost_table: free.table(),
                 wire_auth: WireAuth::from_seed(seed),
@@ -1098,6 +1103,11 @@ impl<M: WireSize + Serialize + 'static> Simulation<M> {
         &self.state.log
     }
 
+    /// Client acceptances observed so far (the log's `ClientAccept` count).
+    pub fn accepted(&self) -> u64 {
+        self.state.accepted
+    }
+
     /// Finish and extract the outcome.
     pub fn finish(self) -> RunOutcome {
         RunOutcome {
@@ -1288,6 +1298,70 @@ mod tests {
             out.metrics.node(NodeId::replica(0)).cpu,
             SimDuration::from_millis(5)
         );
+    }
+
+    /// The engine's accept counter is the log's `ClientAccept` count — with
+    /// duplicated deliveries (each copy of an echo is accepted), across a
+    /// crash/restart of the echoing replica, at every stop of a stepped run
+    /// and after a drained tail.
+    #[test]
+    fn accept_count_matches_the_log_under_duplication_crash_and_drain() {
+        struct Reflect;
+        impl Actor<Ping> for Reflect {
+            fn on_message(&mut self, from: NodeId, msg: &Ping, ctx: &mut Context<'_, Ping>) {
+                ctx.send(from, Ping(msg.0));
+            }
+        }
+        /// One ping per millisecond; accepts every echo that arrives.
+        struct Client {
+            left: u64,
+        }
+        impl Actor<Ping> for Client {
+            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+                ctx.set_timer(TimerKind::T7Heartbeat, SimDuration::from_millis(1));
+            }
+            fn on_timer(&mut self, _: TimerId, _: TimerKind, ctx: &mut Context<'_, Ping>) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.send(NodeId::replica(0), Ping(self.left));
+                    ctx.set_timer(TimerKind::T7Heartbeat, SimDuration::from_millis(1));
+                }
+            }
+            fn on_message(&mut self, _: NodeId, msg: &Ping, ctx: &mut Context<'_, Ping>) {
+                ctx.observe(Observation::ClientAccept {
+                    request: bft_types::RequestId {
+                        client: bft_types::ClientId(0),
+                        timestamp: msg.0,
+                    },
+                    sent_at: SimTime::ZERO,
+                    fast_path: true,
+                    txn: Default::default(),
+                    result: bft_types::TxnResult { reads: vec![] },
+                });
+            }
+        }
+        let network = NetworkConfig::lan().with_duplication(0.5);
+        let mut s = Simulation::<Ping>::new(NetworkModel::new(network), 9);
+        s.add_replica(0, Box::new(Reflect));
+        s.add_client(0, Box::new(Client { left: 40 }));
+        s.schedule_crash(NodeId::replica(0), SimTime(10_500_000));
+        s.schedule_recover(NodeId::replica(0), SimTime(20_500_000));
+        let counted = |s: &Simulation<Ping>| s.log().client_latencies().len() as u64;
+        let mut t = SimTime::ZERO;
+        while s.accepted() < 30 {
+            t = t + SimDuration::from_millis(5);
+            s.run(t);
+            assert_eq!(s.accepted(), counted(&s), "at {t}");
+        }
+        let before_drain = s.accepted();
+        s.run(t + SimDuration::from_millis(50));
+        assert_eq!(s.accepted(), counted(&s));
+        assert!(s.accepted() > before_drain, "the tail held acceptances");
+        let mut echoed: Vec<_> = s.log().client_latencies();
+        echoed.sort_by_key(|(request, _)| *request);
+        echoed.dedup_by_key(|(request, _)| *request);
+        assert!(echoed.len() < 40, "the crash lost no ping");
+        assert!((echoed.len() as u64) < s.accepted(), "no echo was doubled");
     }
 
     #[test]

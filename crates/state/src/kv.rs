@@ -28,10 +28,23 @@ fn leaf_hash(key: Key, value: Value) -> [u8; 32] {
     h.finalize()
 }
 
-fn xor_into(acc: &mut [u8; 32], leaf: &[u8; 32]) {
+/// Fold a leaf hash into (or, applied a second time, out of) a set-hash
+/// accumulator.
+pub fn xor_into(acc: &mut [u8; 32], leaf: &[u8; 32]) {
     for (a, b) in acc.iter_mut().zip(leaf) {
         *a ^= *b;
     }
+}
+
+/// The digest of a set of `len` entries whose leaf hashes XOR to `acc`.
+/// Domain-separated so an empty set does not collide with a zero digest
+/// from elsewhere.
+pub fn set_digest(domain: &[u8], acc: &[u8; 32], len: usize) -> Digest {
+    let mut h = Hasher::new();
+    h.update(domain);
+    h.update(acc);
+    h.update(&(len as u64).to_le_bytes());
+    Digest(h.finalize())
 }
 
 impl KvStore {
@@ -74,14 +87,9 @@ impl KvStore {
         self.data.is_empty()
     }
 
-    /// The current state digest. Domain-separated so an empty store does
-    /// not collide with a zero digest from elsewhere.
+    /// The current state digest.
     pub fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        h.update(b"kv-state");
-        h.update(&self.acc);
-        h.update(&(self.data.len() as u64).to_le_bytes());
-        Digest(h.finalize())
+        set_digest(b"kv-state", &self.acc, self.data.len())
     }
 
     /// Recompute the digest accumulator from scratch (test oracle for the
@@ -91,11 +99,7 @@ impl KvStore {
         for (&k, &v) in &self.data {
             xor_into(&mut acc, &leaf_hash(k, v));
         }
-        let mut h = Hasher::new();
-        h.update(b"kv-state");
-        h.update(&acc);
-        h.update(&(self.data.len() as u64).to_le_bytes());
-        Digest(h.finalize())
+        set_digest(b"kv-state", &acc, self.data.len())
     }
 
     /// Iterate entries in key order.
