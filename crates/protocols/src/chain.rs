@@ -19,7 +19,7 @@
 //! from the lowest reported sequence number. This models Abstract's
 //! switching (Chain → backup instance) without changing protocol family.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -30,8 +30,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
+    SubmitPolicy,
 };
 
 /// Chain messages.
@@ -104,13 +104,12 @@ pub struct ChainReplica {
     /// Requests seen and not yet executed (a new head re-proposes them).
     known: BTreeMap<RequestId, SignedRequest>,
     exec: Execution,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
     /// Stall machinery: τ2 over relayed requests, then a settle window.
     intake: Intake,
     settle_timer: Option<TimerId>,
     /// Reports received for the current stall round: replica → last_seq.
     reports: BTreeMap<ReplicaId, SeqNum>,
-    batch_size: usize,
 }
 
 impl ChainReplica {
@@ -132,11 +131,10 @@ impl ChainReplica {
             log: BTreeMap::new(),
             known: BTreeMap::new(),
             exec: Execution::new().skipping_executed(),
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
             intake: Intake::new(view_timeout),
             settle_timer: None,
             reports: BTreeMap::new(),
-            batch_size,
         }
     }
 
@@ -189,16 +187,9 @@ impl ChainReplica {
         if !self.is_head() {
             return;
         }
-        let (exec, in_log) = (&self.exec, self.unexecuted_in_log());
-        self.mempool
-            .retain(|r| !exec.is_executed(&r.request.id) && !in_log.contains(&r.request.id));
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        let in_log = self.unexecuted_in_log();
+        self.mempool.drop_ordered(&self.exec, in_log);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.next_seq) {
             self.accept_chained(seq, digest, batch, 0, ctx);
         }
     }
@@ -346,17 +337,12 @@ impl ChainReplica {
             }
             // anything known but unexecuted and unlogged gets fresh slots
             let in_log = self.unexecuted_in_log();
-            let todo: Vec<SignedRequest> = self
-                .known
-                .values()
-                .filter(|r| {
-                    !self.exec.is_executed(&r.request.id) && !in_log.contains(&r.request.id)
-                })
+            let known = self.known.values();
+            let todo: Vec<SignedRequest> = known
+                .filter(|r| !in_log.contains(&r.request.id))
                 .cloned()
                 .collect();
-            for r in &todo {
-                enqueue_unique(&mut self.mempool, r);
-            }
+            self.mempool.requeue(&self.exec, &todo);
             self.disseminate(ctx);
         }
     }
@@ -385,7 +371,7 @@ impl Actor<ChainMsg> for ChainReplica {
                 }
                 self.known.insert(signed.request.id, signed.clone());
                 if self.is_head() {
-                    enqueue_unique(&mut self.mempool, signed);
+                    self.mempool.push(signed);
                     self.disseminate(ctx);
                 } else {
                     self.intake

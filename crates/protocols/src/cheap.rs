@@ -13,19 +13,17 @@
 //! with 2f+1 quorums among all `n`), trading the saved resources back for
 //! resilience — exactly the trade-off dimension E1/P1 describes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    drop_ordered, enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake,
-    Scenario, SignedRequest, SlotLog, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
+    SlotLog, SubmitPolicy, Tally,
 };
 
 /// CheapBFT messages.
@@ -101,10 +99,9 @@ impl WireSize for CheapMsg {
 
 #[derive(Debug, Clone, Default)]
 struct CheapSlot {
-    agrees: Vec<ReplicaId>,
-    confirms: Vec<ReplicaId>,
-    agreed: bool,
-    sent_confirm: bool,
+    agrees: Tally,
+    /// Fallback epochs only.
+    confirms: Tally,
     /// τ3 agreement timer (leader only).
     t3: Option<TimerId>,
 }
@@ -118,15 +115,14 @@ pub struct CheapReplica {
     epoch: u32,
     next_seq: SeqNum,
     log: SlotLog<CheapSlot>,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
     exec: Execution,
-    /// Passive: update attestations per (seq, digest).
-    update_votes: BTreeMap<(SeqNum, Digest), Vec<ReplicaId>>,
+    /// Passive: update attestations per slot.
+    update_votes: BTreeMap<SeqNum, Tally>,
     /// Pending updates (batches) awaiting enough attestations.
     update_batches: BTreeMap<(SeqNum, Digest), Vec<SignedRequest>>,
     transition_votes: Vec<ReplicaId>,
     t3_timeout: SimDuration,
-    batch_size: usize,
 }
 
 impl CheapReplica {
@@ -145,13 +141,12 @@ impl CheapReplica {
             epoch: 0,
             next_seq: SeqNum(1),
             log: SlotLog::default(),
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
             exec: Execution::new(),
             update_votes: BTreeMap::new(),
             update_batches: BTreeMap::new(),
             transition_votes: Vec::new(),
             t3_timeout,
-            batch_size,
         }
     }
 
@@ -187,10 +182,10 @@ impl CheapReplica {
         self.me == self.leader()
     }
 
-    fn actives(&self) -> Vec<NodeId> {
-        (0..self.active_count() as u32)
-            .map(NodeId::replica)
-            .collect()
+    /// The active replicas other than this one.
+    fn other_actives(&self) -> Vec<NodeId> {
+        let actives = (0..self.active_count() as u32).map(NodeId::replica);
+        actives.filter(|n| *n != NodeId::Replica(self.me)).collect()
     }
 
     fn passives(&self) -> Vec<NodeId> {
@@ -203,24 +198,14 @@ impl CheapReplica {
         if !self.is_leader() {
             return;
         }
-        drop_ordered(&mut self.mempool, &self.exec, &self.log);
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        let open = self.log.in_flight(self.exec.cursor());
+        self.mempool.drop_ordered(&self.exec, open);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.next_seq) {
             ctx.charge_crypto(CryptoOp::Sign);
             let epoch = self.epoch;
             self.log.install(seq, digest, batch.clone());
-            let actives: Vec<NodeId> = self
-                .actives()
-                .into_iter()
-                .filter(|n| *n != NodeId::Replica(self.me))
-                .collect();
             ctx.multicast(
-                actives,
+                self.other_actives(),
                 CheapMsg::PrePrepare {
                     epoch,
                     seq,
@@ -239,13 +224,8 @@ impl CheapReplica {
         let epoch = self.epoch;
         let me = self.me;
         ctx.charge_crypto(CryptoOp::Sign);
-        let actives: Vec<NodeId> = self
-            .actives()
-            .into_iter()
-            .filter(|n| *n != NodeId::Replica(me))
-            .collect();
         ctx.multicast(
-            actives,
+            self.other_actives(),
             CheapMsg::Agree {
                 epoch,
                 seq,
@@ -263,43 +243,26 @@ impl CheapReplica {
         digest: Digest,
         ctx: &mut Context<'_, CheapMsg>,
     ) {
-        let quorum = self.agree_quorum();
-        let optimistic = self.epoch == 0;
+        let (quorum, optimistic) = (self.agree_quorum(), self.epoch == 0);
         let slot = self.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
+        let Some(digest) = slot.ext.agrees.vote(from, digest, slot.digest, quorum) else {
             return;
+        };
+        if let Some(t) = slot.ext.t3.take() {
+            ctx.cancel_timer(t);
         }
-        let matches = slot.digest == Some(digest);
-        let slot = &mut slot.ext;
-        if !slot.agrees.contains(&from) {
-            slot.agrees.push(from);
-        }
-        if !slot.agreed && slot.agrees.len() >= quorum && matches {
-            slot.agreed = true;
-            if let Some(t) = slot.t3.take() {
-                ctx.cancel_timer(t);
-            }
-            if optimistic {
-                // all actives agreed: commit directly (the certificate is
-                // complete by assumption a2)
-                self.commit_slot(seq, digest, ctx);
-            } else {
-                // pessimistic fallback: a second round is needed
-                self.send_confirm(seq, digest, ctx);
-            }
+        if optimistic {
+            // all actives agreed: commit directly (the certificate is
+            // complete by assumption a2)
+            self.commit_slot(seq, digest, ctx);
+        } else {
+            // pessimistic fallback: a second round is needed
+            self.send_confirm(seq, digest, ctx);
         }
     }
 
     fn send_confirm(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, CheapMsg>) {
-        let epoch = self.epoch;
-        let me = self.me;
-        {
-            let slot = &mut self.log.slot(seq).ext;
-            if slot.sent_confirm {
-                return;
-            }
-            slot.sent_confirm = true;
-        }
+        let (epoch, me) = (self.epoch, self.me);
         ctx.charge_crypto(CryptoOp::Sign);
         ctx.broadcast_replicas(CheapMsg::Confirm {
             epoch,
@@ -319,28 +282,17 @@ impl CheapReplica {
     ) {
         let quorum = self.q.quorum();
         let slot = self.log.slot(seq);
-        if !slot.ext.confirms.contains(&from) {
-            slot.ext.confirms.push(from);
-        }
-        if !slot.committed && slot.ext.confirms.len() >= quorum && slot.digest == Some(digest) {
+        if let Some(digest) = slot.ext.confirms.vote(from, digest, slot.digest, quorum) {
             self.commit_slot(seq, digest, ctx);
         }
     }
 
     fn commit_slot(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, CheapMsg>) {
-        {
-            let slot = self.log.slot(seq);
-            if slot.committed {
-                return;
-            }
-            slot.committed = true;
+        let (view, slot) = (View(self.epoch as u64), self.log.slot(seq));
+        if slot.committed {
+            return;
         }
-        ctx.observe(Observation::Commit {
-            seq,
-            view: View(self.epoch as u64),
-            digest,
-            speculative: false,
-        });
+        slot.commit(ctx, seq, view, digest);
         self.try_execute(ctx);
     }
 
@@ -384,12 +336,12 @@ impl CheapReplica {
         }
         ctx.charge_crypto(CryptoOp::Verify);
         self.update_batches.entry((seq, digest)).or_insert(batch);
-        let votes = self.update_votes.entry((seq, digest)).or_default();
-        if !votes.contains(&from) {
-            votes.push(from);
-        }
         // f+1 matching updates guarantee one correct active vouches
-        if votes.len() >= self.q.weak() {
+        let votes = self.update_votes.entry(seq).or_default();
+        if votes
+            .vote(from, digest, Some(digest), self.q.weak())
+            .is_some()
+        {
             if let Some(batch) = self.update_batches.get(&(seq, digest)).cloned() {
                 self.log.install(seq, digest, batch);
                 self.commit_slot(seq, digest, ctx);
@@ -471,7 +423,7 @@ impl Actor<CheapMsg> for CheapReplica {
                 if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                enqueue_unique(&mut self.mempool, signed);
+                self.mempool.push(signed);
                 if self.is_leader() {
                     self.propose(ctx);
                 } else {
@@ -498,8 +450,7 @@ impl Actor<CheapMsg> for CheapReplica {
                 if digest_of(batch) != *digest {
                     return;
                 }
-                let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-                self.mempool.retain(|r| !ids.contains(&r.request.id));
+                self.mempool.remove(batch);
                 if self.log.install(*seq, *digest, batch.clone()) {
                     self.send_agree(*seq, *digest, ctx);
                 }
@@ -549,7 +500,7 @@ impl Actor<CheapMsg> for CheapReplica {
             let owner = self.log.values_mut().find(|s| s.ext.t3 == Some(id));
             let stalled = owner.is_some_and(|slot| {
                 slot.ext.t3 = None;
-                !slot.ext.agreed
+                !slot.ext.agrees.crossed()
             });
             if stalled {
                 // an active replica is unresponsive: the optimistic
@@ -653,6 +604,57 @@ mod tests {
             e.node == NodeId::replica(3) && matches!(e.obs, Observation::Execute { .. })
         });
         assert_eq!(passive_execs, 20);
+    }
+
+    /// Regression: a fallback-epoch Confirm counted for any digest, so
+    /// 2f Confirm(X) plus one Confirm(Y) made a 2f+1 quorum on a Y slot.
+    #[test]
+    fn confirms_for_another_digest_do_not_commit_the_slot() {
+        use crate::common::script::{committed, executions, play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let [(x, _), (y, batch)] = rival_batches(&store);
+        let (epoch, seq) = (1, SeqNum(1));
+        let confirm = |digest, from| CheapMsg::Confirm {
+            epoch,
+            seq,
+            digest,
+            from: ReplicaId(from),
+        };
+        let proposal = CheapMsg::PrePrepare {
+            epoch,
+            seq,
+            digest: y,
+            batch,
+        };
+        // r3 demands the fallback (r2 joins: f+1 demands), leader r0 then
+        // proposes Y, r1 and r3 confirm X, and r0 confirms Y last
+        let script = |rounds| Script { to: 2, rounds };
+        let transition = CheapMsg::Transition { from: ReplicaId(3) };
+        let scripts = vec![
+            (
+                3,
+                script(vec![vec![transition], vec![], vec![confirm(x, 3)]]),
+            ),
+            (1, script(vec![vec![], vec![], vec![confirm(x, 1)]])),
+            (
+                0,
+                script(vec![vec![], vec![proposal], vec![], vec![confirm(y, 0)]]),
+            ),
+        ];
+        let q = QuorumRules { n: 4, f: 1 };
+        let replica = CheapReplica::new(ReplicaId(2), q, store, SimDuration::from_millis(20), 1);
+        let (out, sent) = play(scripts, replica);
+        let agreed_y =
+            |m: &CheapMsg| matches!(m, CheapMsg::Agree { digest, epoch: 1, .. } if *digest == y);
+        assert!(
+            sent.iter().any(agreed_y),
+            "r2 is in the fallback and accepted Y"
+        );
+        assert!(
+            !committed(&out),
+            "2f Confirm(X) + Confirm(Y) is no quorum for Y"
+        );
+        assert!(executions(&out).is_empty());
     }
 
     #[test]

@@ -822,10 +822,96 @@ impl Catchup {
     }
 }
 
-/// Mempool de-duplication: queue `signed` unless it is queued already.
-pub fn enqueue_unique(mempool: &mut VecDeque<SignedRequest>, signed: &SignedRequest) {
-    if !mempool.iter().any(|r| r.request.id == signed.request.id) {
-        mempool.push_back(signed.clone());
+/// The requests a leader proposes from, each at most once, and the cut of
+/// the next batch.
+#[derive(Debug)]
+pub struct Mempool {
+    queue: VecDeque<SignedRequest>,
+    batch_size: usize,
+}
+
+impl Mempool {
+    /// An empty mempool cutting batches of at most `batch_size` requests.
+    pub fn new(batch_size: usize) -> Mempool {
+        Mempool {
+            queue: VecDeque::new(),
+            batch_size,
+        }
+    }
+
+    /// Queue `signed` unless it is queued already.
+    pub fn push(&mut self, signed: &SignedRequest) {
+        if !self.contains(signed.request.id) {
+            self.queue.push_back(signed.clone());
+        }
+    }
+
+    /// Whether `id` is queued.
+    pub fn contains(&self, id: RequestId) -> bool {
+        self.queue.iter().any(|r| r.request.id == id)
+    }
+
+    /// Requests queued.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// The queue in proposal order, for a leader that rearranges it.
+    pub fn queue_mut(&mut self) -> &mut [SignedRequest] {
+        self.queue.make_contiguous()
+    }
+
+    /// Before proposing: drop what has executed or is `in_flight`.
+    pub fn drop_ordered(
+        &mut self,
+        exec: &Execution,
+        in_flight: impl IntoIterator<Item = RequestId>,
+    ) {
+        let open: Vec<RequestId> = in_flight.into_iter().collect();
+        let ordered = |id: &RequestId| exec.is_executed(id) || open.contains(id);
+        self.queue.retain(|r| !ordered(&r.request.id));
+    }
+
+    /// Drop the requests of `batch`: a proposal carries them.
+    pub fn remove(&mut self, batch: &[SignedRequest]) {
+        let proposed = |r: &SignedRequest| batch.iter().any(|b| b.request.id == r.request.id);
+        self.queue.retain(|r| !proposed(r));
+    }
+
+    /// Queue again the stranded requests that have not executed.
+    pub fn requeue(&mut self, exec: &Execution, stranded: &[SignedRequest]) {
+        for r in stranded.iter().filter(|r| !exec.is_executed(&r.request.id)) {
+            self.push(r);
+        }
+    }
+
+    /// The next at most `batch_size` requests, in queue order.
+    pub fn take(&mut self) -> Vec<SignedRequest> {
+        let take = self.batch_size.min(self.queue.len());
+        self.queue.drain(..take).collect()
+    }
+
+    /// The next batch, its sequence number `next_seq` (which advances) and
+    /// its digest, charged as one `Hash`; `None` when nothing is queued.
+    pub fn cut<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        next_seq: &mut SeqNum,
+    ) -> Option<(SeqNum, Digest, Vec<SignedRequest>)> {
+        if self.queue.is_empty() {
+            return None;
+        }
+        let batch = self.take();
+        let seq = *next_seq;
+        *next_seq = seq.next();
+        let digest = digest_of(&batch);
+        ctx.charge_crypto(CryptoOp::Hash);
+        Some((seq, digest, batch))
     }
 }
 
@@ -872,6 +958,154 @@ impl<X: Default> Slot<X> {
     pub fn reset(&mut self) {
         self.committed = false;
         self.ext = X::default();
+    }
+}
+
+impl<X> Slot<X> {
+    /// Mark slot `seq` committed on `digest` in `view` and observe it.
+    pub fn commit<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        seq: SeqNum,
+        view: View,
+        digest: Digest,
+    ) {
+        self.committed = true;
+        ctx.observe(Observation::Commit {
+            seq,
+            view,
+            digest,
+            speculative: false,
+        });
+    }
+}
+
+/// One agreement phase of one slot: one vote per replica, bound to the
+/// digest it was cast for. Only votes for the slot's installed digest count
+/// — a vote that raced ahead of the proposal counts once the proposal
+/// brings the same digest, never toward another — and the quorum is
+/// crossed once.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    voters: Vec<ReplicaId>,
+    /// The digest of the first vote and the votes it drew.
+    first: Option<(Digest, usize)>,
+    /// Votes for any other digest (only equivocation casts them).
+    others: Vec<Digest>,
+    crossed: bool,
+}
+
+impl Tally {
+    /// Record `from`'s vote for `digest` (its first vote stands); the
+    /// `installed` digest once the votes for it reach `quorum`.
+    pub fn vote(
+        &mut self,
+        from: ReplicaId,
+        digest: Digest,
+        installed: Option<Digest>,
+        quorum: usize,
+    ) -> Option<Digest> {
+        if !self.voters.contains(&from) {
+            self.voters.push(from);
+            match &mut self.first {
+                Some((d, votes)) if *d == digest => *votes += 1,
+                Some(_) => self.others.push(digest),
+                None => self.first = Some((digest, 1)),
+            }
+        }
+        let installed = installed.filter(|d| !self.crossed && self.count(*d) >= quorum)?;
+        self.crossed = true;
+        Some(installed)
+    }
+
+    /// Votes cast for `digest`.
+    pub fn count(&self, digest: Digest) -> usize {
+        let first = self.first.filter(|(d, _)| *d == digest);
+        first.map_or(0, |(_, votes)| votes) + self.others.iter().filter(|d| **d == digest).count()
+    }
+
+    /// Whether the quorum has been reached.
+    pub fn crossed(&self) -> bool {
+        self.crossed
+    }
+}
+
+/// The PBFT-pattern agreement of one slot: prepares, then commits.
+#[derive(Debug, Clone, Default)]
+pub struct Rounds {
+    prepares: Tally,
+    commits: Tally,
+}
+
+impl Rounds {
+    /// Whether the prepare quorum has formed.
+    pub fn prepared(&self) -> bool {
+        self.prepares.crossed()
+    }
+}
+
+/// The prepare → commit pair as PBFT, Prime and Themis each run it over
+/// slots whose agreement state `X` holds the [`Rounds`] (`ext` finds it):
+/// their quorums, the authenticator charged per broadcast vote (`count` ×
+/// `op`) and the two vote messages, built from `(view, slot, digest,
+/// voter)`.
+pub(crate) struct RoundRules<M, X> {
+    pub me: ReplicaId,
+    pub ext: fn(&mut X) -> &mut Rounds,
+    pub prepare_quorum: usize,
+    pub commit_quorum: usize,
+    pub auth: (CryptoOp, usize),
+    pub prepare: fn(View, SeqNum, Digest, ReplicaId) -> M,
+    pub commit: fn(View, SeqNum, Digest, ReplicaId) -> M,
+}
+
+impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
+    /// Broadcast this replica's prepare for `digest` at slot `seq` of
+    /// `view` and count it — after the `proposer`'s, where the proposal is
+    /// its prepare. `true` if the slot committed: the caller executes.
+    pub fn prepare(
+        &self,
+        ctx: &mut Context<'_, M>,
+        slot: &mut Slot<X>,
+        (view, seq): (View, SeqNum),
+        digest: Digest,
+        proposer: Option<ReplicaId>,
+    ) -> bool {
+        ctx.charge_crypto_n(self.auth.0, self.auth.1);
+        ctx.broadcast_replicas((self.prepare)(view, seq, digest, self.me));
+        let at = (view, seq);
+        let by_proposer = proposer.is_some_and(|p| self.count(ctx, slot, at, (false, p), digest));
+        self.count(ctx, slot, at, (false, self.me), digest) || by_proposer
+    }
+
+    /// Count `from`'s prepare (`commit` false) or commit. The prepare
+    /// quorum broadcasts and counts this replica's commit; the commit
+    /// quorum, once prepared, commits the slot. `true` if it did.
+    pub fn count(
+        &self,
+        ctx: &mut Context<'_, M>,
+        slot: &mut Slot<X>,
+        (view, seq): (View, SeqNum),
+        (commit, from): (bool, ReplicaId),
+        digest: Digest,
+    ) -> bool {
+        let rounds = (self.ext)(&mut slot.ext);
+        let (tally, installed, quorum) = if commit {
+            let prepared = slot.digest.filter(|_| rounds.prepared());
+            (&mut rounds.commits, prepared, self.commit_quorum)
+        } else {
+            (&mut rounds.prepares, slot.digest, self.prepare_quorum)
+        };
+        let Some(digest) = tally.vote(from, digest, installed, quorum) else {
+            return false;
+        };
+        if commit {
+            slot.commit(ctx, seq, view, digest);
+            return true;
+        }
+        ctx.charge_crypto_n(self.auth.0, self.auth.1);
+        ctx.broadcast_replicas((self.commit)(view, seq, digest, self.me));
+        self.count(ctx, slot, (view, seq), (true, self.me), digest)
     }
 }
 
@@ -1678,33 +1912,16 @@ impl<P: Clone> ViewChange<P> {
     }
 }
 
-/// Leader housekeeping before proposing: drop from the mempool what has
-/// executed or already sits in an open slot.
-pub fn drop_ordered<X: Default>(
-    mempool: &mut VecDeque<SignedRequest>,
-    exec: &Execution,
-    log: &SlotLog<X>,
-) {
-    let open: Vec<RequestId> = log.in_flight(exec.cursor()).collect();
-    mempool.retain(|r| !exec.is_executed(&r.request.id) && !open.contains(&r.request.id));
-}
-
-/// Requeue stranded requests that have not executed, once each.
-pub fn requeue_unexecuted(
-    mempool: &mut VecDeque<SignedRequest>,
-    exec: &Execution,
-    stranded: &[SignedRequest],
-) {
-    for r in stranded.iter().filter(|r| !exec.is_executed(&r.request.id)) {
-        enqueue_unique(mempool, r);
-    }
-}
+/// The request arm's two messages: the reply to a retransmission and the
+/// request relayed to the leader (`None`: not relayed).
+pub(crate) type RequestWire<M> = (fn(Reply) -> M, Option<fn(SignedRequest) -> M>);
 
 /// The replica skeleton the PBFT-pattern family embeds: who this replica
 /// is plus the lifecycle stages that do not vary between its members.
 pub(crate) struct Core<M, X, P> {
     pub me: ReplicaId,
     pub q: QuorumRules,
+    pub store: Arc<KeyStore>,
     pub gate: ViewGate<M>,
     pub votes: ViewChange<P>,
     pub intake: Intake,
@@ -1716,10 +1933,15 @@ pub(crate) struct Core<M, X, P> {
 
 impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X, P> {
     /// A replica in view 0 with an empty log, executing through `exec`.
-    pub fn new(me: ReplicaId, q: QuorumRules, view_timeout: SimDuration, exec: Execution) -> Self {
+    pub fn new(
+        (me, q, store): (ReplicaId, QuorumRules, Arc<KeyStore>),
+        view_timeout: SimDuration,
+        exec: Execution,
+    ) -> Self {
         Core {
             me,
             q,
+            store,
             gate: ViewGate::new(),
             votes: ViewChange::default(),
             intake: Intake::new(view_timeout),
@@ -1742,6 +1964,37 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X,
     /// The open slots satisfying `keep`, as a view-change report.
     pub fn open_entries(&self, keep: impl Fn(&Slot<X>) -> bool) -> Vec<BatchEntry> {
         self.log.entries_above(self.exec.cursor(), keep)
+    }
+
+    /// The request arm: admit a client request and queue it; a backup
+    /// relays it to the leader — or only watches it where clients
+    /// broadcast — holding the leader to it with τ2. `true` for new work,
+    /// which the leader proposes.
+    pub fn take_request(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        mempool: &mut Mempool,
+        signed: &SignedRequest,
+        (reply, relay): RequestWire<M>,
+    ) -> bool {
+        let (view, answer) = (self.gate.view(), reply_to_client(None, reply));
+        if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
+            return false;
+        }
+        mempool.push(signed);
+        if !self.is_leader() {
+            let may_arm = !self.gate.in_view_change();
+            match relay {
+                Some(wrap) => self.intake.relay(ctx, signed, self.leader(), wrap, may_arm),
+                None => self.intake.watch(ctx, signed.request.id, may_arm),
+            }
+        }
+        true
+    }
+
+    /// [`Mempool::drop_ordered`] against this replica's log.
+    pub fn drop_ordered(&self, mempool: &mut Mempool) {
+        mempool.drop_ordered(&self.exec, self.log.in_flight(self.exec.cursor()));
     }
 
     /// [`Execution::drain`] in the current view: replies go to the clients
@@ -1793,8 +2046,9 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         self.core().intake.has_pending()
     }
 
-    /// The family's two messages inside the protocol's message enum.
-    fn wire(msg: ViewMsg<Self::Payload>) -> Self::Msg;
+    /// The variant of the protocol's message enum that carries the family's
+    /// two messages.
+    const WIRE: fn(ViewMsg<Self::Payload>) -> Self::Msg;
 
     /// What this replica reports when it abandons the view.
     fn report(&mut self, ctx: &mut Context<'_, Self::Msg>) -> Vec<Entry<Self::Payload>>;
@@ -1830,7 +2084,7 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         });
         let (report, from) = (self.report(ctx), self.core().me);
         ctx.charge_crypto(CryptoOp::Sign);
-        ctx.broadcast_replicas(Self::wire(ViewMsg::ViewChange {
+        ctx.broadcast_replicas((Self::WIRE)(ViewMsg::ViewChange {
             new_view: target,
             report: report.clone(),
             from,
@@ -1888,7 +2142,7 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
             VcStep::Assemble => {
                 let proposals = self.assemble(target);
                 ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas(Self::wire(ViewMsg::NewView {
+                ctx.broadcast_replicas((Self::WIRE)(ViewMsg::NewView {
                     view: target,
                     proposals: proposals.clone(),
                 }));
@@ -1945,6 +2199,25 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         }
     }
 
+    /// Admit a proposal `msg` of `view` from `from`: it must come from the
+    /// current leader and carry the digest of `payload` (charged as a
+    /// signature check and a hash). One ahead of its view is buffered.
+    fn admit_proposal(
+        &mut self,
+        ctx: &mut Context<'_, Self::Msg>,
+        (from, view, msg): (NodeId, View, &Self::Msg),
+        digest: Digest,
+        payload: &impl serde::Serialize,
+    ) -> bool {
+        let core = self.core();
+        if !core.gate.admit(from, view, msg) || from != NodeId::Replica(core.leader()) {
+            return false;
+        }
+        ctx.charge_crypto(CryptoOp::Verify);
+        ctx.charge_crypto(CryptoOp::Hash);
+        digest_of(payload) == digest
+    }
+
     /// A timer popped: if it is the live τ2, escalate (see
     /// [`ViewChange::escalation`]).
     fn on_view_timer(&mut self, id: TimerId, ctx: &mut Context<'_, Self::Msg>) {
@@ -1966,28 +2239,54 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 pub(crate) mod script {
     use super::*;
 
-    /// Sends `now` to replica `to` at start-up and `late` 5 ms afterwards;
-    /// ignores everything it receives.
+    /// Sends its rounds of messages to replica `to`, the first at start-up
+    /// and each further one 5 ms after the last, so that the rounds arrive
+    /// in order.
     pub(crate) struct Script<M> {
         pub to: u32,
-        pub now: Vec<M>,
-        pub late: Vec<M>,
+        pub rounds: Vec<Vec<M>>,
     }
 
-    impl<M: WireSize + Clone + serde::Serialize + 'static> Actor<M> for Script<M> {
-        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-            for msg in self.now.drain(..) {
-                ctx.send(NodeId::replica(self.to), msg);
+    impl<M> Script<M> {
+        /// `now` at start-up, `late` 5 ms afterwards.
+        pub(crate) fn new(to: u32, now: Vec<M>, late: Vec<M>) -> Script<M> {
+            Script {
+                to,
+                rounds: vec![now, late],
+            }
+        }
+    }
+
+    /// A script, plus everything its replica hears (from the replica under
+    /// test: nobody else talks to it).
+    struct Scripted<M> {
+        script: Script<M>,
+        heard: Arc<std::sync::Mutex<Vec<M>>>,
+    }
+
+    impl<M: WireSize + Clone + serde::Serialize + 'static> Scripted<M> {
+        fn send_round(&mut self, ctx: &mut Context<'_, M>) {
+            if self.script.rounds.is_empty() {
+                return;
+            }
+            for msg in self.script.rounds.remove(0) {
+                ctx.send(NodeId::replica(self.script.to), msg);
             }
             ctx.set_timer(TimerKind::T1WaitReplies, SimDuration::from_millis(5));
         }
+    }
 
-        fn on_message(&mut self, _: NodeId, _: &M, _: &mut Context<'_, M>) {}
+    impl<M: WireSize + Clone + serde::Serialize + 'static> Actor<M> for Scripted<M> {
+        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+            self.send_round(ctx);
+        }
+
+        fn on_message(&mut self, _: NodeId, msg: &M, _: &mut Context<'_, M>) {
+            self.heard.lock().expect("not poisoned").push(msg.clone());
+        }
 
         fn on_timer(&mut self, _: TimerId, _: TimerKind, ctx: &mut Context<'_, M>) {
-            for msg in self.late.drain(..) {
-                ctx.send(NodeId::replica(self.to), msg);
-            }
+            self.send_round(ctx);
         }
     }
 
@@ -2052,6 +2351,26 @@ pub(crate) mod script {
         (signed, digest)
     }
 
+    /// Two rival one-request batches for one slot, each with its digest:
+    /// what an equivocating leader proposes to different backups.
+    pub(crate) fn rival_batches(store: &KeyStore) -> [(Digest, Vec<SignedRequest>); 2] {
+        [1u64, 2].map(|client| {
+            let txn = Transaction::single(Op::Put(7, client as i64));
+            let batch = vec![SignedRequest::new(
+                store,
+                Request::new(ClientId(client), 1, txn),
+            )];
+            (digest_of(&batch), batch)
+        })
+    }
+
+    /// Whether the run observed any commit.
+    pub(crate) fn committed(out: &RunOutcome) -> bool {
+        out.log
+            .count(|e| matches!(e.obs, Observation::Commit { .. }))
+            > 0
+    }
+
     /// `(node, request, post-state digest)` of every execution observed.
     pub(crate) fn executions(out: &RunOutcome) -> Vec<(NodeId, RequestId, Digest)> {
         let entries = out.log.entries.iter();
@@ -2066,27 +2385,30 @@ pub(crate) mod script {
         executed.collect()
     }
 
-    /// Run `script` as replica `from` against `replica` (installed as
-    /// replica `script.to`) for 50 ms; the other two replicas stay silent.
-    pub(crate) fn play<M, R>(from: u32, script: Script<M>, replica: R) -> RunOutcome
+    /// Run each `(sender, script)` against `replica`, installed as the
+    /// replica the scripts address, for 50 ms; the remaining replicas of a
+    /// four-replica LAN stay silent. Returns the run and, in arrival
+    /// order, every message the replica under test sent them (a broadcast
+    /// once per peer).
+    pub(crate) fn play<M, R>(scripts: Vec<(u32, Script<M>)>, replica: R) -> (RunOutcome, Vec<M>)
     where
         M: WireSize + Clone + serde::Serialize + Send + Sync + 'static,
         R: Actor<M> + Send + 'static,
     {
         let mut sim = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
-        let to = script.to;
-        let silent = |to| Script {
-            to,
-            now: Vec::new(),
-            late: Vec::new(),
-        };
-        for id in (0..4).filter(|id| *id != from && *id != to) {
-            sim.add_replica(id, Box::new(silent(to)));
+        let to = scripts.first().map_or(0, |(_, s)| s.to);
+        let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut scripts: BTreeMap<u32, Script<M>> = scripts.into_iter().collect();
+        for id in (0..4).filter(|id| *id != to) {
+            let silent = || Script { to, rounds: vec![] };
+            let script = scripts.remove(&id).unwrap_or_else(silent);
+            let heard = heard.clone();
+            sim.add_replica(id, Box::new(Scripted { script, heard }));
         }
-        sim.add_replica(from, Box::new(script));
         sim.add_replica(to, Box::new(replica));
         sim.run(SimTime(50_000_000));
-        sim.finish()
+        let heard = heard.lock().expect("run over").clone();
+        (sim.finish(), heard)
     }
 }
 
@@ -2128,7 +2450,16 @@ mod tests {
     /// Run `script` as replica 0 of a two-replica LAN (free crypto) and
     /// return everything the run observed.
     fn on_replica(script: impl FnOnce(&mut Context<'_, TMsg>) + 'static) -> RunOutcome {
+        on_priced_replica(CryptoCostModel::free(), script)
+    }
+
+    /// [`on_replica`] with crypto charged at `cost`.
+    fn on_priced_replica(
+        cost: CryptoCostModel,
+        script: impl FnOnce(&mut Context<'_, TMsg>) + 'static,
+    ) -> RunOutcome {
         let mut sim = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
+        sim.set_cost_model(cost);
         sim.add_replica(0, Box::new(Script(Some(script))));
         sim.add_replica(1, Box::new(Script(Some(|_: &mut Context<'_, TMsg>| {}))));
         sim.run(SimTime(1_000_000));
@@ -2437,7 +2768,7 @@ mod tests {
     }
 
     #[test]
-    fn strand_returns_dead_slots_and_requeue_skips_what_executed() {
+    fn strand_returns_dead_slots_and_reinstall_restarts_agreement() {
         let store = Scenario::small(1).key_store();
         let reqs: Vec<SignedRequest> = (1..=5)
             .map(|ts| signed(&store, 1, ts, Op::Put(ts, 1)))
@@ -2464,13 +2795,6 @@ mod tests {
             let ids: Vec<u64> = stranded.iter().map(|r| r.request.id.timestamp).collect();
             assert_eq!(ids, vec![3, 5]);
             assert_eq!(log.keys().map(|s| s.0).collect::<Vec<_>>(), vec![1, 2, 4]);
-            // request 1 executed, request 3 is queued already: only 5 is new
-            let mut mempool = VecDeque::from([batch[2].clone()]);
-            let mut back = stranded.clone();
-            back.push(batch[0].clone());
-            requeue_unexecuted(&mut mempool, &exec, &back);
-            let queued: Vec<u64> = mempool.iter().map(|r| r.request.id.timestamp).collect();
-            assert_eq!(queued, vec![3, 5]);
             // a reinstalled slot starts the new view's agreement from scratch
             log.slot(SeqNum(2)).committed = true;
             let slot = log.reinstall(SeqNum(2), Digest::ZERO, vec![batch[4].clone()]);
@@ -2482,6 +2806,103 @@ mod tests {
                 vec![(SeqNum(2), Digest::ZERO, vec![batch[4].clone()])]
             );
         });
+    }
+
+    /// The requests still queued, in order (drains the mempool).
+    fn queued(mempool: &mut Mempool) -> Vec<u64> {
+        let all = std::iter::from_fn(|| Some(mempool.take()).filter(|b| !b.is_empty()));
+        all.flatten().map(|r| r.request.id.timestamp).collect()
+    }
+
+    #[test]
+    fn mempool_cuts_bounded_batches_at_consecutive_seqs_for_one_hash_each() {
+        let store = Scenario::small(1).key_store();
+        let reqs: Vec<SignedRequest> = (1..=7)
+            .map(|ts| signed(&store, 1, ts, Op::Put(ts, 1)))
+            .collect();
+        let cuts = Rc::new(RefCell::new(Vec::new()));
+        let sink = cuts.clone();
+        let hash = CryptoCostModel {
+            hash_ns: 1_000,
+            ..CryptoCostModel::free()
+        };
+        let out = on_priced_replica(hash, move |ctx| {
+            let mut mempool = Mempool::new(3);
+            // a request queued twice is queued once
+            for r in reqs.iter().chain(&reqs[..2]) {
+                mempool.push(r);
+            }
+            assert_eq!(mempool.len(), 7);
+            let mut next = SeqNum(4);
+            while let Some((seq, digest, batch)) = mempool.cut(ctx, &mut next) {
+                assert_eq!(digest, digest_of(&batch));
+                let ids: Vec<u64> = batch.iter().map(|r| r.request.id.timestamp).collect();
+                sink.borrow_mut().push((seq.0, ids));
+            }
+            assert_eq!(next, SeqNum(7));
+        });
+        assert_eq!(
+            *cuts.borrow(),
+            vec![(4, vec![1, 2, 3]), (5, vec![4, 5, 6]), (6, vec![7])]
+        );
+        let cpu = out.metrics.node(NodeId::replica(0)).cpu;
+        assert_eq!(cpu, SimDuration(3_000), "one Hash per batch");
+    }
+
+    #[test]
+    fn mempool_drops_what_is_ordered_and_requeues_what_has_not_executed() {
+        let store = Scenario::small(1).key_store();
+        let reqs: Vec<SignedRequest> = (1..=5)
+            .map(|ts| signed(&store, 1, ts, Op::Put(ts, 1)))
+            .collect();
+        on_replica(move |ctx| {
+            // request 1 has executed, request 2 sits in an open slot
+            let mut exec = Execution::new();
+            exec.run(ctx, Some(&reqs[..1]), View(0), |_, _, _| {});
+            let mut log: SlotLog<u8> = SlotLog::default();
+            log.install(SeqNum(2), Digest::ZERO, reqs[1..2].to_vec());
+            let mut mempool = Mempool::new(2);
+            for r in &reqs {
+                mempool.push(r);
+            }
+            mempool.drop_ordered(&exec, log.in_flight(exec.cursor()));
+            assert_eq!(queued(&mut mempool), vec![3, 4, 5]);
+            reqs[2..].iter().for_each(|r| mempool.push(r));
+            // a proposal carries request 3
+            mempool.remove(&reqs[2..3]);
+            // a view change strands slot 2; request 1 comes back too, and
+            // request 4 is queued already: only 2 is new
+            let mut stranded = log.strand(exec.cursor(), &[]);
+            stranded.extend([reqs[0].clone(), reqs[3].clone()]);
+            mempool.requeue(&exec, &stranded);
+            assert_eq!(queued(&mut mempool), vec![4, 5, 2]);
+        });
+    }
+
+    #[test]
+    fn tally_binds_each_vote_to_its_digest_and_crosses_once() {
+        let (x, y, r) = (Digest([1; 32]), Digest([2; 32]), ReplicaId);
+        let mut tally = Tally::default();
+        // before the proposal: r1 votes X, r2 votes Y, and nothing crosses
+        assert_eq!(tally.vote(r(1), x, None, 1), None);
+        assert_eq!(tally.vote(r(2), y, None, 1), None);
+        // a voter's first vote stands: repeats and changes count nothing
+        assert_eq!(tally.vote(r(2), y, None, 1), None);
+        assert_eq!(tally.vote(r(1), y, None, 1), None);
+        assert_eq!((tally.count(x), tally.count(y)), (1, 1));
+        // proposal Y installed: the early Y vote counts, the early X one
+        // never does
+        assert_eq!(tally.vote(r(3), y, Some(y), 3), None, "X must not count");
+        assert_eq!(tally.vote(r(0), y, Some(y), 3), Some(y));
+        // the quorum is crossed once
+        assert_eq!(tally.vote(r(4), y, Some(y), 3), None);
+        assert!(tally.crossed() && tally.count(y) == 4);
+        // a slot reinstalled by a new view starts its tally afresh
+        let mut log: SlotLog<Tally> = SlotLog::default();
+        log.slot(SeqNum(1)).ext = tally;
+        let slot = log.reinstall(SeqNum(1), x, Vec::new());
+        assert!(!slot.ext.crossed() && slot.ext.count(y) == 0);
+        assert_eq!(slot.ext.vote(r(1), x, slot.digest, 1), Some(x));
     }
 
     #[test]

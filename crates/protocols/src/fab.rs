@@ -14,20 +14,17 @@
 //! quorum can therefore never be displaced in a later view: the new leader
 //! always hears about it from a correct majority witness.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bft_crypto::{digest_of, CryptoOp, KeyStore};
+use bft_crypto::{CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
-    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
-    ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
+    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// FaB messages.
@@ -77,7 +74,7 @@ impl WireSize for FabMsg {
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FabSlot {
-    accepts: Vec<ReplicaId>,
+    accepts: Tally,
     /// This replica sent its accept.
     accepted: bool,
 }
@@ -85,9 +82,7 @@ pub(crate) struct FabSlot {
 /// A FaB replica.
 pub struct FabReplica {
     core: Core<FabMsg, FabSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
-    mempool: VecDeque<SignedRequest>,
-    batch_size: usize,
+    mempool: Mempool,
 }
 
 impl FabReplica {
@@ -100,30 +95,17 @@ impl FabReplica {
         batch_size: usize,
     ) -> Self {
         FabReplica {
-            core: Core::new(me, q, view_timeout, Execution::new()),
-            store,
-            mempool: VecDeque::new(),
-            batch_size,
+            core: Core::new((me, q, store), view_timeout, Execution::new()),
+            mempool: Mempool::new(batch_size),
         }
-    }
-
-    /// The accept quorum: 4f+1 of 5f+1 (`fast_quorum`).
-    fn accept_quorum(&self) -> usize {
-        self.core.q.fast_quorum()
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, FabMsg>) {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.core.next_seq;
-            self.core.next_seq = self.core.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        self.core.drop_ordered(&mut self.mempool);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -138,14 +120,9 @@ impl FabReplica {
     }
 
     fn accept(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, FabMsg>) {
-        let view = self.core.gate.view();
-        let me = self.core.me;
-        {
-            let slot = self.core.log.slot(seq);
-            if slot.ext.accepted {
-                return;
-            }
-            slot.ext.accepted = true;
+        let (view, me) = (self.core.gate.view(), self.core.me);
+        if std::mem::replace(&mut self.core.log.slot(seq).ext.accepted, true) {
+            return;
         }
         ctx.charge_crypto(CryptoOp::Sign);
         ctx.broadcast_replicas(FabMsg::Accept {
@@ -164,23 +141,11 @@ impl FabReplica {
         digest: Digest,
         ctx: &mut Context<'_, FabMsg>,
     ) {
-        let quorum = self.accept_quorum();
-        let view = self.core.gate.view();
+        // 4f+1 of 5f+1
+        let (quorum, view) = (self.core.q.fast_quorum(), self.core.gate.view());
         let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.accepts.contains(&from) {
-            slot.ext.accepts.push(from);
-        }
-        if !slot.committed && slot.ext.accepts.len() >= quorum && slot.digest == Some(digest) {
-            slot.committed = true;
-            ctx.observe(Observation::Commit {
-                seq,
-                view,
-                digest,
-                speculative: false,
-            });
+        if let Some(digest) = slot.ext.accepts.vote(from, digest, slot.digest, quorum) {
+            slot.commit(ctx, seq, view, digest);
             self.core.execute_ready(ctx, CryptoOp::Sign, FabMsg::Reply);
         }
     }
@@ -195,9 +160,7 @@ impl ViewChanger for FabReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> FabMsg {
-        FabMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> FabMsg = FabMsg::View;
 
     /// n − f = 4f+1: the recovery certificate.
     fn new_view_quorum(q: QuorumRules) -> usize {
@@ -234,7 +197,7 @@ impl ViewChanger for FabReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+        self.mempool.requeue(&self.core.exec, &stranded);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, FabMsg>) {
@@ -252,23 +215,9 @@ impl Actor<FabMsg> for FabReplica {
     fn on_message(&mut self, from: NodeId, msg: &FabMsg, ctx: &mut Context<'_, FabMsg>) {
         match msg {
             FabMsg::Request(signed) => {
-                let view = self.core.gate.view();
-                let answer = reply_to_client(None, FabMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
-                    return;
-                }
-                enqueue_unique(&mut self.mempool, signed);
-                if self.core.is_leader() {
+                let wire: RequestWire<FabMsg> = (FabMsg::Reply, Some(FabMsg::Request));
+                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
                     self.propose(ctx);
-                } else {
-                    let may_arm = !self.core.gate.in_view_change();
-                    self.core.intake.relay(
-                        ctx,
-                        signed,
-                        self.core.leader(),
-                        FabMsg::Request,
-                        may_arm,
-                    );
                 }
             }
             FabMsg::Propose {
@@ -277,19 +226,10 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 batch,
             } => {
-                if !self.core.gate.admit(from, *view, msg) {
+                if !self.admit_proposal(ctx, (from, *view, msg), *digest, batch) {
                     return;
                 }
-                if from != NodeId::Replica(self.core.leader()) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batch) != *digest {
-                    return;
-                }
-                let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-                self.mempool.retain(|r| !ids.contains(&r.request.id));
+                self.mempool.remove(batch);
                 if self.core.log.install(*seq, *digest, batch.clone()) {
                     self.accept(*seq, *digest, ctx);
                 }

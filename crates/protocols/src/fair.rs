@@ -36,8 +36,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    launch, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake, RoundRules, Rounds,
+    Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Fair-protocol messages.
@@ -153,16 +153,15 @@ pub(crate) struct FairSlot {
     /// The proposal as agreed on: the collected receive-order batches. The
     /// slot's `batch` is their [`fair_merge`].
     batches: Vec<ReplicaBatch>,
-    prepares: Vec<ReplicaId>,
-    commits: Vec<ReplicaId>,
-    prepared: bool,
-    sent_commit: bool,
+    rounds: Rounds,
 }
 
 /// A fair-protocol replica.
 pub struct FairReplica {
     core: Core<FairMsg, FairSlot, Vec<ReplicaBatch>>,
-    store: Arc<KeyStore>,
+    /// PBFT's prepare → commit pair, signed; the leader's proposal is its
+    /// prepare.
+    rounds: RoundRules<FairMsg, FairSlot>,
     round: u64,
     /// Pending requests in receive order.
     pending: Vec<SignedRequest>,
@@ -187,9 +186,28 @@ impl FairReplica {
         round_period: SimDuration,
         view_timeout: SimDuration,
     ) -> Self {
+        let exec = Execution::new().skipping_executed();
         FairReplica {
-            core: Core::new(me, q, view_timeout, Execution::new().skipping_executed()),
-            store,
+            core: Core::new((me, q, store), view_timeout, exec),
+            rounds: RoundRules {
+                me,
+                ext: |slot| &mut slot.rounds,
+                prepare_quorum: q.quorum(),
+                commit_quorum: q.quorum(),
+                auth: (CryptoOp::Sign, 1),
+                prepare: |view, seq, digest, from| FairMsg::Prepare {
+                    view,
+                    seq,
+                    digest,
+                    from,
+                },
+                commit: |view, seq, digest, from| FairMsg::Commit {
+                    view,
+                    seq,
+                    digest,
+                    from,
+                },
+            },
             round: 0,
             pending: Vec::new(),
             round_batches: BTreeMap::new(),
@@ -325,8 +343,12 @@ impl FairReplica {
                 digest,
                 batches,
             });
-            let me = self.core.me;
-            self.record_prepare(me, seq, digest, ctx);
+            let slot = self.core.log.slot(seq);
+            // the proposal is the leader's prepare
+            let own = (false, self.rounds.me);
+            if self.rounds.count(ctx, slot, (view, seq), own, digest) {
+                self.try_execute(ctx);
+            }
         } else {
             // old rounds that never filled up: garbage-collect
             self.round_batches.retain(|r, _| *r + 8 > round);
@@ -343,67 +365,6 @@ impl FairReplica {
             self.core.log.slot(seq).ext.batches = batches;
         }
         fresh
-    }
-
-    fn record_prepare(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, FairMsg>,
-    ) {
-        let quorum = self.core.q.quorum();
-        let view = self.core.gate.view();
-        let me = self.core.me;
-        let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.prepares.contains(&from) {
-            slot.ext.prepares.push(from);
-        }
-        if slot.digest == Some(digest) && !slot.ext.prepared && slot.ext.prepares.len() >= quorum {
-            slot.ext.prepared = true;
-            if !slot.ext.sent_commit {
-                slot.ext.sent_commit = true;
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas(FairMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_commit(me, seq, digest, ctx);
-            }
-        }
-    }
-
-    fn record_commit(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, FairMsg>,
-    ) {
-        let quorum = self.core.q.quorum();
-        let view = self.core.gate.view();
-        let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.commits.contains(&from) {
-            slot.ext.commits.push(from);
-        }
-        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
-            slot.committed = true;
-            ctx.observe(Observation::Commit {
-                seq,
-                view,
-                digest,
-                speculative: false,
-            });
-            self.try_execute(ctx);
-        }
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
@@ -433,9 +394,7 @@ impl ViewChanger for FairReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<ReplicaBatch>>) -> FairMsg {
-        FairMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<ReplicaBatch>>) -> FairMsg = FairMsg::View;
 
     /// Pending work is `pending` itself: nothing is relayed.
     fn work_pending(&mut self) -> bool {
@@ -445,24 +404,18 @@ impl ViewChanger for FairReplica {
     /// The batch sets this replica holds a prepare quorum for.
     fn report(&mut self, _: &mut Context<'_, FairMsg>) -> Vec<FairEntry> {
         let open = self.core.log.range(self.core.exec.cursor().next()..);
-        open.filter(|(_, s)| s.ext.prepared)
+        open.filter(|(_, s)| s.ext.rounds.prepared())
             .filter_map(|(seq, s)| Some((*seq, s.digest?, s.ext.batches.clone())))
             .collect()
     }
 
     fn adopt(&mut self, (seq, digest, batches): FairEntry, ctx: &mut Context<'_, FairMsg>) {
         let merged = fair_merge(&batches, self.merge_support());
-        self.core.log.reinstall(seq, digest, merged).ext.batches = batches;
-        if !self.core.is_leader() {
-            ctx.charge_crypto(CryptoOp::Sign);
-            let (view, from) = (self.core.gate.view(), self.core.me);
-            ctx.broadcast_replicas(FairMsg::Prepare {
-                view,
-                seq,
-                digest,
-                from,
-            });
-            self.record_prepare(from, seq, digest, ctx);
+        let (view, leads) = (self.core.gate.view(), self.core.is_leader());
+        let slot = self.core.log.reinstall(seq, digest, merged);
+        slot.ext.batches = batches;
+        if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
+            self.try_execute(ctx);
         }
     }
 
@@ -489,7 +442,7 @@ impl Actor<FairMsg> for FairReplica {
             FairMsg::Request(signed) => {
                 let view = self.core.gate.view();
                 let answer = reply_to_client(None, FairMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
+                if !Intake::admit(ctx, &self.core.store, &self.core.exec, signed, view, answer) {
                     return;
                 }
                 // record in RECEIVE ORDER — the fairness-critical step
@@ -516,15 +469,7 @@ impl Actor<FairMsg> for FairReplica {
                 batches,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                if from != NodeId::Replica(self.core.leader()) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batches) != digest {
+                if !self.admit_proposal(ctx, (from, view, msg), digest, batches) {
                     return;
                 }
                 // verify the proposal carries enough distinct batches
@@ -537,33 +482,21 @@ impl Actor<FairMsg> for FairReplica {
                 if !self.install(seq, digest, batches.clone()) {
                     return;
                 }
-                let me = self.core.me;
-                let leader = self.core.leader();
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas(FairMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                // the proposal itself is the leader's prepare vote
-                self.record_prepare(leader, seq, digest, ctx);
-                self.record_prepare(me, seq, digest, ctx);
+                let (leader, slot) = (self.core.leader(), self.core.log.slot(seq));
+                if self
+                    .rounds
+                    .prepare(ctx, slot, (view, seq), digest, Some(leader))
+                {
+                    self.try_execute(ctx);
+                }
             }
             FairMsg::Prepare {
                 view,
                 seq,
                 digest,
                 from: r,
-            } => {
-                let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_prepare(r, seq, digest, ctx);
             }
-            FairMsg::Commit {
+            | FairMsg::Commit {
                 view,
                 seq,
                 digest,
@@ -574,7 +507,11 @@ impl Actor<FairMsg> for FairReplica {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
-                self.record_commit(r, seq, digest, ctx);
+                let vote = (matches!(msg, FairMsg::Commit { .. }), r);
+                let slot = self.core.log.slot(seq);
+                if self.rounds.count(ctx, slot, (view, seq), vote, digest) {
+                    self.try_execute(ctx);
+                }
             }
             FairMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             FairMsg::Reply(_) => {}

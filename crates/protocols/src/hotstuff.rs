@@ -19,19 +19,17 @@
 //! Safety follows the HotStuff rules: replicas *lock* on a pre-commit QC
 //! and only vote for conflicting proposals justified by a higher-view QC.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
+    SubmitPolicy,
 };
 
 /// The three vote phases.
@@ -150,7 +148,7 @@ pub struct HotStuffReplica {
     locks: BTreeMap<SeqNum, Qc>,
     /// Decided slots awaiting execution order.
     decided: BTreeMap<SeqNum, (Digest, View)>,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
     exec: Execution,
     /// New-view messages per view (pacemaker).
     new_views: BTreeMap<View, Vec<ReplicaId>>,
@@ -159,7 +157,6 @@ pub struct HotStuffReplica {
     t5_timeout: SimDuration,
     /// Proposal already made in the current view.
     proposed_this_view: bool,
-    batch_size: usize,
     /// Slot batches by digest (to execute on decide even if the decide QC
     /// arrives before the proposal — buffered).
     batches: BTreeMap<Digest, Vec<SignedRequest>>,
@@ -212,13 +209,12 @@ impl HotStuffReplica {
             high_qc: None,
             locks: BTreeMap::new(),
             decided: BTreeMap::new(),
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
             exec: Execution::new().skipping_executed(),
             new_views: BTreeMap::new(),
             t5: None,
             t5_timeout,
             proposed_this_view: false,
-            batch_size,
             batches: BTreeMap::new(),
             pending: BTreeMap::new(),
         }
@@ -293,25 +289,24 @@ impl HotStuffReplica {
         // carry it forward (re-propose the same digest at the same slot)
         // before extending the history — otherwise the slot would become a
         // permanent gap in the execution order.
-        let (seq, digest, batch) = if let Some(qc) = self.high_qc {
-            if qc.seq > self.exec.cursor() && !self.decided.contains_key(&qc.seq) {
+        let (seq, digest, batch) = match self.high_qc {
+            Some(qc) if qc.seq > self.exec.cursor() && !self.decided.contains_key(&qc.seq) => {
                 let Some(batch) = self.batches.get(&qc.digest).cloned() else {
                     return; // batch not known yet; a new-view message will carry it
                 };
+                ctx.charge_crypto(CryptoOp::Hash);
                 (qc.seq, qc.digest, batch)
-            } else {
-                let Some((seq, digest, batch)) = self.next_fresh_batch() else {
+            }
+            // a fresh batch for the next free slot
+            _ => {
+                self.mempool.drop_ordered(&self.exec, []);
+                let mut next = self.high_qc.map_or(self.exec.cursor(), |qc| qc.seq).next();
+                let Some(fresh) = self.mempool.cut(ctx, &mut next) else {
                     return;
                 };
-                (seq, digest, batch)
+                fresh
             }
-        } else {
-            let Some((seq, digest, batch)) = self.next_fresh_batch() else {
-                return;
-            };
-            (seq, digest, batch)
         };
-        ctx.charge_crypto(CryptoOp::Hash);
         ctx.charge_crypto(CryptoOp::Sign);
         self.proposed_this_view = true;
         let view = self.view;
@@ -328,24 +323,6 @@ impl HotStuffReplica {
         // leader votes for its own proposal
         self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
         self.arm_pacemaker(ctx);
-    }
-
-    /// Pull a fresh batch from the mempool for the next free slot.
-    fn next_fresh_batch(&mut self) -> Option<(SeqNum, Digest, Vec<SignedRequest>)> {
-        let exec = &self.exec;
-        self.mempool.retain(|r| !exec.is_executed(&r.request.id));
-        if self.mempool.is_empty() {
-            return None;
-        }
-        let take = self.batch_size.min(self.mempool.len());
-        let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-        let seq = SeqNum(
-            self.high_qc
-                .map(|qc| qc.seq.0)
-                .unwrap_or(self.exec.cursor().0)
-                + 1,
-        );
-        Some((seq, digest_of(&batch), batch))
     }
 
     fn cast_vote(
@@ -424,8 +401,7 @@ impl HotStuffReplica {
         if self.cur.is_some() {
             return;
         }
-        let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-        self.mempool.retain(|r| !ids.contains(&r.request.id));
+        self.mempool.remove(&batch);
         self.batches.insert(digest, batch.clone());
         self.cur = Some((seq, digest, batch));
         self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
@@ -625,7 +601,7 @@ impl Actor<HsMsg> for HotStuffReplica {
                 if !Intake::admit(ctx, &self.store, &self.exec, signed, self.view, answer) {
                     return;
                 }
-                enqueue_unique(&mut self.mempool, signed);
+                self.mempool.push(signed);
                 self.arm_pacemaker(ctx);
                 self.maybe_propose(ctx);
             }
@@ -691,12 +667,7 @@ impl Actor<HsMsg> for HotStuffReplica {
             let target = self.view.next();
             // return any current proposal's batch to the mempool
             if let Some((_, _, batch)) = self.cur.take() {
-                for r in batch
-                    .iter()
-                    .filter(|r| !self.exec.is_executed(&r.request.id))
-                {
-                    enqueue_unique(&mut self.mempool, r);
-                }
+                self.mempool.requeue(&self.exec, &batch);
             }
             self.advance_view(target, ctx);
             if !self.mempool.is_empty() {
@@ -778,20 +749,17 @@ mod tests {
         };
         // replica 0 leads view 0: its certificate arrives first, its
         // proposal 5 ms later — by then replica 1 is in view 1
-        let leader = Script {
-            to: 1,
-            now: vec![HsMsg::QcAnnounce { qc }],
-            late: vec![HsMsg::Proposal {
-                view,
-                seq,
-                digest,
-                batch,
-                justify: None,
-            }],
+        let proposal = HsMsg::Proposal {
+            view,
+            seq,
+            digest,
+            batch,
+            justify: None,
         };
+        let leader = Script::new(1, vec![HsMsg::QcAnnounce { qc }], vec![proposal]);
         let (q, t5) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(40));
         let replica = HotStuffReplica::new(ReplicaId(1), q, store, t5, 1);
-        let out = play(0, leader, replica);
+        let (out, _) = play(vec![(0, leader)], replica);
         assert_eq!(
             executions(&out),
             vec![(NodeId::replica(1), signed.request.id, want)],

@@ -20,21 +20,18 @@
 //! Two aggregation rounds (prepare, commit) certify each slot, mirroring a
 //! two-phase HotStuff over the tree.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::topology::Topology;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
-    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
-    ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
+    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Aggregation phases.
@@ -124,9 +121,8 @@ pub(crate) struct KauriSlot {
 /// A Kauri replica.
 pub struct KauriReplica {
     core: Core<KauriMsg, KauriSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
     fanout: usize,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
     /// Pending partial-aggregation timers (τ4) by the slot and phase they
     /// guard; an entry leaves when its timer is cancelled or fires.
     agg_timers: BTreeMap<(SeqNum, KauriPhase), TimerId>,
@@ -138,7 +134,6 @@ pub struct KauriReplica {
     /// request a full span from this moment (PBFT's rule), not the
     /// remainder of a span armed for requests long executed.
     waiting_since: SimTime,
-    batch_size: usize,
 }
 
 impl KauriReplica {
@@ -152,16 +147,15 @@ impl KauriReplica {
         agg_timeout: SimDuration,
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new().skipping_executed();
         KauriReplica {
-            core: Core::new(me, q, view_timeout, Execution::new().skipping_executed()),
-            store,
+            core: Core::new((me, q, store), view_timeout, exec),
             fanout,
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
             agg_timers: BTreeMap::new(),
             agg_timeout,
             view_timeout,
             waiting_since: SimTime::ZERO,
-            batch_size,
         }
     }
 
@@ -185,14 +179,8 @@ impl KauriReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.core.next_seq;
-            self.core.next_seq = self.core.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        self.core.drop_ordered(&mut self.mempool);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
             ctx.charge_crypto(CryptoOp::Sign);
             self.adopt_proposal(seq, digest, batch, ctx);
         }
@@ -207,8 +195,7 @@ impl KauriReplica {
         batch: Vec<SignedRequest>,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-        self.mempool.retain(|r| !ids.contains(&r.request.id));
+        self.mempool.remove(&batch);
         if !self.core.log.install(seq, digest, batch.clone()) {
             return;
         }
@@ -251,12 +238,8 @@ impl KauriReplica {
         digest: Digest,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        {
-            let slot = &mut self.core.log.slot(seq).ext;
-            if *slot.voted.get(&phase).unwrap_or(&false) {
-                return;
-            }
-            slot.voted.insert(phase, true);
+        if self.core.log.slot(seq).ext.voted.insert(phase, true) == Some(true) {
+            return;
         }
         ctx.charge_crypto(CryptoOp::ThresholdShareGen);
         // internal nodes wait for their children (with a partial-aggregation
@@ -414,19 +397,11 @@ impl KauriReplica {
                 self.contribute(KauriPhase::Commit, seq, digest, ctx);
             }
             KauriPhase::Commit => {
-                {
-                    let slot = self.core.log.slot(seq);
-                    if slot.committed {
-                        return;
-                    }
-                    slot.committed = true;
+                let slot = self.core.log.slot(seq);
+                if slot.committed {
+                    return;
                 }
-                ctx.observe(Observation::Commit {
-                    seq,
-                    view,
-                    digest,
-                    speculative: false,
-                });
+                slot.commit(ctx, seq, view, digest);
                 self.execute_ready(ctx);
             }
         }
@@ -444,9 +419,7 @@ impl ViewChanger for KauriReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> KauriMsg {
-        KauriMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> KauriMsg = KauriMsg::View;
 
     /// The slots this replica saw a prepare certificate for.
     fn report(&mut self, ctx: &mut Context<'_, KauriMsg>) -> Vec<BatchEntry> {
@@ -468,7 +441,7 @@ impl ViewChanger for KauriReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+        self.mempool.requeue(&self.core.exec, &stranded);
         // aggregation above the cursor dies with the old tree: those slots
         // were stranded just now or are about to be reset by `adopt`
         let cursor = self.core.exec.cursor();
@@ -490,19 +463,11 @@ impl Actor<KauriMsg> for KauriReplica {
     fn on_message(&mut self, from: NodeId, msg: &KauriMsg, ctx: &mut Context<'_, KauriMsg>) {
         match msg {
             KauriMsg::Request(signed) => {
-                let view = self.core.gate.view();
-                let answer = reply_to_client(None, KauriMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
-                    return;
-                }
-                enqueue_unique(&mut self.mempool, signed);
-                if self.core.is_leader() {
+                // clients broadcast, so the root has the request too: a
+                // backup forwards nothing, only holds the root to it
+                let wire: RequestWire<KauriMsg> = (KauriMsg::Reply, None);
+                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
                     self.propose(ctx);
-                } else {
-                    // clients broadcast, so the root has the request too:
-                    // nothing to forward, only τ2 to hold it accountable
-                    let may_arm = !self.core.gate.in_view_change();
-                    self.core.intake.watch(ctx, signed.request.id, may_arm);
                 }
             }
             KauriMsg::Disseminate {

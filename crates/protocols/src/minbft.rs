@@ -19,20 +19,17 @@
 //! Structure: `prepare` (leader, with UI) → `commit` (all-to-all, each with
 //! its own UI) → execute on `f+1` matching commits.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bft_crypto::{digest_of, CryptoOp, KeyStore};
+use bft_crypto::{CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    drop_ordered, enqueue_unique, launch, reply_to_client, requeue_unexecuted, BatchEntry,
-    ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger,
-    ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
+    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// A unique identifier produced by the trusted component: an attested
@@ -166,18 +163,16 @@ impl WireSize for MinBftMsg {
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MinSlot {
-    commits: Vec<ReplicaId>,
+    commits: Tally,
     sent_commit: bool,
 }
 
 /// A MinBFT replica with its trusted component.
 pub struct MinBftReplica {
     core: Core<MinBftMsg, MinSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
     usig: Usig,
     verifier: UiVerifier,
-    mempool: VecDeque<SignedRequest>,
-    batch_size: usize,
+    mempool: Mempool,
 }
 
 impl MinBftReplica {
@@ -190,34 +185,19 @@ impl MinBftReplica {
         batch_size: usize,
     ) -> Self {
         MinBftReplica {
-            core: Core::new(me, q, view_timeout, Execution::new()),
-            store,
+            core: Core::new((me, q, store), view_timeout, Execution::new()),
             usig: Usig::new(me),
             verifier: UiVerifier::default(),
-            mempool: VecDeque::new(),
-            batch_size,
+            mempool: Mempool::new(batch_size),
         }
-    }
-
-    /// Commit quorum: a simple majority (`f+1` of `2f+1`) — trusted
-    /// hardware removes equivocation, so single-correct-replica
-    /// intersection suffices.
-    fn commit_quorum(&self) -> usize {
-        self.core.q.trusted_quorum()
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.core.next_seq;
-            self.core.next_seq = self.core.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        self.core.drop_ordered(&mut self.mempool);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
             // USIG attestation (modeled at signature cost)
             ctx.charge_crypto(CryptoOp::Sign);
             let ui = self.usig.create_ui(digest);
@@ -234,14 +214,9 @@ impl MinBftReplica {
     }
 
     fn send_commit(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, MinBftMsg>) {
-        let view = self.core.gate.view();
-        let me = self.core.me;
-        {
-            let slot = self.core.log.slot(seq);
-            if slot.ext.sent_commit {
-                return;
-            }
-            slot.ext.sent_commit = true;
+        let (view, me) = (self.core.gate.view(), self.core.me);
+        if std::mem::replace(&mut self.core.log.slot(seq).ext.sent_commit, true) {
+            return;
         }
         ctx.charge_crypto(CryptoOp::Sign);
         let ui = self.usig.create_ui(digest);
@@ -262,23 +237,12 @@ impl MinBftReplica {
         digest: Digest,
         ctx: &mut Context<'_, MinBftMsg>,
     ) {
-        let quorum = self.commit_quorum();
-        let view = self.core.gate.view();
+        // a simple majority, f+1 of 2f+1: trusted hardware removes
+        // equivocation, so one correct replica in the intersection suffices
+        let (quorum, view) = (self.core.q.trusted_quorum(), self.core.gate.view());
         let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.commits.contains(&from) {
-            slot.ext.commits.push(from);
-        }
-        if !slot.committed && slot.ext.commits.len() >= quorum && slot.digest == Some(digest) {
-            slot.committed = true;
-            ctx.observe(Observation::Commit {
-                seq,
-                view,
-                digest,
-                speculative: false,
-            });
+        if let Some(digest) = slot.ext.commits.vote(from, digest, slot.digest, quorum) {
+            slot.commit(ctx, seq, view, digest);
             self.core
                 .execute_ready(ctx, CryptoOp::Sign, MinBftMsg::Reply);
         }
@@ -294,9 +258,7 @@ impl ViewChanger for MinBftReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> MinBftMsg {
-        MinBftMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> MinBftMsg = MinBftMsg::View;
 
     /// f+1: with attested, non-equivocating votes one correct replica in
     /// the quorum suffices.
@@ -320,7 +282,7 @@ impl ViewChanger for MinBftReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        requeue_unexecuted(&mut self.mempool, &self.core.exec, &stranded);
+        self.mempool.requeue(&self.core.exec, &stranded);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
@@ -338,23 +300,9 @@ impl Actor<MinBftMsg> for MinBftReplica {
     fn on_message(&mut self, from: NodeId, msg: &MinBftMsg, ctx: &mut Context<'_, MinBftMsg>) {
         match msg {
             MinBftMsg::Request(signed) => {
-                let view = self.core.gate.view();
-                let answer = reply_to_client(None, MinBftMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
-                    return;
-                }
-                enqueue_unique(&mut self.mempool, signed);
-                if self.core.is_leader() {
+                let wire: RequestWire<MinBftMsg> = (MinBftMsg::Reply, Some(MinBftMsg::Request));
+                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
                     self.propose(ctx);
-                } else {
-                    let may_arm = !self.core.gate.in_view_change();
-                    self.core.intake.relay(
-                        ctx,
-                        signed,
-                        self.core.leader(),
-                        MinBftMsg::Request,
-                        may_arm,
-                    );
                 }
             }
             MinBftMsg::Prepare {
@@ -363,26 +311,16 @@ impl Actor<MinBftMsg> for MinBftReplica {
                 ui,
                 batch,
             } => {
-                let (view, seq, ui) = (*view, *seq, *ui);
-                if !self.core.gate.admit(from, view, msg) {
+                let (view, seq, ui, digest) = (*view, *seq, *ui, ui.digest);
+                // the leader's attestation (verified) must cover the payload
+                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
                     return;
                 }
-                if from != NodeId::Replica(self.core.leader()) || ui.replica != self.core.leader() {
+                // a replayed or forked counter is an attack
+                if ui.replica != self.core.leader() || !self.verifier.accept(&ui) {
                     return;
                 }
-                ctx.charge_crypto(CryptoOp::Verify); // UI attestation check
-                ctx.charge_crypto(CryptoOp::Hash);
-                let digest = digest_of(batch);
-                if ui.digest != digest {
-                    return; // attestation does not match the payload
-                }
-                // continuity: the trusted counter must advance one by one —
-                // gaps reveal suppressed messages, replays reveal forks
-                if !self.verifier.accept(&ui) {
-                    return; // replayed or rolled-back counter: attack
-                }
-                let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-                self.mempool.retain(|r| !ids.contains(&r.request.id));
+                self.mempool.remove(batch);
                 if self.core.log.install(seq, digest, batch.clone()) {
                     self.send_commit(seq, digest, ctx);
                 }
@@ -497,6 +435,50 @@ mod tests {
         SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
         assert!(out.log.max_view() >= View(1));
         assert_eq!(accepted(&out), 15, "f+1 = 2 of 3 replicas continue");
+    }
+
+    /// Regression: r1's commit for X reached r2 before leader r0's prepare
+    /// for Y and counted toward Y — with r2's own commit, the f+1 = 2 of
+    /// {r1: X, r2: Y} committed and executed Y.
+    #[test]
+    fn an_early_commit_for_another_digest_does_not_commit_the_slot() {
+        use crate::common::script::{committed, executions, play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let [(x, _), (y, batch)] = rival_batches(&store);
+        let (view, seq) = (View(0), SeqNum(1));
+        let ui = |replica, digest| Ui {
+            replica: ReplicaId(replica),
+            counter: 1,
+            digest,
+        };
+        let early = MinBftMsg::Commit {
+            view,
+            seq,
+            digest: x,
+            ui: ui(1, x),
+            from: ReplicaId(1),
+        };
+        let proposal = MinBftMsg::Prepare {
+            view,
+            seq,
+            ui: ui(0, y),
+            batch,
+        };
+        let scripts = vec![
+            (1, Script::new(2, vec![early], vec![])),
+            (0, Script::new(2, vec![], vec![proposal])),
+        ];
+        let q = QuorumRules { n: 3, f: 1 };
+        let replica = MinBftReplica::new(ReplicaId(2), q, store, SimDuration::from_millis(40), 1);
+        let (out, sent) = play(scripts, replica);
+        let committed_y =
+            |m: &MinBftMsg| matches!(m, MinBftMsg::Commit { digest, .. } if *digest == y);
+        assert!(sent.iter().any(committed_y), "r2 accepted the proposal");
+        assert!(
+            !committed(&out),
+            "{{r1: X, r2: Y}} is no commit quorum for Y"
+        );
+        assert!(executions(&out).is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! equivocating leaders. Safety holds under all of them — the audit at the
 //! end of every experiment proves it for the run.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -41,8 +41,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    drop_ordered, launch, launch_with_clients, reply_to_client, requeue_unexecuted, Catchup,
-    ClientProtocol, Execution, Intake, Scenario, SignedRequest, SlotLog, SubmitPolicy, ViewGate,
+    launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol, Execution, Intake,
+    Mempool, RoundRules, Rounds, Scenario, SignedRequest, SlotLog, SubmitPolicy, ViewGate,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -235,16 +235,12 @@ pub enum Behavior {
 }
 
 /// PBFT's agreement state for one consensus slot (a sequence number within
-/// a view).
+/// a view); the slot is pre-prepared once it holds a digest.
 #[derive(Debug, Clone, Default)]
 struct PbftSlot {
+    /// The view of the pre-prepare.
     view: View,
-    pre_prepared: bool,
-    prepares: Vec<ReplicaId>,
-    commits: Vec<ReplicaId>,
-    prepared: bool,
-    /// This replica sent its commit for the slot.
-    sent_commit: bool,
+    rounds: Rounds,
 }
 
 /// A collected view-change message: sender, its stable checkpoint, and its
@@ -302,12 +298,18 @@ pub enum PbftSabotage {
 }
 
 impl PbftConfig {
+    /// What authenticating one outgoing broadcast costs: `count` × `op`.
+    fn broadcast_auth(&self) -> (CryptoOp, usize) {
+        match self.auth {
+            PbftAuth::Mac => (CryptoOp::MacGen, self.q.n - 1),
+            PbftAuth::Signature => (CryptoOp::Sign, 1),
+        }
+    }
+
     /// Charge the cost of authenticating one outgoing broadcast.
     fn charge_broadcast_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        match self.auth {
-            PbftAuth::Mac => ctx.charge_crypto_n(CryptoOp::MacGen, self.q.n - 1),
-            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
-        }
+        let (op, count) = self.broadcast_auth();
+        ctx.charge_crypto_n(op, count);
     }
 
     /// Charge the cost of verifying one incoming message.
@@ -441,7 +443,10 @@ pub struct PbftReplica {
     /// Leader-only: next sequence number to assign.
     next_seq: SeqNum,
     log: SlotLog<PbftSlot>,
-    mempool: VecDeque<SignedRequest>,
+    /// The prepare → commit pair: 2f prepares besides the pre-prepare,
+    /// 2f+1 commits.
+    rounds: RoundRules<PbftMsg, PbftSlot>,
+    mempool: Mempool,
     exec: Execution,
     ckpts: Checkpoints,
     /// Collected view-change messages per target view.
@@ -486,16 +491,40 @@ impl PbftReplica {
             PbftSabotage::DropExecution(k) => Some(k),
             _ => None,
         };
+        let commit_quorum = match cfg.sabotage {
+            PbftSabotage::CommitQuorumOffByOne => cfg.q.quorum() - 1,
+            _ => cfg.q.quorum(),
+        };
+        let rounds = RoundRules {
+            me,
+            ext: |slot: &mut PbftSlot| &mut slot.rounds,
+            prepare_quorum: 2 * cfg.q.f,
+            commit_quorum,
+            auth: cfg.broadcast_auth(),
+            prepare: |view, seq, digest, from| PbftMsg::Prepare {
+                view,
+                seq,
+                digest,
+                from,
+            },
+            commit: |view, seq, digest, from| PbftMsg::Commit {
+                view,
+                seq,
+                digest,
+                from,
+            },
+        };
         PbftReplica {
             me,
             ckpts: Checkpoints::new(me, cfg.clone()),
+            mempool: Mempool::new(cfg.batch_size),
             cfg,
             behavior,
             store,
             gate: ViewGate::new(),
             next_seq: SeqNum(1),
             log: SlotLog::default(),
-            mempool: VecDeque::new(),
+            rounds,
             exec: Execution::new().dropping_nth(dropped),
             vc_msgs: BTreeMap::new(),
             vc_acks: BTreeMap::new(),
@@ -552,10 +581,7 @@ impl PbftReplica {
         if !Intake::admit(ctx, &self.store, &self.exec, &signed, view, answer) {
             return;
         }
-        let in_mempool = self
-            .mempool
-            .iter()
-            .any(|r| r.request.id == signed.request.id);
+        let in_mempool = self.mempool.contains(signed.request.id);
         let cursor = self.exec.cursor();
         let in_slot = (self.log.in_flight(cursor)).any(|id| id == signed.request.id);
         if in_mempool || in_slot {
@@ -570,14 +596,14 @@ impl PbftReplica {
                     return; // censorship: never propose the victim's requests
                 }
             }
-            self.mempool.push_back(signed);
-            self.propose(ctx);
+            self.mempool.push(&signed);
+            self.propose(false, ctx);
         } else {
             // relay to the leader, keep a copy for when we become leader,
             // and arm τ2
             let leader = self.leader();
-            ctx.send(NodeId::Replica(leader), PbftMsg::Request(signed.clone()));
-            self.mempool.push_back(signed);
+            self.mempool.push(&signed);
+            ctx.send(NodeId::Replica(leader), PbftMsg::Request(signed));
             self.arm_view_timer(ctx);
         }
     }
@@ -658,11 +684,9 @@ impl PbftReplica {
 
     // ---- leader: propose -------------------------------------------------
 
-    fn propose(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        self.propose_inner(false, ctx);
-    }
-
-    fn propose_inner(&mut self, force_partial: bool, ctx: &mut Context<'_, PbftMsg>) {
+    /// Propose what is queued; a partial batch waits for the batch timer
+    /// unless `force_partial`.
+    fn propose(&mut self, force_partial: bool, ctx: &mut Context<'_, PbftMsg>) {
         if !self.is_leader() || self.gate.in_view_change() || self.recovering {
             return;
         }
@@ -670,18 +694,17 @@ impl PbftReplica {
             // unfair reordering: the favored client's requests jump the
             // queue and everyone else is served in REVERSE arrival order —
             // the adversarial manipulation order-fairness (Q1) is about
-            let mut v: Vec<SignedRequest> = self.mempool.drain(..).collect();
-            v.reverse();
+            let queue = self.mempool.queue_mut();
+            queue.reverse();
             // stable sort: favored first, reversed order preserved behind it
-            v.sort_by_key(|r| r.request.id.client != favored);
-            self.mempool = v.into();
+            queue.sort_by_key(|r| r.request.id.client != favored);
         }
-        drop_ordered(&mut self.mempool, &self.exec, &self.log);
+        let open = self.log.in_flight(self.exec.cursor());
+        self.mempool.drop_ordered(&self.exec, open);
         while !self.mempool.is_empty() && self.next_seq <= self.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
-            if self.cfg.batch_size > 1 && self.mempool.len() < self.cfg.batch_size && !force_partial
-            {
+            if self.mempool.len() < self.cfg.batch_size && !force_partial {
                 if self.batch_timer.is_none() {
                     self.batch_timer =
                         Some(ctx.set_timer(TimerKind::T7Heartbeat, self.cfg.batch_delay));
@@ -691,30 +714,21 @@ impl PbftReplica {
             if let Some(t) = self.batch_timer.take() {
                 ctx.cancel_timer(t);
             }
-            let take = self.cfg.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.next();
             let view = self.gate.view();
-
-            if self.behavior == Behavior::Equivocate && !self.mempool.is_empty() {
+            if self.behavior == Behavior::Equivocate && self.mempool.len() > self.cfg.batch_size {
                 // send batch A to one half, a different batch B to the other
-                let alt: Vec<SignedRequest> = self
-                    .mempool
-                    .drain(..self.cfg.batch_size.min(self.mempool.len()))
-                    .collect();
+                let (batch, alt) = (self.mempool.take(), self.mempool.take());
+                let seq = self.next_seq;
+                self.next_seq = seq.next();
                 self.equivocate(seq, batch, alt, ctx);
                 continue;
             }
-
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+            let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.next_seq) else {
+                return;
+            };
             self.cfg.charge_broadcast_auth(ctx);
             let slot = self.log.slot(seq);
-            slot.digest = Some(digest);
-            slot.batch = Some(batch.clone());
-            slot.ext.view = view;
-            slot.ext.pre_prepared = true;
+            (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch.clone()), view);
             let msg = PbftMsg::PrePrepare {
                 view,
                 seq,
@@ -790,9 +804,8 @@ impl PbftReplica {
         if digest_of(&batch) != digest {
             return;
         }
-        let me = self.me;
         let slot = self.log.slot(seq);
-        if slot.ext.pre_prepared && slot.ext.view == view {
+        if slot.digest.is_some() && slot.ext.view == view {
             // conflicting pre-prepare for the same (view, seq): ignore —
             // this is exactly what stops an equivocating leader
             if slot.digest != Some(digest) {
@@ -802,91 +815,14 @@ impl PbftReplica {
             }
             return;
         }
-        let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-        slot.digest = Some(digest);
-        slot.batch = Some(batch);
-        slot.ext.view = view;
-        slot.ext.pre_prepared = true;
+        self.mempool.remove(&batch);
+        (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch), view);
         // a valid pre-prepare from the current leader means we are in the
         // quorum's working view
         self.rejoining = false;
-        self.mempool.retain(|r| !ids.contains(&r.request.id));
         self.arm_view_timer(ctx);
-        self.cfg.charge_broadcast_auth(ctx);
-        ctx.broadcast_replicas(PbftMsg::Prepare {
-            view,
-            seq,
-            digest,
-            from: me,
-        });
-        // count our own prepare
-        self.record_prepare(me, view, seq, digest, ctx);
-    }
-
-    fn record_prepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let quorum_prepare = 2 * self.cfg.q.f; // 2f prepares + pre-prepare
-        let me = self.me;
         let slot = self.log.slot(seq);
-        if slot.ext.view != view && slot.ext.pre_prepared {
-            return;
-        }
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        let slot = &mut slot.ext;
-        if !slot.prepares.contains(&from) {
-            slot.prepares.push(from);
-        }
-        if slot.pre_prepared && !slot.prepared && slot.prepares.len() >= quorum_prepare {
-            slot.prepared = true;
-            if !slot.sent_commit {
-                slot.sent_commit = true;
-                self.cfg.charge_broadcast_auth(ctx);
-                ctx.broadcast_replicas(PbftMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_commit(me, view, seq, digest, ctx);
-            }
-        }
-    }
-
-    fn record_commit(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let quorum = match self.cfg.sabotage {
-            PbftSabotage::CommitQuorumOffByOne => self.cfg.q.quorum() - 1,
-            _ => self.cfg.q.quorum(), // 2f+1 commits
-        };
-        let slot = self.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.commits.contains(&from) {
-            slot.ext.commits.push(from);
-        }
-        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
-            slot.committed = true;
-            ctx.observe(Observation::Commit {
-                seq,
-                view,
-                digest,
-                speculative: false,
-            });
+        if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
             self.try_execute(ctx);
         }
     }
@@ -905,11 +841,7 @@ impl PbftReplica {
             deliver,
             |ctx, exec, log, seq| {
                 let batch = log.get(&seq).and_then(|s| s.batch.as_deref());
-                let ids: Vec<RequestId> = batch
-                    .iter()
-                    .flat_map(|b| b.iter().map(|r| r.request.id))
-                    .collect();
-                mempool.retain(|r| !ids.contains(&r.request.id));
+                mempool.remove(batch.unwrap_or_default());
                 *stage = Stage::Ordering;
                 // outstanding work done? disarm τ2; else re-arm
                 intake.disarm(ctx);
@@ -994,18 +926,22 @@ impl PbftReplica {
                 digest,
                 from: r,
                 ..
-            } => {
-                self.cfg.charge_verify_auth(ctx);
-                self.record_prepare(*r, view, *seq, *digest, ctx);
             }
-            PbftMsg::Commit {
+            | PbftMsg::Commit {
                 seq,
                 digest,
                 from: r,
                 ..
             } => {
                 self.cfg.charge_verify_auth(ctx);
-                self.record_commit(*r, view, *seq, *digest, ctx);
+                let commit = matches!(msg, PbftMsg::Commit { .. });
+                let slot = self.log.slot(*seq);
+                // a prepare for a slot pre-prepared in another view is stale
+                let stale = !commit && slot.digest.is_some() && slot.ext.view != view;
+                let vote = (commit, *r);
+                if !stale && self.rounds.count(ctx, slot, (view, *seq), vote, *digest) {
+                    self.try_execute(ctx);
+                }
             }
             _ => {}
         }
@@ -1034,7 +970,7 @@ impl PbftReplica {
         let prepared: Vec<PreparedEntry> = self
             .log
             .iter()
-            .filter(|(seq, s)| s.ext.prepared && **seq > stable.0)
+            .filter(|(seq, s)| s.ext.rounds.prepared() && **seq > stable.0)
             .map(|(seq, s)| PreparedEntry {
                 seq: *seq,
                 view: s.ext.view,
@@ -1215,7 +1151,7 @@ impl PbftReplica {
         let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
         let exec_cursor = self.exec.cursor();
         let stranded = self.log.strand(exec_cursor, &re_proposed);
-        requeue_unexecuted(&mut self.mempool, &self.exec, &stranded);
+        self.mempool.requeue(&self.exec, &stranded);
 
         // adopt re-proposals: run them through the ordering machinery as if
         // they were fresh pre-prepares in the new view
@@ -1224,26 +1160,16 @@ impl PbftReplica {
             .map(|(s, _, _)| *s)
             .max()
             .unwrap_or(SeqNum(0));
-        let leader = self.leader();
-        let me = self.me;
+        let leads = self.is_leader();
         for (seq, digest, batch) in pre_prepares {
             if seq <= exec_cursor {
                 continue;
             }
-            let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
+            self.mempool.remove(&batch);
             let slot = self.log.reinstall(seq, digest, batch);
             slot.ext.view = view;
-            slot.ext.pre_prepared = true;
-            self.mempool.retain(|r| !ids.contains(&r.request.id));
-            if me != leader {
-                self.cfg.charge_broadcast_auth(ctx);
-                ctx.broadcast_replicas(PbftMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_prepare(me, view, seq, digest, ctx);
+            if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
+                self.try_execute(ctx);
             }
         }
         if self.is_leader() {
@@ -1252,7 +1178,7 @@ impl PbftReplica {
                 .max(max_seq.next())
                 .max(self.exec.cursor().next());
             // re-propose whatever is still in the mempool
-            self.propose(ctx);
+            self.propose(false, ctx);
         }
         self.replay_buffered(ctx);
     }
@@ -1298,7 +1224,7 @@ impl PbftReplica {
             self.recovering = true;
             ctx.observe(Observation::RecoveryStart);
             self.enter_stage(Stage::Recovery, ctx);
-            self.mempool.clear();
+            self.mempool = Mempool::new(self.cfg.batch_size);
             self.vc_msgs.clear();
             self.vc_acks.clear();
             self.intake.disarm(ctx);
@@ -1463,7 +1389,7 @@ impl Actor<PbftMsg> for PbftReplica {
             }
             TimerKind::T7Heartbeat if Some(id) == self.batch_timer => {
                 self.batch_timer = None;
-                self.propose_inner(true, ctx);
+                self.propose(true, ctx);
             }
             TimerKind::T8RecoveryWatchdog if Some(id) == self.recovery_timer => {
                 self.on_recovery_watchdog(ctx);
@@ -1488,7 +1414,7 @@ impl Actor<PbftMsg> for PbftReplica {
             let stable = self.ckpts.ckpt.reset_to_stable(self.exec.sm());
             self.exec.reset();
             self.log.clear();
-            self.mempool.clear();
+            self.mempool = Mempool::new(self.cfg.batch_size);
             self.vc_msgs.clear();
             self.vc_acks.clear();
             self.gate.reset();
@@ -2126,6 +2052,47 @@ mod tests {
         let out = run_with_read_optimization(&s, &PbftOptions::default());
         audit_excluding(&out, &[]);
         assert_eq!(accepted(&out), 60, "fallback keeps mixed workloads live");
+    }
+
+    /// Regression: a vote that reached a slot before its proposal was
+    /// counted toward whatever digest the proposal then brought. r1's
+    /// prepare for X reaches r2 before leader r0's pre-prepare for Y; with
+    /// its own prepare for Y, r2 counted 2f = 2 prepares, became prepared
+    /// on {r1: X, r2: Y} and sent Commit(Y).
+    #[test]
+    fn an_early_prepare_for_another_digest_does_not_prepare_the_slot() {
+        use crate::common::script::{play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let [(x, _), (y, batch)] = rival_batches(&store);
+        let (view, seq) = (View(0), SeqNum(1));
+        let early = PbftMsg::Prepare {
+            view,
+            seq,
+            digest: x,
+            from: ReplicaId(1),
+        };
+        let proposal = PbftMsg::PrePrepare {
+            view,
+            seq,
+            digest: y,
+            batch,
+        };
+        let scripts = vec![
+            (1, Script::new(2, vec![early], vec![])),
+            (0, Script::new(2, vec![], vec![proposal])),
+        ];
+        let cfg = PbftConfig::from_scenario(&Scenario::small(1), 4);
+        let replica = PbftReplica::new(ReplicaId(2), cfg, store, Behavior::Honest);
+        let (_, sent) = play(scripts, replica);
+        let prepared_y = |m: &PbftMsg| matches!(m, PbftMsg::Prepare { digest, .. } if *digest == y);
+        assert!(sent.iter().any(prepared_y), "r2 accepted the proposal");
+        for msg in &sent {
+            assert!(!matches!(msg, PbftMsg::Commit { .. }), "sent {msg:?}");
+            // τ2 fires before the run ends: r2 reports nothing prepared
+            if let PbftMsg::ViewChange { prepared, .. } = msg {
+                assert!(prepared.is_empty(), "prepared {prepared:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! the tests assert both the rollback and the preserved cross-replica
 //! safety.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -28,8 +28,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    drop_ordered, enqueue_unique, launch, reply_to_client, BatchEntry, ClientProtocol, Core,
-    Execution, Intake, Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire,
+    Scenario, SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// PoE messages.
@@ -111,7 +111,7 @@ pub enum PoeBehavior {
 pub(crate) struct PoeSlot {
     /// Support shares (leader only). A certified slot is the log's
     /// `committed`: executing it is PoE's speculative commit.
-    supports: Vec<ReplicaId>,
+    supports: Tally,
     /// First state-machine sequence number this slot's batch occupies
     /// (set at execution; needed to aim rollbacks).
     sm_start: Option<SeqNum>,
@@ -120,7 +120,6 @@ pub(crate) struct PoeSlot {
 /// A PoE replica.
 pub struct PoeReplica {
     core: Core<PoeMsg, PoeSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
     behavior: PoeBehavior,
     known: BTreeMap<RequestId, SignedRequest>,
     /// The latest new-view installed, kept to bring stale replicas up to
@@ -128,7 +127,7 @@ pub struct PoeReplica {
     last_new_view: Option<ViewMsg<Vec<SignedRequest>>>,
     batch_size: usize,
     silenced: bool,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
 }
 
 impl PoeReplica {
@@ -142,14 +141,13 @@ impl PoeReplica {
         batch_size: usize,
     ) -> Self {
         PoeReplica {
-            core: Core::new(me, q, view_timeout, Execution::new().speculative()),
-            store,
+            core: Core::new((me, q, store), view_timeout, Execution::new().speculative()),
             behavior,
             known: BTreeMap::new(),
             last_new_view: None,
             batch_size,
             silenced: false,
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
         }
     }
 
@@ -157,14 +155,8 @@ impl PoeReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() || self.silenced {
             return;
         }
-        drop_ordered(&mut self.mempool, &self.core.exec, &self.core.log);
-        while !self.mempool.is_empty() {
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let seq = self.core.next_seq;
-            self.core.next_seq = self.core.next_seq.next();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+        self.core.drop_ordered(&mut self.mempool);
+        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -189,20 +181,15 @@ impl PoeReplica {
         if !self.core.is_leader() || self.silenced {
             return;
         }
-        let quorum = self.core.q.quorum();
-        let view = self.core.gate.view();
-        let behavior = self.behavior;
+        let (quorum, view, behavior) = (self.core.q.quorum(), self.core.gate.view(), self.behavior);
         let slot = self.core.log.slot(seq);
-        if slot.digest != Some(digest) || slot.committed {
+        if slot.committed {
             return;
         }
-        if !slot.ext.supports.contains(&from) {
-            slot.ext.supports.push(from);
-        }
-        if slot.ext.supports.len() >= quorum {
+        if let Some(digest) = slot.ext.supports.vote(from, digest, slot.digest, quorum) {
             slot.committed = true;
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
-            let shares = slot.ext.supports.len();
+            let shares = slot.ext.supports.count(digest);
             match behavior {
                 PoeBehavior::WithholdCertify {
                     seq: trigger,
@@ -285,9 +272,7 @@ impl ViewChanger for PoeReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> PoeMsg {
-        PoeMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> PoeMsg = PoeMsg::View;
 
     /// Every certified slot, executed or not: what this replica executed
     /// speculatively only survives if a quorum vouches for it.
@@ -395,24 +380,10 @@ impl Actor<PoeMsg> for PoeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
-                let view = self.core.gate.view();
-                let answer = reply_to_client(None, PoeMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
-                    return;
-                }
-                self.known.insert(signed.request.id, signed.clone());
-                if self.core.is_leader() {
-                    enqueue_unique(&mut self.mempool, signed);
+                let wire: RequestWire<PoeMsg> = (PoeMsg::Reply, Some(PoeMsg::Request));
+                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
+                    self.known.insert(signed.request.id, signed.clone());
                     self.propose(ctx);
-                } else {
-                    let may_arm = !self.core.gate.in_view_change();
-                    self.core.intake.relay(
-                        ctx,
-                        signed,
-                        self.core.leader(),
-                        PoeMsg::Request,
-                        may_arm,
-                    );
                 }
             }
             PoeMsg::Propose {
@@ -422,20 +393,13 @@ impl Actor<PoeMsg> for PoeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                if from != NodeId::Replica(self.core.leader()) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batch) != digest {
+                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
                     return;
                 }
                 for r in batch.iter() {
                     self.known.entry(r.request.id).or_insert_with(|| r.clone());
                 }
+                self.mempool.remove(batch);
                 if !self.core.log.install(seq, digest, batch.clone()) {
                     return;
                 }

@@ -31,8 +31,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Intake, RoundRules,
+    Rounds, Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Prime messages.
@@ -125,14 +125,6 @@ pub enum PrimeBehavior {
     DelayLeader(SimDuration),
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PrimeSlot {
-    prepares: Vec<ReplicaId>,
-    commits: Vec<ReplicaId>,
-    prepared: bool,
-    sent_commit: bool,
-}
-
 /// Tracking of one preordered request.
 #[derive(Debug, Clone)]
 struct PreorderEntry {
@@ -144,8 +136,9 @@ struct PreorderEntry {
 
 /// A Prime replica.
 pub struct PrimeReplica {
-    core: Core<PrimeMsg, PrimeSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
+    core: Core<PrimeMsg, Rounds, Vec<SignedRequest>>,
+    /// PBFT's prepare → commit pair, signed.
+    rounds: RoundRules<PrimeMsg, Rounds>,
     behavior: PrimeBehavior,
     /// Preorder state keyed by (origin, origin_seq), until the request has
     /// executed.
@@ -178,12 +171,29 @@ impl PrimeReplica {
             // monitor holds the leader accountable), for twice the ordering
             // bound: 4Δ, the family's view-change timeout
             core: Core::new(
-                me,
-                q,
+                (me, q, store),
                 SimDuration(order_bound.0 * 2),
                 Execution::new().skipping_executed(),
             ),
-            store,
+            rounds: RoundRules {
+                me,
+                ext: |rounds| rounds,
+                prepare_quorum: 2 * q.f, // besides the leader's pre-prepare
+                commit_quorum: q.quorum(),
+                auth: (CryptoOp::Sign, 1),
+                prepare: |view, seq, digest, from| PrimeMsg::Prepare {
+                    view,
+                    seq,
+                    digest,
+                    from,
+                },
+                commit: |view, seq, digest, from| PrimeMsg::Commit {
+                    view,
+                    seq,
+                    digest,
+                    from,
+                },
+            },
             behavior,
             preorder: BTreeMap::new(),
             my_origin_seq: 0,
@@ -233,7 +243,7 @@ impl PrimeReplica {
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
         ctx.charge_crypto(CryptoOp::Verify);
-        if !request.verify(&self.store) {
+        if !request.verify(&self.core.store) {
             return;
         }
         let key = (origin, origin_seq);
@@ -335,67 +345,6 @@ impl PrimeReplica {
         }
     }
 
-    fn record_prepare(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, PrimeMsg>,
-    ) {
-        let quorum = 2 * self.core.q.f;
-        let view = self.core.gate.view();
-        let me = self.core.me;
-        let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.prepares.contains(&from) {
-            slot.ext.prepares.push(from);
-        }
-        if slot.digest == Some(digest) && !slot.ext.prepared && slot.ext.prepares.len() >= quorum {
-            slot.ext.prepared = true;
-            if !slot.ext.sent_commit {
-                slot.ext.sent_commit = true;
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas(PrimeMsg::Commit {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_commit(me, seq, digest, ctx);
-            }
-        }
-    }
-
-    fn record_commit(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        digest: Digest,
-        ctx: &mut Context<'_, PrimeMsg>,
-    ) {
-        let quorum = self.core.q.quorum();
-        let view = self.core.gate.view();
-        let slot = self.core.log.slot(seq);
-        if slot.digest.is_some() && slot.digest != Some(digest) {
-            return;
-        }
-        if !slot.ext.commits.contains(&from) {
-            slot.ext.commits.push(from);
-        }
-        if slot.ext.prepared && !slot.committed && slot.ext.commits.len() >= quorum {
-            slot.committed = true;
-            ctx.observe(Observation::Commit {
-                seq,
-                view,
-                digest,
-                speculative: false,
-            });
-            self.try_execute(ctx);
-        }
-    }
-
     fn try_execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
         let (by_request, preorder) = (&self.by_request, &mut self.preorder);
         let mut send = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
@@ -451,34 +400,25 @@ impl PrimeReplica {
 
 impl ViewChanger for PrimeReplica {
     type Msg = PrimeMsg;
-    type Ext = PrimeSlot;
+    type Ext = Rounds;
     type Payload = Vec<SignedRequest>;
 
-    fn core(&mut self) -> &mut Core<PrimeMsg, PrimeSlot, Vec<SignedRequest>> {
+    fn core(&mut self) -> &mut Core<PrimeMsg, Rounds, Vec<SignedRequest>> {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> PrimeMsg {
-        PrimeMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> PrimeMsg = PrimeMsg::View;
 
     /// The slots this replica holds a prepare quorum for.
     fn report(&mut self, _: &mut Context<'_, PrimeMsg>) -> Vec<BatchEntry> {
-        self.core.open_entries(|s| s.ext.prepared)
+        self.core.open_entries(|s| s.ext.prepared())
     }
 
     fn adopt(&mut self, (seq, digest, batch): BatchEntry, ctx: &mut Context<'_, PrimeMsg>) {
-        self.core.log.reinstall(seq, digest, batch);
-        if !self.core.is_leader() {
-            ctx.charge_crypto(CryptoOp::Sign);
-            let (view, from) = (self.core.gate.view(), self.core.me);
-            ctx.broadcast_replicas(PrimeMsg::Prepare {
-                view,
-                seq,
-                digest,
-                from,
-            });
-            self.record_prepare(from, seq, digest, ctx);
+        let (view, leads) = (self.core.gate.view(), self.core.is_leader());
+        let slot = self.core.log.reinstall(seq, digest, batch);
+        if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
+            self.try_execute(ctx);
         }
     }
 
@@ -510,7 +450,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
             PrimeMsg::Request(signed) => {
                 let view = self.core.gate.view();
                 let answer = reply_to_client(None, PrimeMsg::Reply);
-                if Intake::admit(ctx, &self.store, &self.core.exec, signed, view, answer) {
+                if Intake::admit(ctx, &self.core.store, &self.core.exec, signed, view, answer) {
                     self.originate(signed.clone(), ctx);
                 }
             }
@@ -537,15 +477,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                if from != NodeId::Replica(self.core.leader()) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batch) != digest {
+                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
                     return;
                 }
                 // mark proposals as ordered so the monitor credits the leader
@@ -564,30 +496,18 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 if !self.core.log.install(seq, digest, batch.clone()) {
                     return;
                 }
-                let me = self.core.me;
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas(PrimeMsg::Prepare {
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-                self.record_prepare(me, seq, digest, ctx);
+                let slot = self.core.log.slot(seq);
+                if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
+                    self.try_execute(ctx);
+                }
             }
             PrimeMsg::Prepare {
                 view,
                 seq,
                 digest,
                 from: r,
-            } => {
-                let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_prepare(r, seq, digest, ctx);
             }
-            PrimeMsg::Commit {
+            | PrimeMsg::Commit {
                 view,
                 seq,
                 digest,
@@ -598,7 +518,11 @@ impl Actor<PrimeMsg> for PrimeReplica {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
-                self.record_commit(r, seq, digest, ctx);
+                let vote = (matches!(msg, PrimeMsg::Commit { .. }), r);
+                let slot = self.core.log.slot(seq);
+                if self.rounds.count(ctx, slot, (view, seq), vote, digest) {
+                    self.try_execute(ctx);
+                }
             }
             PrimeMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             PrimeMsg::Reply(_) => {}
@@ -775,6 +699,42 @@ mod tests {
             tp_prime > 3.0 * tp_pbft,
             "Prime under attack {tp_prime:.1} req/s must far exceed PBFT {tp_pbft:.1} req/s"
         );
+    }
+
+    /// Regression (PBFT's shape, see `pbft::tests`): r1's prepare for X
+    /// reached r2 before leader r0's pre-prepare for Y and counted toward
+    /// Y, so {r1: X, r2: Y} made r2 prepared and it sent Commit(Y).
+    #[test]
+    fn an_early_prepare_for_another_digest_does_not_prepare_the_slot() {
+        use crate::common::script::{play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let [(x, _), (y, batch)] = rival_batches(&store);
+        let (view, seq) = (View(0), SeqNum(1));
+        let early = PrimeMsg::Prepare {
+            view,
+            seq,
+            digest: x,
+            from: ReplicaId(1),
+        };
+        let proposal = PrimeMsg::PrePrepare {
+            view,
+            seq,
+            digest: y,
+            batch,
+        };
+        let scripts = vec![
+            (1, Script::new(2, vec![early], vec![])),
+            (0, Script::new(2, vec![], vec![proposal])),
+        ];
+        let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
+        let honest = PrimeBehavior::Honest;
+        let replica = PrimeReplica::new(ReplicaId(2), q, store, honest, delta, delta, 1);
+        let (_, sent) = play(scripts, replica);
+        let prepared_y =
+            |m: &PrimeMsg| matches!(m, PrimeMsg::Prepare { digest, .. } if *digest == y);
+        assert!(sent.iter().any(prepared_y), "r2 accepted the proposal");
+        let commit = sent.iter().find(|m| matches!(m, PrimeMsg::Commit { .. }));
+        assert_eq!(commit, None, "{{r1: X, r2: Y}} is no prepare quorum for Y");
     }
 
     #[test]

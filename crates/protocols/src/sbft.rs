@@ -34,7 +34,7 @@ use bft_types::{
 
 use crate::common::{
     launch, BatchEntry, ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest,
-    SubmitPolicy, ViewChanger, ViewMsg,
+    SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// SBFT protocol messages.
@@ -147,13 +147,11 @@ impl WireSize for SbftMsg {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SbftSlot {
     /// First-round shares (collector only).
-    shares: Vec<ReplicaId>,
+    shares: Tally,
     /// Second-round shares (collector only, slow path).
-    commit_shares: Vec<ReplicaId>,
+    commit_shares: Tally,
     /// This replica produced a first-round share.
     signed: bool,
-    /// Slow-path state: prepared via CommitProof.
-    prepared: bool,
     /// Collector: τ3 timer for the fast path.
     t3: Option<TimerId>,
     /// Collector already certified (fast or slow).
@@ -200,7 +198,6 @@ impl ThresholdReplies {
 /// An SBFT replica (the leader doubles as the collector).
 pub struct SbftReplica {
     core: Core<SbftMsg, SbftSlot, Vec<SignedRequest>>,
-    store: Arc<KeyStore>,
     /// Requests seen and not yet executed: what a leader proposes from.
     known: BTreeMap<RequestId, SignedRequest>,
     replies: ThresholdReplies,
@@ -220,8 +217,7 @@ impl SbftReplica {
         batch_size: usize,
     ) -> Self {
         SbftReplica {
-            core: Core::new(me, q, view_timeout, Execution::new()),
-            store,
+            core: Core::new((me, q, store), view_timeout, Execution::new()),
             known: BTreeMap::new(),
             replies: ThresholdReplies::default(),
             t3_timeout,
@@ -284,17 +280,14 @@ impl SbftReplica {
         if !self.core.is_leader() {
             return;
         }
-        let n = self.core.q.n;
-        let view = self.core.gate.view();
+        let (n, view) = (self.core.q.n, self.core.gate.view());
         let slot = self.core.log.slot(seq);
-        if slot.digest != Some(digest) || slot.ext.certified {
+        if slot.ext.certified {
             return;
         }
+        let installed = slot.digest;
         let slot = &mut slot.ext;
-        if !slot.shares.contains(&from) {
-            slot.shares.push(from);
-        }
-        if slot.shares.len() >= n {
+        if let Some(digest) = slot.shares.vote(from, digest, installed, n) {
             // fast path: every replica signed — a single certificate proves
             // universal acceptance, no second round needed (DC6)
             slot.certified = true;
@@ -323,7 +316,8 @@ impl SbftReplica {
         };
         let slot = &mut slot.ext;
         slot.t3 = None;
-        if slot.shares.len() >= quorum {
+        let shares = slot.shares.count(digest);
+        if shares >= quorum {
             slot.certified = true;
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             ctx.observe(Observation::Marker { label: "slow-path" });
@@ -331,7 +325,7 @@ impl SbftReplica {
                 view,
                 seq,
                 digest,
-                shares: slot.shares.len(),
+                shares,
             });
             // the collector participates in round 2 as well
             self.on_commit_proof(seq, digest, ctx);
@@ -350,7 +344,6 @@ impl SbftReplica {
         if slot.committed {
             return;
         }
-        slot.ext.prepared = true;
         ctx.charge_crypto(CryptoOp::ThresholdVerify);
         ctx.charge_crypto(CryptoOp::ThresholdShareGen);
         if me == leader {
@@ -381,13 +374,11 @@ impl SbftReplica {
         let quorum = self.core.q.quorum();
         let view = self.core.gate.view();
         let slot = self.core.log.slot(seq);
-        if slot.digest != Some(digest) || slot.committed {
+        if slot.committed {
             return;
         }
-        if !slot.ext.commit_shares.contains(&from) {
-            slot.ext.commit_shares.push(from);
-        }
-        if slot.ext.commit_shares.len() >= quorum {
+        let shares = &mut slot.ext.commit_shares;
+        if let Some(digest) = shares.vote(from, digest, slot.digest, quorum) {
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             ctx.broadcast_replicas(SbftMsg::FullExecuteProof { view, seq, digest });
             self.commit_slot(seq, digest, ctx);
@@ -408,13 +399,7 @@ impl SbftReplica {
         } else if slot.digest != Some(digest) {
             return;
         }
-        slot.committed = true;
-        ctx.observe(Observation::Commit {
-            seq,
-            view,
-            digest,
-            speculative: false,
-        });
+        slot.commit(ctx, seq, view, digest);
         self.try_execute(ctx);
     }
 
@@ -500,9 +485,7 @@ impl ViewChanger for SbftReplica {
         &mut self.core
     }
 
-    fn wire(msg: ViewMsg<Vec<SignedRequest>>) -> SbftMsg {
-        SbftMsg::View(msg)
-    }
+    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> SbftMsg = SbftMsg::View;
 
     /// The slots this replica produced a share for: any of them may have
     /// been certified without this replica hearing of it.
@@ -553,7 +536,7 @@ impl Actor<SbftMsg> for SbftReplica {
     fn on_message(&mut self, from: NodeId, msg: &SbftMsg, ctx: &mut Context<'_, SbftMsg>) {
         match msg {
             SbftMsg::Request(signed) => {
-                if !Intake::verify(ctx, &self.store, signed) {
+                if !Intake::verify(ctx, &self.core.store, signed) {
                     return;
                 }
                 if self.core.exec.is_executed(&signed.request.id) {
@@ -581,15 +564,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.core.gate.admit(from, view, msg) {
-                    return;
-                }
-                if from != NodeId::Replica(self.core.leader()) {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batch) != digest {
+                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
                     return;
                 }
                 if !self.core.log.install(seq, digest, batch.clone()) {

@@ -17,19 +17,17 @@
 //! 2f+1, lock on success, timeout τ4 → nil) → `precommit` (quadratic,
 //! quorum 2f+1 → decide, timeout τ4 → next round with proposer rotation).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
-use bft_types::{
-    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
-};
+use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    enqueue_unique, launch, reply_to_client, ClientProtocol, Execution, Intake, Scenario,
-    SignedRequest, SubmitPolicy,
+    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
+    SubmitPolicy,
 };
 
 /// Vote kinds.
@@ -127,7 +125,7 @@ pub struct TendermintReplica {
     informed: bool,
     /// Enable the informed-leader optimization.
     opt_informed: bool,
-    mempool: VecDeque<SignedRequest>,
+    mempool: Mempool,
     exec: Execution,
     /// Sent votes dedup: (kind, height, round).
     voted: BTreeMap<(VoteKind, SeqNum, u32), ()>,
@@ -146,7 +144,6 @@ pub struct TendermintReplica {
     round_timer: Option<TimerId>,
     delta: SimDuration,
     round_timeout: SimDuration,
-    batch_size: usize,
 }
 
 impl TendermintReplica {
@@ -172,7 +169,7 @@ impl TendermintReplica {
             locked: None,
             informed: true, // height 1 has no predecessor to learn about
             opt_informed,
-            mempool: VecDeque::new(),
+            mempool: Mempool::new(batch_size),
             exec: Execution::new().skipping_executed(),
             voted: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -181,7 +178,6 @@ impl TendermintReplica {
             round_timer: None,
             delta,
             round_timeout: SimDuration(delta.0 * 2),
-            batch_size,
         }
     }
 
@@ -220,8 +216,7 @@ impl TendermintReplica {
         if !self.i_propose_now() {
             return;
         }
-        let exec = &self.exec;
-        self.mempool.retain(|r| !exec.is_executed(&r.request.id));
+        self.mempool.drop_ordered(&self.exec, []);
         // re-propose the locked value if we hold a lock, else a new batch
         let (digest, batch) = if let Some((locked_digest, _)) = self.locked {
             // locked on a value whose batch never arrived: nothing to
@@ -231,13 +226,10 @@ impl TendermintReplica {
             };
             (locked_digest, batch)
         } else {
-            if self.mempool.is_empty() {
+            let mut height = self.height;
+            let Some((_, digest, batch)) = self.mempool.cut(ctx, &mut height) else {
                 return;
-            }
-            let take = self.batch_size.min(self.mempool.len());
-            let batch: Vec<SignedRequest> = self.mempool.drain(..take).collect();
-            let digest = digest_of(&batch);
-            ctx.charge_crypto(CryptoOp::Hash);
+            };
             (digest, batch)
         };
         ctx.charge_crypto(CryptoOp::Sign);
@@ -287,8 +279,7 @@ impl TendermintReplica {
         if round != self.round || self.decided.is_some() {
             return;
         }
-        let ids: Vec<RequestId> = batch.iter().map(|r| r.request.id).collect();
-        self.mempool.retain(|r| !ids.contains(&r.request.id));
+        self.mempool.remove(&batch);
         self.proposal = Some((digest, batch));
         self.arm_round_timer(ctx);
         // prevote: the lock rule — vote for the proposal unless locked on a
@@ -504,7 +495,7 @@ impl Actor<TmMsg> for TendermintReplica {
                 if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
                     return;
                 }
-                enqueue_unique(&mut self.mempool, signed);
+                self.mempool.push(signed);
                 self.schedule_propose(ctx);
                 self.arm_round_timer(ctx);
             }
@@ -623,19 +614,17 @@ mod tests {
         };
         // replica 1 proposes height 1: 2f+1 precommits reach replica 2
         // first, the proposal itself 5 ms later
-        let proposer = Script {
-            to: 2,
-            now: vec![precommit(0), precommit(1), precommit(3)],
-            late: vec![TmMsg::Proposal {
-                height,
-                round,
-                digest,
-                batch,
-            }],
+        let proposal = TmMsg::Proposal {
+            height,
+            round,
+            digest,
+            batch,
         };
+        let now = vec![precommit(0), precommit(1), precommit(3)];
+        let proposer = Script::new(2, now, vec![proposal]);
         let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
         let replica = TendermintReplica::new(ReplicaId(2), q, store, delta, false, 1);
-        let out = play(1, proposer, replica);
+        let (out, _) = play(vec![(1, proposer)], replica);
         assert_eq!(
             executions(&out),
             vec![(NodeId::replica(2), signed.request.id, want)],

@@ -738,25 +738,35 @@ pub fn check_outcome_with_semantics(
 /// whether the original failure persists. Classic ddmin over the event
 /// list: try dropping chunks (halving the chunk size on each sweep) and
 /// keep any candidate that still fails, until no single event can be
-/// removed. The result always satisfies `still_fails`; if even the full
+/// removed. A candidate whose crash/recover history is incoherent (a
+/// `Recover` whose `Crash` was dropped) cannot run and counts as not
+/// reproducing. The result always satisfies `still_fails`; if even the full
 /// plan does not (flaky failure), the plan is returned unshrunk.
 pub fn shrink_plan(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
     if !still_fails(plan) {
         return plan.clone();
     }
     let events = ddmin(&plan.events, |evs| {
-        still_fails(&FaultPlan {
-            events: evs.to_vec(),
-        })
+        runnable(evs).is_some_and(|plan| still_fails(&plan))
     });
     FaultPlan { events }
 }
 
+/// The candidate plan made of `events`, if its crash/recover history is
+/// coherent ([`FaultPlan::check_coherence`]).
+fn runnable(events: &[FaultEvent]) -> Option<FaultPlan> {
+    let plan = FaultPlan {
+        events: events.to_vec(),
+    };
+    plan.check_coherence().is_ok().then_some(plan)
+}
+
 /// Shrink a failing chaos case along both axes: first ddmin the fault
 /// events (adversaries held fixed), then ddmin the flattened
-/// `(replica, attack)` pairs (minimal plan held fixed). The result is the
-/// smallest (plan, adversary) pair found that still satisfies
-/// `still_fails`; a non-reproducing failure is returned unshrunk.
+/// `(replica, attack)` pairs (minimal plan held fixed), skipping incoherent
+/// plans as [`shrink_plan`] does. The result is the smallest (plan,
+/// adversary) pair found that still satisfies `still_fails`; a
+/// non-reproducing failure is returned unshrunk.
 pub fn shrink_case(
     case: &ChaosCase,
     mut still_fails: impl FnMut(&FaultPlan, &[AdversarySpec]) -> bool,
@@ -765,12 +775,7 @@ pub fn shrink_case(
         return (case.plan.clone(), case.adversaries.clone());
     }
     let events = ddmin(&case.plan.events, |evs| {
-        still_fails(
-            &FaultPlan {
-                events: evs.to_vec(),
-            },
-            &case.adversaries,
-        )
+        runnable(evs).is_some_and(|plan| still_fails(&plan, &case.adversaries))
     });
     let plan = FaultPlan { events };
     let flat: Vec<(u32, Attack)> = case
@@ -1153,6 +1158,45 @@ mod tests {
             advs,
             vec![AdversarySpec::new(0, Attack::Equivocate { prob: 1.0 })]
         );
+    }
+
+    /// Regression: ddmin dropped a `Crash` and kept its `Recover`; running
+    /// that plan panicked in `Scenario::build_engine` ("scenario has an
+    /// invalid fault plan"). Such a candidate now does not reproduce.
+    #[test]
+    fn shrinking_never_drops_the_crash_a_kept_recover_needs() {
+        let r1 = NodeId::replica(1);
+        let plan = FaultPlan::none()
+            .slow_link(NodeId::replica(2), NodeId::replica(3), SimDuration(4))
+            .crash_recover(r1, SimTime(5), SimTime(9))
+            .partition(
+                NodeId::replica(0),
+                NodeId::replica(2),
+                SimTime(1),
+                SimTime(3),
+            );
+        // the failure needs only the recovery — and every plan that runs
+        let needs_recover = |plan: &FaultPlan| {
+            plan.validate(4, 1).expect("only runnable plans are tried");
+            let recovers = |e: &FaultEvent| matches!(e, FaultEvent::Recover { .. });
+            plan.events.iter().any(recovers)
+        };
+        let minimal = shrink_plan(&plan, needs_recover);
+        assert_eq!(
+            minimal,
+            FaultPlan::none().crash_recover(r1, SimTime(5), SimTime(9))
+        );
+        let case = ChaosCase {
+            seed: 3,
+            plan,
+            gst: SimTime::ZERO,
+            pre_gst_drop: 0.0,
+            dup_prob: 0.0,
+            reorder_prob: 0.0,
+            adversaries: vec![AdversarySpec::new(0, Attack::mute())],
+        };
+        let (shrunk, _) = shrink_case(&case, |plan, _| needs_recover(plan));
+        assert_eq!(shrunk, minimal);
     }
 
     #[test]

@@ -368,8 +368,15 @@ impl FaultPlan {
                 }
             }
         }
-        // crash/recover coherence, per node in plan order: Some(crash time)
-        // while the node is down
+        self.check_coherence()
+    }
+
+    /// The crash/recover half of [`FaultPlan::validate`]: per node, in plan
+    /// order, a `Recover` needs a prior `Crash` still in effect and fires
+    /// strictly after it, and a second `Crash` needs an intervening
+    /// `Recover`.
+    pub fn check_coherence(&self) -> Result<(), FaultPlanError> {
+        // Some(crash time) while the node is down
         let mut down: std::collections::BTreeMap<NodeId, SimTime> =
             std::collections::BTreeMap::new();
         for (index, ev) in self.events.iter().enumerate() {
