@@ -30,6 +30,8 @@
 //! comes from `BFT_BENCH_THREADS`, defaulting to the machine's available
 //! parallelism, and results are byte-identical at any thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod experiments;
 pub mod parallel;

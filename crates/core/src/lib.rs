@@ -24,6 +24,7 @@
 //! * [`report`] — the run report experiments aggregate: throughput,
 //!   latency, message complexity, load balance, fault counters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod choices;

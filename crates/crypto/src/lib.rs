@@ -37,7 +37,19 @@
 //! test-vector-verified implementations: state digests and request digests
 //! must behave like proper cryptographic hashes for checkpoint comparison
 //! and duplicate detection to be meaningful.
+//!
+//! ## The hardware path
+//!
+//! Every digest, MAC and signature ends in [`hash`]'s compression function,
+//! so that is where the CPU time goes. On an x86-64 CPU with the SHA
+//! extensions it runs on `sha256rnds2` / `sha256msg1` / `sha256msg2`;
+//! on any other CPU it runs the portable rounds, which stay the reference
+//! the tests hold the hardware path to. The CPU is asked per block (std
+//! caches the answer), so there is no option to set and the bytes are the
+//! same either way. The call into the hardware rounds is the one `unsafe`
+//! block in the workspace's crates; the other crates forbid `unsafe`.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod cost;

@@ -26,6 +26,7 @@
 //! describes workload, network, faults and seeds, so experiments compare
 //! protocols under byte-identical conditions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

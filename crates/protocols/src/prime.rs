@@ -8,7 +8,9 @@
 //! * **Preordering** — on receiving a client request, a replica broadcasts
 //!   a preorder-request; all replicas acknowledge all-to-all. A request
 //!   acknowledged by 2f+1 replicas is *eligible*, and every correct replica
-//!   knows when it became eligible.
+//!   knows when it became eligible. Clients broadcast, so a request is
+//!   preordered once per origin; the leader orders it once, by whichever
+//!   copy became eligible first.
 //! * **Leader monitoring (τ7)** — replicas periodically check the age of
 //!   their oldest eligible-but-unordered request. A correct leader orders
 //!   eligible requests within a couple of network round-trips; a leader
@@ -125,13 +127,12 @@ pub enum PrimeBehavior {
     DelayLeader(SimDuration),
 }
 
-/// Tracking of one preordered request.
+/// Tracking of one preordered copy of a request.
 #[derive(Debug, Clone)]
 struct PreorderEntry {
     request: SignedRequest,
     acks: Vec<ReplicaId>,
     eligible_at: Option<SimTime>,
-    ordered: bool,
 }
 
 /// A Prime replica.
@@ -141,12 +142,13 @@ pub struct PrimeReplica {
     rounds: RoundRules<PrimeMsg, Rounds>,
     behavior: PrimeBehavior,
     /// Preorder state keyed by (origin, origin_seq), until the request has
-    /// executed.
+    /// executed. Clients broadcast, so a request has one copy per origin.
     preorder: BTreeMap<(ReplicaId, u64), PreorderEntry>,
     /// Requests this replica originated (origin_seq counter).
     my_origin_seq: u64,
-    /// Request id → preorder key (dedup).
-    by_request: BTreeMap<RequestId, (ReplicaId, u64)>,
+    /// Every request seen, and whether a live proposal carries it. All
+    /// copies of a request share this flag, so it is ordered once.
+    ordered: BTreeMap<RequestId, bool>,
     /// τ7 heartbeat timer (performance monitor).
     monitor_timer: Option<TimerId>,
     heartbeat: SimDuration,
@@ -197,7 +199,7 @@ impl PrimeReplica {
             behavior,
             preorder: BTreeMap::new(),
             my_origin_seq: 0,
-            by_request: BTreeMap::new(),
+            ordered: BTreeMap::new(),
             monitor_timer: None,
             heartbeat,
             order_bound,
@@ -208,21 +210,20 @@ impl PrimeReplica {
     // ---- preordering -------------------------------------------------------
 
     fn originate(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PrimeMsg>) {
-        if self.by_request.contains_key(&signed.request.id)
+        if self.ordered.contains_key(&signed.request.id)
             || self.core.exec.is_executed(&signed.request.id)
         {
             return;
         }
         self.my_origin_seq += 1;
         let key = (self.core.me, self.my_origin_seq);
-        self.by_request.insert(signed.request.id, key);
+        self.ordered.insert(signed.request.id, false);
         self.preorder.insert(
             key,
             PreorderEntry {
                 request: signed.clone(),
                 acks: vec![self.core.me],
                 eligible_at: None,
-                ordered: false,
             },
         );
         ctx.charge_crypto(CryptoOp::Sign);
@@ -248,12 +249,11 @@ impl PrimeReplica {
         }
         let key = (origin, origin_seq);
         let digest = request.digest();
-        self.by_request.entry(request.request.id).or_insert(key);
+        self.ordered.entry(request.request.id).or_insert(false);
         let entry = self.preorder.entry(key).or_insert(PreorderEntry {
             request,
             acks: Vec::new(),
             eligible_at: None,
-            ordered: false,
         });
         if !entry.acks.contains(&self.core.me) {
             entry.acks.push(self.core.me);
@@ -302,29 +302,29 @@ impl PrimeReplica {
             return;
         }
         loop {
-            // eligible, unordered, in eligibility order
-            let mut todo: Vec<((ReplicaId, u64), SimTime)> = self
+            // eligible copies of unordered requests, in eligibility order
+            let mut todo: Vec<(SimTime, (ReplicaId, u64))> = self
                 .preorder
                 .iter()
-                .filter(|(_, e)| {
-                    e.eligible_at.is_some()
-                        && !e.ordered
-                        && !self.core.exec.is_executed(&e.request.request.id)
-                })
-                .map(|(k, e)| (*k, e.eligible_at.unwrap()))
+                .filter(|(_, e)| self.awaits_order(&e.request.request.id))
+                .filter_map(|(k, e)| Some((e.eligible_at?, *k)))
                 .collect();
             if todo.is_empty() {
                 break;
             }
-            todo.sort_by_key(|(k, t)| (*t, *k));
-            let take: Vec<(ReplicaId, u64)> =
-                todo.iter().take(self.batch_size).map(|(k, _)| *k).collect();
-            let batch: Vec<SignedRequest> = take
-                .iter()
-                .map(|k| self.preorder.get(k).expect("exists").request.clone())
-                .collect();
-            for k in &take {
-                self.preorder.get_mut(k).expect("exists").ordered = true;
+            todo.sort_unstable();
+            // the earliest eligible copy orders its request; later copies
+            // of the same request are skipped
+            let mut batch: Vec<SignedRequest> = Vec::new();
+            for (_, k) in todo {
+                let request = &self.preorder[&k].request;
+                let ordered = self.ordered.get_mut(&request.request.id).expect("seen");
+                if !std::mem::replace(ordered, true) {
+                    batch.push(request.clone());
+                    if batch.len() == self.batch_size {
+                        break;
+                    }
+                }
             }
             let seq = self.core.next_seq;
             self.core.next_seq = self.core.next_seq.next();
@@ -345,19 +345,13 @@ impl PrimeReplica {
         }
     }
 
+    /// Is this request neither carried by a live proposal nor executed?
+    fn awaits_order(&self, id: &RequestId) -> bool {
+        !self.ordered[id] && !self.core.exec.is_executed(id)
+    }
+
     fn try_execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        let (by_request, preorder) = (&self.by_request, &mut self.preorder);
-        let mut send = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
-        let deliver = |ctx: &mut Context<'_, PrimeMsg>, reply: Reply, seq| {
-            // executed means ordered, whatever the monitor last saw
-            if let Some(e) = by_request
-                .get(&reply.request)
-                .and_then(|key| preorder.get_mut(key))
-            {
-                e.ordered = true;
-            }
-            send(ctx, reply, seq);
-        };
+        let deliver = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
         let view = self.core.gate.view();
         self.core
             .exec
@@ -381,7 +375,7 @@ impl PrimeReplica {
         let oldest: Option<SimTime> = self
             .preorder
             .values()
-            .filter(|e| !e.ordered && !self.core.exec.is_executed(&e.request.request.id))
+            .filter(|e| self.awaits_order(&e.request.request.id))
             .filter_map(|e| e.eligible_at)
             .min();
         if let Some(t) = oldest {
@@ -422,12 +416,12 @@ impl ViewChanger for PrimeReplica {
         }
     }
 
-    /// Dead slots release their requests back to the eligible pool.
+    /// Dead slots release their requests, every copy, back to the
+    /// eligible pool.
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
         for id in stranded.iter().map(|r| r.request.id) {
-            let key = self.by_request.get(&id);
-            if let Some(e) = key.and_then(|key| self.preorder.get_mut(key)) {
-                e.ordered &= self.core.exec.is_executed(&id);
+            if let Some(ordered) = self.ordered.get_mut(&id) {
+                *ordered &= self.core.exec.is_executed(&id);
             }
         }
     }
@@ -481,17 +475,9 @@ impl Actor<PrimeMsg> for PrimeReplica {
                     return;
                 }
                 // mark proposals as ordered so the monitor credits the leader
+                // (this learns requests not yet preordered locally, too)
                 for r in batch.iter() {
-                    if let Some(key) = self.by_request.get(&r.request.id).copied() {
-                        if let Some(e) = self.preorder.get_mut(&key) {
-                            e.ordered = true;
-                        }
-                    } else {
-                        // the leader may order requests we have not yet
-                        // preordered locally; learn them
-                        self.by_request
-                            .insert(r.request.id, (ReplicaId(u32::MAX), 0));
-                    }
+                    self.ordered.insert(r.request.id, true);
                 }
                 if !self.core.log.install(seq, digest, batch.clone()) {
                     return;
@@ -630,6 +616,25 @@ mod tests {
         );
         assert_eq!(accepted(&out), 300);
         assert!(peak <= 100, "preorder grew to {peak} entries");
+    }
+
+    /// Regression: clients broadcast, so every replica preorders a request
+    /// under its own origin key, and the leader proposed every eligible
+    /// copy — four slots per request at n = 4, three of them executing
+    /// nothing. A request is ordered once, whichever copy got there first.
+    #[test]
+    fn each_request_is_ordered_once() {
+        let s = Scenario::small(1).with_load(2, 50);
+        let out = run(&s, &[]);
+        assert_eq!(accepted(&out), 100);
+        for r in 0..4 {
+            let node = NodeId::replica(r);
+            let executed = out
+                .log
+                .count(|o| o.node == node && matches!(o.obs, Observation::Execute { .. }));
+            assert_eq!(executed, 100, "replica {r}");
+            assert_eq!(out.log.commits_of(node).len(), executed, "replica {r}");
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! global safety invariant — no two correct replicas commit different
 //! digests at the same sequence number — after (or during) every experiment.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use bft_crypto::Hasher;
 use bft_types::{Digest, Key, Op, Value};
 
-use crate::kv::KvStore;
+use crate::kv::{set_digest, xor_into, KvStore};
 
 /// One reversible effect recorded while applying an operation, replayed in
 /// reverse by the rollback path of speculative execution.
@@ -127,12 +127,6 @@ impl App for KvStore {
     }
 }
 
-fn xor_into(acc: &mut [u8; 32], leaf: &[u8; 32]) {
-    for (a, b) in acc.iter_mut().zip(leaf) {
-        *a ^= *b;
-    }
-}
-
 fn log_leaf(log: Key, offset: u64, value: Value) -> [u8; 32] {
     let mut h = Hasher::new();
     h.update(b"log-leaf");
@@ -233,11 +227,7 @@ impl App for AppendLog {
     }
 
     fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        h.update(b"log-state");
-        h.update(&self.acc);
-        h.update(&self.records.to_le_bytes());
-        Digest(h.finalize())
+        set_digest(b"log-state", &self.acc, self.records as usize)
     }
 
     fn is_empty(&self) -> bool {
@@ -337,11 +327,7 @@ impl App for GCounter {
     }
 
     fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        h.update(b"ctr-state");
-        h.update(&self.acc);
-        h.update(&(self.totals.len() as u64).to_le_bytes());
-        Digest(h.finalize())
+        set_digest(b"ctr-state", &self.acc, self.totals.len())
     }
 
     fn is_empty(&self) -> bool {

@@ -12,6 +12,7 @@
 //! state and the same [`bft_types::Digest`] on every replica — the property the safety
 //! auditor checks across replicas.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;

@@ -15,6 +15,7 @@
 //! Everything in this crate is dimension-neutral: it is the vocabulary in
 //! which those dimensions are expressed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
