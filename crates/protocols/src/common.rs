@@ -1512,6 +1512,8 @@ pub struct Intake {
     /// Requests relayed (or merely seen) and not yet executed here.
     pending: Vec<RequestId>,
     timer: Option<TimerId>,
+    /// When the latest τ2 span started.
+    armed_at: SimTime,
     timeout: SimDuration,
 }
 
@@ -1521,6 +1523,7 @@ impl Intake {
         Intake {
             pending: Vec::new(),
             timer: None,
+            armed_at: SimTime::ZERO,
             timeout: view_timeout,
         }
     }
@@ -1642,6 +1645,12 @@ impl Intake {
         span: SimDuration,
     ) {
         self.timer = Some(ctx.set_timer(TimerKind::T2ViewChange, span));
+        self.armed_at = ctx.now();
+    }
+
+    /// When the latest τ2 span started.
+    pub fn armed_at(&self) -> SimTime {
+        self.armed_at
     }
 
     /// Cancel τ2 if it is running.
@@ -1760,8 +1769,8 @@ impl<M: Clone> ViewGate<M> {
 /// ([`BatchEntry`]) or, for Themis, the per-replica batch set.
 pub type Entry<P> = (SeqNum, Digest, P);
 
-/// The two messages of the PBFT-pattern view change, embedded in each
-/// member's message enum.
+/// The messages of the PBFT-pattern view change, embedded in each member's
+/// message enum.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewMsg<P> {
     /// Replica → all: abandon the view, carrying the entries the sender
@@ -1781,6 +1790,16 @@ pub enum ViewMsg<P> {
         /// Re-proposals.
         proposals: Vec<Entry<P>>,
     },
+    /// Replica → the target view's leader: it received `voter`'s vote
+    /// (needed where votes are MACs, see [`VoteAuth::acks`]).
+    Ack {
+        /// Target view.
+        view: View,
+        /// Whose vote is acknowledged.
+        voter: ReplicaId,
+        /// Sender.
+        from: ReplicaId,
+    },
 }
 
 /// As a tagged tuple (the vendored derive does not do generic types).
@@ -1793,17 +1812,20 @@ impl<P: serde::Serialize> serde::Serialize for ViewMsg<P> {
                 from,
             } => (0u8, new_view, report, from).serialize(serializer),
             ViewMsg::NewView { view, proposals } => (1u8, view, proposals).serialize(serializer),
+            ViewMsg::Ack { view, voter, from } => (2u8, view, voter, from).serialize(serializer),
         }
     }
 }
 
 impl<P> ViewMsg<P> {
     /// Wire size: tag, view, per entry 40 bytes of slot and digest plus
-    /// `payload` bytes, and a `sig`-byte authenticator.
+    /// `payload` bytes (an ack: the two replicas), and a `sig`-byte
+    /// authenticator.
     pub fn wire_size(&self, sig: usize, payload: impl Fn(&P) -> usize) -> usize {
         let entries = match self {
             ViewMsg::ViewChange { report, .. } => report,
             ViewMsg::NewView { proposals, .. } => proposals,
+            ViewMsg::Ack { .. } => return 1 + 8 + 4 + 4 + sig,
         };
         let entries = entries.iter().map(|(_, _, p)| 40 + payload(p));
         1 + 8 + entries.sum::<usize>() + sig
@@ -1822,23 +1844,28 @@ pub enum VcStep {
     /// yet: at least one of them is correct, so join.
     Join,
     /// This replica leads the target view, is campaigning, and holds a
-    /// new-view quorum of votes: assemble and install the view.
+    /// new-view quorum of votes, each acked where the protocol needs it:
+    /// assemble and install the view.
     Assemble,
 }
 
 /// The vote table of the PBFT-pattern view change — per target view, who
-/// voted and the entries each voter reported — with the rules that do not
-/// vary between protocols: one vote per sender, join at f+1, assemble only
-/// at the target's leader at the protocol's quorum, escalate on τ2.
+/// voted, the entries each voter reported and who acknowledged each vote —
+/// with the rules that do not vary between protocols: one vote per sender,
+/// join at f+1, assemble only at the target's leader at the protocol's
+/// quorum of (acked) votes, escalate on τ2.
 #[derive(Debug)]
 pub struct ViewChange<P> {
     votes: BTreeMap<View, Vec<Vote<P>>>,
+    /// Per target view and voter, the replicas that acknowledged the vote.
+    acks: BTreeMap<(View, ReplicaId), Vec<ReplicaId>>,
 }
 
 impl<P> Default for ViewChange<P> {
     fn default() -> Self {
         ViewChange {
             votes: BTreeMap::new(),
+            acks: BTreeMap::new(),
         }
     }
 }
@@ -1846,28 +1873,57 @@ impl<P> Default for ViewChange<P> {
 impl<P: Clone> ViewChange<P> {
     /// Record `from`'s vote for `target` at replica `me`, which is in
     /// `view` and `campaigning` or not; `quorum` is the protocol's new-view
-    /// quorum.
+    /// quorum and `acks` what each foreign vote needs before it may be used.
     pub fn record(
         &mut self,
         (me, q): (ReplicaId, QuorumRules),
-        quorum: usize,
+        (quorum, acks): (usize, usize),
         (view, campaigning): (View, bool),
         from: ReplicaId,
         target: View,
         report: Vec<Entry<P>>,
     ) -> VcStep {
-        let votes = self.votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
+        if self.has_vote(target, from) {
             return VcStep::Wait;
         }
+        let votes = self.votes.entry(target).or_default();
         votes.push((from, report));
         if target > view && !campaigning && votes.len() > q.f {
             VcStep::Join
-        } else if target.leader_of(q.n) == me && campaigning && votes.len() >= quorum {
+        } else if campaigning && self.assembles((me, q), (quorum, acks), target) {
             VcStep::Assemble
         } else {
             VcStep::Wait
         }
+    }
+
+    /// Record `from`'s ack of `voter`'s vote for `target`.
+    pub fn ack(&mut self, target: View, voter: ReplicaId, from: ReplicaId) {
+        let by = self.acks.entry((target, voter)).or_default();
+        if !by.contains(&from) {
+            by.push(from);
+        }
+    }
+
+    /// Whether `me` leads `target` and holds `quorum` votes for it, every
+    /// foreign one acknowledged by `acks` replicas.
+    pub fn assembles(
+        &self,
+        (me, q): (ReplicaId, QuorumRules),
+        (quorum, acks): (usize, usize),
+        target: View,
+    ) -> bool {
+        let acked = |voter: ReplicaId| self.acks.get(&(target, voter)).map_or(0, Vec::len);
+        let votes = self.votes(target);
+        let vouched = votes
+            .iter()
+            .all(|(voter, _)| *voter == me || acked(*voter) >= acks);
+        target.leader_of(q.n) == me && votes.len() >= quorum && vouched
+    }
+
+    /// Whether `voter`'s vote for `target` is recorded.
+    pub fn has_vote(&self, target: View, voter: ReplicaId) -> bool {
+        self.votes(target).iter().any(|(r, _)| *r == voter)
     }
 
     /// The votes collected for `target`, in arrival order.
@@ -1909,7 +1965,28 @@ impl<P: Clone> ViewChange<P> {
     /// `view` is installed: votes for it and for earlier views are moot.
     pub fn prune(&mut self, view: View) {
         self.votes.retain(|v, _| *v > view);
+        self.acks.retain(|(v, _), _| *v > view);
     }
+}
+
+/// How a family member authenticates its view change: what one broadcast
+/// vote costs (`count` × `op`), what checking a received vote or new-view
+/// message costs, and how many acks from other replicas each foreign vote
+/// needs before the new leader may use it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VoteAuth {
+    pub send: (CryptoOp, usize),
+    pub check: CryptoOp,
+    pub acks: usize,
+}
+
+impl VoteAuth {
+    /// Signed votes: a leader can show them to anyone, so none needs acks.
+    pub const SIGNED: VoteAuth = VoteAuth {
+        send: (CryptoOp::Sign, 1),
+        check: CryptoOp::Verify,
+        acks: 0,
+    };
 }
 
 /// The request arm's two messages: the reply to a retransmission and the
@@ -1931,7 +2008,7 @@ pub(crate) struct Core<M, X, P> {
     pub next_seq: SeqNum,
 }
 
-impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X, P> {
+impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Core<M, X, P> {
     /// A replica in view 0 with an empty log, executing through `exec`.
     pub fn new(
         (me, q, store): (ReplicaId, QuorumRules, Arc<KeyStore>),
@@ -1959,6 +2036,15 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X,
     /// Whether this replica leads the current view.
     pub fn is_leader(&self) -> bool {
         self.leader() == self.me
+    }
+
+    /// Enter `view`: it becomes current, the votes it settles are dropped,
+    /// τ2 stops, and the run observes the new view.
+    pub fn enter_view(&mut self, view: View, ctx: &mut Context<'_, M>) {
+        self.gate.install(view);
+        self.votes.prune(view);
+        self.intake.disarm(ctx);
+        ctx.observe(Observation::NewView { view });
     }
 
     /// The open slots satisfying `keep`, as a view-change report.
@@ -2015,14 +2101,15 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P> Core<M, X,
     }
 }
 
-/// The PBFT-pattern view change (MinBFT, FaB, Prime, Themis, Kauri, SBFT,
-/// PoE): replicas broadcast a signed view-change vote carrying what they
+/// The PBFT-pattern view change (PBFT, MinBFT, FaB, Prime, Themis, Kauri,
+/// SBFT, PoE): replicas broadcast a view-change vote carrying what they
 /// would lose; f+1 votes pull the rest in; the target view's leader
 /// assembles a new-view message from a quorum of votes; everyone installs
 /// it, re-runs agreement on the re-proposed slots and requeues what was
 /// stranded. The provided methods are that lifecycle; a protocol says only
 /// **what it reports**, **how its new leader assembles** and **how it
-/// adopts one re-proposal** (plus how those travel on its wire).
+/// adopts one re-proposal** (plus how those travel on its wire and, where
+/// votes are not signed, how they are authenticated: [`VoteAuth`]).
 pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// The protocol's message type.
     type Msg: WireSize + Clone + serde::Serialize + 'static;
@@ -2040,14 +2127,25 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         q.quorum()
     }
 
+    /// How votes are authenticated: signed unless the protocol says
+    /// otherwise.
+    fn vote_auth(&self) -> VoteAuth {
+        VoteAuth::SIGNED
+    }
+
     /// Whether work is outstanding that the current leader should have
     /// ordered by the time τ2 fires.
     fn work_pending(&mut self) -> bool {
         self.core().intake.has_pending()
     }
 
+    /// Observe that this replica enters `stage`.
+    fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, Self::Msg>) {
+        ctx.observe(Observation::StageEnter { stage });
+    }
+
     /// The variant of the protocol's message enum that carries the family's
-    /// two messages.
+    /// messages.
     const WIRE: fn(ViewMsg<Self::Payload>) -> Self::Msg;
 
     /// What this replica reports when it abandons the view.
@@ -2070,20 +2168,20 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     fn resume(&mut self, ctx: &mut Context<'_, Self::Msg>);
 
     /// Abandon the current view for `target`: enter the view-change stage,
-    /// broadcast a signed vote carrying [`report`](ViewChanger::report),
-    /// count it, and give the campaign one τ2 to succeed. A no-op for a
-    /// view not ahead of the current one or already covered by a campaign.
+    /// broadcast an authenticated vote carrying
+    /// [`report`](ViewChanger::report), count it, and give the campaign one
+    /// τ2 to succeed. A no-op for a view not ahead of the current one or
+    /// already covered by a campaign.
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, Self::Msg>) {
         let core = self.core();
         if target <= core.gate.view() || (core.gate.in_view_change() && core.votes.covers(target)) {
             return;
         }
         core.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
+        self.enter_stage(Stage::ViewChange, ctx);
         let (report, from) = (self.report(ctx), self.core().me);
-        ctx.charge_crypto(CryptoOp::Sign);
+        let (op, count) = self.vote_auth().send;
+        ctx.charge_crypto_n(op, count);
         ctx.broadcast_replicas((Self::WIRE)(ViewMsg::ViewChange {
             new_view: target,
             report: report.clone(),
@@ -2100,22 +2198,43 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         msg: &ViewMsg<Self::Payload>,
         ctx: &mut Context<'_, Self::Msg>,
     ) {
+        let auth = self.vote_auth();
         match msg {
             ViewMsg::ViewChange {
                 new_view,
                 report,
-                from,
+                from: voter,
             } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.on_view_change(*from, *new_view, report.clone(), ctx);
+                ctx.charge_crypto(auth.check);
+                // a vote nobody else can verify: vouch for it to the leader
+                let core = self.core();
+                let leader = new_view.leader_of(core.q.n);
+                let mine = *voter == core.me || leader == core.me;
+                if auth.acks > 0 && !mine && !core.votes.has_vote(*new_view, *voter) {
+                    ctx.charge_crypto(auth.send.0);
+                    let (view, voter, from) = (*new_view, *voter, core.me);
+                    let ack = ViewMsg::Ack { view, voter, from };
+                    ctx.send(NodeId::Replica(leader), (Self::WIRE)(ack));
+                }
+                self.on_view_change(*voter, *new_view, report.clone(), ctx);
             }
             ViewMsg::NewView { view, proposals } => {
                 // only from the leader of a view not behind the current one
                 let core = self.core();
                 let leader = NodeId::Replica(view.leader_of(core.q.n));
                 if *view >= core.gate.view() && from == leader {
-                    ctx.charge_crypto(CryptoOp::Verify);
+                    ctx.charge_crypto(auth.check);
                     self.install_view(*view, proposals.clone(), ctx);
+                }
+            }
+            ViewMsg::Ack { view, voter, from } => {
+                ctx.charge_crypto(auth.check);
+                let core = self.core();
+                core.votes.ack(*view, *voter, *from);
+                let rules = (Self::new_view_quorum(core.q), auth.acks);
+                let identity = (core.me, core.q);
+                if core.gate.in_view_change() && core.votes.assembles(identity, rules, *view) {
+                    self.new_view(*view, ctx);
                 }
             }
         }
@@ -2130,25 +2249,27 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         report: Vec<Entry<Self::Payload>>,
         ctx: &mut Context<'_, Self::Msg>,
     ) {
+        let acks = self.vote_auth().acks;
         let core = self.core();
-        let (identity, quorum) = ((core.me, core.q), Self::new_view_quorum(core.q));
+        let (identity, rules) = ((core.me, core.q), (Self::new_view_quorum(core.q), acks));
         let at = (core.gate.view(), core.gate.in_view_change());
-        match core
-            .votes
-            .record(identity, quorum, at, from, target, report)
-        {
+        match core.votes.record(identity, rules, at, from, target, report) {
             VcStep::Wait => {}
             VcStep::Join => self.start_view_change(target, ctx),
-            VcStep::Assemble => {
-                let proposals = self.assemble(target);
-                ctx.charge_crypto(CryptoOp::Sign);
-                ctx.broadcast_replicas((Self::WIRE)(ViewMsg::NewView {
-                    view: target,
-                    proposals: proposals.clone(),
-                }));
-                self.install_view(target, proposals, ctx);
-            }
+            VcStep::Assemble => self.new_view(target, ctx),
         }
+    }
+
+    /// As `target`'s leader holding its quorum: assemble the re-proposals,
+    /// broadcast them signed and install the view.
+    fn new_view(&mut self, target: View, ctx: &mut Context<'_, Self::Msg>) {
+        let proposals = self.assemble(target);
+        ctx.charge_crypto(CryptoOp::Sign);
+        ctx.broadcast_replicas((Self::WIRE)(ViewMsg::NewView {
+            view: target,
+            proposals: proposals.clone(),
+        }));
+        self.install_view(target, proposals, ctx);
     }
 
     /// Install `view`: leave the view-change stage, adopt the re-proposals
@@ -2159,15 +2280,14 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         proposals: Vec<Entry<Self::Payload>>,
         ctx: &mut Context<'_, Self::Msg>,
     ) {
-        let core = self.core();
-        core.gate.install(view);
-        core.votes.prune(view);
-        core.intake.disarm(ctx);
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.core().enter_view(view, ctx);
+        self.enter_stage(Stage::Ordering, ctx);
         self.adopt_view(proposals, ctx);
+        self.replay(ctx);
+    }
+
+    /// Re-deliver the messages that raced ahead of the view just entered.
+    fn replay(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         for (from, msg) in self.core().gate.replay_after_install() {
             self.on_message(from, &msg, ctx);
         }
@@ -2913,7 +3033,7 @@ mod tests {
         let entry = |seq, payload: u8| vec![(SeqNum(seq), Digest::ZERO, payload)];
         let mut votes: ViewChange<u8> = ViewChange::default();
         let mut vote = |at, from, target, report| {
-            let step = votes.record(me, 3, at, ReplicaId(from), View(target), report);
+            let step = votes.record(me, (3, 0), at, ReplicaId(from), View(target), report);
             (step, votes.votes(View(target)).len())
         };
         // one vote is below f+1; the same sender again changes nothing
@@ -2938,10 +3058,26 @@ mod tests {
             (2, ReplicaId(1), 3, VcStep::Wait),
             (3, ReplicaId(2), 5, VcStep::Wait),
         ] {
-            let from = ReplicaId(from);
-            let got = other.record((holder, q), quorum, campaigning, from, View(2), Vec::new());
+            let (from, rules) = (ReplicaId(from), (quorum, 0));
+            let got = other.record((holder, q), rules, campaigning, from, View(2), Vec::new());
             assert_eq!(got, want);
         }
+        // where a foreign vote needs an ack, the quorum waits for the acks
+        let mut acked: ViewChange<u8> = ViewChange::default();
+        let rules = (3, 1);
+        for from in [0, 1, 2] {
+            let got = acked.record(me, rules, campaigning, ReplicaId(from), View(2), vec![]);
+            assert_eq!(got, VcStep::Wait);
+        }
+        let mut ack = |voter, by| {
+            acked.ack(View(2), ReplicaId(voter), ReplicaId(by));
+            acked.assembles(me, rules, View(2))
+        };
+        assert!(
+            !ack(0, 1) && !ack(0, 1) && !ack(0, 3),
+            "r1's vote is unacked"
+        );
+        assert!(ack(1, 0), "every foreign vote is acked");
         // τ2: past every view voted for while campaigning, else view + 1
         // only if work is pending
         assert!(votes.covers(View(5)) && !votes.covers(View(6)));

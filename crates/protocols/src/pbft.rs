@@ -9,11 +9,15 @@
 //!   the order survives view changes; quorum 2f+1).
 //! * **Execution** — committed batches execute in sequence order; replies
 //!   go to clients, which wait for f+1 matching replies.
-//! * **View-change** — timer τ2 triggers a view change; 2f+1 view-change
-//!   messages let the new leader install the view with a new-view message
-//!   re-proposing every prepared request. In MAC mode (the Castro-Liskov
-//!   '02 variant) `view-change-ack` messages substitute for the
-//!   non-repudiation signatures would provide (design choice 11).
+//! * **View-change** — the family's shared lifecycle
+//!   ([`ViewChanger`](crate::common)): timer τ2 triggers a view change; each
+//!   vote reports the sender's stable checkpoint and its prepared slots
+//!   ([`PbftCert`]); 2f+1 votes let the new leader install the view,
+//!   re-proposing the highest-view prepared batch per slot and filling gaps
+//!   with null batches. In MAC mode (the Castro-Liskov '02 variant) the new
+//!   leader uses a vote only once 2f−1 other replicas acknowledged it,
+//!   substituting for the non-repudiation signatures would provide (design
+//!   choice 11).
 //! * **Checkpointing** — every `interval` sequence numbers replicas
 //!   digest their state and exchange checkpoint attestations; 2f+1
 //!   matching attestations make the checkpoint stable, the log truncates,
@@ -23,7 +27,7 @@
 //!   re-syncs via state transfer afterwards).
 //!
 //! Byzantine leader variants ([`Behavior`]) implement the adversaries the
-//! experiments need: silent, censoring, reordering (unfair) and
+//! experiments need: censoring, reordering (unfair), delaying and
 //! equivocating leaders. Safety holds under all of them — the audit at the
 //! end of every experiment proves it for the run.
 
@@ -41,8 +45,9 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol, Execution, Intake,
-    Mempool, RoundRules, Rounds, Scenario, SignedRequest, SlotLog, SubmitPolicy, ViewGate,
+    launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol, Core, Entry, Execution,
+    Intake, Mempool, RoundRules, Rounds, Scenario, SignedRequest, SlotLog, SubmitPolicy,
+    ViewChange, ViewChanger, ViewMsg, VoteAuth,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -54,23 +59,23 @@ pub enum PbftAuth {
     Signature,
 }
 
-/// A batch re-proposal entry carried in view-change messages: proof that a
-/// request was prepared at a sequence number.
+/// What PBFT's view-change messages carry per slot (the payload of the
+/// family's entries): a vote reports the sender's stable checkpoint and
+/// every slot it prepared above it, a new-view message the re-proposals.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct PreparedEntry {
-    /// Sequence number the batch was prepared at.
-    pub seq: SeqNum,
-    /// View in which it was prepared.
-    pub view: View,
-    /// Batch digest.
-    pub digest: Digest,
-    /// The batch itself (so the new leader can re-propose it).
-    pub batch: Vec<SignedRequest>,
+pub enum PbftCert {
+    /// The sender's stable checkpoint: the entry's slot and state digest.
+    Stable,
+    /// The entry's batch, prepared in this view.
+    Prepared(View, Vec<SignedRequest>),
 }
 
-impl WireSize for PreparedEntry {
+impl WireSize for PbftCert {
     fn wire_size(&self) -> usize {
-        self.seq.wire_size() + self.view.wire_size() + 32 + self.batch.wire_size()
+        match self {
+            PbftCert::Stable => 0,
+            PbftCert::Prepared(view, batch) => view.wire_size() + batch.wire_size(),
+        }
     }
 }
 
@@ -123,36 +128,9 @@ pub enum PbftMsg {
         /// Attesting replica.
         from: ReplicaId,
     },
-    /// Replica → all: leave `view`, carrying prepared proofs.
-    ViewChange {
-        /// The view being proposed (current + k).
-        new_view: View,
-        /// Last stable checkpoint (seq, state digest).
-        stable: (SeqNum, Digest),
-        /// Prepared batches above the stable checkpoint.
-        prepared: Vec<PreparedEntry>,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// MAC mode only: acknowledge another replica's view-change to the new
-    /// leader (substitutes for signature non-repudiation).
-    ViewChangeAck {
-        /// View being installed.
-        new_view: View,
-        /// Whose view-change message is acknowledged.
-        vc_from: ReplicaId,
-        /// Sender of the ack.
-        from: ReplicaId,
-    },
-    /// New leader → all: install `view`, re-proposing prepared batches.
-    NewView {
-        /// The installed view.
-        view: View,
-        /// Replicas whose view-change messages were used.
-        from_replicas: Vec<ReplicaId>,
-        /// Re-proposals: (seq, digest, batch).
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-    },
+    /// View change: votes carry certificates, the new-view message the
+    /// re-proposals; in MAC mode replicas ack each other's votes.
+    View(ViewMsg<PbftCert>),
     /// Client → all replicas: a read-only request served from the current
     /// state without ordering (the paper's P6 read optimization: the client
     /// waits for 2f+1 matching replies instead of f+1).
@@ -181,21 +159,9 @@ impl WireSize for PbftMsg {
             PbftMsg::PrePrepare { batch, .. } => 1 + 8 + 8 + 32 + batch.wire_size(),
             PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => 1 + 8 + 8 + 32 + 4 + 32,
             PbftMsg::Checkpoint { .. } => 1 + 8 + 32 + 4 + 32,
-            PbftMsg::ViewChange { prepared, .. } => 1 + 8 + 8 + 32 + prepared.wire_size() + 64,
-            PbftMsg::ViewChangeAck { .. } => 1 + 8 + 4 + 4 + 32,
-            PbftMsg::NewView {
-                from_replicas,
-                pre_prepares,
-                ..
-            } => {
-                1 + 8
-                    + from_replicas.len() * 4
-                    + pre_prepares
-                        .iter()
-                        .map(|(_, _, b)| 8 + 32 + b.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
+            // an ack is one MAC to one replica
+            PbftMsg::View(m @ ViewMsg::Ack { .. }) => m.wire_size(32, PbftCert::wire_size),
+            PbftMsg::View(m) => m.wire_size(64, PbftCert::wire_size),
             PbftMsg::StateRequest { .. } => 1 + 4 + 8,
             PbftMsg::StateTransfer { .. } => {
                 // approximated as a fixed-size snapshot shipment
@@ -225,7 +191,7 @@ pub enum Behavior {
     /// / front-running — the Q1 fairness adversary).
     Favor(ClientId),
     /// As leader, proposes different batches to different halves of the
-    /// backups for the same sequence number (equivocation — the safety
+    /// backups for every sequence number (equivocation — the safety
     /// adversary; the prepare phase must prevent divergent commits).
     Equivocate,
     /// As leader, delays every pre-prepare by the given virtual duration
@@ -237,15 +203,11 @@ pub enum Behavior {
 /// PBFT's agreement state for one consensus slot (a sequence number within
 /// a view); the slot is pre-prepared once it holds a digest.
 #[derive(Debug, Clone, Default)]
-struct PbftSlot {
+pub(crate) struct PbftSlot {
     /// The view of the pre-prepare.
     view: View,
     rounds: Rounds,
 }
-
-/// A collected view-change message: sender, its stable checkpoint, and its
-/// prepared proofs.
-type VcEntry = (ReplicaId, (SeqNum, Digest), Vec<PreparedEntry>);
 
 /// PBFT replica configuration.
 #[derive(Debug, Clone)]
@@ -298,26 +260,30 @@ pub enum PbftSabotage {
 }
 
 impl PbftConfig {
-    /// What authenticating one outgoing broadcast costs: `count` × `op`.
-    fn broadcast_auth(&self) -> (CryptoOp, usize) {
+    /// What authenticating a broadcast (`count` × `op`) and checking a
+    /// received replica message cost, and how many acks a view-change vote
+    /// needs: a MAC authenticator convinces only its receiver, so the new
+    /// leader uses a MAC'd vote once 2f−1 other replicas vouch for it.
+    fn auth_costs(&self) -> VoteAuth {
         match self.auth {
-            PbftAuth::Mac => (CryptoOp::MacGen, self.q.n - 1),
-            PbftAuth::Signature => (CryptoOp::Sign, 1),
+            PbftAuth::Mac => VoteAuth {
+                send: (CryptoOp::MacGen, self.q.n - 1),
+                check: CryptoOp::MacVerify,
+                acks: (2 * self.q.f).saturating_sub(1),
+            },
+            PbftAuth::Signature => VoteAuth::SIGNED,
         }
     }
 
     /// Charge the cost of authenticating one outgoing broadcast.
     fn charge_broadcast_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        let (op, count) = self.broadcast_auth();
+        let (op, count) = self.auth_costs().send;
         ctx.charge_crypto_n(op, count);
     }
 
     /// Charge the cost of verifying one incoming message.
     fn charge_verify_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        match self.auth {
-            PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacVerify),
-            PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Verify),
-        }
+        ctx.charge_crypto(self.auth_costs().check);
     }
 
     /// Config from a scenario (timeouts derived from Δ).
@@ -432,37 +398,20 @@ impl Checkpoints {
 
 /// A PBFT replica actor.
 pub struct PbftReplica {
-    me: ReplicaId,
+    /// Identity, view gate, view-change votes, τ2, execution, slot log and
+    /// the leader's next sequence number. PBFT re-arms τ2 on every relayed
+    /// request and disarms it on every executed slot, so the intake's
+    /// outstanding set stays unused.
+    core: Core<PbftMsg, PbftSlot, PbftCert>,
     cfg: PbftConfig,
     behavior: Behavior,
-    store: Arc<KeyStore>,
-    /// Current view, view-change flag, and the ordering messages that
-    /// arrived for a view not installed yet (they race ahead of the
-    /// new-view message); replayed on installation.
-    gate: ViewGate<PbftMsg>,
-    /// Leader-only: next sequence number to assign.
-    next_seq: SeqNum,
-    log: SlotLog<PbftSlot>,
     /// The prepare → commit pair: 2f prepares besides the pre-prepare,
     /// 2f+1 commits.
     rounds: RoundRules<PbftMsg, PbftSlot>,
     mempool: Mempool,
-    exec: Execution,
     ckpts: Checkpoints,
-    /// Collected view-change messages per target view.
-    vc_msgs: BTreeMap<View, Vec<VcEntry>>,
-    /// MAC mode: acks per (view, vc sender).
-    vc_acks: BTreeMap<(View, ReplicaId), Vec<ReplicaId>>,
     /// Pending partial-batch timer.
     batch_timer: Option<TimerId>,
-    /// τ2 for the currently pending request set (PBFT re-arms it on every
-    /// relayed request and disarms it on every executed slot, so the
-    /// intake's outstanding set stays unused).
-    intake: Intake,
-    /// When the live τ2 span started (recovery-aware discipline: scheduled
-    /// rejuvenation windows during the span do not count against the
-    /// leader).
-    vc_armed_at: SimTime,
     /// Timer id for the next proactive recovery (τ8).
     recovery_timer: Option<TimerId>,
     /// True while rejuvenating (unavailable).
@@ -485,22 +434,21 @@ pub struct PbftReplica {
 impl PbftReplica {
     /// Create a replica.
     pub fn new(me: ReplicaId, cfg: PbftConfig, store: Arc<KeyStore>, behavior: Behavior) -> Self {
-        let n = cfg.q.n;
-        let view_timeout = cfg.view_timeout;
+        let (q, view_timeout) = (cfg.q, cfg.view_timeout);
         let dropped = match cfg.sabotage {
             PbftSabotage::DropExecution(k) => Some(k),
             _ => None,
         };
         let commit_quorum = match cfg.sabotage {
-            PbftSabotage::CommitQuorumOffByOne => cfg.q.quorum() - 1,
-            _ => cfg.q.quorum(),
+            PbftSabotage::CommitQuorumOffByOne => q.quorum() - 1,
+            _ => q.quorum(),
         };
         let rounds = RoundRules {
             me,
             ext: |slot: &mut PbftSlot| &mut slot.rounds,
-            prepare_quorum: 2 * cfg.q.f,
+            prepare_quorum: 2 * q.f,
             commit_quorum,
-            auth: cfg.broadcast_auth(),
+            auth: cfg.auth_costs().send,
             prepare: |view, seq, digest, from| PbftMsg::Prepare {
                 view,
                 seq,
@@ -514,50 +462,27 @@ impl PbftReplica {
                 from,
             },
         };
+        let exec = Execution::new().dropping_nth(dropped);
         PbftReplica {
-            me,
+            core: Core::new((me, q, store), view_timeout, exec),
             ckpts: Checkpoints::new(me, cfg.clone()),
             mempool: Mempool::new(cfg.batch_size),
             cfg,
             behavior,
-            store,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            log: SlotLog::default(),
             rounds,
-            exec: Execution::new().dropping_nth(dropped),
-            vc_msgs: BTreeMap::new(),
-            vc_acks: BTreeMap::new(),
             batch_timer: None,
-            intake: Intake::new(view_timeout),
-            vc_armed_at: SimTime::ZERO,
             recovery_timer: None,
             recovering: false,
             recovery_buffer: Vec::new(),
             rejoining: false,
-            catchup: Catchup::new(me, n, TimerKind::T1WaitReplies, view_timeout),
+            catchup: Catchup::new(me, q.n, TimerKind::T1WaitReplies, view_timeout),
             stage: Stage::Ordering,
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.cfg.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
-    fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, PbftMsg>) {
-        enter_stage(&mut self.stage, stage, ctx);
-    }
-
     /// What authenticating one reply to a client costs.
     fn reply_auth(&self) -> CryptoOp {
-        match self.cfg.auth {
-            PbftAuth::Mac => CryptoOp::MacGen,
-            PbftAuth::Signature => CryptoOp::Sign,
-        }
+        self.cfg.auth_costs().send.0
     }
 
     fn high_water(&self) -> SeqNum {
@@ -568,29 +493,24 @@ impl PbftReplica {
         }
     }
 
-    fn low_water(&self) -> SeqNum {
-        self.ckpts.ckpt.low_water()
-    }
-
     // ---- request intake -------------------------------------------------
 
     fn on_request(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PbftMsg>) {
         // de-dup: answered already?
-        let view = self.gate.view();
+        let (core, view) = (&self.core, self.core.gate.view());
         let answer = reply_to_client(None, PbftMsg::Reply);
-        if !Intake::admit(ctx, &self.store, &self.exec, &signed, view, answer) {
+        if !Intake::admit(ctx, &core.store, &core.exec, &signed, view, answer) {
             return;
         }
         let in_mempool = self.mempool.contains(signed.request.id);
-        let cursor = self.exec.cursor();
-        let in_slot = (self.log.in_flight(cursor)).any(|id| id == signed.request.id);
+        let in_slot = (core.log.in_flight(core.exec.cursor())).any(|id| id == signed.request.id);
         if in_mempool || in_slot {
             // already queued/proposed; a backup (re)starts its τ2 timer so a
             // leader swallowing the request cannot stall liveness
             self.arm_view_timer(ctx);
             return;
         }
-        if self.is_leader() {
+        if self.core.is_leader() {
             if let Behavior::Censor(victim) = self.behavior {
                 if signed.request.id.client == victim {
                     return; // censorship: never propose the victim's requests
@@ -601,7 +521,7 @@ impl PbftReplica {
         } else {
             // relay to the leader, keep a copy for when we become leader,
             // and arm τ2
-            let leader = self.leader();
+            let leader = self.core.leader();
             self.mempool.push(&signed);
             ctx.send(NodeId::Replica(leader), PbftMsg::Request(signed));
             self.arm_view_timer(ctx);
@@ -615,16 +535,17 @@ impl PbftReplica {
     /// ordered path).
     fn on_read_only(&mut self, signed: SignedRequest, ctx: &mut Context<'_, PbftMsg>) {
         ctx.charge_crypto(CryptoOp::Verify);
-        if !signed.verify(&self.store) || !signed.request.txn.is_read_only() {
+        if !signed.verify(&self.core.store) || !signed.request.txn.is_read_only() {
             return;
         }
         // each read op is answered by the app that serves it (kv get, log
         // offset probe, counter total)
+        let sm = self.core.exec.sm();
         let reply = Reply {
             request: signed.request.id,
-            view: self.gate.view(),
-            result: self.exec.sm().read_only_results(&signed.request.txn),
-            state_digest: self.exec.sm().digest(),
+            view: self.core.gate.view(),
+            result: sm.read_only_results(&signed.request.txn),
+            state_digest: sm.digest(),
             speculative: true, // tentative: matching across 2f+1 finalizes it
         };
         ctx.charge_crypto(self.reply_auth());
@@ -635,8 +556,8 @@ impl PbftReplica {
     }
 
     fn arm_view_timer(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if !self.gate.in_view_change() && self.intake.arm(ctx) {
-            self.vc_armed_at = ctx.now();
+        if !self.core.gate.in_view_change() {
+            self.core.intake.arm(ctx);
         }
     }
 
@@ -682,12 +603,28 @@ impl PbftReplica {
         SimDuration(stolen)
     }
 
+    /// τ2 fired: the pending work indicts the leader (or the campaign for
+    /// its successor failed) — unless scheduled rejuvenation windows stole
+    /// the time, which extends τ2 by exactly the stolen amount so only
+    /// clear-quorum time accumulates toward the timeout.
+    fn on_view_timeout(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        let stolen = self.scheduled_dark_overlap(self.core.intake.armed_at(), ctx.now());
+        if stolen > SimDuration::ZERO {
+            self.core.intake.rearm_for(ctx, stolen);
+        } else if self.cfg.sabotage != PbftSabotage::DisableViewChange {
+            let (gate, votes) = (&self.core.gate, &self.core.votes);
+            if let Some(target) = votes.escalation(gate.view(), gate.in_view_change(), true) {
+                self.start_view_change(target, ctx);
+            }
+        }
+    }
+
     // ---- leader: propose -------------------------------------------------
 
     /// Propose what is queued; a partial batch waits for the batch timer
     /// unless `force_partial`.
     fn propose(&mut self, force_partial: bool, ctx: &mut Context<'_, PbftMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() || self.recovering {
+        if !self.core.is_leader() || self.core.gate.in_view_change() || self.recovering {
             return;
         }
         if let Behavior::Favor(favored) = self.behavior {
@@ -699,9 +636,8 @@ impl PbftReplica {
             // stable sort: favored first, reversed order preserved behind it
             queue.sort_by_key(|r| r.request.id.client != favored);
         }
-        let open = self.log.in_flight(self.exec.cursor());
-        self.mempool.drop_ordered(&self.exec, open);
-        while !self.mempool.is_empty() && self.next_seq <= self.high_water() {
+        self.core.drop_ordered(&mut self.mempool);
+        while !self.mempool.is_empty() && self.core.next_seq <= self.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
             if self.mempool.len() < self.cfg.batch_size && !force_partial {
@@ -714,20 +650,35 @@ impl PbftReplica {
             if let Some(t) = self.batch_timer.take() {
                 ctx.cancel_timer(t);
             }
-            let view = self.gate.view();
-            if self.behavior == Behavior::Equivocate && self.mempool.len() > self.cfg.batch_size {
-                // send batch A to one half, a different batch B to the other
-                let (batch, alt) = (self.mempool.take(), self.mempool.take());
-                let seq = self.next_seq;
-                self.next_seq = seq.next();
-                self.equivocate(seq, batch, alt, ctx);
+            let view = self.core.gate.view();
+            if self.behavior == Behavior::Equivocate {
+                // one batch to the lower half of the backups, the next — or
+                // an empty one when nothing else is queued — to the upper
+                // half; the equivocator itself records nothing coherent
+                let (seq, n, me) = (self.core.next_seq, self.cfg.q.n as u32, self.core.me.0);
+                self.core.next_seq = seq.next();
+                self.cfg.charge_broadcast_auth(ctx);
+                ctx.observe(Observation::Marker {
+                    label: "equivocated",
+                });
+                for (lower, batch) in [(true, self.mempool.take()), (false, self.mempool.take())] {
+                    let half = (0..n).filter(|i| *i != me && (*i < n / 2) == lower);
+                    let digest = digest_of(&batch);
+                    let msg = PbftMsg::PrePrepare {
+                        view,
+                        seq,
+                        digest,
+                        batch,
+                    };
+                    ctx.multicast(half.map(NodeId::replica), msg);
+                }
                 continue;
             }
-            let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.next_seq) else {
+            let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) else {
                 return;
             };
             self.cfg.charge_broadcast_auth(ctx);
-            let slot = self.log.slot(seq);
+            let slot = self.core.log.slot(seq);
             (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch.clone()), view);
             let msg = PbftMsg::PrePrepare {
                 view,
@@ -744,41 +695,6 @@ impl PbftReplica {
         }
     }
 
-    fn equivocate(
-        &mut self,
-        seq: SeqNum,
-        batch_a: Vec<SignedRequest>,
-        batch_b: Vec<SignedRequest>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let view = self.gate.view();
-        let da = digest_of(&batch_a);
-        let db = digest_of(&batch_b);
-        let n = self.cfg.q.n;
-        self.cfg.charge_broadcast_auth(ctx);
-        for i in 0..n as u32 {
-            let to = ReplicaId(i);
-            if to == self.me {
-                continue;
-            }
-            let (digest, batch) = if (i as usize) < n / 2 {
-                (da, batch_a.clone())
-            } else {
-                (db, batch_b.clone())
-            };
-            ctx.send(
-                NodeId::Replica(to),
-                PbftMsg::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch,
-                },
-            );
-        }
-        // the equivocator itself records nothing coherent
-    }
-
     // ---- ordering phases -------------------------------------------------
 
     fn on_pre_prepare(
@@ -793,10 +709,10 @@ impl PbftReplica {
         if self.recovering {
             return;
         }
-        if from != NodeId::Replica(self.leader()) {
+        if from != NodeId::Replica(self.core.leader()) {
             return; // only the leader pre-prepares
         }
-        if seq <= self.low_water() || seq > self.high_water() {
+        if seq <= self.ckpts.ckpt.low_water() || seq > self.high_water() {
             return; // outside the log window
         }
         self.cfg.charge_verify_auth(ctx);
@@ -804,7 +720,7 @@ impl PbftReplica {
         if digest_of(&batch) != digest {
             return;
         }
-        let slot = self.log.slot(seq);
+        let slot = self.core.log.slot(seq);
         if slot.digest.is_some() && slot.ext.view == view {
             // conflicting pre-prepare for the same (view, seq): ignore —
             // this is exactly what stops an equivocating leader
@@ -821,7 +737,7 @@ impl PbftReplica {
         // quorum's working view
         self.rejoining = false;
         self.arm_view_timer(ctx);
-        let slot = self.log.slot(seq);
+        let slot = self.core.log.slot(seq);
         if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
             self.try_execute(ctx);
         }
@@ -830,25 +746,21 @@ impl PbftReplica {
     // ---- execution -------------------------------------------------------
 
     fn try_execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let before = self.exec.cursor();
         let deliver = reply_to_client(Some(self.reply_auth()), PbftMsg::Reply);
-        let (mempool, intake) = (&mut self.mempool, &mut self.intake);
+        let core = &mut self.core;
+        let (before, view) = (core.exec.cursor(), core.gate.view());
+        let (mempool, intake) = (&mut self.mempool, &mut core.intake);
         let (stage, ckpts) = (&mut self.stage, &mut self.ckpts);
-        self.exec.drain(
-            ctx,
-            &mut self.log,
-            self.gate.view(),
-            deliver,
-            |ctx, exec, log, seq| {
+        core.exec
+            .drain(ctx, &mut core.log, view, deliver, |ctx, exec, log, seq| {
                 let batch = log.get(&seq).and_then(|s| s.batch.as_deref());
                 mempool.remove(batch.unwrap_or_default());
                 *stage = Stage::Ordering;
                 // outstanding work done? disarm τ2; else re-arm
                 intake.disarm(ctx);
                 ckpts.maybe_checkpoint(stage, exec, log, ctx);
-            },
-        );
-        if self.exec.cursor() > before {
+            });
+        if self.core.exec.cursor() > before {
             // execution progress means we are back in step with the quorum
             self.rejoining = false;
             if self.catchup.active() {
@@ -860,7 +772,7 @@ impl PbftReplica {
     // ---- checkpointing ---------------------------------------------------
 
     fn on_state_request(&mut self, from: ReplicaId, have: SeqNum, ctx: &mut Context<'_, PbftMsg>) {
-        let served = self.ckpts.ckpt.latest_snapshot(have, self.exec.sm());
+        let served = self.ckpts.ckpt.latest_snapshot(have, self.core.exec.sm());
         if let Some((slot_seq, snapshot)) = served {
             let snapshot = Box::new(snapshot);
             ctx.send(
@@ -876,15 +788,16 @@ impl PbftReplica {
         snapshot: &Snapshot,
         ctx: &mut Context<'_, PbftMsg>,
     ) {
-        if slot_seq <= self.exec.cursor() {
+        let core = &mut self.core;
+        if slot_seq <= core.exec.cursor() {
             return;
         }
         // install: the snapshot's machine state replaces ours
-        self.exec.install_snapshot(snapshot, slot_seq);
+        core.exec.install_snapshot(snapshot, slot_seq);
         // drop every slot the snapshot covers
-        self.log.retain(|s, _| *s > slot_seq);
-        self.ckpts.ckpt.mark_installed(slot_seq, self.exec.sm());
-        self.next_seq = self.next_seq.max(slot_seq.next());
+        core.log.retain(|s, _| *s > slot_seq);
+        self.ckpts.ckpt.mark_installed(slot_seq, core.exec.sm());
+        core.next_seq = core.next_seq.max(slot_seq.next());
         ctx.count_state_transfer();
         if self.catchup.active() {
             self.catchup.complete(ctx);
@@ -894,13 +807,6 @@ impl PbftReplica {
         });
         // a transferred snapshot may unblock committed-but-unexecuted slots
         self.try_execute(ctx);
-    }
-
-    /// Replay buffered ordering messages that now match the current view.
-    fn replay_buffered(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        for (from, msg) in self.gate.replay_after_install() {
-            self.handle_ordering(from, &msg, ctx);
-        }
     }
 
     /// Dispatch one ordering-stage message of the current view (also used
@@ -914,7 +820,7 @@ impl PbftReplica {
             | PbftMsg::Commit { view, .. } => *view,
             _ => unreachable!("handle_ordering only receives ordering messages"),
         };
-        if !self.gate.admit(from, view, msg) {
+        if !self.core.gate.admit(from, view, msg) {
             return;
         }
         match msg {
@@ -935,7 +841,7 @@ impl PbftReplica {
             } => {
                 self.cfg.charge_verify_auth(ctx);
                 let commit = matches!(msg, PbftMsg::Commit { .. });
-                let slot = self.log.slot(*seq);
+                let slot = self.core.log.slot(*seq);
                 // a prepare for a slot pre-prepared in another view is stale
                 let stale = !commit && slot.digest.is_some() && slot.ext.view != view;
                 let vote = (commit, *r);
@@ -947,249 +853,13 @@ impl PbftReplica {
         }
     }
 
-    // ---- view change -----------------------------------------------------
-
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, PbftMsg>) {
-        if target <= self.gate.view() {
-            return;
-        }
-        if self.cfg.sabotage == PbftSabotage::DisableViewChange {
-            return;
-        }
-        self.gate.set_in_view_change(true);
-        self.intake.disarm(ctx);
-        self.enter_stage(Stage::ViewChange, ctx);
-        let stable = (
-            self.low_water(),
-            self.ckpts
-                .ckpt
-                .stable()
-                .map(|p| p.digest)
-                .unwrap_or(Digest::ZERO),
-        );
-        let prepared: Vec<PreparedEntry> = self
-            .log
-            .iter()
-            .filter(|(seq, s)| s.ext.rounds.prepared() && **seq > stable.0)
-            .map(|(seq, s)| PreparedEntry {
-                seq: *seq,
-                view: s.ext.view,
-                digest: s.digest.unwrap_or(Digest::ZERO),
-                batch: s.batch.clone().unwrap_or_default(),
-            })
-            .collect();
-        // view-change messages are signed even in MAC mode? No — in MAC
-        // mode they are MAC'd and acks compensate; either way one auth op:
-        self.cfg.charge_broadcast_auth(ctx);
-        let me = self.me;
-        let msg = PbftMsg::ViewChange {
-            new_view: target,
-            stable,
-            prepared: prepared.clone(),
-            from: me,
-        };
-        ctx.broadcast_replicas(msg);
-        self.record_view_change(me, target, stable, prepared, ctx);
-        // consecutive view-change timer: if the new view fails to form,
-        // move to the one after (doubling is elided; the constant timeout
-        // re-fires)
-        self.vc_armed_at = ctx.now();
-        self.intake.rearm(ctx);
-    }
-
-    fn record_view_change(
-        &mut self,
-        from: ReplicaId,
-        new_view: View,
-        stable: (SeqNum, Digest),
-        prepared: Vec<PreparedEntry>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let entries = self.vc_msgs.entry(new_view).or_default();
-        if entries.iter().any(|(r, _, _)| *r == from) {
-            return;
-        }
-        entries.push((from, stable, prepared));
-        let have = entries.len();
-
-        // MAC mode: acknowledge others' view-changes to the new leader
-        if self.cfg.auth == PbftAuth::Mac && from != self.me {
-            let new_leader = new_view.leader_of(self.cfg.q.n);
-            if new_leader != self.me {
-                ctx.charge_crypto(CryptoOp::MacGen);
-                ctx.send(
-                    NodeId::Replica(new_leader),
-                    PbftMsg::ViewChangeAck {
-                        new_view,
-                        vc_from: from,
-                        from: self.me,
-                    },
-                );
-            }
-        }
-
-        // join rule: f+1 replicas moved to a higher view → join them
-        if new_view > self.gate.view() && !self.gate.in_view_change() && have > self.cfg.q.f {
-            self.start_view_change(new_view, ctx);
-            return;
-        }
-
-        self.maybe_assemble_new_view(new_view, ctx);
-    }
-
-    fn vc_ready(&self, new_view: View) -> bool {
-        let Some(entries) = self.vc_msgs.get(&new_view) else {
-            return false;
-        };
-        if entries.len() < self.cfg.q.quorum() {
-            return false;
-        }
-        if self.cfg.auth == PbftAuth::Mac {
-            // each foreign view-change needs 2f−1 acks before it counts
-            let need = (2 * self.cfg.q.f).saturating_sub(1);
-            entries.iter().all(|(r, _, _)| {
-                *r == self.me
-                    || need == 0
-                    || self
-                        .vc_acks
-                        .get(&(new_view, *r))
-                        .is_some_and(|acks| acks.len() >= need)
-            })
-        } else {
-            true
-        }
-    }
-
-    fn maybe_assemble_new_view(&mut self, new_view: View, ctx: &mut Context<'_, PbftMsg>) {
-        if new_view.leader_of(self.cfg.q.n) != self.me {
-            return;
-        }
-        if !self.gate.in_view_change() || !self.vc_ready(new_view) {
-            return;
-        }
-        let entries = self.vc_msgs.get(&new_view).cloned().unwrap_or_default();
-        // choose max stable checkpoint and union of prepared entries
-        let max_stable = entries
-            .iter()
-            .map(|(_, s, _)| s.0)
-            .max()
-            .unwrap_or(SeqNum(0));
-        let mut re_proposals: BTreeMap<SeqNum, (View, Digest, Vec<SignedRequest>)> =
-            BTreeMap::new();
-        for (_, _, prepared) in &entries {
-            for e in prepared {
-                if e.seq <= max_stable {
-                    continue;
-                }
-                match re_proposals.get(&e.seq) {
-                    Some((v, _, _)) if *v >= e.view => {}
-                    _ => {
-                        re_proposals.insert(e.seq, (e.view, e.digest, e.batch.clone()));
-                    }
-                }
-            }
-        }
-        let max_seq = re_proposals.keys().max().copied().unwrap_or(max_stable);
-        // fill gaps with null batches so the sequence is contiguous
-        let mut pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)> = Vec::new();
-        let mut s = max_stable.next();
-        while s <= max_seq {
-            match re_proposals.get(&s) {
-                Some((_, d, b)) => pre_prepares.push((s, *d, b.clone())),
-                None => {
-                    let empty: Vec<SignedRequest> = Vec::new();
-                    pre_prepares.push((s, digest_of(&empty), empty));
-                }
-            }
-            s = s.next();
-        }
-        let from_replicas: Vec<ReplicaId> = entries.iter().map(|(r, _, _)| *r).collect();
-        ctx.charge_crypto(CryptoOp::Sign);
-        ctx.broadcast_replicas(PbftMsg::NewView {
-            view: new_view,
-            from_replicas,
-            pre_prepares: pre_prepares.clone(),
-        });
-        self.install_view(new_view, pre_prepares, ctx);
-    }
-
-    fn on_new_view(
-        &mut self,
-        from: NodeId,
-        view: View,
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        if view < self.gate.view() {
-            return;
-        }
-        if from != NodeId::Replica(view.leader_of(self.cfg.q.n)) {
-            return;
-        }
-        self.cfg.charge_verify_auth(ctx);
-        self.install_view(view, pre_prepares, ctx);
-    }
-
-    fn install_view(
-        &mut self,
-        view: View,
-        pre_prepares: Vec<(SeqNum, Digest, Vec<SignedRequest>)>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        self.gate.install(view);
-        self.rejoining = false;
-        self.intake.disarm(ctx);
-        self.vc_msgs.retain(|v, _| *v > view);
-        self.vc_acks.retain(|(v, _), _| *v > view);
-        ctx.observe(Observation::NewView { view });
-        self.enter_stage(Stage::Ordering, ctx);
-
-        // Requests stranded in unexecuted slots that the new view does not
-        // re-propose go back to the mempool so a future leader (possibly us)
-        // can propose them again. The slots themselves are cleared — their
-        // (view, seq) assignment died with the old view.
-        let re_proposed: Vec<SeqNum> = pre_prepares.iter().map(|(s, _, _)| *s).collect();
-        let exec_cursor = self.exec.cursor();
-        let stranded = self.log.strand(exec_cursor, &re_proposed);
-        self.mempool.requeue(&self.exec, &stranded);
-
-        // adopt re-proposals: run them through the ordering machinery as if
-        // they were fresh pre-prepares in the new view
-        let max_seq = pre_prepares
-            .iter()
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(SeqNum(0));
-        let leads = self.is_leader();
-        for (seq, digest, batch) in pre_prepares {
-            if seq <= exec_cursor {
-                continue;
-            }
-            self.mempool.remove(&batch);
-            let slot = self.log.reinstall(seq, digest, batch);
-            slot.ext.view = view;
-            if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-                self.try_execute(ctx);
-            }
-        }
-        if self.is_leader() {
-            self.next_seq = self
-                .next_seq
-                .max(max_seq.next())
-                .max(self.exec.cursor().next());
-            // re-propose whatever is still in the mempool
-            self.propose(false, ctx);
-        }
-        self.replay_buffered(ctx);
-    }
-
     // ---- proactive recovery (τ8) ------------------------------------------
 
     fn schedule_recovery(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         if let Some(period) = self.cfg.recovery_period {
             // replicas take turns: replica i rejuvenates at (i+1)·period,
             // then every n·period
-            let offset = SimDuration(period.0 * (self.me.0 as u64 + 1));
+            let offset = SimDuration(period.0 * (self.core.me.0 as u64 + 1));
             self.recovery_timer = Some(ctx.set_timer(TimerKind::T8RecoveryWatchdog, offset));
         }
     }
@@ -1199,7 +869,7 @@ impl PbftReplica {
             // rejuvenation complete
             self.recovering = false;
             self.rejoining = true;
-            self.gate.set_in_view_change(false);
+            self.core.gate.set_in_view_change(false);
             ctx.observe(Observation::RecoveryDone);
             self.enter_stage(Stage::Ordering, ctx);
             // schedule the next round (full rotation later)
@@ -1225,9 +895,8 @@ impl PbftReplica {
             ctx.observe(Observation::RecoveryStart);
             self.enter_stage(Stage::Recovery, ctx);
             self.mempool = Mempool::new(self.cfg.batch_size);
-            self.vc_msgs.clear();
-            self.vc_acks.clear();
-            self.intake.disarm(ctx);
+            self.core.votes = ViewChange::default();
+            self.core.intake.disarm(ctx);
             if let Some(t) = self.batch_timer.take() {
                 ctx.cancel_timer(t);
             }
@@ -1238,8 +907,7 @@ impl PbftReplica {
 
     /// Solicit a snapshot from the next catch-up window of peers.
     fn begin_catchup(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let me = self.me;
-        let have = self.exec.cursor();
+        let (me, have) = (self.core.me, self.core.exec.cursor());
         self.catchup.begin(ctx, |peer, ctx| {
             ctx.send(
                 NodeId::Replica(peer),
@@ -1255,23 +923,105 @@ impl PbftReplica {
     /// firing τ2 into a healthy quorum), adopt the view from the first
     /// pre-prepare authored by that view's leader.
     fn maybe_adopt_view(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
-        let adopted = match msg {
-            PbftMsg::PrePrepare { view, .. }
-                if *view > self.gate.view()
-                    && from == NodeId::Replica(view.leader_of(self.cfg.q.n)) =>
-            {
-                Some(*view)
-            }
-            _ => None,
+        let PbftMsg::PrePrepare { view, .. } = *msg else {
+            return;
         };
-        let Some(view) = adopted else { return };
-        self.gate.install(view);
+        if view > self.core.gate.view() && from == NodeId::Replica(view.leader_of(self.cfg.q.n)) {
+            self.rejoining = false;
+            self.core.enter_view(view, ctx);
+            self.replay(ctx);
+        }
+    }
+}
+
+impl ViewChanger for PbftReplica {
+    type Msg = PbftMsg;
+    type Ext = PbftSlot;
+    type Payload = PbftCert;
+
+    fn core(&mut self) -> &mut Core<PbftMsg, PbftSlot, PbftCert> {
+        &mut self.core
+    }
+
+    const WIRE: fn(ViewMsg<PbftCert>) -> PbftMsg = PbftMsg::View;
+
+    fn vote_auth(&self) -> VoteAuth {
+        self.cfg.auth_costs()
+    }
+
+    fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, PbftMsg>) {
+        enter_stage(&mut self.stage, stage, ctx);
+    }
+
+    /// The stable checkpoint, then every slot above it prepared here with
+    /// the view it was prepared in.
+    fn report(&mut self, _: &mut Context<'_, PbftMsg>) -> Vec<Entry<PbftCert>> {
+        let stable = self.ckpts.ckpt.low_water();
+        let digest = self.ckpts.ckpt.stable().map_or(Digest::ZERO, |p| p.digest);
+        let above = self.core.log.range(stable.next()..);
+        let prepared = above
+            .filter(|(_, s)| s.ext.rounds.prepared())
+            .filter_map(|(seq, s)| {
+                let cert = PbftCert::Prepared(s.ext.view, s.batch.clone()?);
+                Some((*seq, s.digest?, cert))
+            });
+        std::iter::once((stable, digest, PbftCert::Stable))
+            .chain(prepared)
+            .collect()
+    }
+
+    /// Above the highest stable checkpoint any vote reports: per slot the
+    /// batch prepared in the highest view (the first reported among
+    /// equals), and a null batch in every gap below the highest such slot.
+    fn assemble(&mut self, target: View) -> Vec<Entry<PbftCert>> {
+        let reported = self.core.votes.votes(target).iter();
+        let entries: Vec<&Entry<PbftCert>> = reported.flat_map(|(_, r)| r).collect();
+        let stables = entries.iter().filter(|e| e.2 == PbftCert::Stable);
+        let stable = stables.map(|e| e.0).max().unwrap_or_default();
+        let mut chosen: BTreeMap<SeqNum, (View, &Entry<PbftCert>)> = BTreeMap::new();
+        for entry in entries {
+            let (seq, _, PbftCert::Prepared(view, _)) = entry else {
+                continue;
+            };
+            if chosen.get(seq).is_none_or(|(held, _)| held < view) {
+                chosen.insert(*seq, (*view, entry));
+            }
+        }
+        let top = chosen.keys().next_back().map_or(stable.0, |s| s.0);
+        let null = |seq| {
+            let batch: Vec<SignedRequest> = Vec::new();
+            (seq, digest_of(&batch), PbftCert::Prepared(target, batch))
+        };
+        let slot = |seq| {
+            chosen
+                .get(&seq)
+                .map_or_else(|| null(seq), |(_, e)| (*e).clone())
+        };
+        (stable.0 + 1..=top).map(|s| slot(SeqNum(s))).collect()
+    }
+
+    fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, PbftMsg>) {
+        let PbftCert::Prepared(_, batch) = cert else {
+            return;
+        };
+        self.mempool.remove(&batch);
+        let (view, leads) = (self.core.gate.view(), self.core.is_leader());
+        let slot = self.core.log.reinstall(seq, digest, batch);
+        slot.ext.view = view;
+        if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
+            self.try_execute(ctx);
+        }
+    }
+
+    /// An installed view puts this replica back in step with the quorum;
+    /// the requests of its dead slots go back to the mempool.
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
         self.rejoining = false;
-        self.intake.disarm(ctx);
-        self.vc_msgs.retain(|v, _| *v > view);
-        self.vc_acks.retain(|(v, _), _| *v > view);
-        ctx.observe(Observation::NewView { view });
-        self.replay_buffered(ctx);
+        self.mempool.requeue(&self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        self.propose(false, ctx);
     }
 }
 
@@ -1305,36 +1055,11 @@ impl Actor<PbftMsg> for PbftReplica {
                 state_digest,
                 from: r,
             } => {
-                let (exec, log) = (&mut self.exec, &mut self.log);
+                let (exec, log) = (&mut self.core.exec, &mut self.core.log);
                 self.ckpts
                     .on_checkpoint(*r, *seq, *state_digest, exec, log, ctx)
             }
-            PbftMsg::ViewChange {
-                new_view,
-                stable,
-                prepared,
-                from: r,
-            } => {
-                self.cfg.charge_verify_auth(ctx);
-                self.record_view_change(*r, *new_view, *stable, prepared.clone(), ctx);
-            }
-            PbftMsg::ViewChangeAck {
-                new_view,
-                vc_from,
-                from: r,
-            } => {
-                if self.cfg.auth == PbftAuth::Mac {
-                    ctx.charge_crypto(CryptoOp::MacVerify);
-                    let acks = self.vc_acks.entry((*new_view, *vc_from)).or_default();
-                    if !acks.contains(r) {
-                        acks.push(*r);
-                    }
-                    self.maybe_assemble_new_view(*new_view, ctx);
-                }
-            }
-            PbftMsg::NewView {
-                view, pre_prepares, ..
-            } => self.on_new_view(from, *view, pre_prepares.clone(), ctx),
+            PbftMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             PbftMsg::StateRequest { from: r, have } => self.on_state_request(*r, *have, ctx),
             PbftMsg::StateTransfer { slot_seq, snapshot } => {
                 self.on_state_transfer(*slot_seq, snapshot, ctx)
@@ -1351,8 +1076,7 @@ impl Actor<PbftMsg> for PbftReplica {
         match kind {
             TimerKind::T1WaitReplies => {
                 // replicas use τ1 only for catch-up solicitation retries
-                let me = self.me;
-                let have = self.exec.cursor();
+                let (me, have) = (self.core.me, self.core.exec.cursor());
                 self.catchup.on_timer(id, ctx, |peer, ctx| {
                     ctx.send(
                         NodeId::Replica(peer),
@@ -1360,33 +1084,7 @@ impl Actor<PbftMsg> for PbftReplica {
                     );
                 });
             }
-            TimerKind::T2ViewChange if self.intake.fired(id) => {
-                // recovery-aware discipline: time in which a peer sat in a
-                // scheduled rejuvenation window does not count against the
-                // leader — extend τ2 by exactly the stolen amount so only
-                // clear-quorum time accumulates toward the timeout
-                let now = ctx.now();
-                let stolen = self.scheduled_dark_overlap(self.vc_armed_at, now);
-                if stolen > SimDuration::ZERO {
-                    self.vc_armed_at = now;
-                    self.intake.rearm_for(ctx, stolen);
-                    return;
-                }
-                // pending work still outstanding → (next) view change
-                let target = if self.gate.in_view_change() {
-                    // consecutive view change: the attempt failed
-                    self.vc_msgs
-                        .keys()
-                        .max()
-                        .copied()
-                        .unwrap_or(self.gate.view())
-                        .next()
-                } else {
-                    self.gate.view().next()
-                };
-                self.gate.set_in_view_change(false);
-                self.start_view_change(target, ctx);
-            }
+            TimerKind::T2ViewChange if self.core.intake.fired(id) => self.on_view_timeout(ctx),
             TimerKind::T7Heartbeat if Some(id) == self.batch_timer => {
                 self.batch_timer = None;
                 self.propose(true, ctx);
@@ -1401,27 +1099,27 @@ impl Actor<PbftMsg> for PbftReplica {
     fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PbftMsg>) {
         // Timers armed before the crash popped into the void while we were
         // down: the handles are dead, not merely stale.
-        self.intake.forget_timer();
+        self.core.intake.forget_timer();
         self.batch_timer = None;
         self.recovery_timer = None;
         self.recovering = false;
-        self.gate.set_in_view_change(false);
+        self.core.gate.set_in_view_change(false);
         self.recovery_buffer.clear();
         if mode == RestartMode::Amnesia {
             // Volatile memory is gone; the last stable checkpoint is the
             // only durable artifact. Reload it (rebuilt from its mark before
             // memory is wiped) — everything since comes back via catch-up.
-            let stable = self.ckpts.ckpt.reset_to_stable(self.exec.sm());
-            self.exec.reset();
-            self.log.clear();
+            let core = &mut self.core;
+            let stable = self.ckpts.ckpt.reset_to_stable(core.exec.sm());
+            core.exec.reset();
+            core.log.clear();
             self.mempool = Mempool::new(self.cfg.batch_size);
-            self.vc_msgs.clear();
-            self.vc_acks.clear();
-            self.gate.reset();
-            self.next_seq = SeqNum(1);
+            core.votes = ViewChange::default();
+            core.gate.reset();
+            core.next_seq = SeqNum(1);
             if let Some((stable_seq, snap)) = stable {
-                self.exec.install_snapshot(&snap, stable_seq);
-                self.next_seq = stable_seq.next();
+                core.exec.install_snapshot(&snap, stable_seq);
+                core.next_seq = stable_seq.next();
             }
             ctx.observe(Observation::Marker {
                 label: "amnesia-restart",
@@ -1719,7 +1417,7 @@ mod tests {
         }
 
         fn on_message(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
-            let cursor = self.inner.exec.cursor();
+            let cursor = self.inner.core.exec.cursor();
             match msg {
                 PbftMsg::Checkpoint {
                     seq, state_digest, ..
@@ -1738,9 +1436,9 @@ mod tests {
         }
 
         fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PbftMsg>) {
-            let before = self.inner.exec.cursor();
+            let before = self.inner.core.exec.cursor();
             self.inner.on_recover(mode, ctx);
-            let exec = &self.inner.exec;
+            let exec = &self.inner.core.exec;
             let stable = self.inner.ckpts.ckpt.stable();
             self.saw(Seen::Restarted {
                 before,
@@ -1839,9 +1537,13 @@ mod tests {
                 ..Default::default()
             },
         );
+        // the leader did split its proposals between the halves
+        assert!(out.log.marker_count("equivocated") > 0);
         // safety must hold among the three honest replicas
         audit_excluding(&out, &[0]);
-        // progress must also hold (view change or partial quorums resolve)
+        // progress too: the slot the backups prepared is re-proposed by the
+        // next view's leader
+        assert!(out.log.max_view() >= View(1), "the equivocator is replaced");
         assert_eq!(accepted(&out), 20);
     }
 
@@ -2089,10 +1791,111 @@ mod tests {
         for msg in &sent {
             assert!(!matches!(msg, PbftMsg::Commit { .. }), "sent {msg:?}");
             // τ2 fires before the run ends: r2 reports nothing prepared
-            if let PbftMsg::ViewChange { prepared, .. } = msg {
-                assert!(prepared.is_empty(), "prepared {prepared:?}");
+            if let PbftMsg::View(ViewMsg::ViewChange { report, .. }) = msg {
+                let prepared = |e: &&Entry<PbftCert>| e.2 != PbftCert::Stable;
+                assert_eq!(report.iter().find(prepared), None);
             }
         }
+    }
+
+    /// The new-view messages replica r1 — the leader of views 1 and 5 —
+    /// broadcast, once per view, while r2 and r3 play their rounds at it.
+    fn new_views(
+        auth: PbftAuth,
+        rounds: [Vec<Vec<PbftMsg>>; 2],
+    ) -> Vec<(View, Vec<Entry<PbftCert>>)> {
+        use crate::common::script::{play, Script};
+        let s = Scenario::small(1);
+        let mut cfg = PbftConfig::from_scenario(&s, 4);
+        cfg.auth = auth;
+        let replica = PbftReplica::new(ReplicaId(1), cfg, s.key_store(), Behavior::Honest);
+        let [r2, r3] = rounds.map(|rounds| Script { to: 1, rounds });
+        let (_, sent) = play(vec![(2, r2), (3, r3)], replica);
+        let mut views: Vec<(View, Vec<Entry<PbftCert>>)> = Vec::new();
+        for msg in sent {
+            if let PbftMsg::View(ViewMsg::NewView { view, proposals }) = msg {
+                if views.iter().all(|(v, _)| *v != view) {
+                    views.push((view, proposals));
+                }
+            }
+        }
+        views
+    }
+
+    fn vote(from: u32, target: u64, report: Vec<Entry<PbftCert>>) -> PbftMsg {
+        let (new_view, from) = (View(target), ReplicaId(from));
+        PbftMsg::View(ViewMsg::ViewChange {
+            new_view,
+            report,
+            from,
+        })
+    }
+
+    #[test]
+    fn a_mac_new_view_waits_for_every_vote_to_be_acked() {
+        let ack = |from, voter| {
+            let (view, voter, from) = (View(1), ReplicaId(voter), ReplicaId(from));
+            PbftMsg::View(ViewMsg::Ack { view, voter, from })
+        };
+        // r2's and r3's votes pull r1 in: 2f+1 = 3 votes, but in MAC mode
+        // each foreign one needs 2f−1 = 1 ack
+        let votes = |from| {
+            vec![vote(
+                from,
+                1,
+                vec![(SeqNum(0), Digest::ZERO, PbftCert::Stable)],
+            )]
+        };
+        let mac = |r2_late, r3_late| {
+            new_views(
+                PbftAuth::Mac,
+                [vec![votes(2), r2_late], vec![votes(3), r3_late]],
+            )
+        };
+        assert_eq!(mac(vec![], vec![]), vec![], "no acks: no new view");
+        assert_eq!(mac(vec![], vec![ack(3, 2)]), vec![], "r3's vote is unacked");
+        let installed = vec![(View(1), vec![])];
+        assert_eq!(mac(vec![ack(2, 3)], vec![ack(3, 2)]), installed);
+        // a signed vote convinces on its own
+        let signed = new_views(PbftAuth::Signature, [vec![votes(2)], vec![votes(3)]]);
+        assert_eq!(signed, installed);
+    }
+
+    #[test]
+    fn the_new_leader_reproposes_the_highest_view_above_every_stable_checkpoint() {
+        use crate::common::script::rival_batches;
+        let [(x, bx), (y, by)] = rival_batches(&Scenario::small(1).key_store());
+        let prepared = |seq, digest, view, batch: &Vec<SignedRequest>| {
+            (
+                SeqNum(seq),
+                digest,
+                PbftCert::Prepared(View(view), batch.clone()),
+            )
+        };
+        let stable = |seq| (SeqNum(seq), Digest([seq as u8; 32]), PbftCert::Stable);
+        let r2 = vec![stable(2), prepared(3, x, 0, &bx), prepared(5, x, 1, &bx)];
+        let r3 = vec![
+            stable(0),
+            prepared(1, y, 0, &by),
+            prepared(2, y, 0, &by),
+            prepared(3, y, 2, &by),
+        ];
+        // r2's lower-view entry for slot 3 is reported first
+        let rounds = [
+            vec![vec![vote(2, 5, r2)]],
+            vec![vec![], vec![vote(3, 5, r3)]],
+        ];
+        let views = new_views(PbftAuth::Signature, rounds);
+        let empty: Vec<SignedRequest> = Vec::new();
+        let null = (
+            SeqNum(4),
+            digest_of(&empty),
+            PbftCert::Prepared(View(5), empty),
+        );
+        // nothing at or below r2's stable checkpoint 2; slot 3 from the
+        // higher view; slot 4 a null batch; slot 5 as reported
+        let proposals = vec![prepared(3, y, 2, &by), null, prepared(5, x, 1, &bx)];
+        assert_eq!(views, vec![(View(5), proposals)]);
     }
 
     #[test]

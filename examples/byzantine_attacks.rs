@@ -25,8 +25,8 @@ fn main() {
     .run(&base);
     SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
     println!(
-        "   detected {} equivocation attempts; safety audit PASSED — the",
-        out.log.marker_count("equivocation-detected")
+        "   the leader equivocated on {} slot(s); safety audit PASSED — the",
+        out.log.marker_count("equivocated")
     );
     println!("   prepare phase's quorum intersection makes divergent commits impossible.");
     println!(
