@@ -29,9 +29,8 @@
 //!   no tampered payload ever reaches an actor.
 //!
 //! Attack randomness draws from the simulation's seeded RNG, so runs stay
-//! deterministic; a simulation with no adversaries installed draws no extra
-//! randomness and is byte-identical to one built before this module
-//! existed.
+//! deterministic; a simulation with no adversaries installed draws no
+//! adversary randomness at all.
 
 use bft_crypto::hmac::{mac, verify_mac, Mac, MacKey};
 use bft_crypto::stable_bytes;

@@ -75,15 +75,11 @@ pub struct ChaosProfile {
     /// Maximum post-GST reordering probability (0 disables the knob).
     pub max_reorder_prob: f64,
     /// Byzantine adversary placements the generator may draw. A disabled
-    /// budget ([`AdversaryBudget::none`]) consumes no randomness, so
-    /// adversary-free campaigns generate byte-identical cases to builds
-    /// that predate the adversary layer.
+    /// budget ([`AdversaryBudget::none`]) consumes no randomness.
     pub adversary: AdversaryBudget,
     /// Recovery-churn draws the generator may make (repeated crash→recover
     /// cycles with explicit restart modes). A disabled budget
-    /// ([`RecoveryBudget::none`]) consumes no randomness, so churn-free
-    /// campaigns generate byte-identical cases to builds that predate the
-    /// recovery axis.
+    /// ([`RecoveryBudget::none`]) consumes no randomness.
     pub recovery: RecoveryBudget,
 }
 
@@ -504,8 +500,7 @@ pub fn generate_case(profile: &ChaosProfile, seed: u64) -> ChaosCase {
     };
 
     // 5. Byzantine adversary placements. Drawn only when the budget is
-    //    enabled, so adversary-free profiles consume exactly the randomness
-    //    they always did (cases stay byte-identical).
+    //    enabled: a disabled budget draws no randomness.
     let adversaries = if profile.adversary.enabled() {
         generate_adversaries(profile, &mut rng)
     } else {

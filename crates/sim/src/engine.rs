@@ -2,7 +2,7 @@
 //! threaded backend behind one construction API.
 //!
 //! [`EngineKind`] is the scenario-level knob (default [`EngineKind::Sim`],
-//! so zero-knob runs stay byte-identical to the sim-only codebase).
+//! so a zero-knob run is the deterministic simulation).
 //! [`Engine`] wraps whichever backend a scenario built so the shared
 //! protocol wiring — `add_replica`/`add_client` over [`Actor`] boxes — is
 //! written once, engine-agnostically.
@@ -18,7 +18,7 @@ use crate::threaded::ThreadedEngine;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum EngineKind {
     /// The deterministic discrete-event simulation: virtual time, seeded
-    /// network delays, fault plans, adversaries, byte-identical reruns.
+    /// network delays, fault plans, adversaries, identical reruns.
     #[default]
     Sim,
     /// The real-time backend: one OS thread per node, channels, monotonic

@@ -60,6 +60,7 @@ pub mod faults;
 pub mod metrics;
 pub mod net;
 pub mod obs;
+mod record;
 pub mod runner;
 pub mod threaded;
 pub mod time;

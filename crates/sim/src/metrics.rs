@@ -13,7 +13,7 @@ use crate::event::NodeId;
 use crate::time::SimDuration;
 
 /// Per-node traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Messages sent by this node.
     pub msgs_sent: u64,
@@ -65,10 +65,6 @@ pub struct Metrics {
     /// Nodes restarted by a scheduled [`FaultEvent::Recover`] (either
     /// restart mode).
     ///
-    /// The four recovery counters are skipped when zero so runs without
-    /// recovery events serialize byte-identically to the pre-recovery
-    /// format (see the hand-written [`Serialize`] impl below).
-    ///
     /// [`FaultEvent::Recover`]: crate::faults::FaultEvent::Recover
     pub rec_restarts: u64,
     /// Snapshots installed from a peer during catch-up (state transfers
@@ -79,55 +75,12 @@ pub struct Metrics {
     /// Catch-up rounds started by rejoining replicas.
     pub rec_catchup_events: u64,
     /// Wall-clock duration of the run in nanoseconds. Zero on the sim
-    /// engine (virtual time only) — and, like the recovery counters,
-    /// skipped when zero so sim-engine output keeps its exact format.
+    /// engine (virtual time only).
     pub wall_elapsed_ns: u64,
     /// OS threads the threaded engine ran (replicas + clients). Zero on
-    /// the sim engine; skipped when zero.
+    /// the sim engine.
     pub wall_threads: u64,
 }
-
-// Hand-written so the recovery counters and wall-clock fields are *omitted
-// when zero*: the vendored serde derive has no `skip_serializing_if`, and
-// recovery-free sim runs must keep serializing byte-identically to the
-// pre-recovery format (the determinism suite compares whole-run JSON across
-// builds). Field order matches the struct declaration, exactly as the
-// derive emitted it.
-impl Serialize for Metrics {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let rec = [
-            ("rec_restarts", self.rec_restarts),
-            ("rec_state_transfers", self.rec_state_transfers),
-            ("rec_retries", self.rec_retries),
-            ("rec_catchup_events", self.rec_catchup_events),
-            ("wall_elapsed_ns", self.wall_elapsed_ns),
-            ("wall_threads", self.wall_threads),
-        ];
-        let len = 12 + rec.iter().filter(|(_, v)| *v != 0).count();
-        let mut s = serializer.serialize_struct("Metrics", len)?;
-        s.serialize_field("replicas", &self.replicas)?;
-        s.serialize_field("clients", &self.clients)?;
-        s.serialize_field("dropped", &self.dropped)?;
-        s.serialize_field("duplicated", &self.duplicated)?;
-        s.serialize_field("topology_blocked", &self.topology_blocked)?;
-        s.serialize_field("adv_censored", &self.adv_censored)?;
-        s.serialize_field("adv_delayed", &self.adv_delayed)?;
-        s.serialize_field("adv_replayed", &self.adv_replayed)?;
-        s.serialize_field("adv_equivocated", &self.adv_equivocated)?;
-        s.serialize_field("adv_corrupted", &self.adv_corrupted)?;
-        s.serialize_field("auth_rejected", &self.auth_rejected)?;
-        s.serialize_field("auth_verified", &self.auth_verified)?;
-        for (name, value) in rec {
-            if value != 0 {
-                s.serialize_field(name, &value)?;
-            }
-        }
-        s.end()
-    }
-}
-
-impl Deserialize for Metrics {}
 
 impl Metrics {
     /// Flush one event handler's batched accounting in a single counter
@@ -203,7 +156,7 @@ impl Metrics {
     }
 
     /// All nodes with non-default counters, replicas first then clients,
-    /// each in id order (the iteration order of the former per-node map).
+    /// each in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeCounters)> {
         let default = NodeCounters::default();
         self.replicas
@@ -212,6 +165,50 @@ impl Metrics {
             .filter(move |(_, c)| **c != default)
             .map(|(i, c)| (NodeId::replica(i as u32), c))
             .chain(self.clients.iter().map(|(id, c)| (NodeId::client(*id), c)))
+    }
+
+    /// The run counters by name, in declaration order: every field but the
+    /// per-node counters. The destructuring is exhaustive, so a counter
+    /// added to `Metrics` cannot be left out of the semantic run record.
+    pub(crate) fn run_counters(&self) -> [(&'static str, u64); 16] {
+        let Metrics {
+            replicas: _,
+            clients: _,
+            dropped,
+            duplicated,
+            topology_blocked,
+            adv_censored,
+            adv_delayed,
+            adv_replayed,
+            adv_equivocated,
+            adv_corrupted,
+            auth_rejected,
+            auth_verified,
+            rec_restarts,
+            rec_state_transfers,
+            rec_retries,
+            rec_catchup_events,
+            wall_elapsed_ns,
+            wall_threads,
+        } = *self;
+        [
+            ("dropped", dropped),
+            ("duplicated", duplicated),
+            ("topology_blocked", topology_blocked),
+            ("adv_censored", adv_censored),
+            ("adv_delayed", adv_delayed),
+            ("adv_replayed", adv_replayed),
+            ("adv_equivocated", adv_equivocated),
+            ("adv_corrupted", adv_corrupted),
+            ("auth_rejected", auth_rejected),
+            ("auth_verified", auth_verified),
+            ("rec_restarts", rec_restarts),
+            ("rec_state_transfers", rec_state_transfers),
+            ("rec_retries", rec_retries),
+            ("rec_catchup_events", rec_catchup_events),
+            ("wall_elapsed_ns", wall_elapsed_ns),
+            ("wall_threads", wall_threads),
+        ]
     }
 
     /// Total messages sent by replicas (the "message complexity" metric).
@@ -227,7 +224,7 @@ impl Metrics {
     /// Load-imbalance ratio across replicas: `max(msgs_sent + msgs_received)
     /// / mean(...)`. 1.0 = perfectly balanced; the leader bottleneck of
     /// dimension Q2 shows up as values ≫ 1. Replicas with no traffic at all
-    /// are excluded, matching the former touched-nodes-only map.
+    /// are excluded.
     pub fn load_imbalance(&self) -> f64 {
         let loads: Vec<u64> = self
             .replicas

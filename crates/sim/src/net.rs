@@ -21,8 +21,7 @@
 //! *duplicate* a message (`dup_prob` — one bounded extra copy, each copy
 //! within Δ) and *reorder* messages (`reorder_prob` — a delivery is pushed
 //! later within the remaining Δ slack so later messages can overtake it).
-//! Both knobs default to zero and consume no randomness when disabled, so
-//! existing seeded runs are byte-identical.
+//! Both knobs default to zero, and a disabled knob draws no randomness.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -307,8 +306,7 @@ mod tests {
     #[test]
     fn zero_knobs_never_duplicate_or_reorder() {
         // dup_prob = reorder_prob = 0 must never produce a duplicate and
-        // must leave the delay distribution at base + jitter (the regression
-        // guard for the experiments' byte-identical artifacts).
+        // must leave the delay distribution at base + jitter.
         let net = NetworkModel::new(NetworkConfig::lan());
         let mut r = rng();
         for _ in 0..1000 {

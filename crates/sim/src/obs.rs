@@ -6,15 +6,13 @@
 //! these into an [`ObservationLog`] that the safety auditor and the
 //! experiment harness consume.
 
-use serde::{Deserialize, Serialize};
-
 use bft_types::{Digest, RequestId, SeqNum, Transaction, TxnResult, View};
 
 use crate::event::NodeId;
 use crate::time::SimTime;
 
 /// The replica lifecycle stages of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Agreeing on a unique order for requests.
     Ordering,
@@ -53,7 +51,7 @@ impl std::fmt::Display for Stage {
 }
 
 /// One audited protocol event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Observation {
     /// A replica committed (decided) the batch with `digest` at `seq`.
     /// `speculative` marks tentative commits that may later roll back
@@ -127,7 +125,7 @@ pub enum Observation {
 }
 
 /// A timestamped observation from one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedObservation {
     /// When it happened (virtual time).
     pub at: SimTime,
@@ -138,7 +136,7 @@ pub struct LoggedObservation {
 }
 
 /// The global, chronologically ordered observation log of one run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ObservationLog {
     /// All observations in emission order (emission order = virtual-time
     /// order because the simulator is sequential).

@@ -728,7 +728,7 @@ impl<M> NodeTable<M> {
     }
 
     /// All node ids with an installed actor, replicas first then clients,
-    /// each in id order (the iteration order of the former per-node map).
+    /// each in id order.
     fn ids(&self) -> Vec<NodeId> {
         self.replicas
             .iter()
@@ -808,8 +808,7 @@ impl<M: WireSize + Serialize + 'static> Simulation<M> {
     /// Compromise a replica: install a Byzantine adversary that intercepts
     /// its wire envelopes (see [`crate::adversary`]). Validate the spec
     /// against the population first ([`AdversarySpec::validate`]); a run
-    /// with no adversaries installed draws no adversary randomness and is
-    /// byte-identical to one on a build without the adversary layer.
+    /// with no adversaries installed draws no adversary randomness.
     ///
     /// # Panics
     ///

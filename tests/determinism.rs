@@ -1,34 +1,32 @@
 //! Determinism regression tests.
 //!
 //! A simulation run is a pure function of (scenario, seed): repeating a run
-//! must reproduce the observation log and metrics byte-for-byte once
-//! serialized, and the parallel experiment harness must produce exactly the
-//! results a sequential run produces, at any thread count.
+//! must reproduce its semantic record (every observation and counter), and
+//! the parallel experiment harness must produce exactly the results a
+//! sequential run produces, at any thread count.
 
 use bft_protocols::ProtocolId;
 use bft_protocols::Scenario;
 
-fn outcome_json(out: &bft_sim::runner::RunOutcome) -> (String, String) {
-    (
-        serde_json::to_string(&out.log).expect("log serializes"),
-        serde_json::to_string(&out.metrics).expect("metrics serialize"),
-    )
-}
-
 #[test]
 fn same_scenario_and_seed_reproduce_identical_logs_and_metrics() {
     let s = Scenario::small(1).with_load(2, 10);
-    let (log, metrics) = outcome_json(&ProtocolId::Pbft.run(&s));
+    let record = ProtocolId::Pbft.run(&s).semantic_record();
     for _ in 0..2 {
-        let (log2, metrics2) = outcome_json(&ProtocolId::Pbft.run(&s));
-        assert_eq!(log, log2, "observation log diverged across identical runs");
-        assert_eq!(metrics, metrics2, "metrics diverged across identical runs");
+        assert_eq!(
+            record,
+            ProtocolId::Pbft.run(&s).semantic_record(),
+            "run diverged across identical runs"
+        );
     }
     // guard against the comparison trivially passing on constant output: a
     // different seed must actually change the run
     let reseeded = s.with_seed(43);
-    let (log3, _) = outcome_json(&ProtocolId::Pbft.run(&reseeded));
-    assert_ne!(log, log3, "seed had no effect on the run");
+    assert_ne!(
+        record,
+        ProtocolId::Pbft.run(&reseeded).semantic_record(),
+        "seed had no effect on the run"
+    );
 }
 
 #[test]
@@ -75,7 +73,7 @@ fn repeated_parallel_runs_are_stable() {
 
 /// The open-loop Zipfian workload (the `open-loop/zipfian_1M_requests_n100`
 /// bench row, scaled down) is a pure function of its configuration: the
-/// run must be byte-identical between the two scheduler backends, across
+/// run must be identical between the two scheduler backends, across
 /// repeated runs, and regardless of which OS thread executes it (the
 /// worker-pool thread counts `BFT_BENCH_THREADS` selects).
 #[test]
@@ -87,16 +85,14 @@ fn open_loop_zipfian_deterministic_across_schedulers_and_threads() {
         let out = simload::drain(simload::open_loop_zipfian_with(
             100, 100, 200, 1_000_000, scheduler,
         ));
-        let log = serde_json::to_string(&out.log).expect("log serializes");
-        let metrics = serde_json::to_string(&out.metrics).expect("metrics serialize");
-        (log, metrics, out.events_processed, out.end_time)
+        (out.semantic_record(), out.events_processed, out.end_time)
     };
 
     let reference = run(SchedulerKind::Calendar);
     assert!(
-        reference.2 >= 100 * 200,
+        reference.1 >= 100 * 200,
         "open-loop run processed too few events: {}",
-        reference.2
+        reference.1
     );
     assert_eq!(
         reference,
@@ -106,7 +102,7 @@ fn open_loop_zipfian_deterministic_across_schedulers_and_threads() {
 
     // Thread-count independence: the same run on freshly spawned threads
     // (1, 2, and 4 concurrent runners) must reproduce the reference
-    // byte-for-byte. This is the property that lets BFT_BENCH_THREADS
+    // exactly. This is the property that lets BFT_BENCH_THREADS
     // change wall-clock time without changing any result.
     for threads in [1usize, 2, 4] {
         let results: Vec<_> = std::thread::scope(|scope| {

@@ -1,139 +1,194 @@
-//! Engine-API tests: the sim engine's byte-identity guarantee across the
-//! Context/engine refactor, the default-engine contract, and the threaded
-//! engine's cross-protocol semantic smoke matrix.
+//! Engine-API tests: the sim engine's semantic goldens (fault-free and
+//! faulty runs), the default-engine contract, and the threaded engine's
+//! cross-protocol semantic smoke matrix.
+
+use std::collections::BTreeMap;
 
 use untrusted_txn::prelude::*;
 use untrusted_txn::protocols::suite::{check_run, workload_suite};
 use untrusted_txn::sim::SimDuration;
 
-/// Serialize a run exactly the way the bench/report paths do (log JSON,
-/// NUL, metrics JSON) and hash it, so any byte-level drift in either
-/// stream is caught.
-fn run_digest(id: ProtocolId, scenario: &Scenario) -> String {
-    let out = id.run(scenario);
-    let log = serde_json::to_string(&out.log).expect("log serializes");
-    let metrics = serde_json::to_string(&out.metrics).expect("metrics serialize");
-    let mut buf = Vec::with_capacity(log.len() + 1 + metrics.len());
-    buf.extend_from_slice(log.as_bytes());
-    buf.push(0);
-    buf.extend_from_slice(metrics.as_bytes());
-    untrusted_txn::crypto::sha256(&buf)
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+/// Semantic-record digests ([`RunOutcome::semantic_digest`]), one line per
+/// run: `protocol scenario digest`, where the scenario is `zero-knob` or a
+/// [`faulty_scenarios`] label (view changes, timeouts and retransmissions
+/// happen there). The record covers every observation (time, node and
+/// meaning, digests as first-appearance ordinals), every node's message,
+/// byte and CPU counters and the non-zero run counters. It ignores field
+/// order, absent zero counters and digest bytes, and leaves out
+/// `events_processed` and `end_time`. Pinned on commit `092ecc4`, in the
+/// same test run in which that tree's 136 serialized-output goldens held.
+/// Rows outside a protocol's tolerance envelope are pinned too: the table
+/// is a differential, not a liveness claim. A moved row is a behaviour
+/// change to explain in CHANGES.md, not to re-pin.
+const GOLDEN: &str = "
+pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
+pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
+pbft leader-crash-recover 274c50b84cc606e5224675e732bfe0b344bf908ea6007d36488da54334904a72
+pbft leader-mute 177c5ab8d6c66cd6aef1483ff13b22c0bdd7154534df45449c9460a6e628d3bf
+pbft backup-crash c00e92ffeedc02049cd29536c82db8b29a7be7b8f47341d52e5f022a59b10f0f
+pbft partition-heals cb438a8ac843ef085aeb27ba3c20451acf754933648a6a9142b4ecef4aa98b35
+pbft lossy-pre-gst 68bec9218b15a4a4631912838318da1b5b91bcf0d4cfefc91d84c273ff64d9c7
+pbft f2-two-leaders-crashed f6acd739c6b587c2ea83b02e104dc941c0ce35a87d876aed400f4f506a6fa10a
+pbft-ro zero-knob e3c18758886cbc87aa4cdfee7224e41ef4cf7becdf6bbd64a3a2a27253a615aa
+pbft-ro leader-crash be9cd78969739bacb3777173c2427bf5a805cb0d14a4c99dc58f260e6777074d
+pbft-ro leader-crash-recover 18b76ad9d0388b40893cd2e9de439ba2a97e273745859b5af2ddf86870afe467
+pbft-ro leader-mute 075d4db5c1bd173efb2c3307b256e2ef97069c4fb082c03db3045ebc4cc03457
+pbft-ro backup-crash 44921fe7c3032130635f45336844417925af83fcf69a022e942aa87676d92d26
+pbft-ro partition-heals a18e93b63e34927d81490bf303adf2b2724a6115afb2313354f05db0b2df1b2a
+pbft-ro lossy-pre-gst 82e2a171813b76763a3ec4a59136e7a7db0c1da8d95c5780f8acc5492a68d107
+pbft-ro f2-two-leaders-crashed 39ef411179e8a617ce37f88c5dcd6e7913162978efee8867052a183c01647cc3
+zyzzyva zero-knob 8baabfd3effb1a51ddcb0cde099b5fe229211f2dac95c1e5a1696725cb0cc23d
+zyzzyva leader-crash 840e7bd8e7510b3cbf11dc38664d2f636ec36220f5f654d72fa6fa3792ddb7cb
+zyzzyva leader-crash-recover db1243236b574d64f35010dffbb1075fcd75d6b97bd2611d4b3ecfaced8b967d
+zyzzyva leader-mute e621e163e552eb8fc8f64164515115b85de97d843bcab90247fea03c11d8a462
+zyzzyva backup-crash 7dcabbfa0ddea760dbb161cff5344dcd994d00fc4eb61696b9eeaa5bdd44a300
+zyzzyva partition-heals 6c29b75659c37953b0275e865623cb8a54d6be0c00db0d83e7d0db2e65bb244b
+zyzzyva lossy-pre-gst 3fcaad77c9fbb99ab952f6909de3fa758acab149d0cf1368d02a4ff8e252781f
+zyzzyva f2-two-leaders-crashed 82d2c6b71079a93a37f7368dd1369ecccc7bb9ea5c5f3399257e56a4de1e09b9
+zyzzyva5 zero-knob 1ca5301a46ccfd6b3af27079f25ff8a3f66bba2cbb2a4494c71480ab5f861362
+zyzzyva5 leader-crash edc77f2918d9fb796f429800425dada6901c4c251b0ecbf257f10ad60f940c1a
+zyzzyva5 leader-crash-recover 8f80577a8683f90c20b8e8e2bb1d18341f35010c8c308b353d18a63017c14273
+zyzzyva5 leader-mute 21985d5729ef88e39d31f06fd3161a887e4412e23b19c1523d310abd3ed8b0b4
+zyzzyva5 backup-crash 15061df81f94f7d1c6c7b41ff86af4e3c1c665fc632bd5b439a4e3f43c436c23
+zyzzyva5 partition-heals bd34c19a0c6ffd4c1bff87803296c0e74751c5f2e8f1586d34354552d917b1cc
+zyzzyva5 lossy-pre-gst 4f451656e2be811219369f493df161db53c1dc96fb4b0232e39bf6bd0d9d322e
+zyzzyva5 f2-two-leaders-crashed b4689b4b35c2b9bf22aecd71ee4f0b7e6669ea05e3e7c41536440072faa56305
+sbft zero-knob bddc7653c32fea8440ca8510db40ea9939685363b53ba8b5480be519abf908c7
+sbft leader-crash aebc6dea416d5d5a79e064dc6d136165d8abb2d3655df9ed5bcec3c86746b2cb
+sbft leader-crash-recover ca747f7b3b63800814308d527ee352cade0b23bf0e1d6f885738221ea1678d38
+sbft leader-mute 7a2e3c53ae28497b72388ea74fc07a1375e44ca95f875254f70928e6008245a3
+sbft backup-crash 2bb789660e2c6de0ccef8544ac85dc9f31756390a4260de12e920604e532471d
+sbft partition-heals 1fe44745ed33323457355b6912c45218d6cd9db8a776ee8e553f76a316772d9a
+sbft lossy-pre-gst 543674a221939a99577e9bac7a8f59e5acb3cc5cbe4f1e749f704663991262c8
+sbft f2-two-leaders-crashed 82fc2c6b72b4d9e83c97d4c87c188a9d28f2477663ac8655defee743bbde0940
+hotstuff zero-knob 2b6f370c580331d64a1afac623584791c54d6bcbe1c88014cd1b4e1c94dfee46
+hotstuff leader-crash be06237d9bb1f72503403c5d7c07d92b8d13e3bae9231af7bfae8db10bab5c61
+hotstuff leader-crash-recover 8ac11ff7e5f003605fef827d1204f6335d7234324e5c887cf6bbee7ea23994bd
+hotstuff leader-mute cb4c9f60f1fe09ac81c37efe2fec60c96f7fa19c40b6da6b5797f640bb8d5ef4
+hotstuff backup-crash 8d8a9e4321293698ba841e3d893333924238d5c7e131f11983223b65787f3afe
+hotstuff partition-heals 5e8fbdc58f6f9b738b2ba4f161be239b64cce79fc260ee7924d9b1369bac53c3
+hotstuff lossy-pre-gst 2b5f41e6418fdf87ba3910b0ba75a3bbfaf5df2bab86e1c368112228431467b0
+hotstuff f2-two-leaders-crashed 39e4815f190d5d191988173e140871ee69f3b23aa4a6dcb2b20eab4611a5d5b2
+tendermint zero-knob 525531e6346d425f26e88c392e21b5b1f48b64f5d0f1fc5b7f0bbdc212abae31
+tendermint leader-crash bcf129f19ac6fc6dc885922cb71969dd32d97c1cb027fccab864cabf820654d6
+tendermint leader-crash-recover 9f0fd2052be1de732afa05552d24c9cb0eefb05ba739054247af7fa145637456
+tendermint leader-mute 374df47765e5061352e5b5b3ca2bc9549af097a8d3aa2eb25203b568b97dee48
+tendermint backup-crash 5440805aeabc4a98b886192acce2e5ea80ce75a7224d117ef9ab0a7267593aaf
+tendermint partition-heals 0f2bb7eda6bf5134a951437d47a9745e906f7bad196e92537676e96092d92be7
+tendermint lossy-pre-gst 6990f80af058c88fecf6466b31abb35d7b01a10c39fc13a5ea2cacc7e753931a
+tendermint f2-two-leaders-crashed 87050b6911e0d730ef420aeecf1adde880214a92dcfdd2792c37da13dd5b08d9
+tendermint-il zero-knob 70ae7052bb4e4a5bae05bfe0293d74436475ee6f5e8c931c49642af05a7f4bf4
+tendermint-il leader-crash 9a1b6c3c5bb693b745c36322eb13f68af38bc7908d4b7caf604cb8bc6c57f41d
+tendermint-il leader-crash-recover 20d57c41d4471a8ec7f3844db84c38dc34fe65a76579e928940f8a3e343058dd
+tendermint-il leader-mute b91966d7ad0db35bb9ff2dfade337324fa2870aa5a8775654c347df90129b0a4
+tendermint-il backup-crash c9844ebbd1513169812268a1fc9f65a2e9dc095a5507a153cf2bd61b2f632508
+tendermint-il partition-heals 40ae760c600bf07f5a8aa6c71951c25b396b0cd1be838a0b6a058c55d3f45dd5
+tendermint-il lossy-pre-gst f682492b6ec9d0839fd30a579424deec4c7cd669ca715faee25afa628b52ef61
+tendermint-il f2-two-leaders-crashed 7435f14746387b6c6e9dbefb120ab6d47f0c9f77d4f8b87029cf6df36cc7384a
+poe zero-knob 9cf78e58d1daa9cf8d7a7fbee7f0545461560fcc5cebae136ee853ba59473461
+poe leader-crash 169a2c22223b1c20d2be9f4800e669107009a335b4bd8997f4fd303261a88c14
+poe leader-crash-recover 2ea603791c63224c5f7312aab00f157bbbd10c472a6d7079c8cc09cd1ed0d662
+poe leader-mute 9de3e203b67f36c6324dba02f9c39b461a709a51183c03aa6819898e2680afd4
+poe backup-crash 3a4bc1881bc780be0c9561ae071ec570cf8a539d8000c0eb82dcacdd37309191
+poe partition-heals 1fbd83c555fcedd27eb3904ad4429c4fbf15a213a083e3828e0b87585a016486
+poe lossy-pre-gst 19aceecd4c9602521a07e2ffa137a7bf3f68496c463457e4d4d818749251a1bc
+poe f2-two-leaders-crashed b623ea7e9bac51b512835ee29a2d9407f59e274f75fac5998d13f06b86257bb7
+cheapbft zero-knob 9517bbc21337bb55fb7f5eac4b455a903b0ec5ed51f3fdf2321bd8a9ccc80959
+cheapbft leader-crash f45beaee4af39bd261939fe5cda92732d8e08c91243df1983186a1d9ae0179cf
+cheapbft leader-crash-recover 0fee49a32c05d71d4a59407e1814ce64c45c225c063a1132ec288f2f4e14489a
+cheapbft leader-mute 6b5b579fbda6ad9da0be8c03d2d1301f58e52b6e54c98583080af4fb36e270fb
+cheapbft backup-crash cc4ff06722151c304b06f04e0735e4761bc4a10197b4bf8563380aad296cbdd6
+cheapbft partition-heals b3dd774836b58c7c08c14494e4e79b43687e9d72cab1c76bb87d2d8ff57ded2d
+cheapbft lossy-pre-gst b7f2a0c9cbe82ffbded5283f8c06045f3d5c0834cc43aa1b0bfd55d67096ded2
+cheapbft f2-two-leaders-crashed 82b80a9fb82d5c056abe49de33a50ec857471b9f3d5d34efe0679281b7332238
+fab zero-knob 32aa2a25e7ce79b5d0b98ab3cb189891afc90d782afa88ef93d03af59ea92729
+fab leader-crash 3be5819bd65424c5a6340e79e63007b7c6839fd4fd8043ea434c3dbc0012cf3b
+fab leader-crash-recover bc89b68212716baa4762bc0d35e55c058f63b2e8d1e2114d7af1a2f1b57aa5de
+fab leader-mute 57187c3ee121b399bea4b76a8454fd14a9637624c8c5550b06a190d4884b591b
+fab backup-crash a592d8eb47628ad611f1c7a0fabe4978b7919d6cb8870c98ae61b1305747e79e
+fab partition-heals 73e5f4b9fdd3a4b5d16e059e714bc3fe834a185bb4b422dbbc8a45f939d6aed0
+fab lossy-pre-gst 8aa70de72ad086f6e09d6312d297b164191a6c281a949f24ab30bc555445f9f5
+fab f2-two-leaders-crashed a83b411597a9c3b207840e540f5e409935339936a8ccee7b7936b81ea2bb98b3
+prime zero-knob fc05e55815900a83c64b27afe56afde4df446115fb9b74338419a1c76f5798b3
+prime leader-crash f224f6842c0e20b0f92c33d1d06f24afa7ed1eb183cd28febb8ed4216901c389
+prime leader-crash-recover 0e59247e986608c0f534e93b385e798ecfb486f7870176e063ffd82e0e9e7486
+prime leader-mute b7093f6814835d1d84af2c19984687489c895b48cb34368b6d259d4a0a94e0ff
+prime backup-crash 70735a3f5304375aeb9d7b03f2cee65de2216137a51516f5d3a6a9d2572b9b0f
+prime partition-heals 058170b89b4455e4dfe1ba91eaf0b6fba5d8fff20296f35efdf64efc2303f162
+prime lossy-pre-gst 10ece1ceea26d5d450101c5a4287409220e4e9ea0a81dcd91f9489eab494892a
+prime f2-two-leaders-crashed 78136ee0f49fbe86c0f7085fedc9e4a8324959e91de738524df43b524fec6540
+fair zero-knob 26b9bfca6fcf022c3d11b90318803fcba79001217bb9c7b120efc0c4b807d0b5
+fair leader-crash a5bfd8ca3b384140c9e8277c26e5a2fab779e0d02d6eb592c6df93e5e81a2cb9
+fair leader-crash-recover 37771c88dcfd86a6bb5ec52842711792bdf9f005465eaf4624c1a76ec14a9703
+fair leader-mute a1d432fb97481814da16f02c0896d062263ce096864cfd1780faeaaa6f5de632
+fair backup-crash 3b60db5ef018d9743f9f75c60a3ab0295a099226e3744ed6373afbb9a6b85032
+fair partition-heals 404078da909411b63bdfeeca81ee63be809766da5f7e1f85f87646d4ce0e1fac
+fair lossy-pre-gst dc1f250a8fc19a1df7ff7549323488dc520f86b774202832280302a920b34ea5
+fair f2-two-leaders-crashed 2ef058f225556f0bee7db6b38bdbe44fc1fab06cdbed24090a5bfbd9d75fe58c
+kauri zero-knob 7ad42d41060df7ef7f6a104eb2dc19377010de363bb10170b2766ccd00fe0652
+kauri leader-crash 4571cbfee93c2b5f55f5b121182a7f72a42eb3ddc2e8101e60d7ac1453c5c65c
+kauri leader-crash-recover 610cc714ac170a2bab54b2dbde4579c5451792d1f300de9e4651dfda9fa2815f
+kauri leader-mute b83acbdcbc1146032979f2f9835de8d9706c06c8562a5d9db28ac27081590d62
+kauri backup-crash e5a68438551b9bba8d44feb6fb1952987412a94cdcf49df77c495623251281b5
+kauri partition-heals f631b751c2f1318cf57da098eaadaedc36f761f1355090cbddf7136d3df78987
+kauri lossy-pre-gst be57e710479aa5f9d985457f4c4e55f0f4abc604a4bf89e3aacf766064395284
+kauri f2-two-leaders-crashed 770e52bc260321292f697d6136ea3bbe04135219171ede16d7c6c64c5435771d
+qu zero-knob fb9b6552ea1aa05be29264a62c4acebf19fe999ec4b827a837407e79ce15fdfa
+qu leader-crash d3e349a3f144521442632d3af1e950a21fa8b1fb1b8ce0f414b22ed782278603
+qu leader-crash-recover 93cd045b2e4126ca8c6cbbeb460ec09768519d925c95ac24d0b16fc2c6e49a61
+qu leader-mute da86e05d9dfc09062568d5cd8763f5e22d7285cb423c1eff80a5944565fcc508
+qu backup-crash 8e92a2a89cbf1b0f3ca2d026333bb4f656a00239d85c554f567fb648dce6b297
+qu partition-heals fb9b6552ea1aa05be29264a62c4acebf19fe999ec4b827a837407e79ce15fdfa
+qu lossy-pre-gst 0a9e88a762c31d5d296d55adc90944dc41ad6280212621f5ff0aaba7106a68d0
+qu f2-two-leaders-crashed 89ea6b3edd3ec7db95969d2981170215db247fc11c1fae7158456346b26f76c4
+minbft zero-knob 879a81094b165b13d9408e24dba485c8db32e5a8b631cc4a0b2806022aedb26e
+minbft leader-crash 13731f1508c980bc00ae3012df1dafcbbfe82dd4bf3361d769f252a4ba1b33fa
+minbft leader-crash-recover 6728c7eb153ef115a8c7d110d9ce44b4bca2628eaaf63ba0eeabb6b5483ef077
+minbft leader-mute 8f46e7402edad3e331038ed3e420d4713a10c1b5dc152db837a1b6e12f78194b
+minbft backup-crash 871a171cad07609568aec6fa8a2d3b09d3be3469e49dc34cb9062df8141108cb
+minbft partition-heals fea1e41648c063df3f796889613914c93c07bec4b0d30e8b5cd00b4082c2a2a8
+minbft lossy-pre-gst 428f8c52b701d0f2e29c891a20fa5f6b61fcf35b015ee7cff6399876ae54e560
+minbft f2-two-leaders-crashed 58d979ac0663e11c43c08652dece0bf3d9411a9e1d574ab5f9821d2ea7477362
+chain zero-knob 408f24a634cd09bc0244e561a19392fbe3c2e053860e098937ae39795443b3bb
+chain leader-crash 9151f1fba5de2436b2fed833cd8d6b69d753b554cdd51f3815b441a6dc9e1be1
+chain leader-crash-recover 994bd36951a7e34d9dacac42d9c81ea376e31f5469b0bc309b4cf751c6654b63
+chain leader-mute 80a2188b61e42e71853fbeba525604cf0a8b17562422449cc8d3bcb5b4b64895
+chain backup-crash c3bcdf9409bc5839d95bbfac250bb4dc6763d6c83a6d668e2c8284dbd99440ca
+chain partition-heals 442d41bc5d8e742b32b893882aa21c08d358f1438afc6b67dac664aff2c74576
+chain lossy-pre-gst a211e5d8425e31a2797b02e7ce84d2bdda506a6e219fd2bb2e644bc8d46679b2
+chain f2-two-leaders-crashed 7a1b4ffd7fc5d72b32a8513f8c4d6d4975ad57de4a43aac3d00c60e0b52fa6c5
+";
+
+/// The rows of [`GOLDEN`] whose scenario label `keep` accepts.
+fn goldens(keep: impl Fn(&str) -> bool) -> Vec<(ProtocolId, &'static str, &'static str)> {
+    let by_name: BTreeMap<_, _> = registry().iter().map(|e| (e.name, e.id)).collect();
+    let mut rows = Vec::new();
+    for line in GOLDEN.lines().filter(|line| !line.is_empty()) {
+        let [name, label, digest] = line.split(' ').collect::<Vec<_>>()[..] else {
+            panic!("malformed golden line: {line}");
+        };
+        if keep(label) {
+            rows.push((by_name[name], label, digest));
+        }
+    }
+    rows
 }
 
-/// Golden digests captured on the pre-refactor tree (commit `014daa2`,
-/// before the Context/engine split existed). The zero-knob sim path must
-/// keep producing these exact bytes: same RNG draw order, same event
-/// interleaving, same serialized log and metrics.
-///
-/// One row has been re-pinned since, with the seven `qu` rows of
-/// [`FAULTY_GOLDEN`]: Q/U's convergence probe (`StableCheckpoint
-/// .state_digest`) became an incremental set-hash of the object table
-/// instead of a hash of the whole table per answered request. A field-level
-/// diff of the eight runs' logs and metrics against commit `db65181` showed
-/// the bytes of `state_digest` as the sole difference in every one (same
-/// entries, same order, same times; equal states still carry equal digests
-/// and unequal states unequal ones).
-///
-/// The `prime` row moved with four of its faulty rows when the leader
-/// stopped proposing every preordered copy of a broadcast request (four
-/// slots per request at n = 4, three executing nothing). A field-level diff
-/// against commit `8d59c27` showed the same accepted requests and results,
-/// the same `eligible` / `leader-underperforming` markers and views, the
-/// same final state digests, commits falling to one per executed request
-/// and fewer replica messages; latencies and execution order shift by a few
-/// µs only because fewer messages draw fewer network delays.
-const GOLDEN: [(&str, &str); 17] = [
-    (
-        "pbft",
-        "9f8d4d90aff314c120ecffe4439f49d0d849968fce88f1c36401d17dad99e5d5",
-    ),
-    (
-        "pbft-ro",
-        "5c86128bdf7d4e7d3e32feafbf3d4ea462cc0219b7d0237127fe27e906d60ab6",
-    ),
-    (
-        "zyzzyva",
-        "41c569602a77d70c0d98537978ce31b1ef8e50ea8b396dafc60545acfdfb2de4",
-    ),
-    (
-        "zyzzyva5",
-        "66f976bbb5a80c08f13981173e090575676a03fa10dcd98828eccf704b21814d",
-    ),
-    (
-        "sbft",
-        "6f82bd9289d2d20564963cc4f09520e5e13bda2605958eaf9213b39f4d505c4c",
-    ),
-    (
-        "hotstuff",
-        "954240626d1c1da144fd3e4986a342251f87e8b5bd9b54adcec8bd62dd10d4ef",
-    ),
-    (
-        "tendermint",
-        "d998d22e08e544ed30fae3bc026b96b683f8920230436e5c8b3e687525e86031",
-    ),
-    (
-        "tendermint-il",
-        "a01ff054cc7257b04df9753625882c20e59fa6bb8fa887a8b67ecb2e97092f98",
-    ),
-    (
-        "poe",
-        "77e74487d46a44f129a8fa3d8c37b925265df21e1c6f38e259ba77c43b621be5",
-    ),
-    (
-        "cheapbft",
-        "6750d91181aaeb0b8928fd117820ed2d4da4e0f806289a812ee2cc75cbaeed45",
-    ),
-    (
-        "fab",
-        "df90a936224149b24c6815f5bdd4cabe4c997349e00754bff39874a8f9a65463",
-    ),
-    (
-        "prime",
-        "3e364f185d9e7fe94d531b833e72bbbe77bf8824c4bad4d904fef03e8ea16a8e",
-    ),
-    (
-        "fair",
-        "457f55cba818e0e3ef919c51b5d04dda92f3c5458cdbafeadde7c70e16ae8dfc",
-    ),
-    (
-        "kauri",
-        "9a63ce0898e6c6abbc1c12e49d8e7a849527b4c26fa4fa0ad4f8c6bcd4baf7b1",
-    ),
-    (
-        "qu",
-        "b2b923415b5dcf6875b1f5a6a52b04b990973c78b26f38f30f78a1f6244fc23a",
-    ),
-    (
-        "minbft",
-        "8004b81840da740bcc0b21415db38fda612ec55ea33f06913b746e87df674676",
-    ),
-    (
-        "chain",
-        "3544bf7884bc7fc3d05046b479f6417752598d5a5c548a0652ac2eb467977288",
-    ),
-];
-
 #[test]
-fn zero_knob_sim_output_is_byte_identical_to_pre_refactor_tree() {
-    let by_name: std::collections::BTreeMap<&str, ProtocolId> =
-        registry().iter().map(|e| (e.name, e.id)).collect();
-    assert_eq!(by_name.len(), GOLDEN.len(), "registry size drifted");
-    for (name, want) in GOLDEN {
-        let id = by_name[name];
-        let got = run_digest(id, &Scenario::small(1).with_load(2, 10));
-        assert_eq!(
-            got, want,
-            "{name}: zero-knob sim output drifted from commit 014daa2"
-        );
+fn zero_knob_sim_runs_match_their_semantic_goldens() {
+    let rows = goldens(|label| label == "zero-knob");
+    assert_eq!(rows.len(), registry().len(), "registry size drifted");
+    for (id, _, want) in rows {
+        let got = id
+            .run(&Scenario::small(1).with_load(2, 10))
+            .semantic_digest();
+        assert_eq!(got, want, "{}: zero-knob run drifted", id.name());
     }
 }
 
-/// The fixed faulty scenarios of [`FAULTY_GOLDEN`], in column order. Each
-/// forces (or, for the backup crash, must *not* force) a view change; the
-/// virtual-time budget is cut to 5 s so a run that stalls stays cheap.
+/// The fixed faulty scenarios [`GOLDEN`] pins, by label. Each forces (or,
+/// for the backup crash, must *not* force) a view change; the virtual-time
+/// budget is cut to 5 s so a run that stalls stays cheap.
 fn faulty_scenarios() -> [(&'static str, Scenario); 7] {
     let ms = |n: u64| SimTime(n * 1_000_000);
     let (leader, next_leader, backup) =
@@ -178,252 +233,22 @@ fn faulty_scenarios() -> [(&'static str, Scenario); 7] {
     ]
 }
 
-/// Golden digests of faulty runs — runs in which view changes, timeouts
-/// and retransmissions happen — captured on commit `7686f8a`, before the
-/// slot log and the view-change stage were shared. Rows outside a
-/// protocol's tolerance envelope are pinned too (the digest of whatever
-/// happens): the table is a differential, not a liveness claim. A moved
-/// row is a behaviour change to explain in CHANGES.md, not to re-pin. Two
-/// rows have moved since, both fixes: `sbft` and `prime` ×
-/// `f2-two-leaders-crashed` stalled in the campaign for view 1 and now
-/// escalate to view 2 and complete (the shared τ2 escalation rule). The
-/// `qu` row is re-pinned for the set-hash `state_digest` (see [`GOLDEN`]:
-/// no other field of the seven runs differs). Four `prime` cells moved when
-/// each request came to be ordered once (see [`GOLDEN`]); under a mute
-/// leader the only difference is fewer censored messages, and the three
-/// cells with a replica down from the start could not move: there only the
-/// origin's own copy of a request ever becomes eligible.
-///
-/// The four view-change cells of `pbft` and `pbft-ro` (leader crash,
-/// crash-recover, mute, two leaders down) moved when PBFT's view change
-/// moved onto the family's shared one. A field-level diff of their logs and
-/// metrics against commit `fc126ce` shows byte-identical logs (same
-/// entries, times, results, views and final state digests) and only
-/// `bytes_sent` / `bytes_received` differing: the family's vote carries no
-/// 4-byte list length, and its new-view message no voter list (4 bytes per
-/// voter) but 8 bytes of view per re-proposal.
-const FAULTY_GOLDEN: [(&str, [&str; 7]); 17] = [
-    (
-        "pbft",
-        [
-            "b076ef0a3de5ac1bbaa0b277c977c2ace976a214c17111b067e7b738701181fc",
-            "311d3665488d12903f7113c955081e5b53b3eff6a085cd466798e70ae03151fd",
-            "63d9dc7bc42e17962ebfe526bc49dcca5aea6d27909f27ce0dd5270cfaaaf24b",
-            "6e2863c7df8a37cb10dbd8006ae8e7f2f89334e81197de937f8126f2d9becc8c",
-            "5342bb10614d23aa87ed8ebdeecb862645e229a321b3ce4fae7e9337bb2f4eb9",
-            "bd9a3c1539b5a228577cef168c22db9849a129da1469e69fb9963d9a815ef4f1",
-            "d09f16a4a8f34448f03e88214babeb0aed481e03eb96defc716724f281183237",
-        ],
-    ),
-    (
-        "pbft-ro",
-        [
-            "c4d55fa3302cc5634f0071ce56264c135a9ab71841ab12fa877a16d034099e91",
-            "f336aa843ec086cac8aaba8a7266215de804df8ec1a9036ba957ed49211ebf0b",
-            "c2ac9c90541812e2eb118aba8f647dd057e6760df970063e1da28ddd81efa45a",
-            "2031445bd89aaa61479445e6c89f152f095defd72284226f45b364a16b6413c9",
-            "9d9f9ca41b93f7bc966d965fc5aee1b4ed3fa30a317e6c4e51dc23205dd98c13",
-            "1db1ab1eba3238e7859222461608d665165d9e2fc6974708014e2fe3f22b2eec",
-            "7f7b68ccd6328179af28c7bbbdeeccb393ec27f73fb4fde5dc9262c7133df796",
-        ],
-    ),
-    (
-        "zyzzyva",
-        [
-            "ac7e3ddbe9f79ca5fd8d9c4dcb3f7af716f1f33ed96667af41d5efecf46d607d",
-            "39b727914314d578e47b9e55c422cbf5a333a7442fa7b41f612fd49a5439c4c3",
-            "22408a0c666b43e6c23cf5c68747a13524caa0f61328b44c55aca740e5287ae0",
-            "ea474a1c02e0a532c81dc3cba5327f3cc8ad4c2b45013811a8825b99b1bd6f0e",
-            "d9023d83e67636dc71dcc917f0c00ce8d685cc55a8acd3de3175ca73e8887999",
-            "111efd6ed0531e53b3cf3326bc8f80f42dba2a6ce00312bf55b63cd1ef9ff32e",
-            "13c6d6caea26e6619b7b4d65f1f244d390943b2869308f519edc54f428f69de6",
-        ],
-    ),
-    (
-        "zyzzyva5",
-        [
-            "1346f84c8d6d28acfc6b99171a0416e6d8b70ae2bb9f4c1aa1f5ee9ad544a180",
-            "4e87c2a44aaa2270dccd21767054f89d493585be152f4e0bed31f2d4415a098e",
-            "9048f56176903d869f7506dabcc3778c15005666054593278af5582ff0cec692",
-            "42adac0acd8ee1990be2dc2a06e354705074ca05c8a287f3eaf71a6abcc803de",
-            "8e1b2b8af19be2d99c91e7fd13b4703d8a41687e28081b3c8b1ed007050738f6",
-            "3516a010b5c92d8a687a8deae3a3e7e78128d30ad4ed25fec1bcb1fa5fdc6c5f",
-            "04cd966d7fe569ae42d3ed2f495b4740eab3afacac69f208440a5192340b4a3e",
-        ],
-    ),
-    (
-        "sbft",
-        [
-            "829c61fa34c1590d36cdd1f36f8905af8738ea45a86b4ae2ba7e3374adec449f",
-            "da05d403910786200f8e5514908f8bb8d2e053efa3593a4ffc7cb70f207412f0",
-            "ee031e6b4cceb1fc7e976786783ae9a4a72204b89d083bff8b6912bbc1de7593",
-            "1fed9f4d6d1e13d4453b1875e03d9d3c5bf3ee1ee9e8c1159e653f37c66feda8",
-            "c80494cee8ee1304cdf90b87697bc9442574e0b89062ba4455d1dda3a269eb1d",
-            "47dc598dc6004d00529e72b13aa4476d541111269a0087ecdc7331a33cf84f28",
-            "a3982809aeb5d9a919650021113687272eeb337bd7a709bcf3274d974ef4be45",
-        ],
-    ),
-    (
-        "hotstuff",
-        [
-            "c294b8f4954de1f3be3a77299030553fd6469b17cbdabf83d8f867e24525200b",
-            "d533a72a6c30738f8c44fd6ba5c40dace306af10dea05c5f300d173d5ffbdc65",
-            "9ad33e4f902fadd2e5369f878077924265f7c3af7ca10018a48b07aa498b47e5",
-            "a2e1aa0ef23cd055293fb207dd510c46657b83800ada24d416c65145dddf8d4d",
-            "bd79761bfab53bdd936d7864563eae2b95852d5534b2e4777f9243e660e0afc2",
-            "977e04f0f85b8cc6b5206883991a2e06c821edbab17760d32bc81f6e3ec9993d",
-            "7a321f8f3870545ac1610fc79f010acfe87dbd366a57803798cd5686e05e2286",
-        ],
-    ),
-    (
-        "tendermint",
-        [
-            "0f927b9db8d0ec39240756a34dec5399ae56ff73e4582340f0756ce32dfd527e",
-            "ce11b63aaaab86a43332df104b2c0fce2f7a8f7a926790c48fd88a97c9dba95c",
-            "424e8eff6454ceda31ab81cb9bd73035ad88fdeabbbc19e8cdbc4c4084d83ee8",
-            "005132f611f6f8469eeaf0bbdc6638e34a9eb67745fff2c28c6b3ef0fafe8779",
-            "9669a3d42619aa717b12079f7ac8da839e35f88bc9b3aafd42dc28c922c001e4",
-            "73bba3904eec4980952e045040c7d8b3b12492a7a2cfafc776dc68eab0340001",
-            "d6977b6e28d05664fc45b5f0bf99c7e3434133fb79bb376197f6a8cde2837841",
-        ],
-    ),
-    (
-        "tendermint-il",
-        [
-            "533fde444a2c1ab87dec977150c695ec322f2f2df670b2bbaa9cf8698c0fc585",
-            "a07031482c876e98d84bafaef76d464ebc0e545a7878f7d8de16d522895b2bab",
-            "bba9607532b4b65ee41b233fd141804e4129f839dfa848140224285da27dda91",
-            "e0efe7bd7867024b1e71aefb13cf0c3c3fe41f712b4930dc3e18d22b31222c65",
-            "7c6174a7d9deb47c0bf56c56a75a415ccc572fe2b5447599bb658ca60f533746",
-            "d36c4c86bde11f5ba8c0ccdf96e5abb1e436e999466145d0cfc9fb24994e55c8",
-            "ccd6b5e7b674f0c9d0a49670849a4630a8d3beb7cdf4c1bbc90e4084ba956bca",
-        ],
-    ),
-    (
-        "poe",
-        [
-            "57c07843ffeaccbc3438a0e244daf37b11fe91cad9216a0ca4a309f755878d18",
-            "e8b5100e2b478ef7cd2c64cb7af0700758f147715d859246f91f6b547afbbeca",
-            "94840c365114d123d3f1c9dc2b9ceeb0d9fdceee0b2a59e60db0e6d6e0bf80a0",
-            "51f9fb93d88408cd0e65e2d3cca7388721084232ddfadb76d98891d441a40b3f",
-            "78bbd414be8ca9cc0cfcf003476d4613064d81331dc6139c8f5c65b63704755e",
-            "7f7ff6172a7144110ccec600dc53e50c5b6300df99e5f941274954438d69dfe2",
-            "1f27353cddc41d1b7a24342d96fef786164d11c52a90304b43c265517374c5e9",
-        ],
-    ),
-    (
-        "cheapbft",
-        [
-            "140d18bc7b568a605a979ba4868e5a163ed6de7477de003e336ef078ed1d232f",
-            "761edeb8219730b8aee5b89c4c5b2c7bb51b630b38a4cf655dbcf8905b993ef7",
-            "df00f03c58773e0bd9db994cb116d170a06646e74c90dc3585a96a020acae997",
-            "8e35aa3f715e5b7df021b8b7210094c00c4322bd24bfed60248ff217a382e1cc",
-            "a2c315c42c9da622a59f8457529ac06ceb481c5e6c6fb73e024db53b60530940",
-            "7d9145d960f02ed02d7eebf69281aedd8877f52ead2d8af6059e7374b2a6b44d",
-            "9cd4da74a4dfcf712a0befb016ba43177f78fd23bf3175a0776b175cadcc5c75",
-        ],
-    ),
-    (
-        "fab",
-        [
-            "7936de36219be413a43c0755c2a48c27f412c9851a10280ba70c900e4124700c",
-            "5e77737eea7f7f468b099de795252b1e943ab4bb21ed2fd0a88d6626f4288aa2",
-            "6781432d173196ed13dee59bb28dc22cf5bbf3ff38c98f97c0712361b7934eb3",
-            "a87b721fb020cee997bdd5063614c5a4d33afc75f329829d3fe21106900a23b4",
-            "a0f597a375c8849ac1a1550f633965e8f183ace327430a1b700472e038ff6be5",
-            "3a00aa65097a0f01f740c9a47a8ab824fdc48c5655b86d69430226d1033c6a45",
-            "562d7669cc7d4abc4e582a01a5bd4e6963c1c0043516b52e35ace0aba5009a72",
-        ],
-    ),
-    (
-        "prime",
-        [
-            "e1c13f5208945259199261ce2865969b36594699db3bcab1ce03557d19e96a41",
-            "5490929bf80090a963a2155032d74a8a51aac59c220eeabfc8201f9dd422bf17",
-            "9fee6fdca530a4ee999ca552d1dc9117d11c2101f5161242cdb12c103492b576",
-            "13c260b9393ee00111ebda68367d8524384b9bb89907637def31e00c8e97b3d4",
-            "8c83a9897209f980c8a0ba3c79475bbc5e1d8e54498bfeb01a27310041f768c3",
-            "562a3ee37a4f6b6655f1415fc1c14b46c712622fb501d085599a13070393dbba",
-            "7398b0d599cfec10cc5efdf9200bf20851fdc3f247d7d3f34a29cf7837f11a6d",
-        ],
-    ),
-    (
-        "fair",
-        [
-            "6c4c08b5a191a6911bc85d48b0780a22133303eefd3ce1eeea955c0e1b9e8782",
-            "8bbea47e0e7e51a52239bd782555b7aca8a81df76397ca8118c6b5b360199527",
-            "28a533930aa6fa795ba55fd187210eec7b67e3a47e6f0a4ee700423970c81525",
-            "5faf9dc14650892feb566dfbb7253792bc1136d5323948126ebc8ca50d6c48fe",
-            "27b3d5d8b3483b0e7370f95acce8f9ca09b554aeb5df50e6d1d880e0fbd11ada",
-            "07dc123f9c76923b97100a3e381d8ecc2de9d06c933a6901503c92eebde42b17",
-            "ff66de8cf7713d2ce6dacc32cfc02aa11f7cccf798e45eec06ea9e7b13d22a79",
-        ],
-    ),
-    (
-        "kauri",
-        [
-            "e38715f062b1505a82b7b3b3e37155150342a203c67728bff66d6d8c7d7975ee",
-            "2ffe4e8746eb38d4538c9a20000f901d8cf1520ccafd24dbb4ff89067f8fb1f9",
-            "724916fad75aac20fae55dc722039fd79384bc2f7ee73aa74d76783debdc6775",
-            "94d461e3ea206d6319c27332dd80ceaa77e80ff251406e18b7df8c7edd8e4b29",
-            "d761342a0af818fe500a72ca15f03c856e99a97c25fe564c6627842bec6a768e",
-            "c1ca0a7d8d0e7d9e93fb6fc80b652605ae3a711ec3fed6291423f7810e188ef6",
-            "9e5ce5d0bff5108c797302db44df3456e683c9a5c16ac03b78c440fe0550afe1",
-        ],
-    ),
-    (
-        "qu",
-        [
-            "f049dcc0ea09f788d4e3fa37815b60618096ffbb62eacedd36c39d0bf6b20a58",
-            "5fbc71aa5bc6021ec3633ca8c32feebe8929e02e71c72a3fff84d986d7d102e6",
-            "6be3662d14405fe1a3cff6fede447efa65328ddcaaecff20cda6a81b1424a0ab",
-            "0c2b321741d01cd38db47f0066406bb5499ae0a10f807b01b3d1b3ac30368f8a",
-            "b2b923415b5dcf6875b1f5a6a52b04b990973c78b26f38f30f78a1f6244fc23a",
-            "6cd48454e7d4e15b334d7d96db84c95e80a080e69c9b06a551b4141f87c62ec2",
-            "484089e1ab978a676915697330351519e4946718164be10d6ede9d0c3293c935",
-        ],
-    ),
-    (
-        "minbft",
-        [
-            "8b75679f7b3f4575187847cd8b610369807c54355812a3aedde4b8404bd80ae1",
-            "fd7fe18bed4658adc43d46ce403dd7d185b94b67956f0d6b1e55ebfd9eaaf757",
-            "7d6c9d6442da719f6e44de83b14b27489899e537f28369ce107c1ce6f7791ec9",
-            "4616c8a3f971eee19c6081f90b9fea5c1b88fe3b2168e230e25e5ec7b57bf46c",
-            "832ed057ff105f81af192b518ce62fd86471e2a84df2109d70add688d0234153",
-            "4d9341500073054d8275edba78a06c8716a9fd0d02fb5f6bc0ab1b05de63fb37",
-            "1eaa2de2ca2b81bb7464f720113029f97fb92c0b16740ea1fc45f40d43ef7d3d",
-        ],
-    ),
-    (
-        "chain",
-        [
-            "c6832ead085d7416e3e1719a8a4e0f6ec05fdc5196a66c71242c011f5d350603",
-            "3570c9927f69f90cd3e8ff31d5d0139deb0ad20785a918f7aec2d31f23a41b15",
-            "b5e40074d293987407bee7f38c5e4a2f8a1bd14978fe18d21b007596f287178c",
-            "91dda54d7f9c8098f1979b8c23a45aff8499d6d995438065aa1e9fac73f0e529",
-            "e1d4fa22fbed7a4960cdf7f9d0cf42be33088c45471343ef876eae0fec07625d",
-            "f35f7d4b4b60af6d13c8b3c37f25b1c5020dd9cc5ae3f117f9e9e86cf2d956e7",
-            "15b8fa58e62e2e2e8b5e972026dd3351e3854620f9a5cf51c557e06bc043a9dd",
-        ],
-    ),
-];
-
 #[test]
-fn faulty_run_output_is_byte_identical_to_pinned_tree() {
-    let by_name: std::collections::BTreeMap<&str, ProtocolId> =
-        registry().iter().map(|e| (e.name, e.id)).collect();
-    assert_eq!(by_name.len(), FAULTY_GOLDEN.len(), "registry size drifted");
-    let scenarios = faulty_scenarios();
-    let mut moved = Vec::new();
-    for (name, want) in FAULTY_GOLDEN {
-        for ((label, scenario), want) in scenarios.iter().zip(want) {
-            let got = run_digest(by_name[name], scenario);
-            if got != want {
-                moved.push(format!("{name} x {label}: got {got}"));
-            }
-        }
-    }
+fn faulty_runs_match_their_semantic_goldens() {
+    let scenarios: BTreeMap<_, _> = faulty_scenarios().into_iter().collect();
+    let rows = goldens(|label| scenarios.contains_key(label));
+    assert_eq!(
+        rows.len(),
+        registry().len() * scenarios.len(),
+        "registry size drifted"
+    );
+    let moved: Vec<String> = rows
+        .into_iter()
+        .filter_map(|(id, label, want)| {
+            let got = id.run(&scenarios[label]).semantic_digest();
+            (got != want).then(|| format!("{} {label} {got}", id.name()))
+        })
+        .collect();
     assert!(
         moved.is_empty(),
         "faulty runs drifted:\n{}",
@@ -477,8 +302,8 @@ fn threaded_engine_semantic_smoke_matrix() {
                 family.name
             );
             assert!(
-                out.metrics.wall_threads > 0,
-                "{}/{}: threaded run did not record thread count",
+                out.metrics.wall_threads > 0 && out.metrics.wall_elapsed_ns > 0,
+                "{}/{}: threaded run did not record its threads and wall time",
                 entry.name,
                 family.name
             );
@@ -492,28 +317,4 @@ fn threaded_engine_semantic_smoke_matrix() {
             SafetyAuditor::all_correct().assert_safe(&out.log);
         }
     }
-}
-
-#[test]
-fn sim_metrics_json_has_no_wall_fields() {
-    // The wall-clock counters are threaded-engine-only; on the sim engine
-    // they are zero and the serializer must skip them so sim metrics stay
-    // byte-compatible with the pre-engine format.
-    let out = ProtocolId::Pbft.run(&Scenario::small(1).with_load(1, 3));
-    let json = serde_json::to_string(&out.metrics).unwrap();
-    assert!(!json.contains("wall_elapsed_ns"), "{json}");
-    assert!(!json.contains("wall_threads"), "{json}");
-
-    let scenario = Scenario::small(1)
-        .with_load(1, 3)
-        .with_network({
-            let mut n = NetworkConfig::lan();
-            n.delta = SimDuration::from_millis(200);
-            n
-        })
-        .with_engine(EngineKind::Threaded);
-    let out = ProtocolId::Pbft.run(&scenario);
-    let json = serde_json::to_string(&out.metrics).unwrap();
-    assert!(json.contains("wall_elapsed_ns"), "{json}");
-    assert!(json.contains("wall_threads"), "{json}");
 }

@@ -3,10 +3,10 @@
 //! Restart handling (crash → recover with durable or amnesia semantics,
 //! checkpoint reload, state-transfer catch-up) runs through the same
 //! deterministic event loop as everything else, so a churny run must be a
-//! pure function of (scenario, seed) — byte-identical across scheduler
-//! backends and OS thread counts — and the accepted history must satisfy
-//! every workload family's semantic checker even when a replica rejoins
-//! with only its last stable checkpoint.
+//! pure function of (scenario, seed) — the same semantic record across
+//! scheduler backends and OS thread counts — and the accepted history must
+//! satisfy every workload family's semantic checker even when a replica
+//! rejoins with only its last stable checkpoint.
 
 use bft_core::workload::WorkloadConfig;
 use bft_protocols::pbft::PbftOptions;
@@ -53,23 +53,18 @@ fn recovery_churn_is_deterministic_across_schedulers_and_threads() {
     let run = |scheduler: SchedulerKind| {
         let s = churn_scenario(scheduler, WorkloadConfig::uniform());
         let out = Protocol::Pbft(PbftOptions::default()).run(&s);
-        let log = serde_json::to_string(&out.log).expect("log serializes");
-        let metrics = serde_json::to_string(&out.metrics).expect("metrics serialize");
-        (log, metrics, out.events_processed, out.end_time)
+        // non-vacuity: the plan's three restarts all fire, and at least one
+        // amnesia rejoin completes a snapshot state transfer
+        let m = &out.metrics;
+        assert_eq!(m.rec_restarts, 3, "the plan's three restarts all fire");
+        assert!(
+            m.rec_state_transfers > 0,
+            "an amnesia rejoin transfers state"
+        );
+        (out.semantic_record(), out.events_processed, out.end_time)
     };
 
     let reference = run(SchedulerKind::Calendar);
-    // non-vacuity: the plan's three restarts all fired, and at least one
-    // amnesia rejoin completed a snapshot state transfer
-    assert!(
-        reference.1.contains("\"rec_restarts\":3"),
-        "expected 3 restarts in metrics: {}",
-        reference.1
-    );
-    assert!(
-        reference.1.contains("rec_state_transfers"),
-        "amnesia rejoin never exercised state transfer"
-    );
 
     assert_eq!(
         reference,
