@@ -432,7 +432,8 @@ mod tests {
         let p = recovery_profile_for(hs, 1, 1);
         assert!(
             p.recovery.enabled() && !p.recovery.amnesia,
-            "amnesia restarts are pbft-family only (no on_recover hook elsewhere)"
+            "amnesia restarts are PBFT-only: every family member checkpoints, \
+             but only PBFT implements on_recover"
         );
         let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
         let p = recovery_profile_for(cheap, 1, 1);

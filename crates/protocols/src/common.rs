@@ -27,7 +27,7 @@ use bft_sim::{
     NodeId, Observation, RunOutcome, SimDuration, SimTime, Simulation, Stage, ThreadedEngine,
     TimerId,
 };
-use bft_state::{Snapshot, StateMachine};
+use bft_state::{CheckpointManager, Snapshot, StateMachine};
 use bft_types::{
     ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
     Transaction, View, WireSize,
@@ -197,6 +197,15 @@ impl Scenario {
     pub fn with_engine(mut self, engine: EngineKind) -> Scenario {
         self.engine = engine;
         self
+    }
+
+    /// The PBFT-pattern family's timing: the view-change timeout τ2 (4Δ)
+    /// and the checkpoint interval.
+    pub fn timing(&self) -> (SimDuration, u64) {
+        (
+            SimDuration(self.network.delta.0 * 4),
+            self.checkpoint_interval,
+        )
     }
 
     /// The replica count for a protocol whose formula minimum is `min_n`.
@@ -1415,43 +1424,26 @@ impl Execution {
 
     /// The one cursor loop over a committed-slot log: while the slot after
     /// the cursor is committed *and holds its batch*, run it and call
-    /// `after_slot` (the protocol's per-slot bookkeeping: settling the
-    /// intake, a checkpoint, shipping the batch to passive replicas) with
-    /// the stage, the log and the slot just executed. A gap, an
-    /// uncommitted slot or a slot still waiting for its proposal stops the
-    /// loop; the caller re-enters when that changes.
+    /// `after_slot` (CheapBFT's shipping of the batch to its passive
+    /// replicas) with the stage, the log and the slot just executed. A gap,
+    /// an uncommitted slot or a slot still waiting for its proposal stops
+    /// the loop; the caller re-enters when that changes. The replica
+    /// skeleton runs its members' logs with [`Core::drain`].
     pub fn drain<M: WireSize + serde::Serialize + 'static, X>(
         &mut self,
         ctx: &mut Context<'_, M>,
         log: &mut SlotLog<X>,
         view: View,
-        deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        after_slot: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
-    ) {
-        self.drain_then(ctx, log, view, deliver, |_, _, _| {}, after_slot);
-    }
-
-    /// [`Execution::drain`], calling `epilogue` with each slot after its
-    /// last request and before the stage is left (see
-    /// [`Execution::run_then`]).
-    pub fn drain_then<M: WireSize + serde::Serialize + 'static, X>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        log: &mut SlotLog<X>,
-        view: View,
         mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        mut epilogue: impl FnMut(&mut Context<'_, M>, SeqNum, &Slot<X>),
         mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
     ) {
         loop {
             let next = self.cursor.next();
-            let Some(slot) = log.get(&next).filter(|s| s.committed) else {
-                return;
-            };
-            let batch = slot.batch.as_deref();
-            if !self.run_then(ctx, batch, view, &mut deliver, |ctx| {
-                epilogue(ctx, next, slot)
-            }) {
+            let batch = log
+                .get(&next)
+                .filter(|s| s.committed)
+                .map(|s| s.batch.as_deref());
+            if !batch.is_some_and(|batch| self.run(ctx, batch, view, &mut deliver)) {
                 return;
             }
             after_slot(ctx, self, log, next);
@@ -1769,15 +1761,17 @@ impl<M: Clone> ViewGate<M> {
 /// ([`BatchEntry`]) or, for Themis, the per-replica batch set.
 pub type Entry<P> = (SeqNum, Digest, P);
 
-/// The messages of the PBFT-pattern view change, embedded in each member's
-/// message enum.
+/// The messages of the PBFT-pattern family's shared stages — the view
+/// change and checkpointing — embedded in each member's message enum.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewMsg<P> {
-    /// Replica → all: abandon the view, carrying the entries the sender
-    /// would lose.
+    /// Replica → all: abandon the view, carrying the sender's stable
+    /// checkpoint and the entries it would lose.
     ViewChange {
         /// Target view.
         new_view: View,
+        /// The sender's stable checkpoint: its slot and state digest.
+        stable: (SeqNum, Digest),
         /// What the sender reports (see `ViewChanger::report`).
         report: Vec<Entry<P>>,
         /// Sender.
@@ -1800,6 +1794,29 @@ pub enum ViewMsg<P> {
         /// Sender.
         from: ReplicaId,
     },
+    /// Replica → all: its state digest at checkpoint `seq`.
+    Checkpoint {
+        /// The checkpoint's slot.
+        seq: SeqNum,
+        /// State digest there.
+        state_digest: Digest,
+        /// Attesting replica.
+        from: ReplicaId,
+    },
+    /// Trailing replica → a peer: ask for a snapshot above `have`.
+    StateRequest {
+        /// Requester.
+        from: ReplicaId,
+        /// The requester's execution cursor.
+        have: SeqNum,
+    },
+    /// A checkpoint's snapshot, shipped for catch-up.
+    StateTransfer {
+        /// The checkpoint's slot.
+        slot_seq: SeqNum,
+        /// The snapshot, rebuilt when it was asked for.
+        snapshot: Box<Snapshot>,
+    },
 }
 
 /// As a tagged tuple (the vendored derive does not do generic types).
@@ -1808,32 +1825,49 @@ impl<P: serde::Serialize> serde::Serialize for ViewMsg<P> {
         match self {
             ViewMsg::ViewChange {
                 new_view,
+                stable,
                 report,
                 from,
-            } => (0u8, new_view, report, from).serialize(serializer),
+            } => (0u8, new_view, stable, report, from).serialize(serializer),
             ViewMsg::NewView { view, proposals } => (1u8, view, proposals).serialize(serializer),
             ViewMsg::Ack { view, voter, from } => (2u8, view, voter, from).serialize(serializer),
+            ViewMsg::Checkpoint {
+                seq,
+                state_digest,
+                from,
+            } => (3u8, seq, state_digest, from).serialize(serializer),
+            ViewMsg::StateRequest { from, have } => (4u8, from, have).serialize(serializer),
+            ViewMsg::StateTransfer { slot_seq, snapshot } => {
+                (5u8, slot_seq, snapshot).serialize(serializer)
+            }
         }
     }
 }
 
 impl<P> ViewMsg<P> {
     /// Wire size: tag, view, per entry 40 bytes of slot and digest plus
-    /// `payload` bytes (an ack: the two replicas), and a `sig`-byte
-    /// authenticator.
+    /// `payload` bytes (a vote's stable checkpoint: one more entry without
+    /// payload; an ack: the two replicas), and a `sig`-byte authenticator.
+    /// A checkpoint carries slot, digest and sender under `sig`; a state
+    /// request is not authenticated, and a snapshot is approximated as a
+    /// fixed-size shipment.
     pub fn wire_size(&self, sig: usize, payload: impl Fn(&P) -> usize) -> usize {
-        let entries = match self {
-            ViewMsg::ViewChange { report, .. } => report,
-            ViewMsg::NewView { proposals, .. } => proposals,
+        let (stable, entries) = match self {
+            ViewMsg::ViewChange { report, .. } => (40, report),
+            ViewMsg::NewView { proposals, .. } => (0, proposals),
             ViewMsg::Ack { .. } => return 1 + 8 + 4 + 4 + sig,
+            ViewMsg::Checkpoint { .. } => return 1 + 8 + 32 + 4 + sig,
+            ViewMsg::StateRequest { .. } => return 1 + 4 + 8,
+            ViewMsg::StateTransfer { .. } => return 1 + 8 + 32 + 64 * 128,
         };
         let entries = entries.iter().map(|(_, _, p)| 40 + payload(p));
-        1 + 8 + entries.sum::<usize>() + sig
+        1 + 8 + stable + entries.sum::<usize>() + sig
     }
 }
 
-/// One view-change vote: the voter and the entries it reported.
-type Vote<P> = (ReplicaId, Vec<Entry<P>>);
+/// One view-change vote: the voter, the slot of its stable checkpoint and
+/// the entries it reported.
+type Vote<P> = (ReplicaId, SeqNum, Vec<Entry<P>>);
 
 /// What [`ViewChange::record`] tells the replica to do about a vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1874,6 +1908,7 @@ impl<P: Clone> ViewChange<P> {
     /// Record `from`'s vote for `target` at replica `me`, which is in
     /// `view` and `campaigning` or not; `quorum` is the protocol's new-view
     /// quorum and `acks` what each foreign vote needs before it may be used.
+    /// The vote is `from`'s stable checkpoint and report.
     pub fn record(
         &mut self,
         (me, q): (ReplicaId, QuorumRules),
@@ -1881,13 +1916,13 @@ impl<P: Clone> ViewChange<P> {
         (view, campaigning): (View, bool),
         from: ReplicaId,
         target: View,
-        report: Vec<Entry<P>>,
+        (stable, report): (SeqNum, Vec<Entry<P>>),
     ) -> VcStep {
         if self.has_vote(target, from) {
             return VcStep::Wait;
         }
         let votes = self.votes.entry(target).or_default();
-        votes.push((from, report));
+        votes.push((from, stable, report));
         if target > view && !campaigning && votes.len() > q.f {
             VcStep::Join
         } else if campaigning && self.assembles((me, q), (quorum, acks), target) {
@@ -1917,13 +1952,13 @@ impl<P: Clone> ViewChange<P> {
         let votes = self.votes(target);
         let vouched = votes
             .iter()
-            .all(|(voter, _)| *voter == me || acked(*voter) >= acks);
+            .all(|(voter, ..)| *voter == me || acked(*voter) >= acks);
         target.leader_of(q.n) == me && votes.len() >= quorum && vouched
     }
 
     /// Whether `voter`'s vote for `target` is recorded.
     pub fn has_vote(&self, target: View, voter: ReplicaId) -> bool {
-        self.votes(target).iter().any(|(r, _)| *r == voter)
+        self.votes(target).iter().any(|(r, ..)| *r == voter)
     }
 
     /// The votes collected for `target`, in arrival order.
@@ -1931,11 +1966,18 @@ impl<P: Clone> ViewChange<P> {
         self.votes.get(&target).map_or(&[], Vec::as_slice)
     }
 
+    /// The highest stable checkpoint any vote for `target` reports: the
+    /// new view re-proposes nothing at or below it.
+    pub fn stable(&self, target: View) -> SeqNum {
+        let stables = self.votes(target).iter().map(|(_, stable, _)| *stable);
+        stables.max().unwrap_or_default()
+    }
+
     /// Per slot, the first entry any voter for `target` reported: the
     /// re-proposals most of the family's new leaders assemble.
     pub fn first_seen_union(&self, target: View) -> Vec<Entry<P>> {
         let mut union: BTreeMap<SeqNum, (Digest, &P)> = BTreeMap::new();
-        let entries = self.votes(target).iter().flat_map(|(_, entries)| entries);
+        let entries = self.votes(target).iter().flat_map(|(.., entries)| entries);
         for (seq, digest, payload) in entries {
             union.entry(*seq).or_insert((*digest, payload));
         }
@@ -2006,14 +2048,22 @@ pub(crate) struct Core<M, X, P> {
     pub log: SlotLog<X>,
     /// Leader-only: next sequence number to assign.
     pub next_seq: SeqNum,
+    /// The member's variant carrying the family's messages, and how they
+    /// are authenticated (signed unless the member says otherwise).
+    pub wire: fn(ViewMsg<P>) -> M,
+    pub auth: VoteAuth,
+    /// The checkpointing stage: attestations, marks, the stable checkpoint.
+    pub ckpt: CheckpointManager,
 }
 
 impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Core<M, X, P> {
-    /// A replica in view 0 with an empty log, executing through `exec`.
+    /// A replica in view 0 with an empty log, executing through `exec`,
+    /// sending on `wire` and checkpointing every `interval` slots (0: never).
     pub fn new(
         (me, q, store): (ReplicaId, QuorumRules, Arc<KeyStore>),
-        view_timeout: SimDuration,
+        wire: fn(ViewMsg<P>) -> M,
         exec: Execution,
+        (view_timeout, interval): (SimDuration, u64),
     ) -> Self {
         Core {
             me,
@@ -2025,6 +2075,10 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
             exec,
             log: SlotLog::default(),
             next_seq: SeqNum(1),
+            wire,
+            auth: VoteAuth::SIGNED,
+            // a quorum that f faulty replicas cannot block: 2f+1 at 3f+1
+            ckpt: CheckpointManager::new(interval, q.quorum().min(q.n - q.f)),
         }
     }
 
@@ -2083,33 +2137,150 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         mempool.drop_ordered(&self.exec, self.log.in_flight(self.exec.cursor()));
     }
 
-    /// [`Execution::drain`] in the current view: replies go to the clients
-    /// (authenticated by `auth`, wrapped by `wrap`) and the intake settles
-    /// after each slot.
+    /// The log window: `max(4 · interval, 64)` slots.
+    fn window(&self) -> u64 {
+        (4 * self.ckpt.interval).max(64)
+    }
+
+    /// The highest slot a leader may propose: the window above the stable
+    /// checkpoint, so the log runs at most that far ahead of collection.
+    pub fn high_water(&self) -> SeqNum {
+        match self.ckpt.interval {
+            0 => SeqNum(u64::MAX),
+            _ => self.ckpt.high_water(self.window()),
+        }
+    }
+
+    /// [`Mempool::cut`] at the next sequence number, inside the window.
+    pub fn cut(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        mempool: &mut Mempool,
+    ) -> Option<(SeqNum, Digest, Vec<SignedRequest>)> {
+        let open = self.next_seq <= self.high_water();
+        open.then(|| mempool.cut(ctx, &mut self.next_seq))?
+    }
+
+    /// [`Execution::drain`]'s loop over this log in the current view, then
+    /// the checkpointing stage after each slot. `epilogue` ends each slot's
+    /// Execution stage (see [`Execution::run_then`]); `after_slot` is the
+    /// member's bookkeeping with the intake, the stage and the slot.
+    pub fn drain(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+        mut epilogue: impl FnMut(&mut Context<'_, M>, SeqNum, &Slot<X>),
+        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution, &mut Slot<X>),
+    ) {
+        let view = self.gate.view();
+        loop {
+            let next = self.exec.cursor().next();
+            let Some(slot) = self.log.get_mut(&next).filter(|s| s.committed) else {
+                return;
+            };
+            let batch = slot.batch.as_deref();
+            let end = |ctx: &mut Context<'_, M>| epilogue(ctx, next, slot);
+            if !self.exec.run_then(ctx, batch, view, &mut deliver, end) {
+                return;
+            }
+            after_slot(ctx, &mut self.intake, &self.exec, slot);
+            self.checkpoint(ctx);
+        }
+    }
+
+    /// [`Core::drain`] with replies to the clients (authenticated by
+    /// `auth`, wrapped by `wrap`), settling the intake after each slot.
     pub fn execute_ready(
         &mut self,
         ctx: &mut Context<'_, M>,
         auth: CryptoOp,
         wrap: impl Fn(Reply) -> M,
     ) {
-        let (view, intake) = (self.gate.view(), &mut self.intake);
-        let settle = |ctx: &mut Context<'_, M>, exec: &mut Execution, _: &mut SlotLog<X>, _| {
-            intake.settle(ctx, exec)
-        };
         let deliver = reply_to_client(Some(auth), wrap);
-        self.exec.drain(ctx, &mut self.log, view, deliver, settle);
+        self.drain(
+            ctx,
+            deliver,
+            |_, _, _| {},
+            |ctx, intake, exec, _| intake.settle(ctx, exec),
+        );
+    }
+
+    // ---- the checkpointing stage ------------------------------------------
+
+    /// After an executed slot: where a checkpoint is due, mark the state
+    /// and attest its digest to every replica.
+    fn checkpoint(&mut self, ctx: &mut Context<'_, M>) {
+        let (seq, from) = (self.exec.cursor(), self.me);
+        let Some(state_digest) = self.ckpt.checkpoint(seq, self.exec.sm()) else {
+            return;
+        };
+        let enter = |stage| Observation::StageEnter { stage };
+        ctx.observe(enter(Stage::Checkpointing));
+        ctx.charge_crypto_n(self.auth.send.0, self.auth.send.1);
+        let attest = ViewMsg::Checkpoint {
+            seq,
+            state_digest,
+            from,
+        };
+        ctx.broadcast_replicas((self.wire)(attest));
+        self.on_checkpoint(ctx, from, seq, state_digest);
+        ctx.observe(enter(Stage::Ordering));
+    }
+
+    /// Count `from`'s attestation. A quorum makes the checkpoint stable: the
+    /// slots and undo records it covers are collected, and a replica that
+    /// has not executed that far (in the dark) asks an attester for state.
+    pub fn on_checkpoint(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        from: ReplicaId,
+        seq: SeqNum,
+        state_digest: Digest,
+    ) {
+        if from != self.me {
+            ctx.charge_crypto(self.auth.check);
+        }
+        let Some(proof) = self.ckpt.add_attestation(from, seq, state_digest) else {
+            return;
+        };
+        ctx.observe(Observation::StableCheckpoint {
+            seq: proof.seq,
+            state_digest,
+        });
+        let executed = self.exec.cursor();
+        self.log.retain(|s, _| *s > proof.seq.min(executed));
+        let horizon = self.exec.sm().last_executed();
+        self.exec
+            .truncate_below(self.ckpt.undo_floor(horizon, self.window()));
+        if executed < proof.seq {
+            ctx.observe(Observation::Marker {
+                label: "in-dark-catchup",
+            });
+            // a quorum of attesters: one of them is not this replica
+            if let Some(peer) = proof.attesters.iter().find(|r| **r != self.me) {
+                self.ask_state(ctx, *peer);
+            }
+        }
+    }
+
+    /// Ask `peer` for the state above this replica's execution cursor.
+    pub fn ask_state(&self, ctx: &mut Context<'_, M>, peer: ReplicaId) {
+        let (from, have) = (self.me, self.exec.cursor());
+        let ask = ViewMsg::StateRequest { from, have };
+        ctx.send(NodeId::Replica(peer), (self.wire)(ask));
     }
 }
 
 /// The PBFT-pattern view change (PBFT, MinBFT, FaB, Prime, Themis, Kauri,
-/// SBFT, PoE): replicas broadcast a view-change vote carrying what they
-/// would lose; f+1 votes pull the rest in; the target view's leader
-/// assembles a new-view message from a quorum of votes; everyone installs
-/// it, re-runs agreement on the re-proposed slots and requeues what was
-/// stranded. The provided methods are that lifecycle; a protocol says only
-/// **what it reports**, **how its new leader assembles** and **how it
-/// adopts one re-proposal** (plus how those travel on its wire and, where
-/// votes are not signed, how they are authenticated: [`VoteAuth`]).
+/// SBFT, PoE): replicas broadcast a view-change vote carrying their stable
+/// checkpoint and what they would lose; f+1 votes pull the rest in; the
+/// target view's leader assembles a new-view message from a quorum of
+/// votes; everyone installs it, re-runs agreement on the re-proposed slots
+/// and requeues what was stranded. The provided methods are that lifecycle
+/// and the checkpointing stage's messages; a protocol says only **what it
+/// reports**, **how its new leader assembles**, **how it adopts one
+/// re-proposal** and **how it executes** (its wire and, where votes are
+/// not signed, their [`VoteAuth`] are the [`Core`]'s).
 pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// The protocol's message type.
     type Msg: WireSize + Clone + serde::Serialize + 'static;
@@ -2127,12 +2298,6 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         q.quorum()
     }
 
-    /// How votes are authenticated: signed unless the protocol says
-    /// otherwise.
-    fn vote_auth(&self) -> VoteAuth {
-        VoteAuth::SIGNED
-    }
-
     /// Whether work is outstanding that the current leader should have
     /// ordered by the time τ2 fires.
     fn work_pending(&mut self) -> bool {
@@ -2143,10 +2308,6 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, Self::Msg>) {
         ctx.observe(Observation::StageEnter { stage });
     }
-
-    /// The variant of the protocol's message enum that carries the family's
-    /// messages.
-    const WIRE: fn(ViewMsg<Self::Payload>) -> Self::Msg;
 
     /// What this replica reports when it abandons the view.
     fn report(&mut self, ctx: &mut Context<'_, Self::Msg>) -> Vec<Entry<Self::Payload>>;
@@ -2167,6 +2328,15 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// The new leader resumes proposing.
     fn resume(&mut self, ctx: &mut Context<'_, Self::Msg>);
 
+    /// Execute what has committed.
+    fn execute(&mut self, ctx: &mut Context<'_, Self::Msg>);
+
+    /// A state transfer moved the cursor: execute what has committed
+    /// above it.
+    fn caught_up(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        self.execute(ctx);
+    }
+
     /// Abandon the current view for `target`: enter the view-change stage,
     /// broadcast an authenticated vote carrying
     /// [`report`](ViewChanger::report), count it, and give the campaign one
@@ -2179,15 +2349,18 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         }
         core.gate.set_in_view_change(true);
         self.enter_stage(Stage::ViewChange, ctx);
-        let (report, from) = (self.report(ctx), self.core().me);
-        let (op, count) = self.vote_auth().send;
-        ctx.charge_crypto_n(op, count);
-        ctx.broadcast_replicas((Self::WIRE)(ViewMsg::ViewChange {
+        let report = self.report(ctx);
+        let core = self.core();
+        let digest = core.ckpt.stable().map_or(Digest::ZERO, |p| p.digest);
+        let (from, stable) = (core.me, (core.ckpt.low_water(), digest));
+        ctx.charge_crypto_n(core.auth.send.0, core.auth.send.1);
+        ctx.broadcast_replicas((core.wire)(ViewMsg::ViewChange {
             new_view: target,
+            stable,
             report: report.clone(),
             from,
         }));
-        self.on_view_change(from, target, report, ctx);
+        self.on_view_change(from, target, (stable.0, report), ctx);
         self.core().intake.rearm(ctx);
     }
 
@@ -2198,10 +2371,11 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         msg: &ViewMsg<Self::Payload>,
         ctx: &mut Context<'_, Self::Msg>,
     ) {
-        let auth = self.vote_auth();
+        let auth = self.core().auth;
         match msg {
             ViewMsg::ViewChange {
                 new_view,
+                stable,
                 report,
                 from: voter,
             } => {
@@ -2214,9 +2388,10 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                     ctx.charge_crypto(auth.send.0);
                     let (view, voter, from) = (*new_view, *voter, core.me);
                     let ack = ViewMsg::Ack { view, voter, from };
-                    ctx.send(NodeId::Replica(leader), (Self::WIRE)(ack));
+                    ctx.send(NodeId::Replica(leader), (core.wire)(ack));
                 }
-                self.on_view_change(*voter, *new_view, report.clone(), ctx);
+                let vote = (stable.0, report.clone());
+                self.on_view_change(*voter, *new_view, vote, ctx);
             }
             ViewMsg::NewView { view, proposals } => {
                 // only from the leader of a view not behind the current one
@@ -2237,23 +2412,57 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                     self.new_view(*view, ctx);
                 }
             }
+            ViewMsg::Checkpoint {
+                seq,
+                state_digest,
+                from,
+            } => self.core().on_checkpoint(ctx, *from, *seq, *state_digest),
+            // ship the latest checkpoint above the requester, rebuilt
+            ViewMsg::StateRequest { from, have } => {
+                let core = self.core();
+                if let Some((slot_seq, snapshot)) = core.ckpt.latest_snapshot(*have, core.exec.sm())
+                {
+                    let snapshot = Box::new(snapshot);
+                    let ship = ViewMsg::StateTransfer { slot_seq, snapshot };
+                    ctx.send(NodeId::Replica(*from), (core.wire)(ship));
+                }
+            }
+            // a snapshot ahead of the cursor replaces the machine state and
+            // every slot it covers
+            ViewMsg::StateTransfer { slot_seq, snapshot } => {
+                let (core, slot_seq) = (self.core(), *slot_seq);
+                if slot_seq <= core.exec.cursor() {
+                    return;
+                }
+                core.exec.install_snapshot(snapshot, slot_seq);
+                core.log.retain(|s, _| *s > slot_seq);
+                core.ckpt.mark_installed(slot_seq, core.exec.sm());
+                core.next_seq = core.next_seq.max(slot_seq.next());
+                ctx.count_state_transfer();
+                let label = "state-transferred";
+                ctx.observe(Observation::Marker { label });
+                self.caught_up(ctx);
+            }
         }
     }
 
-    /// Count a (verified) view-change vote and act on the thresholds it
-    /// crosses: join the campaign, or assemble and install the view.
+    /// Count a (verified) view-change vote — the voter's stable checkpoint
+    /// and report — and act on the thresholds it crosses: join the
+    /// campaign, or assemble and install the view.
     fn on_view_change(
         &mut self,
         from: ReplicaId,
         target: View,
-        report: Vec<Entry<Self::Payload>>,
+        vote: (SeqNum, Vec<Entry<Self::Payload>>),
         ctx: &mut Context<'_, Self::Msg>,
     ) {
-        let acks = self.vote_auth().acks;
         let core = self.core();
-        let (identity, rules) = ((core.me, core.q), (Self::new_view_quorum(core.q), acks));
-        let at = (core.gate.view(), core.gate.in_view_change());
-        match core.votes.record(identity, rules, at, from, target, report) {
+        let rules = (Self::new_view_quorum(core.q), core.auth.acks);
+        let (identity, at) = (
+            (core.me, core.q),
+            (core.gate.view(), core.gate.in_view_change()),
+        );
+        match core.votes.record(identity, rules, at, from, target, vote) {
             VcStep::Wait => {}
             VcStep::Join => self.start_view_change(target, ctx),
             VcStep::Assemble => self.new_view(target, ctx),
@@ -2265,7 +2474,7 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     fn new_view(&mut self, target: View, ctx: &mut Context<'_, Self::Msg>) {
         let proposals = self.assemble(target);
         ctx.charge_crypto(CryptoOp::Sign);
-        ctx.broadcast_replicas((Self::WIRE)(ViewMsg::NewView {
+        ctx.broadcast_replicas((self.core().wire)(ViewMsg::NewView {
             view: target,
             proposals: proposals.clone(),
         }));
@@ -2414,13 +2623,13 @@ pub(crate) mod script {
     /// one of its structures and the largest reading so far is kept.
     struct Gauged<R> {
         replica: R,
-        size: fn(&R) -> usize,
+        size: fn(&mut R) -> usize,
         peak: Arc<std::sync::atomic::AtomicUsize>,
     }
 
     impl<R> Gauged<R> {
-        fn read(&self) {
-            let size = (self.size)(&self.replica);
+        fn read(&mut self) {
+            let size = (self.size)(&mut self.replica);
             self.peak
                 .fetch_max(size, std::sync::atomic::Ordering::Relaxed);
         }
@@ -2450,7 +2659,7 @@ pub(crate) mod script {
         scenario: &Scenario,
         n: usize,
         mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
-        size: fn(&R) -> usize,
+        size: fn(&mut R) -> usize,
     ) -> (RunOutcome, usize) {
         let peak = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let out = launch::<P, _>(scenario, n, |me, q, store| Gauged {
@@ -2460,6 +2669,66 @@ pub(crate) mod script {
         });
         let peak = peak.load(std::sync::atomic::Ordering::Relaxed);
         (out, peak)
+    }
+
+    /// A replica under a reader: after every event it handles, `read`
+    /// reads it and the reading replaces the last one.
+    struct Read<R, T> {
+        replica: R,
+        me: ReplicaId,
+        read: fn(&mut R) -> T,
+        last: Arc<std::sync::Mutex<BTreeMap<ReplicaId, T>>>,
+    }
+
+    impl<R, T> Read<R, T> {
+        fn read(&mut self) {
+            let reading = (self.read)(&mut self.replica);
+            self.last
+                .lock()
+                .expect("no panic while held")
+                .insert(self.me, reading);
+        }
+    }
+
+    impl<M, R: Actor<M>, T: Send> Actor<M> for Read<R, T> {
+        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+            self.replica.on_start(ctx);
+            self.read();
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: &M, ctx: &mut Context<'_, M>) {
+            self.replica.on_message(from, msg, ctx);
+            self.read();
+        }
+
+        fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, M>) {
+            self.replica.on_timer(id, kind, ctx);
+            self.read();
+        }
+    }
+
+    /// Run `scenario` with `n` replicas built by `replica` and report,
+    /// beside the outcome, what `read` read last from each of them.
+    pub(crate) fn final_readings<P, R, T>(
+        scenario: &Scenario,
+        n: usize,
+        mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
+        read: fn(&mut R) -> T,
+    ) -> (RunOutcome, BTreeMap<ReplicaId, T>)
+    where
+        P: ClientProtocol,
+        R: Actor<P::Msg> + Send + 'static,
+        T: Send + 'static,
+    {
+        let last = Arc::new(std::sync::Mutex::new(BTreeMap::new()));
+        let out = launch::<P, _>(scenario, n, |me, q, store| Read {
+            replica: replica(me, q, store),
+            me,
+            read,
+            last: last.clone(),
+        });
+        let last = std::mem::take(&mut *last.lock().expect("run over"));
+        (out, last)
     }
 
     /// A signed write and the digest of the state reached by executing it
@@ -3033,7 +3302,8 @@ mod tests {
         let entry = |seq, payload: u8| vec![(SeqNum(seq), Digest::ZERO, payload)];
         let mut votes: ViewChange<u8> = ViewChange::default();
         let mut vote = |at, from, target, report| {
-            let step = votes.record(me, (3, 0), at, ReplicaId(from), View(target), report);
+            let vote = (SeqNum(0), report);
+            let step = votes.record(me, (3, 0), at, ReplicaId(from), View(target), vote);
             (step, votes.votes(View(target)).len())
         };
         // one vote is below f+1; the same sender again changes nothing
@@ -3059,14 +3329,16 @@ mod tests {
             (3, ReplicaId(2), 5, VcStep::Wait),
         ] {
             let (from, rules) = (ReplicaId(from), (quorum, 0));
-            let got = other.record((holder, q), rules, campaigning, from, View(2), Vec::new());
+            let vote = (SeqNum(0), Vec::new());
+            let got = other.record((holder, q), rules, campaigning, from, View(2), vote);
             assert_eq!(got, want);
         }
         // where a foreign vote needs an ack, the quorum waits for the acks
         let mut acked: ViewChange<u8> = ViewChange::default();
         let rules = (3, 1);
         for from in [0, 1, 2] {
-            let got = acked.record(me, rules, campaigning, ReplicaId(from), View(2), vec![]);
+            let vote = (SeqNum(0), vec![]);
+            let got = acked.record(me, rules, campaigning, ReplicaId(from), View(2), vote);
             assert_eq!(got, VcStep::Wait);
         }
         let mut ack = |voter, by| {
@@ -3112,6 +3384,131 @@ mod tests {
             assert_eq!(accepted, scenario.total_requests());
             assert_eq!((out.end_time.0, out.events_processed), want);
         }
+    }
+
+    /// Run every family member under `$s` through the macro `$go`, which
+    /// gets the member's name, client protocol, replica count and replica
+    /// constructor.
+    macro_rules! each_member {
+        ($s:expr, $go:ident) => {{
+            use crate::fab::{FabClientProto, FabReplica};
+            use crate::fair::{FairClientProto, FairReplica};
+            use crate::kauri::{KauriClientProto, KauriReplica};
+            use crate::minbft::{MinBftClientProto, MinBftReplica};
+            use crate::pbft::{Behavior, PbftClientProto, PbftConfig, PbftReplica};
+            use crate::poe::{PoeBehavior, PoeClientProto, PoeReplica};
+            use crate::prime::{PrimeBehavior, PrimeClientProto, PrimeReplica};
+            use crate::sbft::{SbftClientProto, SbftReplica};
+            let s: &Scenario = $s;
+            let (interval, batch) = (s.checkpoint_interval, s.batch_size);
+            let (delta, slots) = (s.network.delta.0, (batch, interval));
+            let (vt, t3, d) = (
+                SimDuration(delta * 4),
+                SimDuration(delta / 2),
+                SimDuration(delta),
+            );
+            $go!("pbft", PbftClientProto, 4, |me, q, store| {
+                let cfg = PbftConfig::from_scenario(s, q.n);
+                PbftReplica::new(me, cfg, store, Behavior::Honest, interval)
+            });
+            $go!("fab", FabClientProto, 6, |me, q, store| {
+                FabReplica::new(me, q, store, (vt, interval), batch)
+            });
+            $go!("minbft", MinBftClientProto, 3, |me, q, store| {
+                MinBftReplica::new(me, q, store, (vt, interval), batch)
+            });
+            $go!("prime", PrimeClientProto, 4, |me, q, store| {
+                let honest = PrimeBehavior::Honest;
+                PrimeReplica::new(me, q, store, honest, t3, SimDuration(delta * 2), slots)
+            });
+            $go!("fair", FairClientProto, 5, |me, q, store| {
+                let round = SimDuration(s.network.base_delay.0 * 4);
+                FairReplica::new(me, q, store, round, (vt, interval))
+            });
+            $go!("kauri", KauriClientProto, 4, |me, q, store| {
+                KauriReplica::new(me, q, store, 2, (vt, interval), d, batch)
+            });
+            $go!("sbft", SbftClientProto, 4, |me, q, store| {
+                SbftReplica::new(me, q, store, (vt, interval), t3, batch)
+            });
+            $go!("poe", PoeClientProto, 4, |me, q, store| {
+                PoeReplica::new(me, q, store, PoeBehavior::Honest, (vt, interval), batch)
+            });
+        }};
+    }
+
+    /// What the skeleton of a family member retains: its slot log and the
+    /// execution history its undo log keeps.
+    fn retained<R: ViewChanger>(replica: &mut R) -> usize {
+        let core = replica.core();
+        core.log.len() + core.exec.sm().history().len()
+    }
+
+    /// The checkpointing stage bounds every member alike: over 1 600
+    /// requests, the slot log and the execution history each stay within
+    /// one log window and one checkpoint interval, whatever the run's
+    /// length. (The history alone reaches a window and an interval before
+    /// each collection — PBFT retains 98 entries in all.)
+    #[test]
+    fn every_member_retains_at_most_a_window_and_an_interval() {
+        let s = Scenario::small(1).with_load(2, 800);
+        let interval = s.checkpoint_interval;
+        let bound = 2 * ((4 * interval).max(64) + interval) as usize;
+        macro_rules! go {
+            ($name:expr, $proto:ty, $n:expr, $replica:expr) => {
+                let (out, peak) = script::peak_size::<$proto, _>(&s, $n, $replica, retained);
+                assert_eq!(out.log.client_latencies().len(), 1_600, "{}", $name);
+                assert!(peak <= bound, "{}: {peak} entries retained", $name);
+            };
+        }
+        each_member!(&s, go);
+    }
+
+    /// A family member's state digest.
+    fn state<R: ViewChanger>(replica: &mut R) -> Digest {
+        replica.core().exec.sm().digest()
+    }
+
+    /// P4's in-dark replica, for every member: replica n−1 is cut off from
+    /// the start until half-way through the run. Checkpoint attestations
+    /// after the heal reveal how far behind it is, and it catches up by
+    /// state transfer to the state every other replica reached. The run is
+    /// 13 checkpoint intervals long: where clients broadcast (Fair, Kauri)
+    /// the dark replica's τ2 starts a view-change campaign nobody joins, so
+    /// it follows the view by state transfer alone, and the last checkpoint
+    /// has to cover the run's last request.
+    #[test]
+    fn every_member_brings_an_in_dark_replica_back_by_state_transfer() {
+        use bft_sim::SafetyAuditor;
+        let s = Scenario::small(1).with_load(1, 13 * 16);
+        macro_rules! go {
+            ($name:expr, $proto:ty, $n:expr, $replica:expr) => {
+                let (n, fault_free) = (
+                    $n,
+                    script::final_readings::<$proto, _, _>(&s, $n, $replica, state).0,
+                );
+                let peers = (0..n - 1).map(NodeId::replica).collect();
+                let (dark, mid_run) = (NodeId::replica(n - 1), SimTime(fault_free.end_time.0 / 2));
+                let faults = FaultPlan::none().isolate(dark, peers, SimTime::ZERO, mid_run);
+                let s = s.clone().with_faults(faults);
+                let (out, finals) = script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
+                SafetyAuditor::all_correct().assert_safe(&out.log);
+                assert_eq!(out.log.client_latencies().len(), 13 * 16, "{}", $name);
+                let transfers = out.log.marker_count("state-transferred");
+                assert!(
+                    transfers > 0,
+                    "{}: the in-dark replica never caught up",
+                    $name
+                );
+                assert_eq!(
+                    finals[&ReplicaId(n - 1)],
+                    finals[&ReplicaId(0)],
+                    "{}",
+                    $name
+                );
+            };
+        }
+        each_member!(&s, go);
     }
 
     #[test]

@@ -86,16 +86,16 @@ pub struct FabReplica {
 }
 
 impl FabReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
         FabReplica {
-            core: Core::new((me, q, store), view_timeout, Execution::new()),
+            core: Core::new((me, q, store), FabMsg::View, Execution::new(), timing),
             mempool: Mempool::new(batch_size),
         }
     }
@@ -105,7 +105,7 @@ impl FabReplica {
             return;
         }
         self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
+        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -146,7 +146,7 @@ impl FabReplica {
         let slot = self.core.log.slot(seq);
         if let Some(digest) = slot.ext.accepts.vote(from, digest, slot.digest, quorum) {
             slot.commit(ctx, seq, view, digest);
-            self.core.execute_ready(ctx, CryptoOp::Sign, FabMsg::Reply);
+            self.execute(ctx);
         }
     }
 }
@@ -159,8 +159,6 @@ impl ViewChanger for FabReplica {
     fn core(&mut self) -> &mut Core<FabMsg, FabSlot, Vec<SignedRequest>> {
         &mut self.core
     }
-
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> FabMsg = FabMsg::View;
 
     /// n − f = 4f+1: the recovery certificate.
     fn new_view_quorum(q: QuorumRules) -> usize {
@@ -178,7 +176,7 @@ impl ViewChanger for FabReplica {
     fn assemble(&mut self, target: View) -> Vec<BatchEntry> {
         let votes = self.core.votes.votes(target);
         let mut counts: BTreeMap<(SeqNum, Digest), (usize, &Vec<SignedRequest>)> = BTreeMap::new();
-        for (seq, digest, batch) in votes.iter().flat_map(|(_, accepted)| accepted) {
+        for (seq, digest, batch) in votes.iter().flat_map(|(.., accepted)| accepted) {
             counts.entry((*seq, *digest)).or_insert((0, batch)).0 += 1;
         }
         let mut proposals: BTreeMap<SeqNum, (Digest, &Vec<SignedRequest>)> = BTreeMap::new();
@@ -202,6 +200,10 @@ impl ViewChanger for FabReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, FabMsg>) {
         self.propose(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, FabMsg>) {
+        self.core.execute_ready(ctx, CryptoOp::Sign, FabMsg::Reply);
     }
 }
 
@@ -277,9 +279,9 @@ impl ClientProtocol for FabClientProto {
 
 /// Run FaB under a scenario (n = 5f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     launch::<FabClientProto, _>(scenario, scenario.n(5 * scenario.f + 1), |me, q, store| {
-        FabReplica::new(me, q, store, view_timeout, scenario.batch_size)
+        FabReplica::new(me, q, store, timing, scenario.batch_size)
     })
 }
 

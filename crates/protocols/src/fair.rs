@@ -178,17 +178,17 @@ pub struct FairReplica {
 }
 
 impl FairReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
         round_period: SimDuration,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
     ) -> Self {
         let exec = Execution::new().skipping_executed();
         FairReplica {
-            core: Core::new((me, q, store), view_timeout, exec),
+            core: Core::new((me, q, store), FairMsg::View, exec, timing),
             rounds: RoundRules {
                 me,
                 ext: |slot| &mut slot.rounds,
@@ -327,7 +327,7 @@ impl FairReplica {
                 .iter()
                 .filter(|r| !self.core.exec.is_executed(&r.request.id))
                 .collect();
-            if fresh.is_empty() {
+            if fresh.is_empty() || self.core.next_seq > self.core.high_water() {
                 return;
             }
             let seq = self.core.next_seq;
@@ -347,7 +347,7 @@ impl FairReplica {
             // the proposal is the leader's prepare
             let own = (false, self.rounds.me);
             if self.rounds.count(ctx, slot, (view, seq), own, digest) {
-                self.try_execute(ctx);
+                self.execute(ctx);
             }
         } else {
             // old rounds that never filled up: garbage-collect
@@ -366,23 +366,6 @@ impl FairReplica {
         }
         fresh
     }
-
-    fn try_execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
-        let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
-        let (pending, intake) = (&mut self.pending, &mut self.core.intake);
-        self.core.exec.drain(
-            ctx,
-            &mut self.core.log,
-            self.core.gate.view(),
-            deliver,
-            |ctx, exec, _, _| {
-                pending.retain(|r| !exec.is_executed(&r.request.id));
-                if pending.is_empty() {
-                    intake.disarm(ctx);
-                }
-            },
-        );
-    }
 }
 
 impl ViewChanger for FairReplica {
@@ -393,8 +376,6 @@ impl ViewChanger for FairReplica {
     fn core(&mut self) -> &mut Core<FairMsg, FairSlot, Vec<ReplicaBatch>> {
         &mut self.core
     }
-
-    const WIRE: fn(ViewMsg<Vec<ReplicaBatch>>) -> FairMsg = FairMsg::View;
 
     /// Pending work is `pending` itself: nothing is relayed.
     fn work_pending(&mut self) -> bool {
@@ -415,7 +396,7 @@ impl ViewChanger for FairReplica {
         let slot = self.core.log.reinstall(seq, digest, merged);
         slot.ext.batches = batches;
         if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-            self.try_execute(ctx);
+            self.execute(ctx);
         }
     }
 
@@ -427,6 +408,22 @@ impl ViewChanger for FairReplica {
 
     /// The next preordering round proposes; there is no backlog to flush.
     fn resume(&mut self, _: &mut Context<'_, FairMsg>) {}
+
+    fn execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
+        let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
+        let pending = &mut self.pending;
+        self.core.drain(
+            ctx,
+            deliver,
+            |_, _, _| {},
+            |ctx, intake, exec, _| {
+                pending.retain(|r| !exec.is_executed(&r.request.id));
+                if pending.is_empty() {
+                    intake.disarm(ctx);
+                }
+            },
+        );
+    }
 }
 
 impl Actor<FairMsg> for FairReplica {
@@ -487,7 +484,7 @@ impl Actor<FairMsg> for FairReplica {
                     .rounds
                     .prepare(ctx, slot, (view, seq), digest, Some(leader))
                 {
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                 }
             }
             FairMsg::Prepare {
@@ -510,7 +507,7 @@ impl Actor<FairMsg> for FairReplica {
                 let vote = (matches!(msg, FairMsg::Commit { .. }), r);
                 let slot = self.core.log.slot(seq);
                 if self.rounds.count(ctx, slot, (view, seq), vote, digest) {
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                 }
             }
             FairMsg::View(vc) => self.on_view_msg(from, vc, ctx),
@@ -553,9 +550,9 @@ impl ClientProtocol for FairClientProto {
 /// Run the fair protocol under a scenario (n = 4f+1, γ = 1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
     let round_period = SimDuration(scenario.network.base_delay.0 * 4);
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     launch::<FairClientProto, _>(scenario, scenario.n(4 * scenario.f + 1), |me, q, store| {
-        FairReplica::new(me, q, store, round_period, view_timeout)
+        FairReplica::new(me, q, store, round_period, timing)
     })
 }
 

@@ -137,24 +137,24 @@ pub struct KauriReplica {
 }
 
 impl KauriReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
         fanout: usize,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
         agg_timeout: SimDuration,
         batch_size: usize,
     ) -> Self {
         let exec = Execution::new().skipping_executed();
         KauriReplica {
-            core: Core::new((me, q, store), view_timeout, exec),
+            core: Core::new((me, q, store), KauriMsg::View, exec, timing),
             fanout,
             mempool: Mempool::new(batch_size),
             agg_timers: BTreeMap::new(),
             agg_timeout,
-            view_timeout,
+            view_timeout: timing.0,
             waiting_since: SimTime::ZERO,
         }
     }
@@ -180,7 +180,7 @@ impl KauriReplica {
             return;
         }
         self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
+        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
             ctx.charge_crypto(CryptoOp::Sign);
             self.adopt_proposal(seq, digest, batch, ctx);
         }
@@ -215,18 +215,7 @@ impl KauriReplica {
         // vote (prepare phase)
         self.contribute(KauriPhase::Prepare, seq, digest, ctx);
         // a commit certificate that outran this proposal was waiting for it
-        self.execute_ready(ctx);
-    }
-
-    /// Execute what has committed, noting when the oldest outstanding
-    /// request changes (see [`KauriReplica::waiting_since`]).
-    fn execute_ready(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        let waited_for = self.core.intake.oldest();
-        self.core
-            .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
-        if self.core.intake.oldest() != waited_for {
-            self.waiting_since = ctx.now();
-        }
+        self.execute(ctx);
     }
 
     /// Contribute this replica's own share for a phase and (re)compute the
@@ -384,6 +373,9 @@ impl KauriReplica {
                 },
             );
         }
+        if seq <= self.core.exec.cursor() {
+            return; // executed: a late certificate, for a slot maybe collected
+        }
         match phase {
             KauriPhase::Prepare => {
                 {
@@ -402,7 +394,7 @@ impl KauriReplica {
                     return;
                 }
                 slot.commit(ctx, seq, view, digest);
-                self.execute_ready(ctx);
+                self.execute(ctx);
             }
         }
     }
@@ -418,8 +410,6 @@ impl ViewChanger for KauriReplica {
     fn core(&mut self) -> &mut Core<KauriMsg, KauriSlot, Vec<SignedRequest>> {
         &mut self.core
     }
-
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> KauriMsg = KauriMsg::View;
 
     /// The slots this replica saw a prepare certificate for.
     fn report(&mut self, ctx: &mut Context<'_, KauriMsg>) -> Vec<BatchEntry> {
@@ -450,6 +440,17 @@ impl ViewChanger for KauriReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, KauriMsg>) {
         self.propose(ctx);
+    }
+
+    /// Execute what has committed, noting when the oldest outstanding
+    /// request changes (see [`KauriReplica::waiting_since`]).
+    fn execute(&mut self, ctx: &mut Context<'_, KauriMsg>) {
+        let waited_for = self.core.intake.oldest();
+        self.core
+            .execute_ready(ctx, CryptoOp::Sign, KauriMsg::Reply);
+        if self.core.intake.oldest() != waited_for {
+            self.waiting_since = ctx.now();
+        }
     }
 }
 
@@ -574,11 +575,11 @@ impl ClientProtocol for KauriClientProto {
 
 /// Run Kauri under a scenario with the given tree fan-out.
 pub fn run(scenario: &Scenario, fanout: usize) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     let agg_timeout = SimDuration(scenario.network.delta.0);
     launch::<KauriClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
         let batch = scenario.batch_size;
-        KauriReplica::new(me, q, store, fanout, view_timeout, agg_timeout, batch)
+        KauriReplica::new(me, q, store, fanout, timing, agg_timeout, batch)
     })
 }
 
@@ -605,7 +606,7 @@ mod tests {
         crate::common::script::peak_size::<KauriClientProto, _>(
             s,
             4,
-            |me, q, store| KauriReplica::new(me, q, store, 2, view_timeout, delta, 1),
+            |me, q, store| KauriReplica::new(me, q, store, 2, (view_timeout, 16), delta, 1),
             |r| r.agg_timers.len(),
         )
     }

@@ -176,16 +176,17 @@ pub struct MinBftReplica {
 }
 
 impl MinBftReplica {
-    /// Create a replica (provisions its trusted component).
+    /// Create a replica with its [`Scenario::timing`] (provisions its
+    /// trusted component).
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
         MinBftReplica {
-            core: Core::new((me, q, store), view_timeout, Execution::new()),
+            core: Core::new((me, q, store), MinBftMsg::View, Execution::new(), timing),
             usig: Usig::new(me),
             verifier: UiVerifier::default(),
             mempool: Mempool::new(batch_size),
@@ -197,7 +198,7 @@ impl MinBftReplica {
             return;
         }
         self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
+        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
             // USIG attestation (modeled at signature cost)
             ctx.charge_crypto(CryptoOp::Sign);
             let ui = self.usig.create_ui(digest);
@@ -243,8 +244,7 @@ impl MinBftReplica {
         let slot = self.core.log.slot(seq);
         if let Some(digest) = slot.ext.commits.vote(from, digest, slot.digest, quorum) {
             slot.commit(ctx, seq, view, digest);
-            self.core
-                .execute_ready(ctx, CryptoOp::Sign, MinBftMsg::Reply);
+            self.execute(ctx);
         }
     }
 }
@@ -257,8 +257,6 @@ impl ViewChanger for MinBftReplica {
     fn core(&mut self) -> &mut Core<MinBftMsg, MinSlot, Vec<SignedRequest>> {
         &mut self.core
     }
-
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> MinBftMsg = MinBftMsg::View;
 
     /// f+1: with attested, non-equivocating votes one correct replica in
     /// the quorum suffices.
@@ -287,6 +285,11 @@ impl ViewChanger for MinBftReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
         self.propose(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
+        self.core
+            .execute_ready(ctx, CryptoOp::Sign, MinBftMsg::Reply);
     }
 }
 
@@ -373,9 +376,9 @@ impl ClientProtocol for MinBftClientProto {
 
 /// Run MinBFT under a scenario (n = 2f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     launch::<MinBftClientProto, _>(scenario, scenario.n(2 * scenario.f + 1), |me, q, store| {
-        MinBftReplica::new(me, q, store, view_timeout, scenario.batch_size)
+        MinBftReplica::new(me, q, store, timing, scenario.batch_size)
     })
 }
 
@@ -469,7 +472,8 @@ mod tests {
             (0, Script::new(2, vec![], vec![proposal])),
         ];
         let q = QuorumRules { n: 3, f: 1 };
-        let replica = MinBftReplica::new(ReplicaId(2), q, store, SimDuration::from_millis(40), 1);
+        let timing = (SimDuration::from_millis(40), 16);
+        let replica = MinBftReplica::new(ReplicaId(2), q, store, timing, 1);
         let (out, sent) = play(scripts, replica);
         let committed_y =
             |m: &MinBftMsg| matches!(m, MinBftMsg::Commit { digest, .. } if *digest == y);

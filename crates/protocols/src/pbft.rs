@@ -18,10 +18,11 @@
 //!   leader uses a vote only once 2f−1 other replicas acknowledged it,
 //!   substituting for the non-repudiation signatures would provide (design
 //!   choice 11).
-//! * **Checkpointing** — every `interval` sequence numbers replicas
-//!   digest their state and exchange checkpoint attestations; 2f+1
-//!   matching attestations make the checkpoint stable, the log truncates,
-//!   and in-dark replicas catch up by transfer of a rebuilt snapshot.
+//! * **Checkpointing** — the family's shared stage ([`Core`]): every
+//!   `interval` sequence numbers replicas digest their state and exchange
+//!   checkpoint attestations; 2f+1 matching attestations make the
+//!   checkpoint stable, the log truncates, and in-dark replicas catch up
+//!   by transfer of a rebuilt snapshot.
 //! * **Recovery** — optional proactive rejuvenation on the watchdog timer
 //!   τ8 (replicas take turns; a recovering replica is unavailable and
 //!   re-syncs via state transfer afterwards).
@@ -39,15 +40,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{
     Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, Stage, TimerId,
 };
-use bft_state::{CheckpointManager, Snapshot};
 use bft_types::{
     ClientId, Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
     launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol, Core, Entry, Execution,
-    Intake, Mempool, RoundRules, Rounds, Scenario, SignedRequest, SlotLog, SubmitPolicy,
-    ViewChange, ViewChanger, ViewMsg, VoteAuth,
+    Intake, Mempool, RoundRules, Rounds, Scenario, SignedRequest, Slot, SubmitPolicy, ViewChange,
+    ViewChanger, ViewMsg, VoteAuth,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -60,22 +60,15 @@ pub enum PbftAuth {
 }
 
 /// What PBFT's view-change messages carry per slot (the payload of the
-/// family's entries): a vote reports the sender's stable checkpoint and
-/// every slot it prepared above it, a new-view message the re-proposals.
+/// family's entries): the batch and the view it was prepared in. A vote
+/// reports every slot the sender prepared above its stable checkpoint, a
+/// new-view message the re-proposals.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub enum PbftCert {
-    /// The sender's stable checkpoint: the entry's slot and state digest.
-    Stable,
-    /// The entry's batch, prepared in this view.
-    Prepared(View, Vec<SignedRequest>),
-}
+pub struct PbftCert(View, Vec<SignedRequest>);
 
 impl WireSize for PbftCert {
     fn wire_size(&self) -> usize {
-        match self {
-            PbftCert::Stable => 0,
-            PbftCert::Prepared(view, batch) => view.wire_size() + batch.wire_size(),
-        }
+        self.0.wire_size() + self.1.wire_size()
     }
 }
 
@@ -119,36 +112,14 @@ pub enum PbftMsg {
         /// Sender.
         from: ReplicaId,
     },
-    /// Periodic checkpoint attestation.
-    Checkpoint {
-        /// Checkpoint sequence number.
-        seq: SeqNum,
-        /// State digest at `seq`.
-        state_digest: Digest,
-        /// Attesting replica.
-        from: ReplicaId,
-    },
-    /// View change: votes carry certificates, the new-view message the
-    /// re-proposals; in MAC mode replicas ack each other's votes.
+    /// The family's messages: view-change votes carry certificates, the
+    /// new-view message the re-proposals, and in MAC mode replicas ack each
+    /// other's votes; checkpoints and state transfer.
     View(ViewMsg<PbftCert>),
     /// Client → all replicas: a read-only request served from the current
     /// state without ordering (the paper's P6 read optimization: the client
     /// waits for 2f+1 matching replies instead of f+1).
     ReadOnly(SignedRequest),
-    /// Trailing replica → any: ask for a snapshot at or above `have`.
-    StateRequest {
-        /// Requester.
-        from: ReplicaId,
-        /// Requester's last executed sequence number.
-        have: SeqNum,
-    },
-    /// Snapshot shipment for catch-up.
-    StateTransfer {
-        /// Consensus slot the snapshot covers.
-        slot_seq: SeqNum,
-        /// The snapshot (deep copy of the machine state).
-        snapshot: Box<Snapshot>,
-    },
 }
 
 impl WireSize for PbftMsg {
@@ -158,15 +129,11 @@ impl WireSize for PbftMsg {
             PbftMsg::Reply(r) => 1 + r.wire_size(),
             PbftMsg::PrePrepare { batch, .. } => 1 + 8 + 8 + 32 + batch.wire_size(),
             PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => 1 + 8 + 8 + 32 + 4 + 32,
-            PbftMsg::Checkpoint { .. } => 1 + 8 + 32 + 4 + 32,
-            // an ack is one MAC to one replica
-            PbftMsg::View(m @ ViewMsg::Ack { .. }) => m.wire_size(32, PbftCert::wire_size),
-            PbftMsg::View(m) => m.wire_size(64, PbftCert::wire_size),
-            PbftMsg::StateRequest { .. } => 1 + 4 + 8,
-            PbftMsg::StateTransfer { .. } => {
-                // approximated as a fixed-size snapshot shipment
-                1 + 8 + 32 + 64 * 128
+            // an ack is one MAC to one replica, and so is a checkpoint sized
+            PbftMsg::View(m @ (ViewMsg::Ack { .. } | ViewMsg::Checkpoint { .. })) => {
+                m.wire_size(32, PbftCert::wire_size)
             }
+            PbftMsg::View(m) => m.wire_size(64, PbftCert::wire_size),
         }
     }
 }
@@ -216,10 +183,6 @@ pub struct PbftConfig {
     pub q: QuorumRules,
     /// Authentication mode.
     pub auth: PbftAuth,
-    /// Checkpoint interval (0 disables).
-    pub checkpoint_interval: u64,
-    /// Log window (high-water distance from the stable checkpoint).
-    pub window: u64,
     /// Requests per batch.
     pub batch_size: usize,
     /// View-change timeout (τ2).
@@ -275,123 +238,17 @@ impl PbftConfig {
         }
     }
 
-    /// Charge the cost of authenticating one outgoing broadcast.
-    fn charge_broadcast_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        let (op, count) = self.auth_costs().send;
-        ctx.charge_crypto_n(op, count);
-    }
-
-    /// Charge the cost of verifying one incoming message.
-    fn charge_verify_auth(&self, ctx: &mut Context<'_, PbftMsg>) {
-        ctx.charge_crypto(self.auth_costs().check);
-    }
-
     /// Config from a scenario (timeouts derived from Δ).
     pub fn from_scenario(s: &Scenario, n: usize) -> PbftConfig {
         PbftConfig {
             q: QuorumRules { n, f: s.f },
             auth: PbftAuth::Mac,
-            checkpoint_interval: s.checkpoint_interval,
-            window: (s.checkpoint_interval * 4).max(64),
             batch_size: s.batch_size,
             view_timeout: SimDuration(s.network.delta.0 * 4),
             batch_delay: SimDuration(s.network.base_delay.0 * 4),
             recovery_period: None,
             recovery_duration: SimDuration::from_millis(50),
             sabotage: PbftSabotage::None,
-        }
-    }
-}
-
-/// Enter `to` (observing the transition) unless already there.
-fn enter_stage(stage: &mut Stage, to: Stage, ctx: &mut Context<'_, PbftMsg>) {
-    if *stage != to {
-        *stage = to;
-        ctx.observe(Observation::StageEnter { stage: to });
-    }
-}
-
-/// PBFT's checkpointing stage: a state digest every `checkpoint_interval`
-/// slots, attestations towards a stable checkpoint, and the garbage
-/// collection a stable checkpoint allows. It is driven from the execution
-/// loop (after each slot) and by peers' checkpoint messages, so it borrows
-/// the execution stage and the slot log instead of owning them.
-struct Checkpoints {
-    me: ReplicaId,
-    cfg: PbftConfig,
-    ckpt: CheckpointManager,
-}
-
-impl Checkpoints {
-    fn new(me: ReplicaId, cfg: PbftConfig) -> Checkpoints {
-        Checkpoints {
-            me,
-            ckpt: CheckpointManager::new(cfg.checkpoint_interval, cfg.q.quorum()),
-            cfg,
-        }
-    }
-
-    fn maybe_checkpoint(
-        &mut self,
-        stage: &mut Stage,
-        exec: &mut Execution,
-        log: &mut SlotLog<PbftSlot>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let last = exec.cursor();
-        if let Some(state_digest) = self.ckpt.checkpoint(last, exec.sm()) {
-            enter_stage(stage, Stage::Checkpointing, ctx);
-            self.cfg.charge_broadcast_auth(ctx);
-            let me = self.me;
-            ctx.broadcast_replicas(PbftMsg::Checkpoint {
-                seq: last,
-                state_digest,
-                from: me,
-            });
-            self.on_checkpoint(me, last, state_digest, exec, log, ctx);
-            enter_stage(stage, Stage::Ordering, ctx);
-        }
-    }
-
-    fn on_checkpoint(
-        &mut self,
-        from: ReplicaId,
-        seq: SeqNum,
-        state_digest: Digest,
-        exec: &mut Execution,
-        log: &mut SlotLog<PbftSlot>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        if from != self.me {
-            self.cfg.charge_verify_auth(ctx);
-        }
-        if let Some(proof) = self.ckpt.add_attestation(from, seq, state_digest) {
-            ctx.observe(Observation::StableCheckpoint {
-                seq: proof.seq,
-                state_digest,
-            });
-            // garbage-collect executed slots at or below the checkpoint
-            let executed_here = exec.cursor();
-            log.retain(|s, _| *s > proof.seq.min(executed_here));
-            let horizon = exec.sm().last_executed();
-            exec.truncate_below(self.ckpt.undo_floor(horizon, self.cfg.window));
-            // in-dark? the cluster is at `seq` but we have not executed it
-            if executed_here < proof.seq {
-                let me = self.me;
-                ctx.observe(Observation::Marker {
-                    label: "in-dark-catchup",
-                });
-                // 2f+1 attesters: one of them is not this replica
-                if let Some(target) = proof.attesters.iter().find(|r| **r != me) {
-                    ctx.send(
-                        NodeId::Replica(*target),
-                        PbftMsg::StateRequest {
-                            from: me,
-                            have: executed_here,
-                        },
-                    );
-                }
-            }
         }
     }
 }
@@ -409,7 +266,6 @@ pub struct PbftReplica {
     /// 2f+1 commits.
     rounds: RoundRules<PbftMsg, PbftSlot>,
     mempool: Mempool,
-    ckpts: Checkpoints,
     /// Pending partial-batch timer.
     batch_timer: Option<TimerId>,
     /// Timer id for the next proactive recovery (τ8).
@@ -432,8 +288,14 @@ pub struct PbftReplica {
 }
 
 impl PbftReplica {
-    /// Create a replica.
-    pub fn new(me: ReplicaId, cfg: PbftConfig, store: Arc<KeyStore>, behavior: Behavior) -> Self {
+    /// Create a replica that checkpoints every `checkpoint_interval` slots.
+    pub fn new(
+        me: ReplicaId,
+        cfg: PbftConfig,
+        store: Arc<KeyStore>,
+        behavior: Behavior,
+        checkpoint_interval: u64,
+    ) -> Self {
         let (q, view_timeout) = (cfg.q, cfg.view_timeout);
         let dropped = match cfg.sabotage {
             PbftSabotage::DropExecution(k) => Some(k),
@@ -463,9 +325,11 @@ impl PbftReplica {
             },
         };
         let exec = Execution::new().dropping_nth(dropped);
+        let timing = (view_timeout, checkpoint_interval);
+        let mut core = Core::new((me, q, store), PbftMsg::View, exec, timing);
+        core.auth = cfg.auth_costs();
         PbftReplica {
-            core: Core::new((me, q, store), view_timeout, exec),
-            ckpts: Checkpoints::new(me, cfg.clone()),
+            core,
             mempool: Mempool::new(cfg.batch_size),
             cfg,
             behavior,
@@ -477,19 +341,6 @@ impl PbftReplica {
             rejoining: false,
             catchup: Catchup::new(me, q.n, TimerKind::T1WaitReplies, view_timeout),
             stage: Stage::Ordering,
-        }
-    }
-
-    /// What authenticating one reply to a client costs.
-    fn reply_auth(&self) -> CryptoOp {
-        self.cfg.auth_costs().send.0
-    }
-
-    fn high_water(&self) -> SeqNum {
-        if self.cfg.checkpoint_interval == 0 {
-            SeqNum(u64::MAX)
-        } else {
-            self.ckpts.ckpt.high_water(self.cfg.window)
         }
     }
 
@@ -548,7 +399,7 @@ impl PbftReplica {
             state_digest: sm.digest(),
             speculative: true, // tentative: matching across 2f+1 finalizes it
         };
-        ctx.charge_crypto(self.reply_auth());
+        ctx.charge_crypto(self.core.auth.send.0);
         ctx.send(
             NodeId::Client(signed.request.id.client),
             PbftMsg::Reply(reply),
@@ -637,7 +488,7 @@ impl PbftReplica {
             queue.sort_by_key(|r| r.request.id.client != favored);
         }
         self.core.drop_ordered(&mut self.mempool);
-        while !self.mempool.is_empty() && self.core.next_seq <= self.high_water() {
+        while !self.mempool.is_empty() && self.core.next_seq <= self.core.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
             if self.mempool.len() < self.cfg.batch_size && !force_partial {
@@ -657,7 +508,7 @@ impl PbftReplica {
                 // half; the equivocator itself records nothing coherent
                 let (seq, n, me) = (self.core.next_seq, self.cfg.q.n as u32, self.core.me.0);
                 self.core.next_seq = seq.next();
-                self.cfg.charge_broadcast_auth(ctx);
+                ctx.charge_crypto_n(self.core.auth.send.0, self.core.auth.send.1);
                 ctx.observe(Observation::Marker {
                     label: "equivocated",
                 });
@@ -677,7 +528,7 @@ impl PbftReplica {
             let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) else {
                 return;
             };
-            self.cfg.charge_broadcast_auth(ctx);
+            ctx.charge_crypto_n(self.core.auth.send.0, self.core.auth.send.1);
             let slot = self.core.log.slot(seq);
             (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch.clone()), view);
             let msg = PbftMsg::PrePrepare {
@@ -712,10 +563,10 @@ impl PbftReplica {
         if from != NodeId::Replica(self.core.leader()) {
             return; // only the leader pre-prepares
         }
-        if seq <= self.ckpts.ckpt.low_water() || seq > self.high_water() {
+        if seq <= self.core.ckpt.low_water() || seq > self.core.high_water() {
             return; // outside the log window
         }
-        self.cfg.charge_verify_auth(ctx);
+        ctx.charge_crypto(self.core.auth.check);
         ctx.charge_crypto(CryptoOp::Hash);
         if digest_of(&batch) != digest {
             return;
@@ -739,75 +590,11 @@ impl PbftReplica {
         self.arm_view_timer(ctx);
         let slot = self.core.log.slot(seq);
         if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-            self.try_execute(ctx);
+            self.execute(ctx);
         }
     }
 
     // ---- execution -------------------------------------------------------
-
-    fn try_execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let deliver = reply_to_client(Some(self.reply_auth()), PbftMsg::Reply);
-        let core = &mut self.core;
-        let (before, view) = (core.exec.cursor(), core.gate.view());
-        let (mempool, intake) = (&mut self.mempool, &mut core.intake);
-        let (stage, ckpts) = (&mut self.stage, &mut self.ckpts);
-        core.exec
-            .drain(ctx, &mut core.log, view, deliver, |ctx, exec, log, seq| {
-                let batch = log.get(&seq).and_then(|s| s.batch.as_deref());
-                mempool.remove(batch.unwrap_or_default());
-                *stage = Stage::Ordering;
-                // outstanding work done? disarm τ2; else re-arm
-                intake.disarm(ctx);
-                ckpts.maybe_checkpoint(stage, exec, log, ctx);
-            });
-        if self.core.exec.cursor() > before {
-            // execution progress means we are back in step with the quorum
-            self.rejoining = false;
-            if self.catchup.active() {
-                self.catchup.complete(ctx);
-            }
-        }
-    }
-
-    // ---- checkpointing ---------------------------------------------------
-
-    fn on_state_request(&mut self, from: ReplicaId, have: SeqNum, ctx: &mut Context<'_, PbftMsg>) {
-        let served = self.ckpts.ckpt.latest_snapshot(have, self.core.exec.sm());
-        if let Some((slot_seq, snapshot)) = served {
-            let snapshot = Box::new(snapshot);
-            ctx.send(
-                NodeId::Replica(from),
-                PbftMsg::StateTransfer { slot_seq, snapshot },
-            );
-        }
-    }
-
-    fn on_state_transfer(
-        &mut self,
-        slot_seq: SeqNum,
-        snapshot: &Snapshot,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        let core = &mut self.core;
-        if slot_seq <= core.exec.cursor() {
-            return;
-        }
-        // install: the snapshot's machine state replaces ours
-        core.exec.install_snapshot(snapshot, slot_seq);
-        // drop every slot the snapshot covers
-        core.log.retain(|s, _| *s > slot_seq);
-        self.ckpts.ckpt.mark_installed(slot_seq, core.exec.sm());
-        core.next_seq = core.next_seq.max(slot_seq.next());
-        ctx.count_state_transfer();
-        if self.catchup.active() {
-            self.catchup.complete(ctx);
-        }
-        ctx.observe(Observation::Marker {
-            label: "state-transferred",
-        });
-        // a transferred snapshot may unblock committed-but-unexecuted slots
-        self.try_execute(ctx);
-    }
 
     /// Dispatch one ordering-stage message of the current view (also used
     /// for replay); one that raced ahead of its view is buffered by the
@@ -839,14 +626,14 @@ impl PbftReplica {
                 from: r,
                 ..
             } => {
-                self.cfg.charge_verify_auth(ctx);
+                ctx.charge_crypto(self.core.auth.check);
                 let commit = matches!(msg, PbftMsg::Commit { .. });
                 let slot = self.core.log.slot(*seq);
                 // a prepare for a slot pre-prepared in another view is stale
                 let stale = !commit && slot.digest.is_some() && slot.ext.view != view;
                 let vote = (commit, *r);
                 if !stale && self.rounds.count(ctx, slot, (view, *seq), vote, *digest) {
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                 }
             }
             _ => {}
@@ -907,13 +694,9 @@ impl PbftReplica {
 
     /// Solicit a snapshot from the next catch-up window of peers.
     fn begin_catchup(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let (me, have) = (self.core.me, self.core.exec.cursor());
-        self.catchup.begin(ctx, |peer, ctx| {
-            ctx.send(
-                NodeId::Replica(peer),
-                PbftMsg::StateRequest { from: me, have },
-            );
-        });
+        let core = &self.core;
+        self.catchup
+            .begin(ctx, |peer, ctx| core.ask_state(ctx, peer));
     }
 
     /// Rejoin discipline: a replica that restarted or woke from
@@ -943,46 +726,34 @@ impl ViewChanger for PbftReplica {
         &mut self.core
     }
 
-    const WIRE: fn(ViewMsg<PbftCert>) -> PbftMsg = PbftMsg::View;
-
-    fn vote_auth(&self) -> VoteAuth {
-        self.cfg.auth_costs()
-    }
-
+    /// Enter `stage` (observing the transition) unless already there.
     fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, PbftMsg>) {
-        enter_stage(&mut self.stage, stage, ctx);
+        if self.stage != stage {
+            self.stage = stage;
+            ctx.observe(Observation::StageEnter { stage });
+        }
     }
 
-    /// The stable checkpoint, then every slot above it prepared here with
-    /// the view it was prepared in.
+    /// Every slot above the stable checkpoint prepared here, with the view
+    /// it was prepared in.
     fn report(&mut self, _: &mut Context<'_, PbftMsg>) -> Vec<Entry<PbftCert>> {
-        let stable = self.ckpts.ckpt.low_water();
-        let digest = self.ckpts.ckpt.stable().map_or(Digest::ZERO, |p| p.digest);
-        let above = self.core.log.range(stable.next()..);
-        let prepared = above
-            .filter(|(_, s)| s.ext.rounds.prepared())
-            .filter_map(|(seq, s)| {
-                let cert = PbftCert::Prepared(s.ext.view, s.batch.clone()?);
-                Some((*seq, s.digest?, cert))
-            });
-        std::iter::once((stable, digest, PbftCert::Stable))
-            .chain(prepared)
-            .collect()
+        let above = self.core.log.range(self.core.ckpt.low_water().next()..);
+        let prepared = above.filter(|(_, s)| s.ext.rounds.prepared());
+        let cert = |(seq, s): (&SeqNum, &Slot<PbftSlot>)| {
+            Some((*seq, s.digest?, PbftCert(s.ext.view, s.batch.clone()?)))
+        };
+        prepared.filter_map(cert).collect()
     }
 
     /// Above the highest stable checkpoint any vote reports: per slot the
     /// batch prepared in the highest view (the first reported among
     /// equals), and a null batch in every gap below the highest such slot.
     fn assemble(&mut self, target: View) -> Vec<Entry<PbftCert>> {
-        let reported = self.core.votes.votes(target).iter();
-        let entries: Vec<&Entry<PbftCert>> = reported.flat_map(|(_, r)| r).collect();
-        let stables = entries.iter().filter(|e| e.2 == PbftCert::Stable);
-        let stable = stables.map(|e| e.0).max().unwrap_or_default();
+        let votes = &self.core.votes;
+        let (stable, reported) = (votes.stable(target), votes.votes(target).iter());
         let mut chosen: BTreeMap<SeqNum, (View, &Entry<PbftCert>)> = BTreeMap::new();
-        for entry in entries {
-            let (seq, _, PbftCert::Prepared(view, _)) = entry else {
-                continue;
-            };
+        for entry in reported.flat_map(|(.., r)| r) {
+            let (seq, _, PbftCert(view, _)) = entry;
             if chosen.get(seq).is_none_or(|(held, _)| held < view) {
                 chosen.insert(*seq, (*view, entry));
             }
@@ -990,7 +761,7 @@ impl ViewChanger for PbftReplica {
         let top = chosen.keys().next_back().map_or(stable.0, |s| s.0);
         let null = |seq| {
             let batch: Vec<SignedRequest> = Vec::new();
-            (seq, digest_of(&batch), PbftCert::Prepared(target, batch))
+            (seq, digest_of(&batch), PbftCert(target, batch))
         };
         let slot = |seq| {
             chosen
@@ -1001,15 +772,13 @@ impl ViewChanger for PbftReplica {
     }
 
     fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, PbftMsg>) {
-        let PbftCert::Prepared(_, batch) = cert else {
-            return;
-        };
+        let PbftCert(_, batch) = cert;
         self.mempool.remove(&batch);
         let (view, leads) = (self.core.gate.view(), self.core.is_leader());
         let slot = self.core.log.reinstall(seq, digest, batch);
         slot.ext.view = view;
         if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-            self.try_execute(ctx);
+            self.execute(ctx);
         }
     }
 
@@ -1022,6 +791,39 @@ impl ViewChanger for PbftReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         self.propose(false, ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        let deliver = reply_to_client(Some(self.core.auth.send.0), PbftMsg::Reply);
+        let before = self.core.exec.cursor();
+        let (mempool, stage) = (&mut self.mempool, &mut self.stage);
+        self.core.drain(
+            ctx,
+            deliver,
+            |_, _, _| {},
+            |ctx, intake, _, slot| {
+                mempool.remove(slot.batch.as_deref().unwrap_or_default());
+                *stage = Stage::Ordering;
+                // outstanding work done? disarm τ2; else re-arm
+                intake.disarm(ctx);
+            },
+        );
+        if self.core.exec.cursor() > before {
+            // execution progress means we are back in step with the quorum
+            self.rejoining = false;
+            if self.catchup.active() {
+                self.catchup.complete(ctx);
+            }
+        }
+    }
+
+    /// A transferred snapshot closes the catch-up and may unblock
+    /// committed-but-unexecuted slots.
+    fn caught_up(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        if self.catchup.active() {
+            self.catchup.complete(ctx);
+        }
+        self.execute(ctx);
     }
 }
 
@@ -1050,20 +852,7 @@ impl Actor<PbftMsg> for PbftReplica {
             m @ (PbftMsg::PrePrepare { .. } | PbftMsg::Prepare { .. } | PbftMsg::Commit { .. }) => {
                 self.handle_ordering(from, m, ctx)
             }
-            PbftMsg::Checkpoint {
-                seq,
-                state_digest,
-                from: r,
-            } => {
-                let (exec, log) = (&mut self.core.exec, &mut self.core.log);
-                self.ckpts
-                    .on_checkpoint(*r, *seq, *state_digest, exec, log, ctx)
-            }
             PbftMsg::View(vc) => self.on_view_msg(from, vc, ctx),
-            PbftMsg::StateRequest { from: r, have } => self.on_state_request(*r, *have, ctx),
-            PbftMsg::StateTransfer { slot_seq, snapshot } => {
-                self.on_state_transfer(*slot_seq, snapshot, ctx)
-            }
             PbftMsg::ReadOnly(signed) => self.on_read_only(signed.clone(), ctx),
             PbftMsg::Reply(_) => {} // replicas ignore replies
         }
@@ -1076,13 +865,9 @@ impl Actor<PbftMsg> for PbftReplica {
         match kind {
             TimerKind::T1WaitReplies => {
                 // replicas use τ1 only for catch-up solicitation retries
-                let (me, have) = (self.core.me, self.core.exec.cursor());
-                self.catchup.on_timer(id, ctx, |peer, ctx| {
-                    ctx.send(
-                        NodeId::Replica(peer),
-                        PbftMsg::StateRequest { from: me, have },
-                    );
-                });
+                let core = &self.core;
+                self.catchup
+                    .on_timer(id, ctx, |peer, ctx| core.ask_state(ctx, peer));
             }
             TimerKind::T2ViewChange if self.core.intake.fired(id) => self.on_view_timeout(ctx),
             TimerKind::T7Heartbeat if Some(id) == self.batch_timer => {
@@ -1110,7 +895,7 @@ impl Actor<PbftMsg> for PbftReplica {
             // only durable artifact. Reload it (rebuilt from its mark before
             // memory is wiped) — everything since comes back via catch-up.
             let core = &mut self.core;
-            let stable = self.ckpts.ckpt.reset_to_stable(core.exec.sm());
+            let stable = core.ckpt.reset_to_stable(core.exec.sm());
             core.exec.reset();
             core.log.clear();
             self.mempool = Mempool::new(self.cfg.batch_size);
@@ -1342,7 +1127,7 @@ fn replica_for<'a>(
             .iter()
             .find(|(r, _)| *r == me)
             .map_or(Behavior::Honest, |(_, b)| *b);
-        PbftReplica::new(me, cfg, store, behavior)
+        PbftReplica::new(me, cfg, store, behavior, scenario.checkpoint_interval)
     }
 }
 
@@ -1419,11 +1204,11 @@ mod tests {
         fn on_message(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
             let cursor = self.inner.core.exec.cursor();
             match msg {
-                PbftMsg::Checkpoint {
+                PbftMsg::View(ViewMsg::Checkpoint {
                     seq, state_digest, ..
-                } => self.saw(Seen::Attested(*seq, *state_digest)),
-                PbftMsg::StateRequest { .. } => self.saw(Seen::Asked { cursor }),
-                PbftMsg::StateTransfer { slot_seq, snapshot } => {
+                }) => self.saw(Seen::Attested(*seq, *state_digest)),
+                PbftMsg::View(ViewMsg::StateRequest { .. }) => self.saw(Seen::Asked { cursor }),
+                PbftMsg::View(ViewMsg::StateTransfer { slot_seq, snapshot }) => {
                     self.saw(Seen::Shipped(*slot_seq, snapshot.digest))
                 }
                 _ => {}
@@ -1439,7 +1224,7 @@ mod tests {
             let before = self.inner.core.exec.cursor();
             self.inner.on_recover(mode, ctx);
             let exec = &self.inner.core.exec;
-            let stable = self.inner.ckpts.ckpt.stable();
+            let stable = self.inner.core.ckpt.stable();
             self.saw(Seen::Restarted {
                 before,
                 after: (exec.cursor(), exec.sm().digest()),
@@ -1784,7 +1569,7 @@ mod tests {
             (0, Script::new(2, vec![], vec![proposal])),
         ];
         let cfg = PbftConfig::from_scenario(&Scenario::small(1), 4);
-        let replica = PbftReplica::new(ReplicaId(2), cfg, store, Behavior::Honest);
+        let replica = PbftReplica::new(ReplicaId(2), cfg, store, Behavior::Honest, 16);
         let (_, sent) = play(scripts, replica);
         let prepared_y = |m: &PbftMsg| matches!(m, PbftMsg::Prepare { digest, .. } if *digest == y);
         assert!(sent.iter().any(prepared_y), "r2 accepted the proposal");
@@ -1792,8 +1577,7 @@ mod tests {
             assert!(!matches!(msg, PbftMsg::Commit { .. }), "sent {msg:?}");
             // τ2 fires before the run ends: r2 reports nothing prepared
             if let PbftMsg::View(ViewMsg::ViewChange { report, .. }) = msg {
-                let prepared = |e: &&Entry<PbftCert>| e.2 != PbftCert::Stable;
-                assert_eq!(report.iter().find(prepared), None);
+                assert_eq!(*report, vec![]);
             }
         }
     }
@@ -1808,7 +1592,9 @@ mod tests {
         let s = Scenario::small(1);
         let mut cfg = PbftConfig::from_scenario(&s, 4);
         cfg.auth = auth;
-        let replica = PbftReplica::new(ReplicaId(1), cfg, s.key_store(), Behavior::Honest);
+        let interval = s.checkpoint_interval;
+        let replica =
+            PbftReplica::new(ReplicaId(1), cfg, s.key_store(), Behavior::Honest, interval);
         let [r2, r3] = rounds.map(|rounds| Script { to: 1, rounds });
         let (_, sent) = play(vec![(2, r2), (3, r3)], replica);
         let mut views: Vec<(View, Vec<Entry<PbftCert>>)> = Vec::new();
@@ -1822,10 +1608,13 @@ mod tests {
         views
     }
 
-    fn vote(from: u32, target: u64, report: Vec<Entry<PbftCert>>) -> PbftMsg {
+    /// `from`'s vote for view `target`, its stable checkpoint at `stable`.
+    fn vote(from: u32, target: u64, stable: u64, report: Vec<Entry<PbftCert>>) -> PbftMsg {
         let (new_view, from) = (View(target), ReplicaId(from));
+        let stable = (SeqNum(stable), Digest([stable as u8; 32]));
         PbftMsg::View(ViewMsg::ViewChange {
             new_view,
+            stable,
             report,
             from,
         })
@@ -1839,13 +1628,7 @@ mod tests {
         };
         // r2's and r3's votes pull r1 in: 2f+1 = 3 votes, but in MAC mode
         // each foreign one needs 2f−1 = 1 ack
-        let votes = |from| {
-            vec![vote(
-                from,
-                1,
-                vec![(SeqNum(0), Digest::ZERO, PbftCert::Stable)],
-            )]
-        };
+        let votes = |from| vec![vote(from, 1, 0, vec![])];
         let mac = |r2_late, r3_late| {
             new_views(
                 PbftAuth::Mac,
@@ -1866,32 +1649,22 @@ mod tests {
         use crate::common::script::rival_batches;
         let [(x, bx), (y, by)] = rival_batches(&Scenario::small(1).key_store());
         let prepared = |seq, digest, view, batch: &Vec<SignedRequest>| {
-            (
-                SeqNum(seq),
-                digest,
-                PbftCert::Prepared(View(view), batch.clone()),
-            )
+            (SeqNum(seq), digest, PbftCert(View(view), batch.clone()))
         };
-        let stable = |seq| (SeqNum(seq), Digest([seq as u8; 32]), PbftCert::Stable);
-        let r2 = vec![stable(2), prepared(3, x, 0, &bx), prepared(5, x, 1, &bx)];
+        let r2 = vec![prepared(3, x, 0, &bx), prepared(5, x, 1, &bx)];
         let r3 = vec![
-            stable(0),
             prepared(1, y, 0, &by),
             prepared(2, y, 0, &by),
             prepared(3, y, 2, &by),
         ];
-        // r2's lower-view entry for slot 3 is reported first
+        // r2, stable at 2, reports its lower-view entry for slot 3 first
         let rounds = [
-            vec![vec![vote(2, 5, r2)]],
-            vec![vec![], vec![vote(3, 5, r3)]],
+            vec![vec![vote(2, 5, 2, r2)]],
+            vec![vec![], vec![vote(3, 5, 0, r3)]],
         ];
         let views = new_views(PbftAuth::Signature, rounds);
         let empty: Vec<SignedRequest> = Vec::new();
-        let null = (
-            SeqNum(4),
-            digest_of(&empty),
-            PbftCert::Prepared(View(5), empty),
-        );
+        let null = (SeqNum(4), digest_of(&empty), PbftCert(View(5), empty));
         // nothing at or below r2's stable checkpoint 2; slot 3 from the
         // higher view; slot 4 a null batch; slot 5 as reported
         let proposals = vec![prepared(3, y, 2, &by), null, prepared(5, x, 1, &bx)];

@@ -131,17 +131,18 @@ pub struct PoeReplica {
 }
 
 impl PoeReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
         behavior: PoeBehavior,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new().speculative();
         PoeReplica {
-            core: Core::new((me, q, store), view_timeout, Execution::new().speculative()),
+            core: Core::new((me, q, store), PoeMsg::View, exec, timing),
             behavior,
             known: BTreeMap::new(),
             last_new_view: None,
@@ -156,7 +157,7 @@ impl PoeReplica {
             return;
         }
         self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) {
+        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -228,37 +229,7 @@ impl PoeReplica {
         let slot = self.core.log.slot(seq);
         slot.digest.get_or_insert(digest);
         slot.committed = true;
-        self.try_execute(ctx);
-    }
-
-    fn try_execute(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        let view = self.core.gate.view();
-        let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
-        let intake = &mut self.core.intake;
-        // a certified slot whose proposal is still in flight stops the loop
-        // (the Propose handler re-enters here)
-        self.core.exec.drain_then(
-            ctx,
-            &mut self.core.log,
-            view,
-            deliver,
-            // executing *is* PoE's (speculative) commit
-            |ctx, seq, slot| {
-                ctx.observe(Observation::Commit {
-                    seq,
-                    view,
-                    digest: slot.digest.unwrap_or(Digest::ZERO),
-                    speculative: true,
-                })
-            },
-            |ctx, exec, log, seq| {
-                // the batch occupies the last state-machine sequence numbers
-                let slot = log.slot(seq);
-                let len = slot.batch.as_ref().map_or(0, Vec::len) as u64;
-                slot.ext.sm_start = Some(SeqNum(exec.sm().last_executed().0 + 1 - len));
-                intake.settle(ctx, exec);
-            },
-        );
+        self.execute(ctx);
     }
 }
 
@@ -272,28 +243,35 @@ impl ViewChanger for PoeReplica {
         &mut self.core
     }
 
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> PoeMsg = PoeMsg::View;
-
-    /// Every certified slot, executed or not: what this replica executed
-    /// speculatively only survives if a quorum vouches for it.
+    /// Every certified slot above the stable checkpoint, executed or not:
+    /// what this replica executed speculatively only survives if a quorum
+    /// vouches for it.
     fn report(&mut self, _: &mut Context<'_, PoeMsg>) -> Vec<BatchEntry> {
-        self.core.log.entries_above(SeqNum(0), |s| s.committed)
+        let stable = self.core.ckpt.low_water();
+        self.core.log.entries_above(stable, |s| s.committed)
     }
 
-    /// The union of certified entries, then fresh slots for known requests
-    /// none of them covers, compacted so the sequence is gap-free from 1.
+    /// The union of certified entries above the highest stable checkpoint
+    /// reported, then fresh slots for the known requests none of them
+    /// covers and that did not execute here at or below that checkpoint,
+    /// compacted so the sequence is gap-free from the checkpoint on.
     fn assemble(&mut self, target: View) -> Vec<BatchEntry> {
-        let union = self.core.votes.first_seen_union(target);
-        let mut assignments: Vec<(Digest, Vec<SignedRequest>)> =
-            union.into_iter().map(|(_, d, b)| (d, b)).collect();
+        let stable = self.core.votes.stable(target);
+        let union = self.core.votes.first_seen_union(target).into_iter();
+        let mut assignments: Vec<(Digest, Vec<SignedRequest>)> = union
+            .filter(|(seq, ..)| *seq > stable)
+            .map(|(_, d, b)| (d, b))
+            .collect();
         let covered: Vec<RequestId> = assignments
             .iter()
             .flat_map(|(_, b)| b.iter().map(|r| r.request.id))
             .collect();
+        let open: Vec<RequestId> = self.core.log.in_flight(stable).collect();
+        let settled = |id| self.core.exec.is_executed(id) && !open.contains(id);
         let uncovered: Vec<SignedRequest> = self
             .known
             .values()
-            .filter(|r| !covered.contains(&r.request.id))
+            .filter(|r| !covered.contains(&r.request.id) && !settled(&r.request.id))
             .cloned()
             .collect();
         for chunk in uncovered.chunks(self.batch_size.max(1)) {
@@ -302,7 +280,7 @@ impl ViewChanger for PoeReplica {
         }
         let numbered = assignments.into_iter().enumerate();
         numbered
-            .map(|(i, (d, b))| (SeqNum(i as u64 + 1), d, b))
+            .map(|(i, (d, b))| (SeqNum(stable.0 + i as u64 + 1), d, b))
             .collect()
     }
 
@@ -322,6 +300,32 @@ impl ViewChanger for PoeReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, PoeMsg>) {
         self.propose(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, PoeMsg>) {
+        let view = self.core.gate.view();
+        let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
+        // a certified slot whose proposal is still in flight stops the loop
+        // (the Propose handler re-enters here)
+        self.core.drain(
+            ctx,
+            deliver,
+            // executing *is* PoE's (speculative) commit
+            |ctx, seq, slot| {
+                ctx.observe(Observation::Commit {
+                    seq,
+                    view,
+                    digest: slot.digest.unwrap_or(Digest::ZERO),
+                    speculative: true,
+                })
+            },
+            |ctx, intake, exec, slot| {
+                // the batch occupies the last state-machine sequence numbers
+                let len = slot.batch.as_ref().map_or(0, Vec::len) as u64;
+                slot.ext.sm_start = Some(SeqNum(exec.sm().last_executed().0 + 1 - len));
+                intake.settle(ctx, exec);
+            },
+        );
     }
 
     /// PoE's adoption differs from the family's in what happens *below*
@@ -345,7 +349,7 @@ impl ViewChanger for PoeReplica {
                     .is_some_and(|s| s.digest != Some(*digest))
         };
         let max_assigned = assignments.iter().map(|(s, ..)| *s).max();
-        let max_assigned = max_assigned.unwrap_or(SeqNum(0));
+        let max_assigned = max_assigned.unwrap_or(self.core.ckpt.low_water());
         let first_bad = assignments
             .iter()
             .find(diverged)
@@ -363,7 +367,7 @@ impl ViewChanger for PoeReplica {
             self.adopt(entry, ctx);
         }
         self.core.next_seq = max_assigned.max(cursor).next();
-        self.try_execute(ctx);
+        self.execute(ctx);
         if self.core.is_leader() {
             self.resume(ctx);
         }
@@ -406,7 +410,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 if self.core.log.slot(seq).committed {
                     // late proposal for a slot whose certificate already
                     // arrived: the batch is in place, execution can resume
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
@@ -498,13 +502,13 @@ impl ClientProtocol for PoeClientProto {
 
 /// Run PoE under a scenario.
 pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PoeBehavior)]) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     launch::<PoeClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
         let behavior = behaviors
             .iter()
             .find(|(r, _)| *r == me)
             .map_or(PoeBehavior::Honest, |(_, b)| *b);
-        PoeReplica::new(me, q, store, behavior, view_timeout, scenario.batch_size)
+        PoeReplica::new(me, q, store, behavior, timing, scenario.batch_size)
     })
 }
 

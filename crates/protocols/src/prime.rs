@@ -166,17 +166,15 @@ impl PrimeReplica {
         behavior: PrimeBehavior,
         heartbeat: SimDuration,
         order_bound: SimDuration,
-        batch_size: usize,
+        (batch_size, checkpoint_interval): (usize, u64),
     ) -> Self {
+        // τ2 runs only while campaigning (in normal operation the τ7
+        // monitor holds the leader accountable), for twice the ordering
+        // bound: 4Δ, the family's view-change timeout
+        let timing = (SimDuration(order_bound.0 * 2), checkpoint_interval);
+        let exec = Execution::new().skipping_executed();
         PrimeReplica {
-            // τ2 runs only while campaigning (in normal operation the τ7
-            // monitor holds the leader accountable), for twice the ordering
-            // bound: 4Δ, the family's view-change timeout
-            core: Core::new(
-                (me, q, store),
-                SimDuration(order_bound.0 * 2),
-                Execution::new().skipping_executed(),
-            ),
+            core: Core::new((me, q, store), PrimeMsg::View, exec, timing),
             rounds: RoundRules {
                 me,
                 ext: |rounds| rounds,
@@ -309,7 +307,7 @@ impl PrimeReplica {
                 .filter(|(_, e)| self.awaits_order(&e.request.request.id))
                 .filter_map(|(k, e)| Some((e.eligible_at?, *k)))
                 .collect();
-            if todo.is_empty() {
+            if todo.is_empty() || self.core.next_seq > self.core.high_water() {
                 break;
             }
             todo.sort_unstable();
@@ -348,14 +346,6 @@ impl PrimeReplica {
     /// Is this request neither carried by a live proposal nor executed?
     fn awaits_order(&self, id: &RequestId) -> bool {
         !self.ordered[id] && !self.core.exec.is_executed(id)
-    }
-
-    fn try_execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        let deliver = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
-        let view = self.core.gate.view();
-        self.core
-            .exec
-            .drain(ctx, &mut self.core.log, view, deliver, |_, _, _, _| {});
     }
 
     // ---- the performance monitor (τ7) --------------------------------------
@@ -401,8 +391,6 @@ impl ViewChanger for PrimeReplica {
         &mut self.core
     }
 
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> PrimeMsg = PrimeMsg::View;
-
     /// The slots this replica holds a prepare quorum for.
     fn report(&mut self, _: &mut Context<'_, PrimeMsg>) -> Vec<BatchEntry> {
         self.core.open_entries(|s| s.ext.prepared())
@@ -412,7 +400,7 @@ impl ViewChanger for PrimeReplica {
         let (view, leads) = (self.core.gate.view(), self.core.is_leader());
         let slot = self.core.log.reinstall(seq, digest, batch);
         if !leads && self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-            self.try_execute(ctx);
+            self.execute(ctx);
         }
     }
 
@@ -428,6 +416,11 @@ impl ViewChanger for PrimeReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
         self.propose_eligible(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
+        let deliver = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
+        self.core.drain(ctx, deliver, |_, _, _| {}, |_, _, _, _| {});
     }
 }
 
@@ -484,7 +477,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 }
                 let slot = self.core.log.slot(seq);
                 if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                 }
             }
             PrimeMsg::Prepare {
@@ -507,7 +500,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 let vote = (matches!(msg, PrimeMsg::Commit { .. }), r);
                 let slot = self.core.log.slot(seq);
                 if self.rounds.count(ctx, slot, (view, seq), vote, digest) {
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                 }
             }
             PrimeMsg::View(vc) => self.on_view_msg(from, vc, ctx),
@@ -555,8 +548,8 @@ pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PrimeBehavior)]) -> Run
             .iter()
             .find(|(r, _)| *r == me)
             .map_or(PrimeBehavior::Honest, |(_, b)| *b);
-        let batch = scenario.batch_size;
-        PrimeReplica::new(me, q, store, behavior, heartbeat, order_bound, batch)
+        let slots = (scenario.batch_size, scenario.checkpoint_interval);
+        PrimeReplica::new(me, q, store, behavior, heartbeat, order_bound, slots)
     })
 }
 
@@ -610,7 +603,15 @@ mod tests {
             4,
             |me, q, store| {
                 let (heartbeat, bound) = (SimDuration(delta / 2), SimDuration(delta * 2));
-                PrimeReplica::new(me, q, store, PrimeBehavior::Honest, heartbeat, bound, 1)
+                PrimeReplica::new(
+                    me,
+                    q,
+                    store,
+                    PrimeBehavior::Honest,
+                    heartbeat,
+                    bound,
+                    (1, 16),
+                )
             },
             |r| r.preorder.len(),
         );
@@ -733,7 +734,7 @@ mod tests {
         ];
         let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
         let honest = PrimeBehavior::Honest;
-        let replica = PrimeReplica::new(ReplicaId(2), q, store, honest, delta, delta, 1);
+        let replica = PrimeReplica::new(ReplicaId(2), q, store, honest, delta, delta, (1, 16));
         let (_, sent) = play(scripts, replica);
         let prepared_y =
             |m: &PrimeMsg| matches!(m, PrimeMsg::Prepare { digest, .. } if *digest == y);

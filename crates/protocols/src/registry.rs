@@ -371,11 +371,10 @@ impl ProtocolId {
     /// additionally wipe the replica back to its last stable checkpoint
     /// on recover, which requires the protocol to implement the
     /// [`Actor::on_recover`](bft_sim::Actor::on_recover) hook (reload the
-    /// checkpoint, rejoin via state transfer). Only the PBFT family
-    /// implements that hook today; for every other protocol an amnesia
-    /// restart silently degrades to a durable one, so `amnesia` is
-    /// excluded *structurally* (the coverage would be vacuous), not as a
-    /// measured failure.
+    /// checkpoint, rejoin via state transfer). All eight PBFT-pattern
+    /// members checkpoint, but only PBFT (and `pbft-ro`) implements that
+    /// hook; elsewhere an amnesia restart degrades to a durable one, so
+    /// `amnesia` is excluded *structurally*, not as a measured failure.
     ///
     /// Campaign finding (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
     /// 40-request workloads; see EXPERIMENTS.md, "Recovery campaign"):
@@ -388,7 +387,7 @@ impl ProtocolId {
             // checkpoint-only reload, state-transfer rejoin, view
             // adoption. Measured clean across the churn gallery.
             ProtocolId::Pbft | ProtocolId::PbftReadOpt => RecoveryTolerance::full(),
-            // No amnesia hook (structural, see above); durable churn
+            // No `on_recover` hook (structural, see above); durable churn
             // measured clean. Leader sparing for CheapBFT is applied by
             // the profile scoper, as in the chaos campaign.
             _ => RecoveryTolerance {

@@ -207,17 +207,17 @@ pub struct SbftReplica {
 }
 
 impl SbftReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
         t3_timeout: SimDuration,
         batch_size: usize,
     ) -> Self {
         SbftReplica {
-            core: Core::new((me, q, store), view_timeout, Execution::new()),
+            core: Core::new((me, q, store), SbftMsg::View, Execution::new(), timing),
             known: BTreeMap::new(),
             replies: ThresholdReplies::default(),
             t3_timeout,
@@ -240,6 +240,9 @@ impl SbftReplica {
             .cloned()
             .collect();
         for chunk in todo.chunks(self.batch_size.max(1)) {
+            if self.core.next_seq > self.core.high_water() {
+                return;
+            }
             let batch = chunk.to_vec();
             let seq = self.core.next_seq;
             self.core.next_seq = self.core.next_seq.next();
@@ -386,6 +389,10 @@ impl SbftReplica {
     }
 
     fn commit_slot(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, SbftMsg>) {
+        // a slot at or below the cursor has executed (and may be collected)
+        if seq <= self.core.exec.cursor() {
+            return;
+        }
         let view = self.core.gate.view();
         let slot = self.core.log.slot(seq);
         if slot.committed {
@@ -400,46 +407,7 @@ impl SbftReplica {
             return;
         }
         slot.commit(ctx, seq, view, digest);
-        self.try_execute(ctx);
-    }
-
-    fn try_execute(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        let (me, leader, weak) = (self.core.me, self.core.leader(), self.core.q.weak());
-        let (replies, intake) = (&mut self.replies, &mut self.core.intake);
-        let known = &mut self.known;
-        // the slot being executed: exec shares are per (slot, request)
-        let slot = std::cell::Cell::new(self.core.exec.cursor().next());
-        // execution share to the collector (threshold reply)
-        let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
-            known.remove(&reply.request);
-            ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-            if me == leader {
-                replies.record(weak, me, slot.get(), reply, ctx);
-            } else {
-                ctx.send(
-                    NodeId::Replica(leader),
-                    SbftMsg::ExecShare {
-                        seq: slot.get(),
-                        request: reply.request,
-                        state_digest: reply.state_digest,
-                        reply,
-                        from: me,
-                    },
-                );
-            }
-        };
-        // a slot whose certificate outran its pre-prepare stops the loop;
-        // the late pre-prepare re-enters here once it fills the batch in
-        self.core.exec.drain(
-            ctx,
-            &mut self.core.log,
-            self.core.gate.view(),
-            share,
-            |ctx, exec, _, _| {
-                slot.set(exec.cursor().next());
-                intake.settle(ctx, exec);
-            },
-        );
+        self.execute(ctx);
     }
 
     /// A retransmission of an executed request: only the combined threshold
@@ -485,8 +453,6 @@ impl ViewChanger for SbftReplica {
         &mut self.core
     }
 
-    const WIRE: fn(ViewMsg<Vec<SignedRequest>>) -> SbftMsg = SbftMsg::View;
-
     /// The slots this replica produced a share for: any of them may have
     /// been certified without this replica hearing of it.
     fn report(&mut self, _: &mut Context<'_, SbftMsg>) -> Vec<BatchEntry> {
@@ -523,6 +489,43 @@ impl ViewChanger for SbftReplica {
 
     fn resume(&mut self, ctx: &mut Context<'_, SbftMsg>) {
         self.propose_known(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, SbftMsg>) {
+        let (me, leader, weak) = (self.core.me, self.core.leader(), self.core.q.weak());
+        let (replies, known) = (&mut self.replies, &mut self.known);
+        // the slot being executed: exec shares are per (slot, request)
+        let slot = std::cell::Cell::new(self.core.exec.cursor().next());
+        // execution share to the collector (threshold reply)
+        let share = |ctx: &mut Context<'_, SbftMsg>, reply: Reply, _| {
+            known.remove(&reply.request);
+            ctx.charge_crypto(CryptoOp::ThresholdShareGen);
+            if me == leader {
+                replies.record(weak, me, slot.get(), reply, ctx);
+            } else {
+                ctx.send(
+                    NodeId::Replica(leader),
+                    SbftMsg::ExecShare {
+                        seq: slot.get(),
+                        request: reply.request,
+                        state_digest: reply.state_digest,
+                        reply,
+                        from: me,
+                    },
+                );
+            }
+        };
+        // a slot whose certificate outran its pre-prepare stops the loop;
+        // the late pre-prepare re-enters here once it fills the batch in
+        self.core.drain(
+            ctx,
+            share,
+            |_, _, _| {},
+            |ctx, intake, exec, _| {
+                slot.set(exec.cursor().next());
+                intake.settle(ctx, exec);
+            },
+        );
     }
 }
 
@@ -573,7 +576,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 if self.core.log.slot(seq).committed {
                     // late pre-prepare for a slot whose certificate already
                     // arrived: the batch is in place, execution can resume
-                    self.try_execute(ctx);
+                    self.execute(ctx);
                     return;
                 }
                 self.sign_slot(seq, digest, ctx);
@@ -713,10 +716,10 @@ impl ClientProtocol for SbftClientProto {
 
 /// Run SBFT under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let timing = scenario.timing();
     let t3 = SimDuration(scenario.network.delta.0 / 2);
     launch::<SbftClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
-        SbftReplica::new(me, q, store, view_timeout, t3, scenario.batch_size)
+        SbftReplica::new(me, q, store, timing, t3, scenario.batch_size)
     })
 }
 
@@ -745,7 +748,7 @@ mod tests {
                     me,
                     q,
                     store,
-                    SimDuration(delta * 4),
+                    (SimDuration(delta * 4), 16),
                     SimDuration(delta / 2),
                     1,
                 )

@@ -1,16 +1,12 @@
-//! Cluster configuration.
-//!
-//! A [`ClusterConfig`] describes the *environmental settings* a protocol is
-//! deployed with: how many replicas, the fault threshold `f`, which replica
-//! formula (dimension **E1**) the deployment follows, and how many clients
-//! drive it. Protocol-structure choices (phases, view-change mode,
-//! authentication, …) live in `bft-core`'s design-space model; this type is
-//! the part shared by the simulator and the state machine.
+//! The replica-budget formulas of dimension **E1**: how many replicas a
+//! deployment needs for fault threshold `f`. Protocol-structure choices
+//! (phases, view-change mode, authentication, …) live in `bft-core`'s
+//! design-space model.
 
 use serde::{Deserialize, Serialize};
 
 use crate::quorum::QuorumRules;
-use crate::{BftError, Result};
+use crate::Result;
 
 /// The replica-budget formulas of dimension E1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,170 +65,27 @@ impl ReplicaFormula {
     }
 }
 
-/// Environmental configuration of a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterConfig {
-    /// Number of replicas.
-    pub n: usize,
-    /// Fault threshold.
-    pub f: usize,
-    /// Which E1 formula the deployment follows.
-    pub formula: ReplicaFormula,
-    /// Number of clients in the workload.
-    pub clients: usize,
-    /// Requests per batch (1 = unbatched).
-    pub batch_size: usize,
-    /// Checkpoint interval in sequence numbers (0 disables checkpointing).
-    pub checkpoint_interval: u64,
-    /// High-water mark distance: replicas refuse sequence numbers more than
-    /// this far beyond the last stable checkpoint (PBFT's log window).
-    pub high_water_window: u64,
-}
-
-impl ClusterConfig {
-    /// A configuration following `formula` with the minimum `n` for `f`.
-    pub fn minimal(formula: ReplicaFormula, f: usize) -> Result<Self> {
-        let n = formula.min_n(f)?;
-        Ok(ClusterConfig {
-            n,
-            f,
-            formula,
-            clients: 1,
-            batch_size: 1,
-            checkpoint_interval: 128,
-            high_water_window: 512,
-        })
-    }
-
-    /// Classic `3f+1` configuration.
-    pub fn classic(f: usize) -> Self {
-        ClusterConfig::minimal(ReplicaFormula::Classic, f).expect("classic formula is infallible")
-    }
-
-    /// Validate internal consistency.
-    pub fn validate(&self) -> Result<()> {
-        let min = self.formula.min_n(self.f)?;
-        if self.n < min {
-            return Err(BftError::InvalidConfig(format!(
-                "n = {} below the {} minimum {} for f = {}",
-                self.n,
-                self.formula.formula(),
-                min,
-                self.f
-            )));
-        }
-        if self.batch_size == 0 {
-            return Err(BftError::InvalidConfig("batch_size must be ≥ 1".into()));
-        }
-        if self.checkpoint_interval > 0 && self.high_water_window < self.checkpoint_interval {
-            return Err(BftError::InvalidConfig(
-                "high_water_window must be ≥ checkpoint_interval".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Quorum rules derived from this configuration.
-    pub fn quorums(&self) -> QuorumRules {
-        QuorumRules {
-            n: self.n,
-            f: self.f,
-        }
-    }
-
-    /// Builder-style: set the number of clients.
-    pub fn with_clients(mut self, clients: usize) -> Self {
-        self.clients = clients;
-        self
-    }
-
-    /// Builder-style: set the batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Builder-style: set the checkpoint interval (0 disables).
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = interval;
-        if interval > 0 {
-            self.high_water_window = self.high_water_window.max(4 * interval);
-        }
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn minimal_sizes() {
-        assert_eq!(ClusterConfig::classic(1).n, 4);
-        assert_eq!(ClusterConfig::classic(2).n, 7);
-        assert_eq!(
-            ClusterConfig::minimal(ReplicaFormula::Fast, 1).unwrap().n,
-            6
-        );
-        assert_eq!(
-            ClusterConfig::minimal(ReplicaFormula::OneStep, 1)
-                .unwrap()
-                .n,
-            8
-        );
-        assert_eq!(
-            ClusterConfig::minimal(ReplicaFormula::TrustedHardware, 1)
-                .unwrap()
-                .n,
-            3
-        );
-        assert_eq!(
-            ClusterConfig::minimal(ReplicaFormula::WithRecovery { k: 1 }, 1)
-                .unwrap()
-                .n,
-            6
-        );
-        assert_eq!(
-            ClusterConfig::minimal(ReplicaFormula::Fairness { gamma_milli: 1000 }, 1)
-                .unwrap()
-                .n,
-            5
-        );
-    }
-
-    #[test]
-    fn validate_rejects_undersized() {
-        let mut c = ClusterConfig::classic(2);
-        c.n = 6; // below 3f+1 = 7
-        assert!(c.validate().is_err());
-        c.n = 7;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_zero_batch() {
-        let mut c = ClusterConfig::classic(1);
-        c.batch_size = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_small_window() {
-        let mut c = ClusterConfig::classic(1);
-        c.checkpoint_interval = 100;
-        c.high_water_window = 50;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn builder_extends_window() {
-        let c = ClusterConfig::classic(1).with_checkpoint_interval(256);
-        assert!(c.high_water_window >= 1024);
-        assert!(c.validate().is_ok());
+        let min_n = |formula: ReplicaFormula, f| formula.min_n(f).unwrap();
+        assert_eq!(min_n(ReplicaFormula::Classic, 1), 4);
+        assert_eq!(min_n(ReplicaFormula::Classic, 2), 7);
+        assert_eq!(min_n(ReplicaFormula::Fast, 1), 6);
+        assert_eq!(min_n(ReplicaFormula::OneStep, 1), 8);
+        assert_eq!(min_n(ReplicaFormula::TrustedHardware, 1), 3);
+        assert_eq!(min_n(ReplicaFormula::WithRecovery { k: 1 }, 1), 6);
+        let fair = ReplicaFormula::Fairness { gamma_milli: 1000 };
+        assert_eq!(min_n(fair, 1), 5);
     }
 
     #[test]
     fn invalid_fairness_gamma_fails() {
-        assert!(ClusterConfig::minimal(ReplicaFormula::Fairness { gamma_milli: 500 }, 1).is_err());
+        assert!(ReplicaFormula::Fairness { gamma_milli: 500 }
+            .min_n(1)
+            .is_err());
     }
 }

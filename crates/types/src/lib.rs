@@ -6,8 +6,7 @@
 //! the quorum arithmetic that underpins every Byzantine fault-tolerant
 //! protocol in the suite (`n = 3f+1`, `n = 5f+1`, `n = 2f+1` with trusted
 //! hardware, `n = 3f+2k+1` for proactive recovery, and the order-fairness
-//! bound `n > 4f / (2γ − 1)`); and the cluster configuration used to
-//! instantiate protocols.
+//! bound `n > 4f / (2γ − 1)`), with the replica formulas that name them.
 //!
 //! The paper this workspace reproduces — *Distributed Transaction Processing
 //! in Untrusted Environments* (SIGMOD-Companion '24) — analyses BFT
@@ -25,7 +24,7 @@ pub mod request;
 pub mod timer;
 pub mod wire;
 
-pub use config::{ClusterConfig, ReplicaFormula};
+pub use config::ReplicaFormula;
 pub use ids::{ClientId, Digest, ReplicaId, RequestId, SeqNum, View};
 pub use quorum::QuorumRules;
 pub use request::{Key, Op, Reply, Request, Transaction, TxnResult, Value};

@@ -20,6 +20,15 @@ use untrusted_txn::sim::SimDuration;
 /// Rows outside a protocol's tolerance envelope are pinned too: the table
 /// is a differential, not a liveness claim. A moved row is a behaviour
 /// change to explain in CHANGES.md, not to re-pin.
+///
+/// Re-pinned when checkpointing became a stage of the shared replica
+/// skeleton: every `fab`, `minbft`, `prime`, `kauri`, `sbft` and `poe` row
+/// and the five `fair` rows that reach a checkpoint (its zero-knob,
+/// backup-crash and lossy runs order fewer than 16 slots). Each moved by
+/// checkpoint traffic alone — same accepted requests, results, views and
+/// final state digests — except `fab` and `minbft` leader-crash-recover,
+/// where the recovered leader now catches up by state transfer and ends
+/// at the others' state instead of its own stale one.
 const GOLDEN: &str = "
 pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
 pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
@@ -53,14 +62,14 @@ zyzzyva5 backup-crash 15061df81f94f7d1c6c7b41ff86af4e3c1c665fc632bd5b439a4e3f43c
 zyzzyva5 partition-heals bd34c19a0c6ffd4c1bff87803296c0e74751c5f2e8f1586d34354552d917b1cc
 zyzzyva5 lossy-pre-gst 4f451656e2be811219369f493df161db53c1dc96fb4b0232e39bf6bd0d9d322e
 zyzzyva5 f2-two-leaders-crashed b4689b4b35c2b9bf22aecd71ee4f0b7e6669ea05e3e7c41536440072faa56305
-sbft zero-knob bddc7653c32fea8440ca8510db40ea9939685363b53ba8b5480be519abf908c7
-sbft leader-crash aebc6dea416d5d5a79e064dc6d136165d8abb2d3655df9ed5bcec3c86746b2cb
-sbft leader-crash-recover ca747f7b3b63800814308d527ee352cade0b23bf0e1d6f885738221ea1678d38
-sbft leader-mute 7a2e3c53ae28497b72388ea74fc07a1375e44ca95f875254f70928e6008245a3
-sbft backup-crash 2bb789660e2c6de0ccef8544ac85dc9f31756390a4260de12e920604e532471d
-sbft partition-heals 1fe44745ed33323457355b6912c45218d6cd9db8a776ee8e553f76a316772d9a
-sbft lossy-pre-gst 543674a221939a99577e9bac7a8f59e5acb3cc5cbe4f1e749f704663991262c8
-sbft f2-two-leaders-crashed 82fc2c6b72b4d9e83c97d4c87c188a9d28f2477663ac8655defee743bbde0940
+sbft zero-knob 2609ebadc6dbb78da9f7add391a873f3403a13739a1a2d23232c4d77cf6908ac
+sbft leader-crash 59d2904bfeeb0c7722f207b59efb610ed73bc60b57a916ec7d747927099bb0d2
+sbft leader-crash-recover 92c9edfd0e0b7184f4f503d4db716ac703e217cf8a07eb5ce5874bf7e2083379
+sbft leader-mute d87b9162aa22bba3c052bfa2f3cacdb2c6314b57e66b897ffbfa9417dca44db2
+sbft backup-crash d030c4418ba117da97ee34d4211eefd810a650e8226ca60f08956ceb53c3bb38
+sbft partition-heals a7ccf80d39d004feefbb8392baf21ac6d3b18ed946977848b98ca187717c97f4
+sbft lossy-pre-gst 2d2a714c5a36d5e4438be393c05a369d925d8ac959007fb2367313911b4d5d76
+sbft f2-two-leaders-crashed 17fe09a4cbf20584fb2a3351cc933d5d3477ba4921e82152477e3efc2731c33f
 hotstuff zero-knob 2b6f370c580331d64a1afac623584791c54d6bcbe1c88014cd1b4e1c94dfee46
 hotstuff leader-crash be06237d9bb1f72503403c5d7c07d92b8d13e3bae9231af7bfae8db10bab5c61
 hotstuff leader-crash-recover 8ac11ff7e5f003605fef827d1204f6335d7234324e5c887cf6bbee7ea23994bd
@@ -85,14 +94,14 @@ tendermint-il backup-crash c9844ebbd1513169812268a1fc9f65a2e9dc095a5507a153cf2bd
 tendermint-il partition-heals 40ae760c600bf07f5a8aa6c71951c25b396b0cd1be838a0b6a058c55d3f45dd5
 tendermint-il lossy-pre-gst f682492b6ec9d0839fd30a579424deec4c7cd669ca715faee25afa628b52ef61
 tendermint-il f2-two-leaders-crashed 7435f14746387b6c6e9dbefb120ab6d47f0c9f77d4f8b87029cf6df36cc7384a
-poe zero-knob 9cf78e58d1daa9cf8d7a7fbee7f0545461560fcc5cebae136ee853ba59473461
-poe leader-crash 169a2c22223b1c20d2be9f4800e669107009a335b4bd8997f4fd303261a88c14
-poe leader-crash-recover 2ea603791c63224c5f7312aab00f157bbbd10c472a6d7079c8cc09cd1ed0d662
-poe leader-mute 9de3e203b67f36c6324dba02f9c39b461a709a51183c03aa6819898e2680afd4
-poe backup-crash 3a4bc1881bc780be0c9561ae071ec570cf8a539d8000c0eb82dcacdd37309191
-poe partition-heals 1fbd83c555fcedd27eb3904ad4429c4fbf15a213a083e3828e0b87585a016486
-poe lossy-pre-gst 19aceecd4c9602521a07e2ffa137a7bf3f68496c463457e4d4d818749251a1bc
-poe f2-two-leaders-crashed b623ea7e9bac51b512835ee29a2d9407f59e274f75fac5998d13f06b86257bb7
+poe zero-knob 1bfb7379c2c5a07a4a27f72b841179f06ef19e94eb31901bbabfccad0fd5cab9
+poe leader-crash 82da1333ecf96e87dfa78eb3acfc9df7684225f9b8032ec2d17436d1238b9dc9
+poe leader-crash-recover 8cda8cf5af2bd2948d0e9b06d7a8fda8889c7b8a18483a3d3297e8f1b0e82fce
+poe leader-mute 174985403f8d6daeb20967bce8a413c0a796da25efe3d0ad3b8afec2949b8ba2
+poe backup-crash f43c364a607006b113695c928a50d3dc3d7cf6e81261514856110d9c6a83c5a6
+poe partition-heals 615397c302ae8047c0a54992912071f259d1e500ce1a0fd49d76c77e830b7cec
+poe lossy-pre-gst 45d926f420a5bba5513b6e7ea55795c84df44aedf7dde2b1a962c0faf2d68b41
+poe f2-two-leaders-crashed b7f4be44e61a613e8411e4fbaeb3f9a41468cafd9a449b8395ee9875cac60918
 cheapbft zero-knob 9517bbc21337bb55fb7f5eac4b455a903b0ec5ed51f3fdf2321bd8a9ccc80959
 cheapbft leader-crash f45beaee4af39bd261939fe5cda92732d8e08c91243df1983186a1d9ae0179cf
 cheapbft leader-crash-recover 0fee49a32c05d71d4a59407e1814ce64c45c225c063a1132ec288f2f4e14489a
@@ -101,38 +110,38 @@ cheapbft backup-crash cc4ff06722151c304b06f04e0735e4761bc4a10197b4bf8563380aad29
 cheapbft partition-heals b3dd774836b58c7c08c14494e4e79b43687e9d72cab1c76bb87d2d8ff57ded2d
 cheapbft lossy-pre-gst b7f2a0c9cbe82ffbded5283f8c06045f3d5c0834cc43aa1b0bfd55d67096ded2
 cheapbft f2-two-leaders-crashed 82b80a9fb82d5c056abe49de33a50ec857471b9f3d5d34efe0679281b7332238
-fab zero-knob 32aa2a25e7ce79b5d0b98ab3cb189891afc90d782afa88ef93d03af59ea92729
-fab leader-crash 3be5819bd65424c5a6340e79e63007b7c6839fd4fd8043ea434c3dbc0012cf3b
-fab leader-crash-recover bc89b68212716baa4762bc0d35e55c058f63b2e8d1e2114d7af1a2f1b57aa5de
-fab leader-mute 57187c3ee121b399bea4b76a8454fd14a9637624c8c5550b06a190d4884b591b
-fab backup-crash a592d8eb47628ad611f1c7a0fabe4978b7919d6cb8870c98ae61b1305747e79e
-fab partition-heals 73e5f4b9fdd3a4b5d16e059e714bc3fe834a185bb4b422dbbc8a45f939d6aed0
-fab lossy-pre-gst 8aa70de72ad086f6e09d6312d297b164191a6c281a949f24ab30bc555445f9f5
-fab f2-two-leaders-crashed a83b411597a9c3b207840e540f5e409935339936a8ccee7b7936b81ea2bb98b3
-prime zero-knob fc05e55815900a83c64b27afe56afde4df446115fb9b74338419a1c76f5798b3
-prime leader-crash f224f6842c0e20b0f92c33d1d06f24afa7ed1eb183cd28febb8ed4216901c389
-prime leader-crash-recover 0e59247e986608c0f534e93b385e798ecfb486f7870176e063ffd82e0e9e7486
-prime leader-mute b7093f6814835d1d84af2c19984687489c895b48cb34368b6d259d4a0a94e0ff
-prime backup-crash 70735a3f5304375aeb9d7b03f2cee65de2216137a51516f5d3a6a9d2572b9b0f
-prime partition-heals 058170b89b4455e4dfe1ba91eaf0b6fba5d8fff20296f35efdf64efc2303f162
-prime lossy-pre-gst 10ece1ceea26d5d450101c5a4287409220e4e9ea0a81dcd91f9489eab494892a
-prime f2-two-leaders-crashed 78136ee0f49fbe86c0f7085fedc9e4a8324959e91de738524df43b524fec6540
+fab zero-knob 1f1227855a28e09a2168c86ac019ced83a4714096b1ae0bcd720a8fe67504aae
+fab leader-crash a5305a8f923f2328a16c54b6a802f5b58f3ea0ae47ed80688e36bca8652c81dd
+fab leader-crash-recover d2e69cc8a4cd4a431c62d36f9d0f0df4c4dba287ecbe82bfd96f50486e537cf1
+fab leader-mute 884e83fdfc9b78d123e34cc7d2a5be1688fdc30aa3506c574fdac37b9e366c39
+fab backup-crash fbba2e5e57d980cc111bd04ee0c8fa27ddbe51585882be24c791c6fa23c871eb
+fab partition-heals d351e0136a47d2bbb7dc52dc3418dbefdf28bd03ea75a67b2fd47a5bdafd01b4
+fab lossy-pre-gst 76265487f05a020cbb21ca864d600d7e3962075e41fc3b6906f44bc4d7bde17e
+fab f2-two-leaders-crashed 389971a7dc9fd59f9c001b7506c2f1ab621698646fe26a737966922eebab8432
+prime zero-knob 4234154f8fa55cec330499d5b3de22b517a96175dd88eb32d3a9c1cadb4375b8
+prime leader-crash 8a376701fbd991fdb89f1e12eb4a42a4da59e272c2b6b4e89d4670c0a91e44a3
+prime leader-crash-recover 780f7960079eea4db6822baa904da53623a8355fd504803eff32a4c02bdd978a
+prime leader-mute 44e8b9cc8415c20241ec509b18baa4692d6af92ee8f7c7557e7a5a075272ae97
+prime backup-crash 99cdcc84b5b56063c38b57c2cadb6fa6faec0868fd3821685539e257cd5439f9
+prime partition-heals 65c1174bc71a33be3fa8bd1a71577272400f17b335e60217a5534c78d365234f
+prime lossy-pre-gst b19638af0718071baddf82e2de77003d946f9b3fe3a9a1bdd0355efc75891921
+prime f2-two-leaders-crashed 5fccbc2cd09390f638f397dbbf3ffc4058ebb84fa3c26efb0a0a911fdf4d65ed
 fair zero-knob 26b9bfca6fcf022c3d11b90318803fcba79001217bb9c7b120efc0c4b807d0b5
-fair leader-crash a5bfd8ca3b384140c9e8277c26e5a2fab779e0d02d6eb592c6df93e5e81a2cb9
-fair leader-crash-recover 37771c88dcfd86a6bb5ec52842711792bdf9f005465eaf4624c1a76ec14a9703
-fair leader-mute a1d432fb97481814da16f02c0896d062263ce096864cfd1780faeaaa6f5de632
+fair leader-crash ca24b9d49f26c2bea6bd89b5630c86b5b3221084dc6b5d04b9e64d275f277d00
+fair leader-crash-recover 86cb55bf5cacf289f5937bc79c6f29011e438122a00bbc1810e5a987f496b4ea
+fair leader-mute b5ed0c975fdf4ab603d26cf03b3ec8b4dc2e36c8196d894a5bba3761d36faf34
 fair backup-crash 3b60db5ef018d9743f9f75c60a3ab0295a099226e3744ed6373afbb9a6b85032
-fair partition-heals 404078da909411b63bdfeeca81ee63be809766da5f7e1f85f87646d4ce0e1fac
+fair partition-heals 9291c6a4bf23855b561cb9696e5e436882515ed349da86a09abbf769e4718b6c
 fair lossy-pre-gst dc1f250a8fc19a1df7ff7549323488dc520f86b774202832280302a920b34ea5
-fair f2-two-leaders-crashed 2ef058f225556f0bee7db6b38bdbe44fc1fab06cdbed24090a5bfbd9d75fe58c
-kauri zero-knob 7ad42d41060df7ef7f6a104eb2dc19377010de363bb10170b2766ccd00fe0652
-kauri leader-crash 4571cbfee93c2b5f55f5b121182a7f72a42eb3ddc2e8101e60d7ac1453c5c65c
-kauri leader-crash-recover 610cc714ac170a2bab54b2dbde4579c5451792d1f300de9e4651dfda9fa2815f
-kauri leader-mute b83acbdcbc1146032979f2f9835de8d9706c06c8562a5d9db28ac27081590d62
-kauri backup-crash e5a68438551b9bba8d44feb6fb1952987412a94cdcf49df77c495623251281b5
-kauri partition-heals f631b751c2f1318cf57da098eaadaedc36f761f1355090cbddf7136d3df78987
-kauri lossy-pre-gst be57e710479aa5f9d985457f4c4e55f0f4abc604a4bf89e3aacf766064395284
-kauri f2-two-leaders-crashed 770e52bc260321292f697d6136ea3bbe04135219171ede16d7c6c64c5435771d
+fair f2-two-leaders-crashed a751246eb818df235b2beca851bb8367c9038da2f6e6173003fb8f76cb8b9e0c
+kauri zero-knob 3f94f84e6728f53236568ed022e666c17a6777003666556e5c3da047a1b3e973
+kauri leader-crash 50bf7e6a3d103047598eaaee7b37c8a4c663a28e4f28baa541a91e1ac66c4cf1
+kauri leader-crash-recover 935bdfc07538942f999c4123c36a73d1268ba636bfaa77d9980eac6be86151df
+kauri leader-mute 964836288a04ddd0e3058e24dda2f90e6e7cb0c701a01ce770ebdd44c5deb551
+kauri backup-crash 4ead1a6c13ed17165aa6ba38ec61ac8cf7927b6e31b65d687d6b14a8565cced2
+kauri partition-heals b9571fee04e59143537e3b0c05973f0759445c47711d7ce75fcf0013b454646f
+kauri lossy-pre-gst 2e7075a0199e6a234e2b272d8eeb7c38ec3876f9890d89171d02f8c4c7d93c82
+kauri f2-two-leaders-crashed c31f2f983274d159be47c170ae2647326b15884012d7dd06eace8285ff24af85
 qu zero-knob fb9b6552ea1aa05be29264a62c4acebf19fe999ec4b827a837407e79ce15fdfa
 qu leader-crash d3e349a3f144521442632d3af1e950a21fa8b1fb1b8ce0f414b22ed782278603
 qu leader-crash-recover 93cd045b2e4126ca8c6cbbeb460ec09768519d925c95ac24d0b16fc2c6e49a61
@@ -141,14 +150,14 @@ qu backup-crash 8e92a2a89cbf1b0f3ca2d026333bb4f656a00239d85c554f567fb648dce6b297
 qu partition-heals fb9b6552ea1aa05be29264a62c4acebf19fe999ec4b827a837407e79ce15fdfa
 qu lossy-pre-gst 0a9e88a762c31d5d296d55adc90944dc41ad6280212621f5ff0aaba7106a68d0
 qu f2-two-leaders-crashed 89ea6b3edd3ec7db95969d2981170215db247fc11c1fae7158456346b26f76c4
-minbft zero-knob 879a81094b165b13d9408e24dba485c8db32e5a8b631cc4a0b2806022aedb26e
-minbft leader-crash 13731f1508c980bc00ae3012df1dafcbbfe82dd4bf3361d769f252a4ba1b33fa
-minbft leader-crash-recover 6728c7eb153ef115a8c7d110d9ce44b4bca2628eaaf63ba0eeabb6b5483ef077
-minbft leader-mute 8f46e7402edad3e331038ed3e420d4713a10c1b5dc152db837a1b6e12f78194b
-minbft backup-crash 871a171cad07609568aec6fa8a2d3b09d3be3469e49dc34cb9062df8141108cb
-minbft partition-heals fea1e41648c063df3f796889613914c93c07bec4b0d30e8b5cd00b4082c2a2a8
-minbft lossy-pre-gst 428f8c52b701d0f2e29c891a20fa5f6b61fcf35b015ee7cff6399876ae54e560
-minbft f2-two-leaders-crashed 58d979ac0663e11c43c08652dece0bf3d9411a9e1d574ab5f9821d2ea7477362
+minbft zero-knob 0d6310bb4a27b4f44572c3d5ada51a184ffbbc830e28cc9666031f8969867126
+minbft leader-crash 8b6bf99cd74cf7c4d90fbe97b3f8a1fa9dfb5b2a6783d1c3f44cad149466ef10
+minbft leader-crash-recover ca95339c5b5d7635efa8912748ec9fff15e7493433de8993ef1e4cbe495f2594
+minbft leader-mute 44bcf2d1077fe28a6937965ebb1fa5238068556e241adfc90040945cae292c5b
+minbft backup-crash 9edb829b9a428081d37e8020be2ae9a2fd2211cb7ae68226683cf44bc243fa6f
+minbft partition-heals f6664bec938459b35fc7955aa2d076829ec29ce445065d294e84018be268ee79
+minbft lossy-pre-gst 84a21f3b827ddd23804c5118fbb8b1b0b8b08cf99bf7f147d7803d4078ecba98
+minbft f2-two-leaders-crashed f76da04376e220bc86b564ef64786150a38b94ffcee2677c98c13e8940b4c30d
 chain zero-knob 408f24a634cd09bc0244e561a19392fbe3c2e053860e098937ae39795443b3bb
 chain leader-crash 9151f1fba5de2436b2fed833cd8d6b69d753b554cdd51f3815b441a6dc9e1be1
 chain leader-crash-recover 994bd36951a7e34d9dacac42d9c81ea376e31f5469b0bc309b4cf751c6654b63
