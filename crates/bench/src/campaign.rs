@@ -428,12 +428,18 @@ mod tests {
         let pbft = reg.iter().find(|e| e.id == ProtocolId::Pbft).unwrap();
         let p = recovery_profile_for(pbft, 1, 1);
         assert!(p.recovery.enabled() && p.recovery.amnesia);
+        let prime = reg.iter().find(|e| e.id == ProtocolId::Prime).unwrap();
+        let p = recovery_profile_for(prime, 1, 1);
+        assert!(
+            p.recovery.enabled() && p.recovery.amnesia,
+            "every member of the replica skeleton restarts with amnesia"
+        );
         let hs = reg.iter().find(|e| e.id == ProtocolId::HotStuff).unwrap();
         let p = recovery_profile_for(hs, 1, 1);
         assert!(
             p.recovery.enabled() && !p.recovery.amnesia,
-            "amnesia restarts are PBFT-only: every family member checkpoints, \
-             but only PBFT implements on_recover"
+            "amnesia restarts need the replica skeleton's restart stage \
+             (stable checkpoint, rejoin, state transfer), which HotStuff lacks"
         );
         let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
         let p = recovery_profile_for(cheap, 1, 1);

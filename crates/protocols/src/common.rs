@@ -16,7 +16,7 @@
 //! * [`launch`] / [`launch_with_clients`] — build the engine, install
 //!   replicas and clients, run to completion.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bft_core::workload::{Workload, WorkloadConfig};
@@ -24,8 +24,8 @@ use bft_crypto::sign::PartyId;
 use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature};
 use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
-    NodeId, Observation, RunOutcome, SimDuration, SimTime, Simulation, Stage, ThreadedEngine,
-    TimerId,
+    NodeId, Observation, RestartMode, RunOutcome, SimDuration, SimTime, Simulation, Stage,
+    ThreadedEngine, TimerId,
 };
 use bft_state::{CheckpointManager, Snapshot, StateMachine};
 use bft_types::{
@@ -685,14 +685,11 @@ pub fn launch<P: ClientProtocol, R: Actor<P::Msg> + Send + 'static>(
     })
 }
 
-/// Protocol-agnostic state-transfer/catch-up driver — the generalization of
-/// PBFT's `StateRequest` retry loop for rejoining replicas.
+/// The catch-up stage of the replica skeleton (`Core::catchup`): a replica
+/// that restarts (durable or amnesia) or wakes from proactive rejuvenation
+/// is behind the quorum and closes the gap by state transfer:
 ///
-/// A replica that restarts (durable or amnesia) or wakes from proactive
-/// rejuvenation is behind the quorum and must close the gap from its peers.
-/// This service owns the mechanics every protocol shares:
-///
-/// * **bounded in-flight window** — at most `window` peers are asked per
+/// * **bounded in-flight window** — at most two peers are asked per
 ///   round, rotating round-robin so one unresponsive peer cannot wedge the
 ///   rejoin;
 /// * **retry with exponential backoff** — while no progress arrives the
@@ -703,21 +700,17 @@ pub fn launch<P: ClientProtocol, R: Actor<P::Msg> + Send + 'static>(
 /// * **recovery metrics** — catch-up rounds and retries are counted into
 ///   [`bft_sim::Metrics`] (`rec_catchup_events`, `rec_retries`).
 ///
-/// The protocol owns message construction: `begin`/`on_timer` call back
-/// with each peer to solicit, and the protocol sends its own state-request
-/// message. Completion is reported by the protocol (snapshot installed, or
-/// normal execution resumed) via [`Catchup::complete`].
+/// `begin`/`on_timer` call back with each peer to solicit; an installed
+/// snapshot or execution progress [`complete`](Catchup::complete)s it.
 #[derive(Debug)]
 pub struct Catchup {
     me: ReplicaId,
     n: usize,
-    window: usize,
     base: SimDuration,
     next_peer: u32,
     attempt: u32,
+    /// The retry timer, armed while a catch-up is in flight.
     timer: Option<TimerId>,
-    kind: TimerKind,
-    active: bool,
 }
 
 impl Catchup {
@@ -725,26 +718,20 @@ impl Catchup {
     /// checkpoint/in-dark machinery remains as the fallback).
     pub const MAX_ATTEMPTS: u32 = 6;
 
-    /// A catch-up service for replica `me` of `n`, retrying on `kind`
-    /// timers with initial backoff `base` (doubled per retry, capped at
-    /// `8 × base`).
-    pub fn new(me: ReplicaId, n: usize, kind: TimerKind, base: SimDuration) -> Catchup {
+    /// Peers asked per round.
+    const WINDOW: usize = 2;
+
+    /// A catch-up service for replica `me` of `n`, retrying on τ1 with
+    /// initial backoff `base` (doubled per retry, capped at `8 × base`).
+    pub fn new(me: ReplicaId, n: usize, base: SimDuration) -> Catchup {
         Catchup {
             me,
             n,
-            window: 2,
             base,
             next_peer: 0,
             attempt: 0,
             timer: None,
-            kind,
-            active: false,
         }
-    }
-
-    /// Whether a catch-up round is in flight.
-    pub fn active(&self) -> bool {
-        self.active
     }
 
     /// Current backoff: `base × 2^attempt`, capped at `8 × base`.
@@ -753,14 +740,10 @@ impl Catchup {
         SimDuration(self.base.0.saturating_mul(factor))
     }
 
-    /// The next `window` peers in round-robin order, skipping `me`.
+    /// The next [`Catchup::WINDOW`] peers in round-robin order, skipping `me`.
     fn targets(&mut self) -> Vec<ReplicaId> {
         let mut peers = Vec::new();
-        if self.n <= 1 {
-            return peers;
-        }
-        let want = self.window.min(self.n - 1);
-        while peers.len() < want {
+        while peers.len() < Self::WINDOW.min(self.n - 1) {
             let candidate = ReplicaId(self.next_peer % self.n as u32);
             self.next_peer = self.next_peer.wrapping_add(1);
             if candidate != self.me {
@@ -770,63 +753,59 @@ impl Catchup {
         peers
     }
 
-    /// Start (or restart) a catch-up: solicit the next `window` peers and
-    /// arm the retry timer. Counts one `rec_catchup_events`.
-    pub fn begin<M: WireSize + serde::Serialize + 'static>(
+    /// Solicit the next peers and arm the retry timer.
+    fn round<M: WireSize + serde::Serialize + 'static>(
         &mut self,
         ctx: &mut Context<'_, M>,
         mut solicit: impl FnMut(ReplicaId, &mut Context<'_, M>),
     ) {
-        if let Some(t) = self.timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.active = true;
-        self.attempt = 0;
-        ctx.count_catchup_event();
         for peer in self.targets() {
             solicit(peer, ctx);
         }
-        self.timer = Some(ctx.set_timer(self.kind, self.backoff()));
+        self.timer = Some(ctx.set_timer(TimerKind::T1WaitReplies, self.backoff()));
+    }
+
+    /// Start (or restart) a catch-up: solicit the next peers and arm the
+    /// retry timer. Counts one `rec_catchup_events`.
+    pub fn begin<M: WireSize + serde::Serialize + 'static>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        solicit: impl FnMut(ReplicaId, &mut Context<'_, M>),
+    ) {
+        self.complete(ctx);
+        ctx.count_catchup_event();
+        self.round(ctx, solicit);
     }
 
     /// Handle a timer pop. Returns `true` when the timer was this
     /// service's retry timer (consumed here); `false` means it belongs to
     /// the protocol. On retry, the next peers are solicited and the timer
     /// re-arms with doubled backoff; after [`Self::MAX_ATTEMPTS`] rounds
-    /// the service deactivates instead.
+    /// the service gives up instead.
     pub fn on_timer<M: WireSize + serde::Serialize + 'static>(
         &mut self,
         id: TimerId,
         ctx: &mut Context<'_, M>,
-        mut solicit: impl FnMut(ReplicaId, &mut Context<'_, M>),
+        solicit: impl FnMut(ReplicaId, &mut Context<'_, M>),
     ) -> bool {
         if Some(id) != self.timer {
             return false;
         }
         self.timer = None;
-        if !self.active {
-            return true;
-        }
         self.attempt += 1;
-        if self.attempt >= Self::MAX_ATTEMPTS {
-            self.active = false;
-            return true;
+        if self.attempt < Self::MAX_ATTEMPTS {
+            ctx.count_catchup_retry();
+            self.round(ctx, solicit);
         }
-        ctx.count_catchup_retry();
-        for peer in self.targets() {
-            solicit(peer, ctx);
-        }
-        self.timer = Some(ctx.set_timer(self.kind, self.backoff()));
         true
     }
 
     /// The gap is closed (snapshot installed or ordinary execution
-    /// resumed): cancel the retry timer and deactivate.
+    /// resumed): cancel the retry timer.
     pub fn complete<M: WireSize + serde::Serialize + 'static>(&mut self, ctx: &mut Context<'_, M>) {
         if let Some(t) = self.timer.take() {
             ctx.cancel_timer(t);
         }
-        self.active = false;
         self.attempt = 0;
     }
 }
@@ -1225,7 +1204,6 @@ impl<X: Default> SlotLog<X> {
 #[derive(Debug, Default)]
 pub struct Execution {
     sm: StateMachine,
-    executed: BTreeSet<RequestId>,
     /// Last executed consensus slot (slot space ≠ request space when
     /// batches hold several requests).
     cursor: SeqNum,
@@ -1242,18 +1220,6 @@ impl Execution {
     /// A stage at slot 0 with an empty state machine.
     pub fn new() -> Execution {
         Execution::default()
-    }
-
-    /// Back to slot 0 with an empty state machine, keeping the stage's
-    /// mode (amnesia restart).
-    pub fn reset(&mut self) {
-        *self = Execution {
-            speculative: self.speculative,
-            skip_executed: self.skip_executed,
-            drop_nth: self.drop_nth,
-            seen: self.seen,
-            ..Execution::default()
-        };
     }
 
     /// Execute speculatively (PoE, Zyzzyva): effects can be undone by
@@ -1288,7 +1254,7 @@ impl Execution {
 
     /// Whether `id` has executed here (and was not rolled back).
     pub fn is_executed(&self, id: &RequestId) -> bool {
-        self.executed.contains(id)
+        self.sm.is_executed(id)
     }
 
     /// Test-only sabotage (PBFT's `DropExecution`): the `k`-th request
@@ -1328,12 +1294,12 @@ impl Execution {
         deliver: &mut impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
     ) {
         let id = signed.request.id;
-        if self.skip_executed && self.executed.contains(&id) {
+        if self.skip_executed && self.sm.is_executed(&id) {
             return;
         }
         self.seen += 1;
         if self.drop_nth == Some(self.seen - 1) {
-            self.executed.insert(id);
+            self.sm.set_executed(id, true);
             let ops = signed.request.txn.ops.iter();
             let reads = ops.filter(|op| !matches!(op, Op::Put(..) | Op::Delete(_) | Op::Work(_)));
             let fabricated = Reply {
@@ -1368,7 +1334,6 @@ impl Execution {
             request: id,
             state_digest,
         });
-        self.executed.insert(id);
         let reply = Reply {
             request: id,
             view,
@@ -1459,18 +1424,13 @@ impl Execution {
         ctx: &mut Context<'_, M>,
         from: SeqNum,
     ) {
-        let undone: Vec<RequestId> = self
-            .sm
-            .history()
-            .iter()
-            .filter(|e| e.seq >= from)
-            .map(|e| e.request)
-            .collect();
+        let undone = self.sm.history().iter().filter(|e| e.seq >= from);
+        let undone: Vec<RequestId> = undone.map(|e| e.request).collect();
         if self.sm.rollback_to(from) > 0 {
             ctx.observe(Observation::Rollback { from_seq: from });
         }
         for id in undone {
-            self.executed.remove(&id);
+            self.sm.set_executed(id, false);
         }
     }
 
@@ -1748,11 +1708,6 @@ impl<M: Clone> ViewGate<M> {
             .partition(|(v, _, _)| *v == cur);
         self.future = later;
         now.into_iter().map(|(_, from, m)| (from, m)).collect()
-    }
-
-    /// Back to view 0 with nothing buffered (amnesia restart).
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -2046,24 +2001,32 @@ pub(crate) struct Core<M, X, P> {
     pub intake: Intake,
     pub exec: Execution,
     pub log: SlotLog<X>,
-    /// Leader-only: next sequence number to assign.
+    /// Leader-only: next sequence number to assign, and the requests it
+    /// proposes from.
     pub next_seq: SeqNum,
+    pub mempool: Mempool,
     /// The member's variant carrying the family's messages, and how they
     /// are authenticated (signed unless the member says otherwise).
     pub wire: fn(ViewMsg<P>) -> M,
     pub auth: VoteAuth,
     /// The checkpointing stage: attestations, marks, the stable checkpoint.
     pub ckpt: CheckpointManager,
+    /// The catch-up stage, and whether this replica is rejoining: restarted
+    /// or woken and not yet back in step with the quorum's working view.
+    pub catchup: Catchup,
+    pub rejoining: bool,
 }
 
 impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Core<M, X, P> {
     /// A replica in view 0 with an empty log, executing through `exec`,
-    /// sending on `wire` and checkpointing every `interval` slots (0: never).
+    /// sending on `wire`, checkpointing every `interval` slots (0: never)
+    /// and cutting batches of at most `batch_size` requests.
     pub fn new(
         (me, q, store): (ReplicaId, QuorumRules, Arc<KeyStore>),
         wire: fn(ViewMsg<P>) -> M,
         exec: Execution,
         (view_timeout, interval): (SimDuration, u64),
+        batch_size: usize,
     ) -> Self {
         Core {
             me,
@@ -2075,10 +2038,13 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
             exec,
             log: SlotLog::default(),
             next_seq: SeqNum(1),
+            mempool: Mempool::new(batch_size),
             wire,
             auth: VoteAuth::SIGNED,
             // a quorum that f faulty replicas cannot block: 2f+1 at 3f+1
             ckpt: CheckpointManager::new(interval, q.quorum().min(q.n - q.f)),
+            catchup: Catchup::new(me, q.n, view_timeout),
+            rejoining: false,
         }
     }
 
@@ -2092,9 +2058,11 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         self.leader() == self.me
     }
 
-    /// Enter `view`: it becomes current, the votes it settles are dropped,
-    /// τ2 stops, and the run observes the new view.
+    /// Enter `view`: it becomes current (so this replica is back in step),
+    /// the votes it settles are dropped, τ2 stops, and the run observes the
+    /// new view.
     pub fn enter_view(&mut self, view: View, ctx: &mut Context<'_, M>) {
+        self.rejoining = false;
         self.gate.install(view);
         self.votes.prune(view);
         self.intake.disarm(ctx);
@@ -2113,7 +2081,6 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     pub fn take_request(
         &mut self,
         ctx: &mut Context<'_, M>,
-        mempool: &mut Mempool,
         signed: &SignedRequest,
         (reply, relay): RequestWire<M>,
     ) -> bool {
@@ -2121,7 +2088,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
             return false;
         }
-        mempool.push(signed);
+        self.mempool.push(signed);
         if !self.is_leader() {
             let may_arm = !self.gate.in_view_change();
             match relay {
@@ -2133,8 +2100,9 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     }
 
     /// [`Mempool::drop_ordered`] against this replica's log.
-    pub fn drop_ordered(&self, mempool: &mut Mempool) {
-        mempool.drop_ordered(&self.exec, self.log.in_flight(self.exec.cursor()));
+    pub fn drop_ordered(&mut self) {
+        let in_flight = self.log.in_flight(self.exec.cursor());
+        self.mempool.drop_ordered(&self.exec, in_flight);
     }
 
     /// The log window: `max(4 · interval, 64)` slots.
@@ -2155,10 +2123,9 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     pub fn cut(
         &mut self,
         ctx: &mut Context<'_, M>,
-        mempool: &mut Mempool,
     ) -> Option<(SeqNum, Digest, Vec<SignedRequest>)> {
         let open = self.next_seq <= self.high_water();
-        open.then(|| mempool.cut(ctx, &mut self.next_seq))?
+        open.then(|| self.mempool.cut(ctx, &mut self.next_seq))?
     }
 
     /// [`Execution::drain`]'s loop over this log in the current view, then
@@ -2172,19 +2139,22 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         mut epilogue: impl FnMut(&mut Context<'_, M>, SeqNum, &Slot<X>),
         mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution, &mut Slot<X>),
     ) {
-        let view = self.gate.view();
-        loop {
-            let next = self.exec.cursor().next();
-            let Some(slot) = self.log.get_mut(&next).filter(|s| s.committed) else {
-                return;
-            };
-            let batch = slot.batch.as_deref();
+        let (view, before) = (self.gate.view(), self.exec.cursor());
+        while let Some(slot) = self.log.get_mut(&self.exec.cursor().next()) {
+            let (next, batch) = (self.exec.cursor().next(), slot.batch.as_deref());
             let end = |ctx: &mut Context<'_, M>| epilogue(ctx, next, slot);
-            if !self.exec.run_then(ctx, batch, view, &mut deliver, end) {
-                return;
+            if !slot.committed || !self.exec.run_then(ctx, batch, view, &mut deliver, end) {
+                break;
             }
             after_slot(ctx, &mut self.intake, &self.exec, slot);
+            self.mempool
+                .remove(slot.batch.as_deref().unwrap_or_default());
             self.checkpoint(ctx);
+        }
+        if self.exec.cursor() > before {
+            // execution progress: back in step with the quorum
+            self.rejoining = false;
+            self.catchup.complete(ctx);
         }
     }
 
@@ -2258,16 +2228,37 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
             });
             // a quorum of attesters: one of them is not this replica
             if let Some(peer) = proof.attesters.iter().find(|r| **r != self.me) {
-                self.ask_state(ctx, *peer);
+                self.ask_state()(*peer, ctx);
             }
         }
     }
 
-    /// Ask `peer` for the state above this replica's execution cursor.
-    pub fn ask_state(&self, ctx: &mut Context<'_, M>, peer: ReplicaId) {
-        let (from, have) = (self.me, self.exec.cursor());
-        let ask = ViewMsg::StateRequest { from, have };
-        ctx.send(NodeId::Replica(peer), (self.wire)(ask));
+    /// Asks a peer for the state above this replica's execution cursor.
+    fn ask_state(&self) -> impl Fn(ReplicaId, &mut Context<'_, M>) {
+        let (from, have, wire) = (self.me, self.exec.cursor(), self.wire);
+        move |peer, ctx| {
+            ctx.send(
+                NodeId::Replica(peer),
+                wire(ViewMsg::StateRequest { from, have }),
+            )
+        }
+    }
+
+    // ---- the restart stage -------------------------------------------------
+
+    /// Amnesia restart: volatile memory is gone and the stable checkpoint
+    /// is the only durable artifact. Reload it (rebuilt from its mark before
+    /// memory is wiped); everything since comes back by catch-up.
+    fn reload_stable(&mut self) {
+        let stable = self.ckpt.reset_to_stable(self.exec.sm());
+        let empty = || (SeqNum(0), StateMachine::new().snapshot());
+        let (seq, snapshot) = stable.unwrap_or_else(empty);
+        self.exec.install_snapshot(&snapshot, seq);
+        self.log.clear();
+        self.votes = ViewChange::default();
+        self.gate = ViewGate::new();
+        self.intake.clear_pending();
+        (self.next_seq, self.mempool) = (seq.next(), Mempool::new(self.mempool.batch_size));
     }
 }
 
@@ -2322,6 +2313,12 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// and cast this replica's first vote of the new view for it.
     fn adopt(&mut self, entry: Entry<Self::Payload>, ctx: &mut Context<'_, Self::Msg>);
 
+    /// Whether a proposal for slot `seq` is taken at all: any, unless the
+    /// member bounds its log to a window.
+    fn in_window(&mut self, _: SeqNum) -> bool {
+        true
+    }
+
     /// Take back the requests of slots the new view did not re-propose.
     fn requeue(&mut self, stranded: Vec<SignedRequest>);
 
@@ -2331,10 +2328,51 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// Execute what has committed.
     fn execute(&mut self, ctx: &mut Context<'_, Self::Msg>);
 
-    /// A state transfer moved the cursor: execute what has committed
-    /// above it.
-    fn caught_up(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        self.execute(ctx);
+    /// After a crash: forget the handles of this member's own timers, which
+    /// died with it, and after an `amnesia` restart its volatile state
+    /// beyond the skeleton's.
+    fn forget(&mut self, _amnesia: bool) {}
+
+    /// Arm this member's periodic timers, at start and after a restart.
+    fn arm_periodic(&mut self, _: &mut Context<'_, Self::Msg>) {}
+
+    /// Start in the ordering stage with the periodic timers running.
+    fn start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        let stage = Stage::Ordering;
+        ctx.observe(Observation::StageEnter { stage });
+        self.arm_periodic(ctx);
+    }
+
+    /// Recover from a crash: every timer died with it, and after an
+    /// amnesia restart only the stable checkpoint survives (and what models
+    /// trusted hardware). The periodic timers run again; the replica rejoins.
+    fn restart(&mut self, mode: RestartMode, ctx: &mut Context<'_, Self::Msg>) {
+        let (core, amnesia) = (self.core(), mode == RestartMode::Amnesia);
+        core.intake.forget_timer();
+        core.gate.set_in_view_change(false);
+        if amnesia {
+            core.reload_stable();
+        }
+        self.forget(amnesia);
+        let label = mode.marker();
+        ctx.observe(Observation::Marker { label });
+        self.arm_periodic(ctx);
+        self.rejoin(Vec::new(), ctx);
+    }
+
+    /// Rejoin the quorum: handle what was `held` while away, adopting a view
+    /// from the first proposal its leader authored until back in step (see
+    /// [`admit_proposal`](ViewChanger::admit_proposal)); catch up by state
+    /// transfer.
+    fn rejoin(&mut self, held: Vec<(NodeId, Self::Msg)>, ctx: &mut Context<'_, Self::Msg>) {
+        self.core().rejoining = true;
+        self.enter_stage(Stage::Ordering, ctx);
+        for (from, msg) in held {
+            self.on_message(from, &msg, ctx);
+        }
+        let core = self.core();
+        let ask = core.ask_state();
+        core.catchup.begin(ctx, ask);
     }
 
     /// Abandon the current view for `target`: enter the view-change stage,
@@ -2441,7 +2479,8 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                 ctx.count_state_transfer();
                 let label = "state-transferred";
                 ctx.observe(Observation::Marker { label });
-                self.caught_up(ctx);
+                core.catchup.complete(ctx);
+                self.execute(ctx);
             }
         }
     }
@@ -2528,29 +2567,47 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         }
     }
 
-    /// Admit a proposal `msg` of `view` from `from`: it must come from the
-    /// current leader and carry the digest of `payload` (charged as a
-    /// signature check and a hash). One ahead of its view is buffered.
+    /// Admit a proposal `msg` of `view` for slot `seq` from `from`: it must
+    /// come from the current leader, lie [`in_window`](ViewChanger::in_window)
+    /// and carry the digest of `payload` (charged as an authenticator check
+    /// and a hash). One ahead of its view is buffered — unless this replica
+    /// is rejoining and its author leads that view: the new-view message
+    /// went by while this replica was away, so it adopts the view from here.
     fn admit_proposal(
         &mut self,
         ctx: &mut Context<'_, Self::Msg>,
         (from, view, msg): (NodeId, View, &Self::Msg),
-        digest: Digest,
+        (seq, digest): (SeqNum, Digest),
         payload: &impl serde::Serialize,
     ) -> bool {
         let core = self.core();
-        if !core.gate.admit(from, view, msg) || from != NodeId::Replica(core.leader()) {
+        let author = NodeId::Replica(view.leader_of(core.q.n));
+        if core.rejoining && view > core.gate.view() && from == author {
+            core.enter_view(view, ctx);
+            self.replay(ctx);
+        }
+        let core = self.core();
+        let current = core.gate.admit(from, view, msg) && from == NodeId::Replica(core.leader());
+        if !current || !self.in_window(seq) {
             return false;
         }
-        ctx.charge_crypto(CryptoOp::Verify);
+        let core = self.core();
+        ctx.charge_crypto(core.auth.check);
         ctx.charge_crypto(CryptoOp::Hash);
-        digest_of(payload) == digest
+        if digest_of(payload) != digest {
+            return false;
+        }
+        // the current leader's proposal for a fresh slot: back in step
+        core.rejoining &= core.log.get(&seq).is_some_and(|s| s.digest.is_some());
+        true
     }
 
-    /// A timer popped: if it is the live τ2, escalate (see
-    /// [`ViewChange::escalation`]).
+    /// A timer popped: a catch-up retry, or if it is the live τ2, escalate
+    /// (see [`ViewChange::escalation`]).
     fn on_view_timer(&mut self, id: TimerId, ctx: &mut Context<'_, Self::Msg>) {
-        if !self.core().intake.fired(id) {
+        let core = self.core();
+        let ask = core.ask_state();
+        if core.catchup.on_timer(id, ctx, ask) || !core.intake.fired(id) {
             return;
         }
         let work_pending = self.work_pending();
@@ -2671,48 +2728,96 @@ pub(crate) mod script {
         (out, peak)
     }
 
-    /// A replica under a reader: after every event it handles, `read`
-    /// reads it and the reading replaces the last one.
+    /// What a reader saw of one replica: a reading after every event it
+    /// handled, and every timer it handled with the time it popped.
+    pub(crate) struct Readings<T> {
+        pub seen: Vec<T>,
+        pub pops: Vec<(SimTime, TimerKind)>,
+    }
+
+    impl<T> Readings<T> {
+        /// The last reading.
+        pub(crate) fn last(&self) -> &T {
+            self.seen.last().expect("read at start-up")
+        }
+    }
+
+    /// A replica under a reader: after every event it handles (a restart
+    /// included), `read` reads it.
     struct Read<R, T> {
         replica: R,
         me: ReplicaId,
         read: fn(&mut R) -> T,
-        last: Arc<std::sync::Mutex<BTreeMap<ReplicaId, T>>>,
+        readings: Arc<std::sync::Mutex<BTreeMap<ReplicaId, Readings<T>>>>,
     }
 
     impl<R, T> Read<R, T> {
-        fn read(&mut self) {
+        fn read(&mut self, pop: Option<(SimTime, TimerKind)>) {
             let reading = (self.read)(&mut self.replica);
-            self.last
-                .lock()
-                .expect("no panic while held")
-                .insert(self.me, reading);
+            let mut all = self.readings.lock().expect("no panic while held");
+            let new = || Readings {
+                seen: Vec::new(),
+                pops: Vec::new(),
+            };
+            let mine = all.entry(self.me).or_insert_with(new);
+            mine.seen.push(reading);
+            mine.pops.extend(pop);
         }
     }
 
-    impl<M, R: Actor<M>, T: Send> Actor<M> for Read<R, T> {
+    impl<M: WireSize + serde::Serialize + 'static, R: Actor<M>, T: Send> Actor<M> for Read<R, T> {
         fn on_start(&mut self, ctx: &mut Context<'_, M>) {
             self.replica.on_start(ctx);
-            self.read();
+            self.read(None);
         }
 
         fn on_message(&mut self, from: NodeId, msg: &M, ctx: &mut Context<'_, M>) {
             self.replica.on_message(from, msg, ctx);
-            self.read();
+            self.read(None);
         }
 
         fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, M>) {
+            let at = ctx.now();
             self.replica.on_timer(id, kind, ctx);
-            self.read();
+            self.read(Some((at, kind)));
+        }
+
+        fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, M>) {
+            self.replica.on_recover(mode, ctx);
+            self.read(None);
         }
     }
 
     /// Run `scenario` with `n` replicas built by `replica` and report,
-    /// beside the outcome, what `read` read last from each of them.
-    pub(crate) fn final_readings<P, R, T>(
+    /// beside the outcome, what `read` read from each of them and the
+    /// timers each handled.
+    pub(crate) fn readings<P, R, T>(
         scenario: &Scenario,
         n: usize,
         mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
+        read: fn(&mut R) -> T,
+    ) -> (RunOutcome, BTreeMap<ReplicaId, Readings<T>>)
+    where
+        P: ClientProtocol,
+        R: Actor<P::Msg> + Send + 'static,
+        T: Send + 'static,
+    {
+        let readings = Arc::new(std::sync::Mutex::new(BTreeMap::new()));
+        let out = launch::<P, _>(scenario, n, |me, q, store| Read {
+            replica: replica(me, q, store),
+            me,
+            read,
+            readings: readings.clone(),
+        });
+        let readings = std::mem::take(&mut *readings.lock().expect("run over"));
+        (out, readings)
+    }
+
+    /// [`readings`], keeping only what `read` read last from each replica.
+    pub(crate) fn final_readings<P, R, T>(
+        scenario: &Scenario,
+        n: usize,
+        replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
         read: fn(&mut R) -> T,
     ) -> (RunOutcome, BTreeMap<ReplicaId, T>)
     where
@@ -2720,15 +2825,9 @@ pub(crate) mod script {
         R: Actor<P::Msg> + Send + 'static,
         T: Send + 'static,
     {
-        let last = Arc::new(std::sync::Mutex::new(BTreeMap::new()));
-        let out = launch::<P, _>(scenario, n, |me, q, store| Read {
-            replica: replica(me, q, store),
-            me,
-            read,
-            last: last.clone(),
-        });
-        let last = std::mem::take(&mut *last.lock().expect("run over"));
-        (out, last)
+        let (out, readings) = readings::<P, R, T>(scenario, n, replica, read);
+        let last = |(r, mut seen): (ReplicaId, Readings<T>)| (r, seen.seen.pop().expect("read"));
+        (out, readings.into_iter().map(last).collect())
     }
 
     /// A signed write and the digest of the state reached by executing it
@@ -3511,6 +3610,85 @@ mod tests {
         each_member!(&s, go);
     }
 
+    /// A durable restart, for every member: backup n−1 crashes at 2 ms and
+    /// recovers at 10 ms under 2 × 200 requests. Its timers died with it,
+    /// so the restart re-arms the periodic ones: every periodic timer (τ6,
+    /// τ7, τ8) a healthy backup pops after the recovery, the restarted one
+    /// pops too — Prime's τ7 and Themis' τ6 used to stay dead. It ends at
+    /// the others' state.
+    #[test]
+    fn every_member_runs_its_periodic_timers_again_after_a_durable_restart() {
+        use bft_sim::SafetyAuditor;
+        let s = Scenario::small(1).with_load(2, 200);
+        let ms = |n: u64| SimTime(n * 1_000_000);
+        let periodic = [
+            TimerKind::T6PreorderRound,
+            TimerKind::T7Heartbeat,
+            TimerKind::T8RecoveryWatchdog,
+        ];
+        macro_rules! go {
+            ($name:expr, $proto:ty, $n:expr, $replica:expr) => {
+                let victim = ReplicaId($n - 1);
+                let faults =
+                    FaultPlan::none().crash_recover(NodeId::Replica(victim), ms(2), ms(10));
+                let s = s.clone().with_faults(faults);
+                let (out, readings) = script::readings::<$proto, _, _>(&s, $n, $replica, state);
+                SafetyAuditor::all_correct().assert_safe(&out.log);
+                assert_eq!(out.log.client_latencies().len(), 400, "{}", $name);
+                assert_eq!(out.log.marker_count("durable-restart"), 1, "{}", $name);
+                let popped = |r: ReplicaId| {
+                    let after = readings[&r].pops.iter().filter(|(at, _)| *at > ms(10));
+                    let kinds = after
+                        .map(|(_, kind)| *kind)
+                        .filter(|k| periodic.contains(k));
+                    kinds.collect::<std::collections::BTreeSet<_>>()
+                };
+                assert_eq!(popped(victim), popped(ReplicaId(1)), "{}", $name);
+                let last = |r| *readings[&ReplicaId(r)].last();
+                assert_eq!(last($n - 1), last(0), "{}", $name);
+            };
+        }
+        each_member!(&s, go);
+    }
+
+    /// An amnesia restart, for every member: backup n−1 crashes mid-run
+    /// and comes back 5 ms later with only its stable checkpoint (interval
+    /// 16). It rejoins, catches up by state transfer and ends at the
+    /// others' state; every request is accepted, and safely.
+    #[test]
+    fn every_member_rejoins_from_its_stable_checkpoint_after_an_amnesia_restart() {
+        use bft_sim::SafetyAuditor;
+        let s = Scenario::small(1).with_load(2, 200);
+        macro_rules! go {
+            ($name:expr, $proto:ty, $n:expr, $replica:expr) => {
+                let (fault_free, _) =
+                    script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
+                let (victim, mid_run) = (NodeId::replica($n - 1), fault_free.end_time.0 / 2);
+                let (down, up) = (SimTime(mid_run), SimTime(mid_run + 5_000_000));
+                let s = s
+                    .clone()
+                    .with_faults(FaultPlan::none().crash_recover_amnesia(victim, down, up));
+                let (out, finals) = script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
+                SafetyAuditor::all_correct().assert_safe(&out.log);
+                assert_eq!(out.log.client_latencies().len(), 400, "{}", $name);
+                assert_eq!(out.log.marker_count("amnesia-restart"), 1, "{}", $name);
+                let transfers = out.log.marker_count("state-transferred");
+                assert!(
+                    transfers > 0,
+                    "{}: the restarted replica never caught up",
+                    $name
+                );
+                assert_eq!(
+                    finals[&ReplicaId($n - 1)],
+                    finals[&ReplicaId(0)],
+                    "{}",
+                    $name
+                );
+            };
+        }
+        each_member!(&s, go);
+    }
+
     #[test]
     fn signed_request_verifies() {
         let s = Scenario::small(1);
@@ -3526,7 +3704,7 @@ mod tests {
 
     #[test]
     fn catchup_targets_rotate_and_skip_self() {
-        let mut c = Catchup::new(ReplicaId(1), 4, TimerKind::T1WaitReplies, SimDuration(1000));
+        let mut c = Catchup::new(ReplicaId(1), 4, SimDuration(1000));
         assert_eq!(c.targets(), vec![ReplicaId(0), ReplicaId(2)]);
         assert_eq!(c.targets(), vec![ReplicaId(3), ReplicaId(0)]);
         assert_eq!(c.targets(), vec![ReplicaId(2), ReplicaId(3)]);

@@ -19,12 +19,12 @@ use std::sync::Arc;
 
 use bft_crypto::{CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
-    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
+    SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// FaB messages.
@@ -82,7 +82,6 @@ pub(crate) struct FabSlot {
 /// A FaB replica.
 pub struct FabReplica {
     core: Core<FabMsg, FabSlot, Vec<SignedRequest>>,
-    mempool: Mempool,
 }
 
 impl FabReplica {
@@ -94,9 +93,9 @@ impl FabReplica {
         timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new();
         FabReplica {
-            core: Core::new((me, q, store), FabMsg::View, Execution::new(), timing),
-            mempool: Mempool::new(batch_size),
+            core: Core::new((me, q, store), FabMsg::View, exec, timing, batch_size),
         }
     }
 
@@ -104,8 +103,8 @@ impl FabReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
+        self.core.drop_ordered();
+        while let Some((seq, digest, batch)) = self.core.cut(ctx) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -195,7 +194,7 @@ impl ViewChanger for FabReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        self.mempool.requeue(&self.core.exec, &stranded);
+        self.core.mempool.requeue(&self.core.exec, &stranded);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, FabMsg>) {
@@ -209,16 +208,18 @@ impl ViewChanger for FabReplica {
 
 impl Actor<FabMsg> for FabReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, FabMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, FabMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &FabMsg, ctx: &mut Context<'_, FabMsg>) {
         match msg {
             FabMsg::Request(signed) => {
                 let wire: RequestWire<FabMsg> = (FabMsg::Reply, Some(FabMsg::Request));
-                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
+                if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }
             }
@@ -228,10 +229,10 @@ impl Actor<FabMsg> for FabReplica {
                 digest,
                 batch,
             } => {
-                if !self.admit_proposal(ctx, (from, *view, msg), *digest, batch) {
+                if !self.admit_proposal(ctx, (from, *view, msg), (*seq, *digest), batch) {
                     return;
                 }
-                self.mempool.remove(batch);
+                self.core.mempool.remove(batch);
                 if self.core.log.install(*seq, *digest, batch.clone()) {
                     self.accept(*seq, *digest, ctx);
                 }

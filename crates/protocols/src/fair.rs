@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
@@ -188,7 +188,8 @@ impl FairReplica {
     ) -> Self {
         let exec = Execution::new().skipping_executed();
         FairReplica {
-            core: Core::new((me, q, store), FairMsg::View, exec, timing),
+            // the leader proposes round batches, not cuts of a mempool
+            core: Core::new((me, q, store), FairMsg::View, exec, timing, 1),
             rounds: RoundRules {
                 me,
                 ext: |slot| &mut slot.rounds,
@@ -424,14 +425,30 @@ impl ViewChanger for FairReplica {
             },
         );
     }
+
+    fn forget(&mut self, amnesia: bool) {
+        self.round_timer = None;
+        if amnesia {
+            (self.pending, self.round_batches) = (Vec::new(), BTreeMap::new());
+            (self.stream_fp, self.idle_ticks) = (None, 0);
+        }
+    }
+
+    /// The τ6 preordering rounds, on the schedule every replica keeps:
+    /// round k at k periods.
+    fn arm_periodic(&mut self, ctx: &mut Context<'_, FairMsg>) {
+        self.round = ctx.now().0 / self.round_period.0;
+        self.round_timer = Some(ctx.set_timer(TimerKind::T6PreorderRound, self.round_period));
+    }
 }
 
 impl Actor<FairMsg> for FairReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, FairMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        self.round_timer = Some(ctx.set_timer(TimerKind::T6PreorderRound, self.round_period));
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, FairMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &FairMsg, ctx: &mut Context<'_, FairMsg>) {
@@ -466,7 +483,7 @@ impl Actor<FairMsg> for FairReplica {
                 batches,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.admit_proposal(ctx, (from, view, msg), digest, batches) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batches) {
                     return;
                 }
                 // verify the proposal carries enough distinct batches

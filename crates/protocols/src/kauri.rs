@@ -26,12 +26,12 @@ use std::sync::Arc;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::topology::Topology;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
-    SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
+    SubmitPolicy, ViewChanger, ViewMsg,
 };
 
 /// Aggregation phases.
@@ -122,7 +122,6 @@ pub(crate) struct KauriSlot {
 pub struct KauriReplica {
     core: Core<KauriMsg, KauriSlot, Vec<SignedRequest>>,
     fanout: usize,
-    mempool: Mempool,
     /// Pending partial-aggregation timers (τ4) by the slot and phase they
     /// guard; an entry leaves when its timer is cancelled or fires.
     agg_timers: BTreeMap<(SeqNum, KauriPhase), TimerId>,
@@ -149,9 +148,8 @@ impl KauriReplica {
     ) -> Self {
         let exec = Execution::new().skipping_executed();
         KauriReplica {
-            core: Core::new((me, q, store), KauriMsg::View, exec, timing),
+            core: Core::new((me, q, store), KauriMsg::View, exec, timing, batch_size),
             fanout,
-            mempool: Mempool::new(batch_size),
             agg_timers: BTreeMap::new(),
             agg_timeout,
             view_timeout: timing.0,
@@ -179,8 +177,8 @@ impl KauriReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
+        self.core.drop_ordered();
+        while let Some((seq, digest, batch)) = self.core.cut(ctx) {
             ctx.charge_crypto(CryptoOp::Sign);
             self.adopt_proposal(seq, digest, batch, ctx);
         }
@@ -195,7 +193,7 @@ impl KauriReplica {
         batch: Vec<SignedRequest>,
         ctx: &mut Context<'_, KauriMsg>,
     ) {
-        self.mempool.remove(&batch);
+        self.core.mempool.remove(&batch);
         if !self.core.log.install(seq, digest, batch.clone()) {
             return;
         }
@@ -431,7 +429,7 @@ impl ViewChanger for KauriReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        self.mempool.requeue(&self.core.exec, &stranded);
+        self.core.mempool.requeue(&self.core.exec, &stranded);
         // aggregation above the cursor dies with the old tree: those slots
         // were stranded just now or are about to be reset by `adopt`
         let cursor = self.core.exec.cursor();
@@ -452,13 +450,20 @@ impl ViewChanger for KauriReplica {
             self.waiting_since = ctx.now();
         }
     }
+
+    /// The τ4 partial-aggregation timers died with the crash.
+    fn forget(&mut self, _: bool) {
+        self.agg_timers.clear();
+    }
 }
 
 impl Actor<KauriMsg> for KauriReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, KauriMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, KauriMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &KauriMsg, ctx: &mut Context<'_, KauriMsg>) {
@@ -467,7 +472,7 @@ impl Actor<KauriMsg> for KauriReplica {
                 // clients broadcast, so the root has the request too: a
                 // backup forwards nothing, only holds the root to it
                 let wire: RequestWire<KauriMsg> = (KauriMsg::Reply, None);
-                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
+                if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }
             }

@@ -24,12 +24,12 @@ use std::sync::Arc;
 
 use bft_crypto::{CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire, Scenario,
-    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
+    SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// A unique identifier produced by the trusted component: an attested
@@ -172,7 +172,6 @@ pub struct MinBftReplica {
     core: Core<MinBftMsg, MinSlot, Vec<SignedRequest>>,
     usig: Usig,
     verifier: UiVerifier,
-    mempool: Mempool,
 }
 
 impl MinBftReplica {
@@ -185,11 +184,11 @@ impl MinBftReplica {
         timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new();
         MinBftReplica {
-            core: Core::new((me, q, store), MinBftMsg::View, Execution::new(), timing),
+            core: Core::new((me, q, store), MinBftMsg::View, exec, timing, batch_size),
             usig: Usig::new(me),
             verifier: UiVerifier::default(),
-            mempool: Mempool::new(batch_size),
         }
     }
 
@@ -197,8 +196,8 @@ impl MinBftReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
+        self.core.drop_ordered();
+        while let Some((seq, digest, batch)) = self.core.cut(ctx) {
             // USIG attestation (modeled at signature cost)
             ctx.charge_crypto(CryptoOp::Sign);
             let ui = self.usig.create_ui(digest);
@@ -280,7 +279,7 @@ impl ViewChanger for MinBftReplica {
     }
 
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        self.mempool.requeue(&self.core.exec, &stranded);
+        self.core.mempool.requeue(&self.core.exec, &stranded);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
@@ -291,20 +290,30 @@ impl ViewChanger for MinBftReplica {
         self.core
             .execute_ready(ctx, CryptoOp::Sign, MinBftMsg::Reply);
     }
+
+    /// The USIG models trusted hardware: its counter survives an amnesia
+    /// restart, the record of the peers' counters does not.
+    fn forget(&mut self, amnesia: bool) {
+        if amnesia {
+            self.verifier = UiVerifier::default();
+        }
+    }
 }
 
 impl Actor<MinBftMsg> for MinBftReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, MinBftMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, MinBftMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &MinBftMsg, ctx: &mut Context<'_, MinBftMsg>) {
         match msg {
             MinBftMsg::Request(signed) => {
                 let wire: RequestWire<MinBftMsg> = (MinBftMsg::Reply, Some(MinBftMsg::Request));
-                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
+                if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }
             }
@@ -316,14 +325,14 @@ impl Actor<MinBftMsg> for MinBftReplica {
             } => {
                 let (view, seq, ui, digest) = (*view, *seq, *ui, ui.digest);
                 // the leader's attestation (verified) must cover the payload
-                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
                     return;
                 }
                 // a replayed or forked counter is an attack
                 if ui.replica != self.core.leader() || !self.verifier.accept(&ui) {
                     return;
                 }
-                self.mempool.remove(batch);
+                self.core.mempool.remove(batch);
                 if self.core.log.install(seq, digest, batch.clone()) {
                     self.send_commit(seq, digest, ctx);
                 }
@@ -385,7 +394,8 @@ pub fn run(scenario: &Scenario) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim::SafetyAuditor;
+    use crate::common::script;
+    use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
@@ -402,6 +412,27 @@ mod tests {
             out.metrics.nodes().filter(|(n, _)| n.is_replica()).count(),
             3
         );
+    }
+
+    /// The USIG models trusted hardware: an amnesia restart wipes the
+    /// replica's memory but not its counter, so the restarted replica never
+    /// attests a counter value twice (its peers would reject the replays,
+    /// and its commits would never count again).
+    #[test]
+    fn usig_counter_survives_an_amnesia_restart() {
+        let ms = |n: u64| SimTime(n * 1_000_000);
+        let faults = FaultPlan::none().crash_recover_amnesia(NodeId::replica(2), ms(20), ms(25));
+        let s = Scenario::small(1).with_load(2, 200).with_faults(faults);
+        let timing = s.timing();
+        let replica = |me, q, store| MinBftReplica::new(me, q, store, timing, 1);
+        let counter = |r: &mut MinBftReplica| r.usig.next;
+        let (out, readings) = script::readings::<MinBftClientProto, _, _>(&s, 3, replica, counter);
+        SafetyAuditor::all_correct().assert_safe(&out.log);
+        assert_eq!(out.log.marker_count("amnesia-restart"), 1);
+        assert_eq!(accepted(&out), 400);
+        let counters = &readings[&ReplicaId(2)].seen;
+        let monotone = counters.windows(2).all(|w| w[0] <= w[1]);
+        assert!(monotone, "the restart turned the USIG counter back");
     }
 
     #[test]

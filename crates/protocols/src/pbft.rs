@@ -23,9 +23,10 @@
 //!   checkpoint attestations; 2f+1 matching attestations make the
 //!   checkpoint stable, the log truncates, and in-dark replicas catch up
 //!   by transfer of a rebuilt snapshot.
-//! * **Recovery** — optional proactive rejuvenation on the watchdog timer
-//!   τ8 (replicas take turns; a recovering replica is unavailable and
-//!   re-syncs via state transfer afterwards).
+//! * **Recovery** — the family's shared restart stage (a crashed replica
+//!   reloads, rejoins and catches up by state transfer), and optional
+//!   proactive rejuvenation on the watchdog timer τ8 (replicas take turns;
+//!   a recovering replica is unavailable, then rejoins the same way).
 //!
 //! Byzantine leader variants ([`Behavior`]) implement the adversaries the
 //! experiments need: censoring, reordering (unfair), delaying and
@@ -45,8 +46,8 @@ use bft_types::{
 };
 
 use crate::common::{
-    launch, launch_with_clients, reply_to_client, Catchup, ClientProtocol, Core, Entry, Execution,
-    Intake, Mempool, RoundRules, Rounds, Scenario, SignedRequest, Slot, SubmitPolicy, ViewChange,
+    launch, launch_with_clients, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake,
+    Mempool, RoundRules, Rounds, Scenario, SignedRequest, Slot, SubmitPolicy, ViewChange,
     ViewChanger, ViewMsg, VoteAuth,
 };
 
@@ -265,7 +266,6 @@ pub struct PbftReplica {
     /// The prepare → commit pair: 2f prepares besides the pre-prepare,
     /// 2f+1 commits.
     rounds: RoundRules<PbftMsg, PbftSlot>,
-    mempool: Mempool,
     /// Pending partial-batch timer.
     batch_timer: Option<TimerId>,
     /// Timer id for the next proactive recovery (τ8).
@@ -275,14 +275,6 @@ pub struct PbftReplica {
     /// Messages that arrive during a rejuvenation window; replayed at
     /// wake-up so the dark window delays traffic instead of losing it.
     recovery_buffer: Vec<(NodeId, PbftMsg)>,
-    /// True between a restart/wake-up and re-synchronization with the
-    /// quorum's working view (the new-view message that installed it was
-    /// broadcast while this replica was dark, so it adopts the view from
-    /// the first valid leader message instead).
-    rejoining: bool,
-    /// Shared state-transfer solicitation service (windowed, retried with
-    /// exponential backoff).
-    catchup: Catchup,
     /// Stage bookkeeping for Figure 1 audits.
     stage: Stage,
 }
@@ -326,11 +318,10 @@ impl PbftReplica {
         };
         let exec = Execution::new().dropping_nth(dropped);
         let timing = (view_timeout, checkpoint_interval);
-        let mut core = Core::new((me, q, store), PbftMsg::View, exec, timing);
+        let mut core = Core::new((me, q, store), PbftMsg::View, exec, timing, cfg.batch_size);
         core.auth = cfg.auth_costs();
         PbftReplica {
             core,
-            mempool: Mempool::new(cfg.batch_size),
             cfg,
             behavior,
             rounds,
@@ -338,8 +329,6 @@ impl PbftReplica {
             recovery_timer: None,
             recovering: false,
             recovery_buffer: Vec::new(),
-            rejoining: false,
-            catchup: Catchup::new(me, q.n, TimerKind::T1WaitReplies, view_timeout),
             stage: Stage::Ordering,
         }
     }
@@ -353,7 +342,7 @@ impl PbftReplica {
         if !Intake::admit(ctx, &core.store, &core.exec, &signed, view, answer) {
             return;
         }
-        let in_mempool = self.mempool.contains(signed.request.id);
+        let in_mempool = core.mempool.contains(signed.request.id);
         let in_slot = (core.log.in_flight(core.exec.cursor())).any(|id| id == signed.request.id);
         if in_mempool || in_slot {
             // already queued/proposed; a backup (re)starts its τ2 timer so a
@@ -367,13 +356,13 @@ impl PbftReplica {
                     return; // censorship: never propose the victim's requests
                 }
             }
-            self.mempool.push(&signed);
+            self.core.mempool.push(&signed);
             self.propose(false, ctx);
         } else {
             // relay to the leader, keep a copy for when we become leader,
             // and arm τ2
             let leader = self.core.leader();
-            self.mempool.push(&signed);
+            self.core.mempool.push(&signed);
             ctx.send(NodeId::Replica(leader), PbftMsg::Request(signed));
             self.arm_view_timer(ctx);
         }
@@ -482,16 +471,16 @@ impl PbftReplica {
             // unfair reordering: the favored client's requests jump the
             // queue and everyone else is served in REVERSE arrival order —
             // the adversarial manipulation order-fairness (Q1) is about
-            let queue = self.mempool.queue_mut();
+            let queue = self.core.mempool.queue_mut();
             queue.reverse();
             // stable sort: favored first, reversed order preserved behind it
             queue.sort_by_key(|r| r.request.id.client != favored);
         }
-        self.core.drop_ordered(&mut self.mempool);
-        while !self.mempool.is_empty() && self.core.next_seq <= self.core.high_water() {
+        self.core.drop_ordered();
+        while !self.core.mempool.is_empty() && self.core.next_seq <= self.core.high_water() {
             // partial batch: wait a moment for more requests to amortize
             // the consensus instance over (the classic batching lever)
-            if self.mempool.len() < self.cfg.batch_size && !force_partial {
+            if self.core.mempool.len() < self.cfg.batch_size && !force_partial {
                 if self.batch_timer.is_none() {
                     self.batch_timer =
                         Some(ctx.set_timer(TimerKind::T7Heartbeat, self.cfg.batch_delay));
@@ -512,7 +501,8 @@ impl PbftReplica {
                 ctx.observe(Observation::Marker {
                     label: "equivocated",
                 });
-                for (lower, batch) in [(true, self.mempool.take()), (false, self.mempool.take())] {
+                let mempool = &mut self.core.mempool;
+                for (lower, batch) in [(true, mempool.take()), (false, mempool.take())] {
                     let half = (0..n).filter(|i| *i != me && (*i < n / 2) == lower);
                     let digest = digest_of(&batch);
                     let msg = PbftMsg::PrePrepare {
@@ -525,7 +515,8 @@ impl PbftReplica {
                 }
                 continue;
             }
-            let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.core.next_seq) else {
+            let core = &mut self.core;
+            let Some((seq, digest, batch)) = core.mempool.cut(ctx, &mut core.next_seq) else {
                 return;
             };
             ctx.charge_crypto_n(self.core.auth.send.0, self.core.auth.send.1);
@@ -548,27 +539,18 @@ impl PbftReplica {
 
     // ---- ordering phases -------------------------------------------------
 
-    fn on_pre_prepare(
-        &mut self,
-        from: NodeId,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        batch: Vec<SignedRequest>,
-        ctx: &mut Context<'_, PbftMsg>,
-    ) {
-        if self.recovering {
-            return;
-        }
-        if from != NodeId::Replica(self.core.leader()) {
-            return; // only the leader pre-prepares
-        }
-        if seq <= self.core.ckpt.low_water() || seq > self.core.high_water() {
-            return; // outside the log window
-        }
-        ctx.charge_crypto(self.core.auth.check);
-        ctx.charge_crypto(CryptoOp::Hash);
-        if digest_of(&batch) != digest {
+    fn on_pre_prepare(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+        let PbftMsg::PrePrepare {
+            view,
+            seq,
+            digest,
+            batch,
+        } = msg
+        else {
+            unreachable!("on_pre_prepare only receives pre-prepares")
+        };
+        let (view, seq, digest) = (*view, *seq, *digest);
+        if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
             return;
         }
         let slot = self.core.log.slot(seq);
@@ -582,11 +564,8 @@ impl PbftReplica {
             }
             return;
         }
-        self.mempool.remove(&batch);
-        (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch), view);
-        // a valid pre-prepare from the current leader means we are in the
-        // quorum's working view
-        self.rejoining = false;
+        self.core.mempool.remove(batch);
+        (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch.clone()), view);
         self.arm_view_timer(ctx);
         let slot = self.core.log.slot(seq);
         if self.rounds.prepare(ctx, slot, (view, seq), digest, None) {
@@ -596,83 +575,55 @@ impl PbftReplica {
 
     // ---- execution -------------------------------------------------------
 
-    /// Dispatch one ordering-stage message of the current view (also used
-    /// for replay); one that raced ahead of its view is buffered by the
-    /// gate. The payload is borrowed; only a pre-prepare's batch is cloned
-    /// (it is retained in the slot), votes are consumed without allocating.
-    fn handle_ordering(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
-        let view = match msg {
-            PbftMsg::PrePrepare { view, .. }
-            | PbftMsg::Prepare { view, .. }
-            | PbftMsg::Commit { view, .. } => *view,
-            _ => unreachable!("handle_ordering only receives ordering messages"),
+    /// Count a prepare or commit of the current view (also used for
+    /// replay); one that raced ahead of its view is buffered by the gate.
+    fn on_vote(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+        let (PbftMsg::Prepare {
+            view,
+            seq,
+            digest,
+            from: r,
+        }
+        | PbftMsg::Commit {
+            view,
+            seq,
+            digest,
+            from: r,
+        }) = msg
+        else {
+            unreachable!("on_vote only receives prepares and commits")
         };
-        if !self.core.gate.admit(from, view, msg) {
+        if !self.core.gate.admit(from, *view, msg) {
             return;
         }
-        match msg {
-            PbftMsg::PrePrepare {
-                seq, digest, batch, ..
-            } => self.on_pre_prepare(from, view, *seq, *digest, batch.clone(), ctx),
-            PbftMsg::Prepare {
-                seq,
-                digest,
-                from: r,
-                ..
-            }
-            | PbftMsg::Commit {
-                seq,
-                digest,
-                from: r,
-                ..
-            } => {
-                ctx.charge_crypto(self.core.auth.check);
-                let commit = matches!(msg, PbftMsg::Commit { .. });
-                let slot = self.core.log.slot(*seq);
-                // a prepare for a slot pre-prepared in another view is stale
-                let stale = !commit && slot.digest.is_some() && slot.ext.view != view;
-                let vote = (commit, *r);
-                if !stale && self.rounds.count(ctx, slot, (view, *seq), vote, *digest) {
-                    self.execute(ctx);
-                }
-            }
-            _ => {}
+        ctx.charge_crypto(self.core.auth.check);
+        let commit = matches!(msg, PbftMsg::Commit { .. });
+        let slot = self.core.log.slot(*seq);
+        // a prepare for a slot pre-prepared in another view is stale
+        let stale = !commit && slot.digest.is_some() && slot.ext.view != *view;
+        let vote = (commit, *r);
+        if !stale && self.rounds.count(ctx, slot, (*view, *seq), vote, *digest) {
+            self.execute(ctx);
         }
     }
 
     // ---- proactive recovery (τ8) ------------------------------------------
 
-    fn schedule_recovery(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if let Some(period) = self.cfg.recovery_period {
-            // replicas take turns: replica i rejuvenates at (i+1)·period,
-            // then every n·period
-            let offset = SimDuration(period.0 * (self.core.me.0 as u64 + 1));
-            self.recovery_timer = Some(ctx.set_timer(TimerKind::T8RecoveryWatchdog, offset));
-        }
-    }
-
     fn on_recovery_watchdog(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         if self.recovering {
             // rejuvenation complete
             self.recovering = false;
-            self.rejoining = true;
             self.core.gate.set_in_view_change(false);
             ctx.observe(Observation::RecoveryDone);
-            self.enter_stage(Stage::Ordering, ctx);
             // schedule the next round (full rotation later)
             if let Some(period) = self.cfg.recovery_period {
                 let next = SimDuration(period.0 * self.cfg.q.n as u64);
                 self.recovery_timer = Some(ctx.set_timer(TimerKind::T8RecoveryWatchdog, next));
             }
-            // the dark window delayed traffic instead of losing it: replay
-            // everything that arrived, adopting the quorum's current view
-            // from the first valid leader message
+            // the dark window delayed traffic instead of losing it: rejoin
+            // with everything that arrived
             let buffered = std::mem::take(&mut self.recovery_buffer);
-            for (from, msg) in buffered {
-                self.on_message(from, &msg, ctx);
-            }
-            // close any remaining execution gap via windowed state transfer
-            self.begin_catchup(ctx);
+            self.rejoin(buffered, ctx);
         } else {
             // begin rejuvenation: drop volatile state, go dark briefly. Any
             // timer armed for the pre-rejuvenation incarnation is stale —
@@ -681,7 +632,7 @@ impl PbftReplica {
             self.recovering = true;
             ctx.observe(Observation::RecoveryStart);
             self.enter_stage(Stage::Recovery, ctx);
-            self.mempool = Mempool::new(self.cfg.batch_size);
+            self.core.mempool = Mempool::new(self.cfg.batch_size);
             self.core.votes = ViewChange::default();
             self.core.intake.disarm(ctx);
             if let Some(t) = self.batch_timer.take() {
@@ -689,30 +640,6 @@ impl PbftReplica {
             }
             self.recovery_timer =
                 Some(ctx.set_timer(TimerKind::T8RecoveryWatchdog, self.cfg.recovery_duration));
-        }
-    }
-
-    /// Solicit a snapshot from the next catch-up window of peers.
-    fn begin_catchup(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let core = &self.core;
-        self.catchup
-            .begin(ctx, |peer, ctx| core.ask_state(ctx, peer));
-    }
-
-    /// Rejoin discipline: a replica that restarted or woke from
-    /// rejuvenation may hold a stale view — the new-view message that
-    /// installed the quorum's working view was broadcast while it was dark
-    /// and will never be retransmitted. Instead of waiting (or worse,
-    /// firing τ2 into a healthy quorum), adopt the view from the first
-    /// pre-prepare authored by that view's leader.
-    fn maybe_adopt_view(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
-        let PbftMsg::PrePrepare { view, .. } = *msg else {
-            return;
-        };
-        if view > self.core.gate.view() && from == NodeId::Replica(view.leader_of(self.cfg.q.n)) {
-            self.rejoining = false;
-            self.core.enter_view(view, ctx);
-            self.replay(ctx);
         }
     }
 }
@@ -773,7 +700,7 @@ impl ViewChanger for PbftReplica {
 
     fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, PbftMsg>) {
         let PbftCert(_, batch) = cert;
-        self.mempool.remove(&batch);
+        self.core.mempool.remove(&batch);
         let (view, leads) = (self.core.gate.view(), self.core.is_leader());
         let slot = self.core.log.reinstall(seq, digest, batch);
         slot.ext.view = view;
@@ -782,11 +709,14 @@ impl ViewChanger for PbftReplica {
         }
     }
 
-    /// An installed view puts this replica back in step with the quorum;
-    /// the requests of its dead slots go back to the mempool.
+    /// Above the stable checkpoint and at most the log window beyond it.
+    fn in_window(&mut self, seq: SeqNum) -> bool {
+        seq > self.core.ckpt.low_water() && seq <= self.core.high_water()
+    }
+
+    /// The requests of the new view's dead slots go back to the mempool.
     fn requeue(&mut self, stranded: Vec<SignedRequest>) {
-        self.rejoining = false;
-        self.mempool.requeue(&self.core.exec, &stranded);
+        self.core.mempool.requeue(&self.core.exec, &stranded);
     }
 
     fn resume(&mut self, ctx: &mut Context<'_, PbftMsg>) {
@@ -795,44 +725,38 @@ impl ViewChanger for PbftReplica {
 
     fn execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         let deliver = reply_to_client(Some(self.core.auth.send.0), PbftMsg::Reply);
-        let before = self.core.exec.cursor();
-        let (mempool, stage) = (&mut self.mempool, &mut self.stage);
+        let stage = &mut self.stage;
         self.core.drain(
             ctx,
             deliver,
             |_, _, _| {},
-            |ctx, intake, _, slot| {
-                mempool.remove(slot.batch.as_deref().unwrap_or_default());
+            |ctx, intake, _, _| {
                 *stage = Stage::Ordering;
                 // outstanding work done? disarm τ2; else re-arm
                 intake.disarm(ctx);
             },
         );
-        if self.core.exec.cursor() > before {
-            // execution progress means we are back in step with the quorum
-            self.rejoining = false;
-            if self.catchup.active() {
-                self.catchup.complete(ctx);
-            }
-        }
     }
 
-    /// A transferred snapshot closes the catch-up and may unblock
-    /// committed-but-unexecuted slots.
-    fn caught_up(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if self.catchup.active() {
-            self.catchup.complete(ctx);
+    /// Pending timers died with the crash, and so does a rejuvenation.
+    fn forget(&mut self, _: bool) {
+        (self.batch_timer, self.recovery_timer, self.recovering) = (None, None, false);
+        self.recovery_buffer.clear();
+    }
+
+    /// τ8, when proactive recovery is on: replicas take turns, replica i
+    /// rejuvenating at (i+1)·period, then every n·period.
+    fn arm_periodic(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        if let Some(period) = self.cfg.recovery_period {
+            let offset = SimDuration(period.0 * (self.core.me.0 as u64 + 1));
+            self.recovery_timer = Some(ctx.set_timer(TimerKind::T8RecoveryWatchdog, offset));
         }
-        self.execute(ctx);
     }
 }
 
 impl Actor<PbftMsg> for PbftReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        self.schedule_recovery(ctx);
+        self.start(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
@@ -844,14 +768,10 @@ impl Actor<PbftMsg> for PbftReplica {
             }
             return;
         }
-        if self.rejoining {
-            self.maybe_adopt_view(from, msg, ctx);
-        }
         match msg {
             PbftMsg::Request(signed) => self.on_request(signed.clone(), ctx),
-            m @ (PbftMsg::PrePrepare { .. } | PbftMsg::Prepare { .. } | PbftMsg::Commit { .. }) => {
-                self.handle_ordering(from, m, ctx)
-            }
+            PbftMsg::PrePrepare { .. } => self.on_pre_prepare(from, msg, ctx),
+            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => self.on_vote(from, msg, ctx),
             PbftMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             PbftMsg::ReadOnly(signed) => self.on_read_only(signed.clone(), ctx),
             PbftMsg::Reply(_) => {} // replicas ignore replies
@@ -863,12 +783,6 @@ impl Actor<PbftMsg> for PbftReplica {
             return; // only the wake-up watchdog fires while dark
         }
         match kind {
-            TimerKind::T1WaitReplies => {
-                // replicas use τ1 only for catch-up solicitation retries
-                let core = &self.core;
-                self.catchup
-                    .on_timer(id, ctx, |peer, ctx| core.ask_state(ctx, peer));
-            }
             TimerKind::T2ViewChange if self.core.intake.fired(id) => self.on_view_timeout(ctx),
             TimerKind::T7Heartbeat if Some(id) == self.batch_timer => {
                 self.batch_timer = None;
@@ -877,49 +791,12 @@ impl Actor<PbftMsg> for PbftReplica {
             TimerKind::T8RecoveryWatchdog if Some(id) == self.recovery_timer => {
                 self.on_recovery_watchdog(ctx);
             }
-            _ => {}
+            _ => self.on_view_timer(id, ctx),
         }
     }
 
     fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PbftMsg>) {
-        // Timers armed before the crash popped into the void while we were
-        // down: the handles are dead, not merely stale.
-        self.core.intake.forget_timer();
-        self.batch_timer = None;
-        self.recovery_timer = None;
-        self.recovering = false;
-        self.core.gate.set_in_view_change(false);
-        self.recovery_buffer.clear();
-        if mode == RestartMode::Amnesia {
-            // Volatile memory is gone; the last stable checkpoint is the
-            // only durable artifact. Reload it (rebuilt from its mark before
-            // memory is wiped) — everything since comes back via catch-up.
-            let core = &mut self.core;
-            let stable = core.ckpt.reset_to_stable(core.exec.sm());
-            core.exec.reset();
-            core.log.clear();
-            self.mempool = Mempool::new(self.cfg.batch_size);
-            core.votes = ViewChange::default();
-            core.gate.reset();
-            core.next_seq = SeqNum(1);
-            if let Some((stable_seq, snap)) = stable {
-                core.exec.install_snapshot(&snap, stable_seq);
-                core.next_seq = stable_seq.next();
-            }
-            ctx.observe(Observation::Marker {
-                label: "amnesia-restart",
-            });
-        } else {
-            ctx.observe(Observation::Marker {
-                label: "durable-restart",
-            });
-        }
-        // rejoin: adopt the quorum's working view from its traffic, close
-        // the execution gap via windowed state transfer, restart τ8
-        self.rejoining = true;
-        self.enter_stage(Stage::Ordering, ctx);
-        self.schedule_recovery(ctx);
-        self.begin_catchup(ctx);
+        self.restart(mode, ctx);
     }
 }
 

@@ -22,14 +22,14 @@ use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Mempool, RequestWire,
-    Scenario, SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario,
+    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
 };
 
 /// PoE messages.
@@ -127,7 +127,6 @@ pub struct PoeReplica {
     last_new_view: Option<ViewMsg<Vec<SignedRequest>>>,
     batch_size: usize,
     silenced: bool,
-    mempool: Mempool,
 }
 
 impl PoeReplica {
@@ -142,13 +141,12 @@ impl PoeReplica {
     ) -> Self {
         let exec = Execution::new().speculative();
         PoeReplica {
-            core: Core::new((me, q, store), PoeMsg::View, exec, timing),
+            core: Core::new((me, q, store), PoeMsg::View, exec, timing, batch_size),
             behavior,
             known: BTreeMap::new(),
             last_new_view: None,
             batch_size,
             silenced: false,
-            mempool: Mempool::new(batch_size),
         }
     }
 
@@ -156,8 +154,8 @@ impl PoeReplica {
         if !self.core.is_leader() || self.core.gate.in_view_change() || self.silenced {
             return;
         }
-        self.core.drop_ordered(&mut self.mempool);
-        while let Some((seq, digest, batch)) = self.core.cut(ctx, &mut self.mempool) {
+        self.core.drop_ordered();
+        while let Some((seq, digest, batch)) = self.core.cut(ctx) {
             ctx.charge_crypto(CryptoOp::Sign);
             let view = self.core.gate.view();
             self.core.log.install(seq, digest, batch.clone());
@@ -328,6 +326,12 @@ impl ViewChanger for PoeReplica {
         );
     }
 
+    fn forget(&mut self, amnesia: bool) {
+        if amnesia {
+            (self.known, self.last_new_view) = (BTreeMap::new(), None);
+        }
+    }
+
     /// PoE's adoption differs from the family's in what happens *below*
     /// the assignments: speculative executions the new view does not
     /// confirm are rolled back first, then every slot above the (possibly
@@ -376,16 +380,18 @@ impl ViewChanger for PoeReplica {
 
 impl Actor<PoeMsg> for PoeReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PoeMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
                 let wire: RequestWire<PoeMsg> = (PoeMsg::Reply, Some(PoeMsg::Request));
-                if self.core.take_request(ctx, &mut self.mempool, signed, wire) {
+                if self.core.take_request(ctx, signed, wire) {
                     self.known.insert(signed.request.id, signed.clone());
                     self.propose(ctx);
                 }
@@ -397,13 +403,13 @@ impl Actor<PoeMsg> for PoeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
                     return;
                 }
                 for r in batch.iter() {
                     self.known.entry(r.request.id).or_insert_with(|| r.clone());
                 }
-                self.mempool.remove(batch);
+                self.core.mempool.remove(batch);
                 if !self.core.log.install(seq, digest, batch.clone()) {
                     return;
                 }

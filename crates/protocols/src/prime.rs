@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
@@ -174,7 +174,7 @@ impl PrimeReplica {
         let timing = (SimDuration(order_bound.0 * 2), checkpoint_interval);
         let exec = Execution::new().skipping_executed();
         PrimeReplica {
-            core: Core::new((me, q, store), PrimeMsg::View, exec, timing),
+            core: Core::new((me, q, store), PrimeMsg::View, exec, timing, batch_size),
             rounds: RoundRules {
                 me,
                 ext: |rounds| rounds,
@@ -422,14 +422,28 @@ impl ViewChanger for PrimeReplica {
         let deliver = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
         self.core.drain(ctx, deliver, |_, _, _| {}, |_, _, _, _| {});
     }
+
+    fn forget(&mut self, amnesia: bool) {
+        self.monitor_timer = None;
+        if amnesia {
+            (self.preorder, self.ordered) = (BTreeMap::new(), BTreeMap::new());
+            self.my_origin_seq = 0;
+        }
+    }
+
+    /// The τ7 performance monitor.
+    fn arm_periodic(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
+        self.monitor_timer = Some(ctx.set_timer(TimerKind::T7Heartbeat, self.heartbeat));
+    }
 }
 
 impl Actor<PrimeMsg> for PrimeReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        self.monitor_timer = Some(ctx.set_timer(TimerKind::T7Heartbeat, self.heartbeat));
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, PrimeMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &PrimeMsg, ctx: &mut Context<'_, PrimeMsg>) {
@@ -464,7 +478,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
                     return;
                 }
                 // mark proposals as ordered so the monitor credits the leader
@@ -511,7 +525,7 @@ impl Actor<PrimeMsg> for PrimeReplica {
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, PrimeMsg>) {
         if kind == TimerKind::T7Heartbeat && Some(id) == self.monitor_timer {
             self.check_leader_performance(ctx);
-            self.monitor_timer = Some(ctx.set_timer(TimerKind::T7Heartbeat, self.heartbeat));
+            self.arm_periodic(ctx);
         } else {
             self.on_view_timer(id, ctx);
         }

@@ -369,27 +369,25 @@ impl ProtocolId {
     /// `durable` churn replays the chaos campaign's crash/recover fault
     /// with more cycles per victim on a clean network; `amnesia` restarts
     /// additionally wipe the replica back to its last stable checkpoint
-    /// on recover, which requires the protocol to implement the
-    /// [`Actor::on_recover`](bft_sim::Actor::on_recover) hook (reload the
-    /// checkpoint, rejoin via state transfer). All eight PBFT-pattern
-    /// members checkpoint, but only PBFT (and `pbft-ro`) implements that
-    /// hook; elsewhere an amnesia restart degrades to a durable one, so
-    /// `amnesia` is excluded *structurally*, not as a measured failure.
+    /// on recover. The nine entries built on the replica skeleton restart
+    /// through its shared stage (reload the checkpoint, rejoin, catch up by
+    /// state transfer); the other protocols keep no such path — an amnesia
+    /// restart would degrade to a durable one — so `amnesia` is excluded
+    /// for them structurally, not as a measured failure.
     ///
-    /// Campaign finding (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
+    /// Campaign findings (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
     /// 40-request workloads; see EXPERIMENTS.md, "Recovery campaign"):
     /// every protocol rides out the full churn gallery on a clean network
-    /// — 1700 cases, zero violations. So no protocol carries a measured
-    /// `durable` exclusion.
+    /// with zero violations, the skeleton's nine with amnesia restarts. So
+    /// no protocol carries a measured exclusion.
     pub fn recovery_tolerance(self) -> RecoveryTolerance {
+        use ProtocolId::*;
         match self {
-            // The PBFT family implements the full amnesia-restart path:
-            // checkpoint-only reload, state-transfer rejoin, view
-            // adoption. Measured clean across the churn gallery.
-            ProtocolId::Pbft | ProtocolId::PbftReadOpt => RecoveryTolerance::full(),
-            // No `on_recover` hook (structural, see above); durable churn
-            // measured clean. Leader sparing for CheapBFT is applied by
-            // the profile scoper, as in the chaos campaign.
+            Pbft | PbftReadOpt | Fab | MinBft | Prime | Fair | Kauri | Sbft | Poe => {
+                RecoveryTolerance::full()
+            }
+            // Leader sparing for CheapBFT is applied by the profile
+            // scoper, as in the chaos campaign.
             _ => RecoveryTolerance {
                 durable: true,
                 amnesia: false,

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
@@ -216,8 +216,9 @@ impl SbftReplica {
         t3_timeout: SimDuration,
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new();
         SbftReplica {
-            core: Core::new((me, q, store), SbftMsg::View, Execution::new(), timing),
+            core: Core::new((me, q, store), SbftMsg::View, exec, timing, batch_size),
             known: BTreeMap::new(),
             replies: ThresholdReplies::default(),
             t3_timeout,
@@ -527,13 +528,23 @@ impl ViewChanger for SbftReplica {
             },
         );
     }
+
+    /// A collector's τ3 timers died with the crash.
+    fn forget(&mut self, amnesia: bool) {
+        self.core.log.values_mut().for_each(|s| s.ext.t3 = None);
+        if amnesia {
+            (self.known, self.replies) = (BTreeMap::new(), ThresholdReplies::default());
+        }
+    }
 }
 
 impl Actor<SbftMsg> for SbftReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, SbftMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &SbftMsg, ctx: &mut Context<'_, SbftMsg>) {
@@ -567,7 +578,7 @@ impl Actor<SbftMsg> for SbftReplica {
                 batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.admit_proposal(ctx, (from, view, msg), digest, batch) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
                     return;
                 }
                 if !self.core.log.install(seq, digest, batch.clone()) {

@@ -43,6 +43,14 @@ impl RestartMode {
             RestartMode::Amnesia => "amnesia",
         }
     }
+
+    /// The marker a node leaves when it restarts in this mode.
+    pub fn marker(self) -> &'static str {
+        match self {
+            RestartMode::Durable => "durable-restart",
+            RestartMode::Amnesia => "amnesia-restart",
+        }
+    }
 }
 
 /// One scheduled fault.

@@ -15,9 +15,11 @@
 //!   there, rebuilt from the undo log ([`StateMachine::snapshot_at`]).
 //! * **At-most-once semantics** — replies are cached per client; a
 //!   re-executed request id returns the cached reply instead of applying
-//!   effects twice (the standard PBFT client-handling rule).
+//!   effects twice (the standard PBFT client-handling rule). The record of
+//!   executed requests is part of the state: a snapshot carries it, so a
+//!   replica that caught up by state transfer knows what it covers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +37,7 @@ struct UndoRecord {
     prior: Vec<UndoOp>,
     /// Previous reply-cache entry for the client.
     prior_reply: Option<(RequestId, TxnResult)>,
-    client: ClientId,
+    request: RequestId,
     speculative: bool,
 }
 
@@ -48,6 +50,7 @@ pub struct Snapshot {
     pub digest: Digest,
     app: ComposedApp,
     replies: BTreeMap<ClientId, (RequestId, TxnResult)>,
+    executed: BTreeSet<RequestId>,
 }
 
 /// Record of one executed request (kept while it may still be needed for
@@ -90,6 +93,8 @@ pub struct StateMachine {
     last_executed: SeqNum,
     /// Per-client last reply (at-most-once execution).
     replies: BTreeMap<ClientId, (RequestId, TxnResult)>,
+    /// Every request executed and not rolled back.
+    executed: BTreeSet<RequestId>,
     /// Undo log for sequence numbers that may still roll back.
     undo: Vec<UndoRecord>,
     /// Executed history (trimmed by checkpointing).
@@ -144,6 +149,23 @@ impl StateMachine {
         &self.history
     }
 
+    /// Whether `id` has executed here (and was not rolled back).
+    pub fn is_executed(&self, id: &RequestId) -> bool {
+        self.executed.contains(id)
+    }
+
+    /// Override the record of whether `id` executed, for an execution
+    /// stage that keeps its own rules: a sabotaged drop marks a request it
+    /// never applied; a speculative rollback un-marks every request it
+    /// undid, a replay of an earlier execution included.
+    pub fn set_executed(&mut self, id: RequestId, executed: bool) {
+        if executed {
+            self.executed.insert(id);
+        } else {
+            self.executed.remove(&id);
+        }
+    }
+
     /// Execute `request` at `seq` (must be exactly `last_executed + 1`).
     /// Returns the result and the post-state digest.
     pub fn execute(&mut self, seq: SeqNum, request: &Request) -> (TxnResult, Digest) {
@@ -180,7 +202,7 @@ impl StateMachine {
                     seq,
                     prior: Vec::new(),
                     prior_reply: Some((*cached_id, result.clone())),
-                    client: request.id.client,
+                    request: request.id,
                     speculative,
                 });
                 self.history.push(ExecutedEntry {
@@ -189,6 +211,7 @@ impl StateMachine {
                     speculative,
                     state_digest: digest,
                 });
+                self.executed.insert(request.id);
                 return (result, digest);
             }
         }
@@ -209,7 +232,7 @@ impl StateMachine {
             seq,
             prior,
             prior_reply,
-            client: request.id.client,
+            request: request.id,
             speculative,
         });
         self.history.push(ExecutedEntry {
@@ -218,6 +241,7 @@ impl StateMachine {
             speculative,
             state_digest: digest,
         });
+        self.executed.insert(request.id);
         (result, digest)
     }
 
@@ -246,16 +270,24 @@ impl StateMachine {
                 break;
             }
             let rec = self.undo.pop().unwrap();
+            // a replay answered a request that had executed before it
+            if rec
+                .prior_reply
+                .as_ref()
+                .is_none_or(|(id, _)| *id != rec.request)
+            {
+                self.executed.remove(&rec.request);
+            }
             // restore effects in reverse order
             for op in rec.prior.iter().rev() {
                 self.app.undo(op);
             }
             match rec.prior_reply {
                 Some(entry) => {
-                    self.replies.insert(rec.client, entry);
+                    self.replies.insert(rec.request.client, entry);
                 }
                 None => {
-                    self.replies.remove(&rec.client);
+                    self.replies.remove(&rec.request.client);
                 }
             }
             self.last_executed = rec.seq.prev();
@@ -272,6 +304,7 @@ impl StateMachine {
             digest: self.digest(),
             app: self.app.clone(),
             replies: self.replies.clone(),
+            executed: self.executed.clone(),
         }
     }
 
@@ -292,6 +325,7 @@ impl StateMachine {
             digest: then.digest(),
             app: then.app,
             replies: then.replies,
+            executed: then.executed,
         })
     }
 
@@ -300,6 +334,7 @@ impl StateMachine {
     pub fn install_snapshot(&mut self, snap: &Snapshot) {
         self.app = snap.app.clone();
         self.replies = snap.replies.clone();
+        self.executed = snap.executed.clone();
         self.last_executed = snap.seq;
         self.undo.clear();
         self.history.clear();
@@ -329,6 +364,22 @@ mod tests {
 
     fn req(client: u64, ts: u64, ops: Vec<Op>) -> Request {
         Request::new(ClientId(client), ts, Transaction { ops })
+    }
+
+    /// The executed-request set is state: a snapshot carries it, a
+    /// rollback un-executes, and the copy installed elsewhere knows what
+    /// it covers.
+    #[test]
+    fn snapshots_carry_the_executed_requests() {
+        let put = |ts, v| Request::new(ClientId(1), ts, Transaction::single(Op::Put(7, v)));
+        let mut sm = StateMachine::new();
+        sm.execute(SeqNum(1), &put(1, 1));
+        sm.execute_speculative(SeqNum(2), &put(2, 2));
+        let mut copy = StateMachine::new();
+        copy.install_snapshot(&sm.snapshot_at(SeqNum(1)).expect("in reach"));
+        assert!(copy.is_executed(&put(1, 1).id) && !copy.is_executed(&put(2, 2).id));
+        sm.rollback_to(SeqNum(2));
+        assert!(sm.is_executed(&put(1, 1).id) && !sm.is_executed(&put(2, 2).id));
     }
 
     #[test]

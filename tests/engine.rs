@@ -29,6 +29,16 @@ use untrusted_txn::sim::SimDuration;
 /// final state digests — except `fab` and `minbft` leader-crash-recover,
 /// where the recovered leader now catches up by state transfer and ends
 /// at the others' state instead of its own stale one.
+///
+/// Re-pinned when restart became a stage of the skeleton: five
+/// `leader-crash-recover` rows (Prime's and Themis' runs finish before the
+/// 60 ms recovery). Each keeps the accepted requests, their results and
+/// max view 1, and gains the restarted leader's `durable-restart` marker:
+/// - `fab`: one catch-up round (two state requests) shifts the view change;
+/// - `minbft`: rejoined view 1 from its leader's proposal, then caught up;
+/// - `kauri`: one catch-up round and two retries (no checkpoint yet);
+/// - `sbft`: caught up by state transfer; one slot took the slow path;
+/// - `poe`: one catch-up round.
 const GOLDEN: &str = "
 pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
 pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
@@ -64,7 +74,7 @@ zyzzyva5 lossy-pre-gst 4f451656e2be811219369f493df161db53c1dc96fb4b0232e39bf6bd0
 zyzzyva5 f2-two-leaders-crashed b4689b4b35c2b9bf22aecd71ee4f0b7e6669ea05e3e7c41536440072faa56305
 sbft zero-knob 2609ebadc6dbb78da9f7add391a873f3403a13739a1a2d23232c4d77cf6908ac
 sbft leader-crash 59d2904bfeeb0c7722f207b59efb610ed73bc60b57a916ec7d747927099bb0d2
-sbft leader-crash-recover 92c9edfd0e0b7184f4f503d4db716ac703e217cf8a07eb5ce5874bf7e2083379
+sbft leader-crash-recover c625d0d0c02c9bb878731c30e17644b8175b5a34221c56b8355b60e57bd121d6
 sbft leader-mute d87b9162aa22bba3c052bfa2f3cacdb2c6314b57e66b897ffbfa9417dca44db2
 sbft backup-crash d030c4418ba117da97ee34d4211eefd810a650e8226ca60f08956ceb53c3bb38
 sbft partition-heals a7ccf80d39d004feefbb8392baf21ac6d3b18ed946977848b98ca187717c97f4
@@ -96,7 +106,7 @@ tendermint-il lossy-pre-gst f682492b6ec9d0839fd30a579424deec4c7cd669ca715faee25a
 tendermint-il f2-two-leaders-crashed 7435f14746387b6c6e9dbefb120ab6d47f0c9f77d4f8b87029cf6df36cc7384a
 poe zero-knob 1bfb7379c2c5a07a4a27f72b841179f06ef19e94eb31901bbabfccad0fd5cab9
 poe leader-crash 82da1333ecf96e87dfa78eb3acfc9df7684225f9b8032ec2d17436d1238b9dc9
-poe leader-crash-recover 8cda8cf5af2bd2948d0e9b06d7a8fda8889c7b8a18483a3d3297e8f1b0e82fce
+poe leader-crash-recover fb820763e367464de83a6007a3ff4cd8fbb48055bd8aac5b6b705912c75c56c2
 poe leader-mute 174985403f8d6daeb20967bce8a413c0a796da25efe3d0ad3b8afec2949b8ba2
 poe backup-crash f43c364a607006b113695c928a50d3dc3d7cf6e81261514856110d9c6a83c5a6
 poe partition-heals 615397c302ae8047c0a54992912071f259d1e500ce1a0fd49d76c77e830b7cec
@@ -112,7 +122,7 @@ cheapbft lossy-pre-gst b7f2a0c9cbe82ffbded5283f8c06045f3d5c0834cc43aa1b0bfd55d67
 cheapbft f2-two-leaders-crashed 82b80a9fb82d5c056abe49de33a50ec857471b9f3d5d34efe0679281b7332238
 fab zero-knob 1f1227855a28e09a2168c86ac019ced83a4714096b1ae0bcd720a8fe67504aae
 fab leader-crash a5305a8f923f2328a16c54b6a802f5b58f3ea0ae47ed80688e36bca8652c81dd
-fab leader-crash-recover d2e69cc8a4cd4a431c62d36f9d0f0df4c4dba287ecbe82bfd96f50486e537cf1
+fab leader-crash-recover ba55fa33085a4c8dfcdaad1a73151e2d56a122dc88cd9f3b30c98202ebf1f7dd
 fab leader-mute 884e83fdfc9b78d123e34cc7d2a5be1688fdc30aa3506c574fdac37b9e366c39
 fab backup-crash fbba2e5e57d980cc111bd04ee0c8fa27ddbe51585882be24c791c6fa23c871eb
 fab partition-heals d351e0136a47d2bbb7dc52dc3418dbefdf28bd03ea75a67b2fd47a5bdafd01b4
@@ -136,7 +146,7 @@ fair lossy-pre-gst dc1f250a8fc19a1df7ff7549323488dc520f86b774202832280302a920b34
 fair f2-two-leaders-crashed a751246eb818df235b2beca851bb8367c9038da2f6e6173003fb8f76cb8b9e0c
 kauri zero-knob 3f94f84e6728f53236568ed022e666c17a6777003666556e5c3da047a1b3e973
 kauri leader-crash 50bf7e6a3d103047598eaaee7b37c8a4c663a28e4f28baa541a91e1ac66c4cf1
-kauri leader-crash-recover 935bdfc07538942f999c4123c36a73d1268ba636bfaa77d9980eac6be86151df
+kauri leader-crash-recover d26f9f2c1163992a629ed8fce3fbbf82a85e01860093e7fa7769eb89ff31a5d9
 kauri leader-mute 964836288a04ddd0e3058e24dda2f90e6e7cb0c701a01ce770ebdd44c5deb551
 kauri backup-crash 4ead1a6c13ed17165aa6ba38ec61ac8cf7927b6e31b65d687d6b14a8565cced2
 kauri partition-heals b9571fee04e59143537e3b0c05973f0759445c47711d7ce75fcf0013b454646f
@@ -152,7 +162,7 @@ qu lossy-pre-gst 0a9e88a762c31d5d296d55adc90944dc41ad6280212621f5ff0aaba7106a68d
 qu f2-two-leaders-crashed 89ea6b3edd3ec7db95969d2981170215db247fc11c1fae7158456346b26f76c4
 minbft zero-knob 0d6310bb4a27b4f44572c3d5ada51a184ffbbc830e28cc9666031f8969867126
 minbft leader-crash 8b6bf99cd74cf7c4d90fbe97b3f8a1fa9dfb5b2a6783d1c3f44cad149466ef10
-minbft leader-crash-recover ca95339c5b5d7635efa8912748ec9fff15e7493433de8993ef1e4cbe495f2594
+minbft leader-crash-recover b07bbacc67ff572743fd66ae3580b49d0d940decd007eb1aa655bbbf0894a3df
 minbft leader-mute 44bcf2d1077fe28a6937965ebb1fa5238068556e241adfc90040945cae292c5b
 minbft backup-crash 9edb829b9a428081d37e8020be2ae9a2fd2211cb7ae68226683cf44bc243fa6f
 minbft partition-heals f6664bec938459b35fc7955aa2d076829ec29ce445065d294e84018be268ee79

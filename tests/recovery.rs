@@ -117,3 +117,37 @@ fn amnesia_churn_preserves_semantics_for_every_workload_family() {
         );
     }
 }
+
+/// A snapshot carries the requests it executed. An SBFT leader that
+/// restarts with amnesia before the first checkpoint learns a client's
+/// retransmitted request afresh; when it later catches up by state
+/// transfer it must know the snapshot covers that request, or it proposes
+/// it again and every replica applies it twice (case 422 of the unscoped
+/// recovery sweep: an `Add` accepted as -2 replayed as -4).
+#[test]
+fn an_amnesiac_leader_does_not_propose_what_its_snapshot_executed() {
+    use bft_bench::campaign::{scenario_for, CampaignConfig};
+    use bft_sim::campaign::{generate_case, ChaosProfile};
+    let cfg = CampaignConfig::recovery(1);
+    let profile = ChaosProfile::recovery_churn(ProtocolId::Sbft.min_n(1), 1, 1);
+    let case = generate_case(&profile, 422);
+    let amnesia = |e: &_| {
+        matches!(
+            e,
+            bft_sim::FaultEvent::Recover {
+                mode: RestartMode::Amnesia,
+                ..
+            }
+        )
+    };
+    assert!(
+        case.plan.events.iter().any(amnesia),
+        "the case restarts with amnesia"
+    );
+    let s = scenario_for(&cfg, &case);
+    let out = ProtocolId::Sbft.run(&s);
+    assert!(out.log.marker_count("state-transferred") > 0);
+    let semantic = semantic_config(ProtocolId::Sbft, &s);
+    let violation = check_outcome_with_semantics(&out.log, vec![], 40, &semantic);
+    assert_eq!(violation, None);
+}
