@@ -1,20 +1,15 @@
 //! Client machinery (dimension **P6**).
 //!
-//! Every protocol's client actor is built from the same two pieces:
-//!
-//! * [`ReplyCollector`] — collects replies from distinct replicas and
-//!   reports when the protocol's reply quorum is reached with *matching*
-//!   results (result + post-state digest must agree). PBFT waits for `f+1`,
-//!   PoE for `2f+1`, Zyzzyva's fast path for all `3f+1`.
-//! * [`ClientBehavior`] — the workload-driving policy: closed-loop (one
-//!   outstanding request, next sent on completion) with a retransmission
-//!   timer (the client-side part of timer τ1/τ2 handling).
+//! [`ReplyCollector`] collects replies from distinct replicas and reports
+//! when the protocol's reply quorum is reached with *matching* replies
+//! (result, post-state digest and speculation must agree). PBFT waits for
+//! `f+1`, PoE for `2f+1`, Zyzzyva's fast path for all `3f+1`. Pacing,
+//! retransmission and acceptance belong to the client stage in
+//! `bft_protocols::client`.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
-use bft_types::{Digest, ReplicaId, Reply, RequestId};
+use bft_types::{Digest, ReplicaId, Reply, TxnResult};
 
 /// Collects replies for one outstanding request.
 #[derive(Debug, Clone, Default)]
@@ -44,6 +39,9 @@ pub enum CollectStatus {
     Conflict,
 }
 
+/// What two replies must share to match.
+type MatchKey<'a> = (Digest, bool, &'a TxnResult);
+
 impl ReplyCollector {
     /// Create an empty collector.
     pub fn new() -> Self {
@@ -62,58 +60,52 @@ impl ReplyCollector {
         self.status(quorum)
     }
 
+    /// The replies grouped by what must agree for them to match: each
+    /// group's size beside its lowest replica's reply, in key order.
+    fn groups(&self) -> BTreeMap<MatchKey<'_>, (usize, &Reply)> {
+        let mut groups = BTreeMap::new();
+        for reply in self.replies.values() {
+            let key = (reply.state_digest, reply.speculative, &reply.result);
+            groups.entry(key).or_insert((0, reply)).0 += 1;
+        }
+        groups
+    }
+
     /// Current status against `quorum`.
     pub fn status(&self, quorum: usize) -> CollectStatus {
-        // group by (result, state digest)
-        let mut groups: BTreeMap<(Digest, bool), (usize, &Reply)> = BTreeMap::new();
-        let mut digests_seen: Vec<Digest> = Vec::new();
-        for reply in self.replies.values() {
-            let key = (reply.state_digest, reply.speculative);
-            let entry = groups.entry(key).or_insert((0, reply));
-            entry.0 += 1;
-            if !digests_seen.contains(&reply.state_digest) {
-                digests_seen.push(reply.state_digest);
-            }
-        }
-        let best = groups.values().map(|(c, _)| *c).max().unwrap_or(0);
+        let groups = self.groups();
         if let Some((count, reply)) = groups.values().find(|(c, _)| *c >= quorum) {
             return CollectStatus::Complete {
                 reply: (*reply).clone(),
                 matched: *count,
             };
         }
-        if digests_seen.len() > 1 {
+        let mut outcomes = groups.keys().map(|(digest, _, result)| (digest, result));
+        let first = outcomes.next();
+        if outcomes.any(|other| Some(other) != first) {
             return CollectStatus::Conflict;
         }
+        let best = groups.values().map(|(c, _)| *c).max().unwrap_or(0);
         CollectStatus::Pending { best }
+    }
+
+    /// The largest matching group: its size and a representative reply
+    /// (the last largest in key order).
+    fn largest(&self) -> Option<(usize, &Reply)> {
+        self.groups().into_values().max_by_key(|(c, _)| *c)
     }
 
     /// The matching count of the largest agreeing group (Zyzzyva's slow
     /// path: 2f+1 matching speculative replies out of a conflicted or
     /// incomplete set still allow a commit-certificate round).
     pub fn best_matching(&self) -> usize {
-        let mut groups: BTreeMap<(Digest, bool), usize> = BTreeMap::new();
-        for reply in self.replies.values() {
-            *groups
-                .entry((reply.state_digest, reply.speculative))
-                .or_insert(0) += 1;
-        }
-        groups.values().copied().max().unwrap_or(0)
+        self.largest().map_or(0, |(c, _)| c)
     }
 
     /// A representative reply from the largest matching group (the result
     /// the client accepts once that group reaches its quorum).
     pub fn best_matching_reply(&self) -> Option<&Reply> {
-        let mut groups: BTreeMap<(Digest, bool), usize> = BTreeMap::new();
-        for reply in self.replies.values() {
-            *groups
-                .entry((reply.state_digest, reply.speculative))
-                .or_insert(0) += 1;
-        }
-        let (best, _) = groups.into_iter().max_by_key(|(_, n)| *n)?;
-        self.replies
-            .values()
-            .find(|r| (r.state_digest, r.speculative) == best)
+        self.largest().map(|(_, r)| r)
     }
 
     /// Reset for the next request.
@@ -122,60 +114,10 @@ impl ReplyCollector {
     }
 }
 
-/// Client pacing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClientBehavior {
-    /// Total requests this client issues.
-    pub total_requests: u64,
-    /// Retransmission timeout in virtual nanoseconds (client-side τ1/τ2:
-    /// retransmit, and in PBFT broadcast to all replicas rather than just
-    /// the leader).
-    pub retransmit_after_ns: u64,
-    /// Think time between a completed request and the next one (0 = fully
-    /// closed loop).
-    pub think_time_ns: u64,
-}
-
-impl ClientBehavior {
-    /// A closed-loop client issuing `total` requests with a 1-second
-    /// retransmission timeout.
-    pub fn closed_loop(total: u64) -> Self {
-        ClientBehavior {
-            total_requests: total,
-            retransmit_after_ns: 1_000_000_000,
-            think_time_ns: 0,
-        }
-    }
-}
-
-/// Tracks one client's progress through its request sequence.
-#[derive(Debug, Clone, Default)]
-pub struct RequestTracker {
-    /// Next timestamp to assign.
-    pub next_timestamp: u64,
-    /// Completed request count.
-    pub completed: u64,
-    /// The in-flight request, if any.
-    pub in_flight: Option<RequestId>,
-}
-
-impl RequestTracker {
-    /// Is the request `id` the one we are waiting on?
-    pub fn is_current(&self, id: RequestId) -> bool {
-        self.in_flight == Some(id)
-    }
-
-    /// Mark the in-flight request complete.
-    pub fn complete(&mut self) {
-        self.in_flight = None;
-        self.completed += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_types::{ClientId, TxnResult, View};
+    use bft_types::{ClientId, RequestId, View};
 
     fn reply(ts: u64, digest: u8, speculative: bool) -> Reply {
         Reply {
@@ -227,6 +169,30 @@ mod tests {
         // same digest but different speculation flag: still pending (no
         // matching pair), though not a digest conflict
         assert_eq!(s, CollectStatus::Pending { best: 1 });
+    }
+
+    /// A reply that agrees with an honest one on the state digest but
+    /// reports another result matches nothing: a Byzantine lowest-id
+    /// replica cannot choose the accepted result.
+    #[test]
+    fn replies_match_only_if_their_results_agree() {
+        let with = |value| Reply {
+            result: TxnResult {
+                reads: vec![Some(value)],
+            },
+            ..reply(1, 7, false)
+        };
+        let mut c = ReplyCollector::new();
+        c.offer(ReplicaId(0), with(666), 2);
+        assert_eq!(c.offer(ReplicaId(1), with(1), 2), CollectStatus::Conflict);
+        assert_eq!(c.best_matching(), 1);
+        match c.offer(ReplicaId(2), with(1), 2) {
+            CollectStatus::Complete { reply, matched } => {
+                assert_eq!((reply.result, matched), (with(1).result, 2));
+            }
+            s => panic!("expected complete, got {s:?}"),
+        }
+        assert_eq!(c.best_matching_reply(), Some(&with(1)));
     }
 
     #[test]

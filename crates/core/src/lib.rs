@@ -15,9 +15,8 @@
 //!   preconditions, plus the catalogue of named protocols (PBFT, Zyzzyva,
 //!   SBFT, HotStuff, Tendermint, PoE, CheapBFT, FaB, Prime, Themis-style,
 //!   Kauri, Q/U, MinBFT) as points in the space.
-//! * [`client`] — the client machinery shared by every protocol
-//!   implementation: reply collection with protocol-specific quorums
-//!   (dimension P6), retransmission, latency accounting.
+//! * [`client`] — reply collection with protocol-specific quorums
+//!   (dimension P6), shared by every protocol's client.
 //! * [`workload`] — synthetic transaction generators with contention, skew
 //!   and read-ratio knobs (the workload axes the paper's trade-offs
 //!   reference).
@@ -34,7 +33,7 @@ pub mod report;
 pub mod workload;
 
 pub use choices::{catalogue, DesignChoice};
-pub use client::{ClientBehavior, ReplyCollector};
+pub use client::ReplyCollector;
 pub use design::{
     Assumption, AuthMode, CommitmentStrategy, LeaderMode, MsgComplexity, Phase, ProtocolPoint,
     QosFeatures, RecoveryMode, TopologyKind,

@@ -29,10 +29,8 @@ use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
-use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
-    SubmitPolicy,
-};
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
+use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
 
 /// Chain messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -443,6 +441,7 @@ pub struct ChainClientProto;
 
 impl ClientProtocol for ChainClientProto {
     type Msg = ChainMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> ChainMsg {

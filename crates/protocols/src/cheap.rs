@@ -21,9 +21,9 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
-    SlotLog, SubmitPolicy, Tally,
+    reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog, Tally,
 };
 
 /// CheapBFT messages.
@@ -516,6 +516,7 @@ pub struct CheapClientProto;
 
 impl ClientProtocol for CheapClientProto {
     type Msg = CheapMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> CheapMsg {

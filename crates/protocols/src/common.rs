@@ -3,9 +3,6 @@
 //! * [`Scenario`] — the experiment description (cluster size, workload,
 //!   network, faults, seeds) under which protocols are compared.
 //! * [`SignedRequest`] — a client request carrying the client's signature.
-//! * [`GenericClient`] — the requester client (dimension P6) shared by most
-//!   protocols: closed-loop submission, reply collection against a
-//!   protocol-specific quorum, retransmission.
 //! * [`Execution`], [`SlotLog`], [`Intake`], [`ViewGate`], [`ViewChange`] —
 //!   the parts of Figure 1's replica lifecycle that do not vary between
 //!   protocols: in-order execution of the committed-slot log with replies,
@@ -13,8 +10,8 @@
 //!   view-tagged message admission, and the PBFT-pattern view change
 //!   (`ViewChanger`: a protocol supplies what it reports, how its new
 //!   leader assembles and how it adopts one re-proposal).
-//! * [`launch`] / [`launch_with_clients`] — build the engine, install
-//!   replicas and clients, run to completion.
+//!
+//! The client stage and the launcher are in [`crate::client`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -24,8 +21,8 @@ use bft_crypto::sign::PartyId;
 use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature};
 use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
-    NodeId, Observation, RestartMode, RunOutcome, SimDuration, SimTime, Simulation, Stage,
-    ThreadedEngine, TimerId,
+    NodeId, Observation, RestartMode, SimDuration, SimTime, Simulation, Stage, ThreadedEngine,
+    TimerId,
 };
 use bft_state::{CheckpointManager, Snapshot, StateMachine};
 use bft_types::{
@@ -309,380 +306,6 @@ impl Scenario {
         }
         txns
     }
-}
-
-/// Where a generic client sends its requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitPolicy {
-    /// Send to the believed leader; on retransmit, broadcast (PBFT rule).
-    LeaderThenBroadcast,
-    /// Always broadcast to all replicas (rotating-leader and fair
-    /// protocols).
-    Broadcast,
-}
-
-/// Hooks a protocol provides to use [`GenericClient`].
-pub trait ClientProtocol: Send + 'static {
-    /// The protocol's message type.
-    type Msg: WireSize + Clone + serde::Serialize + Send + Sync + 'static;
-
-    /// Wrap a signed request for submission.
-    fn wrap_request(req: SignedRequest) -> Self::Msg;
-
-    /// Extract a reply, if this message is one.
-    fn unwrap_reply(msg: &Self::Msg) -> Option<&Reply>;
-
-    /// Submission policy.
-    const SUBMIT: SubmitPolicy;
-
-    /// The reply quorum for the given rules: `f+1` matching replies unless
-    /// the protocol says otherwise.
-    fn reply_quorum(q: &QuorumRules) -> usize {
-        q.weak()
-    }
-}
-
-/// One open-loop request in flight: its payload, submission time, reply
-/// collector and retransmission state.
-struct OpenRequest {
-    signed: SignedRequest,
-    sent_at: SimTime,
-    collector: bft_core::client::ReplyCollector,
-    timer: TimerId,
-    retransmitted: bool,
-}
-
-/// The requester client shared by most protocols: collects matching
-/// replies, retransmits on timeout (broadcasting if the policy says so),
-/// records `ClientAccept` observations for latency accounting.
-///
-/// Pacing follows the scenario workload's [`Arrival`](bft_core::Arrival)
-/// knob: closed-loop (one request in flight, the default) or open-loop
-/// (submissions on a fixed virtual-time schedule with arbitrarily many in
-/// flight — the million-request throughput mode).
-pub struct GenericClient<P: ClientProtocol> {
-    id: ClientId,
-    q: QuorumRules,
-    store: Arc<KeyStore>,
-    workload: Workload,
-    total: u64,
-    sent: u64,
-    in_flight: Option<(RequestId, SignedRequest, SimTime)>,
-    collector: bft_core::client::ReplyCollector,
-    leader_hint: ReplicaId,
-    retransmit: SimDuration,
-    timer: Option<TimerId>,
-    retransmitted: bool,
-    /// `Some(interarrival)` in open-loop mode.
-    arrival: Option<SimDuration>,
-    /// Open-loop requests awaiting a reply quorum, keyed by request id.
-    outstanding: BTreeMap<RequestId, OpenRequest>,
-    /// Open-loop retransmission timers → the request they guard.
-    retransmit_ids: BTreeMap<TimerId, RequestId>,
-    /// Open-loop completions.
-    done: u64,
-    _marker: std::marker::PhantomData<P>,
-}
-
-impl<P: ClientProtocol> GenericClient<P> {
-    /// Create a client for `scenario` with identity `id`.
-    pub fn new(scenario: &Scenario, q: QuorumRules, id: u64) -> Self {
-        let arrival = match scenario.workload.arrival {
-            bft_core::Arrival::ClosedLoop => None,
-            bft_core::Arrival::OpenLoop { interarrival_ns } => {
-                Some(SimDuration(interarrival_ns.max(1)))
-            }
-        };
-        GenericClient {
-            id: ClientId(id),
-            q,
-            store: scenario.key_store(),
-            workload: scenario.workload_for(id),
-            total: scenario.requests_per_client,
-            sent: 0,
-            in_flight: None,
-            collector: bft_core::client::ReplyCollector::new(),
-            leader_hint: ReplicaId(0),
-            retransmit: SimDuration(scenario.network.delta.0 * 4),
-            timer: None,
-            retransmitted: false,
-            arrival,
-            outstanding: BTreeMap::new(),
-            retransmit_ids: BTreeMap::new(),
-            done: 0,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn submit_next(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        if self.sent >= self.total {
-            return;
-        }
-        self.sent += 1;
-        let request = Request::new(self.id, self.sent, self.workload.next_txn());
-        let signed = SignedRequest::new(&self.store, request.clone());
-        ctx.charge_crypto(bft_crypto::CryptoOp::Sign);
-        self.in_flight = Some((request.id, signed.clone(), ctx.now()));
-        self.collector.clear();
-        self.retransmitted = false;
-        self.dispatch(signed, false, ctx);
-        let t = ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit);
-        self.timer = Some(t);
-    }
-
-    fn dispatch(&mut self, signed: SignedRequest, retransmit: bool, ctx: &mut Context<'_, P::Msg>) {
-        match P::SUBMIT {
-            SubmitPolicy::LeaderThenBroadcast if !retransmit => {
-                ctx.send(NodeId::Replica(self.leader_hint), P::wrap_request(signed));
-            }
-            _ => {
-                let n = self.q.n;
-                ctx.multicast((0..n as u32).map(NodeId::replica), P::wrap_request(signed));
-            }
-        }
-    }
-
-    /// Open-loop: sign and submit the next request on the arrival schedule,
-    /// tracking it among the (arbitrarily many) outstanding requests.
-    fn submit_open(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        if self.sent >= self.total {
-            return;
-        }
-        self.sent += 1;
-        let request = Request::new(self.id, self.sent, self.workload.next_txn());
-        let signed = SignedRequest::new(&self.store, request.clone());
-        ctx.charge_crypto(bft_crypto::CryptoOp::Sign);
-        let timer = ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit);
-        self.retransmit_ids.insert(timer, request.id);
-        self.outstanding.insert(
-            request.id,
-            OpenRequest {
-                signed: signed.clone(),
-                sent_at: ctx.now(),
-                collector: bft_core::client::ReplyCollector::new(),
-                timer,
-                retransmitted: false,
-            },
-        );
-        self.dispatch(signed, false, ctx);
-    }
-
-    /// Open-loop reply handling: route the reply to its outstanding
-    /// request's collector; completion never triggers a submission (the
-    /// arrival timer owns pacing).
-    fn on_open_reply(&mut self, from: NodeId, reply: &Reply, ctx: &mut Context<'_, P::Msg>) {
-        let NodeId::Replica(replica) = from else {
-            return;
-        };
-        let Some(pending) = self.outstanding.get_mut(&reply.request) else {
-            return;
-        };
-        ctx.charge_crypto(bft_crypto::CryptoOp::Verify);
-        self.leader_hint = reply.view.leader_of(self.q.n);
-        let quorum = P::reply_quorum(&self.q);
-        if let bft_core::client::CollectStatus::Complete { reply: agreed, .. } =
-            pending.collector.offer(replica, reply.clone(), quorum)
-        {
-            let pending = self.outstanding.remove(&reply.request).expect("present");
-            ctx.cancel_timer(pending.timer);
-            self.retransmit_ids.remove(&pending.timer);
-            self.done += 1;
-            ctx.observe(Observation::ClientAccept {
-                request: reply.request,
-                sent_at: pending.sent_at,
-                fast_path: !pending.retransmitted && agreed.speculative,
-                txn: pending.signed.request.txn,
-                result: agreed.result.clone(),
-            });
-        }
-    }
-}
-
-impl<P: ClientProtocol> Actor<P::Msg> for GenericClient<P> {
-    fn on_start(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        match self.arrival {
-            None => self.submit_next(ctx),
-            Some(interarrival) => {
-                // first request at t=0, then one per interarrival tick
-                self.submit_open(ctx);
-                if self.sent < self.total {
-                    ctx.set_timer(TimerKind::T7Heartbeat, interarrival);
-                }
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: &P::Msg, ctx: &mut Context<'_, P::Msg>) {
-        let Some(reply) = P::unwrap_reply(msg) else {
-            return;
-        };
-        if self.arrival.is_some() {
-            self.on_open_reply(from, reply, ctx);
-            return;
-        }
-        let Some((current, _, sent_at)) = self.in_flight else {
-            return;
-        };
-        if reply.request != current {
-            return;
-        }
-        let NodeId::Replica(replica) = from else {
-            return;
-        };
-        ctx.charge_crypto(bft_crypto::CryptoOp::Verify);
-        self.leader_hint = reply.view.leader_of(self.q.n);
-        let quorum = P::reply_quorum(&self.q);
-        if let bft_core::client::CollectStatus::Complete { reply: agreed, .. } =
-            self.collector.offer(replica, reply.clone(), quorum)
-        {
-            if let Some(t) = self.timer.take() {
-                ctx.cancel_timer(t);
-            }
-            let txn = self
-                .in_flight
-                .take()
-                .map(|(_, signed, _)| signed.request.txn)
-                .unwrap_or_default();
-            ctx.observe(Observation::ClientAccept {
-                request: current,
-                sent_at,
-                fast_path: !self.retransmitted && agreed.speculative,
-                txn,
-                result: agreed.result.clone(),
-            });
-            self.submit_next(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, P::Msg>) {
-        if let Some(interarrival) = self.arrival {
-            match kind {
-                // the arrival schedule: submit and re-arm until the stream
-                // is exhausted
-                TimerKind::T7Heartbeat => {
-                    self.submit_open(ctx);
-                    if self.sent < self.total {
-                        ctx.set_timer(TimerKind::T7Heartbeat, interarrival);
-                    }
-                }
-                // a per-request retransmission backstop fired
-                _ => {
-                    let Some(rid) = self.retransmit_ids.remove(&id) else {
-                        return;
-                    };
-                    let Some(pending) = self.outstanding.get_mut(&rid) else {
-                        return;
-                    };
-                    pending.retransmitted = true;
-                    let signed = pending.signed.clone();
-                    let timer = ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit);
-                    pending.timer = timer;
-                    self.retransmit_ids.insert(timer, rid);
-                    self.dispatch(signed, true, ctx);
-                }
-            }
-            return;
-        }
-        if Some(id) != self.timer {
-            return;
-        }
-        let Some((_, signed, _)) = self.in_flight.clone() else {
-            return;
-        };
-        // retransmit, broadcasting (PBFT rule: a retransmission goes to all
-        // replicas so a faulty leader cannot suppress the request forever)
-        self.retransmitted = true;
-        self.dispatch(signed, true, ctx);
-        let t = ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit);
-        self.timer = Some(t);
-    }
-}
-
-/// Drive an engine until every expected client acceptance has been
-/// observed, the workload drains, or the time budget runs out (virtual
-/// time on the sim engine, wall clock on the threaded engine), then keep it
-/// going for `drain` extra time so in-flight messages settle (Q/U's
-/// trailing fast-forwards outlast the last reply). Returns the finished
-/// outcome.
-fn run_to_completion<M: WireSize + serde::Serialize + Send + Sync + 'static>(
-    engine: Engine<M>,
-    total_requests: u64,
-    max_time: SimDuration,
-    drain: SimDuration,
-) -> RunOutcome {
-    let mut sim = match engine {
-        Engine::Threaded(eng) => {
-            // `max_time` doubles as the wall-clock budget: the deadlock
-            // backstop on real threads.
-            return eng.run_with_drain(total_requests, max_time, drain);
-        }
-        Engine::Sim(sim) => sim,
-    };
-    // Pre-size the event queue: each request fans out to O(n²) protocol
-    // messages, so reserving up front avoids repeated heap regrowth in
-    // the hot loop. Capped so large request counts don't over-allocate.
-    let n = sim.n_replicas().max(1);
-    sim.reserve_events(
-        (total_requests as usize)
-            .saturating_mul(n * n)
-            .clamp(64, 1 << 16),
-    );
-    let step = SimDuration::from_millis(50);
-    let mut t = SimTime::ZERO;
-    loop {
-        t = t + step;
-        sim.run(t);
-        if sim.accepted() >= total_requests {
-            if drain.0 > 0 {
-                sim.run(t + drain);
-            }
-            break;
-        }
-        if t.0 >= max_time.0 {
-            // the virtual-time budget is the deadlock backstop
-            break;
-        }
-    }
-    sim.finish()
-}
-
-/// Run a protocol under `scenario`: build the engine for `n` replicas,
-/// install `replica(i, q, store)` for each of them and `client(c, q)` for
-/// each scenario client, and drive the run to completion (plus `drain`).
-pub fn launch_with_clients<M, R, C>(
-    scenario: &Scenario,
-    n: usize,
-    drain: SimDuration,
-    mut replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
-    mut client: impl FnMut(u64, QuorumRules) -> C,
-) -> RunOutcome
-where
-    M: WireSize + serde::Serialize + Send + Sync + 'static,
-    R: Actor<M> + Send + 'static,
-    C: Actor<M> + Send + 'static,
-{
-    let q = QuorumRules { n, f: scenario.f };
-    let store = scenario.key_store();
-    let mut engine = scenario.build_engine::<M>(n);
-    for i in 0..n as u32 {
-        engine.add_replica(i, Box::new(replica(ReplicaId(i), q, store.clone())));
-    }
-    for c in 0..scenario.clients as u64 {
-        engine.add_client(c, Box::new(client(c, q)));
-    }
-    run_to_completion(engine, scenario.total_requests(), scenario.max_time, drain)
-}
-
-/// [`launch_with_clients`] with [`GenericClient`]s and no drain — the shape
-/// of every protocol whose client is the plain requester.
-pub fn launch<P: ClientProtocol, R: Actor<P::Msg> + Send + 'static>(
-    scenario: &Scenario,
-    n: usize,
-    replica: impl FnMut(ReplicaId, QuorumRules, Arc<KeyStore>) -> R,
-) -> RunOutcome {
-    launch_with_clients(scenario, n, SimDuration::ZERO, replica, |c, q| {
-        GenericClient::<P>::new(scenario, q, c)
-    })
 }
 
 /// The catch-up stage of the replica skeleton (`Core::catchup`): a replica
@@ -2624,6 +2247,8 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 #[cfg(test)]
 pub(crate) mod script {
     use super::*;
+    use crate::client::{launch, ClientProtocol};
+    use bft_sim::RunOutcome;
 
     /// Sends its rounds of messages to replica `to`, the first at start-up
     /// and each further one 5 ms after the last, so that the rounds arrive
@@ -2903,6 +2528,7 @@ pub(crate) mod script {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_sim::RunOutcome;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -3461,28 +3087,6 @@ mod tests {
         assert_eq!(votes.votes(View(5)).len(), 1);
         votes.prune(View(5));
         assert_eq!(votes.escalation(View(5), true, false), Some(View(6)));
-    }
-
-    /// The driver polls the engine's accept counter at the 50 ms stop
-    /// points where it used to re-count the whole log: the stop time and
-    /// the event count of a closed-loop run, an open-loop run and a drained
-    /// (Q/U) run are those of commit `db65181`, the last with the recount.
-    #[test]
-    fn driver_stops_where_the_log_recount_stopped() {
-        use crate::registry::ProtocolId;
-        let closed = Scenario::small(1).with_load(2, 150);
-        let open_loop = bft_core::workload::WorkloadConfig::uniform().open_loop(500);
-        let open = Scenario::small(1).with_load(2, 40).with_workload(open_loop);
-        for (protocol, scenario, want) in [
-            (ProtocolId::Pbft, &closed, (100_000_000, 9_471)),
-            (ProtocolId::Pbft, &open, (100_000_000, 2_610)),
-            (ProtocolId::Qu, &closed, (100_000_000, 3_900)),
-        ] {
-            let out = protocol.run(scenario);
-            let accepted = out.log.client_latencies().len() as u64;
-            assert_eq!(accepted, scenario.total_requests());
-            assert_eq!((out.end_time.0, out.events_processed), want);
-        }
     }
 
     /// Run every family member under `$s` through the macro `$go`, which

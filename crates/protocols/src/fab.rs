@@ -22,9 +22,9 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
-    SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, Tally, ViewChanger, ViewMsg,
 };
 
 /// FaB messages.
@@ -264,6 +264,7 @@ pub struct FabClientProto;
 
 impl ClientProtocol for FabClientProto {
     type Msg = FabMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> FabMsg {

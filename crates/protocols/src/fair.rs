@@ -35,9 +35,10 @@ use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake, RoundRules, Rounds,
-    Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    reply_to_client, Core, Entry, Execution, Intake, RoundRules, Rounds, Scenario, SignedRequest,
+    ViewChanger, ViewMsg,
 };
 
 /// Fair-protocol messages.
@@ -550,6 +551,7 @@ pub struct FairClientProto;
 
 impl ClientProtocol for FairClientProto {
     type Msg = FairMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> FairMsg {

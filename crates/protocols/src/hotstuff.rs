@@ -27,10 +27,8 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
-use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
-    SubmitPolicy,
-};
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
+use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
 
 /// The three vote phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -683,6 +681,7 @@ pub struct HsClientProto;
 
 impl ClientProtocol for HsClientProto {
     type Msg = HsMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> HsMsg {

@@ -29,9 +29,9 @@ use bft_sim::topology::Topology;
 use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
-    SubmitPolicy, ViewChanger, ViewMsg,
+    BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, ViewChanger, ViewMsg,
 };
 
 /// Aggregation phases.
@@ -564,6 +564,7 @@ pub struct KauriClientProto;
 
 impl ClientProtocol for KauriClientProto {
     type Msg = KauriMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> KauriMsg {

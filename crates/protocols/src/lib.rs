@@ -24,11 +24,13 @@
 //! Every protocol exposes a `run(&Scenario, ...)` entry point returning the
 //! simulator's [`bft_sim::runner::RunOutcome`]; the common [`Scenario`]
 //! describes workload, network, faults and seeds, so experiments compare
-//! protocols under byte-identical conditions.
+//! protocols under byte-identical conditions. [`common`] holds the shared
+//! replica stages, [`client`] the client stage and the launcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod common;
 pub mod registry;
 pub mod suite;

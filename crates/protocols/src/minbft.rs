@@ -27,9 +27,9 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario, SignedRequest,
-    SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, Tally, ViewChanger, ViewMsg,
 };
 
 /// A unique identifier produced by the trusted component: an attested
@@ -369,6 +369,7 @@ pub struct MinBftClientProto;
 
 impl ClientProtocol for MinBftClientProto {
     type Msg = MinBftMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> MinBftMsg {

@@ -36,19 +36,20 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use bft_core::client::CollectStatus;
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{
     Actor, Context, NodeId, Observation, RestartMode, SimDuration, SimTime, Stage, TimerId,
 };
 use bft_types::{
-    ClientId, Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    ClientId, Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, TxnResult, View, WireSize,
 };
 
+use crate::client::{launch, ClientProtocol, Pending, SubmitPolicy};
 use crate::common::{
-    launch, launch_with_clients, reply_to_client, ClientProtocol, Core, Entry, Execution, Intake,
-    Mempool, RoundRules, Rounds, Scenario, SignedRequest, Slot, SubmitPolicy, ViewChange,
-    ViewChanger, ViewMsg, VoteAuth,
+    reply_to_client, Core, Entry, Execution, Intake, Mempool, RoundRules, Rounds, Scenario,
+    SignedRequest, Slot, ViewChange, ViewChanger, ViewMsg, VoteAuth,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -806,6 +807,7 @@ pub struct PbftClientProto;
 
 impl ClientProtocol for PbftClientProto {
     type Msg = PbftMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> PbftMsg {
@@ -820,147 +822,79 @@ impl ClientProtocol for PbftClientProto {
     }
 }
 
-/// A PBFT client that exploits the read-only optimization (dimension P6):
+/// PBFT's client hooks with the read-only optimization (dimension P6):
 /// read-only transactions are broadcast to all replicas and answered from
 /// their current state, with acceptance at **2f+1 matching replies**;
 /// writes (and reads whose quorum fails to match under concurrent writes,
 /// timer τ1) go through the ordered path with the normal f+1 reply quorum.
-pub struct PbftReadClient {
-    id: bft_types::ClientId,
-    q: QuorumRules,
-    store: Arc<KeyStore>,
-    workload: bft_core::workload::Workload,
-    total: u64,
-    sent: u64,
-    in_flight: Option<(RequestId, SignedRequest, bft_sim::SimTime)>,
-    collector: bft_core::client::ReplyCollector,
-    /// Current request is on the read fast path.
-    read_mode: bool,
-    leader_hint: ReplicaId,
-    retransmit: SimDuration,
-    timer: Option<TimerId>,
-    /// Reads served without ordering (for experiments).
-    fast_reads: u64,
+pub struct PbftReadProto;
+
+impl PbftReadProto {
+    /// Whether the request is still on the read fast path.
+    fn reading(rec: &Pending<()>) -> bool {
+        rec.signed.request.txn.is_read_only() && !rec.retransmitted
+    }
 }
 
-impl PbftReadClient {
-    /// Create a client for `scenario`.
-    pub fn new(scenario: &Scenario, q: QuorumRules, id: u64) -> Self {
-        PbftReadClient {
-            id: bft_types::ClientId(id),
-            q,
-            store: scenario.key_store(),
-            workload: scenario.workload_for(id),
-            total: scenario.requests_per_client,
-            sent: 0,
-            in_flight: None,
-            collector: bft_core::client::ReplyCollector::new(),
-            read_mode: false,
-            leader_hint: ReplicaId(0),
-            retransmit: SimDuration(scenario.network.delta.0 * 2),
-            timer: None,
-            fast_reads: 0,
-        }
+impl ClientProtocol for PbftReadProto {
+    type Msg = PbftMsg;
+    type Extra = ();
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
+    const RETRANSMIT_DELTAS: u64 = 2;
+
+    fn wrap_request(req: SignedRequest) -> PbftMsg {
+        PbftMsg::Request(req)
     }
 
-    fn submit_next(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if self.sent >= self.total {
-            return;
-        }
-        self.sent += 1;
-        let request = bft_types::Request::new(self.id, self.sent, self.workload.next_txn());
-        let signed = SignedRequest::new(&self.store, request.clone());
-        ctx.charge_crypto(CryptoOp::Sign);
-        self.in_flight = Some((request.id, signed.clone(), ctx.now()));
-        self.collector.clear();
-        self.read_mode = request.txn.is_read_only();
-        if self.read_mode {
+    fn unwrap_reply(msg: &PbftMsg) -> Option<&Reply> {
+        PbftClientProto::unwrap_reply(msg)
+    }
+
+    fn submit(signed: SignedRequest, leader: ReplicaId, ctx: &mut Context<'_, PbftMsg>) {
+        if signed.request.txn.is_read_only() {
             // fast path: ask every replica's current state
-            let n = self.q.n;
-            ctx.multicast(
-                (0..n as u32).map(NodeId::replica),
-                PbftMsg::ReadOnly(signed),
-            );
+            ctx.broadcast_replicas(PbftMsg::ReadOnly(signed));
         } else {
-            ctx.send(NodeId::Replica(self.leader_hint), PbftMsg::Request(signed));
+            ctx.send(NodeId::Replica(leader), PbftMsg::Request(signed));
         }
-        self.timer = Some(ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit));
     }
 
-    fn quorum(&self) -> usize {
-        if self.read_mode {
-            self.q.quorum() // 2f+1 matching reads
+    fn on_reply(
+        from: ReplicaId,
+        msg: &PbftMsg,
+        rec: &mut Pending<()>,
+        q: &QuorumRules,
+        ctx: &mut Context<'_, PbftMsg>,
+    ) -> Option<(TxnResult, bool)> {
+        let reply = Self::unwrap_reply(msg)?;
+        // 2f+1 matching reads, f+1 ordered replies
+        let quorum = if Self::reading(rec) {
+            q.quorum()
         } else {
-            self.q.weak() // f+1 ordered replies
-        }
-    }
-}
-
-impl Actor<PbftMsg> for PbftReadClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        self.submit_next(ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: &PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
-        let PbftMsg::Reply(reply) = msg else { return };
-        let Some((current, _, sent_at)) = self.in_flight else {
-            return;
+            q.weak()
         };
-        if reply.request != current {
-            return;
-        }
-        let NodeId::Replica(replica) = from else {
-            return;
+        let CollectStatus::Complete { reply: agreed, .. } =
+            rec.collector.offer(from, reply.clone(), quorum)
+        else {
+            return None;
         };
-        ctx.charge_crypto(CryptoOp::Verify);
-        self.leader_hint = reply.view.leader_of(self.q.n);
-        let quorum = self.quorum();
-        if let bft_core::client::CollectStatus::Complete { reply: agreed, .. } =
-            self.collector.offer(replica, reply.clone(), quorum)
-        {
-            if let Some(t) = self.timer.take() {
-                ctx.cancel_timer(t);
-            }
-            let txn = self
-                .in_flight
-                .take()
-                .map(|(_, signed, _)| signed.request.txn)
-                .unwrap_or_default();
-            let fast = agreed.speculative; // read replies are marked tentative
-            if fast {
-                self.fast_reads += 1;
-                ctx.observe(Observation::Marker { label: "fast-read" });
-            }
-            ctx.observe(Observation::ClientAccept {
-                request: current,
-                sent_at,
-                fast_path: fast,
-                txn,
-                result: agreed.result.clone(),
-            });
-            self.submit_next(ctx);
+        let fast = agreed.speculative; // read replies are marked tentative
+        if fast {
+            ctx.observe(Observation::Marker { label: "fast-read" });
         }
+        Some((agreed.result, fast))
     }
 
-    fn on_timer(&mut self, id: TimerId, _kind: TimerKind, ctx: &mut Context<'_, PbftMsg>) {
-        if Some(id) != self.timer {
-            return;
-        }
-        let Some((_, signed, _)) = self.in_flight.clone() else {
-            return;
-        };
+    fn on_timeout(rec: &mut Pending<()>, _q: &QuorumRules, ctx: &mut Context<'_, PbftMsg>) {
         // read quorum failed to match (concurrent writes) or messages lost:
         // fall back to the ordered path, broadcast so the leader cannot hide
-        if self.read_mode {
+        if Self::reading(rec) {
             ctx.observe(Observation::Marker {
                 label: "read-fallback",
             });
-            self.read_mode = false;
-            self.collector.clear();
+            rec.collector.clear();
         }
-        let n = self.q.n;
-        ctx.multicast((0..n as u32).map(NodeId::replica), PbftMsg::Request(signed));
-        self.timer = Some(ctx.set_timer(TimerKind::T1WaitReplies, self.retransmit));
+        ctx.broadcast_replicas(PbftMsg::Request(rec.signed.clone()));
     }
 }
 
@@ -1019,14 +953,7 @@ pub fn run(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
 /// from current state with a 2f+1 reply quorum).
 pub fn run_with_read_optimization(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
     let n = scenario.n(3 * scenario.f + 1);
-    let client = |c, q| PbftReadClient::new(scenario, q, c);
-    launch_with_clients(
-        scenario,
-        n,
-        SimDuration::ZERO,
-        replica_for(scenario, options),
-        client,
-    )
+    launch::<PbftReadProto, _>(scenario, n, replica_for(scenario, options))
 }
 
 #[cfg(test)]

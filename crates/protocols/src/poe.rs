@@ -27,9 +27,10 @@ use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, RequestWire, Scenario,
-    SignedRequest, SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    reply_to_client, BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, Tally,
+    ViewChanger, ViewMsg,
 };
 
 /// PoE messages.
@@ -488,6 +489,7 @@ pub struct PoeClientProto;
 
 impl ClientProtocol for PoeClientProto {
     type Msg = PoeMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> PoeMsg {

@@ -32,9 +32,10 @@ use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, reply_to_client, BatchEntry, ClientProtocol, Core, Execution, Intake, RoundRules,
-    Rounds, Scenario, SignedRequest, SubmitPolicy, ViewChanger, ViewMsg,
+    reply_to_client, BatchEntry, Core, Execution, Intake, RoundRules, Rounds, Scenario,
+    SignedRequest, ViewChanger, ViewMsg,
 };
 
 /// Prime messages.
@@ -537,6 +538,7 @@ pub struct PrimeClientProto;
 
 impl ClientProtocol for PrimeClientProto {
     type Msg = PrimeMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> PrimeMsg {

@@ -37,7 +37,8 @@ use bft_types::{
     Value, WireSize,
 };
 
-use crate::common::{launch_with_clients, Scenario, SignedRequest};
+use crate::client::launch_with_clients;
+use crate::common::{Scenario, SignedRequest};
 use bft_core::workload::Workload;
 use bft_state::kv::{set_digest, xor_into};
 use rand::Rng;
@@ -489,7 +490,18 @@ impl Actor<QuMsg> for QuClient {
 
 /// Run Q/U under a scenario (n = 5f+1). The run drains for 50 ms after the
 /// last reply: trailing fast-forwards outlast it.
+///
+/// # Panics
+///
+/// Panics on an open-loop arrival: Q/U's client runs closed loop only.
 pub fn run(scenario: &Scenario) -> RunOutcome {
+    assert_eq!(
+        scenario.workload.arrival,
+        bft_core::Arrival::ClosedLoop,
+        "Q/U needs closed-loop arrival: its client is the proposer and repairer, \
+         each request is proposed against the object versions the previous one \
+         learned, and a retry mints a new request id"
+    );
     launch_with_clients(
         scenario,
         scenario.n(5 * scenario.f + 1),
@@ -608,6 +620,13 @@ mod tests {
             digests.windows(2).all(|w| w[0] == w[1]),
             "replicas must converge: {last:?}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "Q/U needs closed-loop arrival")]
+    fn open_loop_arrival_is_refused() {
+        let open_loop = WorkloadConfig::uniform().open_loop(10_000);
+        run(&Scenario::small(1).with_load(2, 40).with_workload(open_loop));
     }
 
     #[test]

@@ -32,9 +32,9 @@ use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    launch, BatchEntry, ClientProtocol, Core, Execution, Intake, Scenario, SignedRequest,
-    SubmitPolicy, Tally, ViewChanger, ViewMsg,
+    BatchEntry, Core, Execution, Intake, Scenario, SignedRequest, Tally, ViewChanger, ViewMsg,
 };
 
 /// SBFT protocol messages.
@@ -707,6 +707,7 @@ pub struct SbftClientProto;
 
 impl ClientProtocol for SbftClientProto {
     type Msg = SbftMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
 
     fn wrap_request(req: SignedRequest) -> SbftMsg {

@@ -25,10 +25,8 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
-use crate::common::{
-    launch, reply_to_client, ClientProtocol, Execution, Intake, Mempool, Scenario, SignedRequest,
-    SubmitPolicy,
-};
+use crate::client::{launch, ClientProtocol, SubmitPolicy};
+use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
 
 /// Vote kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -554,6 +552,7 @@ pub struct TmClientProto;
 
 impl ClientProtocol for TmClientProto {
     type Msg = TmMsg;
+    type Extra = ();
     const SUBMIT: SubmitPolicy = SubmitPolicy::Broadcast;
 
     fn wrap_request(req: SignedRequest) -> TmMsg {

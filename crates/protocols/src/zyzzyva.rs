@@ -28,15 +28,14 @@ use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{
-    ClientId, Digest, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
-    TxnResult, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, TxnResult, View, WireSize,
 };
 
-use crate::common::{launch_with_clients, Execution, Intake, Scenario, SignedRequest, ViewGate};
-use bft_core::client::ReplyCollector;
-use bft_core::workload::Workload;
+use crate::client::{launch, ClientProtocol, Pending, SubmitPolicy};
+use crate::common::{Execution, Intake, Scenario, SignedRequest, ViewGate};
+use bft_core::client::CollectStatus;
 
 /// Zyzzyva protocol messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -459,216 +458,134 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
     }
 }
 
-/// The Zyzzyva client: the *repairer* of dimension P6. Drives the fast
-/// path, assembles commit certificates, and escalates to confirm-requests.
-pub struct ZyzzyvaClient {
-    id: ClientId,
-    q: QuorumRules,
-    /// Matching replies needed for single-round completion (n for Zyzzyva,
-    /// 4f+1 for Zyzzyva5).
-    fast_quorum: usize,
-    store: Arc<KeyStore>,
-    workload: Workload,
-    total: u64,
-    sent: u64,
-    in_flight: Option<(RequestId, SignedRequest, SimTime)>,
-    collector: ReplyCollector,
-    /// Local-commit acks per (request, state digest).
+/// The Zyzzyva client hooks: the *repairer* of dimension P6. The fast
+/// quorum of matching speculative replies completes a request in one
+/// round (`n` for Zyzzyva, 4f+1 for Zyzzyva5: `FIVE`); after τ1 the client
+/// assembles a commit certificate from 2f+1 matching replies, or escalates
+/// with a confirm-request when it holds fewer.
+pub struct ZyzzyvaClientProto<const FIVE: bool>;
+
+/// What a Zyzzyva request's record tracks beyond the shared fields.
+#[derive(Default)]
+pub struct Repair {
+    /// Local-commit acks per state digest.
     lc_acks: BTreeMap<Digest, Vec<ReplicaId>>,
     /// History position reported alongside each state digest.
     seq_of_digest: BTreeMap<Digest, SeqNum>,
-    phase: ClientPhase,
-    leader_hint: ReplicaId,
-    t1: SimDuration,
-    timer: Option<TimerId>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClientPhase {
-    /// Waiting for the fast quorum (τ1 running).
-    Fast,
-    /// Commit certificate sent; waiting for 2f+1 local commits.
-    Certify,
-    /// Confirm-request broadcast; waiting for speculative replies again.
-    Confirm,
-}
-
-impl ZyzzyvaClient {
-    /// Create a client. `fast_quorum` is `n` for Zyzzyva, `4f+1` for
-    /// Zyzzyva5.
-    pub fn new(scenario: &Scenario, q: QuorumRules, fast_quorum: usize, id: u64) -> Self {
-        ZyzzyvaClient {
-            id: ClientId(id),
-            q,
-            fast_quorum,
-            store: scenario.key_store(),
-            workload: scenario.workload_for(id),
-            total: scenario.requests_per_client,
-            sent: 0,
-            in_flight: None,
-            collector: ReplyCollector::new(),
-            lc_acks: BTreeMap::new(),
-            seq_of_digest: BTreeMap::new(),
-            phase: ClientPhase::Fast,
-            leader_hint: ReplicaId(0),
-            t1: SimDuration(scenario.network.delta.0 * 2),
-            timer: None,
+impl<const FIVE: bool> ZyzzyvaClientProto<FIVE> {
+    /// Matching replies needed for single-round completion.
+    fn fast_quorum(q: &QuorumRules) -> usize {
+        if FIVE {
+            4 * q.f + 1
+        } else {
+            q.n
         }
-    }
-
-    fn submit_next(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if self.sent >= self.total {
-            return;
-        }
-        self.sent += 1;
-        let request = Request::new(self.id, self.sent, self.workload.next_txn());
-        let signed = SignedRequest::new(&self.store, request.clone());
-        ctx.charge_crypto(CryptoOp::Sign);
-        self.in_flight = Some((request.id, signed.clone(), ctx.now()));
-        self.collector.clear();
-        self.lc_acks.clear();
-        self.seq_of_digest.clear();
-        self.phase = ClientPhase::Fast;
-        ctx.send(
-            NodeId::Replica(self.leader_hint),
-            ZyzzyvaMsg::Request(signed),
-        );
-        self.timer = Some(ctx.set_timer(TimerKind::T1WaitReplies, self.t1));
     }
 
     fn send_commit_cert(
-        &mut self,
-        current: RequestId,
+        rec: &Pending<Repair>,
         view: View,
         state_digest: Digest,
+        q: &QuorumRules,
         ctx: &mut Context<'_, ZyzzyvaMsg>,
     ) {
-        let seq = self
+        let seq = rec
+            .extra
             .seq_of_digest
             .get(&state_digest)
             .copied()
             .unwrap_or(SeqNum(0));
-        ctx.charge_crypto_n(CryptoOp::MacGen, self.q.n);
-        let replicas: Vec<ReplicaId> = (0..self.q.n as u32).map(ReplicaId).collect();
-        ctx.multicast(
-            (0..self.q.n as u32).map(NodeId::replica),
-            ZyzzyvaMsg::CommitCert {
-                request: current,
-                view,
-                seq,
-                state_digest,
-                replicas: replicas[..self.q.quorum()].to_vec(),
-            },
-        );
+        ctx.charge_crypto_n(CryptoOp::MacGen, q.n);
+        ctx.broadcast_replicas(ZyzzyvaMsg::CommitCert {
+            request: rec.signed.request.id,
+            view,
+            seq,
+            state_digest,
+            replicas: (0..q.quorum() as u32).map(ReplicaId).collect(),
+        });
     }
 
-    fn complete(&mut self, fast: bool, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        let Some((id, signed, sent_at)) = self.in_flight.take() else {
-            return;
-        };
-        if let Some(t) = self.timer.take() {
-            ctx.cancel_timer(t);
-        }
-        // the agreed result is whatever quorum of matching spec replies the
-        // collector converged on (a quorum exists on both completion paths)
-        let result = self
-            .collector
-            .best_matching_reply()
-            .map(|r| r.result.clone())
-            .unwrap_or(TxnResult { reads: vec![] });
-        ctx.observe(Observation::ClientAccept {
-            request: id,
-            sent_at,
-            fast_path: fast,
-            txn: signed.request.txn,
-            result,
-        });
-        self.submit_next(ctx);
+    /// The agreed result: whatever quorum of matching spec replies the
+    /// collector converged on (a quorum exists on both completion paths).
+    fn result(rec: &Pending<Repair>) -> TxnResult {
+        let best = rec.collector.best_matching_reply();
+        best.map_or(TxnResult { reads: vec![] }, |r| r.result.clone())
     }
 }
 
-impl Actor<ZyzzyvaMsg> for ZyzzyvaClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        self.submit_next(ctx);
+impl<const FIVE: bool> ClientProtocol for ZyzzyvaClientProto<FIVE> {
+    type Msg = ZyzzyvaMsg;
+    type Extra = Repair;
+    const SUBMIT: SubmitPolicy = SubmitPolicy::LeaderThenBroadcast;
+    const RETRANSMIT_DELTAS: u64 = 2;
+    const REPLY_CHECK: CryptoOp = CryptoOp::MacVerify;
+
+    fn wrap_request(req: SignedRequest) -> ZyzzyvaMsg {
+        ZyzzyvaMsg::Request(req)
     }
 
-    fn on_message(&mut self, from: NodeId, msg: &ZyzzyvaMsg, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        let NodeId::Replica(replica) = from else {
-            return;
-        };
-        let Some((current, _, _)) = self.in_flight else {
-            return;
-        };
+    fn unwrap_reply(msg: &ZyzzyvaMsg) -> Option<&Reply> {
+        match msg {
+            ZyzzyvaMsg::SpecReply { reply, .. } => Some(reply),
+            _ => None,
+        }
+    }
+
+    fn request_of(msg: &ZyzzyvaMsg) -> Option<RequestId> {
+        match msg {
+            ZyzzyvaMsg::SpecReply { reply, .. } => Some(reply.request),
+            ZyzzyvaMsg::LocalCommit { request, .. } => Some(*request),
+            _ => None,
+        }
+    }
+
+    fn on_reply(
+        from: ReplicaId,
+        msg: &ZyzzyvaMsg,
+        rec: &mut Pending<Repair>,
+        q: &QuorumRules,
+        ctx: &mut Context<'_, ZyzzyvaMsg>,
+    ) -> Option<(TxnResult, bool)> {
         match msg {
             ZyzzyvaMsg::SpecReply { reply, seq } => {
-                if reply.request != current {
-                    return;
+                rec.extra.seq_of_digest.insert(reply.state_digest, *seq);
+                rec.collector.offer(from, reply.clone(), usize::MAX);
+                let matched = rec.collector.best_matching();
+                if matched >= Self::fast_quorum(q) {
+                    return Some((Self::result(rec), true));
                 }
-                ctx.charge_crypto(CryptoOp::MacVerify);
-                self.leader_hint = reply.view.leader_of(self.q.n);
-                let view = reply.view;
-                let state_digest = reply.state_digest;
-                self.seq_of_digest.insert(state_digest, *seq);
-                self.collector.offer(replica, reply.clone(), usize::MAX);
-                let matched = self.collector.best_matching();
-                if matched >= self.fast_quorum {
-                    self.complete(true, ctx);
-                } else if self.phase != ClientPhase::Fast && matched >= self.q.quorum() {
+                if rec.retransmitted && matched >= q.quorum() {
                     // slow path: enough matching speculative replies for a
                     // commit certificate
-                    self.phase = ClientPhase::Certify;
-                    self.send_commit_cert(current, view, state_digest, ctx);
+                    Self::send_commit_cert(rec, reply.view, reply.state_digest, q, ctx);
                 }
+                None
             }
             ZyzzyvaMsg::LocalCommit {
-                request,
                 state_digest,
                 from: r,
                 ..
             } => {
-                if *request != current {
-                    return;
-                }
-                ctx.charge_crypto(CryptoOp::MacVerify);
-                let acks = self.lc_acks.entry(*state_digest).or_default();
+                let acks = rec.extra.lc_acks.entry(*state_digest).or_default();
                 if !acks.contains(r) {
                     acks.push(*r);
                 }
-                if acks.len() >= self.q.quorum() {
-                    self.complete(false, ctx);
-                }
+                (acks.len() >= q.quorum()).then(|| (Self::result(rec), false))
             }
-            _ => {}
+            _ => None,
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, _kind: TimerKind, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if Some(id) != self.timer {
-            return;
-        }
-        self.timer = None;
-        let Some((current, signed, _)) = self.in_flight.clone() else {
-            return;
-        };
-        let matched = self.collector.best_matching();
-        if matched >= self.q.quorum() {
-            // assemble the commit certificate from what we have
-            self.phase = ClientPhase::Certify;
-            // find the matching group's state digest
-            if let bft_core::client::CollectStatus::Complete { reply, .. } =
-                self.collector.status(self.q.quorum())
-            {
-                self.send_commit_cert(current, reply.view, reply.state_digest, ctx);
-            }
-        } else {
+    fn on_timeout(rec: &mut Pending<Repair>, q: &QuorumRules, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        if rec.collector.best_matching() < q.quorum() {
             // too few matching replies: escalate via confirm-request
-            self.phase = ClientPhase::Confirm;
-            ctx.multicast(
-                (0..self.q.n as u32).map(NodeId::replica),
-                ZyzzyvaMsg::ConfirmRequest(signed),
-            );
+            ctx.broadcast_replicas(ZyzzyvaMsg::ConfirmRequest(rec.signed.clone()));
+        } else if let CollectStatus::Complete { reply, .. } = rec.collector.status(q.quorum()) {
+            // assemble the commit certificate from what we have
+            Self::send_commit_cert(rec, reply.view, reply.state_digest, q, ctx);
         }
-        self.timer = Some(ctx.set_timer(TimerKind::T1WaitReplies, self.t1));
     }
 }
 
@@ -684,30 +601,24 @@ pub enum ZyzzyvaVariant {
 
 /// Run Zyzzyva (or Zyzzyva5) under a scenario.
 pub fn run(scenario: &Scenario, variant: ZyzzyvaVariant) -> RunOutcome {
-    let (n, fast_quorum) = match variant {
+    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
+    let replica = |me, q, store| ZyzzyvaReplica::new(me, q, store, view_timeout);
+    match variant {
         ZyzzyvaVariant::Classic => {
             let n = scenario.n(3 * scenario.f + 1);
-            (n, n)
+            launch::<ZyzzyvaClientProto<false>, _>(scenario, n, replica)
         }
         ZyzzyvaVariant::Five => {
             let n = scenario.n(5 * scenario.f + 1);
-            (n, 4 * scenario.f + 1)
+            launch::<ZyzzyvaClientProto<true>, _>(scenario, n, replica)
         }
-    };
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-    launch_with_clients(
-        scenario,
-        n,
-        SimDuration::ZERO,
-        |me, q, store| ZyzzyvaReplica::new(me, q, store, view_timeout),
-        |c, q| ZyzzyvaClient::new(scenario, q, fast_quorum, c),
-    )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim::{FaultPlan, SafetyAuditor};
+    use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()

@@ -137,7 +137,7 @@ impl Request {
 }
 
 /// Result of executing a transaction on the state machine.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TxnResult {
     /// Values returned by `Get`/`Add` operations, in operation order.
     pub reads: Vec<Option<Value>>,

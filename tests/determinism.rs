@@ -119,3 +119,54 @@ fn open_loop_zipfian_deterministic_across_schedulers_and_threads() {
         }
     }
 }
+
+/// Every registry protocol but Q/U paces its clients by the workload's
+/// arrival knob: under an open-loop arrival each client submits exactly one
+/// interarrival after its previous submission, whatever its protocol's
+/// replies, retransmissions or repairs are doing, and every request is
+/// still accepted with safety intact. (Q/U's client runs closed loop only
+/// and refuses an open-loop arrival.)
+#[test]
+fn open_loop_schedule_holds_for_every_registry_protocol_but_qu() {
+    use bft_sim::{Observation, SafetyAuditor};
+    use std::collections::BTreeMap;
+
+    let base = Scenario::small(1).with_load(2, 40);
+    let workload = base.workload.open_loop(10_000);
+    let interarrival = 100_000; // ns: 10 000 requests per second per client
+    let s = base.with_workload(workload);
+    for id in ProtocolId::ALL
+        .into_iter()
+        .filter(|id| *id != ProtocolId::Qu)
+    {
+        let out = id.run(&s);
+        assert_eq!(
+            out.log.client_latencies().len() as u64,
+            s.total_requests(),
+            "{id:?}: not every request was accepted"
+        );
+        SafetyAuditor::all_correct().assert_safe(&out.log);
+        let mut sent: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for e in &out.log.entries {
+            if let Observation::ClientAccept {
+                request, sent_at, ..
+            } = &e.obs
+            {
+                sent.entry(request.client)
+                    .or_default()
+                    .push((request.timestamp, sent_at.0));
+            }
+        }
+        for (client, mut times) in sent {
+            times.sort_unstable();
+            for pair in times.windows(2) {
+                assert_eq!(
+                    pair[1].1 - pair[0].1,
+                    interarrival,
+                    "{id:?}: client {client:?} submitted request {} off the schedule",
+                    pair[1].0
+                );
+            }
+        }
+    }
+}
