@@ -205,7 +205,7 @@ impl CampaignReport {
 /// The chaos envelope for one registry entry: the standard profile scoped
 /// down to what the protocol claims to tolerate.
 pub fn profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+    let n = entry.id.min_n(f);
     let mut p = ChaosProfile::standard(n, f, clients);
     let tol = entry.tolerance;
     if !tol.crashes {
@@ -240,7 +240,7 @@ pub fn byz_profile_for(
     clients: u64,
     attack_filter: Option<&[AttackKind]>,
 ) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+    let n = entry.id.min_n(f);
     let mut p = ChaosProfile::byzantine(n, f, clients);
     // `BFT_BYZ_UNSCOPED=1` skips the per-protocol envelope so every
     // protocol faces the full attack gallery — the measurement mode that
@@ -258,7 +258,7 @@ pub fn byz_profile_for(
 /// The recovery envelope for one registry entry: a clean network with the
 /// churn budget scoped to what the protocol's measured envelope tolerates.
 pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+    let n = entry.id.min_n(f);
     let mut p = ChaosProfile::recovery_churn(n, f, clients);
     // `BFT_REC_UNSCOPED=1` skips the per-protocol envelope so every
     // protocol faces the full churn gallery — the measurement mode that

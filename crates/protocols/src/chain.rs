@@ -30,7 +30,9 @@ use bft_types::{
 };
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
-use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
+use crate::common::{
+    reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog,
+};
 
 /// Chain messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -96,12 +98,13 @@ pub struct ChainReplica {
     /// Replicas excluded from the current chain.
     suspects: Vec<ReplicaId>,
     next_seq: SeqNum,
-    /// Sequence log: seq → batch (buffered until contiguous, then kept for
-    /// re-dissemination after reconfiguration).
-    log: BTreeMap<SeqNum, Vec<SignedRequest>>,
+    /// The pipeline's slots, each committed as it arrives and executed
+    /// once contiguous. Executed slots stay: a new head re-sends them from
+    /// the lowest sequence number a stall report names.
+    pub(crate) log: SlotLog<()>,
     /// Requests seen and not yet executed (a new head re-proposes them).
     known: BTreeMap<RequestId, SignedRequest>,
-    exec: Execution,
+    pub(crate) exec: Execution,
     mempool: Mempool,
     /// Stall machinery: τ2 over relayed requests, then a settle window.
     intake: Intake,
@@ -126,7 +129,7 @@ impl ChainReplica {
             view: View(0),
             suspects: Vec::new(),
             next_seq: SeqNum(1),
-            log: BTreeMap::new(),
+            log: SlotLog::default(),
             known: BTreeMap::new(),
             exec: Execution::new().skipping_executed(),
             mempool: Mempool::new(batch_size),
@@ -172,20 +175,11 @@ impl ChainReplica {
         chain[chain.len() - suffix..].contains(&self.me)
     }
 
-    /// The requests logged above the execution cursor (what the log holds
-    /// at or below it has executed).
-    fn unexecuted_in_log(&self) -> Vec<RequestId> {
-        let above = self.log.range(self.exec.cursor().next()..);
-        above
-            .flat_map(|(_, b)| b.iter().map(|r| r.request.id))
-            .collect()
-    }
-
     fn disseminate(&mut self, ctx: &mut Context<'_, ChainMsg>) {
         if !self.is_head() {
             return;
         }
-        let in_log = self.unexecuted_in_log();
+        let in_log = self.log.in_flight(self.exec.cursor());
         self.mempool.drop_ordered(&self.exec, in_log);
         while let Some((seq, digest, batch)) = self.mempool.cut(ctx, &mut self.next_seq) {
             self.accept_chained(seq, digest, batch, 0, ctx);
@@ -195,7 +189,7 @@ impl ChainReplica {
     fn accept_chained(
         &mut self,
         seq: SeqNum,
-        _digest: Digest,
+        digest: Digest,
         batch: Vec<SignedRequest>,
         hops: u32,
         ctx: &mut Context<'_, ChainMsg>,
@@ -204,46 +198,51 @@ impl ChainReplica {
         for r in batch.iter().filter(|r| !exec.is_executed(&r.request.id)) {
             self.known.entry(r.request.id).or_insert_with(|| r.clone());
         }
-        self.log.entry(seq).or_insert(batch);
-        self.try_execute_and_forward(hops, ctx);
+        // the first batch for a slot stands
+        if self.log.install(seq, digest, batch) {
+            self.log.slot(seq).committed = true;
+        }
+        self.execute_and_forward(hops, ctx);
     }
 
-    fn try_execute_and_forward(&mut self, hops: u32, ctx: &mut Context<'_, ChainMsg>) {
-        while let Some(batch) = self.log.get(&self.exec.cursor().next()).cloned() {
-            let next = self.exec.cursor().next();
-            let digest = digest_of(&batch);
-            let view = self.view;
-            ctx.observe(Observation::Commit {
-                seq: next,
-                view,
-                digest,
-                speculative: false,
-            });
-            let replies = self.replies_to_clients();
-            let mut send = reply_to_client(Some(CryptoOp::MacGen), ChainMsg::Reply);
-            let known = &mut self.known;
-            self.exec.run(ctx, Some(&batch), view, |ctx, reply, seq| {
-                known.remove(&reply.request);
+    /// Execute the contiguous slots — arriving in order is the commit —
+    /// and forward each down the pipeline with one more MAC accumulated.
+    fn execute_and_forward(&mut self, hops: u32, ctx: &mut Context<'_, ChainMsg>) {
+        let (view, replies, successor) = (self.view, self.replies_to_clients(), self.successor());
+        let mut send = reply_to_client(Some(CryptoOp::MacGen), ChainMsg::Reply);
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            |ctx, seq, slot| {
+                let digest = slot.digest.unwrap_or(Digest::ZERO);
+                slot.commit(ctx, seq, view, digest);
+                view
+            },
+            |ctx, reply, seq| {
+                self.known.remove(&reply.request);
                 if replies {
                     send(ctx, reply, seq);
                 }
-            });
-            // forward down the pipeline with one more MAC accumulated
-            if let Some(successor) = self.successor() {
-                ctx.charge_crypto(CryptoOp::MacGen);
-                ctx.send(
-                    NodeId::Replica(successor),
-                    ChainMsg::Chained {
+            },
+            |_, _, _, _| {},
+            |ctx, exec, log, seq| {
+                if let Some(successor) = successor {
+                    let slot = &log[&seq];
+                    let chained = ChainMsg::Chained {
                         view,
-                        seq: next,
-                        digest,
-                        batch,
+                        seq,
+                        digest: slot.digest.unwrap_or(Digest::ZERO),
+                        batch: slot.batch.clone().unwrap_or_default(),
                         hops: hops + 1,
-                    },
-                );
-            }
-            self.intake.settle(ctx, &self.exec);
-        }
+                    };
+                    ctx.charge_crypto(CryptoOp::MacGen);
+                    ctx.send(NodeId::Replica(successor), chained);
+                }
+                self.intake.settle(ctx, exec);
+                // the slots stay for a new head; their undo records go
+                exec.forget_undo();
+            },
+        );
     }
 
     fn on_stall(&mut self, ctx: &mut Context<'_, ChainMsg>) {
@@ -312,15 +311,10 @@ impl ChainReplica {
             // re-disseminate everything above the resume point so stragglers
             // fill their gaps, then fresh requests
             self.next_seq = self.next_seq.max(self.exec.cursor().next());
-            let replay: Vec<(SeqNum, Vec<SignedRequest>)> = self
-                .log
-                .range(resume_from.next()..)
-                .map(|(s, b)| (*s, b.clone()))
-                .collect();
+            let replay = self.log.entries_above(resume_from, |_| true);
             let view = self.view;
             if let Some(successor) = self.successor() {
-                for (seq, batch) in replay {
-                    let digest = digest_of(&batch);
+                for (seq, digest, batch) in replay {
                     ctx.send(
                         NodeId::Replica(successor),
                         ChainMsg::Chained {
@@ -334,7 +328,7 @@ impl ChainReplica {
                 }
             }
             // anything known but unexecuted and unlogged gets fresh slots
-            let in_log = self.unexecuted_in_log();
+            let in_log: Vec<RequestId> = self.log.in_flight(self.exec.cursor()).collect();
             let known = self.known.values();
             let todo: Vec<SignedRequest> = known
                 .filter(|r| !in_log.contains(&r.request.id))
@@ -486,7 +480,7 @@ mod tests {
             &s,
             4,
             |me, q, store| ChainReplica::new(me, q, store, timeout, 1),
-            |r| r.known.len().max(r.unexecuted_in_log().len()),
+            |r| r.known.len().max(r.log.in_flight(r.exec.cursor()).count()),
         );
         assert_eq!(accepted(&out), 300);
         assert!(peak <= 2, "scanned {peak} requests with 2 clients");

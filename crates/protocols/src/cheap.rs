@@ -13,7 +13,6 @@
 //! with 2f+1 quorums among all `n`), trading the saved resources back for
 //! resilience — exactly the trade-off dimension E1/P1 describes.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -23,7 +22,8 @@ use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, 
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog, Tally,
+    collected, reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest, Slot, SlotLog,
+    Tally,
 };
 
 /// CheapBFT messages.
@@ -98,12 +98,14 @@ impl WireSize for CheapMsg {
 }
 
 #[derive(Debug, Clone, Default)]
-struct CheapSlot {
+pub(crate) struct CheapSlot {
     agrees: Tally,
     /// Fallback epochs only.
     confirms: Tally,
     /// τ3 agreement timer (leader only).
     t3: Option<TimerId>,
+    /// Passive: the actives' updates vouching for the executed batch.
+    updates: Tally,
 }
 
 /// A CheapBFT replica.
@@ -114,13 +116,12 @@ pub struct CheapReplica {
     /// 0 = optimistic (2f+1 actives), 1+ = pessimistic fallback.
     epoch: u32,
     next_seq: SeqNum,
-    log: SlotLog<CheapSlot>,
+    /// The slots above the execution cursor, and the last
+    /// [`TRAIL`](crate::common::TRAIL) executed ones, which a late vote
+    /// still reads.
+    pub(crate) log: SlotLog<CheapSlot>,
     mempool: Mempool,
-    exec: Execution,
-    /// Passive: update attestations per slot.
-    update_votes: BTreeMap<SeqNum, Tally>,
-    /// Pending updates (batches) awaiting enough attestations.
-    update_batches: BTreeMap<(SeqNum, Digest), Vec<SignedRequest>>,
+    pub(crate) exec: Execution,
     transition_votes: Vec<ReplicaId>,
     t3_timeout: SimDuration,
 }
@@ -143,8 +144,6 @@ impl CheapReplica {
             log: SlotLog::default(),
             mempool: Mempool::new(batch_size),
             exec: Execution::new(),
-            update_votes: BTreeMap::new(),
-            update_batches: BTreeMap::new(),
             transition_votes: Vec::new(),
             t3_timeout,
         }
@@ -244,7 +243,9 @@ impl CheapReplica {
         ctx: &mut Context<'_, CheapMsg>,
     ) {
         let (quorum, optimistic) = (self.agree_quorum(), self.epoch == 0);
-        let slot = self.log.slot(seq);
+        let Some(slot) = self.log.open(self.exec.cursor(), seq) else {
+            return;
+        };
         let Some(digest) = slot.ext.agrees.vote(from, digest, slot.digest, quorum) else {
             return;
         };
@@ -280,9 +281,9 @@ impl CheapReplica {
         digest: Digest,
         ctx: &mut Context<'_, CheapMsg>,
     ) {
-        let quorum = self.q.quorum();
-        let slot = self.log.slot(seq);
-        if let Some(digest) = slot.ext.confirms.vote(from, digest, slot.digest, quorum) {
+        let (quorum, slot) = (self.q.quorum(), self.log.open(self.exec.cursor(), seq));
+        if let Some(digest) = slot.and_then(|s| s.ext.confirms.vote(from, digest, s.digest, quorum))
+        {
             self.commit_slot(seq, digest, ctx);
         }
     }
@@ -308,19 +309,27 @@ impl CheapReplica {
                 send(ctx, reply, seq);
             }
         };
-        self.exec
-            .drain(ctx, &mut self.log, view, deliver, |ctx, _, log, seq| {
-                let (Some(passives), Some(slot)) = (&passives, log.get(&seq)) else {
-                    return;
-                };
-                let update = CheapMsg::Update {
-                    seq,
-                    digest: slot.digest.unwrap_or(Digest::ZERO),
-                    batch: slot.batch.clone().unwrap_or_default(),
-                    from: me,
-                };
-                ctx.multicast(passives.clone(), update);
-            });
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            |_, _, _| view,
+            deliver,
+            |_, _, _, _| {},
+            |ctx, exec, log, seq| {
+                if let Some(passives) = &passives {
+                    let slot = &log[&seq];
+                    let update = CheapMsg::Update {
+                        seq,
+                        digest: slot.digest.unwrap_or(Digest::ZERO),
+                        batch: slot.batch.clone().unwrap_or_default(),
+                        from: me,
+                    };
+                    ctx.multicast(passives.clone(), update);
+                }
+                log.collect(seq, None);
+                exec.forget_undo();
+            },
+        );
     }
 
     fn on_update(
@@ -335,17 +344,14 @@ impl CheapReplica {
             return;
         }
         ctx.charge_crypto(CryptoOp::Verify);
-        self.update_batches.entry((seq, digest)).or_insert(batch);
-        // f+1 matching updates guarantee one correct active vouches
-        let votes = self.update_votes.entry(seq).or_default();
-        if votes
-            .vote(from, digest, Some(digest), self.q.weak())
-            .is_some()
-        {
-            if let Some(batch) = self.update_batches.get(&(seq, digest)).cloned() {
-                self.log.install(seq, digest, batch);
-                self.commit_slot(seq, digest, ctx);
-            }
+        let (quorum, slot) = (self.q.weak(), self.log.open(self.exec.cursor(), seq));
+        // f+1 matching updates guarantee one correct active vouches; a
+        // digest names one batch, so the last update's is the first's
+        let vouched =
+            |s: &mut Slot<CheapSlot>| s.ext.updates.vote(from, digest, Some(digest), quorum);
+        if slot.and_then(vouched).is_some() {
+            self.log.install(seq, digest, batch);
+            self.commit_slot(seq, digest, ctx);
         }
     }
 
@@ -451,8 +457,14 @@ impl Actor<CheapMsg> for CheapReplica {
                     return;
                 }
                 self.mempool.remove(batch);
-                if self.log.install(*seq, *digest, batch.clone()) {
-                    self.send_agree(*seq, *digest, ctx);
+                // the first proposal for a slot stands. The leader proposes
+                // one digest per slot: one for a collected slot is one this
+                // replica agreed to, and it agrees again.
+                let (seq, digest) = (*seq, *digest);
+                if collected(self.exec.cursor(), seq)
+                    || self.log.install(seq, digest, batch.clone())
+                {
+                    self.send_agree(seq, digest, ctx);
                 }
             }
             CheapMsg::Agree {

@@ -720,9 +720,24 @@ impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
     }
 }
 
-/// The committed-slot log: consensus slots by sequence number. The map is
-/// exposed (`Deref`) for protocol-specific queries; the verbs every
-/// protocol shares live here.
+/// How many executed slots a log without a checkpointing stage keeps
+/// (HotStuff, CheapBFT): a late vote, a duplicated proposal or a batch
+/// decided again at a later slot still reads a recently executed one.
+pub const TRAIL: u64 = 32;
+
+/// Whether slot `seq` is [`TRAIL`] or more behind the execution `cursor`,
+/// where a log without a checkpointing stage no longer keeps it.
+pub fn collected(cursor: SeqNum, seq: SeqNum) -> bool {
+    seq.0 + TRAIL <= cursor.0
+}
+
+/// The committed-slot log of every ordering protocol but Zyzzyva and Q/U:
+/// consensus slots by sequence number, executed by [`Execution::drain`].
+/// The map is exposed (`Deref`) for protocol-specific queries; the verbs
+/// every protocol shares live here. What stays of an executed slot is the
+/// protocol's to say: the checkpointing stage collects the log at each
+/// stable checkpoint, HotStuff and CheapBFT keep a [`TRAIL`], Tendermint
+/// only the current height and Chain every slot.
 #[derive(Debug)]
 pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
 
@@ -750,6 +765,18 @@ impl<X: Default> SlotLog<X> {
     /// The slot at `seq`, created empty if absent.
     pub fn slot(&mut self, seq: SeqNum) -> &mut Slot<X> {
         self.0.entry(seq).or_default()
+    }
+
+    /// The slot at `seq`, created empty if absent — unless it is
+    /// [`collected`]: a message that late does not bring it back.
+    pub fn open(&mut self, cursor: SeqNum, seq: SeqNum) -> Option<&mut Slot<X>> {
+        (!collected(cursor, seq)).then(|| self.slot(seq))
+    }
+
+    /// Drop the slots [`collected`] at execution `cursor`, but `keep`.
+    pub fn collect(&mut self, cursor: SeqNum, keep: Option<SeqNum>) {
+        self.0
+            .retain(|seq, _| !collected(cursor, *seq) || Some(*seq) == keep);
     }
 
     /// Install a proposal. `false` (and nothing changes) if the slot
@@ -812,6 +839,48 @@ impl<X: Default> SlotLog<X> {
     }
 }
 
+/// Messages for a view (HotStuff) or height (Tendermint) this replica has
+/// not entered yet, held for replay on entry: the next leader's traffic
+/// routinely overtakes the decision that ends the current one, and
+/// dropping it would turn a responsive decision into a timeout. Bounded
+/// against flooding: at most [`Early::AHEAD`] keys beyond the current one
+/// and 8·n messages per key.
+pub(crate) struct Early<P> {
+    held: BTreeMap<u64, Vec<P>>,
+    cap: usize,
+}
+
+impl<P> Early<P> {
+    /// How far beyond the current key messages are held.
+    pub const AHEAD: u64 = 8;
+
+    /// An empty buffer for `n` replicas.
+    pub fn new(n: usize) -> Early<P> {
+        Early {
+            held: BTreeMap::new(),
+            cap: 8 * n,
+        }
+    }
+
+    /// Hold `msg` for key `key` while at key `now`.
+    pub fn hold(&mut self, now: u64, key: u64, msg: P) {
+        if key > now + Self::AHEAD {
+            return;
+        }
+        let held = self.held.entry(key).or_default();
+        if held.len() < self.cap {
+            held.push(msg);
+        }
+    }
+
+    /// Entering key `now`: what was held for it, in arrival order; what
+    /// was held for earlier keys is dropped.
+    pub fn release(&mut self, now: u64) -> Vec<P> {
+        self.held.retain(|key, _| *key >= now);
+        self.held.remove(&now).unwrap_or_default()
+    }
+}
+
 /// The execution stage of Figure 1, shared by every replicated protocol:
 /// the state machine, the set of executed requests and the cursor over
 /// consensus slots. It runs committed batches in order and hands each
@@ -823,7 +892,16 @@ impl<X: Default> SlotLog<X> {
 /// The ordering stage decides *which* batch sits in the next slot and
 /// whether it is committed; this stage only ever executes a batch it is
 /// actually handed, so a slot whose proposal has not arrived cannot be
-/// executed as an empty placeholder.
+/// executed as an empty placeholder. Every ordering protocol runs its
+/// [`SlotLog`] through the one loop, [`Execution::drain`] (the skeleton's
+/// members through [`Core::drain`], which adds the checkpointing stage);
+/// only Zyzzyva executes request by request.
+///
+/// The undo log serves speculative rollback and the checkpointing stage's
+/// snapshots, so what is kept of it follows from what a protocol has: the
+/// checkpointing stage truncates it at each stable checkpoint, speculation
+/// keeps it for a rollback, and a protocol with neither drops it as it
+/// executes ([`Execution::forget_undo`]).
 #[derive(Debug, Default)]
 pub struct Execution {
     sm: StateMachine,
@@ -967,74 +1045,44 @@ impl Execution {
         deliver(ctx, reply, seq);
     }
 
-    /// Run the committed batch of the slot after the cursor, bracketed by
-    /// the Execution/Ordering stage observations, and advance the cursor.
-    /// `batch` is `None` while the slot's proposal has not been installed:
-    /// nothing happens then and `false` comes back — the caller retries
-    /// when the proposal lands.
-    pub fn run<M: WireSize + serde::Serialize + 'static>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        batch: Option<&[SignedRequest]>,
-        view: View,
-        deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-    ) -> bool {
-        self.run_then(ctx, batch, view, deliver, |_| {})
-    }
-
-    /// [`Execution::run`], calling `epilogue` after the last request and
-    /// before the stage is left (PoE observes its speculative commit
-    /// there).
-    pub fn run_then<M: WireSize + serde::Serialize + 'static>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        batch: Option<&[SignedRequest]>,
-        view: View,
-        mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        epilogue: impl FnOnce(&mut Context<'_, M>),
-    ) -> bool {
-        let Some(batch) = batch else {
-            return false;
-        };
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Execution,
-        });
-        for signed in batch {
-            self.execute(ctx, signed, view, &mut deliver);
-        }
-        epilogue(ctx);
-        self.cursor = self.cursor.next();
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        true
-    }
-
-    /// The one cursor loop over a committed-slot log: while the slot after
-    /// the cursor is committed *and holds its batch*, run it and call
-    /// `after_slot` (CheapBFT's shipping of the batch to its passive
-    /// replicas) with the stage, the log and the slot just executed. A gap,
-    /// an uncommitted slot or a slot still waiting for its proposal stops
-    /// the loop; the caller re-enters when that changes. The replica
-    /// skeleton runs its members' logs with [`Core::drain`].
+    /// The one cursor loop over a committed-slot log, whatever the ordering
+    /// stage: while the slot after the cursor is committed *and holds its
+    /// batch*, run the batch bracketed by the Execution/Ordering stage
+    /// observations and advance the cursor. A gap, an uncommitted slot or
+    /// a slot still waiting for its proposal stops the loop; the caller
+    /// re-enters when that changes. Per slot, `open` names the view the
+    /// replies carry (Chain observes its commit there), `close` runs after
+    /// the last request and before the stage is left (PoE observes its
+    /// speculative commit), and `after` runs with the stage and the log
+    /// once the cursor is past the slot (the checkpointing stage, shipping
+    /// to passive replicas, forwarding down a chain, collecting the log).
     pub fn drain<M: WireSize + serde::Serialize + 'static, X>(
         &mut self,
         ctx: &mut Context<'_, M>,
         log: &mut SlotLog<X>,
-        view: View,
+        mut open: impl FnMut(&mut Context<'_, M>, SeqNum, &mut Slot<X>) -> View,
         mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
+        mut close: impl FnMut(&mut Context<'_, M>, &Execution, SeqNum, &mut Slot<X>),
+        mut after: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
     ) {
+        let enter = |stage| Observation::StageEnter { stage };
         loop {
             let next = self.cursor.next();
-            let batch = log
-                .get(&next)
-                .filter(|s| s.committed)
-                .map(|s| s.batch.as_deref());
-            if !batch.is_some_and(|batch| self.run(ctx, batch, view, &mut deliver)) {
+            let Some(slot) = log
+                .get_mut(&next)
+                .filter(|s| s.committed && s.batch.is_some())
+            else {
                 return;
+            };
+            let view = open(ctx, next, slot);
+            ctx.observe(enter(Stage::Execution));
+            for signed in slot.batch.iter().flatten() {
+                self.execute(ctx, signed, view, &mut deliver);
             }
-            after_slot(ctx, self, log, next);
+            close(ctx, self, next, slot);
+            self.cursor = next;
+            ctx.observe(enter(Stage::Ordering));
+            after(ctx, self, log, next);
         }
     }
 
@@ -1072,6 +1120,13 @@ impl Execution {
     /// Drop undo/history bookkeeping at or below `seq` (stable checkpoint).
     pub fn truncate_below(&mut self, seq: SeqNum) {
         self.sm.truncate_below(seq);
+    }
+
+    /// Drop the undo/history records of everything executed so far: with
+    /// no speculation to roll back and no checkpoint to rebuild, nothing
+    /// reads them.
+    pub fn forget_undo(&mut self) {
+        self.sm.truncate_below(self.sm.last_executed());
     }
 }
 
@@ -1613,6 +1668,22 @@ impl VoteAuth {
 /// request relayed to the leader (`None`: not relayed).
 pub(crate) type RequestWire<M> = (fn(Reply) -> M, Option<fn(SignedRequest) -> M>);
 
+/// A checkpoint attester: the replica, its vote authentication, its wire.
+type Attester<M, P> = (ReplicaId, VoteAuth, fn(ViewMsg<P>) -> M);
+
+/// What the checkpointing stage works on: its marks, the execution stage
+/// and the log it collects.
+type CheckpointParts<'a, X> = (
+    &'a mut CheckpointManager,
+    &'a mut Execution,
+    &'a mut SlotLog<X>,
+);
+
+/// The log window for checkpoint `interval`: `max(4 · interval, 64)` slots.
+fn window(interval: u64) -> u64 {
+    (4 * interval).max(64)
+}
+
 /// The replica skeleton the PBFT-pattern family embeds: who this replica
 /// is plus the lifecycle stages that do not vary between its members.
 pub(crate) struct Core<M, X, P> {
@@ -1728,17 +1799,12 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         self.mempool.drop_ordered(&self.exec, in_flight);
     }
 
-    /// The log window: `max(4 · interval, 64)` slots.
-    fn window(&self) -> u64 {
-        (4 * self.ckpt.interval).max(64)
-    }
-
     /// The highest slot a leader may propose: the window above the stable
     /// checkpoint, so the log runs at most that far ahead of collection.
     pub fn high_water(&self) -> SeqNum {
         match self.ckpt.interval {
             0 => SeqNum(u64::MAX),
-            _ => self.ckpt.high_water(self.window()),
+            interval => self.ckpt.high_water(window(interval)),
         }
     }
 
@@ -1751,29 +1817,33 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         open.then(|| self.mempool.cut(ctx, &mut self.next_seq))?
     }
 
-    /// [`Execution::drain`]'s loop over this log in the current view, then
-    /// the checkpointing stage after each slot. `epilogue` ends each slot's
-    /// Execution stage (see [`Execution::run_then`]); `after_slot` is the
-    /// member's bookkeeping with the intake, the stage and the slot.
+    /// [`Execution::drain`] over this log in the current view, with the
+    /// checkpointing stage after each slot. `epilogue` ends each slot's
+    /// Execution stage (`close` there); `after_slot` is the member's
+    /// bookkeeping with the intake and the stage once the slot executed.
     pub fn drain(
         &mut self,
         ctx: &mut Context<'_, M>,
-        mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        mut epilogue: impl FnMut(&mut Context<'_, M>, SeqNum, &Slot<X>),
-        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution, &mut Slot<X>),
+        deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
+        mut epilogue: impl FnMut(&mut Context<'_, M>, &Execution, SeqNum, &mut Slot<X>),
+        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution),
     ) {
         let (view, before) = (self.gate.view(), self.exec.cursor());
-        while let Some(slot) = self.log.get_mut(&self.exec.cursor().next()) {
-            let (next, batch) = (self.exec.cursor().next(), slot.batch.as_deref());
-            let end = |ctx: &mut Context<'_, M>| epilogue(ctx, next, slot);
-            if !slot.committed || !self.exec.run_then(ctx, batch, view, &mut deliver, end) {
-                break;
-            }
-            after_slot(ctx, &mut self.intake, &self.exec, slot);
-            self.mempool
-                .remove(slot.batch.as_deref().unwrap_or_default());
-            self.checkpoint(ctx);
-        }
+        let who = (self.me, self.auth, self.wire);
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            |_, _, _| view,
+            deliver,
+            |ctx, exec, seq, slot| {
+                epilogue(ctx, exec, seq, slot);
+                (self.mempool).remove(slot.batch.as_deref().unwrap_or_default());
+            },
+            |ctx, exec, log, _| {
+                after_slot(ctx, &mut self.intake, exec);
+                Self::checkpoint(ctx, who, (&mut self.ckpt, exec, log));
+            },
+        );
         if self.exec.cursor() > before {
             // execution progress: back in step with the quorum
             self.rejoining = false;
@@ -1793,8 +1863,8 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         self.drain(
             ctx,
             deliver,
-            |_, _, _| {},
-            |ctx, intake, exec, _| intake.settle(ctx, exec),
+            |_, _, _, _| {},
+            |ctx, intake, exec| intake.settle(ctx, exec),
         );
     }
 
@@ -1802,56 +1872,60 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
 
     /// After an executed slot: where a checkpoint is due, mark the state
     /// and attest its digest to every replica.
-    fn checkpoint(&mut self, ctx: &mut Context<'_, M>) {
-        let (seq, from) = (self.exec.cursor(), self.me);
-        let Some(state_digest) = self.ckpt.checkpoint(seq, self.exec.sm()) else {
+    fn checkpoint(ctx: &mut Context<'_, M>, who: Attester<M, P>, stage: CheckpointParts<'_, X>) {
+        let ((from, auth, wire), (ckpt, exec, log)) = (who, stage);
+        let seq = exec.cursor();
+        let Some(state_digest) = ckpt.checkpoint(seq, exec.sm()) else {
             return;
         };
         let enter = |stage| Observation::StageEnter { stage };
         ctx.observe(enter(Stage::Checkpointing));
-        ctx.charge_crypto_n(self.auth.send.0, self.auth.send.1);
+        ctx.charge_crypto_n(auth.send.0, auth.send.1);
         let attest = ViewMsg::Checkpoint {
             seq,
             state_digest,
             from,
         };
-        ctx.broadcast_replicas((self.wire)(attest));
-        self.on_checkpoint(ctx, from, seq, state_digest);
+        ctx.broadcast_replicas(wire(attest));
+        Self::on_checkpoint(ctx, who, (ckpt, exec, log), (from, seq, state_digest));
         ctx.observe(enter(Stage::Ordering));
     }
 
-    /// Count `from`'s attestation. A quorum makes the checkpoint stable: the
-    /// slots and undo records it covers are collected, and a replica that
-    /// has not executed that far (in the dark) asks an attester for state.
-    pub fn on_checkpoint(
-        &mut self,
+    /// Count `from`'s attestation. A quorum makes the checkpoint stable:
+    /// the slots and undo records it covers are collected, and a replica
+    /// that has not executed that far (in the dark) asks an attester for
+    /// state.
+    fn on_checkpoint(
         ctx: &mut Context<'_, M>,
-        from: ReplicaId,
-        seq: SeqNum,
-        state_digest: Digest,
+        (me, auth, wire): Attester<M, P>,
+        (ckpt, exec, log): CheckpointParts<'_, X>,
+        (from, seq, state_digest): (ReplicaId, SeqNum, Digest),
     ) {
-        if from != self.me {
-            ctx.charge_crypto(self.auth.check);
+        if from != me {
+            ctx.charge_crypto(auth.check);
         }
-        let Some(proof) = self.ckpt.add_attestation(from, seq, state_digest) else {
+        let Some(proof) = ckpt.add_attestation(from, seq, state_digest) else {
             return;
         };
         ctx.observe(Observation::StableCheckpoint {
             seq: proof.seq,
             state_digest,
         });
-        let executed = self.exec.cursor();
-        self.log.retain(|s, _| *s > proof.seq.min(executed));
-        let horizon = self.exec.sm().last_executed();
-        self.exec
-            .truncate_below(self.ckpt.undo_floor(horizon, self.window()));
+        let executed = exec.cursor();
+        log.retain(|s, _| *s > proof.seq.min(executed));
+        let horizon = exec.sm().last_executed();
+        exec.truncate_below(ckpt.undo_floor(horizon, window(ckpt.interval)));
         if executed < proof.seq {
             ctx.observe(Observation::Marker {
                 label: "in-dark-catchup",
             });
             // a quorum of attesters: one of them is not this replica
-            if let Some(peer) = proof.attesters.iter().find(|r| **r != self.me) {
-                self.ask_state()(*peer, ctx);
+            if let Some(peer) = proof.attesters.iter().find(|r| **r != me) {
+                let ask = ViewMsg::StateRequest {
+                    from: me,
+                    have: executed,
+                };
+                ctx.send(NodeId::Replica(*peer), wire(ask));
             }
         }
     }
@@ -2077,7 +2151,12 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                 seq,
                 state_digest,
                 from,
-            } => self.core().on_checkpoint(ctx, *from, *seq, *state_digest),
+            } => {
+                let core = self.core();
+                let who = (core.me, core.auth, core.wire);
+                let stage = (&mut core.ckpt, &mut core.exec, &mut core.log);
+                Core::on_checkpoint(ctx, who, stage, (*from, *seq, *state_digest));
+            }
             // ship the latest checkpoint above the requester, rebuilt
             ViewMsg::StateRequest { from, have } => {
                 let core = self.core();
@@ -2592,6 +2671,35 @@ mod tests {
         move |_, reply, seq| sink.borrow_mut().push((reply.request, seq))
     }
 
+    /// Run `batch` as the slot after `exec`'s cursor through the drain,
+    /// replying in `view`; `false` (and nothing happens) without a batch.
+    fn run_slot(
+        exec: &mut Execution,
+        ctx: &mut Context<'_, TMsg>,
+        batch: Option<&[SignedRequest]>,
+        view: View,
+        deliver: impl FnMut(&mut Context<'_, TMsg>, Reply, SeqNum),
+    ) -> bool {
+        run_slot_then(exec, ctx, batch, view, deliver, |_| {})
+    }
+
+    /// [`run_slot`], with `close` ending the slot's Execution stage.
+    fn run_slot_then(
+        exec: &mut Execution,
+        ctx: &mut Context<'_, TMsg>,
+        batch: Option<&[SignedRequest]>,
+        view: View,
+        deliver: impl FnMut(&mut Context<'_, TMsg>, Reply, SeqNum),
+        mut close: impl FnMut(&mut Context<'_, TMsg>),
+    ) -> bool {
+        let (mut log, next) = (SlotLog::<()>::default(), exec.cursor().next());
+        let slot = log.slot(next);
+        (slot.batch, slot.committed) = (batch.map(<[_]>::to_vec), true);
+        let end = |ctx: &mut Context<'_, TMsg>, _: &Execution, _, _: &mut Slot<()>| close(ctx);
+        exec.drain(ctx, &mut log, |_, _, _| view, deliver, end, |_, _, _, _| {});
+        exec.cursor() == next
+    }
+
     fn executions(out: &RunOutcome) -> Vec<(SimTime, SeqNum)> {
         out.log
             .entries
@@ -2615,7 +2723,13 @@ mod tests {
         let out = on_replica(move |ctx| {
             let mut exec = Execution::new().skipping_executed();
             let batch = [a.clone(), a, b];
-            assert!(exec.run(ctx, Some(&batch), View(3), record(&sink)));
+            assert!(run_slot(
+                &mut exec,
+                ctx,
+                Some(&batch),
+                View(3),
+                record(&sink)
+            ));
             assert_eq!(exec.cursor(), SeqNum(1), "one slot, whatever it held");
             assert_eq!(exec.sm().store().get(0), Some(6));
         });
@@ -2645,7 +2759,7 @@ mod tests {
         let out = on_replica(move |ctx| {
             let mut exec = Execution::new();
             let batch = [first.clone(), second.clone()];
-            exec.run(ctx, Some(&batch), View(0), |_, _, _| {});
+            run_slot(&mut exec, ctx, Some(&batch), View(0), |_, _, _| {});
             let view = View(4);
             let admit = |ctx: &mut Context<'_, TMsg>, req| {
                 Intake::admit(ctx, &store, &exec, req, view, record(&sink))
@@ -2681,12 +2795,12 @@ mod tests {
             let mut exec = Execution::new().speculative();
             let spec = Sink::default();
             let first = std::slice::from_ref(&keep);
-            exec.run(ctx, Some(first), View(0), record(&spec));
+            run_slot(&mut exec, ctx, Some(first), View(0), record(&spec));
             let digest = exec.sm().digest();
             let spec_commit = Observation::Marker { label: "epilogue" };
             let check = |_: &mut Context<'_, TMsg>, reply: Reply, _| assert!(reply.speculative);
-            exec.run_then(ctx, Some(&undo), View(0), check, |ctx| {
-                ctx.observe(spec_commit)
+            run_slot_then(&mut exec, ctx, Some(&undo), View(0), check, |ctx| {
+                ctx.observe(spec_commit.clone())
             });
             assert!(exec.is_executed(&undo[1].request.id));
             exec.rollback(ctx, SeqNum(2));
@@ -2735,11 +2849,23 @@ mod tests {
         let out = on_replica(move |ctx| {
             let mut exec = Execution::new();
             // committed, but the proposal has not been installed
-            assert!(!exec.run(ctx, None, View(0), |_, _, _| unreachable!()));
+            assert!(!run_slot(
+                &mut exec,
+                ctx,
+                None,
+                View(0),
+                |_, _, _| unreachable!()
+            ));
             assert_eq!(exec.cursor(), SeqNum(0));
             assert_eq!(exec.sm().last_executed(), SeqNum(0));
             ctx.observe(Observation::Marker { label: "proposal" });
-            assert!(exec.run(ctx, Some(&[req]), View(0), |_, _, _| {}));
+            assert!(run_slot(
+                &mut exec,
+                ctx,
+                Some(&[req]),
+                View(0),
+                |_, _, _| {}
+            ));
             assert_eq!(exec.cursor(), SeqNum(1));
         });
         // nothing at all was observed before the proposal landed
@@ -2758,7 +2884,7 @@ mod tests {
         let idle = signed(&store, 2, 1, Op::Get(0));
         let out = on_replica(move |ctx| {
             let mut exec = Execution::new();
-            exec.run(ctx, Some(&[busy, idle]), View(0), |_, _, _| {});
+            run_slot(&mut exec, ctx, Some(&[busy, idle]), View(0), |_, _, _| {});
         });
         assert_eq!(
             executions(&out),
@@ -2780,7 +2906,7 @@ mod tests {
             assert!(!intake.arm(ctx), "still the one τ2");
             intake.settle(ctx, &exec);
             assert!(intake.has_pending(), "not executed yet");
-            exec.run(ctx, Some(&[req]), View(0), |_, _, _| {});
+            run_slot(&mut exec, ctx, Some(&[req]), View(0), |_, _, _| {});
             intake.settle(ctx, &exec);
             assert!(!intake.has_pending());
             assert!(intake.arm(ctx), "settling the last request stopped τ2");
@@ -2853,7 +2979,8 @@ mod tests {
                     assert_eq!(exec.cursor(), seq, "called once the slot has executed");
                     slots.push(seq.0);
                 };
-                exec.drain(ctx, log, View(0), record(&sink), after);
+                let view = |_: &mut Context<'_, TMsg>, _, _: &mut Slot<u8>| View(0);
+                exec.drain(ctx, log, view, record(&sink), |_, _, _, _| {}, after);
                 slots
             };
             // slot 1 committed by a certificate that outran its proposal
@@ -2897,7 +3024,15 @@ mod tests {
                 log.slot(seq).ext.push(7);
             }
             log.slot(SeqNum(1)).committed = true;
-            exec.drain(ctx, &mut log, View(0), |_, _, _| {}, |_, _, _, _| {});
+            let view = |_: &mut Context<'_, TMsg>, _, _: &mut Slot<Vec<u32>>| View(0);
+            exec.drain(
+                ctx,
+                &mut log,
+                view,
+                |_, _, _| {},
+                |_, _, _, _| {},
+                |_, _, _, _| {},
+            );
             assert_eq!(exec.cursor(), SeqNum(1));
             let in_flight: Vec<u64> = log
                 .in_flight(exec.cursor())
@@ -2972,7 +3107,7 @@ mod tests {
         on_replica(move |ctx| {
             // request 1 has executed, request 2 sits in an open slot
             let mut exec = Execution::new();
-            exec.run(ctx, Some(&reqs[..1]), View(0), |_, _, _| {});
+            run_slot(&mut exec, ctx, Some(&reqs[..1]), View(0), |_, _, _| {});
             let mut log: SlotLog<u8> = SlotLog::default();
             log.install(SeqNum(2), Digest::ZERO, reqs[1..2].to_vec());
             let mut mempool = Mempool::new(2);
@@ -3165,6 +3300,56 @@ mod tests {
             };
         }
         each_member!(&s, go);
+    }
+
+    /// The ordered protocols without a checkpointing stage keep only what a
+    /// later step can still read, however long the run: HotStuff,
+    /// Tendermint and CheapBFT a trail of executed slots and no undo
+    /// records, Chain (whose new head re-sends its executed slots) no undo
+    /// records.
+    #[test]
+    fn ordered_logs_without_checkpoints_stay_bounded_whatever_the_run_length() {
+        use crate::chain::{ChainClientProto, ChainReplica};
+        use crate::cheap::{CheapClientProto, CheapReplica};
+        use crate::hotstuff::{HotStuffReplica, HsClientProto};
+        use crate::tendermint::{TendermintReplica, TmClientProto};
+        for per_client in [200, 800] {
+            let s = Scenario::small(1).with_load(2, per_client);
+            let (delta, batch) = (s.network.delta, s.batch_size);
+            let (t2, t4) = (SimDuration(delta.0 * 2), SimDuration(delta.0 * 4));
+            macro_rules! go {
+                ($name:expr, $proto:ty, $replica:expr, $size:expr) => {
+                    let (out, peak) = script::peak_size::<$proto, _>(&s, 4, $replica, $size);
+                    let accepted = out.log.client_latencies().len() as u64;
+                    assert_eq!(accepted, 2 * per_client, "{}", $name);
+                    assert!(peak <= 64, "{} at 2 × {per_client}: {peak}", $name);
+                };
+            }
+            go!(
+                "hotstuff",
+                HsClientProto,
+                |me, q, store| HotStuffReplica::new(me, q, store, t4, batch),
+                |r| r.log.len() + r.exec.sm().retained_entries()
+            );
+            go!(
+                "tendermint",
+                TmClientProto,
+                |me, q, store| TendermintReplica::new(me, q, store, delta, false, batch),
+                |r| r.log.len() + r.exec.sm().retained_entries()
+            );
+            go!(
+                "cheapbft",
+                CheapClientProto,
+                |me, q, store| CheapReplica::new(me, q, store, t2, batch),
+                |r| r.log.len() + r.exec.sm().retained_entries()
+            );
+            go!(
+                "chain",
+                ChainClientProto,
+                |me, q, store| ChainReplica::new(me, q, store, t4, batch),
+                |r| r.exec.sm().retained_entries()
+            );
+        }
     }
 
     /// A family member's state digest.

@@ -417,8 +417,8 @@ impl ViewChanger for FairReplica {
         self.core.drain(
             ctx,
             deliver,
-            |_, _, _| {},
-            |ctx, intake, exec, _| {
+            |_, _, _, _| {},
+            |ctx, intake, exec| {
                 pending.retain(|r| !exec.is_executed(&r.request.id));
                 if pending.is_empty() {
                     intake.disarm(ctx);

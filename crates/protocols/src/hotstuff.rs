@@ -28,7 +28,9 @@ use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
-use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
+use crate::common::{
+    reply_to_client, Early, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog,
+};
 
 /// The three vote phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -139,32 +141,36 @@ pub struct HotStuffReplica {
     votes: BTreeMap<(HsPhase, SeqNum, Digest), Vec<ReplicaId>>,
     /// Highest prepare QC seen (justifies new proposals).
     high_qc: Option<Qc>,
-    /// Per-slot locks (pre-commit QCs): the safety anchor. A replica never
-    /// prepare-votes a conflicting digest for a locked slot unless the
-    /// proposal is justified by a newer prepare QC **for that same slot**
-    /// — the flattened form of HotStuff's branch-extension rule.
-    locks: BTreeMap<SeqNum, Qc>,
-    /// Decided slots awaiting execution order.
-    decided: BTreeMap<SeqNum, (Digest, View)>,
+    /// The slots: the batches proposed for each, and once a commit QC
+    /// decides one, its digest and batch. Executed slots go once
+    /// [`TRAIL`](crate::common::TRAIL) behind, except the one `high_qc`
+    /// names: a new-view message carries its batch.
+    pub(crate) log: SlotLog<HsSlot>,
     mempool: Mempool,
-    exec: Execution,
+    pub(crate) exec: Execution,
     /// New-view messages per view (pacemaker).
     new_views: BTreeMap<View, Vec<ReplicaId>>,
     /// τ5 pacemaker timer.
     t5: Option<TimerId>,
     t5_timeout: SimDuration,
-    /// Proposal already made in the current view.
-    proposed_this_view: bool,
-    /// Slot batches by digest (to execute on decide even if the decide QC
-    /// arrives before the proposal — buffered).
-    batches: BTreeMap<Digest, Vec<SignedRequest>>,
     /// Traffic for views we have not entered yet, replayed on entry. The
     /// view advances per decision, so the next leader's proposal (and the
     /// QCs cascading behind it) routinely overtakes the previous view's
-    /// commit announcement on engines with real concurrency; dropping it
-    /// silently turns a responsive decision into a pacemaker timeout.
-    /// Bounded window against flooding.
-    pending: BTreeMap<View, Vec<PendingHs>>,
+    /// commit announcement on engines with real concurrency.
+    pending: Early<PendingHs>,
+}
+
+/// A slot's agreement state: the batches proposed for it, its lock, and
+/// the view of the commit QC that decided it, which its replies carry.
+#[derive(Default)]
+pub(crate) struct HsSlot {
+    proposed: BTreeMap<Digest, Vec<SignedRequest>>,
+    /// The pre-commit QC, the safety anchor: a replica never prepare-votes
+    /// a conflicting digest for a locked slot unless the proposal is
+    /// justified by a newer prepare QC **for that same slot** — the
+    /// flattened form of HotStuff's branch-extension rule.
+    lock: Option<Qc>,
+    decided_in: View,
 }
 
 /// A buffered ahead-of-view message. Proposals are re-validated (and
@@ -185,9 +191,6 @@ enum PendingHs {
     Qc(Qc),
 }
 
-/// How far ahead of the local view buffered traffic is kept.
-const PENDING_VIEW_WINDOW: u64 = 8;
-
 impl HotStuffReplica {
     /// Create a replica.
     pub fn new(
@@ -205,37 +208,20 @@ impl HotStuffReplica {
             cur: None,
             votes: BTreeMap::new(),
             high_qc: None,
-            locks: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            log: SlotLog::default(),
             mempool: Mempool::new(batch_size),
             exec: Execution::new().skipping_executed(),
             new_views: BTreeMap::new(),
             t5: None,
             t5_timeout,
-            proposed_this_view: false,
-            batches: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: Early::new(q.n),
         }
     }
 
-    fn buffer(&mut self, view: View, msg: PendingHs) {
-        if view.0 > self.view.0 + PENDING_VIEW_WINDOW {
-            return;
-        }
-        let slot = self.pending.entry(view).or_default();
-        if slot.len() < 8 * self.q.n {
-            slot.push(msg);
-        }
-    }
-
-    /// Re-deliver traffic buffered for the view we just entered.
+    /// Re-deliver traffic held for the view we just entered.
     fn replay_pending(&mut self, ctx: &mut Context<'_, HsMsg>) {
         let v = self.view;
-        self.pending.retain(|pv, _| *pv >= v);
-        let Some(msgs) = self.pending.remove(&v) else {
-            return;
-        };
-        for msg in msgs {
+        for msg in self.pending.release(v.0) {
             match msg {
                 PendingHs::Proposal {
                     seq,
@@ -266,6 +252,27 @@ impl HotStuffReplica {
         self.q.n - self.q.f
     }
 
+    /// Whether slot `seq` has decided here (executed or not).
+    fn decided(&self, seq: SeqNum) -> bool {
+        seq <= self.exec.cursor() || self.log.get(&seq).is_some_and(|s| s.committed)
+    }
+
+    /// The batch proposed under `digest`, for whichever slot: a digest
+    /// names one batch, and one request can be decided at two slots.
+    fn batch(&self, digest: Digest) -> Option<&Vec<SignedRequest>> {
+        self.log.values().find_map(|s| s.ext.proposed.get(&digest))
+    }
+
+    /// A batch proposed for slot `seq`: the decided slots waiting for its
+    /// digest take it.
+    fn offer(&mut self, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) {
+        let waiting = self.log.values_mut().filter(|s| s.digest == Some(digest));
+        waiting.for_each(|s| _ = s.batch.get_or_insert_with(|| batch.clone()));
+        if let Some(slot) = self.log.open(self.exec.cursor(), seq) {
+            slot.ext.proposed.insert(digest, batch);
+        }
+    }
+
     fn arm_pacemaker(&mut self, ctx: &mut Context<'_, HsMsg>) {
         if self.t5.is_none() {
             self.t5 = Some(ctx.set_timer(TimerKind::T5ViewSync, self.t5_timeout));
@@ -279,7 +286,8 @@ impl HotStuffReplica {
     }
 
     fn maybe_propose(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        if !self.is_leader() || self.proposed_this_view {
+        // one proposal per view: the leader's is its `cur`
+        if !self.is_leader() || self.cur.is_some() {
             return;
         }
         // HotStuff's continuity rule, flattened to slots: if the highest
@@ -288,8 +296,8 @@ impl HotStuffReplica {
         // before extending the history — otherwise the slot would become a
         // permanent gap in the execution order.
         let (seq, digest, batch) = match self.high_qc {
-            Some(qc) if qc.seq > self.exec.cursor() && !self.decided.contains_key(&qc.seq) => {
-                let Some(batch) = self.batches.get(&qc.digest).cloned() else {
+            Some(qc) if !self.decided(qc.seq) => {
+                let Some(batch) = self.batch(qc.digest).cloned() else {
                     return; // batch not known yet; a new-view message will carry it
                 };
                 ctx.charge_crypto(CryptoOp::Hash);
@@ -306,10 +314,9 @@ impl HotStuffReplica {
             }
         };
         ctx.charge_crypto(CryptoOp::Sign);
-        self.proposed_this_view = true;
         let view = self.view;
         let justify = self.high_qc;
-        self.batches.insert(digest, batch.clone());
+        self.offer(seq, digest, batch.clone());
         self.cur = Some((seq, digest, batch.clone()));
         ctx.broadcast_replicas(HsMsg::Proposal {
             view,
@@ -361,8 +368,10 @@ impl HotStuffReplica {
     ) {
         // a slot that decided ahead of this proposal (its commit certificate
         // outran it) has been waiting for the batch, whatever the view now
-        let awaited = !self.batches.contains_key(&digest)
-            && self.decided.get(&seq).is_some_and(|(d, _)| *d == digest);
+        let awaited = self
+            .log
+            .get(&seq)
+            .is_some_and(|s| s.digest == Some(digest) && s.batch.is_none());
         if view != self.view && !awaited {
             return;
         }
@@ -372,19 +381,19 @@ impl HotStuffReplica {
             return;
         }
         if awaited {
-            self.batches.insert(digest, batch);
-            return self.try_execute(ctx);
+            self.offer(seq, digest, batch);
+            return self.execute(ctx);
         }
         // never vote on a slot that has already decided or executed
         // here — a lagging leader proposing into history cannot be
         // allowed to re-open it
-        if seq <= self.exec.cursor() || self.decided.contains_key(&seq) {
+        if self.decided(seq) {
             return;
         }
         // safety rule (per slot): an unlocked slot is free; a locked
         // slot only accepts its locked digest, or a conflicting one
         // justified by a newer prepare QC for the SAME slot
-        let safe = match self.locks.get(&seq) {
+        let safe = match self.log.get(&seq).and_then(|s| s.ext.lock) {
             None => true,
             Some(l) if l.digest == digest => true,
             Some(l) => {
@@ -400,7 +409,7 @@ impl HotStuffReplica {
             return;
         }
         self.mempool.remove(&batch);
-        self.batches.insert(digest, batch.clone());
+        self.offer(seq, digest, batch.clone());
         self.cur = Some((seq, digest, batch));
         self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
         self.arm_pacemaker(ctx);
@@ -416,21 +425,15 @@ impl HotStuffReplica {
         ctx: &mut Context<'_, HsMsg>,
     ) {
         if view > self.view {
-            self.buffer(
-                view,
-                PendingHs::Vote {
-                    from,
-                    phase,
-                    seq,
-                    digest,
-                },
-            );
-            return;
+            let vote = PendingHs::Vote {
+                from,
+                phase,
+                seq,
+                digest,
+            };
+            return self.pending.hold(self.view.0, view.0, vote);
         }
-        if view != self.view || !self.is_leader() {
-            return;
-        }
-        if seq <= self.exec.cursor() || self.decided.contains_key(&seq) {
+        if view != self.view || !self.is_leader() || self.decided(seq) {
             return;
         }
         let voters = self.votes.entry((phase, seq, digest)).or_default();
@@ -456,13 +459,11 @@ impl HotStuffReplica {
         // replica's catch-up path and is safe at any view); future
         // Prepare/PreCommit QCs wait for view entry
         if qc.view > self.view && qc.phase != HsPhase::Commit {
-            self.buffer(qc.view, PendingHs::Qc(qc));
-            return;
+            return self.pending.hold(self.view.0, qc.view.0, PendingHs::Qc(qc));
         }
         if qc.view != self.view {
             // stale QC from an earlier view: only the decide step of an
-            // earlier view is still interesting (handled via decided map);
-            // ignore the rest
+            // earlier view is still interesting; ignore the rest
             if qc.phase != HsPhase::Commit {
                 return;
             }
@@ -474,43 +475,48 @@ impl HotStuffReplica {
                 self.cast_vote(HsPhase::PreCommit, qc.seq, qc.digest, ctx);
             }
             HsPhase::PreCommit => {
-                let lock = self.locks.entry(qc.seq).or_insert(qc);
-                if qc.view >= lock.view {
-                    *lock = qc;
+                if let Some(slot) = self.log.open(self.exec.cursor(), qc.seq) {
+                    let lock = slot.ext.lock.get_or_insert(qc);
+                    if qc.view >= lock.view {
+                        *lock = qc;
+                    }
                 }
                 self.cast_vote(HsPhase::Commit, qc.seq, qc.digest, ctx);
             }
             HsPhase::Commit => {
                 // decide — exactly once per slot; a re-announced or stale
                 // certificate for a decided slot is dropped
-                if qc.seq <= self.exec.cursor() || self.decided.contains_key(&qc.seq) {
+                if self.decided(qc.seq) {
                     return;
                 }
-                ctx.observe(Observation::Commit {
-                    seq: qc.seq,
-                    view: qc.view,
-                    digest: qc.digest,
-                    speculative: false,
-                });
-                self.decided.insert(qc.seq, (qc.digest, qc.view));
-                self.try_execute(ctx);
+                let batch = self.batch(qc.digest).cloned();
+                let slot = self.log.slot(qc.seq);
+                slot.commit(ctx, qc.seq, qc.view, qc.digest);
+                (slot.digest, slot.batch) = (Some(qc.digest), batch);
+                slot.ext.decided_in = qc.view;
+                self.execute(ctx);
                 self.advance_view(qc.view.next(), ctx);
             }
         }
     }
 
-    fn try_execute(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        while let Some((digest, view)) = self.decided.get(&self.exec.cursor().next()) {
-            let deliver = reply_to_client(Some(CryptoOp::Sign), HsMsg::Reply);
-            // no batch, no execution: a slot decided ahead of its proposal
-            // waits for it (the proposal handler re-enters here)
-            let batch = self.batches.get(digest).map(Vec::as_slice);
-            if !self.exec.run(ctx, batch, *view, deliver) {
-                break;
-            }
-            let done = self.exec.cursor();
-            self.locks.retain(|seq, _| *seq > done);
-        }
+    /// Execute the decided slots in order. No batch, no execution: a slot
+    /// decided ahead of its proposal waits for it (the proposal handler
+    /// re-enters here).
+    fn execute(&mut self, ctx: &mut Context<'_, HsMsg>) {
+        let deliver = reply_to_client(Some(CryptoOp::Sign), HsMsg::Reply);
+        let high = self.high_qc.map(|qc| qc.seq);
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            |_, _, slot| slot.ext.decided_in,
+            deliver,
+            |_, _, _, _| {},
+            |_, exec, log, done| {
+                log.collect(done, high);
+                exec.forget_undo();
+            },
+        );
     }
 
     fn advance_view(&mut self, target: View, ctx: &mut Context<'_, HsMsg>) {
@@ -519,14 +525,13 @@ impl HotStuffReplica {
         }
         self.view = target;
         self.cur = None;
-        self.proposed_this_view = false;
         self.votes.retain(|_, _| false);
         self.disarm_pacemaker(ctx);
         ctx.observe(Observation::NewView { view: target });
         // pacemaker: tell the new leader our high QC
         let me = self.me;
         let high_qc = self.high_qc;
-        let high_batch = high_qc.and_then(|qc| self.batches.get(&qc.digest).cloned());
+        let high_batch = high_qc.and_then(|qc| self.batch(qc.digest).cloned());
         let leader = self.leader_of(target);
         if leader != self.me {
             ctx.charge_crypto(CryptoOp::Sign);
@@ -562,7 +567,7 @@ impl HotStuffReplica {
                 self.high_qc = Some(qc);
             }
             if let Some(batch) = high_batch {
-                self.batches.entry(qc.digest).or_insert(batch);
+                self.offer(qc.seq, qc.digest, batch);
             }
         }
         let entry = self.new_views.entry(view).or_default();
@@ -617,16 +622,13 @@ impl Actor<HsMsg> for HotStuffReplica {
                 if view > self.view {
                     // the next leader's proposal overtook the previous
                     // view's commit announcement: hold it for view entry
-                    self.buffer(
-                        view,
-                        PendingHs::Proposal {
-                            seq,
-                            digest,
-                            batch: batch.clone(),
-                            justify,
-                        },
-                    );
-                    return;
+                    let proposal = PendingHs::Proposal {
+                        seq,
+                        digest,
+                        batch: batch.clone(),
+                        justify,
+                    };
+                    return self.pending.hold(self.view.0, view.0, proposal);
                 }
                 self.on_proposal(view, seq, digest, batch.clone(), justify, ctx);
             }

@@ -730,8 +730,8 @@ impl ViewChanger for PbftReplica {
         self.core.drain(
             ctx,
             deliver,
-            |_, _, _| {},
-            |ctx, intake, _, _| {
+            |_, _, _, _| {},
+            |ctx, intake, _| {
                 *stage = Stage::Ordering;
                 // outstanding work done? disarm τ2; else re-arm
                 intake.disarm(ctx);

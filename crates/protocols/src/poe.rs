@@ -310,20 +310,18 @@ impl ViewChanger for PoeReplica {
             ctx,
             deliver,
             // executing *is* PoE's (speculative) commit
-            |ctx, seq, slot| {
+            |ctx, exec, seq, slot| {
                 ctx.observe(Observation::Commit {
                     seq,
                     view,
                     digest: slot.digest.unwrap_or(Digest::ZERO),
                     speculative: true,
-                })
-            },
-            |ctx, intake, exec, slot| {
+                });
                 // the batch occupies the last state-machine sequence numbers
                 let len = slot.batch.as_ref().map_or(0, Vec::len) as u64;
                 slot.ext.sm_start = Some(SeqNum(exec.sm().last_executed().0 + 1 - len));
-                intake.settle(ctx, exec);
             },
+            |ctx, intake, exec| intake.settle(ctx, exec),
         );
     }
 

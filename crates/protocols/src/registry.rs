@@ -634,8 +634,6 @@ pub struct ProtocolEntry {
     pub id: ProtocolId,
     /// Short stable display name.
     pub name: &'static str,
-    /// Minimum replica count for fault budget `f`.
-    pub min_n: fn(usize) -> usize,
     /// Chaos-campaign tolerance envelope.
     pub tolerance: ChaosTolerance,
     /// Byzantine-campaign tolerance envelope.
@@ -653,12 +651,6 @@ pub fn registry() -> Vec<ProtocolEntry> {
         .map(|&id| ProtocolEntry {
             id,
             name: id.name(),
-            min_n: match id {
-                ProtocolId::Zyzzyva5 | ProtocolId::Fab | ProtocolId::Qu => |f| 5 * f + 1,
-                ProtocolId::Fair => |f| 4 * f + 1,
-                ProtocolId::MinBft => |f| 2 * f + 1,
-                _ => |f| 3 * f + 1,
-            },
             tolerance: id.tolerance(),
             byz_tolerance: id.byzantine_tolerance(),
             rec_tolerance: id.recovery_tolerance(),
@@ -684,9 +676,6 @@ mod tests {
         assert_eq!(entries.len(), ProtocolId::ALL.len());
         let names: std::collections::BTreeSet<&str> = entries.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), entries.len(), "duplicate registry names");
-        for e in &entries {
-            assert_eq!((e.min_n)(1), e.id.min_n(1));
-        }
     }
 
     #[test]

@@ -521,8 +521,8 @@ impl ViewChanger for SbftReplica {
         self.core.drain(
             ctx,
             share,
-            |_, _, _| {},
-            |ctx, intake, exec, _| {
+            |_, _, _, _| {},
+            |ctx, intake, exec| {
                 slot.set(exec.cursor().next());
                 intake.settle(ctx, exec);
             },

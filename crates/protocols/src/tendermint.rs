@@ -26,7 +26,9 @@ use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
-use crate::common::{reply_to_client, Execution, Intake, Mempool, Scenario, SignedRequest};
+use crate::common::{
+    reply_to_client, Early, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog,
+};
 
 /// Vote kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -98,11 +100,6 @@ enum PendingMsg {
     },
 }
 
-/// How far ahead of the local height buffered traffic is kept; anything
-/// further out is dropped (honest peers run at most one height ahead, so
-/// the window only needs to cover scheduling skew).
-const PENDING_HEIGHT_WINDOW: u64 = 8;
-
 /// A Tendermint replica.
 pub struct TendermintReplica {
     me: ReplicaId,
@@ -112,8 +109,10 @@ pub struct TendermintReplica {
     round: u32,
     /// Proposal seen for (height, round).
     proposal: Option<(Digest, Vec<SignedRequest>)>,
-    /// Batches by digest for execution.
-    batches: BTreeMap<Digest, Vec<SignedRequest>>,
+    /// The current height's slot: the batches proposed in its rounds, and
+    /// once a precommit quorum decides, its digest and batch. Entering the
+    /// next height drops it.
+    pub(crate) log: SlotLog<BTreeMap<Digest, Vec<SignedRequest>>>,
     /// Votes: (kind, height, round, digest) → voters.
     votes: BTreeMap<(VoteKind, SeqNum, u32, Option<Digest>), Vec<ReplicaId>>,
     /// Lock: digest we precommitted, with its round.
@@ -124,7 +123,7 @@ pub struct TendermintReplica {
     /// Enable the informed-leader optimization.
     opt_informed: bool,
     mempool: Mempool,
-    exec: Execution,
+    pub(crate) exec: Execution,
     /// Sent votes dedup: (kind, height, round).
     voted: BTreeMap<(VoteKind, SeqNum, u32), ()>,
     /// Messages that arrived ahead of our state, keyed by height: the
@@ -132,10 +131,9 @@ pub struct TendermintReplica {
     /// traffic before a slow replica has decided h (a constant occurrence
     /// on the real-time threaded engine), and a proposer that advanced
     /// rounds faster can ship a future-round proposal. Replayed on
-    /// entering the height/round; bounded window against flooding.
-    pending: BTreeMap<SeqNum, Vec<PendingMsg>>,
-    /// The value decided this height, until it has executed.
-    decided: Option<Digest>,
+    /// entering the height/round (honest peers run at most one height
+    /// ahead, so the window only needs to cover scheduling skew).
+    pending: Early<PendingMsg>,
     /// Δ-wait timer before proposing (τ5).
     propose_timer: Option<TimerId>,
     /// Round timeout (τ4).
@@ -162,7 +160,7 @@ impl TendermintReplica {
             height: SeqNum(1),
             round: 0,
             proposal: None,
-            batches: BTreeMap::new(),
+            log: SlotLog::default(),
             votes: BTreeMap::new(),
             locked: None,
             informed: true, // height 1 has no predecessor to learn about
@@ -170,8 +168,7 @@ impl TendermintReplica {
             mempool: Mempool::new(batch_size),
             exec: Execution::new().skipping_executed(),
             voted: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            decided: None,
+            pending: Early::new(q.n),
             propose_timer: None,
             round_timer: None,
             delta,
@@ -186,7 +183,12 @@ impl TendermintReplica {
     fn i_propose_now(&self) -> bool {
         self.proposer(self.height, self.round) == self.me
             && self.proposal.is_none()
-            && self.decided.is_none()
+            && !self.decided()
+    }
+
+    /// Whether this height has decided.
+    fn decided(&self) -> bool {
+        self.log.get(&self.height).is_some_and(|s| s.committed)
     }
 
     fn schedule_propose(&mut self, ctx: &mut Context<'_, TmMsg>) {
@@ -219,7 +221,8 @@ impl TendermintReplica {
         let (digest, batch) = if let Some((locked_digest, _)) = self.locked {
             // locked on a value whose batch never arrived: nothing to
             // re-propose — the round times out to the next proposer
-            let Some(batch) = self.batches.get(&locked_digest).cloned() else {
+            let proposed = self.log.get(&self.height).map(|s| &s.ext);
+            let Some(batch) = proposed.and_then(|c| c.get(&locked_digest)).cloned() else {
                 return;
             };
             (locked_digest, batch)
@@ -233,7 +236,6 @@ impl TendermintReplica {
         ctx.charge_crypto(CryptoOp::Sign);
         let height = self.height;
         let round = self.round;
-        self.batches.insert(digest, batch.clone());
         ctx.broadcast_replicas(TmMsg::Proposal {
             height,
             round,
@@ -253,28 +255,27 @@ impl TendermintReplica {
         ctx: &mut Context<'_, TmMsg>,
     ) {
         if height > self.height || (height == self.height && round > self.round) {
-            self.buffer(
-                height,
-                PendingMsg::Proposal {
-                    from,
-                    round,
-                    digest,
-                    batch,
-                },
-            );
-            return;
+            let proposal = PendingMsg::Proposal {
+                from,
+                round,
+                digest,
+                batch,
+            };
+            return self.pending.hold(self.height.0, height.0, proposal);
         }
         if height != self.height || from != self.proposer(height, round) {
             return;
         }
         // whatever the round by now: a precommit quorum may still decide
         // this value, and then the height needs its batch
-        self.batches.insert(digest, batch.clone());
-        if self.decided == Some(digest) {
+        let slot = self.log.slot(height);
+        slot.ext.insert(digest, batch.clone());
+        if slot.committed && slot.digest == Some(digest) {
             // the quorum outran this proposal and was waiting for it
-            return self.execute_decided(digest, ctx);
+            slot.batch = Some(batch);
+            return self.execute(ctx);
         }
-        if round != self.round || self.decided.is_some() {
+        if round != self.round || slot.committed {
             return;
         }
         self.mempool.remove(&batch);
@@ -319,16 +320,13 @@ impl TendermintReplica {
         ctx: &mut Context<'_, TmMsg>,
     ) {
         if height > self.height {
-            self.buffer(
-                height,
-                PendingMsg::Vote {
-                    from,
-                    kind,
-                    round,
-                    digest,
-                },
-            );
-            return;
+            let vote = PendingMsg::Vote {
+                from,
+                kind,
+                round,
+                digest,
+            };
+            return self.pending.hold(self.height.0, height.0, vote);
         }
         if height != self.height {
             return;
@@ -364,27 +362,31 @@ impl TendermintReplica {
     }
 
     fn decide(&mut self, digest: Digest, round: u32, ctx: &mut Context<'_, TmMsg>) {
-        if self.decided.is_some() {
+        let (height, slot) = (self.height, self.log.slot(self.height));
+        if slot.committed {
             return;
         }
-        self.decided = Some(digest);
-        ctx.observe(Observation::Commit {
-            seq: self.height,
-            view: View(round as u64),
-            digest,
-            speculative: false,
-        });
-        self.execute_decided(digest, ctx);
+        slot.commit(ctx, height, View(round as u64), digest);
+        slot.digest = Some(digest);
+        slot.batch = slot.ext.get(&digest).cloned();
+        self.execute(ctx);
     }
 
     /// Execute this height's decided value and move on. No batch, no
     /// execution: decided ahead of its proposal, the height waits for it
-    /// (the proposal handler re-enters here).
-    fn execute_decided(&mut self, digest: Digest, ctx: &mut Context<'_, TmMsg>) {
+    /// (the proposal handler re-enters here). Replies carry the height.
+    fn execute(&mut self, ctx: &mut Context<'_, TmMsg>) {
         let height = self.height;
-        let batch = self.batches.get(&digest).map(Vec::as_slice);
         let deliver = reply_to_client(Some(CryptoOp::Sign), TmMsg::Reply);
-        if !self.exec.run(ctx, batch, View(height.0), deliver) {
+        self.exec.drain(
+            ctx,
+            &mut self.log,
+            |_, seq, _| View(seq.0),
+            deliver,
+            |_, _, _, _| {},
+            |_, _, _, _| {},
+        );
+        if self.exec.cursor() < height {
             return;
         }
         // informed? we ourselves saw 2f+1 precommits for this height
@@ -397,7 +399,9 @@ impl TendermintReplica {
         self.round = 0;
         self.proposal = None;
         self.locked = None;
-        self.decided = None;
+        // nothing reads an executed height: no rollback, no checkpoint
+        self.log.clear();
+        self.exec.forget_undo();
         self.votes.retain(|(_, h, _, _), _| *h >= height);
         self.voted.retain(|(_, h, _), _| *h >= height);
         if let Some(t) = self.round_timer.take() {
@@ -429,30 +433,13 @@ impl TendermintReplica {
         self.replay_pending(ctx);
     }
 
-    fn buffer(&mut self, height: SeqNum, msg: PendingMsg) {
-        if height.0 > self.height.0 + PENDING_HEIGHT_WINDOW {
-            return;
-        }
-        let slot = self.pending.entry(height).or_default();
-        // Per-height cap: honest traffic is one proposal plus two votes
-        // per replica per round; anything past a generous multiple is a
-        // flood, not a race.
-        if slot.len() < 8 * self.q.n {
-            slot.push(msg);
-        }
-    }
-
     /// Re-deliver traffic buffered for the height/round we just entered.
     /// Entries that are still ahead (a future round of this height) are
     /// re-buffered by the handlers; entries now behind fall through the
     /// handlers' staleness guards.
     fn replay_pending(&mut self, ctx: &mut Context<'_, TmMsg>) {
         let h = self.height;
-        self.pending.retain(|ph, _| *ph >= h);
-        let Some(msgs) = self.pending.remove(&h) else {
-            return;
-        };
-        for msg in msgs {
+        for msg in self.pending.release(h.0) {
             match msg {
                 PendingMsg::Proposal {
                     from,
@@ -533,7 +520,7 @@ impl Actor<TmMsg> for TendermintReplica {
             }
             TimerKind::T4QuorumConstruction if Some(id) == self.round_timer => {
                 self.round_timer = None;
-                if self.decided.is_some() || self.mempool.is_empty() && self.proposal.is_none() {
+                if self.decided() || self.mempool.is_empty() && self.proposal.is_none() {
                     return;
                 }
                 // the round stalled: prevote/precommit nil to unblock
