@@ -2737,7 +2737,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2], "the duplicate is neither run nor answered");
         assert_eq!(executions(&out).len(), 2);
         // the slot is bracketed by the Execution and Ordering stages
-        let stage = |e: &bft_sim::obs::LoggedObservation| match e.obs {
+        let stage = |e: bft_sim::obs::LoggedObservation| match e.obs {
             Observation::StageEnter { stage } => Some(stage),
             _ => None,
         };
@@ -2830,15 +2830,16 @@ mod tests {
         let at = |obs: Observation| out.log.entries.iter().rposition(|e| e.obs == obs);
         let epilogue = at(Observation::Marker { label: "epilogue" }).expect("ran");
         assert_eq!(executions(&out).len(), 3);
+        let obs = |i| out.log.entries.get(i).map(|e| e.obs);
         assert!(matches!(
-            out.log.entries[epilogue - 1].obs,
-            Observation::Execute { seq: SeqNum(3), .. }
+            obs(epilogue - 1),
+            Some(Observation::Execute { seq: SeqNum(3), .. })
         ));
         assert_eq!(
-            out.log.entries[epilogue + 1].obs,
-            Observation::StageEnter {
+            obs(epilogue + 1),
+            Some(Observation::StageEnter {
                 stage: Stage::Ordering
-            }
+            })
         );
     }
 
@@ -2870,8 +2871,8 @@ mod tests {
         });
         // nothing at all was observed before the proposal landed
         assert_eq!(
-            out.log.entries[0].obs,
-            Observation::Marker { label: "proposal" }
+            out.log.entries.first().map(|e| e.obs),
+            Some(Observation::Marker { label: "proposal" })
         );
         assert_eq!(executions(&out).len(), 1);
     }

@@ -22,18 +22,21 @@
 //! The checkers consume only the observation log (accepted histories are
 //! self-contained: `ClientAccept` carries the transaction and agreed
 //! result) plus the scenario's request table for phantom resolution. They
-//! are deliberately conservative: whenever a condition cannot be decided
-//! soundly — unresolved phantom writes, search bounds exceeded, snapshot
-//! gaps in a replay — the affected check degrades to a weaker one instead
-//! of reporting a false alarm.
+//! read the log's compact rows and borrow the accepted transactions and
+//! results from it. They are deliberately conservative: whenever a
+//! condition cannot be decided soundly — unresolved phantom writes, search
+//! bounds exceeded, snapshot gaps in a replay, a rollback below a stable
+//! checkpoint — the affected check degrades to a weaker one instead of
+//! reporting a false alarm.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bft_state::StateMachine;
-use bft_types::{Key, Op, Request, RequestId, Transaction, TxnResult, Value};
+use bft_types::{Key, Op, Request, RequestId, SeqNum, Transaction, Value};
 
-use crate::event::NodeId;
-use crate::obs::{Observation, ObservationLog};
+use crate::event::{NodeId, PackedNode};
+use crate::obs::{Accept, ObservationLog, RowKind};
 use crate::time::SimTime;
 
 /// How the protocol under check executes transactions.
@@ -146,19 +149,45 @@ struct HistOp {
     completed: SimTime,
 }
 
-/// One accepted request (any arity).
-#[derive(Debug, Clone)]
-struct Accepted {
-    id: RequestId,
-    txn: Transaction,
-    result: TxnResult,
-    invoked: SimTime,
+/// One accepted request (any arity): its payload in the log, and when the
+/// client accepted it.
+#[derive(Debug, Clone, Copy)]
+struct Accepted<'a> {
+    accept: &'a Accept,
     completed: SimTime,
 }
 
 /// Does the op contribute a slot to `TxnResult::reads`?
 fn produces_read(op: &Op) -> bool {
     !matches!(op, Op::Put(_, _) | Op::Delete(_) | Op::Work(_))
+}
+
+/// The one data op of a transaction that has exactly one.
+fn single_data_op(a: &Accept) -> Option<&Op> {
+    let mut data_ops = a.txn.ops.iter().filter(|op| family_of(op).is_some());
+    match (data_ops.next(), data_ops.next()) {
+        (Some(op), None) => Some(op),
+        _ => None,
+    }
+}
+
+/// The per-key history entry of a single-op accepted transaction.
+fn hist_op(accepted: Accepted) -> HistOp {
+    let a = accepted.accept;
+    let op = single_data_op(a).expect("a single-op transaction").clone();
+    let read_slots = a.txn.ops.iter().filter(|op| produces_read(op)).count();
+    let res = if produces_read(&op) && a.result.reads.len() == read_slots {
+        ResVal::Val(a.result.reads[0])
+    } else {
+        ResVal::Unknown
+    };
+    HistOp {
+        id: a.request,
+        op,
+        res,
+        invoked: a.sent_at,
+        completed: accepted.completed,
+    }
 }
 
 /// Run every applicable semantic checker over a finished run's log.
@@ -168,23 +197,15 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
 
     // -- gather accepted requests (first accept wins per id) --------------
     let mut accepted: Vec<Accepted> = Vec::new();
-    let mut seen: BTreeSet<RequestId> = BTreeSet::new();
-    for e in &log.entries {
-        if let Observation::ClientAccept {
-            request,
-            sent_at,
-            txn,
-            result,
-            ..
-        } = &e.obs
-        {
-            if seen.insert(*request) {
+    let mut index_of: BTreeMap<RequestId, usize> = BTreeMap::new();
+    for row in log.entries.rows() {
+        if let RowKind::ClientAccept(index) = row.kind {
+            let accept = log.entries.accept(index);
+            if let Entry::Vacant(first) = index_of.entry(accept.request) {
+                first.insert(accepted.len());
                 accepted.push(Accepted {
-                    id: *request,
-                    txn: txn.clone(),
-                    result: result.clone(),
-                    invoked: *sent_at,
-                    completed: e.at,
+                    accept,
+                    completed: row.at,
                 });
             }
         }
@@ -196,7 +217,7 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
     let mut phantom_writes: BTreeSet<(Family, Key)> = BTreeSet::new();
     let mut phantoms_unknown = cfg.txns.is_empty() && !accepted.is_empty();
     for (id, txn) in &cfg.txns {
-        if !seen.contains(id) {
+        if !index_of.contains_key(id) {
             for op in &txn.ops {
                 if let (Some(fam), Some(k)) = (family_of(op), op.write_key()) {
                     phantom_writes.insert((fam, k));
@@ -205,7 +226,8 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
         }
     }
     // accepted requests outside the table also make phantom knowledge moot
-    if !cfg.txns.is_empty() && accepted.iter().any(|a| !cfg.txns.contains_key(&a.id)) {
+    let outside = |a: &Accepted| !cfg.txns.contains_key(&a.accept.request);
+    if !cfg.txns.is_empty() && accepted.iter().any(outside) {
         phantoms_unknown = true;
     }
     let has_phantoms =
@@ -213,64 +235,49 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
 
     // -- replicated-only checks: replay faithfulness + no lost writes -----
     if semantics == ExecutionSemantics::Replicated {
-        replay_and_membership(log, cfg, &accepted, &mut out);
+        replay_and_membership(log, cfg, &accepted, &index_of, &mut out);
     }
 
     // -- per-key histories from single-op accepted transactions -----------
-    let mut histories: BTreeMap<(Family, Key), Vec<HistOp>> = BTreeMap::new();
+    // (key, accept order) of every single-op transaction, sorted: each key's
+    // history is one run, built only while it is checked
+    let mut single: Vec<((Family, Key), usize)> = Vec::new();
     let mut multi_op_keys: BTreeSet<(Family, Key)> = BTreeSet::new();
-    for a in &accepted {
-        let data_ops: Vec<&Op> = a
-            .txn
-            .ops
-            .iter()
-            .filter(|op| family_of(op).is_some())
-            .collect();
-        let read_slots = a.txn.ops.iter().filter(|op| produces_read(op)).count();
-        if data_ops.len() == 1 {
-            let op = data_ops[0].clone();
-            let (fam, k) = (family_of(&op).unwrap(), key_of(&op).unwrap());
-            let res = if !produces_read(&op) {
-                ResVal::Unknown
-            } else if a.result.reads.len() == read_slots {
-                ResVal::Val(a.result.reads[0])
-            } else {
-                ResVal::Unknown
-            };
-            histories.entry((fam, k)).or_default().push(HistOp {
-                id: a.id,
-                op,
-                res,
-                invoked: a.invoked,
-                completed: a.completed,
-            });
+    for (i, a) in accepted.iter().enumerate() {
+        if let Some(op) = single_data_op(a.accept) {
+            single.push(((family_of(op).unwrap(), key_of(op).unwrap()), i));
         } else {
             // multi-op transactions are covered by replay, not by the
             // per-key search; exclude their keys from the latter
-            for op in data_ops {
+            for op in &a.accept.txn.ops {
                 if let (Some(fam), Some(k)) = (family_of(op), key_of(op)) {
                     multi_op_keys.insert((fam, k));
                 }
             }
         }
     }
+    single.sort_unstable();
 
-    for ((fam, key), ops) in &histories {
-        if multi_op_keys.contains(&(*fam, *key)) {
+    let mut ops = Vec::new();
+    for history in single.chunk_by(|a, b| a.0 == b.0) {
+        let (fam, key) = history[0].0;
+        if multi_op_keys.contains(&(fam, key)) {
             continue;
         }
+        ops.clear();
+        ops.extend(history.iter().map(|&(_, i)| hist_op(accepted[i])));
         match fam {
             Family::Kv | Family::Counter => {
                 // skip the search when unaccepted writes may have executed
-                if !has_phantoms(*fam, *key) || semantics == ExecutionSemantics::VersionedObjects {
-                    check_linearizable(*fam, *key, ops, semantics, &mut out);
+                if !has_phantoms(fam, key) || semantics == ExecutionSemantics::VersionedObjects {
+                    check_linearizable(fam, key, &ops, semantics, &mut out);
                 }
-                if *fam == Family::Counter {
-                    check_counter(*key, ops, semantics, has_phantoms(*fam, *key), &mut out);
+                if fam == Family::Counter {
+                    check_counter(key, &ops, semantics, has_phantoms(fam, key), &mut out);
                 }
             }
             Family::Log => {
-                check_log(*key, ops, semantics, has_phantoms(*fam, *key), &mut out);
+                check_log(key, &ops, semantics, has_phantoms(fam, key), &mut out);
             }
         }
     }
@@ -286,37 +293,34 @@ fn replay_and_membership(
     log: &ObservationLog,
     cfg: &SemanticConfig,
     accepted: &[Accepted],
+    index_of: &BTreeMap<RequestId, usize>,
     out: &mut Vec<SemanticViolation>,
 ) {
-    // honest replicas observed in the log
-    let mut replicas: BTreeSet<NodeId> = BTreeSet::new();
-    for e in &log.entries {
-        if matches!(e.node, NodeId::Replica(_)) && !cfg.faulty.contains(&e.node) {
-            replicas.insert(e.node);
-        }
-    }
-
-    // every request any honest replica ever executed (rollbacks included:
-    // for membership we only need "took effect somewhere at some point")
+    let faulty: Vec<PackedNode> = cfg.faulty.iter().map(|n| PackedNode::pack(*n)).collect();
+    // honest replicas observed in the log, and every request any of them
+    // ever executed (rollbacks included: for membership we only need "took
+    // effect somewhere at some point")
+    let mut replicas: BTreeSet<PackedNode> = BTreeSet::new();
     let mut executed_union: BTreeSet<RequestId> = BTreeSet::new();
-    for e in &log.entries {
-        if let Observation::Execute { request, .. } = &e.obs {
-            if replicas.contains(&e.node) {
-                executed_union.insert(*request);
+    for row in log.entries.rows() {
+        if row.node.unpack().is_replica() && !faulty.contains(&row.node) {
+            replicas.insert(row.node);
+            if let RowKind::Execute { request, .. } = row.kind {
+                executed_union.insert(request);
             }
         }
     }
 
-    for a in accepted {
+    for a in accepted.iter().map(|a| a.accept) {
         if a.txn.is_read_only() {
             continue; // served from current state, legitimately unordered
         }
-        if !executed_union.contains(&a.id) {
+        if !executed_union.contains(&a.request) {
             out.push(SemanticViolation {
                 check: "lost-write",
                 detail: format!(
                     "accepted write {:?} never executed on any honest replica",
-                    a.id
+                    a.request
                 ),
             });
         }
@@ -327,20 +331,24 @@ fn replay_and_membership(
     }
 
     // replay each honest replica's execution stream through a fresh state
-    // machine; a replica whose stream has a gap (snapshot catch-up) or an
-    // unknown request degrades to membership-only above
+    // machine; a replica whose stream has a gap (snapshot catch-up), an
+    // unknown request or a rollback below its own stable checkpoint
+    // degrades to membership-only above
     let by_id: &BTreeMap<RequestId, Transaction> = &cfg.txns;
-    for replica in &replicas {
+    for &node in &replicas {
+        let replica = node.unpack();
         let mut sm = StateMachine::new();
         let mut degraded = false;
         let mut rolled_back = false;
-        let mut results: BTreeMap<RequestId, TxnResult> = BTreeMap::new();
-        for e in &log.entries {
-            if e.node != *replica {
-                continue;
-            }
-            match &e.obs {
-                Observation::Execute {
+        // the replay's undo records end at the replica's stable checkpoints:
+        // everything at or below `collected` is gone
+        let mut collected: Option<SeqNum> = None;
+        // accepted writes whose latest replayed result disagrees with the
+        // accepted one, in accept order
+        let mut mismatched = BTreeMap::new();
+        for row in log.entries.rows().iter().filter(|row| row.node == node) {
+            match row.kind {
+                RowKind::Execute {
                     seq,
                     request,
                     state_digest,
@@ -348,20 +356,20 @@ fn replay_and_membership(
                     if degraded {
                         continue;
                     }
-                    let Some(txn) = by_id.get(request) else {
+                    let Some(txn) = by_id.get(&request) else {
                         degraded = true;
                         continue;
                     };
-                    if *seq != sm.last_executed().next() {
+                    if seq != sm.last_executed().next() {
                         degraded = true; // snapshot/recovery gap
                         continue;
                     }
                     let req = Request {
-                        id: *request,
+                        id: request,
                         txn: txn.clone(),
                     };
-                    let (result, digest) = sm.execute(*seq, &req);
-                    if digest != *state_digest {
+                    let (result, digest) = sm.execute(seq, &req);
+                    if digest != log.entries.digest(state_digest) {
                         out.push(SemanticViolation {
                             check: "replay-digest",
                             detail: format!(
@@ -371,12 +379,29 @@ fn replay_and_membership(
                         });
                         degraded = true;
                     }
-                    results.insert(*request, result);
+                    let Some(&i) = index_of.get(&request) else {
+                        continue;
+                    };
+                    let a = accepted[i].accept;
+                    let differs = a.result.reads.len() == result.reads.len() && a.result != result;
+                    if differs && !a.txn.is_read_only() {
+                        mismatched.insert(i, result);
+                    } else {
+                        mismatched.remove(&i);
+                    }
                 }
-                Observation::Rollback { from_seq } => {
+                RowKind::Rollback { from_seq } => {
                     rolled_back = true;
+                    degraded |= collected.is_some_and(|floor| from_seq <= floor);
                     if !degraded {
-                        sm.rollback_to(*from_seq);
+                        sm.rollback_to(from_seq);
+                    }
+                }
+                RowKind::StableCheckpoint { seq, .. } if !degraded => {
+                    let floor = seq.min(sm.last_executed());
+                    if floor > SeqNum(0) {
+                        sm.truncate_below(floor);
+                        collected = collected.max(Some(floor));
                     }
                 }
                 _ => {}
@@ -385,24 +410,19 @@ fn replay_and_membership(
         // accepted results must match the faithful execution (only safe to
         // assert on replicas that never rolled back: a speculative result
         // may legitimately be superseded on re-execution)
-        if !degraded && !rolled_back {
-            for a in accepted {
-                if a.txn.is_read_only() {
-                    continue;
-                }
-                if let Some(replayed) = results.get(&a.id) {
-                    if a.result.reads.len() == replayed.reads.len() && a.result != *replayed {
-                        out.push(SemanticViolation {
-                            check: "result-mismatch",
-                            detail: format!(
-                                "accepted result for {:?} disagrees with replay on {replica:?} \
-                                 ({:?} vs {:?})",
-                                a.id, a.result.reads, replayed.reads
-                            ),
-                        });
-                    }
-                }
-            }
+        if degraded || rolled_back {
+            continue;
+        }
+        for (i, replayed) in mismatched {
+            let a = accepted[i].accept;
+            out.push(SemanticViolation {
+                check: "result-mismatch",
+                detail: format!(
+                    "accepted result for {:?} disagrees with replay on {replica:?} \
+                     ({:?} vs {:?})",
+                    a.request, a.result.reads, replayed.reads
+                ),
+            });
         }
     }
 }
@@ -828,6 +848,66 @@ mod tests {
         check_log(3, &ops, ExecutionSemantics::Replicated, false, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].check, "log-read-lost");
+    }
+
+    /// Replica 0's execution stream: `(seq, put value)` executes
+    /// `Put(1, value)` as request `value` with the digest a faithful replay
+    /// gives, `(seq, 0)` is a stable checkpoint at `seq`, and a negative
+    /// value rolls back from `seq`. The last execution claims a wrong digest.
+    fn replay(stream: &[(u64, i64)]) -> Vec<SemanticViolation> {
+        let node = NodeId::replica(0);
+        let id = |v: i64| RequestId {
+            client: ClientId(1),
+            timestamp: v as u64,
+        };
+        let txn = |v: i64| Transaction::single(Op::Put(1, v));
+        let mut log = ObservationLog::default();
+        let mut sm = StateMachine::new();
+        let mut txns = BTreeMap::new();
+        for (i, &(seq, v)) in stream.iter().enumerate() {
+            let (at, seq) = (SimTime(i as u64), bft_types::SeqNum(seq));
+            let obs = match v {
+                0 => crate::Observation::StableCheckpoint {
+                    seq,
+                    state_digest: sm.digest(),
+                },
+                v if v < 0 => {
+                    sm.rollback_to(seq);
+                    crate::Observation::Rollback { from_seq: seq }
+                }
+                v => {
+                    txns.insert(id(v), txn(v));
+                    let request = Request {
+                        id: id(v),
+                        txn: txn(v),
+                    };
+                    let (_, mut state_digest) = sm.execute(seq, &request);
+                    if i + 1 == stream.len() {
+                        state_digest = bft_types::Digest::ZERO;
+                    }
+                    crate::Observation::Execute {
+                        seq,
+                        request: id(v),
+                        state_digest,
+                    }
+                }
+            };
+            log.push(at, node, obs);
+        }
+        check_semantics(&log, &SemanticConfig::replicated(txns))
+    }
+
+    #[test]
+    fn the_replay_runs_past_stable_checkpoints_and_rollbacks_above_them() {
+        let v = replay(&[(1, 10), (1, 0), (2, 20), (2, -1), (2, 21), (3, 30)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].check, "replay-digest");
+    }
+
+    #[test]
+    fn a_rollback_below_a_stable_checkpoint_degrades_the_replay() {
+        let v = replay(&[(1, 10), (2, 20), (2, 0), (2, -1), (2, 21), (3, 30)]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

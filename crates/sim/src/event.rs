@@ -64,8 +64,10 @@ impl std::fmt::Display for NodeId {
 /// [`NodeId`] packed into one word for queued events: bit 63 tags clients.
 /// Scheduler entries are copied many times (bucket binning, sorts, heap
 /// sifts), so the 16-byte enum is squeezed to 8 bytes inside the queue and
-/// unpacked at dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// unpacked at dispatch. The packing keeps [`NodeId`]'s order (replicas
+/// by id, then clients by id), so the observation log stores nodes packed
+/// too and its readers key ordered maps by them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct PackedNode(u64);
 
 const CLIENT_TAG: u64 = 1 << 63;
@@ -689,5 +691,22 @@ mod tests {
         assert!(!NodeId::client(1).is_replica());
         assert_eq!(NodeId::replica(2).as_replica(), Some(ReplicaId(2)));
         assert_eq!(NodeId::client(2).as_replica(), None);
+    }
+
+    #[test]
+    fn packing_keeps_node_order() {
+        let nodes = [
+            NodeId::replica(0),
+            NodeId::replica(7),
+            NodeId::replica(u32::MAX),
+            NodeId::client(0),
+            NodeId::client(3),
+        ];
+        for a in nodes {
+            assert_eq!(PackedNode::pack(a).unpack(), a);
+            for b in nodes {
+                assert_eq!(PackedNode::pack(a).cmp(&PackedNode::pack(b)), a.cmp(&b));
+            }
+        }
     }
 }

@@ -5,10 +5,15 @@
 //! lifecycle stage (Figure 1 of the paper) it is in. The simulator collects
 //! these into an [`ObservationLog`] that the safety auditor and the
 //! experiment harness consume.
+//!
+//! The log stores each observation as a fixed-size row (DESIGN.md,
+//! "Observation log"): the run's memory is mostly this log, and the
+//! checker, the auditor and the semantic record read the rows without
+//! decoding them.
 
 use bft_types::{Digest, RequestId, SeqNum, Transaction, TxnResult, View};
 
-use crate::event::NodeId;
+use crate::event::{NodeId, PackedNode};
 use crate::time::SimTime;
 
 /// The replica lifecycle stages of Figure 1.
@@ -135,32 +140,348 @@ pub struct LoggedObservation {
     pub obs: Observation,
 }
 
+/// A digest's first-appearance ordinal in its log (`#0`, `#1`, … in
+/// [`RunOutcome::semantic_record`](crate::RunOutcome::semantic_record)).
+pub(crate) type Ordinal = u32;
+
+/// One stored observation: 48 bytes, where a [`LoggedObservation`] takes
+/// 104. Digests are [`Ordinal`]s into the log's digest table and a
+/// `ClientAccept` is an index into its accept table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
+    pub(crate) at: SimTime,
+    pub(crate) node: PackedNode,
+    pub(crate) kind: RowKind,
+}
+
+/// [`Observation`] with digests interned and the accept payload moved out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowKind {
+    Commit {
+        seq: SeqNum,
+        view: View,
+        digest: Ordinal,
+        speculative: bool,
+    },
+    Execute {
+        seq: SeqNum,
+        request: RequestId,
+        state_digest: Ordinal,
+    },
+    Rollback {
+        from_seq: SeqNum,
+    },
+    NewView {
+        view: View,
+    },
+    StableCheckpoint {
+        seq: SeqNum,
+        state_digest: Ordinal,
+    },
+    StageEnter {
+        stage: Stage,
+    },
+    RecoveryStart,
+    RecoveryDone,
+    /// Index into [`Entries::accept`].
+    ClientAccept(u32),
+    Marker {
+        label: &'static str,
+    },
+}
+
+/// The payload of one `ClientAccept` row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Accept {
+    pub(crate) request: RequestId,
+    pub(crate) sent_at: SimTime,
+    pub(crate) fast_path: bool,
+    pub(crate) txn: Transaction,
+    pub(crate) result: TxnResult,
+}
+
+/// The distinct digests of one log in first-appearance order, with an
+/// open-addressing index over them: each used slot holds ordinal + 1, an
+/// empty one 0, and at most half the slots are used.
+#[derive(Debug, Clone, Default)]
+struct Digests {
+    table: Vec<Digest>,
+    slots: Vec<u32>,
+}
+
+impl Digests {
+    fn intern(&mut self, digest: Digest) -> Ordinal {
+        if 2 * (self.table.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::hash(&digest, mask);
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let ordinal = Ordinal::try_from(self.table.len()).expect("< 2^32 digests");
+                    self.table.push(digest);
+                    self.slots[i] = ordinal + 1;
+                    return ordinal;
+                }
+                used if self.table[used as usize - 1] == digest => return used - 1,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let mask = len - 1;
+        self.slots = vec![0; len];
+        for (ordinal, digest) in self.table.iter().enumerate() {
+            let mut i = Self::hash(digest, mask);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = ordinal as u32 + 1;
+        }
+    }
+
+    /// Digests are SHA-256 output: eight of their bytes hash well enough.
+    fn hash(digest: &Digest, mask: usize) -> usize {
+        let head = u64::from_le_bytes(digest.0[..8].try_into().expect("8 bytes"));
+        (head.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask
+    }
+}
+
+/// The rows of an [`ObservationLog`] and the tables they point into.
+/// Outside this crate it reads as a sequence of [`LoggedObservation`]s,
+/// each decoded on the way out (`for e in &log.entries`, [`Entries::iter`],
+/// [`Entries::get`]).
+#[derive(Clone, Default)]
+pub struct Entries {
+    rows: Vec<Row>,
+    digests: Digests,
+    accepts: Vec<Accept>,
+}
+
+impl Entries {
+    fn push(&mut self, at: SimTime, node: NodeId, obs: Observation) {
+        let kind = match obs {
+            Observation::Commit {
+                seq,
+                view,
+                digest,
+                speculative,
+            } => RowKind::Commit {
+                seq,
+                view,
+                digest: self.digests.intern(digest),
+                speculative,
+            },
+            Observation::Execute {
+                seq,
+                request,
+                state_digest,
+            } => RowKind::Execute {
+                seq,
+                request,
+                state_digest: self.digests.intern(state_digest),
+            },
+            Observation::Rollback { from_seq } => RowKind::Rollback { from_seq },
+            Observation::NewView { view } => RowKind::NewView { view },
+            Observation::StableCheckpoint { seq, state_digest } => RowKind::StableCheckpoint {
+                seq,
+                state_digest: self.digests.intern(state_digest),
+            },
+            Observation::StageEnter { stage } => RowKind::StageEnter { stage },
+            Observation::RecoveryStart => RowKind::RecoveryStart,
+            Observation::RecoveryDone => RowKind::RecoveryDone,
+            Observation::ClientAccept {
+                request,
+                sent_at,
+                fast_path,
+                txn,
+                result,
+            } => {
+                let index = u32::try_from(self.accepts.len()).expect("< 2^32 accepts");
+                self.accepts.push(Accept {
+                    request,
+                    sent_at,
+                    fast_path,
+                    txn,
+                    result,
+                });
+                RowKind::ClientAccept(index)
+            }
+            Observation::Marker { label } => RowKind::Marker { label },
+        };
+        let node = PackedNode::pack(node);
+        self.rows.push(Row { at, node, kind });
+    }
+
+    /// Number of observations.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when nothing was observed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `i`-th observation in emission order.
+    pub fn get(&self, i: usize) -> Option<LoggedObservation> {
+        self.rows.get(i).map(|row| self.decode(row))
+    }
+
+    /// The first observation.
+    pub fn first(&self) -> Option<LoggedObservation> {
+        self.get(0)
+    }
+
+    /// The last observation.
+    pub fn last(&self) -> Option<LoggedObservation> {
+        self.rows.last().map(|row| self.decode(row))
+    }
+
+    /// Every observation in emission order, decoded.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            entries: self,
+            rows: self.rows.iter(),
+        }
+    }
+
+    pub(crate) fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    pub(crate) fn digest(&self, ordinal: Ordinal) -> Digest {
+        self.digests.table[ordinal as usize]
+    }
+
+    pub(crate) fn accept(&self, index: u32) -> &Accept {
+        &self.accepts[index as usize]
+    }
+
+    fn decode(&self, row: &Row) -> LoggedObservation {
+        let obs = match row.kind {
+            RowKind::Commit {
+                seq,
+                view,
+                digest,
+                speculative,
+            } => Observation::Commit {
+                seq,
+                view,
+                digest: self.digest(digest),
+                speculative,
+            },
+            RowKind::Execute {
+                seq,
+                request,
+                state_digest,
+            } => Observation::Execute {
+                seq,
+                request,
+                state_digest: self.digest(state_digest),
+            },
+            RowKind::Rollback { from_seq } => Observation::Rollback { from_seq },
+            RowKind::NewView { view } => Observation::NewView { view },
+            RowKind::StableCheckpoint { seq, state_digest } => Observation::StableCheckpoint {
+                seq,
+                state_digest: self.digest(state_digest),
+            },
+            RowKind::StageEnter { stage } => Observation::StageEnter { stage },
+            RowKind::RecoveryStart => Observation::RecoveryStart,
+            RowKind::RecoveryDone => Observation::RecoveryDone,
+            RowKind::ClientAccept(index) => {
+                let a = self.accept(index);
+                Observation::ClientAccept {
+                    request: a.request,
+                    sent_at: a.sent_at,
+                    fast_path: a.fast_path,
+                    txn: a.txn.clone(),
+                    result: a.result.clone(),
+                }
+            }
+            RowKind::Marker { label } => Observation::Marker { label },
+        };
+        LoggedObservation {
+            at: row.at,
+            node: row.node.unpack(),
+            obs,
+        }
+    }
+}
+
+impl std::fmt::Debug for Entries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Entries {
+    type Item = LoggedObservation;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Decoding iterator over [`Entries`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    entries: &'a Entries,
+    rows: std::slice::Iter<'a, Row>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = LoggedObservation;
+
+    fn next(&mut self) -> Option<LoggedObservation> {
+        self.rows.next().map(|row| self.entries.decode(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Iter<'_> {
+    fn next_back(&mut self) -> Option<LoggedObservation> {
+        self.rows.next_back().map(|row| self.entries.decode(row))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// The global, chronologically ordered observation log of one run.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationLog {
     /// All observations in emission order (emission order = virtual-time
     /// order because the simulator is sequential).
-    pub entries: Vec<LoggedObservation>,
+    pub entries: Entries,
 }
 
 impl ObservationLog {
     /// Record an observation.
     pub fn push(&mut self, at: SimTime, node: NodeId, obs: Observation) {
-        self.entries.push(LoggedObservation { at, node, obs });
+        self.entries.push(at, node, obs);
     }
 
     /// All final (non-speculative) commits by `node`, as `(seq, digest)`.
     pub fn commits_of(&self, node: NodeId) -> Vec<(SeqNum, Digest)> {
+        let node = PackedNode::pack(node);
         self.entries
+            .rows
             .iter()
-            .filter(|e| e.node == node)
-            .filter_map(|e| match &e.obs {
-                Observation::Commit {
+            .filter(|row| row.node == node)
+            .filter_map(|row| match row.kind {
+                RowKind::Commit {
                     seq,
                     digest,
                     speculative: false,
                     ..
-                } => Some((*seq, *digest)),
+                } => Some((seq, self.entries.digest(digest))),
                 _ => None,
             })
             .collect()
@@ -169,11 +490,13 @@ impl ObservationLog {
     /// All client-accepted requests with their latencies.
     pub fn client_latencies(&self) -> Vec<(RequestId, crate::time::SimDuration)> {
         self.entries
+            .rows
             .iter()
-            .filter_map(|e| match &e.obs {
-                Observation::ClientAccept {
-                    request, sent_at, ..
-                } => Some((*request, e.at.since(*sent_at))),
+            .filter_map(|row| match row.kind {
+                RowKind::ClientAccept(index) => {
+                    let a = self.entries.accept(index);
+                    Some((a.request, row.at.since(a.sent_at)))
+                }
                 _ => None,
             })
             .collect()
@@ -186,13 +509,12 @@ impl ObservationLog {
 
     /// The set of stages `node` entered, in first-entry order.
     pub fn stages_of(&self, node: NodeId) -> Vec<Stage> {
+        let node = PackedNode::pack(node);
         let mut seen = Vec::new();
-        for e in &self.entries {
-            if e.node == node {
-                if let Observation::StageEnter { stage } = e.obs {
-                    if !seen.contains(&stage) {
-                        seen.push(stage);
-                    }
+        for row in &self.entries.rows {
+            if let (true, RowKind::StageEnter { stage }) = (row.node == node, row.kind) {
+                if !seen.contains(&stage) {
+                    seen.push(stage);
                 }
             }
         }
@@ -202,9 +524,10 @@ impl ObservationLog {
     /// Highest view any node reported entering.
     pub fn max_view(&self) -> View {
         self.entries
+            .rows
             .iter()
-            .filter_map(|e| match e.obs {
-                Observation::NewView { view } => Some(view),
+            .filter_map(|row| match row.kind {
+                RowKind::NewView { view } => Some(view),
                 _ => None,
             })
             .max()
@@ -213,7 +536,11 @@ impl ObservationLog {
 
     /// Count of `Marker { label }` observations.
     pub fn marker_count(&self, label: &str) -> usize {
-        self.count(|e| matches!(e.obs, Observation::Marker { label: l } if l == label))
+        self.entries
+            .rows
+            .iter()
+            .filter(|row| matches!(row.kind, RowKind::Marker { label: l } if l == label))
+            .count()
     }
 }
 
@@ -297,5 +624,117 @@ mod tests {
         );
         let lat = log.client_latencies();
         assert_eq!(lat, vec![(req, SimDuration(600))]);
+    }
+
+    #[test]
+    fn a_row_is_at_most_48_bytes() {
+        assert!(
+            std::mem::size_of::<Row>() <= 48,
+            "{}",
+            std::mem::size_of::<Row>()
+        );
+    }
+
+    #[test]
+    fn digests_get_first_appearance_ordinals() {
+        let mut digests = Digests::default();
+        let digest = |i: u32| {
+            let mut bytes = [0u8; 32];
+            bytes[..4].copy_from_slice(&i.to_le_bytes());
+            bytes[31] = 0xff;
+            Digest(bytes)
+        };
+        // enough to grow the index several times; every value twice
+        for i in 0..1_000 {
+            assert_eq!(digests.intern(digest(i)), i);
+            assert_eq!(digests.intern(digest(i / 2)), i / 2);
+        }
+        assert_eq!(digests.table.len(), 1_000);
+        assert!(2 * digests.table.len() <= digests.slots.len());
+    }
+
+    /// One of every [`Observation`] variant, picked by `variant`; the
+    /// digests come from a pool of four so that values repeat.
+    fn observation(variant: u8, a: u64, b: u64, digest: u8, flag: bool) -> Observation {
+        let digest = Digest([digest; 32]);
+        let request = RequestId {
+            client: bft_types::ClientId(a % 7),
+            timestamp: b,
+        };
+        match variant {
+            0 => Observation::Commit {
+                seq: SeqNum(a),
+                view: View(b),
+                digest,
+                speculative: flag,
+            },
+            1 => Observation::Execute {
+                seq: SeqNum(b),
+                request,
+                state_digest: digest,
+            },
+            2 => Observation::Rollback {
+                from_seq: SeqNum(a),
+            },
+            3 => Observation::NewView { view: View(a) },
+            4 => Observation::StableCheckpoint {
+                seq: SeqNum(a),
+                state_digest: digest,
+            },
+            5 => Observation::StageEnter {
+                stage: Stage::ALL[(a % 5) as usize],
+            },
+            6 => Observation::RecoveryStart,
+            7 => Observation::RecoveryDone,
+            8 => Observation::ClientAccept {
+                request,
+                sent_at: SimTime(b),
+                fast_path: flag,
+                txn: Transaction::single(bft_types::Op::Put(a, b as i64)),
+                result: TxnResult {
+                    reads: vec![Some(a as i64), None],
+                },
+            },
+            _ => Observation::Marker {
+                label: if flag { "fallback" } else { "fast path" },
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_observation_comes_back_equal(
+            drawn in proptest::collection::vec(
+                (0u8..10, proptest::prelude::any::<u64>(), 0u64..1_000, 0u8..4,
+                 proptest::prelude::any::<bool>(), 0u64..6),
+                0..60,
+            ),
+        ) {
+            let pushed: Vec<LoggedObservation> = drawn
+                .into_iter()
+                .enumerate()
+                .map(|(i, (variant, a, b, digest, flag, node))| LoggedObservation {
+                    at: SimTime(i as u64 * 10 + b % 10),
+                    node: if node < 4 { NodeId::replica(node as u32) } else { NodeId::client(node) },
+                    obs: observation(variant, a, b, digest, flag),
+                })
+                .collect();
+            let mut log = ObservationLog::default();
+            for e in &pushed {
+                log.push(e.at, e.node, e.obs.clone());
+            }
+            proptest::prop_assert_eq!(log.entries.len(), pushed.len());
+            proptest::prop_assert_eq!(log.entries.iter().len(), pushed.len());
+            let forwards: Vec<LoggedObservation> = log.entries.iter().collect();
+            proptest::prop_assert_eq!(&forwards, &pushed);
+            let mut reversed: Vec<LoggedObservation> = (&log.entries).into_iter().rev().collect();
+            reversed.reverse();
+            proptest::prop_assert_eq!(&reversed, &pushed);
+            for (i, e) in pushed.iter().enumerate() {
+                proptest::prop_assert_eq!(log.entries.get(i).as_ref(), Some(e));
+            }
+            proptest::prop_assert_eq!(log.entries.first().as_ref(), pushed.first());
+            proptest::prop_assert_eq!(log.entries.last().as_ref(), pushed.last());
+        }
     }
 }

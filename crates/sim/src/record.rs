@@ -6,17 +6,13 @@
 //! observed what and when, and what it cost on the wire) and not a byte
 //! format. The record ignores exactly three things a serialization would pin:
 //! field order, whether a zero counter is present, and digest bytes beyond
-//! which values are equal. Every [`Digest`] is written as its first-appearance
-//! ordinal (`#0`, `#1`, …) in one namespace per run, so equal digests stay
-//! equal and unequal ones unequal. `events_processed` and `end_time` stay out
+//! which values are equal. Every [`Digest`](bft_types::Digest) is written as
+//! its first-appearance ordinal (`#0`, `#1`, …) in one namespace per run, so
+//! equal digests stay equal and unequal ones unequal. `events_processed` and `end_time` stay out
 //! on purpose: a change in how many timer events a run pops is not a change
 //! in what the run did.
 
-use std::collections::HashMap;
-
-use bft_types::Digest;
-
-use crate::obs::Observation;
+use crate::obs::RowKind;
 use crate::runner::RunOutcome;
 
 impl RunOutcome {
@@ -25,49 +21,40 @@ impl RunOutcome {
     /// [`Metrics::nodes`](crate::Metrics::nodes) lists, then the non-zero run
     /// counters sorted by name.
     pub fn semantic_record(&self) -> String {
-        let mut ordinals: HashMap<Digest, usize> = HashMap::new();
-        let mut id = |digest: &Digest| {
-            let next = ordinals.len();
-            *ordinals.entry(*digest).or_insert(next)
-        };
+        // the log interns exactly the digests written here, in this order,
+        // so its ordinals are the record's
         let mut lines = Vec::new();
-        for e in &self.log.entries {
-            let what = match &e.obs {
-                Observation::Commit {
+        for row in self.log.entries.rows() {
+            let what = match row.kind {
+                RowKind::Commit {
                     seq,
                     view,
                     digest,
                     speculative,
-                } => format!(
-                    "commit {seq} {view} #{} speculative={speculative}",
-                    id(digest)
-                ),
-                Observation::Execute {
+                } => format!("commit {seq} {view} #{digest} speculative={speculative}"),
+                RowKind::Execute {
                     seq,
                     request,
                     state_digest,
-                } => format!("execute {seq} {request} #{}", id(state_digest)),
-                Observation::Rollback { from_seq } => format!("rollback {from_seq}"),
-                Observation::NewView { view } => format!("new-view {view}"),
-                Observation::StableCheckpoint { seq, state_digest } => {
-                    format!("stable-checkpoint {seq} #{}", id(state_digest))
+                } => format!("execute {seq} {request} #{state_digest}"),
+                RowKind::Rollback { from_seq } => format!("rollback {from_seq}"),
+                RowKind::NewView { view } => format!("new-view {view}"),
+                RowKind::StableCheckpoint { seq, state_digest } => {
+                    format!("stable-checkpoint {seq} #{state_digest}")
                 }
-                Observation::StageEnter { stage } => format!("stage {stage}"),
-                Observation::RecoveryStart => "recovery-start".into(),
-                Observation::RecoveryDone => "recovery-done".into(),
-                Observation::ClientAccept {
-                    request,
-                    sent_at,
-                    fast_path,
-                    txn,
-                    result,
-                } => format!(
-                    "accept {request} sent={} fast={fast_path} {:?} -> {:?}",
-                    sent_at.0, txn.ops, result.reads
-                ),
-                Observation::Marker { label } => format!("marker {label}"),
+                RowKind::StageEnter { stage } => format!("stage {stage}"),
+                RowKind::RecoveryStart => "recovery-start".into(),
+                RowKind::RecoveryDone => "recovery-done".into(),
+                RowKind::ClientAccept(index) => {
+                    let a = self.log.entries.accept(index);
+                    format!(
+                        "accept {} sent={} fast={} {:?} -> {:?}",
+                        a.request, a.sent_at.0, a.fast_path, a.txn.ops, a.result.reads
+                    )
+                }
+                RowKind::Marker { label } => format!("marker {label}"),
             };
-            lines.push(format!("{} {} {what}", e.at.0, e.node));
+            lines.push(format!("{} {} {what}", row.at.0, row.node.unpack()));
         }
         for (node, c) in self.metrics.nodes() {
             lines.push(format!(
@@ -99,9 +86,9 @@ impl RunOutcome {
 mod tests {
     use super::*;
     use crate::event::NodeId;
-    use crate::obs::ObservationLog;
+    use crate::obs::{Observation, ObservationLog};
     use crate::time::SimTime;
-    use bft_types::{ClientId, RequestId, SeqNum, View};
+    use bft_types::{ClientId, Digest, RequestId, SeqNum, View};
 
     /// Two replicas commit the batch with digest bytes `batch` and execute
     /// it, leaving the state digest bytes `states`; replica 0 sends 100 B.
@@ -163,7 +150,11 @@ mod tests {
     #[test]
     fn one_nanosecond_on_one_observation_changes_the_record() {
         let mut later = outcome(1, [2, 3]);
-        later.log.entries[3].at.0 += 1;
+        let mut log = ObservationLog::default();
+        for (i, e) in later.log.entries.iter().enumerate() {
+            log.push(SimTime(e.at.0 + u64::from(i == 3)), e.node, e.obs);
+        }
+        later.log = log;
         assert_ne!(
             outcome(1, [2, 3]).semantic_digest(),
             later.semantic_digest()

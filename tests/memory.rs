@@ -1,0 +1,124 @@
+//! What a run's audit trail costs in memory, per request: the bytes the
+//! finished observation log holds, and the peak transient bytes of the two
+//! readers every run ends with, `suite::check_run` and
+//! `SafetyAuditor::check`.
+//!
+//! A counting global allocator measures them, so this file is its own test
+//! binary with one test: a second test running in parallel would allocate
+//! into the same counters. The figures are exact for a seed and compiler,
+//! in debug and release alike.
+//!
+//! ```text
+//! cargo test --release --test memory -- --nocapture
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use untrusted_txn::prelude::*;
+use untrusted_txn::protocols::suite::check_run;
+
+/// The system allocator, counting the bytes live now and their high-water
+/// mark since the last [`Counting::reset_peak`].
+struct Counting {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Counting {
+    fn live(&self) -> usize {
+        self.live.load(Relaxed)
+    }
+
+    fn reset_peak(&self) {
+        self.peak.store(self.live(), Relaxed);
+    }
+
+    /// Peak bytes above `base` while `f` ran.
+    fn transient<T>(&self, f: impl FnOnce() -> T) -> (T, usize) {
+        let base = self.live();
+        self.reset_peak();
+        let value = f();
+        (value, self.peak.load(Relaxed) - base)
+    }
+
+    fn grew(&self, bytes: usize) {
+        let live = self.live.fetch_add(bytes, Relaxed) + bytes;
+        self.peak.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters only
+// observe the sizes passed through.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.grew(layout.size());
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // the old block stays live until the move is done
+        self.grew(new_size);
+        // SAFETY: the caller's contract for `realloc` is `System`'s.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        self.live.fetch_sub(layout.size(), Relaxed);
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting {
+    live: AtomicUsize::new(0),
+    peak: AtomicUsize::new(0),
+};
+
+/// Bytes per request on PBFT, 2 clients × 2 000 requests, seed 1, before
+/// the log became compact rows with interned digests (measured with this
+/// file's code, rustc 1.95, x86-64).
+const BEFORE: Bytes = Bytes {
+    log: 3_471.872,
+    check_run: 750.69,
+    audit: 643.592,
+};
+
+#[derive(Debug)]
+struct Bytes {
+    log: f64,
+    check_run: f64,
+    audit: f64,
+}
+
+#[test]
+fn the_log_and_its_readers_stay_within_half_their_former_bytes_per_request() {
+    let scenario = Scenario::small(1).with_load(2, 2_000).with_seed(1);
+    let requests = scenario.total_requests() as f64;
+    let mut out = ProtocolId::Pbft.run(&scenario);
+    assert_eq!(out.log.client_latencies().len() as f64, requests);
+
+    let (violations, check_run) =
+        ALLOC.transient(|| check_run(ProtocolId::Pbft, &scenario, &out).len());
+    assert_eq!(violations, 0);
+    let (unsafe_commits, audit) =
+        ALLOC.transient(|| SafetyAuditor::all_correct().check(&out.log).len());
+    assert_eq!(unsafe_commits, 0);
+    let before = ALLOC.live();
+    drop(std::mem::take(&mut out.log));
+    let log = before - ALLOC.live();
+
+    let now = Bytes {
+        log: log as f64 / requests,
+        check_run: check_run as f64 / requests,
+        audit: audit as f64 / requests,
+    };
+    println!("bytes per request: {now:?} (before: {BEFORE:?})");
+    assert!(now.log <= 0.55 * BEFORE.log, "{now:?}");
+    assert!(now.check_run <= 0.5 * BEFORE.check_run, "{now:?}");
+    assert!(now.audit <= 0.5 * BEFORE.audit, "{now:?}");
+}
