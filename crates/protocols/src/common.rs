@@ -560,6 +560,9 @@ pub struct Slot<X> {
     /// Committed (for the speculative protocols: certified) — executable
     /// once every earlier slot has executed.
     pub committed: bool,
+    /// The first state-machine sequence number its batch took, set when
+    /// it executes: what a speculative member's rollback aims at.
+    pub sm_start: Option<SeqNum>,
     /// Protocol-specific agreement state.
     pub ext: X,
 }
@@ -731,7 +734,7 @@ pub fn collected(cursor: SeqNum, seq: SeqNum) -> bool {
     seq.0 + TRAIL <= cursor.0
 }
 
-/// The committed-slot log of every ordering protocol but Zyzzyva and Q/U:
+/// The committed-slot log of every ordering protocol but Q/U:
 /// consensus slots by sequence number, executed by [`Execution::drain`].
 /// The map is exposed (`Deref`) for protocol-specific queries; the verbs
 /// every protocol shares live here. What stays of an executed slot is the
@@ -894,8 +897,7 @@ impl<P> Early<P> {
 /// actually handed, so a slot whose proposal has not arrived cannot be
 /// executed as an empty placeholder. Every ordering protocol runs its
 /// [`SlotLog`] through the one loop, [`Execution::drain`] (the skeleton's
-/// members through [`Core::drain`], which adds the checkpointing stage);
-/// only Zyzzyva executes request by request.
+/// members through [`Core::drain`], which adds the checkpointing stage).
 ///
 /// The undo log serves speculative rollback and the checkpointing stage's
 /// snapshots, so what is kept of it follows from what a protocol has: the
@@ -943,11 +945,6 @@ impl Execution {
         self.cursor
     }
 
-    /// Re-aim the cursor after a rollback.
-    pub fn set_cursor(&mut self, slot: SeqNum) {
-        self.cursor = slot;
-    }
-
     /// Read access to the state machine (digest, snapshots, read path).
     pub fn sm(&self) -> &StateMachine {
         &self.sm
@@ -982,12 +979,17 @@ impl Execution {
         })
     }
 
+    /// Whether execution is speculative.
+    pub fn is_speculative(&self) -> bool {
+        self.speculative
+    }
+
     /// Execute one request at the next state-machine sequence number:
     /// charge its `Op::Work` (1 µs per unit), apply it, observe the
     /// execution, mark it executed and deliver the reply. Already-executed
     /// requests are skipped when the stage was built
     /// [`skipping_executed`](Execution::skipping_executed).
-    pub fn execute<M: WireSize + serde::Serialize + 'static>(
+    fn execute<M: WireSize + serde::Serialize + 'static>(
         &mut self,
         ctx: &mut Context<'_, M>,
         signed: &SignedRequest,
@@ -1075,6 +1077,7 @@ impl Execution {
                 return;
             };
             let view = open(ctx, next, slot);
+            slot.sm_start = Some(self.sm.last_executed().next());
             ctx.observe(enter(Stage::Execution));
             for signed in slot.batch.iter().flatten() {
                 self.execute(ctx, signed, view, &mut deliver);
@@ -1087,14 +1090,16 @@ impl Execution {
     }
 
     /// Undo every execution at state-machine sequence number ≥ `from`
-    /// (speculation that did not survive a view change): the requests
-    /// become executable again. Observes the rollback if anything was
-    /// undone; the caller re-aims the cursor.
+    /// (speculation that did not survive a view change) and re-aim the
+    /// cursor at slot `cursor`: the requests become executable again.
+    /// Observes the rollback if anything was undone.
     pub fn rollback<M: WireSize + serde::Serialize + 'static>(
         &mut self,
         ctx: &mut Context<'_, M>,
         from: SeqNum,
+        cursor: SeqNum,
     ) {
+        self.cursor = cursor;
         let undone = self.sm.history().iter().filter(|e| e.seq >= from);
         let undone: Vec<RequestId> = undone.map(|e| e.request).collect();
         if self.sm.rollback_to(from) > 0 {
@@ -1664,9 +1669,10 @@ impl VoteAuth {
     };
 }
 
-/// The request arm's two messages: the reply to a retransmission and the
-/// request relayed to the leader (`None`: not relayed).
-pub(crate) type RequestWire<M> = (fn(Reply) -> M, Option<fn(SignedRequest) -> M>);
+/// The request arm's two messages: the reply to a retransmission (given the
+/// reply and the history position it reports) and the request relayed to
+/// the leader (`None`: not relayed).
+pub(crate) type RequestWire<M> = (fn(Reply, SeqNum) -> M, Option<fn(SignedRequest) -> M>);
 
 /// A checkpoint attester: the replica, its vote authentication, its wire.
 type Attester<M, P> = (ReplicaId, VoteAuth, fn(ViewMsg<P>) -> M);
@@ -1709,6 +1715,9 @@ pub(crate) struct Core<M, X, P> {
     /// or woken and not yet back in step with the quorum's working view.
     pub catchup: Catchup,
     pub rejoining: bool,
+    /// A speculative member's latest installed new view, kept to bring
+    /// voters that are behind up to date.
+    pub last_new_view: Option<ViewMsg<P>>,
 }
 
 impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Core<M, X, P> {
@@ -1739,6 +1748,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
             ckpt: CheckpointManager::new(interval, q.quorum().min(q.n - q.f)),
             catchup: Catchup::new(me, q.n, view_timeout),
             rejoining: false,
+            last_new_view: None,
         }
     }
 
@@ -1778,7 +1788,10 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         signed: &SignedRequest,
         (reply, relay): RequestWire<M>,
     ) -> bool {
-        let (view, answer) = (self.gate.view(), reply_to_client(None, reply));
+        let view = self.gate.view();
+        let answer = |ctx: &mut Context<'_, M>, r: Reply, seq| {
+            ctx.send(NodeId::Client(r.request.client), reply(r, seq))
+        };
         if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
             return false;
         }
@@ -1818,14 +1831,15 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     }
 
     /// [`Execution::drain`] over this log in the current view, with the
-    /// checkpointing stage after each slot. `epilogue` ends each slot's
-    /// Execution stage (`close` there); `after_slot` is the member's
-    /// bookkeeping with the intake and the stage once the slot executed.
+    /// checkpointing stage after each slot. Where execution is speculative
+    /// (PoE, Zyzzyva), executing a slot *is* its commit, observed at the
+    /// slot with its batch digest before the Execution stage is left.
+    /// `after_slot` is the member's bookkeeping with the intake and the
+    /// stage once the slot executed.
     pub fn drain(
         &mut self,
         ctx: &mut Context<'_, M>,
         deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        mut epilogue: impl FnMut(&mut Context<'_, M>, &Execution, SeqNum, &mut Slot<X>),
         mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution),
     ) {
         let (view, before) = (self.gate.view(), self.exec.cursor());
@@ -1836,7 +1850,14 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
             |_, _, _| view,
             deliver,
             |ctx, exec, seq, slot| {
-                epilogue(ctx, exec, seq, slot);
+                if exec.is_speculative() {
+                    ctx.observe(Observation::Commit {
+                        seq,
+                        view,
+                        digest: slot.digest.unwrap_or(Digest::ZERO),
+                        speculative: true,
+                    });
+                }
                 (self.mempool).remove(slot.batch.as_deref().unwrap_or_default());
             },
             |ctx, exec, log, _| {
@@ -1860,12 +1881,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         wrap: impl Fn(Reply) -> M,
     ) {
         let deliver = reply_to_client(Some(auth), wrap);
-        self.drain(
-            ctx,
-            deliver,
-            |_, _, _, _| {},
-            |ctx, intake, exec| intake.settle(ctx, exec),
-        );
+        self.drain(ctx, deliver, |ctx, intake, exec| intake.settle(ctx, exec));
     }
 
     // ---- the checkpointing stage ------------------------------------------
@@ -1952,7 +1968,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         let (seq, snapshot) = stable.unwrap_or_else(empty);
         self.exec.install_snapshot(&snapshot, seq);
         self.log.clear();
-        self.votes = ViewChange::default();
+        (self.votes, self.last_new_view) = (ViewChange::default(), None);
         self.gate = ViewGate::new();
         self.intake.clear_pending();
         (self.next_seq, self.mempool) = (seq.next(), Mempool::new(self.mempool.batch_size));
@@ -1960,7 +1976,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
 }
 
 /// The PBFT-pattern view change (PBFT, MinBFT, FaB, Prime, Themis, Kauri,
-/// SBFT, PoE): replicas broadcast a view-change vote carrying their stable
+/// SBFT, PoE, Zyzzyva): replicas broadcast a view-change vote carrying their stable
 /// checkpoint and what they would lose; f+1 votes pull the rest in; the
 /// target view's leader assembles a new-view message from a quorum of
 /// votes; everyone installs it, re-runs agreement on the re-proposed slots
@@ -2115,8 +2131,15 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                 from: voter,
             } => {
                 ctx.charge_crypto(auth.check);
-                // a vote nobody else can verify: vouch for it to the leader
                 let core = self.core();
+                if core.exec.is_speculative() && *new_view <= core.gate.view() {
+                    // the voter is behind: bring it up to date
+                    if let Some(last) = core.last_new_view.clone() {
+                        ctx.send(NodeId::Replica(*voter), (core.wire)(last));
+                    }
+                    return;
+                }
+                // a vote nobody else can verify: vouch for it to the leader
                 let leader = new_view.leader_of(core.q.n);
                 let mine = *voter == core.me || leader == core.me;
                 if auth.acks > 0 && !mine && !core.votes.has_vote(*new_view, *voter) {
@@ -2245,12 +2268,16 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 
     /// Carry the log into the installed view: strand and requeue what was
     /// not re-proposed, [`adopt`](ViewChanger::adopt) each re-proposal above
-    /// the cursor, and let the new leader continue past them.
+    /// the cursor, and let the new leader continue past them. A
+    /// speculative member [rolls back](ViewChanger::roll_back) first.
     fn adopt_view(
         &mut self,
         proposals: Vec<Entry<Self::Payload>>,
         ctx: &mut Context<'_, Self::Msg>,
     ) {
+        if self.core().exec.is_speculative() {
+            return self.roll_back(proposals, ctx);
+        }
         let core = self.core();
         let cursor = core.exec.cursor();
         let re_proposed: Vec<SeqNum> = proposals.iter().map(|(seq, ..)| *seq).collect();
@@ -2265,6 +2292,52 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
                 .into_iter()
                 .fold(core.exec.cursor(), SeqNum::max);
             core.next_seq = core.next_seq.max(past.next());
+            self.resume(ctx);
+        }
+    }
+
+    /// A speculative member's adoption (PoE, Zyzzyva): what it executed
+    /// and the new view does not confirm rolls back first — from the first
+    /// executed slot whose assignment differs, failing that from the first
+    /// executed slot beyond the assignments —, the slots above the re-aimed
+    /// cursor are stranded and requeued, and every assignment above it is
+    /// adopted and executed at once. The new view is kept for voters that
+    /// are behind.
+    fn roll_back(
+        &mut self,
+        assignments: Vec<Entry<Self::Payload>>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) {
+        let core = self.core();
+        core.last_new_view = Some(ViewMsg::NewView {
+            view: core.gate.view(),
+            proposals: assignments.clone(),
+        });
+        let cursor = core.exec.cursor();
+        let log = &core.log;
+        let diverged = |(seq, digest, _): &&Entry<Self::Payload>| {
+            *seq <= cursor && log.get(seq).is_some_and(|s| s.digest != Some(*digest))
+        };
+        let max_assigned = assignments.iter().map(|(s, ..)| *s).max();
+        let max_assigned = max_assigned.unwrap_or(core.ckpt.low_water());
+        let first_bad = assignments
+            .iter()
+            .find(diverged)
+            .map(|(seq, ..)| *seq)
+            .or_else(|| (cursor > max_assigned).then(|| max_assigned.next()));
+        let aim = first_bad.and_then(|seq| Some((core.log.get(&seq)?.sm_start?, seq.prev())));
+        if let Some((sm_start, cursor)) = aim {
+            core.exec.rollback(ctx, sm_start, cursor);
+        }
+        let cursor = core.exec.cursor();
+        let stranded = core.log.strand(cursor, &[]);
+        self.requeue(stranded);
+        for entry in assignments.into_iter().filter(|(seq, ..)| *seq > cursor) {
+            self.adopt(entry, ctx);
+        }
+        self.core().next_seq = max_assigned.max(cursor).next();
+        self.execute(ctx);
+        if self.core().is_leader() {
             self.resume(ctx);
         }
     }
@@ -2803,8 +2876,7 @@ mod tests {
                 ctx.observe(spec_commit.clone())
             });
             assert!(exec.is_executed(&undo[1].request.id));
-            exec.rollback(ctx, SeqNum(2));
-            exec.set_cursor(SeqNum(1));
+            exec.rollback(ctx, SeqNum(2), SeqNum(1));
             assert_eq!(exec.sm().digest(), digest);
             assert_eq!(exec.sm().last_executed(), SeqNum(1));
             assert!(exec.is_executed(&keep.request.id));
@@ -2820,7 +2892,7 @@ mod tests {
                 record(&spec)
             ));
             // nothing left to undo: no second observation
-            exec.rollback(ctx, SeqNum(2));
+            exec.rollback(ctx, SeqNum(2), SeqNum(1));
         });
         let rollbacks = out.log.count(
             |e| matches!(e.obs, Observation::Rollback { from_seq } if from_seq == SeqNum(2)),
@@ -3238,6 +3310,7 @@ mod tests {
             use crate::poe::{PoeBehavior, PoeClientProto, PoeReplica};
             use crate::prime::{PrimeBehavior, PrimeClientProto, PrimeReplica};
             use crate::sbft::{SbftClientProto, SbftReplica};
+            use crate::zyzzyva::{ZyzzyvaClientProto, ZyzzyvaReplica};
             let s: &Scenario = $s;
             let (interval, batch) = (s.checkpoint_interval, s.batch_size);
             let (delta, slots) = (s.network.delta.0, (batch, interval));
@@ -3272,6 +3345,12 @@ mod tests {
             });
             $go!("poe", PoeClientProto, 4, |me, q, store| {
                 PoeReplica::new(me, q, store, PoeBehavior::Honest, (vt, interval), batch)
+            });
+            $go!("zyzzyva", ZyzzyvaClientProto<false>, 4, |me, q, store| {
+                ZyzzyvaReplica::new(me, q, store, (vt, interval), batch)
+            });
+            $go!("zyzzyva5", ZyzzyvaClientProto<true>, 6, |me, q, store| {
+                ZyzzyvaReplica::new(me, q, store, (vt, interval), batch)
             });
         }};
     }

@@ -312,7 +312,8 @@ impl Actor<MinBftMsg> for MinBftReplica {
     fn on_message(&mut self, from: NodeId, msg: &MinBftMsg, ctx: &mut Context<'_, MinBftMsg>) {
         match msg {
             MinBftMsg::Request(signed) => {
-                let wire: RequestWire<MinBftMsg> = (MinBftMsg::Reply, Some(MinBftMsg::Request));
+                let wire: RequestWire<MinBftMsg> =
+                    (|r, _| MinBftMsg::Reply(r), Some(MinBftMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

@@ -727,16 +727,11 @@ impl ViewChanger for PbftReplica {
     fn execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         let deliver = reply_to_client(Some(self.core.auth.send.0), PbftMsg::Reply);
         let stage = &mut self.stage;
-        self.core.drain(
-            ctx,
-            deliver,
-            |_, _, _, _| {},
-            |ctx, intake, _| {
-                *stage = Stage::Ordering;
-                // outstanding work done? disarm τ2; else re-arm
-                intake.disarm(ctx);
-            },
-        );
+        self.core.drain(ctx, deliver, |ctx, intake, _| {
+            *stage = Stage::Ordering;
+            // outstanding work done? disarm τ2; else re-arm
+            intake.disarm(ctx);
+        });
     }
 
     /// Pending timers died with the crash, and so does a rejuvenation.

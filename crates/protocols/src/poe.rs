@@ -29,8 +29,7 @@ use bft_types::{
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    reply_to_client, BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, Tally,
-    ViewChanger, ViewMsg,
+    BatchEntry, Core, Execution, RequestWire, Scenario, SignedRequest, Tally, ViewChanger, ViewMsg,
 };
 
 /// PoE messages.
@@ -108,24 +107,13 @@ pub enum PoeBehavior {
     },
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PoeSlot {
-    /// Support shares (leader only). A certified slot is the log's
-    /// `committed`: executing it is PoE's speculative commit.
-    supports: Tally,
-    /// First state-machine sequence number this slot's batch occupies
-    /// (set at execution; needed to aim rollbacks).
-    sm_start: Option<SeqNum>,
-}
-
-/// A PoE replica.
+/// A PoE replica. A slot's agreement state is the leader's tally of
+/// support shares; a certified slot is the log's `committed`, and
+/// executing it is PoE's speculative commit.
 pub struct PoeReplica {
-    core: Core<PoeMsg, PoeSlot, Vec<SignedRequest>>,
+    core: Core<PoeMsg, Tally, Vec<SignedRequest>>,
     behavior: PoeBehavior,
     known: BTreeMap<RequestId, SignedRequest>,
-    /// The latest new-view installed, kept to bring stale replicas up to
-    /// date when their view-change messages reveal they are behind.
-    last_new_view: Option<ViewMsg<Vec<SignedRequest>>>,
     batch_size: usize,
     silenced: bool,
 }
@@ -145,7 +133,6 @@ impl PoeReplica {
             core: Core::new((me, q, store), PoeMsg::View, exec, timing, batch_size),
             behavior,
             known: BTreeMap::new(),
-            last_new_view: None,
             batch_size,
             silenced: false,
         }
@@ -186,10 +173,10 @@ impl PoeReplica {
         if slot.committed {
             return;
         }
-        if let Some(digest) = slot.ext.supports.vote(from, digest, slot.digest, quorum) {
+        if let Some(digest) = slot.ext.vote(from, digest, slot.digest, quorum) {
             slot.committed = true;
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
-            let shares = slot.ext.supports.count(digest);
+            let shares = slot.ext.count(digest);
             match behavior {
                 PoeBehavior::WithholdCertify {
                     seq: trigger,
@@ -235,10 +222,10 @@ impl PoeReplica {
 /// View change with rollback.
 impl ViewChanger for PoeReplica {
     type Msg = PoeMsg;
-    type Ext = PoeSlot;
+    type Ext = Tally;
     type Payload = Vec<SignedRequest>;
 
-    fn core(&mut self) -> &mut Core<PoeMsg, PoeSlot, Vec<SignedRequest>> {
+    fn core(&mut self) -> &mut Core<PoeMsg, Tally, Vec<SignedRequest>> {
         &mut self.core
     }
 
@@ -302,77 +289,15 @@ impl ViewChanger for PoeReplica {
     }
 
     fn execute(&mut self, ctx: &mut Context<'_, PoeMsg>) {
-        let view = self.core.gate.view();
-        let deliver = reply_to_client(Some(CryptoOp::MacGen), PoeMsg::Reply);
         // a certified slot whose proposal is still in flight stops the loop
         // (the Propose handler re-enters here)
-        self.core.drain(
-            ctx,
-            deliver,
-            // executing *is* PoE's (speculative) commit
-            |ctx, exec, seq, slot| {
-                ctx.observe(Observation::Commit {
-                    seq,
-                    view,
-                    digest: slot.digest.unwrap_or(Digest::ZERO),
-                    speculative: true,
-                });
-                // the batch occupies the last state-machine sequence numbers
-                let len = slot.batch.as_ref().map_or(0, Vec::len) as u64;
-                slot.ext.sm_start = Some(SeqNum(exec.sm().last_executed().0 + 1 - len));
-            },
-            |ctx, intake, exec| intake.settle(ctx, exec),
-        );
+        self.core
+            .execute_ready(ctx, CryptoOp::MacGen, PoeMsg::Reply);
     }
 
     fn forget(&mut self, amnesia: bool) {
         if amnesia {
-            (self.known, self.last_new_view) = (BTreeMap::new(), None);
-        }
-    }
-
-    /// PoE's adoption differs from the family's in what happens *below*
-    /// the assignments: speculative executions the new view does not
-    /// confirm are rolled back first, then every slot above the (possibly
-    /// re-aimed) cursor is replaced by the assignments.
-    fn adopt_view(&mut self, assignments: Vec<BatchEntry>, ctx: &mut Context<'_, PoeMsg>) {
-        self.last_new_view = Some(ViewMsg::NewView {
-            view: self.core.gate.view(),
-            proposals: assignments.clone(),
-        });
-        // the first executed slot whose assignment differs from what we
-        // executed; failing that, any executed slot beyond the assignments
-        let cursor = self.core.exec.cursor();
-        let diverged = |(seq, digest, _): &&BatchEntry| {
-            *seq <= cursor
-                && self
-                    .core
-                    .log
-                    .get(seq)
-                    .is_some_and(|s| s.digest != Some(*digest))
-        };
-        let max_assigned = assignments.iter().map(|(s, ..)| *s).max();
-        let max_assigned = max_assigned.unwrap_or(self.core.ckpt.low_water());
-        let first_bad = assignments
-            .iter()
-            .find(diverged)
-            .map(|(seq, ..)| *seq)
-            .or_else(|| (cursor > max_assigned).then(|| max_assigned.next()));
-        if let Some(first_bad) = first_bad {
-            if let Some(sm_start) = self.core.log.get(&first_bad).and_then(|s| s.ext.sm_start) {
-                self.core.exec.rollback(ctx, sm_start);
-                self.core.exec.set_cursor(first_bad.prev());
-            }
-        }
-        let cursor = self.core.exec.cursor();
-        self.core.log.retain(|seq, _| *seq <= cursor);
-        for entry in assignments.into_iter().filter(|(seq, ..)| *seq > cursor) {
-            self.adopt(entry, ctx);
-        }
-        self.core.next_seq = max_assigned.max(cursor).next();
-        self.execute(ctx);
-        if self.core.is_leader() {
-            self.resume(ctx);
+            self.known = BTreeMap::new();
         }
     }
 }
@@ -389,7 +314,7 @@ impl Actor<PoeMsg> for PoeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
-                let wire: RequestWire<PoeMsg> = (PoeMsg::Reply, Some(PoeMsg::Request));
+                let wire: RequestWire<PoeMsg> = (|r, _| PoeMsg::Reply(r), Some(PoeMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.known.insert(signed.request.id, signed.clone());
                     self.propose(ctx);
@@ -460,19 +385,7 @@ impl Actor<PoeMsg> for PoeReplica {
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
                 self.on_certify(seq, digest, ctx);
             }
-            PoeMsg::View(vc) => {
-                if let ViewMsg::ViewChange { new_view, from, .. } = vc {
-                    if *new_view <= self.core.gate.view() {
-                        // the sender is behind: bring it up to date
-                        ctx.charge_crypto(CryptoOp::Verify);
-                        if let Some(new_view) = self.last_new_view.clone() {
-                            ctx.send(NodeId::Replica(*from), PoeMsg::View(new_view));
-                        }
-                        return;
-                    }
-                }
-                self.on_view_msg(from, vc, ctx);
-            }
+            PoeMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             PoeMsg::Reply(_) => {}
         }
     }

@@ -198,14 +198,8 @@ impl ProtocolId {
             // the batch. HotStuff's slow-link, reordering and GST-storm
             // exclusions and Kauri's whole list (it tolerated duplication
             // only) measure clean: 120 seeds per class, 400 with all of
-            // them on.
-            // Campaign finding: speculative client-side commitment tolerates
-            // reordering and GST storms in isolation but strands requests
-            // when both hit the same run.
-            ProtocolId::Zyzzyva => ChaosTolerance {
-                reordering: false,
-                ..ChaosTolerance::full()
-            },
+            // them on. Zyzzyva and Zyzzyva5 measure clean over 1 000 seeds
+            // of the full envelope.
             // Campaign findings: order-fair preordering loses a request
             // when reordering rides on crash churn plus a healed partition;
             // a pre-GST drop storm stalls it when it rides on crash churn
@@ -369,7 +363,7 @@ impl ProtocolId {
     /// `durable` churn replays the chaos campaign's crash/recover fault
     /// with more cycles per victim on a clean network; `amnesia` restarts
     /// additionally wipe the replica back to its last stable checkpoint
-    /// on recover. The nine entries built on the replica skeleton restart
+    /// on recover. The eleven entries built on the replica skeleton restart
     /// through its shared stage (reload the checkpoint, rejoin, catch up by
     /// state transfer); the other protocols keep no such path — an amnesia
     /// restart would degrade to a durable one — so `amnesia` is excluded
@@ -378,14 +372,14 @@ impl ProtocolId {
     /// Campaign findings (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
     /// 40-request workloads; see EXPERIMENTS.md, "Recovery campaign"):
     /// every protocol rides out the full churn gallery on a clean network
-    /// with zero violations, the skeleton's nine with amnesia restarts. So
-    /// no protocol carries a measured exclusion.
+    /// with zero violations, the skeleton's eleven with amnesia restarts
+    /// (Zyzzyva and Zyzzyva5: 200 seeds each). So no protocol carries a
+    /// measured exclusion.
     pub fn recovery_tolerance(self) -> RecoveryTolerance {
         use ProtocolId::*;
         match self {
-            Pbft | PbftReadOpt | Fab | MinBft | Prime | Fair | Kauri | Sbft | Poe => {
-                RecoveryTolerance::full()
-            }
+            Pbft | PbftReadOpt | Zyzzyva | Zyzzyva5 | Fab | MinBft | Prime | Fair | Kauri
+            | Sbft | Poe => RecoveryTolerance::full(),
             // Leader sparing for CheapBFT is applied by the profile
             // scoper, as in the chaos campaign.
             _ => RecoveryTolerance {

@@ -518,15 +518,10 @@ impl ViewChanger for SbftReplica {
         };
         // a slot whose certificate outran its pre-prepare stops the loop;
         // the late pre-prepare re-enters here once it fills the batch in
-        self.core.drain(
-            ctx,
-            share,
-            |_, _, _, _| {},
-            |ctx, intake, exec| {
-                slot.set(exec.cursor().next());
-                intake.settle(ctx, exec);
-            },
-        );
+        self.core.drain(ctx, share, |ctx, intake, exec| {
+            slot.set(exec.cursor().next());
+            intake.settle(ctx, exec);
+        });
     }
 
     /// A collector's τ3 timers died with the crash.

@@ -16,8 +16,15 @@
 //! * **View change** — fewer than `2f+1` matching replies means the leader
 //!   equivocated or stalled; the client broadcasts the request to all
 //!   replicas (confirm-request), replicas forward to the leader and start
-//!   τ2, and a PBFT-style view change replaces the leader. Speculative
-//!   executions above the last commit certificate roll back.
+//!   τ2, and the family's view change (`ViewChanger`) replaces the leader:
+//!   its new view keeps the highest commit-certified history any voter
+//!   reports and, above it, each order f+1 voters report. Speculative
+//!   executions the new view does not keep roll back.
+//!
+//! The replica is a member of the replica skeleton (`Core`): an order
+//! request is a proposal in the shared slot log, committed the moment it
+//! is accepted, and the skeleton's drain executes it speculatively; its
+//! checkpointing stage is what collects the history, as in Kotla et al.
 //!
 //! **Zyzzyva5** (design choice 10, *resilience*) runs the same code with
 //! `n = 5f+1` and a fast quorum of `4f+1`: the fast path then survives `f`
@@ -26,15 +33,17 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bft_crypto::{digest_of, CryptoOp, KeyStore};
+use bft_crypto::{CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, TimerId};
 use bft_types::{
     Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, TxnResult, View, WireSize,
 };
 
 use crate::client::{launch, ClientProtocol, Pending, SubmitPolicy};
-use crate::common::{Execution, Intake, Scenario, SignedRequest, ViewGate};
+use crate::common::{
+    Core, Entry, Execution, RequestWire, Scenario, SignedRequest, ViewChanger, ViewMsg,
+};
 use bft_core::client::CollectStatus;
 
 /// Zyzzyva protocol messages.
@@ -45,16 +54,16 @@ pub enum ZyzzyvaMsg {
     /// Client → all replicas: the request again, after a failed fast path
     /// (confirm-request: forces the leader's hand and arms τ2 at backups).
     ConfirmRequest(SignedRequest),
-    /// Leader → replicas: speculative order assignment.
+    /// Leader → replicas: speculative order assignment of a batch.
     OrderReq {
         /// View.
         view: View,
-        /// Sequence number.
+        /// Slot.
         seq: SeqNum,
-        /// Request digest.
+        /// Batch digest.
         digest: Digest,
-        /// The ordered request.
-        request: SignedRequest,
+        /// The ordered batch.
+        batch: Vec<SignedRequest>,
     },
     /// Replica → client: speculative execution result plus its history
     /// position (needed to aim the commit certificate).
@@ -89,155 +98,90 @@ pub enum ZyzzyvaMsg {
         /// Its state digest at the certified position.
         state_digest: Digest,
     },
-    /// Replica → all: abandon the current view.
-    ViewChange {
-        /// Proposed view.
-        new_view: View,
-        /// The replica's highest commit certificate position.
-        max_cc: SeqNum,
-        /// Sender.
-        from: ReplicaId,
-    },
-    /// New leader → all: install the view; history is truncated to the
-    /// highest commit certificate among 2f+1 view-change messages.
-    NewView {
-        /// Installed view.
-        view: View,
-        /// History position everyone restarts from.
-        from_seq: SeqNum,
-    },
+    /// View change and checkpointing: votes report every ordered slot.
+    View(ViewMsg<Ordered>),
+}
+
+/// One ordered slot as a view-change vote reports it and a new view
+/// re-proposes it: the batch, and whether a commit certificate covers it.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct Ordered {
+    /// The batch.
+    pub batch: Vec<SignedRequest>,
+    /// Whether the slot is at or below the reporter's commit certificate.
+    pub certified: bool,
 }
 
 impl WireSize for ZyzzyvaMsg {
     fn wire_size(&self) -> usize {
         match self {
             ZyzzyvaMsg::Request(r) | ZyzzyvaMsg::ConfirmRequest(r) => 1 + r.wire_size(),
-            ZyzzyvaMsg::OrderReq { request, .. } => 1 + 8 + 8 + 32 + request.wire_size() + 32,
+            ZyzzyvaMsg::OrderReq { batch, .. } => 1 + 8 + 8 + 32 + batch.wire_size() + 32,
             ZyzzyvaMsg::SpecReply { reply, .. } => 1 + reply.wire_size() + 8,
             ZyzzyvaMsg::CommitCert { replicas, .. } => 1 + 16 + 8 + 8 + 32 + replicas.len() * 36,
             ZyzzyvaMsg::LocalCommit { .. } => 1 + 16 + 8 + 4 + 32 + 32,
-            ZyzzyvaMsg::ViewChange { .. } => 1 + 8 + 8 + 4 + 64,
-            ZyzzyvaMsg::NewView { .. } => 1 + 8 + 8 + 64,
+            ZyzzyvaMsg::View(m) => m.wire_size(64, |o| 1 + o.batch.wire_size()),
         }
     }
 }
 
 /// A Zyzzyva replica.
 pub struct ZyzzyvaReplica {
-    me: ReplicaId,
-    q: QuorumRules,
-    store: Arc<KeyStore>,
-    /// Gates order assignments that raced ahead of the new-view message.
-    gate: ViewGate<ZyzzyvaMsg>,
-    next_seq: SeqNum,
-    /// Ordered-but-not-yet-executed assignments (gap buffer).
-    pending: BTreeMap<SeqNum, SignedRequest>,
-    /// All requests this replica has seen, for re-proposal after view
-    /// change.
-    known: BTreeMap<RequestId, SignedRequest>,
-    /// Speculative; requests are ordered one by one, so the state machine's
-    /// sequence number is the slot and the stage's slot cursor goes unused.
-    exec: Execution,
-    /// Highest history position covered by a commit certificate.
+    core: Core<ZyzzyvaMsg, (), Ordered>,
+    /// Highest slot covered by a commit certificate.
     max_cc: SeqNum,
-    /// τ2 over outstanding confirm-requests.
-    intake: Intake,
-    vc_votes: BTreeMap<View, Vec<(ReplicaId, SeqNum)>>,
 }
 
 impl ZyzzyvaReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        view_timeout: SimDuration,
+        timing: (SimDuration, u64),
+        batch_size: usize,
     ) -> Self {
+        let exec = Execution::new().speculative();
         ZyzzyvaReplica {
-            me,
-            q,
-            store,
-            gate: ViewGate::new(),
-            next_seq: SeqNum(1),
-            pending: BTreeMap::new(),
-            known: BTreeMap::new(),
-            exec: Execution::new().speculative(),
+            core: Core::new((me, q, store), ZyzzyvaMsg::View, exec, timing, batch_size),
             max_cc: SeqNum(0),
-            intake: Intake::new(view_timeout),
-            vc_votes: BTreeMap::new(),
         }
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.gate.view().leader_of(self.q.n)
+    /// Install the order of slot `seq`: a valid order commits the slot at
+    /// once. `false` if the slot holds another order already.
+    fn order(&mut self, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) -> bool {
+        let fresh = self.core.log.install(seq, digest, batch);
+        self.core.log.slot(seq).committed |= fresh;
+        fresh
     }
 
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me
-    }
-
-    fn order(&mut self, signed: SignedRequest, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if !self.is_leader() || self.gate.in_view_change() {
+    fn propose(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        if !self.core.is_leader() || self.core.gate.in_view_change() {
             return;
         }
-        if self.exec.is_executed(&signed.request.id) {
-            return;
+        self.core.drop_ordered();
+        while let Some((seq, digest, batch)) = self.core.cut(ctx) {
+            ctx.charge_crypto(CryptoOp::Sign); // order requests are signed
+            let view = self.core.gate.view();
+            self.order(seq, digest, batch.clone());
+            ctx.broadcast_replicas(ZyzzyvaMsg::OrderReq {
+                view,
+                seq,
+                digest,
+                batch,
+            });
         }
-        // already ordered and in flight?
-        if self
-            .pending
-            .values()
-            .any(|r| r.request.id == signed.request.id)
-        {
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.next();
-        let digest = signed.digest();
-        ctx.charge_crypto(CryptoOp::Hash);
-        ctx.charge_crypto(CryptoOp::Sign); // order requests are signed
-        let view = self.gate.view();
-        ctx.broadcast_replicas(ZyzzyvaMsg::OrderReq {
-            view,
-            seq,
-            digest,
-            request: signed.clone(),
-        });
-        self.accept_order(seq, signed, ctx);
+        self.execute(ctx);
     }
 
-    fn accept_order(
-        &mut self,
-        seq: SeqNum,
-        signed: SignedRequest,
-        ctx: &mut Context<'_, ZyzzyvaMsg>,
-    ) {
-        self.known.insert(signed.request.id, signed.clone());
-        self.pending.insert(seq, signed);
-        self.execute_ready(ctx);
-    }
-
-    fn execute_ready(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        let view = self.gate.view();
-        while let Some(signed) = self.pending.remove(&self.exec.sm().last_executed().next()) {
-            let mut spec_reply = |ctx: &mut Context<'_, ZyzzyvaMsg>, reply: Reply, seq| {
-                ctx.observe(Observation::Commit {
-                    seq,
-                    view,
-                    digest: signed.digest(),
-                    speculative: true,
-                });
-                ctx.charge_crypto(CryptoOp::MacGen);
-                ctx.send(
-                    NodeId::Client(reply.request.client),
-                    ZyzzyvaMsg::SpecReply { reply, seq },
-                );
-            };
-            self.exec.execute(ctx, &signed, view, &mut spec_reply);
-        }
-        self.intake.settle(ctx, &self.exec);
-    }
-
+    /// A commit certificate for history position `seq`. If this replica's
+    /// history reached `state_digest` there, everything up to the slot
+    /// holding `seq` is final — observed at that slot with its batch
+    /// digest, as its speculative commit was — and the client gets this
+    /// replica's local-commit ack. A position below what the history
+    /// still holds is final already (a stable checkpoint collected it, or
+    /// a snapshot brought it): it is acked as it stands.
     fn on_commit_cert(
         &mut self,
         request: RequestId,
@@ -245,181 +189,164 @@ impl ZyzzyvaReplica {
         state_digest: Digest,
         ctx: &mut Context<'_, ZyzzyvaMsg>,
     ) {
-        ctx.charge_crypto_n(CryptoOp::MacVerify, self.q.quorum());
-        // adopt: everything up to seq is now committed (final). The final
-        // commit is observed with the *state* digest at the certified
-        // position — matching certificates imply matching histories.
-        if seq > self.max_cc && seq <= self.exec.sm().last_executed() {
-            ctx.observe(Observation::Commit {
-                seq,
-                view: self.gate.view(),
-                digest: state_digest,
-                speculative: false,
-            });
-            self.max_cc = seq;
-            self.exec.confirm_up_to(seq);
+        ctx.charge_crypto_n(CryptoOp::MacVerify, self.core.q.quorum());
+        let (sm, view) = (self.core.exec.sm(), self.core.gate.view());
+        let history = sm.history();
+        let settled = history
+            .first()
+            .map_or(seq <= sm.last_executed(), |e| seq < e.seq);
+        let held = history.iter().rfind(|e| e.seq == seq);
+        if held.is_some_and(|e| e.state_digest == state_digest) {
+            let mut executed = self.core.log.range(..=self.core.exec.cursor()).rev();
+            let holding = executed.find(|(_, s)| s.sm_start.is_some_and(|at| at <= seq));
+            if let Some((slot, s)) = holding.filter(|(slot, _)| **slot > self.max_cc) {
+                ctx.observe(Observation::Commit {
+                    seq: *slot,
+                    view,
+                    digest: s.digest.unwrap_or(Digest::ZERO),
+                    speculative: false,
+                });
+                self.max_cc = *slot;
+                self.core.exec.confirm_up_to(seq);
+            }
+        } else if !settled {
+            return;
         }
-        let me = self.me;
-        let view = self.gate.view();
+        let from = self.core.me;
         ctx.charge_crypto(CryptoOp::MacGen);
         ctx.send(
             NodeId::Client(request.client),
             ZyzzyvaMsg::LocalCommit {
                 request,
                 view,
-                from: me,
+                from,
                 state_digest,
             },
         );
     }
+}
 
-    fn on_confirm_request(&mut self, signed: &SignedRequest, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        // answer from cache if already executed
-        let answer = |ctx: &mut Context<'_, ZyzzyvaMsg>, reply: Reply, seq| {
-            ctx.send(
-                NodeId::Client(reply.request.client),
-                ZyzzyvaMsg::SpecReply { reply, seq },
-            );
+/// Zyzzyva on the family's view change.
+impl ViewChanger for ZyzzyvaReplica {
+    type Msg = ZyzzyvaMsg;
+    type Ext = ();
+    type Payload = Ordered;
+
+    fn core(&mut self) -> &mut Core<ZyzzyvaMsg, (), Ordered> {
+        &mut self.core
+    }
+
+    /// Every slot ordered above the stable checkpoint, executed or not,
+    /// marked where this replica's commit certificate covers it.
+    fn report(&mut self, _: &mut Context<'_, ZyzzyvaMsg>) -> Vec<Entry<Ordered>> {
+        let (stable, max_cc) = (self.core.ckpt.low_water(), self.max_cc);
+        let ordered = self.core.log.entries_above(stable, |_| true).into_iter();
+        let mark = |(seq, digest, batch)| {
+            let certified = seq <= max_cc;
+            (seq, digest, Ordered { batch, certified })
         };
-        let view = self.gate.view();
-        if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
-            return;
-        }
-        self.known.insert(signed.request.id, signed.clone());
-        if self.is_leader() {
-            self.order(signed.clone(), ctx);
-        } else {
-            // forward to the leader and hold it accountable (τ2)
-            let may_arm = !self.gate.in_view_change();
-            self.intake
-                .relay(ctx, signed, self.leader(), ZyzzyvaMsg::Request, may_arm);
-        }
+        ordered.map(mark).collect()
     }
 
-    fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if target <= self.gate.view() || self.gate.in_view_change() {
-            return;
+    /// Zyzzyva's rule, slot by slot above the highest stable checkpoint:
+    /// up to the highest commit-certified position any voter reports, that
+    /// voter's order; above it, an order at least f+1 voters report — up
+    /// to the first slot with neither.
+    fn assemble(&mut self, target: View) -> Vec<Entry<Ordered>> {
+        let (f, votes) = (self.core.q.f, self.core.votes.votes(target));
+        let certified = |report: &[Entry<Ordered>]| {
+            let covered = report.iter().filter(|(.., o)| o.certified);
+            covered.map(|(seq, ..)| *seq).max()
+        };
+        let certifier = votes.iter().max_by_key(|(.., report)| certified(report));
+        let top = certifier.and_then(|(.., report)| certified(report));
+        fn at(report: &[Entry<Ordered>], seq: SeqNum) -> Option<&Entry<Ordered>> {
+            report.iter().find(|(s, ..)| *s == seq)
         }
-        self.gate.set_in_view_change(true);
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::ViewChange,
-        });
-        ctx.charge_crypto(CryptoOp::Sign);
-        let me = self.me;
-        let max_cc = self.max_cc;
-        ctx.broadcast_replicas(ZyzzyvaMsg::ViewChange {
-            new_view: target,
-            max_cc,
-            from: me,
-        });
-        self.record_vc(me, target, max_cc, ctx);
-    }
-
-    fn record_vc(
-        &mut self,
-        from: ReplicaId,
-        target: View,
-        max_cc: SeqNum,
-        ctx: &mut Context<'_, ZyzzyvaMsg>,
-    ) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        votes.push((from, max_cc));
-        let have = votes.len();
-        // join rule
-        if target > self.gate.view() && !self.gate.in_view_change() && have > self.q.f {
-            self.start_view_change(target, ctx);
-            return;
-        }
-        if target.leader_of(self.q.n) == self.me
-            && self.gate.in_view_change()
-            && have >= self.q.quorum()
-        {
-            let from_seq = votes.iter().map(|(_, cc)| *cc).max().unwrap_or(SeqNum(0));
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.broadcast_replicas(ZyzzyvaMsg::NewView {
-                view: target,
-                from_seq,
-            });
-            self.install_view(target, from_seq, ctx);
-        }
-    }
-
-    fn install_view(&mut self, view: View, from_seq: SeqNum, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        self.gate.install(view);
-        self.vc_votes.retain(|v, _| *v > view);
-        self.intake.disarm(ctx);
-        self.intake.clear_pending();
-        ctx.observe(Observation::NewView { view });
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
-        // roll back speculation above the agreed commit point
-        let restart_from = from_seq.max(self.max_cc);
-        if self.exec.sm().last_executed() > restart_from {
-            // rolled-back requests become re-orderable
-            self.exec.rollback(ctx, restart_from.next());
-        }
-        self.pending.retain(|s, _| *s > restart_from);
-        self.next_seq = restart_from.next();
-        if self.is_leader() {
-            // re-order everything we know that is not yet executed
-            let todo: Vec<SignedRequest> = self
-                .known
-                .values()
-                .filter(|r| !self.exec.is_executed(&r.request.id))
-                .cloned()
-                .collect();
-            for r in todo {
-                self.order(r, ctx);
+        let mut kept = Vec::new();
+        for seq in (self.core.votes.stable(target).0 + 1..).map(SeqNum) {
+            let reports: Vec<&Entry<Ordered>> =
+                votes.iter().filter_map(|(.., r)| at(r, seq)).collect();
+            let backers = |d: &Digest| reports.iter().filter(|(_, e, _)| e == d).count();
+            let backed = reports.iter().find(|(_, d, _)| backers(d) > f).copied();
+            let certified = certifier.filter(|_| Some(seq) <= top);
+            match certified.and_then(|(.., r)| at(r, seq)).or(backed) {
+                Some(entry) => kept.push(entry.clone()),
+                None => break,
             }
         }
-        // replay order assignments that raced ahead of the new-view
-        for (from, msg) in self.gate.replay_after_install() {
-            self.on_message(from, &msg, ctx);
+        kept
+    }
+
+    /// The new view is authoritative: an adopted slot executes at once,
+    /// and a certified one is certified here too.
+    fn adopt(&mut self, (seq, digest, ordered): Entry<Ordered>, _: &mut Context<'_, ZyzzyvaMsg>) {
+        if ordered.certified {
+            self.max_cc = self.max_cc.max(seq);
+        }
+        let slot = self.core.log.reinstall(seq, digest, ordered.batch);
+        slot.committed = true;
+    }
+
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        self.core.mempool.requeue(&self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        self.propose(ctx);
+    }
+
+    fn execute(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        let deliver = |ctx: &mut Context<'_, ZyzzyvaMsg>, reply: Reply, seq| {
+            ctx.charge_crypto(CryptoOp::MacGen);
+            let client = NodeId::Client(reply.request.client);
+            ctx.send(client, ZyzzyvaMsg::SpecReply { reply, seq });
+        };
+        self.core
+            .drain(ctx, deliver, |ctx, intake, exec| intake.settle(ctx, exec));
+    }
+
+    /// After an amnesia restart no certificate is remembered.
+    fn forget(&mut self, amnesia: bool) {
+        if amnesia {
+            self.max_cc = SeqNum(0);
         }
     }
 }
 
 impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &ZyzzyvaMsg, ctx: &mut Context<'_, ZyzzyvaMsg>) {
         match msg {
-            ZyzzyvaMsg::Request(signed) => {
-                if Intake::verify(ctx, &self.store, signed) {
-                    self.known.insert(signed.request.id, signed.clone());
-                    self.order(signed.clone(), ctx);
+            // a backup relays either to the leader and holds it to it (τ2)
+            ZyzzyvaMsg::Request(signed) | ZyzzyvaMsg::ConfirmRequest(signed) => {
+                let reply = |reply, seq| ZyzzyvaMsg::SpecReply { reply, seq };
+                let wire: RequestWire<ZyzzyvaMsg> = (reply, Some(ZyzzyvaMsg::Request));
+                if self.core.take_request(ctx, signed, wire) {
+                    self.propose(ctx);
                 }
             }
-            ZyzzyvaMsg::ConfirmRequest(signed) => self.on_confirm_request(signed, ctx),
             ZyzzyvaMsg::OrderReq {
                 view,
                 seq,
                 digest,
-                request,
+                batch,
             } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
-                if !self.gate.admit(from, view, msg) {
+                if !self.admit_proposal(ctx, (from, view, msg), (seq, digest), batch) {
                     return;
                 }
-                if from != NodeId::Replica(self.leader()) {
-                    return;
+                self.core.mempool.remove(batch);
+                if self.order(seq, digest, batch.clone()) {
+                    self.execute(ctx);
                 }
-                ctx.charge_crypto(CryptoOp::Verify);
-                if digest_of(&request.request) != digest {
-                    return;
-                }
-                if seq <= self.exec.sm().last_executed() {
-                    return; // old or conflicting assignment
-                }
-                self.accept_order(seq, request.clone(), ctx);
             }
             ZyzzyvaMsg::CommitCert {
                 request,
@@ -428,33 +355,21 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
                 state_digest,
                 replicas,
             } => {
-                if replicas.len() >= self.q.quorum() && *view <= self.gate.view() {
+                if replicas.len() >= self.core.q.quorum() && *view <= self.core.gate.view() {
                     self.on_commit_cert(*request, *seq, *state_digest, ctx);
                 }
             }
-            ZyzzyvaMsg::ViewChange {
-                new_view,
-                max_cc,
-                from: r,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vc(*r, *new_view, *max_cc, ctx);
-            }
-            ZyzzyvaMsg::NewView { view, from_seq } => {
-                if *view >= self.gate.view() && from == NodeId::Replica(view.leader_of(self.q.n)) {
-                    ctx.charge_crypto(CryptoOp::Verify);
-                    self.install_view(*view, *from_seq, ctx);
-                }
-            }
+            // a view is installed once: a second copy of its new view (the
+            // leader answers a vote that crossed it) would roll back what
+            // executed in the view since
+            ZyzzyvaMsg::View(vc) if self.core.last_new_view.as_ref() == Some(vc) => {}
+            ZyzzyvaMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             ZyzzyvaMsg::SpecReply { .. } | ZyzzyvaMsg::LocalCommit { .. } => {}
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, ZyzzyvaMsg>) {
-        if kind == TimerKind::T2ViewChange && self.intake.fired(id) && self.intake.has_pending() {
-            let target = self.gate.view().next();
-            self.start_view_change(target, ctx);
-        }
+    fn on_timer(&mut self, id: TimerId, _: TimerKind, ctx: &mut Context<'_, ZyzzyvaMsg>) {
+        self.on_view_timer(id, ctx);
     }
 }
 
@@ -601,8 +516,8 @@ pub enum ZyzzyvaVariant {
 
 /// Run Zyzzyva (or Zyzzyva5) under a scenario.
 pub fn run(scenario: &Scenario, variant: ZyzzyvaVariant) -> RunOutcome {
-    let view_timeout = SimDuration(scenario.network.delta.0 * 4);
-    let replica = |me, q, store| ZyzzyvaReplica::new(me, q, store, view_timeout);
+    let (timing, batch) = (scenario.timing(), scenario.batch_size);
+    let replica = |me, q, store| ZyzzyvaReplica::new(me, q, store, timing, batch);
     match variant {
         ZyzzyvaVariant::Classic => {
             let n = scenario.n(3 * scenario.f + 1);
@@ -705,6 +620,74 @@ mod tests {
             mean(&slow),
             mean(&fast)
         );
+    }
+
+    /// On the slow path (a crashed backup) every final commit a replica
+    /// observes is the speculative commit it observed at that slot — same
+    /// slot, same batch digest — unless a rollback came between them.
+    #[test]
+    fn a_final_commit_confirms_the_speculative_commit_at_its_slot() {
+        let s = Scenario::small(1)
+            .with_load(2, 20)
+            .with_faults(FaultPlan::none().crash(NodeId::replica(2), SimTime::ZERO));
+        let out = run(&s, ZyzzyvaVariant::Classic);
+        let mut speculated: BTreeMap<(NodeId, SeqNum), Digest> = BTreeMap::new();
+        let mut finals = 0;
+        for e in out.log.entries.iter() {
+            match e.obs {
+                Observation::Commit {
+                    seq,
+                    digest,
+                    speculative,
+                    ..
+                } if speculative => {
+                    speculated.insert((e.node, seq), digest);
+                }
+                Observation::Commit { seq, digest, .. } => {
+                    finals += 1;
+                    assert_eq!(speculated.get(&(e.node, seq)), Some(&digest), "{seq:?}");
+                }
+                Observation::Rollback { .. } => speculated.retain(|(node, _), _| *node != e.node),
+                _ => {}
+            }
+        }
+        assert!(finals >= 40, "every request took the certificate path");
+    }
+
+    /// Regression for the Byzantine campaign's zyzzyva5 seed 133: the
+    /// leader censors its traffic to r1 and r3 and holds most of the rest
+    /// for 28 ms. r2 and r4 complete the client's first two requests by
+    /// commit certificate. The view change used to carry only the certified
+    /// position, so the new leader, which never saw those orders, ordered
+    /// both requests again and r2 and r4 executed each twice (the client's
+    /// accepted results disagreed with the replay: 4 vs 8, −3 vs −6). The
+    /// new view now carries the certified history itself.
+    #[test]
+    fn a_new_view_keeps_the_certified_history_instead_of_reordering_it() {
+        use crate::registry::ProtocolId;
+        use crate::suite::semantic_config;
+        use bft_sim::campaign::check_outcome_with_semantics;
+        use bft_sim::{AdversarySpec, Attack};
+        let censor = Attack::Censor {
+            victims: vec![NodeId::replica(3), NodeId::replica(1)],
+            outbound: true,
+            inbound: false,
+        };
+        let delay = Attack::Delay {
+            hold: SimDuration(28_198_276),
+            prob: 0.8893538180043578,
+        };
+        let adversary = AdversarySpec::new(0, censor).and(delay);
+        let s = Scenario::small(1)
+            .with_load(1, 8)
+            .with_seed(133)
+            .with_adversaries(vec![adversary]);
+        let out = run(&s, ZyzzyvaVariant::Five);
+        assert!(out.log.max_view() >= View(1), "the leader is replaced");
+        let semantic = semantic_config(ProtocolId::Zyzzyva5, &s);
+        let faulty = vec![NodeId::replica(0)];
+        let violation = check_outcome_with_semantics(&out.log, faulty, 8, &semantic);
+        assert_eq!(violation, None);
     }
 
     #[test]

@@ -39,6 +39,25 @@ use untrusted_txn::sim::SimDuration;
 /// - `kauri`: one catch-up round and two retries (no checkpoint yet);
 /// - `sbft`: caught up by state transfer; one slot took the slow path;
 /// - `poe`: one catch-up round.
+///
+/// Re-pinned when Zyzzyva joined the skeleton: all sixteen `zyzzyva` and
+/// `zyzzyva5` rows. Every run now brackets each slot's execution with the
+/// Execution and Ordering stages, observes its speculative and final
+/// commits at the slot with the batch digest (they carried the request
+/// digest and the state digest), sends its orders as batches and its view
+/// change as the family's messages, and checkpoints every 16 slots (the
+/// extra messages draw network jitter, which shifts later deliveries by
+/// microseconds). Beyond that:
+/// - zero-knob, leader-crash, leader-mute, backup-crash, lossy-pre-gst
+///   and `zyzzyva5` partition-heals: the same accepted requests, results,
+///   fast-path count, max view and stop time;
+/// - leader-crash-recover: the same, with one rollback where the private
+///   view change rolled back four (`zyzzyva`) and six (`zyzzyva5`) times;
+/// - `zyzzyva` partition-heals: the same results, ten fast-path accepts
+///   instead of six, and the last accept 40 ms earlier;
+/// - f2-two-leaders-crashed: all 20 requests accepted in view 2 where the
+///   parent accepted none: the private view change never escalated past
+///   the crashed leader of view 1, the shared τ2 escalation does.
 const GOLDEN: &str = "
 pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
 pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
@@ -56,22 +75,22 @@ pbft-ro backup-crash 44921fe7c3032130635f45336844417925af83fcf69a022e942aa87676d
 pbft-ro partition-heals a18e93b63e34927d81490bf303adf2b2724a6115afb2313354f05db0b2df1b2a
 pbft-ro lossy-pre-gst 82e2a171813b76763a3ec4a59136e7a7db0c1da8d95c5780f8acc5492a68d107
 pbft-ro f2-two-leaders-crashed 39ef411179e8a617ce37f88c5dcd6e7913162978efee8867052a183c01647cc3
-zyzzyva zero-knob 8baabfd3effb1a51ddcb0cde099b5fe229211f2dac95c1e5a1696725cb0cc23d
-zyzzyva leader-crash 840e7bd8e7510b3cbf11dc38664d2f636ec36220f5f654d72fa6fa3792ddb7cb
-zyzzyva leader-crash-recover db1243236b574d64f35010dffbb1075fcd75d6b97bd2611d4b3ecfaced8b967d
-zyzzyva leader-mute e621e163e552eb8fc8f64164515115b85de97d843bcab90247fea03c11d8a462
-zyzzyva backup-crash 7dcabbfa0ddea760dbb161cff5344dcd994d00fc4eb61696b9eeaa5bdd44a300
-zyzzyva partition-heals 6c29b75659c37953b0275e865623cb8a54d6be0c00db0d83e7d0db2e65bb244b
-zyzzyva lossy-pre-gst 3fcaad77c9fbb99ab952f6909de3fa758acab149d0cf1368d02a4ff8e252781f
-zyzzyva f2-two-leaders-crashed 82d2c6b71079a93a37f7368dd1369ecccc7bb9ea5c5f3399257e56a4de1e09b9
-zyzzyva5 zero-knob 1ca5301a46ccfd6b3af27079f25ff8a3f66bba2cbb2a4494c71480ab5f861362
-zyzzyva5 leader-crash edc77f2918d9fb796f429800425dada6901c4c251b0ecbf257f10ad60f940c1a
-zyzzyva5 leader-crash-recover 8f80577a8683f90c20b8e8e2bb1d18341f35010c8c308b353d18a63017c14273
-zyzzyva5 leader-mute 21985d5729ef88e39d31f06fd3161a887e4412e23b19c1523d310abd3ed8b0b4
-zyzzyva5 backup-crash 15061df81f94f7d1c6c7b41ff86af4e3c1c665fc632bd5b439a4e3f43c436c23
-zyzzyva5 partition-heals bd34c19a0c6ffd4c1bff87803296c0e74751c5f2e8f1586d34354552d917b1cc
-zyzzyva5 lossy-pre-gst 4f451656e2be811219369f493df161db53c1dc96fb4b0232e39bf6bd0d9d322e
-zyzzyva5 f2-two-leaders-crashed b4689b4b35c2b9bf22aecd71ee4f0b7e6669ea05e3e7c41536440072faa56305
+zyzzyva zero-knob d5486b63482e1ec8f2a17735d11b7f77badfe4a1b6322dce9ed580f4e709202c
+zyzzyva leader-crash 618843a1fb9f3206fba68e26f87851bc93f2acfe8c3f29058980f366b19cc03e
+zyzzyva leader-crash-recover 0797e6a3cfd7445d7cc13576c81618c6ba07b9f131724d3781a1bbf2abcfa816
+zyzzyva leader-mute a6db1f76e6f1d86f8f7667dc388f73e43ce4bba28826d38797b6f9dcb8fed4b3
+zyzzyva backup-crash cd481b973394fd222193cf892b08afd92a50ccb695fe04ec513f7d913c19fb06
+zyzzyva partition-heals 6ccfc9f60e492db1aff7e309e9c6c6a3aa365d3c5da5c00f564cb83a002f81be
+zyzzyva lossy-pre-gst 4b19c61c5ecf5d2f2e8bc6f66496da07fe48786728ac0c1c4532436282d219a6
+zyzzyva f2-two-leaders-crashed b5e70d3efd1282b72b2c6cc64c573f25715e7ac652cba10286b95b8713c42865
+zyzzyva5 zero-knob ac29dd207471805214ee30c3cdf65616518316d199fd58cef8bed5a815d4665a
+zyzzyva5 leader-crash e3c89bc15f5e9c882843b45a5dd9d9471fc2cf698aa12bea6680d92bed41b111
+zyzzyva5 leader-crash-recover 896a532e17ad852e196fb598c07a880358b2e466c6355fe8309aca232d88a730
+zyzzyva5 leader-mute 1104761852c15b545d40d657529577b470b06c089f3cc99ab36a91e46535f7a1
+zyzzyva5 backup-crash b902e39928e2083580c84abf33c42bad90b40fab0dfdcdb864a00230393bef86
+zyzzyva5 partition-heals 1bb5d612562da9b3adece2fef12268462a35cff16a36c69875268a178472a367
+zyzzyva5 lossy-pre-gst 5179b658d6e896c01e4d8e519510d836594cf143f010354f98b9cdb484f08b5e
+zyzzyva5 f2-two-leaders-crashed 0edacbf2f80d6701018f408755a2ae5e39c9a9f7059af85a93cdcef11173851a
 sbft zero-knob 2609ebadc6dbb78da9f7add391a873f3403a13739a1a2d23232c4d77cf6908ac
 sbft leader-crash 59d2904bfeeb0c7722f207b59efb610ed73bc60b57a916ec7d747927099bb0d2
 sbft leader-crash-recover c625d0d0c02c9bb878731c30e17644b8175b5a34221c56b8355b60e57bd121d6
