@@ -2,7 +2,7 @@
 //!
 //! Hammers every protocol in the unified registry under randomized,
 //! seed-reproducible adversarial schedules, checking safety and liveness on
-//! every run and ddmin-shrinking any failure to a minimal reproducer. Two
+//! every run and ddmin-shrinking any failure to a minimal reproducer. Three
 //! modes:
 //!
 //! * default: crash/recover churn, healed partitions and isolation, slow
@@ -16,6 +16,10 @@
 //!   (durable and amnesia), scoped per protocol by its recovery
 //!   tolerance envelope.
 //!
+//! `--unscoped` runs every protocol against the mode's full gallery
+//! instead of its registry envelope: the measurement mode behind the
+//! envelopes, where violations are findings rather than regressions.
+//!
 //! ```text
 //! cargo bench -p bft-bench --bench campaign -- --seeds 50   # 50 seeds/protocol
 //! cargo bench -p bft-bench --bench campaign -- --quick      # the CI smoke set
@@ -23,6 +27,7 @@
 //! cargo bench -p bft-bench --bench campaign -- --byzantine --seeds 25
 //! cargo bench -p bft-bench --bench campaign -- --byzantine --attacks equivocate,censor
 //! cargo bench -p bft-bench --bench campaign -- --recovery --seeds 25
+//! cargo bench -p bft-bench --bench campaign -- --unscoped --byzantine --seeds 200
 //! BFT_BENCH_THREADS=1 cargo bench -p bft-bench --bench campaign   # sequential
 //! ```
 //!
@@ -41,6 +46,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let byzantine = args.iter().any(|a| a == "--byzantine");
     let recovery = args.iter().any(|a| a == "--recovery");
+    let unscoped = args.iter().any(|a| a == "--unscoped");
     let mut seeds: u64 = 25;
     if let Some(i) = args.iter().position(|a| a == "--seeds") {
         match args.get(i + 1).and_then(|v| v.parse().ok()) {
@@ -92,6 +98,7 @@ fn main() {
     };
     cfg.byzantine = byzantine;
     cfg.attack_filter = attack_filter;
+    cfg.unscoped = unscoped;
     if !filters.is_empty() {
         cfg.protocols = ProtocolId::ALL
             .into_iter()
@@ -110,7 +117,8 @@ fn main() {
     let jobs = cfg.protocols.len() * cfg.seeds.len();
     let threads = bft_bench::thread_count(jobs);
     println!(
-        "untrusted-txn {} campaign — {} protocol(s) × {} seed(s), {} worker thread{}\n",
+        "untrusted-txn {}{} campaign — {} protocol(s) × {} seed(s), {} worker thread{}\n",
+        if cfg.unscoped { "unscoped " } else { "" },
         if cfg.recovery {
             "recovery"
         } else if cfg.byzantine {

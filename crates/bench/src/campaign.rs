@@ -28,7 +28,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bft_core::workload::WorkloadConfig;
-use bft_protocols::registry::{registry, ProtocolEntry, ProtocolId};
+use bft_protocols::registry::{
+    registry, ByzantineTolerance, ChaosTolerance, ProtocolEntry, ProtocolId, RecoveryTolerance,
+};
 use bft_protocols::suite::semantic_config;
 use bft_protocols::Scenario;
 use bft_sim::campaign::{check_outcome_with_semantics, generate_case, shrink_case, suspects_with};
@@ -60,6 +62,10 @@ pub struct CampaignConfig {
     /// Restrict the Byzantine generator to these attack classes (`None` =
     /// everything the protocol's envelope allows).
     pub attack_filter: Option<Vec<AttackKind>>,
+    /// Run every protocol against the mode's full gallery instead of its
+    /// registry envelope (`--unscoped`): the measurement mode behind the
+    /// envelopes.
+    pub unscoped: bool,
     /// The transaction mix each client drives (default: the uniform
     /// key-value mix; any workload-suite family can be hammered instead).
     pub workload: WorkloadConfig,
@@ -78,6 +84,7 @@ impl CampaignConfig {
             byzantine: false,
             recovery: false,
             attack_filter: None,
+            unscoped: false,
             workload: WorkloadConfig::uniform(),
         }
     }
@@ -212,9 +219,6 @@ pub fn profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfil
         p.crash_victims.clear();
         p.max_victims = 0;
     }
-    if !tol.leader_crash {
-        p.crash_victims.retain(|v| *v != 0);
-    }
     if !tol.partitions {
         p.partitions = false;
         p.isolation = false;
@@ -242,13 +246,7 @@ pub fn byz_profile_for(
 ) -> ChaosProfile {
     let n = entry.id.min_n(f);
     let mut p = ChaosProfile::byzantine(n, f, clients);
-    // `BFT_BYZ_UNSCOPED=1` skips the per-protocol envelope so every
-    // protocol faces the full attack gallery — the measurement mode that
-    // produced the envelopes in the registry (per-attack sweeps under this
-    // flag; see EXPERIMENTS.md "Byzantine tolerance envelopes").
-    if std::env::var_os("BFT_BYZ_UNSCOPED").is_none() {
-        p.adversary = p.adversary.restrict(&entry.byz_tolerance.kinds());
-    }
+    p.adversary = p.adversary.restrict(&entry.byz_tolerance.kinds());
     if let Some(kinds) = attack_filter {
         p.adversary = p.adversary.restrict(kinds);
     }
@@ -260,13 +258,6 @@ pub fn byz_profile_for(
 pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfile {
     let n = entry.id.min_n(f);
     let mut p = ChaosProfile::recovery_churn(n, f, clients);
-    // `BFT_REC_UNSCOPED=1` skips the per-protocol envelope so every
-    // protocol faces the full churn gallery — the measurement mode that
-    // produced the envelopes in the registry (see EXPERIMENTS.md,
-    // "Recovery campaign").
-    if std::env::var_os("BFT_REC_UNSCOPED").is_some() {
-        return p;
-    }
     let rec = entry.rec_tolerance;
     if !rec.durable {
         p.recovery = RecoveryBudget::none();
@@ -274,13 +265,18 @@ pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> Ch
     if !rec.amnesia {
         p.recovery.amnesia = false;
     }
-    // Churning the fixed leader of a leader-pinned protocol is the chaos
-    // campaign's leader-crash axis, not a recovery finding — spare it
-    // here exactly as `profile_for` does.
-    if !entry.tolerance.leader_crash {
-        p.recovery.pool.retain(|v| *v != 0);
-    }
     p
+}
+
+/// `entry` with the full envelope of every mode: what an unscoped
+/// campaign runs it against.
+pub fn unscoped(entry: &ProtocolEntry) -> ProtocolEntry {
+    ProtocolEntry {
+        tolerance: ChaosTolerance::full(),
+        byz_tolerance: ByzantineTolerance::full(),
+        rec_tolerance: RecoveryTolerance::full(),
+        ..*entry
+    }
 }
 
 /// The scenario for one case: the case's fault plan and network knobs on
@@ -343,8 +339,14 @@ pub fn run_case_with(
     }
 }
 
-/// Run one (registry entry, seed) case with the entry's default options.
+/// Run one (registry entry, seed) case with the entry's default options,
+/// in its envelope or, for an unscoped campaign, the full one.
 pub fn run_case(entry: &ProtocolEntry, cfg: &CampaignConfig, seed: u64) -> CaseResult {
+    let entry = &if cfg.unscoped {
+        unscoped(entry)
+    } else {
+        *entry
+    };
     let profile = if cfg.recovery {
         recovery_profile_for(entry, cfg.f, cfg.clients as u64)
     } else if cfg.byzantine {
@@ -414,12 +416,11 @@ mod tests {
     #[test]
     fn tolerance_scoping_shapes_the_profile() {
         let reg = registry();
-        let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
-        let p = profile_for(cheap, 1, 1);
-        assert!(!p.crash_victims.contains(&0), "cheap leader must be spared");
         let chain = reg.iter().find(|e| e.id == ProtocolId::Chain).unwrap();
         let p = profile_for(chain, 1, 1);
         assert!(!p.partitions && !p.isolation);
+        let p = profile_for(&unscoped(chain), 1, 1);
+        assert!(p.partitions && p.isolation, "unscoped is the full gallery");
     }
 
     #[test]
@@ -440,12 +441,6 @@ mod tests {
             p.recovery.enabled() && !p.recovery.amnesia,
             "amnesia restarts need the replica skeleton's restart stage \
              (stable checkpoint, rejoin, state transfer), which HotStuff lacks"
-        );
-        let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
-        let p = recovery_profile_for(cheap, 1, 1);
-        assert!(
-            !p.recovery.pool.contains(&0),
-            "cheap's fixed leader must be spared from churn"
         );
     }
 

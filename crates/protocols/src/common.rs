@@ -723,9 +723,8 @@ impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
     }
 }
 
-/// How many executed slots a log without a checkpointing stage keeps
-/// (HotStuff, CheapBFT): a late vote, a duplicated proposal or a batch
-/// decided again at a later slot still reads a recently executed one.
+/// How many executed slots HotStuff keeps without a checkpointing stage: a
+/// late vote or a batch decided again at a later slot still reads one.
 pub const TRAIL: u64 = 32;
 
 /// Whether slot `seq` is [`TRAIL`] or more behind the execution `cursor`,
@@ -739,8 +738,8 @@ pub fn collected(cursor: SeqNum, seq: SeqNum) -> bool {
 /// The map is exposed (`Deref`) for protocol-specific queries; the verbs
 /// every protocol shares live here. What stays of an executed slot is the
 /// protocol's to say: the checkpointing stage collects the log at each
-/// stable checkpoint, HotStuff and CheapBFT keep a [`TRAIL`], Tendermint
-/// only the current height and Chain every slot.
+/// stable checkpoint, HotStuff keeps a [`TRAIL`], Tendermint only the
+/// current height and Chain every slot.
 #[derive(Debug)]
 pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
 
@@ -1624,10 +1623,16 @@ impl<P: Clone> ViewChange<P> {
         union.into_iter().map(entry).collect()
     }
 
-    /// Whether a campaign for `target` would add nothing: one for that
-    /// view or a higher one has been voted for already.
-    pub fn covers(&self, target: View) -> bool {
-        self.votes.keys().max().is_some_and(|v| *v >= target)
+    /// The highest view `me` voted for: what its campaign targets.
+    pub fn campaign(&self, me: ReplicaId) -> Option<View> {
+        let voted = |view: &&View| self.has_vote(**view, me);
+        self.votes.keys().rev().find(voted).copied()
+    }
+
+    /// Whether a campaign by `me` for `target` would add nothing: it voted
+    /// for that view or a higher one already.
+    pub fn covers(&self, me: ReplicaId, target: View) -> bool {
+        self.campaign(me).is_some_and(|v| v >= target)
     }
 
     /// The view τ2 demands next: past every view voted for so far while a
@@ -1646,6 +1651,40 @@ impl<P: Clone> ViewChange<P> {
     pub fn prune(&mut self, view: View) {
         self.votes.retain(|v, _| *v > view);
         self.acks.retain(|(v, _), _| *v > view);
+    }
+}
+
+/// What PBFT's and CheapBFT's view-change messages carry per slot: the
+/// batch and the view it was prepared (CheapBFT's view 0: agreed) in.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct PbftCert(pub View, pub Vec<SignedRequest>);
+
+impl WireSize for PbftCert {
+    fn wire_size(&self) -> usize {
+        self.0.wire_size() + self.1.wire_size()
+    }
+}
+
+impl ViewChange<PbftCert> {
+    /// PBFT's new-view rule: above the highest stable checkpoint any vote
+    /// for `target` reports, per slot the batch certified in the highest
+    /// view (the first reported among equals), and a null batch in every
+    /// gap below the highest such slot.
+    pub fn highest_certified(&self, target: View) -> Vec<Entry<PbftCert>> {
+        let mut chosen: BTreeMap<SeqNum, &Entry<PbftCert>> = BTreeMap::new();
+        for entry in self.votes(target).iter().flat_map(|(.., r)| r) {
+            let (seq, _, PbftCert(view, _)) = entry;
+            let held = chosen.get(seq).map(|(.., PbftCert(held, _))| *held);
+            if held.is_none_or(|held| held < *view) {
+                chosen.insert(*seq, entry);
+            }
+        }
+        let stable = self.stable(target).0;
+        let top = chosen.keys().next_back().map_or(stable, |s| s.0);
+        let empty: Vec<SignedRequest> = Vec::new();
+        let null = |seq| (seq, digest_of(&empty), PbftCert(target, vec![]));
+        let slot = |seq| chosen.get(&seq).map_or_else(|| null(seq), |e| (*e).clone());
+        (stable + 1..=top).map(|s| slot(SeqNum(s))).collect()
     }
 }
 
@@ -1834,13 +1873,13 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     /// checkpointing stage after each slot. Where execution is speculative
     /// (PoE, Zyzzyva), executing a slot *is* its commit, observed at the
     /// slot with its batch digest before the Execution stage is left.
-    /// `after_slot` is the member's bookkeeping with the intake and the
-    /// stage once the slot executed.
+    /// `after_slot` is the member's bookkeeping with the intake, the stage
+    /// and the slot once the slot executed (the stage's cursor is its seq).
     pub fn drain(
         &mut self,
         ctx: &mut Context<'_, M>,
         deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
-        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution),
+        mut after_slot: impl FnMut(&mut Context<'_, M>, &mut Intake, &Execution, &Slot<X>),
     ) {
         let (view, before) = (self.gate.view(), self.exec.cursor());
         let who = (self.me, self.auth, self.wire);
@@ -1860,8 +1899,8 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
                 }
                 (self.mempool).remove(slot.batch.as_deref().unwrap_or_default());
             },
-            |ctx, exec, log, _| {
-                after_slot(ctx, &mut self.intake, exec);
+            |ctx, exec, log, seq| {
+                after_slot(ctx, &mut self.intake, exec, &log[&seq]);
                 Self::checkpoint(ctx, who, (&mut self.ckpt, exec, log));
             },
         );
@@ -1881,7 +1920,9 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         wrap: impl Fn(Reply) -> M,
     ) {
         let deliver = reply_to_client(Some(auth), wrap);
-        self.drain(ctx, deliver, |ctx, intake, exec| intake.settle(ctx, exec));
+        self.drain(ctx, deliver, |ctx, intake, exec, _| {
+            intake.settle(ctx, exec)
+        });
     }
 
     // ---- the checkpointing stage ------------------------------------------
@@ -2008,6 +2049,14 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         self.core().intake.has_pending()
     }
 
+    /// The view τ2 demands next: unless the member knows better, the
+    /// family's [`ViewChange::escalation`].
+    fn escalation(&mut self, work_pending: bool) -> Option<View> {
+        let core = self.core();
+        let (view, campaigning) = (core.gate.view(), core.gate.in_view_change());
+        core.votes.escalation(view, campaigning, work_pending)
+    }
+
     /// Observe that this replica enters `stage`.
     fn enter_stage(&mut self, stage: Stage, ctx: &mut Context<'_, Self::Msg>) {
         ctx.observe(Observation::StageEnter { stage });
@@ -2095,7 +2144,8 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// already covered by a campaign.
     fn start_view_change(&mut self, target: View, ctx: &mut Context<'_, Self::Msg>) {
         let core = self.core();
-        if target <= core.gate.view() || (core.gate.in_view_change() && core.votes.covers(target)) {
+        let covered = core.gate.in_view_change() && core.votes.covers(core.me, target);
+        if target <= core.gate.view() || covered {
             return;
         }
         core.gate.set_in_view_change(true);
@@ -2386,9 +2436,7 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
             return;
         }
         let work_pending = self.work_pending();
-        let core = self.core();
-        let (view, campaigning) = (core.gate.view(), core.gate.in_view_change());
-        if let Some(target) = core.votes.escalation(view, campaigning, work_pending) {
+        if let Some(target) = self.escalation(work_pending) {
             self.start_view_change(target, ctx);
         }
     }
@@ -3285,7 +3333,9 @@ mod tests {
         assert!(ack(1, 0), "every foreign vote is acked");
         // τ2: past every view voted for while campaigning, else view + 1
         // only if work is pending
-        assert!(votes.covers(View(5)) && !votes.covers(View(6)));
+        let r2 = ReplicaId(2);
+        assert!(votes.covers(r2, View(2)) && !votes.covers(r2, View(3)));
+        assert_eq!(votes.campaign(ReplicaId(3)), Some(View(5)));
         assert_eq!(votes.escalation(View(0), true, false), Some(View(6)));
         assert_eq!(votes.escalation(View(0), false, true), Some(View(1)));
         assert_eq!(votes.escalation(View(0), false, false), None);
@@ -3302,6 +3352,7 @@ mod tests {
     /// constructor.
     macro_rules! each_member {
         ($s:expr, $go:ident) => {{
+            use crate::cheap::{CheapClientProto, CheapReplica};
             use crate::fab::{FabClientProto, FabReplica};
             use crate::fair::{FairClientProto, FairReplica};
             use crate::kauri::{KauriClientProto, KauriReplica};
@@ -3352,6 +3403,9 @@ mod tests {
             $go!("zyzzyva5", ZyzzyvaClientProto<true>, 6, |me, q, store| {
                 ZyzzyvaReplica::new(me, q, store, (vt, interval), batch)
             });
+            $go!("cheapbft", CheapClientProto, 4, |me, q, store| {
+                CheapReplica::new(me, q, store, (vt, interval), SimDuration(delta * 2), batch)
+            });
         }};
     }
 
@@ -3383,20 +3437,19 @@ mod tests {
     }
 
     /// The ordered protocols without a checkpointing stage keep only what a
-    /// later step can still read, however long the run: HotStuff,
-    /// Tendermint and CheapBFT a trail of executed slots and no undo
-    /// records, Chain (whose new head re-sends its executed slots) no undo
-    /// records.
+    /// later step can still read, however long the run: HotStuff a trail
+    /// of executed slots and no undo records, Tendermint its current
+    /// height and no undo records, Chain (whose new head re-sends its
+    /// executed slots) no undo records.
     #[test]
     fn ordered_logs_without_checkpoints_stay_bounded_whatever_the_run_length() {
         use crate::chain::{ChainClientProto, ChainReplica};
-        use crate::cheap::{CheapClientProto, CheapReplica};
         use crate::hotstuff::{HotStuffReplica, HsClientProto};
         use crate::tendermint::{TendermintReplica, TmClientProto};
         for per_client in [200, 800] {
             let s = Scenario::small(1).with_load(2, per_client);
             let (delta, batch) = (s.network.delta, s.batch_size);
-            let (t2, t4) = (SimDuration(delta.0 * 2), SimDuration(delta.0 * 4));
+            let t4 = SimDuration(delta.0 * 4);
             macro_rules! go {
                 ($name:expr, $proto:ty, $replica:expr, $size:expr) => {
                     let (out, peak) = script::peak_size::<$proto, _>(&s, 4, $replica, $size);
@@ -3415,12 +3468,6 @@ mod tests {
                 "tendermint",
                 TmClientProto,
                 |me, q, store| TendermintReplica::new(me, q, store, delta, false, batch),
-                |r| r.log.len() + r.exec.sm().retained_entries()
-            );
-            go!(
-                "cheapbft",
-                CheapClientProto,
-                |me, q, store| CheapReplica::new(me, q, store, t2, batch),
                 |r| r.log.len() + r.exec.sm().retained_entries()
             );
             go!(

@@ -414,7 +414,7 @@ impl ViewChanger for FairReplica {
     fn execute(&mut self, ctx: &mut Context<'_, FairMsg>) {
         let deliver = reply_to_client(Some(CryptoOp::Sign), FairMsg::Reply);
         let pending = &mut self.pending;
-        self.core.drain(ctx, deliver, |ctx, intake, exec| {
+        self.core.drain(ctx, deliver, |ctx, intake, exec, _| {
             pending.retain(|r| !exec.is_executed(&r.request.id));
             if pending.is_empty() {
                 intake.disarm(ctx);

@@ -33,7 +33,6 @@
 //! equivocating leaders. Safety holds under all of them — the audit at the
 //! end of every experiment proves it for the run.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_core::client::CollectStatus;
@@ -48,8 +47,8 @@ use bft_types::{
 
 use crate::client::{launch, ClientProtocol, Pending, SubmitPolicy};
 use crate::common::{
-    reply_to_client, Core, Entry, Execution, Intake, Mempool, RoundRules, Rounds, Scenario,
-    SignedRequest, Slot, ViewChange, ViewChanger, ViewMsg, VoteAuth,
+    reply_to_client, Core, Entry, Execution, Intake, Mempool, PbftCert, RoundRules, Rounds,
+    Scenario, SignedRequest, Slot, ViewChange, ViewChanger, ViewMsg, VoteAuth,
 };
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
@@ -59,19 +58,6 @@ pub enum PbftAuth {
     Mac,
     /// Signatures: costly, non-repudiable.
     Signature,
-}
-
-/// What PBFT's view-change messages carry per slot (the payload of the
-/// family's entries): the batch and the view it was prepared in. A vote
-/// reports every slot the sender prepared above its stable checkpoint, a
-/// new-view message the re-proposals.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct PbftCert(View, Vec<SignedRequest>);
-
-impl WireSize for PbftCert {
-    fn wire_size(&self) -> usize {
-        self.0.wire_size() + self.1.wire_size()
-    }
 }
 
 /// PBFT protocol messages.
@@ -673,30 +659,8 @@ impl ViewChanger for PbftReplica {
         prepared.filter_map(cert).collect()
     }
 
-    /// Above the highest stable checkpoint any vote reports: per slot the
-    /// batch prepared in the highest view (the first reported among
-    /// equals), and a null batch in every gap below the highest such slot.
     fn assemble(&mut self, target: View) -> Vec<Entry<PbftCert>> {
-        let votes = &self.core.votes;
-        let (stable, reported) = (votes.stable(target), votes.votes(target).iter());
-        let mut chosen: BTreeMap<SeqNum, (View, &Entry<PbftCert>)> = BTreeMap::new();
-        for entry in reported.flat_map(|(.., r)| r) {
-            let (seq, _, PbftCert(view, _)) = entry;
-            if chosen.get(seq).is_none_or(|(held, _)| held < view) {
-                chosen.insert(*seq, (*view, entry));
-            }
-        }
-        let top = chosen.keys().next_back().map_or(stable.0, |s| s.0);
-        let null = |seq| {
-            let batch: Vec<SignedRequest> = Vec::new();
-            (seq, digest_of(&batch), PbftCert(target, batch))
-        };
-        let slot = |seq| {
-            chosen
-                .get(&seq)
-                .map_or_else(|| null(seq), |(_, e)| (*e).clone())
-        };
-        (stable.0 + 1..=top).map(|s| slot(SeqNum(s))).collect()
+        self.core.votes.highest_certified(target)
     }
 
     fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, PbftMsg>) {
@@ -727,7 +691,7 @@ impl ViewChanger for PbftReplica {
     fn execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         let deliver = reply_to_client(Some(self.core.auth.send.0), PbftMsg::Reply);
         let stage = &mut self.stage;
-        self.core.drain(ctx, deliver, |ctx, intake, _| {
+        self.core.drain(ctx, deliver, |ctx, intake, _, _| {
             *stage = Stage::Ordering;
             // outstanding work done? disarm τ2; else re-arm
             intake.disarm(ctx);

@@ -421,7 +421,7 @@ impl ViewChanger for PrimeReplica {
 
     fn execute(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
         let deliver = reply_to_client(Some(CryptoOp::Sign), PrimeMsg::Reply);
-        self.core.drain(ctx, deliver, |_, _, _| {});
+        self.core.drain(ctx, deliver, |_, _, _, _| {});
     }
 
     fn forget(&mut self, amnesia: bool) {

@@ -57,7 +57,8 @@ pub enum ProtocolId {
     TendermintInformed,
     /// PoE-style speculative phase reduction.
     Poe,
-    /// CheapBFT-style active/passive replication (fixed leader).
+    /// CheapBFT-style active/passive replication: 2f+1 actives in view 0,
+    /// all replicas and a rotating leader after the view change.
     Cheap,
     /// FaB-style fast two-phase consensus (5f+1).
     Fab,
@@ -167,17 +168,6 @@ impl ProtocolId {
     /// the gap.
     pub fn tolerance(self) -> ChaosTolerance {
         match self {
-            // CheapBFT's leader is fixed: the active/passive transition
-            // replaces actives, never the leader itself — crashing or
-            // isolating replica 0 stalls the run. Campaign findings: a
-            // healed partition between two actives also stalls it for good
-            // (no rejoin path), as does a pre-GST drop storm.
-            ProtocolId::Cheap => ChaosTolerance {
-                leader_crash: false,
-                partitions: false,
-                gst_storm: false,
-                ..ChaosTolerance::full()
-            },
             // A partitioned chain node is excluded by reconfiguration and
             // stays excluded after healing (documented in the safety
             // matrix), so only crash churn is within the liveness envelope.
@@ -239,7 +229,7 @@ impl ProtocolId {
     /// campaign's generator envelope (`--byzantine`).
     ///
     /// The exclusions below are measured findings from the unscoped
-    /// campaign (`BFT_BYZ_UNSCOPED=1`, 15 seeds per protocol per attack
+    /// campaign (`--unscoped --byzantine`, 15 seeds per protocol per attack
     /// class; see EXPERIMENTS.md, "Byzantine tolerance envelopes"). All
     /// that remain are liveness deficits: the safety escapes once listed
     /// here (SBFT, PoE, HotStuff, Kauri) were one defect — executing a
@@ -265,14 +255,12 @@ impl ProtocolId {
             // write no honest quorum had executed). Re-measured clean
             // across the full gallery (60 delay seeds, 15 per other
             // class, 60 mixed).
-            // Campaign findings: CheapBFT's fixed active set cannot route
-            // around a compromised active replica — equivocated, censored
-            // or corrupted traffic from it stalls runs outright (0/8 on
-            // five corrupt seeds); only delay and replay stay harmless.
+            // Campaign finding: an active censoring two peers leaves a slot
+            // executed by one replica; re-proposed, it is not agreed again
+            // by the replica that executed it, so too few prepare it (0/8,
+            // seed 16 of 200, ddmin-minimal `r2:censor(r1+r3, both)`).
             ProtocolId::Cheap => ByzantineTolerance {
-                equivocation: false,
                 censorship: false,
-                corruption: false,
                 ..ByzantineTolerance::full()
             },
             // Campaign findings: the Δ-wait rotation never recovers rounds
@@ -292,7 +280,7 @@ impl ProtocolId {
             // defect SBFT had: a `Certify` outrunning its held or
             // wire-rejected `Propose` executed an empty placeholder slot.
             // The shared execution stage refuses a slot whose batch is
-            // not held; re-measured clean with `BFT_BYZ_UNSCOPED=1`
+            // not held; re-measured clean with `--unscoped`
             // (delay 300 seeds, corrupt 100, equivocate+corrupt 200,
             // 100 per remaining class, 300 mixed).
             // Campaign findings: Prime's preordering pipeline starves when
@@ -363,25 +351,23 @@ impl ProtocolId {
     /// `durable` churn replays the chaos campaign's crash/recover fault
     /// with more cycles per victim on a clean network; `amnesia` restarts
     /// additionally wipe the replica back to its last stable checkpoint
-    /// on recover. The eleven entries built on the replica skeleton restart
+    /// on recover. The twelve entries built on the replica skeleton restart
     /// through its shared stage (reload the checkpoint, rejoin, catch up by
     /// state transfer); the other protocols keep no such path — an amnesia
     /// restart would degrade to a durable one — so `amnesia` is excluded
     /// for them structurally, not as a measured failure.
     ///
-    /// Campaign findings (`BFT_REC_UNSCOPED=1`, 100 seeds per protocol,
+    /// Campaign findings (`--unscoped --recovery`, 100 seeds per protocol,
     /// 40-request workloads; see EXPERIMENTS.md, "Recovery campaign"):
     /// every protocol rides out the full churn gallery on a clean network
-    /// with zero violations, the skeleton's eleven with amnesia restarts
-    /// (Zyzzyva and Zyzzyva5: 200 seeds each). So no protocol carries a
+    /// with zero violations, the skeleton's twelve with amnesia restarts
+    /// (Zyzzyva, Zyzzyva5 and CheapBFT: 200 seeds each). So no protocol carries a
     /// measured exclusion.
     pub fn recovery_tolerance(self) -> RecoveryTolerance {
         use ProtocolId::*;
         match self {
             Pbft | PbftReadOpt | Zyzzyva | Zyzzyva5 | Fab | MinBft | Prime | Fair | Kauri
-            | Sbft | Poe => RecoveryTolerance::full(),
-            // Leader sparing for CheapBFT is applied by the profile
-            // scoper, as in the chaos campaign.
+            | Sbft | Poe | Cheap => RecoveryTolerance::full(),
             _ => RecoveryTolerance {
                 durable: true,
                 amnesia: false,
@@ -403,8 +389,6 @@ impl std::fmt::Display for ProtocolId {
 pub struct ChaosTolerance {
     /// Crash/recover churn of up to `f` replicas.
     pub crashes: bool,
-    /// Crashing replica 0 (the fixed leader, where one exists).
-    pub leader_crash: bool,
     /// Healed partitions and transient isolation.
     pub partitions: bool,
     /// Permanently slowed links (which reorder messages across links).
@@ -420,7 +404,6 @@ impl ChaosTolerance {
     pub fn full() -> ChaosTolerance {
         ChaosTolerance {
             crashes: true,
-            leader_crash: true,
             partitions: true,
             slow_links: true,
             reordering: true,

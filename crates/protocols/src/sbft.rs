@@ -518,7 +518,7 @@ impl ViewChanger for SbftReplica {
         };
         // a slot whose certificate outran its pre-prepare stops the loop;
         // the late pre-prepare re-enters here once it fills the batch in
-        self.core.drain(ctx, share, |ctx, intake, exec| {
+        self.core.drain(ctx, share, |ctx, intake, exec, _| {
             slot.set(exec.cursor().next());
             intake.settle(ctx, exec);
         });

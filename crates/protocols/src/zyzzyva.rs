@@ -302,8 +302,9 @@ impl ViewChanger for ZyzzyvaReplica {
             let client = NodeId::Client(reply.request.client);
             ctx.send(client, ZyzzyvaMsg::SpecReply { reply, seq });
         };
-        self.core
-            .drain(ctx, deliver, |ctx, intake, exec| intake.settle(ctx, exec));
+        self.core.drain(ctx, deliver, |ctx, intake, exec, _| {
+            intake.settle(ctx, exec)
+        });
     }
 
     /// After an amnesia restart no certificate is remembered.

@@ -44,8 +44,7 @@ pub struct ChaosProfile {
     pub n_replicas: usize,
     /// Client population (node ids `0..n_clients`).
     pub n_clients: u64,
-    /// Replicas the generator may crash or isolate. Protocols with a fixed
-    /// leader (e.g. CheapBFT) exclude replica 0 here.
+    /// Replicas the generator may crash or isolate.
     pub crash_victims: Vec<u32>,
     /// Maximum number of *distinct* crash/isolation victims per case — the
     /// protocol's `f` budget.

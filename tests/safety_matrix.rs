@@ -103,12 +103,7 @@ fn fab_matrix() {
 
 #[test]
 fn cheap_matrix() {
-    // CheapBFT's leader is fixed (transition handles actives, not the
-    // leader itself) — run the scenarios that match its fault model
     for (sname, s, faulty) in scenarios() {
-        if sname == "leader crash mid-run" {
-            continue;
-        }
         let out = ProtocolId::Cheap.run(&s);
         check("CheapBFT", sname, &out, &faulty, s.total_requests());
     }
