@@ -344,11 +344,8 @@ impl ViewChanger for CheapReplica {
     /// message behind never meet (see DESIGN.md, "CheapBFT's escalation").
     fn escalation(&mut self, work_pending: bool) -> Option<View> {
         let (core, me) = (&self.core, self.core.me);
-        let view = core.gate.view();
-        if !core.gate.in_view_change() {
-            return core.votes.escalation(view, false, work_pending);
-        }
-        Some(core.votes.campaign(me).unwrap_or(view).max(view).next())
+        let at = (core.gate.view(), core.gate.in_view_change());
+        core.votes.escalation_past_own(me, at, work_pending)
     }
 
     fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, CheapMsg>) {

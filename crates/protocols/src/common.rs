@@ -723,23 +723,13 @@ impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
     }
 }
 
-/// How many executed slots HotStuff keeps without a checkpointing stage: a
-/// late vote or a batch decided again at a later slot still reads one.
-pub const TRAIL: u64 = 32;
-
-/// Whether slot `seq` is [`TRAIL`] or more behind the execution `cursor`,
-/// where a log without a checkpointing stage no longer keeps it.
-pub fn collected(cursor: SeqNum, seq: SeqNum) -> bool {
-    seq.0 + TRAIL <= cursor.0
-}
-
 /// The committed-slot log of every ordering protocol but Q/U:
 /// consensus slots by sequence number, executed by [`Execution::drain`].
 /// The map is exposed (`Deref`) for protocol-specific queries; the verbs
 /// every protocol shares live here. What stays of an executed slot is the
 /// protocol's to say: the checkpointing stage collects the log at each
-/// stable checkpoint, HotStuff keeps a [`TRAIL`], Tendermint only the
-/// current height and Chain every slot.
+/// stable checkpoint, Tendermint keeps only the current height and Chain
+/// every slot.
 #[derive(Debug)]
 pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
 
@@ -767,18 +757,6 @@ impl<X: Default> SlotLog<X> {
     /// The slot at `seq`, created empty if absent.
     pub fn slot(&mut self, seq: SeqNum) -> &mut Slot<X> {
         self.0.entry(seq).or_default()
-    }
-
-    /// The slot at `seq`, created empty if absent — unless it is
-    /// [`collected`]: a message that late does not bring it back.
-    pub fn open(&mut self, cursor: SeqNum, seq: SeqNum) -> Option<&mut Slot<X>> {
-        (!collected(cursor, seq)).then(|| self.slot(seq))
-    }
-
-    /// Drop the slots [`collected`] at execution `cursor`, but `keep`.
-    pub fn collect(&mut self, cursor: SeqNum, keep: Option<SeqNum>) {
-        self.0
-            .retain(|seq, _| !collected(cursor, *seq) || Some(*seq) == keep);
     }
 
     /// Install a proposal. `false` (and nothing changes) if the slot
@@ -841,12 +819,11 @@ impl<X: Default> SlotLog<X> {
     }
 }
 
-/// Messages for a view (HotStuff) or height (Tendermint) this replica has
-/// not entered yet, held for replay on entry: the next leader's traffic
-/// routinely overtakes the decision that ends the current one, and
-/// dropping it would turn a responsive decision into a timeout. Bounded
-/// against flooding: at most [`Early::AHEAD`] keys beyond the current one
-/// and 8·n messages per key.
+/// Messages for a height Tendermint has not entered yet, held for replay
+/// on entry: the next proposer's traffic routinely overtakes the decision
+/// that ends the current height, and dropping it would turn a responsive
+/// decision into a timeout. Bounded against flooding: at most
+/// [`Early::AHEAD`] keys beyond the current one and 8·n messages per key.
 pub(crate) struct Early<P> {
     held: BTreeMap<u64, Vec<P>>,
     cap: usize,
@@ -1647,6 +1624,22 @@ impl<P: Clone> ViewChange<P> {
         }
     }
 
+    /// [`ViewChange::escalation`] where campaigns start apart: a stuck
+    /// campaign steps one view past `me`'s own instead of past every view
+    /// voted for, which a campaign started later keeps jumping (see
+    /// DESIGN.md, "CheapBFT's escalation").
+    pub fn escalation_past_own(
+        &self,
+        me: ReplicaId,
+        (view, campaigning): (View, bool),
+        work_pending: bool,
+    ) -> Option<View> {
+        if !campaigning {
+            return self.escalation(view, false, work_pending);
+        }
+        Some(self.campaign(me).unwrap_or(view).max(view).next())
+    }
+
     /// `view` is installed: votes for it and for earlier views are moot.
     pub fn prune(&mut self, view: View) {
         self.votes.retain(|v, _| *v > view);
@@ -2017,7 +2010,8 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
 }
 
 /// The PBFT-pattern view change (PBFT, MinBFT, FaB, Prime, Themis, Kauri,
-/// SBFT, PoE, Zyzzyva): replicas broadcast a view-change vote carrying their stable
+/// SBFT, PoE, Zyzzyva, CheapBFT, HotStuff — whose votes go only to the
+/// target view's leader): replicas broadcast a view-change vote carrying their stable
 /// checkpoint and what they would lose; f+1 votes pull the rest in; the
 /// target view's leader assembles a new-view message from a quorum of
 /// votes; everyone installs it, re-runs agreement on the re-proposed slots
@@ -2041,6 +2035,12 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// Votes the target's leader needs before it may assemble: 2f+1.
     fn new_view_quorum(q: QuorumRules) -> usize {
         q.quorum()
+    }
+
+    /// Send this replica's view-change vote for `target`: to every
+    /// replica, unless the member keeps its view change linear.
+    fn send_vote(&mut self, _target: View, vote: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+        ctx.broadcast_replicas(vote);
     }
 
     /// Whether work is outstanding that the current leader should have
@@ -2074,6 +2074,11 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
     /// Adopt one re-proposal above the execution cursor: reinstall the slot
     /// and cast this replica's first vote of the new view for it.
     fn adopt(&mut self, entry: Entry<Self::Payload>, ctx: &mut Context<'_, Self::Msg>);
+
+    /// A re-proposal at or below the execution cursor: this replica
+    /// executed the slot already, and unless the member helps replicas
+    /// that lag to a quorum for it, nothing happens.
+    fn confirm(&mut self, _: Entry<Self::Payload>, _: &mut Context<'_, Self::Msg>) {}
 
     /// Whether a proposal for slot `seq` is taken at all: any, unless the
     /// member bounds its log to a window.
@@ -2155,12 +2160,13 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         let digest = core.ckpt.stable().map_or(Digest::ZERO, |p| p.digest);
         let (from, stable) = (core.me, (core.ckpt.low_water(), digest));
         ctx.charge_crypto_n(core.auth.send.0, core.auth.send.1);
-        ctx.broadcast_replicas((core.wire)(ViewMsg::ViewChange {
+        let vote = (core.wire)(ViewMsg::ViewChange {
             new_view: target,
             stable,
             report: report.clone(),
             from,
-        }));
+        });
+        self.send_vote(target, vote, ctx);
         self.on_view_change(from, target, (stable.0, report), ctx);
         self.core().intake.rearm(ctx);
     }
@@ -2318,7 +2324,8 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 
     /// Carry the log into the installed view: strand and requeue what was
     /// not re-proposed, [`adopt`](ViewChanger::adopt) each re-proposal above
-    /// the cursor, and let the new leader continue past them. A
+    /// the cursor ([`confirm`](ViewChanger::confirm) the others), and let
+    /// the new leader continue past them. A
     /// speculative member [rolls back](ViewChanger::roll_back) first.
     fn adopt_view(
         &mut self,
@@ -2333,8 +2340,12 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
         let re_proposed: Vec<SeqNum> = proposals.iter().map(|(seq, ..)| *seq).collect();
         let stranded = core.log.strand(cursor, &re_proposed);
         self.requeue(stranded);
-        for entry in proposals.into_iter().filter(|(seq, ..)| *seq > cursor) {
-            self.adopt(entry, ctx);
+        for entry in proposals {
+            if entry.0 > cursor {
+                self.adopt(entry, ctx);
+            } else {
+                self.confirm(entry, ctx);
+            }
         }
         let core = self.core();
         if core.is_leader() {
@@ -3355,6 +3366,7 @@ mod tests {
             use crate::cheap::{CheapClientProto, CheapReplica};
             use crate::fab::{FabClientProto, FabReplica};
             use crate::fair::{FairClientProto, FairReplica};
+            use crate::hotstuff::{HotStuffReplica, HsClientProto};
             use crate::kauri::{KauriClientProto, KauriReplica};
             use crate::minbft::{MinBftClientProto, MinBftReplica};
             use crate::pbft::{Behavior, PbftClientProto, PbftConfig, PbftReplica};
@@ -3406,6 +3418,9 @@ mod tests {
             $go!("cheapbft", CheapClientProto, 4, |me, q, store| {
                 CheapReplica::new(me, q, store, (vt, interval), SimDuration(delta * 2), batch)
             });
+            $go!("hotstuff", HsClientProto, 4, |me, q, store| {
+                HotStuffReplica::new(me, q, store, (vt, interval), batch)
+            });
         }};
     }
 
@@ -3437,14 +3452,12 @@ mod tests {
     }
 
     /// The ordered protocols without a checkpointing stage keep only what a
-    /// later step can still read, however long the run: HotStuff a trail
-    /// of executed slots and no undo records, Tendermint its current
-    /// height and no undo records, Chain (whose new head re-sends its
-    /// executed slots) no undo records.
+    /// later step can still read, however long the run: Tendermint its
+    /// current height and no undo records, Chain (whose new head re-sends
+    /// its executed slots) no undo records.
     #[test]
     fn ordered_logs_without_checkpoints_stay_bounded_whatever_the_run_length() {
         use crate::chain::{ChainClientProto, ChainReplica};
-        use crate::hotstuff::{HotStuffReplica, HsClientProto};
         use crate::tendermint::{TendermintReplica, TmClientProto};
         for per_client in [200, 800] {
             let s = Scenario::small(1).with_load(2, per_client);
@@ -3458,12 +3471,6 @@ mod tests {
                     assert!(peak <= 64, "{} at 2 × {per_client}: {peak}", $name);
                 };
             }
-            go!(
-                "hotstuff",
-                HsClientProto,
-                |me, q, store| HotStuffReplica::new(me, q, store, t4, batch),
-                |r| r.log.len() + r.exec.sm().retained_entries()
-            );
             go!(
                 "tendermint",
                 TmClientProto,
@@ -3491,7 +3498,11 @@ mod tests {
     /// 13 checkpoint intervals long: where clients broadcast (Fair, Kauri)
     /// the dark replica's τ2 starts a view-change campaign nobody joins, so
     /// it follows the view by state transfer alone, and the last checkpoint
-    /// has to cover the run's last request.
+    /// has to cover the run's last request. Where the leader rotates
+    /// (HotStuff), every view the dark replica leads stalls until τ2, so
+    /// the others' first checkpoint comes later than half-way through the
+    /// fault-free run: the replica stays dark until that checkpoint is
+    /// stable, or no state exists to transfer.
     #[test]
     fn every_member_brings_an_in_dark_replica_back_by_state_transfer() {
         use bft_sim::SafetyAuditor;
@@ -3502,10 +3513,18 @@ mod tests {
                     $n,
                     script::final_readings::<$proto, _, _>(&s, $n, $replica, state).0,
                 );
-                let peers = (0..n - 1).map(NodeId::replica).collect();
-                let (dark, mid_run) = (NodeId::replica(n - 1), SimTime(fault_free.end_time.0 / 2));
-                let faults = FaultPlan::none().isolate(dark, peers, SimTime::ZERO, mid_run);
-                let s = s.clone().with_faults(faults);
+                let peers: Vec<NodeId> = (0..n - 1).map(NodeId::replica).collect();
+                let dark = NodeId::replica(n - 1);
+                let isolated =
+                    |until| FaultPlan::none().isolate(dark, peers.clone(), SimTime::ZERO, until);
+                let for_good = s.clone().with_faults(isolated(SimTime(u64::MAX)));
+                let probe =
+                    script::final_readings::<$proto, _, _>(&for_good, $n, $replica, state).0;
+                let mut entries = probe.log.entries.iter();
+                let first = entries.find(|e| matches!(e.obs, Observation::StableCheckpoint { .. }));
+                let first_stable = first.map_or(0, |e| e.at.0);
+                let mid_run = SimTime((fault_free.end_time.0 / 2).max(first_stable + 1));
+                let s = s.clone().with_faults(isolated(mid_run));
                 let (out, finals) = script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
                 SafetyAuditor::all_correct().assert_safe(&out.log);
                 assert_eq!(out.log.client_latencies().len(), 13 * 16, "{}", $name);

@@ -7,29 +7,32 @@
 //!   leader combines them into a *quorum certificate* (QC) and broadcasts
 //!   it. Three vote rounds — prepare, pre-commit, commit — give the same
 //!   guarantees as PBFT's prepare/commit plus view-change safety.
-//! * **Leader rotation (DC3)** — the leader changes every decision. There
-//!   is no separate view-change stage: the extra ordering round plus the
-//!   `new-view … justify QC` handshake replace it, which is exactly the
-//!   trade-off the paper describes (longer pipeline, no view-change
-//!   routine, load balanced across replicas).
-//! * **Responsiveness (E4)** — a new leader proposes as soon as it holds
-//!   `n − f` new-view messages; it never waits a Δ. The Pacemaker's τ5
-//!   timer only fires when progress actually stalls.
+//! * **Leader rotation (DC3)** — a decision ends the view: whoever sees a
+//!   slot's commit QC decides it and enters the next view, whose leader
+//!   proposes as soon as it has decided. Leader work is spread over every
+//!   replica, and the longer pipeline is the price.
+//! * **Responsiveness (E4)** — no step waits a Δ: a view that fails (τ2,
+//!   4Δ, while requests are outstanding) runs the family's view change,
+//!   kept linear — each vote goes only to the target view's leader, which
+//!   assembles the new view from `n − f` of them by PBFT's rule.
 //!
-//! Safety follows the HotStuff rules: replicas *lock* on a pre-commit QC
-//! and only vote for conflicting proposals justified by a higher-view QC.
+//! The replica is a member of the replica skeleton (`Core`): requests,
+//! batches, the slot log, execution, checkpoints, state transfer and
+//! restarts are the skeleton's stages. Safety follows the HotStuff rules:
+//! replicas *lock* on a pre-commit QC and only vote for a conflicting
+//! digest certified in a later view.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    reply_to_client, Early, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog,
+    Core, Entry, Execution, PbftCert, RequestWire, Scenario, SignedRequest, Slot, Tally,
+    ViewChanger, ViewMsg,
 };
 
 /// The three vote phases.
@@ -96,19 +99,10 @@ pub enum HsMsg {
         /// The certificate.
         qc: Qc,
     },
-    /// Replica → next leader: view synchronization (pacemaker), carrying
-    /// the sender's high QC and — so the new leader can re-propose it — the
-    /// corresponding batch.
-    NewView {
-        /// The view being entered.
-        view: View,
-        /// Sender.
-        from: ReplicaId,
-        /// Sender's high QC.
-        high_qc: Option<Qc>,
-        /// The batch certified by `high_qc`, if this sender has it.
-        high_batch: Option<Vec<SignedRequest>>,
-    },
+    /// The family's messages: the view change (votes carry prepare
+    /// certificates, to the target view's leader only), checkpoints and
+    /// state transfer.
+    View(ViewMsg<PbftCert>),
 }
 
 impl WireSize for HsMsg {
@@ -120,216 +114,152 @@ impl WireSize for HsMsg {
             HsMsg::Proposal { batch, .. } => 1 + 16 + 32 + batch.wire_size() + QC,
             HsMsg::Vote { .. } => 1 + 1 + 16 + 32 + 72,
             HsMsg::QcAnnounce { .. } => 1 + QC,
-            HsMsg::NewView { high_batch, .. } => {
-                // an absent batch travels as an empty one
-                let entries = high_batch.iter().flatten();
-                1 + 8 + 4 + QC + 4 + entries.map(WireSize::wire_size).sum::<usize>()
-            }
+            HsMsg::View(m) => m.wire_size(64, PbftCert::wire_size),
         }
     }
+}
+
+/// HotStuff's agreement state for one slot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HsSlot {
+    /// The view its proposal was installed in.
+    view: View,
+    /// The view of the prepare QC for its digest, if one arrived: what a
+    /// view-change vote reports.
+    prepared: Option<View>,
+    /// The pre-commit QC, the safety anchor: a replica never prepare-votes
+    /// a conflicting digest for a locked slot unless it was certified in a
+    /// later view — the flattened form of HotStuff's branch-extension rule.
+    lock: Option<Qc>,
+    /// The view of the commit QC that decided it: what a replica that lags
+    /// is sent instead of running the slot's rounds again.
+    decided_in: Option<View>,
+    /// Leader: the votes per phase, in the view they count for.
+    votes: (View, [Tally; 3]),
 }
 
 /// A HotStuff replica.
 pub struct HotStuffReplica {
-    me: ReplicaId,
-    q: QuorumRules,
-    store: Arc<KeyStore>,
-    view: View,
-    /// The slot currently being decided (one slot per view).
-    cur: Option<(SeqNum, Digest, Vec<SignedRequest>)>,
-    /// Leader: votes per (phase, seq, digest).
-    votes: BTreeMap<(HsPhase, SeqNum, Digest), Vec<ReplicaId>>,
+    core: Core<HsMsg, HsSlot, PbftCert>,
     /// Highest prepare QC seen (justifies new proposals).
     high_qc: Option<Qc>,
-    /// The slots: the batches proposed for each, and once a commit QC
-    /// decides one, its digest and batch. Executed slots go once
-    /// [`TRAIL`](crate::common::TRAIL) behind, except the one `high_qc`
-    /// names: a new-view message carries its batch.
-    pub(crate) log: SlotLog<HsSlot>,
-    mempool: Mempool,
-    pub(crate) exec: Execution,
-    /// New-view messages per view (pacemaker).
-    new_views: BTreeMap<View, Vec<ReplicaId>>,
-    /// τ5 pacemaker timer.
-    t5: Option<TimerId>,
-    t5_timeout: SimDuration,
-    /// Traffic for views we have not entered yet, replayed on entry. The
-    /// view advances per decision, so the next leader's proposal (and the
-    /// QCs cascading behind it) routinely overtakes the previous view's
-    /// commit announcement on engines with real concurrency.
-    pending: Early<PendingHs>,
-}
-
-/// A slot's agreement state: the batches proposed for it, its lock, and
-/// the view of the commit QC that decided it, which its replies carry.
-#[derive(Default)]
-pub(crate) struct HsSlot {
-    proposed: BTreeMap<Digest, Vec<SignedRequest>>,
-    /// The pre-commit QC, the safety anchor: a replica never prepare-votes
-    /// a conflicting digest for a locked slot unless the proposal is
-    /// justified by a newer prepare QC **for that same slot** — the
-    /// flattened form of HotStuff's branch-extension rule.
-    lock: Option<Qc>,
-    decided_in: View,
-}
-
-/// A buffered ahead-of-view message. Proposals are re-validated (and
-/// crypto-charged) on replay; votes and QCs were charged at arrival.
-enum PendingHs {
-    Proposal {
-        seq: SeqNum,
-        digest: Digest,
-        batch: Vec<SignedRequest>,
-        justify: Option<Qc>,
-    },
-    Vote {
-        from: ReplicaId,
-        phase: HsPhase,
-        seq: SeqNum,
-        digest: Digest,
-    },
-    Qc(Qc),
+    /// The view whose one proposal this replica took (as leader: made).
+    proposed: Option<View>,
 }
 
 impl HotStuffReplica {
-    /// Create a replica.
+    /// Create a replica with its [`Scenario::timing`].
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        t5_timeout: SimDuration,
+        timing: (SimDuration, u64),
         batch_size: usize,
     ) -> Self {
+        let exec = Execution::new().skipping_executed();
         HotStuffReplica {
-            me,
-            q,
-            store,
-            view: View(0),
-            cur: None,
-            votes: BTreeMap::new(),
+            core: Core::new((me, q, store), HsMsg::View, exec, timing, batch_size),
             high_qc: None,
-            log: SlotLog::default(),
-            mempool: Mempool::new(batch_size),
-            exec: Execution::new().skipping_executed(),
-            new_views: BTreeMap::new(),
-            t5: None,
-            t5_timeout,
-            pending: Early::new(q.n),
+            proposed: None,
         }
-    }
-
-    /// Re-deliver traffic held for the view we just entered.
-    fn replay_pending(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        let v = self.view;
-        for msg in self.pending.release(v.0) {
-            match msg {
-                PendingHs::Proposal {
-                    seq,
-                    digest,
-                    batch,
-                    justify,
-                } => self.on_proposal(v, seq, digest, batch, justify, ctx),
-                PendingHs::Vote {
-                    from,
-                    phase,
-                    seq,
-                    digest,
-                } => self.record_vote(from, phase, v, seq, digest, ctx),
-                PendingHs::Qc(qc) => self.on_qc(qc, ctx),
-            }
-        }
-    }
-
-    fn leader_of(&self, view: View) -> ReplicaId {
-        view.leader_of(self.q.n)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader_of(self.view) == self.me
-    }
-
-    fn vote_quorum(&self) -> usize {
-        self.q.n - self.q.f
     }
 
     /// Whether slot `seq` has decided here (executed or not).
     fn decided(&self, seq: SeqNum) -> bool {
-        seq <= self.exec.cursor() || self.log.get(&seq).is_some_and(|s| s.committed)
+        seq <= self.core.exec.cursor() || self.core.log.get(&seq).is_some_and(|s| s.committed)
     }
 
-    /// The batch proposed under `digest`, for whichever slot: a digest
-    /// names one batch, and one request can be decided at two slots.
-    fn batch(&self, digest: Digest) -> Option<&Vec<SignedRequest>> {
-        self.log.values().find_map(|s| s.ext.proposed.get(&digest))
+    /// The commit QC that decided slot `seq` here, if it is still held.
+    fn commit_qc(&self, seq: SeqNum) -> Option<Qc> {
+        let slot = self.core.log.get(&seq)?;
+        Some(Qc {
+            phase: HsPhase::Commit,
+            view: slot.ext.decided_in?,
+            seq,
+            digest: slot.digest?,
+        })
     }
 
-    /// A batch proposed for slot `seq`: the decided slots waiting for its
-    /// digest take it.
-    fn offer(&mut self, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) {
-        let waiting = self.log.values_mut().filter(|s| s.digest == Some(digest));
-        waiting.for_each(|s| _ = s.batch.get_or_insert_with(|| batch.clone()));
-        if let Some(slot) = self.log.open(self.exec.cursor(), seq) {
-            slot.ext.proposed.insert(digest, batch);
-        }
-    }
-
-    fn arm_pacemaker(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        if self.t5.is_none() {
-            self.t5 = Some(ctx.set_timer(TimerKind::T5ViewSync, self.t5_timeout));
-        }
-    }
-
-    fn disarm_pacemaker(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        if let Some(t) = self.t5.take() {
-            ctx.cancel_timer(t);
-        }
-    }
-
-    fn maybe_propose(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        // one proposal per view: the leader's is its `cur`
-        if !self.is_leader() || self.cur.is_some() {
+    /// As the view's leader: propose one fresh batch, justified by the
+    /// high QC, and vote for it.
+    fn propose(&mut self, ctx: &mut Context<'_, HsMsg>) {
+        let view = self.core.gate.view();
+        if !self.core.is_leader() || self.core.gate.in_view_change() || self.proposed == Some(view)
+        {
             return;
         }
-        // HotStuff's continuity rule, flattened to slots: if the highest
-        // prepare-certified slot has not decided yet, a new leader must
-        // carry it forward (re-propose the same digest at the same slot)
-        // before extending the history — otherwise the slot would become a
-        // permanent gap in the execution order.
-        let (seq, digest, batch) = match self.high_qc {
-            Some(qc) if !self.decided(qc.seq) => {
-                let Some(batch) = self.batch(qc.digest).cloned() else {
-                    return; // batch not known yet; a new-view message will carry it
-                };
-                ctx.charge_crypto(CryptoOp::Hash);
-                (qc.seq, qc.digest, batch)
-            }
-            // a fresh batch for the next free slot
-            _ => {
-                self.mempool.drop_ordered(&self.exec, []);
-                let mut next = self.high_qc.map_or(self.exec.cursor(), |qc| qc.seq).next();
-                let Some(fresh) = self.mempool.cut(ctx, &mut next) else {
-                    return;
-                };
-                fresh
-            }
+        self.core.drop_ordered();
+        let Some((seq, digest, batch)) = self.core.cut(ctx) else {
+            return;
         };
         ctx.charge_crypto(CryptoOp::Sign);
-        let view = self.view;
-        let justify = self.high_qc;
-        self.offer(seq, digest, batch.clone());
-        self.cur = Some((seq, digest, batch.clone()));
+        self.proposed = Some(view);
+        self.install(seq, digest, batch.clone());
         ctx.broadcast_replicas(HsMsg::Proposal {
             view,
             seq,
             digest,
             batch,
-            justify,
+            justify: self.high_qc,
         });
-        // leader votes for its own proposal
         self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
-        self.arm_pacemaker(ctx);
     }
 
+    /// Install a proposal of the current view at slot `seq`; a prepare
+    /// certificate the slot held stands only for the same digest.
+    fn install(&mut self, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) {
+        self.core.mempool.remove(&batch);
+        let (view, slot) = (self.core.gate.view(), self.core.log.slot(seq));
+        if slot.digest != Some(digest) {
+            slot.ext.prepared = None;
+        }
+        (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch), view);
+    }
+
+    fn on_proposal(
+        &mut self,
+        (from, msg): (NodeId, &HsMsg),
+        (view, seq, digest): (View, SeqNum, Digest),
+        batch: &[SignedRequest],
+        justify: Option<Qc>,
+        ctx: &mut Context<'_, HsMsg>,
+    ) {
+        // a slot that decided ahead of this proposal (its commit QC outran
+        // it) has been waiting for the batch, whatever the view now
+        let log = &self.core.log;
+        let awaited = log
+            .get(&seq)
+            .is_some_and(|s| s.digest == Some(digest) && s.batch.is_none());
+        if awaited && self.decided(seq) && from == NodeId::Replica(view.leader_of(self.core.q.n)) {
+            ctx.charge_crypto(CryptoOp::Verify);
+            ctx.charge_crypto(CryptoOp::Hash);
+            if digest_of(&batch) == digest {
+                self.core.log.slot(seq).batch = Some(batch.to_vec());
+                self.execute(ctx);
+            }
+            return;
+        }
+        // one proposal per view (an equivocating leader cannot split
+        // votes), never one into a slot that has decided here
+        let admitted = self.admit_proposal(ctx, (from, view, msg), (seq, digest), &batch);
+        if !admitted || self.proposed == Some(view) || self.decided(seq) {
+            return;
+        }
+        // a locked slot only accepts its locked digest, or a conflicting
+        // one justified by a newer prepare QC for the SAME slot
+        let justified =
+            |l: Qc| justify.is_some_and(|j| (j.seq, j.digest) == (seq, digest) && j.view > l.view);
+        let lock = self.core.log.get(&seq).and_then(|s| s.ext.lock);
+        if lock.is_some_and(|l| l.digest != digest && !justified(l)) {
+            return;
+        }
+        self.proposed = Some(view);
+        self.install(seq, digest, batch.to_vec());
+        self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
+    }
+
+    /// Send this replica's `phase` vote for `digest` at slot `seq` to the
+    /// view's leader (the leader counts its own).
     fn cast_vote(
         &mut self,
         phase: HsPhase,
@@ -338,275 +268,269 @@ impl HotStuffReplica {
         ctx: &mut Context<'_, HsMsg>,
     ) {
         ctx.charge_crypto(CryptoOp::ThresholdShareGen);
-        let view = self.view;
-        let me = self.me;
-        let leader = self.leader_of(view);
-        if leader == self.me {
-            self.record_vote(me, phase, view, seq, digest, ctx);
-        } else {
-            ctx.send(
-                NodeId::Replica(leader),
-                HsMsg::Vote {
-                    phase,
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                },
-            );
+        let (view, from) = (self.core.gate.view(), self.core.me);
+        if self.core.is_leader() {
+            return self.record_vote(from, phase, seq, digest, ctx);
         }
-    }
-
-    fn on_proposal(
-        &mut self,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        batch: Vec<SignedRequest>,
-        justify: Option<Qc>,
-        ctx: &mut Context<'_, HsMsg>,
-    ) {
-        // a slot that decided ahead of this proposal (its commit certificate
-        // outran it) has been waiting for the batch, whatever the view now
-        let awaited = self
-            .log
-            .get(&seq)
-            .is_some_and(|s| s.digest == Some(digest) && s.batch.is_none());
-        if view != self.view && !awaited {
-            return;
-        }
-        ctx.charge_crypto(CryptoOp::Verify);
-        ctx.charge_crypto(CryptoOp::Hash);
-        if digest_of(&batch) != digest {
-            return;
-        }
-        if awaited {
-            self.offer(seq, digest, batch);
-            return self.execute(ctx);
-        }
-        // never vote on a slot that has already decided or executed
-        // here — a lagging leader proposing into history cannot be
-        // allowed to re-open it
-        if self.decided(seq) {
-            return;
-        }
-        // safety rule (per slot): an unlocked slot is free; a locked
-        // slot only accepts its locked digest, or a conflicting one
-        // justified by a newer prepare QC for the SAME slot
-        let safe = match self.log.get(&seq).and_then(|s| s.ext.lock) {
-            None => true,
-            Some(l) if l.digest == digest => true,
-            Some(l) => {
-                justify.is_some_and(|j| j.seq == seq && j.digest == digest && j.view > l.view)
-            }
+        let vote = HsMsg::Vote {
+            phase,
+            view,
+            seq,
+            digest,
+            from,
         };
-        if !safe {
-            return;
-        }
-        // one proposal per view: ignore any further proposal in the
-        // same view (an equivocating leader cannot split votes)
-        if self.cur.is_some() {
-            return;
-        }
-        self.mempool.remove(&batch);
-        self.offer(seq, digest, batch.clone());
-        self.cur = Some((seq, digest, batch));
-        self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
-        self.arm_pacemaker(ctx);
+        ctx.send(NodeId::Replica(self.core.leader()), vote);
     }
 
+    /// As the view's leader: count `from`'s vote; `n − f` votes for the
+    /// slot's digest combine into a QC, broadcast and acted on here too. A
+    /// vote for a slot decided in an earlier view (a new view re-proposed
+    /// it) is answered with the commit QC that decided it.
     fn record_vote(
         &mut self,
         from: ReplicaId,
         phase: HsPhase,
-        view: View,
         seq: SeqNum,
         digest: Digest,
         ctx: &mut Context<'_, HsMsg>,
     ) {
-        if view > self.view {
-            let vote = PendingHs::Vote {
-                from,
-                phase,
-                seq,
-                digest,
-            };
-            return self.pending.hold(self.view.0, view.0, vote);
-        }
-        if view != self.view || !self.is_leader() || self.decided(seq) {
+        if !self.core.is_leader() || !self.in_window(seq) {
             return;
         }
-        let voters = self.votes.entry((phase, seq, digest)).or_default();
-        if voters.contains(&from) {
+        let (view, quorum) = (self.core.gate.view(), self.core.q.n - self.core.q.f);
+        if let Some(qc) = self.commit_qc(seq).filter(|qc| qc.view < view) {
+            if from != self.core.me {
+                ctx.send(NodeId::Replica(from), HsMsg::QcAnnounce { qc });
+            }
             return;
         }
-        voters.push(from);
-        if voters.len() == self.vote_quorum() {
-            ctx.charge_crypto(CryptoOp::ThresholdCombine);
-            let qc = Qc {
-                phase,
-                view,
-                seq,
-                digest,
-            };
-            ctx.broadcast_replicas(HsMsg::QcAnnounce { qc });
-            self.on_qc(qc, ctx);
+        let slot = self.core.log.slot(seq);
+        if slot.ext.votes.0 != view {
+            slot.ext.votes = (view, Default::default());
         }
+        let tally = &mut slot.ext.votes.1[phase as usize];
+        let Some(digest) = tally.vote(from, digest, slot.digest, quorum) else {
+            return;
+        };
+        ctx.charge_crypto(CryptoOp::ThresholdCombine);
+        let qc = Qc {
+            phase,
+            view,
+            seq,
+            digest,
+        };
+        ctx.broadcast_replicas(HsMsg::QcAnnounce { qc });
+        self.on_qc(qc, ctx);
     }
 
+    /// Act on a certificate: a prepare QC for the proposal held here is
+    /// reported by a view change and draws the pre-commit vote; a
+    /// pre-commit QC locks the slot and draws the commit vote; a commit QC
+    /// decides.
     fn on_qc(&mut self, qc: Qc, ctx: &mut Context<'_, HsMsg>) {
-        // a future Commit QC is processed immediately (it is the lagging
-        // replica's catch-up path and is safe at any view); future
-        // Prepare/PreCommit QCs wait for view entry
-        if qc.view > self.view && qc.phase != HsPhase::Commit {
-            return self.pending.hold(self.view.0, qc.view.0, PendingHs::Qc(qc));
-        }
-        if qc.view != self.view {
-            // stale QC from an earlier view: only the decide step of an
-            // earlier view is still interesting; ignore the rest
-            if qc.phase != HsPhase::Commit {
-                return;
-            }
-        }
         ctx.charge_crypto(CryptoOp::ThresholdVerify);
-        match qc.phase {
-            HsPhase::Prepare => {
-                self.high_qc = Some(qc);
-                self.cast_vote(HsPhase::PreCommit, qc.seq, qc.digest, ctx);
+        let (view, seq, digest) = (qc.view, qc.seq, qc.digest);
+        if qc.phase == HsPhase::Commit {
+            return self.decide(qc, ctx);
+        }
+        let held = |s: &&mut Slot<HsSlot>| s.digest == Some(digest) && s.batch.is_some();
+        let Some(slot) = self.core.log.get_mut(&seq).filter(held) else {
+            return;
+        };
+        slot.ext.prepared = slot.ext.prepared.max(Some(view));
+        if qc.phase == HsPhase::PreCommit {
+            let lock = slot.ext.lock.get_or_insert(qc);
+            if view >= lock.view {
+                *lock = qc;
             }
-            HsPhase::PreCommit => {
-                if let Some(slot) = self.log.open(self.exec.cursor(), qc.seq) {
-                    let lock = slot.ext.lock.get_or_insert(qc);
-                    if qc.view >= lock.view {
-                        *lock = qc;
-                    }
-                }
-                self.cast_vote(HsPhase::Commit, qc.seq, qc.digest, ctx);
+            return self.cast_vote(HsPhase::Commit, seq, digest, ctx);
+        }
+        if self.high_qc.is_none_or(|h| view >= h.view) {
+            self.high_qc = Some(qc);
+        }
+        self.cast_vote(HsPhase::PreCommit, seq, digest, ctx);
+    }
+
+    /// Decide the slot of a commit QC — once; a slot whose proposal has not
+    /// arrived waits for its batch. The leader passes on an earlier view's
+    /// QC for a slot its view re-proposed: the replicas that voted for it
+    /// lag too. A decision that ends the view rotates the leader.
+    fn decide(&mut self, qc: Qc, ctx: &mut Context<'_, HsMsg>) {
+        let ends = self.ends_view(qc.view, qc.seq);
+        if !self.decided(qc.seq) {
+            let (view, leads) = (self.core.gate.view(), self.core.is_leader());
+            let slot = self.core.log.slot(qc.seq);
+            if slot.digest != Some(qc.digest) {
+                (slot.digest, slot.batch) = (Some(qc.digest), None);
             }
-            HsPhase::Commit => {
-                // decide — exactly once per slot; a re-announced or stale
-                // certificate for a decided slot is dropped
-                if self.decided(qc.seq) {
-                    return;
-                }
-                let batch = self.batch(qc.digest).cloned();
-                let slot = self.log.slot(qc.seq);
-                slot.commit(ctx, qc.seq, qc.view, qc.digest);
-                (slot.digest, slot.batch) = (Some(qc.digest), batch);
-                slot.ext.decided_in = qc.view;
-                self.execute(ctx);
-                self.advance_view(qc.view.next(), ctx);
+            slot.commit(ctx, qc.seq, qc.view, qc.digest);
+            slot.ext.decided_in = Some(qc.view);
+            if leads && qc.view < view && slot.ext.view == view {
+                ctx.broadcast_replicas(HsMsg::QcAnnounce { qc });
+            }
+            self.core.next_seq = self.core.next_seq.max(qc.seq.next());
+            self.execute(ctx);
+        }
+        if ends {
+            self.rotate(qc.view.next(), ctx);
+        }
+    }
+
+    /// Whether the commit QC of `view` for slot `seq` ends this replica's
+    /// view: a later view's at once (it is the catch-up path); the current
+    /// view's once it decides the last slot the view runs here — one
+    /// proposed or re-proposed in it, or one never seen, rather than a slot
+    /// this replica executed and the view runs again for replicas that lag.
+    fn ends_view(&self, view: View, seq: SeqNum) -> bool {
+        let current = self.core.gate.view();
+        if view != current {
+            return view > current;
+        }
+        let ours = |s: &Slot<HsSlot>| s.batch.is_none() || s.ext.view == view;
+        let open = |s: &Slot<HsSlot>| s.batch.is_some() && s.ext.view == view && !s.committed;
+        let above = self.core.log.range(self.core.exec.cursor().next()..);
+        let mut others = above.filter(|(s, _)| **s != seq).map(|(_, slot)| slot);
+        seq > self.core.exec.cursor()
+            && self.core.log.get(&seq).is_none_or(ours)
+            && !others.any(open)
+    }
+
+    /// A decision rotates the leader: enter `view` through the skeleton,
+    /// hold its leader to the outstanding requests (τ2), propose as its
+    /// leader, and take the messages that raced ahead of it.
+    fn rotate(&mut self, view: View, ctx: &mut Context<'_, HsMsg>) {
+        self.core.enter_view(view, ctx);
+        if self.core.intake.has_pending() {
+            self.core.intake.arm(ctx);
+        }
+        self.propose(ctx);
+        self.replay(ctx);
+    }
+}
+
+impl ViewChanger for HotStuffReplica {
+    type Msg = HsMsg;
+    type Ext = HsSlot;
+    type Payload = PbftCert;
+
+    fn core(&mut self) -> &mut Core<HsMsg, HsSlot, PbftCert> {
+        &mut self.core
+    }
+
+    /// `n − f`, the quorum of every HotStuff certificate.
+    fn new_view_quorum(q: QuorumRules) -> usize {
+        q.n - q.f
+    }
+
+    /// A stuck campaign steps to the view after its own: a target's leader
+    /// holds votes for views its own campaign has not reached, and jumping
+    /// past them skips the view it would assemble.
+    fn escalation(&mut self, work_pending: bool) -> Option<View> {
+        let (core, me) = (&self.core, self.core.me);
+        let at = (core.gate.view(), core.gate.in_view_change());
+        core.votes.escalation_past_own(me, at, work_pending)
+    }
+
+    /// Linear (DC1): a vote goes only to the target view's leader, the one
+    /// replica that counts it.
+    fn send_vote(&mut self, target: View, vote: HsMsg, ctx: &mut Context<'_, HsMsg>) {
+        let leader = target.leader_of(self.core.q.n);
+        if leader != self.core.me {
+            ctx.send(NodeId::Replica(leader), vote);
+        }
+    }
+
+    /// Every slot above the stable checkpoint that holds a prepare QC,
+    /// executed or not, with the QC's view: the new view's rule fills every
+    /// slot nobody reports below the top with a null batch.
+    fn report(&mut self, _: &mut Context<'_, HsMsg>) -> Vec<Entry<PbftCert>> {
+        let above = self.core.log.range(self.core.ckpt.low_water().next()..);
+        let cert = |(seq, s): (&SeqNum, &Slot<HsSlot>)| {
+            Some((*seq, s.digest?, PbftCert(s.ext.prepared?, s.batch.clone()?)))
+        };
+        above.filter_map(cert).collect()
+    }
+
+    fn assemble(&mut self, target: View) -> Vec<Entry<PbftCert>> {
+        self.core.votes.highest_certified(target)
+    }
+
+    /// The lock rule: a slot locked on another digest takes the
+    /// re-proposal only if it was certified in a later view than the lock,
+    /// a decided slot only its own digest. Then the prepare vote.
+    fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, HsMsg>) {
+        let PbftCert(certified, batch) = cert;
+        let slot = self.core.log.slot(seq);
+        let locked = slot
+            .ext
+            .lock
+            .is_some_and(|l| l.digest != digest && certified <= l.view);
+        if locked || (slot.committed && slot.digest != Some(digest)) {
+            return;
+        }
+        let waiting = slot.committed && slot.batch.is_none();
+        self.install(seq, digest, batch);
+        self.cast_vote(HsPhase::Prepare, seq, digest, ctx);
+        if waiting {
+            self.execute(ctx);
+        }
+    }
+
+    /// A slot this replica executed: send the new leader the commit QC
+    /// that decided it, in case the leader lags — replicas that lag get
+    /// certificates from the leader alone.
+    fn confirm(&mut self, (seq, digest, _): Entry<PbftCert>, ctx: &mut Context<'_, HsMsg>) {
+        let leader = self.core.leader();
+        if let Some(qc) = self.commit_qc(seq).filter(|qc| qc.digest == digest) {
+            if leader != self.core.me {
+                ctx.send(NodeId::Replica(leader), HsMsg::QcAnnounce { qc });
             }
         }
     }
 
-    /// Execute the decided slots in order. No batch, no execution: a slot
-    /// decided ahead of its proposal waits for it (the proposal handler
-    /// re-enters here).
+    /// Above the stable checkpoint and at most the log window beyond it.
+    fn in_window(&mut self, seq: SeqNum) -> bool {
+        seq > self.core.ckpt.low_water() && seq <= self.core.high_water()
+    }
+
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        self.core.mempool.requeue(&self.core.exec, &stranded);
+    }
+
+    fn resume(&mut self, ctx: &mut Context<'_, HsMsg>) {
+        self.propose(ctx);
+    }
+
     fn execute(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        let deliver = reply_to_client(Some(CryptoOp::Sign), HsMsg::Reply);
-        let high = self.high_qc.map(|qc| qc.seq);
-        self.exec.drain(
-            ctx,
-            &mut self.log,
-            |_, _, slot| slot.ext.decided_in,
-            deliver,
-            |_, _, _, _| {},
-            |_, exec, log, done| {
-                log.collect(done, high);
-                exec.forget_undo();
-            },
-        );
+        self.core.execute_ready(ctx, CryptoOp::Sign, HsMsg::Reply);
     }
 
-    fn advance_view(&mut self, target: View, ctx: &mut Context<'_, HsMsg>) {
-        if target <= self.view {
-            return;
+    /// An amnesia restart forgets the high QC and the proposal taken.
+    fn forget(&mut self, amnesia: bool) {
+        if amnesia {
+            (self.high_qc, self.proposed) = (None, None);
         }
-        self.view = target;
-        self.cur = None;
-        self.votes.retain(|_, _| false);
-        self.disarm_pacemaker(ctx);
-        ctx.observe(Observation::NewView { view: target });
-        // pacemaker: tell the new leader our high QC
-        let me = self.me;
-        let high_qc = self.high_qc;
-        let high_batch = high_qc.and_then(|qc| self.batch(qc.digest).cloned());
-        let leader = self.leader_of(target);
-        if leader != self.me {
-            ctx.charge_crypto(CryptoOp::Sign);
-            ctx.send(
-                NodeId::Replica(leader),
-                HsMsg::NewView {
-                    view: target,
-                    from: me,
-                    high_qc,
-                    high_batch,
-                },
-            );
-        } else {
-            self.on_new_view(me, target, high_qc, high_batch, ctx);
-        }
-        if !self.mempool.is_empty() {
-            self.arm_pacemaker(ctx);
-        }
-        self.maybe_propose(ctx);
-        self.replay_pending(ctx);
-    }
-
-    fn on_new_view(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        high_qc: Option<Qc>,
-        high_batch: Option<Vec<SignedRequest>>,
-        ctx: &mut Context<'_, HsMsg>,
-    ) {
-        if let Some(qc) = high_qc {
-            if self.high_qc.is_none_or(|h| qc.view > h.view) {
-                self.high_qc = Some(qc);
-            }
-            if let Some(batch) = high_batch {
-                self.offer(qc.seq, qc.digest, batch);
-            }
-        }
-        let entry = self.new_views.entry(view).or_default();
-        if !entry.contains(&from) {
-            entry.push(from);
-        }
-        // join rule: f+1 replicas are in a higher view
-        if view > self.view && self.new_views.get(&view).map_or(0, |v| v.len()) > self.q.f {
-            self.advance_view(view, ctx);
-            return;
-        }
-        // responsive: the new leader proposes once n − f replicas synced
-        if view == self.view
-            && self.leader_of(view) == self.me
-            && self.new_views.get(&view).map_or(0, |v| v.len()) >= self.vote_quorum() - 1
-        {
-            self.maybe_propose(ctx);
-        }
-        self.new_views.retain(|v, _| *v >= self.view);
     }
 }
 
 impl Actor<HsMsg> for HotStuffReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, HsMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, HsMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &HsMsg, ctx: &mut Context<'_, HsMsg>) {
         match msg {
             HsMsg::Request(signed) => {
-                let answer = reply_to_client(None, HsMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, self.view, answer) {
-                    return;
+                // clients broadcast, so the leader has the request too: a
+                // backup forwards nothing, only holds the leader to it
+                let wire: RequestWire<HsMsg> = (|r, _| HsMsg::Reply(r), None);
+                if self.core.take_request(ctx, signed, wire) {
+                    self.propose(ctx);
                 }
-                self.mempool.push(signed);
-                self.arm_pacemaker(ctx);
-                self.maybe_propose(ctx);
             }
             HsMsg::Proposal {
                 view,
@@ -614,24 +538,7 @@ impl Actor<HsMsg> for HotStuffReplica {
                 digest,
                 batch,
                 justify,
-            } => {
-                let (view, seq, digest, justify) = (*view, *seq, *digest, *justify);
-                if from != NodeId::Replica(self.leader_of(view)) {
-                    return;
-                }
-                if view > self.view {
-                    // the next leader's proposal overtook the previous
-                    // view's commit announcement: hold it for view entry
-                    let proposal = PendingHs::Proposal {
-                        seq,
-                        digest,
-                        batch: batch.clone(),
-                        justify,
-                    };
-                    return self.pending.hold(self.view.0, view.0, proposal);
-                }
-                self.on_proposal(view, seq, digest, batch.clone(), justify, ctx);
-            }
+            } => self.on_proposal((from, msg), (*view, *seq, *digest), batch, *justify, ctx),
             HsMsg::Vote {
                 phase,
                 view,
@@ -639,41 +546,30 @@ impl Actor<HsMsg> for HotStuffReplica {
                 digest,
                 from: r,
             } => {
-                ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
-                self.record_vote(*r, *phase, *view, *seq, *digest, ctx);
+                if self.core.gate.admit(from, *view, msg) {
+                    ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
+                    self.record_vote(*r, *phase, *seq, *digest, ctx);
+                }
             }
+            // a commit QC is taken whatever the view and from whoever
+            // relays it (a threshold signature vouches for itself): a later
+            // view's is the catch-up path of a replica that lags, an earlier
+            // view's still decides; the other phases count in the current
+            // view only, from its leader
             HsMsg::QcAnnounce { qc } => {
-                if from == NodeId::Replica(self.leader_of(qc.view)) {
+                let leader = NodeId::Replica(qc.view.leader_of(self.core.q.n));
+                let commit = qc.phase == HsPhase::Commit;
+                if commit || (from == leader && self.core.gate.admit(from, qc.view, msg)) {
                     self.on_qc(*qc, ctx);
                 }
             }
-            HsMsg::NewView {
-                view,
-                from: r,
-                high_qc,
-                high_batch,
-            } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.on_new_view(*r, *view, *high_qc, high_batch.clone(), ctx);
-            }
+            HsMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             HsMsg::Reply(_) => {}
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, HsMsg>) {
-        if kind == TimerKind::T5ViewSync && Some(id) == self.t5 {
-            self.t5 = None;
-            // progress stalled: move to the next view (pacemaker)
-            let target = self.view.next();
-            // return any current proposal's batch to the mempool
-            if let Some((_, _, batch)) = self.cur.take() {
-                self.mempool.requeue(&self.exec, &batch);
-            }
-            self.advance_view(target, ctx);
-            if !self.mempool.is_empty() {
-                self.arm_pacemaker(ctx);
-            }
-        }
+    fn on_timer(&mut self, id: TimerId, _: TimerKind, ctx: &mut Context<'_, HsMsg>) {
+        self.on_view_timer(id, ctx);
     }
 }
 
@@ -700,16 +596,15 @@ impl ClientProtocol for HsClientProto {
 
 /// Run HotStuff under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let t5 = SimDuration(scenario.network.delta.0 * 4);
     launch::<HsClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
-        HotStuffReplica::new(me, q, store, t5, scenario.batch_size)
+        HotStuffReplica::new(me, q, store, scenario.timing(), scenario.batch_size)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
+    use bft_sim::{FaultPlan, Observation, SafetyAuditor, SimTime, Stage};
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
@@ -758,8 +653,11 @@ mod tests {
             justify: None,
         };
         let leader = Script::new(1, vec![HsMsg::QcAnnounce { qc }], vec![proposal]);
-        let (q, t5) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(40));
-        let replica = HotStuffReplica::new(ReplicaId(1), q, store, t5, 1);
+        let (q, timing) = (
+            QuorumRules { n: 4, f: 1 },
+            (SimDuration::from_millis(40), 16),
+        );
+        let replica = HotStuffReplica::new(ReplicaId(1), q, store, timing, 1);
         let (out, _) = play(vec![(0, leader)], replica);
         assert_eq!(
             executions(&out),
@@ -808,6 +706,164 @@ mod tests {
         // linear: m13/m4 ≈ 13/4 ≈ 3.3; quadratic would be ≈ 10.6
         let ratio = m13 / m4;
         assert!(ratio < 5.0, "message growth must be ~linear, ratio {ratio}");
+    }
+
+    /// DC1 holds through a failed view: with r0 crashed at 4 ms, every
+    /// view it leads runs the view change, whose votes go to the next
+    /// leader alone and whose new view is one broadcast — so messages per
+    /// request grow about linearly from n = 4 to n = 13, as on the
+    /// fault-free path.
+    #[test]
+    fn the_view_change_stays_linear() {
+        let msgs_per_req = |f: usize| {
+            let crash = FaultPlan::none().crash(NodeId::replica(0), SimTime(4_000_000));
+            let s = Scenario::small(f).with_load(1, 20).with_faults(crash);
+            let out = run(&s);
+            SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
+            assert_eq!(accepted(&out), 20);
+            let entered = |e: &_| {
+                matches!(
+                    e,
+                    &Observation::StageEnter {
+                        stage: Stage::ViewChange
+                    }
+                )
+            };
+            assert!(out.log.count(|e| entered(&e.obs)) > 0, "r0's views fail");
+            out.metrics.replica_msgs_sent() as f64 / 20.0
+        };
+        let ratio = msgs_per_req(4) / msgs_per_req(1);
+        assert!(ratio < 5.0, "message growth must be ~linear, ratio {ratio}");
+    }
+
+    /// A decided slot survives the view change: r0 forms slot 1's commit
+    /// QC, but from that instant its links to r2 and r3 are cut (for
+    /// 100 ms), so only r0 and r1 decide the slot. r2 and r3 hold it
+    /// locked until a view change re-proposes it: they decide it only in
+    /// the new view, on the digest r0 and r1 decided, and every replica
+    /// executes its request exactly once.
+    #[test]
+    fn a_slot_decided_by_some_keeps_its_digest_through_the_view_change() {
+        let s = Scenario::small(1).with_load(1, 10);
+        // when replica r commits slot 1, and on which digest
+        let commit = |out: &RunOutcome, r: u32| {
+            let mine = out
+                .log
+                .entries
+                .iter()
+                .filter(|e| e.node == NodeId::replica(r));
+            let mut slot_1 = mine.filter_map(|e| match e.obs {
+                Observation::Commit {
+                    seq: SeqNum(1),
+                    digest,
+                    ..
+                } => Some((e.at, digest)),
+                _ => None,
+            });
+            slot_1.next().expect("slot 1 commits")
+        };
+        let fault_free = run(&s);
+        let (cut_at, decided) = commit(&fault_free, 0);
+        let until = SimTime(cut_at.0 + 100_000_000);
+        let (r0, r2, r3) = (NodeId::replica(0), NodeId::replica(2), NodeId::replica(3));
+        let faults = FaultPlan::none()
+            .partition(r0, r2, cut_at, until)
+            .partition(r0, r3, cut_at, until);
+        let out = run(&s.with_faults(faults));
+        SafetyAuditor::all_correct().assert_safe(&out.log);
+        assert_eq!(accepted(&out), 10);
+        let first_request = bft_types::RequestId {
+            client: bft_types::ClientId(0),
+            timestamp: 1,
+        };
+        for r in 0..4 {
+            let (at, digest) = commit(&out, r);
+            assert_eq!(digest, decided, "r{r} decides slot 1 on its digest");
+            let mut mine = out
+                .log
+                .entries
+                .iter()
+                .filter(|e| e.node == NodeId::replica(r));
+            let entered =
+                mine.find(|e| matches!(e.obs, Observation::NewView { view } if view > View(1)));
+            let after_view_change = entered.is_some_and(|e| e.at < at);
+            assert_eq!(after_view_change, r >= 2, "r{r} decides slot 1 at {at:?}");
+            let executions = out.log.count(|e| {
+                e.node == NodeId::replica(r)
+                    && matches!(e.obs, Observation::Execute { request, .. } if request == first_request)
+            });
+            assert_eq!(executions, 1, "r{r} executes slot 1's request once");
+        }
+    }
+
+    /// The lock rule holds against an older certificate. r3 holds r0's
+    /// proposal B for slot 1 with a prepare QC of view 0; view 1's new
+    /// view re-proposes A, which r3 adopts and locks on (pre-commit QC of
+    /// view 1). View 2's new view re-proposes B certified in view 0,
+    /// earlier than the lock: r3 refuses it and sends r2 no vote for it.
+    #[test]
+    fn a_lock_holds_against_a_re_proposal_certified_before_it() {
+        use crate::common::script::{play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let [(a, batch_a), (b, batch_b)] = rival_batches(&store);
+        let seq = SeqNum(1);
+        let qc = |phase, view, digest| HsMsg::QcAnnounce {
+            qc: Qc {
+                phase,
+                view,
+                seq,
+                digest,
+            },
+        };
+        let new_view = |view, digest, cert| {
+            HsMsg::View(ViewMsg::NewView {
+                view,
+                proposals: vec![(seq, digest, cert)],
+            })
+        };
+        let proposal = HsMsg::Proposal {
+            view: View(0),
+            seq,
+            digest: b,
+            batch: batch_b.clone(),
+            justify: None,
+        };
+        let r0 = Script::new(3, vec![proposal], vec![qc(HsPhase::Prepare, View(0), b)]);
+        let r1 = Script {
+            to: 3,
+            rounds: vec![
+                vec![],
+                vec![],
+                vec![new_view(View(1), a, PbftCert(View(0), batch_a))],
+                vec![
+                    qc(HsPhase::Prepare, View(1), a),
+                    qc(HsPhase::PreCommit, View(1), a),
+                ],
+            ],
+        };
+        let older = new_view(View(2), b, PbftCert(View(0), batch_b));
+        let r2 = Script {
+            to: 3,
+            rounds: vec![vec![], vec![], vec![], vec![], vec![older]],
+        };
+        let (q, timing) = (
+            QuorumRules { n: 4, f: 1 },
+            (SimDuration::from_millis(40), 16),
+        );
+        let replica = HotStuffReplica::new(ReplicaId(3), q, store, timing, 1);
+        let (_, sent) = play(vec![(0, r0), (1, r1), (2, r2)], replica);
+        let voted = |phase, view, digest| {
+            let vote = |m: &&HsMsg| matches!(m, HsMsg::Vote { phase: p, view: v, digest: d, .. } if (*p, *v, *d) == (phase, view, digest));
+            sent.iter().any(|m| vote(&m))
+        };
+        assert!(
+            voted(HsPhase::Commit, View(1), a),
+            "r3 locked on A in view 1"
+        );
+        assert!(
+            !voted(HsPhase::Prepare, View(2), b),
+            "r3 refuses B, certified in view 0"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ use bft_types::{
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
     reply_to_client, BatchEntry, Core, Execution, Intake, RoundRules, Rounds, Scenario,
-    SignedRequest, ViewChanger, ViewMsg,
+    SignedRequest, Tally, ViewChanger, ViewMsg,
 };
 
 /// Prime messages.
@@ -128,11 +128,13 @@ pub enum PrimeBehavior {
     DelayLeader(SimDuration),
 }
 
-/// Tracking of one preordered copy of a request.
+/// Tracking of one preordered copy of a request: its acks count only for
+/// the request's own digest.
 #[derive(Debug, Clone)]
 struct PreorderEntry {
     request: SignedRequest,
-    acks: Vec<ReplicaId>,
+    digest: Digest,
+    acks: Tally,
     eligible_at: Option<SimTime>,
 }
 
@@ -217,14 +219,16 @@ impl PrimeReplica {
         self.my_origin_seq += 1;
         let key = (self.core.me, self.my_origin_seq);
         self.ordered.insert(signed.request.id, false);
-        self.preorder.insert(
-            key,
-            PreorderEntry {
-                request: signed.clone(),
-                acks: vec![self.core.me],
-                eligible_at: None,
-            },
-        );
+        let digest = signed.digest();
+        let mut acks = Tally::default();
+        acks.vote(self.core.me, digest, Some(digest), self.core.q.quorum());
+        let entry = PreorderEntry {
+            request: signed.clone(),
+            digest,
+            acks,
+            eligible_at: None,
+        };
+        self.preorder.insert(key, entry);
         ctx.charge_crypto(CryptoOp::Sign);
         let me = self.core.me;
         let origin_seq = self.my_origin_seq;
@@ -249,14 +253,12 @@ impl PrimeReplica {
         let key = (origin, origin_seq);
         let digest = request.digest();
         self.ordered.entry(request.request.id).or_insert(false);
-        let entry = self.preorder.entry(key).or_insert(PreorderEntry {
+        self.preorder.entry(key).or_insert(PreorderEntry {
             request,
-            acks: Vec::new(),
+            digest,
+            acks: Tally::default(),
             eligible_at: None,
         });
-        if !entry.acks.contains(&self.core.me) {
-            entry.acks.push(self.core.me);
-        }
         // acknowledge all-to-all
         ctx.charge_crypto(CryptoOp::Sign);
         let me = self.core.me;
@@ -266,26 +268,25 @@ impl PrimeReplica {
             digest,
             from: me,
         });
-        self.on_po_ack(origin, origin_seq, me, ctx);
+        self.on_po_ack((origin, origin_seq), me, digest, ctx);
     }
 
+    /// Count `from`'s ack of the copy `key` for `digest`: a quorum of acks
+    /// for the copy's own digest makes the request eligible.
     fn on_po_ack(
         &mut self,
-        origin: ReplicaId,
-        origin_seq: u64,
+        key: (ReplicaId, u64),
         from: ReplicaId,
+        digest: Digest,
         ctx: &mut Context<'_, PrimeMsg>,
     ) {
         let quorum = self.core.q.quorum();
         let now = ctx.now();
-        let key = (origin, origin_seq);
         let Some(entry) = self.preorder.get_mut(&key) else {
             return;
         };
-        if !entry.acks.contains(&from) {
-            entry.acks.push(from);
-        }
-        if entry.eligible_at.is_none() && entry.acks.len() >= quorum {
+        let eligible = entry.acks.vote(from, digest, Some(entry.digest), quorum);
+        if eligible.is_some() {
             entry.eligible_at = Some(now);
             ctx.observe(Observation::Marker { label: "eligible" });
             if self.core.is_leader() {
@@ -466,11 +467,11 @@ impl Actor<PrimeMsg> for PrimeReplica {
             PrimeMsg::PoAck {
                 origin,
                 origin_seq,
+                digest,
                 from: r,
-                ..
             } => {
                 ctx.charge_crypto(CryptoOp::Verify);
-                self.on_po_ack(*origin, *origin_seq, *r, ctx);
+                self.on_po_ack((*origin, *origin_seq), *r, *digest, ctx);
             }
             PrimeMsg::PrePrepare {
                 view,
@@ -757,6 +758,53 @@ mod tests {
         assert!(sent.iter().any(prepared_y), "r2 accepted the proposal");
         let commit = sent.iter().find(|m| matches!(m, PrimeMsg::Commit { .. }));
         assert_eq!(commit, None, "{{r1: X, r2: Y}} is no prepare quorum for Y");
+    }
+
+    /// A preordered copy becomes eligible on a quorum of acks for its own
+    /// digest: r1 acks r0's request itself, and the acks r2 and r3 send
+    /// count only if they name the same digest.
+    #[test]
+    fn acks_for_another_digest_do_not_make_a_request_eligible() {
+        use crate::common::script::{first_write, play, rival_batches, Script};
+        let store = Scenario::small(1).key_store();
+        let (request, _) = first_write(&store);
+        let (other, _) = rival_batches(&store)[0].clone();
+        let eligible = |digest: Digest| {
+            let po = PrimeMsg::PoRequest {
+                origin: ReplicaId(0),
+                origin_seq: 1,
+                request: request.clone(),
+            };
+            let ack = |from| PrimeMsg::PoAck {
+                origin: ReplicaId(0),
+                origin_seq: 1,
+                digest,
+                from: ReplicaId(from),
+            };
+            let scripts = vec![
+                (0, Script::new(1, vec![po], vec![])),
+                (2, Script::new(1, vec![], vec![ack(2)])),
+                (3, Script::new(1, vec![], vec![ack(3)])),
+            ];
+            let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
+            let honest = PrimeBehavior::Honest;
+            let replica = PrimeReplica::new(
+                ReplicaId(1),
+                q,
+                store.clone(),
+                honest,
+                delta,
+                delta,
+                (1, 16),
+            );
+            play(scripts, replica).0.log.marker_count("eligible")
+        };
+        assert_eq!(eligible(request.digest()), 1, "three acks for the request");
+        assert_eq!(
+            eligible(other),
+            0,
+            "one ack for the request, two for another digest"
+        );
     }
 
     #[test]

@@ -161,8 +161,8 @@ pub(crate) struct SbftSlot {
 /// The collector's side of threshold replies.
 #[derive(Debug, Default)]
 struct ThresholdReplies {
-    /// Exec shares per (seq, request).
-    shares: BTreeMap<(SeqNum, RequestId), (Vec<ReplicaId>, Option<Reply>)>,
+    /// Exec shares per (seq, request), counted by the result they carry.
+    shares: BTreeMap<(SeqNum, RequestId), Tally>,
     /// Threshold replies already combined from `weak` exec shares — the
     /// only replies a client may be handed (a bare cached result from one
     /// replica must never stand in for one; the client accepts a single
@@ -171,8 +171,8 @@ struct ThresholdReplies {
 }
 
 impl ThresholdReplies {
-    /// Record `from`'s execution share; at `weak` (f+1) matching shares
-    /// combine them and send the client its ONE reply.
+    /// Record `from`'s execution share; at `weak` (f+1) shares carrying the
+    /// same result combine them and send the client its ONE reply.
     fn record(
         &mut self,
         weak: usize,
@@ -181,13 +181,12 @@ impl ThresholdReplies {
         reply: Reply,
         ctx: &mut Context<'_, SbftMsg>,
     ) {
-        let request = reply.request;
-        let entry = self.shares.entry((seq, request)).or_default();
-        if !entry.0.contains(&from) {
-            entry.0.push(from);
-        }
-        let reply = entry.1.get_or_insert(reply).clone();
-        if entry.0.len() >= weak && !self.combined.contains_key(&request) {
+        // shares match on the result: a share re-sent for a retransmission
+        // reports the state the replica is in now, not the one it executed in
+        let (request, matching) = (reply.request, digest_of(&reply.result));
+        let tally = self.shares.entry((seq, request)).or_default();
+        let combines = tally.vote(from, matching, Some(matching), weak).is_some();
+        if combines && !self.combined.contains_key(&request) {
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             self.combined.insert(request, reply.clone());
             ctx.send(NodeId::Client(request.client), SbftMsg::Reply(reply));
@@ -738,6 +737,69 @@ mod tests {
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
+    }
+
+    /// Only f+1 *matching* execution shares combine into the client's
+    /// reply: one share with another result that arrives first, plus f
+    /// honest shares, is no threshold reply; one more honest share is.
+    #[test]
+    fn only_matching_exec_shares_combine() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// A collector fed exec shares for slot 1 at start-up.
+        struct Feed(Vec<(u32, Reply)>, Rc<RefCell<ThresholdReplies>>);
+
+        impl Actor<SbftMsg> for Feed {
+            fn on_start(&mut self, ctx: &mut Context<'_, SbftMsg>) {
+                for (from, reply) in self.0.drain(..) {
+                    let replies = &mut self.1.borrow_mut();
+                    replies.record(2, ReplicaId(from), SeqNum(1), reply, ctx);
+                }
+            }
+
+            fn on_message(&mut self, _: NodeId, _: &SbftMsg, _: &mut Context<'_, SbftMsg>) {}
+
+            fn on_timer(&mut self, _: TimerId, _: TimerKind, _: &mut Context<'_, SbftMsg>) {}
+        }
+
+        let combined = |shares: Vec<(u32, Reply)>| {
+            use bft_sim::{NetworkConfig, NetworkModel, Simulation};
+            let replies = Rc::new(RefCell::new(ThresholdReplies::default()));
+            let mut sim = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
+            sim.add_replica(0, Box::new(Feed(shares, replies.clone())));
+            sim.run(SimTime(1_000_000));
+            let combined = replies
+                .borrow()
+                .combined
+                .values()
+                .cloned()
+                .collect::<Vec<_>>();
+            combined
+        };
+        let store = Scenario::small(1).key_store();
+        let (request, state_digest) = crate::common::script::first_write(&store);
+        let honest = Reply {
+            request: request.request.id,
+            view: View(0),
+            result: bft_types::TxnResult { reads: vec![] },
+            state_digest,
+            speculative: false,
+        };
+        let forged = Reply {
+            result: bft_types::TxnResult {
+                reads: vec![Some(666)],
+            },
+            ..honest.clone()
+        };
+        let first_forged = vec![(1, forged), (2, honest.clone())];
+        assert_eq!(
+            combined(first_forged.clone()),
+            vec![],
+            "f+1 shares, one forged"
+        );
+        let and_one_more = [first_forged, vec![(3, honest.clone())]].concat();
+        assert_eq!(combined(and_one_more), vec![honest], "f+1 honest shares");
     }
 
     /// `known` is what every proposal scans: it must hold the requests not

@@ -24,7 +24,7 @@ pub enum TimerKind {
     /// prevote/precommit timeouts).
     T4QuorumConstruction,
     /// τ5 — view synchronization (Tendermint's Δ-wait after leader
-    /// rotation; the Pacemaker's view timer in HotStuff).
+    /// rotation; HotStuff's stalled views run on τ2).
     T5ViewSync,
     /// τ6 — finishing a preordering round (Themis-style fair protocols).
     T6PreorderRound,

@@ -59,6 +59,23 @@ use untrusted_txn::sim::SimDuration;
 ///   parent accepted none: the private view change never escalated past
 ///   the crashed leader of view 1, the shared τ2 escalation does.
 ///
+/// Re-pinned when HotStuff joined the skeleton: all eight `hotstuff` rows.
+/// A decision no longer sends a new-view message to the next leader, a
+/// failed view runs the family's view change (votes to the target view's
+/// leader, one new-view broadcast) instead of the private pacemaker, and
+/// every 16 slots a checkpoint is broadcast. Every row accepts the same
+/// requests with the same results; beyond that:
+/// - zero-knob and lossy-pre-gst: the same executions and final state on
+///   every replica, 128 messages sent per replica instead of 140;
+/// - leader-crash, leader-mute, backup-crash and f2-two-leaders-crashed:
+///   the same executions, max view and final state, the last accept 1 to
+///   2.3 ms later (a view change takes the vote and the new-view hop);
+/// - leader-crash-recover: the restarted leader now restarts (its
+///   `durable-restart` marker) and executes all 20 requests to the
+///   others' state, where it stopped after 2;
+/// - partition-heals: the two partitioned replicas now execute all 20
+///   requests, where they stopped after 1 and 4.
+///
 /// Re-pinned when CheapBFT joined the skeleton: all eight `cheapbft` rows.
 /// Every run now checkpoints every 16 slots and carries its view change as
 /// the family's messages; view 0 is unchanged otherwise. Beyond that:
@@ -118,14 +135,14 @@ sbft backup-crash d030c4418ba117da97ee34d4211eefd810a650e8226ca60f08956ceb53c3bb
 sbft partition-heals a7ccf80d39d004feefbb8392baf21ac6d3b18ed946977848b98ca187717c97f4
 sbft lossy-pre-gst 2d2a714c5a36d5e4438be393c05a369d925d8ac959007fb2367313911b4d5d76
 sbft f2-two-leaders-crashed 17fe09a4cbf20584fb2a3351cc933d5d3477ba4921e82152477e3efc2731c33f
-hotstuff zero-knob 2b6f370c580331d64a1afac623584791c54d6bcbe1c88014cd1b4e1c94dfee46
-hotstuff leader-crash be06237d9bb1f72503403c5d7c07d92b8d13e3bae9231af7bfae8db10bab5c61
-hotstuff leader-crash-recover 8ac11ff7e5f003605fef827d1204f6335d7234324e5c887cf6bbee7ea23994bd
-hotstuff leader-mute cb4c9f60f1fe09ac81c37efe2fec60c96f7fa19c40b6da6b5797f640bb8d5ef4
-hotstuff backup-crash 8d8a9e4321293698ba841e3d893333924238d5c7e131f11983223b65787f3afe
-hotstuff partition-heals 5e8fbdc58f6f9b738b2ba4f161be239b64cce79fc260ee7924d9b1369bac53c3
-hotstuff lossy-pre-gst 2b5f41e6418fdf87ba3910b0ba75a3bbfaf5df2bab86e1c368112228431467b0
-hotstuff f2-two-leaders-crashed 39e4815f190d5d191988173e140871ee69f3b23aa4a6dcb2b20eab4611a5d5b2
+hotstuff zero-knob 9e8191c0d954679a7fb4581ebb2677f348addcd908a12dcd3125619419f76726
+hotstuff leader-crash 71b089ee688b9c2b46182042bb4bbc4eca3f16482245b3e147b87838be030725
+hotstuff leader-crash-recover 57c058dc5f2b0bb20f411aae7c9e67be4eb38cebf68d134a0ecca5a7207b6887
+hotstuff leader-mute 212255518a6d2dc968413f549df121ae1214b273d55541305560564bd26e26a7
+hotstuff backup-crash 0cb823ae6399de040639c56c60ec2783fb888373067d653fa130431b95560e5a
+hotstuff partition-heals c256cbfb726fb5ed852d3e01b88646a8e0f8fe6628937219f7062d233e6f3493
+hotstuff lossy-pre-gst 883324f79ac71f735577ae03bc9a6d3f60769666857ed5e1e10202d63e2da816
+hotstuff f2-two-leaders-crashed 17bb5a93a3b25dbbcfa3216f870f5346b0a0a8855012856638cdbefc5212e31c
 tendermint zero-knob 525531e6346d425f26e88c392e21b5b1f48b64f5d0f1fc5b7f0bbdc212abae31
 tendermint leader-crash bcf129f19ac6fc6dc885922cb71969dd32d97c1cb027fccab864cabf820654d6
 tendermint leader-crash-recover 9f0fd2052be1de732afa05552d24c9cb0eefb05ba739054247af7fa145637456
