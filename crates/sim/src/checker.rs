@@ -346,7 +346,7 @@ fn replay_and_membership(
         // accepted writes whose latest replayed result disagrees with the
         // accepted one, in accept order
         let mut mismatched = BTreeMap::new();
-        for row in log.entries.rows().iter().filter(|row| row.node == node) {
+        for row in log.entries.rows().filter(|row| row.node == node) {
             match row.kind {
                 RowKind::Execute {
                     seq,

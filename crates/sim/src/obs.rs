@@ -250,15 +250,138 @@ impl Digests {
     }
 }
 
+/// log2 of [`SEGMENT_LEN`].
+const SEGMENT_BITS: u32 = 12;
+/// Elements per segment of a [`Segmented`] vector: 4 096 rows are
+/// 192 KiB. Peak RSS of the benchmark at 15 s, seed 1, two or three runs
+/// each (2-core Xeon 2.1 GHz, glibc malloc): `sim-pbft-n4-bigstate`
+/// 44.9–45.2 MiB with 2^12-element segments, 45.1–45.7 with 2^14 and
+/// 47.4–47.5 with 2^16, against 65.0 with one doubling `Vec`;
+/// `sim-pbft-n4` 64.9–65.0, 65.5–65.6 and 67.6–70.1, against 65.9–66.3.
+const SEGMENT_LEN: usize = 1 << SEGMENT_BITS;
+
+/// An append-only vector stored in segments of [`SEGMENT_LEN`] elements.
+///
+/// The first segment grows by doubling, as a `Vec` does, up to
+/// `SEGMENT_LEN`; every later segment is allocated at that size and never
+/// moves. A log that grows into the megabytes is therefore never copied
+/// into a larger block, and the blocks a finished log frees are all the
+/// same size, so the next run's log reuses them (DESIGN.md, "Observation
+/// log").
+#[derive(Debug, Clone)]
+struct Segmented<T> {
+    /// Elements `0 .. SEGMENT_LEN`.
+    head: Vec<T>,
+    /// Full segments after `head`, then the one being filled. Empty until
+    /// `head` is full.
+    tail: Vec<Vec<T>>,
+}
+
+impl<T> Default for Segmented<T> {
+    fn default() -> Self {
+        Segmented {
+            head: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T> Segmented<T> {
+    fn push(&mut self, value: T) {
+        let segment = if self.head.len() < SEGMENT_LEN {
+            &mut self.head
+        } else {
+            match self.tail.last_mut() {
+                Some(last) if last.len() < SEGMENT_LEN => last,
+                _ => {
+                    self.tail.push(Vec::with_capacity(SEGMENT_LEN));
+                    self.tail.last_mut().expect("just pushed")
+                }
+            }
+        };
+        if segment.len() == segment.capacity() {
+            // double as `Vec::push` would (4 elements at first), never
+            // past one segment
+            let capacity = (2 * segment.capacity()).clamp(4, SEGMENT_LEN);
+            segment.reserve_exact(capacity - segment.len());
+        }
+        segment.push(value);
+    }
+
+    fn len(&self) -> usize {
+        match self.tail.last() {
+            None => self.head.len(),
+            Some(last) => SEGMENT_LEN * self.tail.len() + last.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<&T> {
+        match (i >> SEGMENT_BITS).checked_sub(1) {
+            None => self.head.get(i),
+            Some(segment) => self.tail.get(segment)?.get(i & (SEGMENT_LEN - 1)),
+        }
+    }
+
+    fn last(&self) -> Option<&T> {
+        // a tail segment is never empty
+        self.tail
+            .last()
+            .map_or(self.head.last(), |last| last.last())
+    }
+
+    fn iter(&self) -> SegmentedIter<'_, T> {
+        SegmentedIter {
+            segments: std::iter::once(&self.head).chain(&self.tail).flatten(),
+            remaining: self.len(),
+        }
+    }
+}
+
+/// A [`Segmented`] vector's segments in order: `head`, then `tail`.
+type Segments<'a, T> = std::iter::Chain<std::iter::Once<&'a Vec<T>>, std::slice::Iter<'a, Vec<T>>>;
+
+/// Iterator over a [`Segmented`] vector, in push order from either end.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentedIter<'a, T> {
+    segments: std::iter::Flatten<Segments<'a, T>>,
+    remaining: usize,
+}
+
+impl<'a, T> Iterator for SegmentedIter<'a, T> {
+    type Item = &'a T;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a T> {
+        let next = self.segments.next()?;
+        self.remaining -= 1;
+        Some(next)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<T> DoubleEndedIterator for SegmentedIter<'_, T> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let next = self.segments.next_back()?;
+        self.remaining -= 1;
+        Some(next)
+    }
+}
+
+impl<T> ExactSizeIterator for SegmentedIter<'_, T> {}
+
 /// The rows of an [`ObservationLog`] and the tables they point into.
 /// Outside this crate it reads as a sequence of [`LoggedObservation`]s,
 /// each decoded on the way out (`for e in &log.entries`, [`Entries::iter`],
 /// [`Entries::get`]).
 #[derive(Clone, Default)]
 pub struct Entries {
-    rows: Vec<Row>,
+    rows: Segmented<Row>,
     digests: Digests,
-    accepts: Vec<Accept>,
+    accepts: Segmented<Accept>,
 }
 
 impl Entries {
@@ -323,7 +446,7 @@ impl Entries {
 
     /// True when nothing was observed.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th observation in emission order.
@@ -345,12 +468,13 @@ impl Entries {
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             entries: self,
-            rows: self.rows.iter(),
+            rows: self.rows(),
         }
     }
 
-    pub(crate) fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The stored rows in emission order.
+    pub(crate) fn rows(&self) -> SegmentedIter<'_, Row> {
+        self.rows.iter()
     }
 
     pub(crate) fn digest(&self, ordinal: Ordinal) -> Digest {
@@ -358,7 +482,9 @@ impl Entries {
     }
 
     pub(crate) fn accept(&self, index: u32) -> &Accept {
-        &self.accepts[index as usize]
+        self.accepts
+            .get(index as usize)
+            .expect("an accept of this log")
     }
 
     fn decode(&self, row: &Row) -> LoggedObservation {
@@ -431,7 +557,7 @@ impl<'a> IntoIterator for &'a Entries {
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     entries: &'a Entries,
-    rows: std::slice::Iter<'a, Row>,
+    rows: SegmentedIter<'a, Row>,
 }
 
 impl Iterator for Iter<'_> {
@@ -472,8 +598,7 @@ impl ObservationLog {
     pub fn commits_of(&self, node: NodeId) -> Vec<(SeqNum, Digest)> {
         let node = PackedNode::pack(node);
         self.entries
-            .rows
-            .iter()
+            .rows()
             .filter(|row| row.node == node)
             .filter_map(|row| match row.kind {
                 RowKind::Commit {
@@ -490,8 +615,7 @@ impl ObservationLog {
     /// All client-accepted requests with their latencies.
     pub fn client_latencies(&self) -> Vec<(RequestId, crate::time::SimDuration)> {
         self.entries
-            .rows
-            .iter()
+            .rows()
             .filter_map(|row| match row.kind {
                 RowKind::ClientAccept(index) => {
                     let a = self.entries.accept(index);
@@ -511,7 +635,7 @@ impl ObservationLog {
     pub fn stages_of(&self, node: NodeId) -> Vec<Stage> {
         let node = PackedNode::pack(node);
         let mut seen = Vec::new();
-        for row in &self.entries.rows {
+        for row in self.entries.rows() {
             if let (true, RowKind::StageEnter { stage }) = (row.node == node, row.kind) {
                 if !seen.contains(&stage) {
                     seen.push(stage);
@@ -524,8 +648,7 @@ impl ObservationLog {
     /// Highest view any node reported entering.
     pub fn max_view(&self) -> View {
         self.entries
-            .rows
-            .iter()
+            .rows()
             .filter_map(|row| match row.kind {
                 RowKind::NewView { view } => Some(view),
                 _ => None,
@@ -537,8 +660,7 @@ impl ObservationLog {
     /// Count of `Marker { label }` observations.
     pub fn marker_count(&self, label: &str) -> usize {
         self.entries
-            .rows
-            .iter()
+            .rows()
             .filter(|row| matches!(row.kind, RowKind::Marker { label: l } if l == label))
             .count()
     }
@@ -699,6 +821,84 @@ mod tests {
                 label: if flag { "fallback" } else { "fast path" },
             },
         }
+    }
+
+    #[test]
+    fn a_log_past_its_first_segments_reads_in_emission_order() {
+        let n = 2 * SEGMENT_LEN + 3;
+        let pushed: Vec<LoggedObservation> = (0..n as u64)
+            .map(|i| LoggedObservation {
+                at: SimTime(i),
+                node: NodeId::replica((i % 4) as u32),
+                obs: observation((i % 10) as u8, i, i % 1_000, (i % 4) as u8, i % 3 == 0),
+            })
+            .collect();
+        let mut log = ObservationLog::default();
+        for e in &pushed {
+            log.push(e.at, e.node, e.obs.clone());
+        }
+        let entries = &log.entries;
+        assert_eq!(entries.rows.tail.len(), 2);
+        for segment in std::iter::once(&entries.rows.head).chain(&entries.rows.tail) {
+            assert!(segment.capacity() <= SEGMENT_LEN);
+        }
+        assert_eq!(entries.len(), n);
+        assert_eq!(entries.iter().len(), n);
+        assert!(entries.iter().eq(pushed.iter().cloned()));
+        assert!(entries.iter().rev().eq(pushed.iter().rev().cloned()));
+        assert_eq!(entries.rows().len(), n);
+        assert!(entries.rows().map(|row| row.at.0).eq(0..n as u64));
+        assert!(entries
+            .rows()
+            .rev()
+            .map(|row| row.at.0)
+            .eq((0..n as u64).rev()));
+        for i in [
+            0,
+            SEGMENT_LEN - 1,
+            SEGMENT_LEN,
+            2 * SEGMENT_LEN - 1,
+            2 * SEGMENT_LEN,
+            n - 1,
+        ] {
+            assert_eq!(entries.get(i).as_ref(), Some(&pushed[i]), "row {i}");
+        }
+        assert_eq!(entries.get(n), None);
+        assert_eq!(entries.first().as_ref(), pushed.first());
+        assert_eq!(entries.last().as_ref(), pushed.last());
+    }
+
+    /// Bytes a [`Segmented`] vector has allocated.
+    fn allocated<T>(segmented: &Segmented<T>) -> usize {
+        let elements: usize = std::iter::once(&segmented.head)
+            .chain(&segmented.tail)
+            .map(Vec::capacity)
+            .sum();
+        elements * std::mem::size_of::<T>()
+            + segmented.tail.capacity() * std::mem::size_of::<Vec<T>>()
+    }
+
+    /// Bytes a plain `Vec` allocates for its first push.
+    #[allow(clippy::vec_init_then_push)] // `vec![value]` allocates less than a push
+    fn one_element_vec<T>(value: T) -> usize {
+        let mut vec = Vec::new();
+        vec.push(value);
+        vec.capacity() * std::mem::size_of::<T>()
+    }
+
+    #[test]
+    fn a_one_observation_log_allocates_no_more_than_a_vec() {
+        let mut log = ObservationLog::default();
+        log.push(SimTime(1), NodeId::client(1), observation(8, 1, 2, 0, true));
+        let entries = &log.entries;
+        assert_eq!(
+            allocated(&entries.rows),
+            one_element_vec(entries.rows.head[0])
+        );
+        assert_eq!(
+            allocated(&entries.accepts),
+            one_element_vec(entries.accepts.head[0].clone())
+        );
     }
 
     proptest::proptest! {

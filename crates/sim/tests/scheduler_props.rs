@@ -1,7 +1,8 @@
 //! Property coverage for the calendar-queue scheduler: against a
 //! `BinaryHeap` reference it must pop *identical* `(timestamp, seq)`
 //! sequences under arbitrary interleavings — timestamp ties, pushes into
-//! the past, ring-span jumps, near-`u64::MAX` saturation — and a whole
+//! the past, ring-span jumps, near-`u64::MAX` saturation, bursts that
+//! fill one bucket past what the ring keeps once served — and a whole
 //! simulation (including timer set/cancel churn) must produce the same
 //! semantic record, event count and end time under either scheduler.
 
@@ -24,6 +25,10 @@ enum Op {
     Push(u64),
     /// Pop once (ignored when empty).
     Pop,
+    /// Push this many entries into the one-bucket window at a timestamp
+    /// (bucket width 2^16 ns), in scrambled order with ties: a broadcast
+    /// burst larger than the storage a served bucket hands on.
+    Burst(u64, u64),
 }
 
 /// Map a (regime selector, raw draw) pair onto a timestamp from one of the
@@ -45,15 +50,14 @@ fn timestamp() -> impl Strategy<Value = u64> {
     (0u64..19, any::<u64>()).prop_map(|(regime, raw)| timestamp_of(regime, raw))
 }
 
-/// Scripts mix pushes (3:1) with pops, timestamps drawn across regimes.
+/// Scripts mix pushes (3:1) with pops, timestamps drawn across regimes;
+/// one push in twenty is a burst of 65–264 entries.
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u64..4, 0u64..19, any::<u64>()).prop_map(|(kind, regime, raw)| {
-            if kind == 0 {
-                Op::Pop
-            } else {
-                Op::Push(timestamp_of(regime, raw))
-            }
+        (0u64..4, 0u64..20, any::<u64>()).prop_map(|(kind, regime, raw)| match (kind, regime) {
+            (0, _) => Op::Pop,
+            (_, 19) => Op::Burst(timestamp_of(raw % 19, raw), 65 + raw % 200),
+            _ => Op::Push(timestamp_of(regime, raw)),
         }),
         0..400,
     )
@@ -69,12 +73,19 @@ proptest! {
         // order the simulator's `QueuedEvent` heap produces.
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
+        let mut push = |cal: &mut CalendarQueue<u64>, heap: &mut BinaryHeap<_>, at: u64| {
+            cal.push(SimTime(at), seq, seq);
+            heap.push(std::cmp::Reverse((at, seq)));
+            seq += 1;
+        };
         for op in script {
             match op {
-                Op::Push(at) => {
-                    cal.push(SimTime(at), seq, seq);
-                    heap.push(std::cmp::Reverse((at, seq)));
-                    seq += 1;
+                Op::Push(at) => push(&mut cal, &mut heap, at),
+                Op::Burst(at, n) => {
+                    let window = at & !((1 << 16) - 1);
+                    for i in 0..n {
+                        push(&mut cal, &mut heap, window + (i / 2 * 40_503) % (1 << 15));
+                    }
                 }
                 Op::Pop => {
                     let want = heap.pop().map(|std::cmp::Reverse((at, s))| (at, s));

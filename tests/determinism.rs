@@ -120,6 +120,41 @@ fn open_loop_zipfian_deterministic_across_schedulers_and_threads() {
     }
 }
 
+/// The `sim-pbft-n16-open` benchmark shape (PBFT f = 5, n = 16, eight
+/// open-loop clients at 1 000 requests per second each, Zipfian keys),
+/// scaled down: its all-to-all rounds fill calendar buckets with hundreds
+/// of events, deeper than the storage a served bucket hands on, so the
+/// calendar queue frees burst storage throughout. The run must still be
+/// identical to the heap scheduler's.
+#[test]
+fn open_loop_pbft_n16_identical_across_schedulers() {
+    use bft_core::WorkloadConfig;
+    use bft_sim::SchedulerKind;
+
+    let workload = WorkloadConfig::uniform()
+        .with_keys(10_000)
+        .zipfian(0.99)
+        .open_loop(1_000);
+    let s = Scenario::small(5)
+        .with_load(8, 40)
+        .with_workload(workload)
+        .with_seed(1);
+    let run = |scheduler: SchedulerKind| {
+        let out = ProtocolId::Pbft.run(&s.clone().with_scheduler(scheduler));
+        assert_eq!(
+            out.log.client_latencies().len() as u64,
+            s.total_requests(),
+            "{scheduler:?}: not every request was accepted"
+        );
+        (out.semantic_record(), out.events_processed, out.end_time)
+    };
+    assert_eq!(
+        run(SchedulerKind::Calendar),
+        run(SchedulerKind::Heap),
+        "calendar and heap schedulers diverged on the n = 16 open-loop workload"
+    );
+}
+
 /// Every registry protocol but Q/U paces its clients by the workload's
 /// arrival knob: under an open-loop arrival each client submits exactly one
 /// interarrival after its previous submission, whatever its protocol's
