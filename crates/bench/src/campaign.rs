@@ -435,12 +435,12 @@ mod tests {
             p.recovery.enabled() && p.recovery.amnesia,
             "every member of the replica skeleton restarts with amnesia"
         );
-        let tm = reg.iter().find(|e| e.id == ProtocolId::Tendermint).unwrap();
-        let p = recovery_profile_for(tm, 1, 1);
+        let chain = reg.iter().find(|e| e.id == ProtocolId::Chain).unwrap();
+        let p = recovery_profile_for(chain, 1, 1);
         assert!(
             p.recovery.enabled() && !p.recovery.amnesia,
             "amnesia restarts need the replica skeleton's restart stage \
-             (stable checkpoint, rejoin, state transfer), which Tendermint lacks"
+             (stable checkpoint, rejoin, state transfer), which Chain lacks"
         );
     }
 

@@ -728,8 +728,7 @@ impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
 /// The map is exposed (`Deref`) for protocol-specific queries; the verbs
 /// every protocol shares live here. What stays of an executed slot is the
 /// protocol's to say: the checkpointing stage collects the log at each
-/// stable checkpoint, Tendermint keeps only the current height and Chain
-/// every slot.
+/// stable checkpoint, and Chain keeps every slot.
 #[derive(Debug)]
 pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
 
@@ -816,47 +815,6 @@ impl<X: Default> SlotLog<X> {
     fn above(&self, cursor: SeqNum) -> impl Iterator<Item = (&SeqNum, &Slot<X>)> {
         use std::ops::Bound::{Excluded, Unbounded};
         self.0.range((Excluded(cursor), Unbounded))
-    }
-}
-
-/// Messages for a height Tendermint has not entered yet, held for replay
-/// on entry: the next proposer's traffic routinely overtakes the decision
-/// that ends the current height, and dropping it would turn a responsive
-/// decision into a timeout. Bounded against flooding: at most
-/// [`Early::AHEAD`] keys beyond the current one and 8·n messages per key.
-pub(crate) struct Early<P> {
-    held: BTreeMap<u64, Vec<P>>,
-    cap: usize,
-}
-
-impl<P> Early<P> {
-    /// How far beyond the current key messages are held.
-    pub const AHEAD: u64 = 8;
-
-    /// An empty buffer for `n` replicas.
-    pub fn new(n: usize) -> Early<P> {
-        Early {
-            held: BTreeMap::new(),
-            cap: 8 * n,
-        }
-    }
-
-    /// Hold `msg` for key `key` while at key `now`.
-    pub fn hold(&mut self, now: u64, key: u64, msg: P) {
-        if key > now + Self::AHEAD {
-            return;
-        }
-        let held = self.held.entry(key).or_default();
-        if held.len() < self.cap {
-            held.push(msg);
-        }
-    }
-
-    /// Entering key `now`: what was held for it, in arrival order; what
-    /// was held for earlier keys is dropped.
-    pub fn release(&mut self, now: u64) -> Vec<P> {
-        self.held.retain(|key, _| *key >= now);
-        self.held.remove(&now).unwrap_or_default()
     }
 }
 
@@ -1844,6 +1802,30 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         self.mempool.drop_ordered(&self.exec, in_flight);
     }
 
+    /// Whether slot `seq` has decided here, executed or not.
+    pub fn decided(&self, seq: SeqNum) -> bool {
+        seq <= self.exec.cursor() || self.log.get(&seq).is_some_and(|s| s.committed)
+    }
+
+    /// Where a decision rotates the leader (HotStuff, Tendermint): whether
+    /// deciding slot `seq` in `view` ends this replica's view. A later
+    /// view's decision does at once (it is the catch-up path); the current
+    /// view's once it decides the last slot the view runs here — one
+    /// installed in it (`installed_in` reads that view from the agreement
+    /// state) or one never seen, rather than a slot this replica executed
+    /// and the view runs again for replicas that lag.
+    pub fn ends_view(&self, (view, seq): (View, SeqNum), installed_in: fn(&X) -> View) -> bool {
+        let current = self.gate.view();
+        if view != current {
+            return view > current;
+        }
+        let ours = |s: &Slot<X>| s.batch.is_none() || installed_in(&s.ext) == view;
+        let open = |s: &Slot<X>| s.batch.is_some() && installed_in(&s.ext) == view && !s.committed;
+        let above = self.log.range(self.exec.cursor().next()..);
+        let mut others = above.filter(|(s, _)| **s != seq).map(|(_, slot)| slot);
+        seq > self.exec.cursor() && self.log.get(&seq).is_none_or(ours) && !others.any(open)
+    }
+
     /// The highest slot a leader may propose: the window above the stable
     /// checkpoint, so the log runs at most that far ahead of collection.
     pub fn high_water(&self) -> SeqNum {
@@ -2011,11 +1993,11 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
 
 /// The PBFT-pattern view change (PBFT, MinBFT, FaB, Prime, Themis, Kauri,
 /// SBFT, PoE, Zyzzyva, CheapBFT, HotStuff — whose votes go only to the
-/// target view's leader): replicas broadcast a view-change vote carrying their stable
-/// checkpoint and what they would lose; f+1 votes pull the rest in; the
-/// target view's leader assembles a new-view message from a quorum of
-/// votes; everyone installs it, re-runs agreement on the re-proposed slots
-/// and requeues what was stranded. The provided methods are that lifecycle
+/// target view's leader —, Tendermint): replicas broadcast a view-change
+/// vote carrying their stable checkpoint and what they would lose; f+1
+/// votes pull the rest in; the target view's leader assembles a new-view
+/// message from a quorum of votes; everyone installs it, re-runs agreement
+/// on the re-proposed slots and requeues what was stranded. The provided methods are that lifecycle
 /// and the checkpointing stage's messages; a protocol says only **what it
 /// reports**, **how its new leader assembles**, **how it adopts one
 /// re-proposal** and **how it executes** (its wire and, where votes are
@@ -3373,6 +3355,7 @@ mod tests {
             use crate::poe::{PoeBehavior, PoeClientProto, PoeReplica};
             use crate::prime::{PrimeBehavior, PrimeClientProto, PrimeReplica};
             use crate::sbft::{SbftClientProto, SbftReplica};
+            use crate::tendermint::{TendermintReplica, TmClientProto};
             use crate::zyzzyva::{ZyzzyvaClientProto, ZyzzyvaReplica};
             let s: &Scenario = $s;
             let (interval, batch) = (s.checkpoint_interval, s.batch_size);
@@ -3421,6 +3404,12 @@ mod tests {
             $go!("hotstuff", HsClientProto, 4, |me, q, store| {
                 HotStuffReplica::new(me, q, store, (vt, interval), batch)
             });
+            $go!("tendermint", TmClientProto, 4, |me, q, store| {
+                TendermintReplica::new(me, q, store, (d, interval), false, batch)
+            });
+            $go!("tendermint-il", TmClientProto, 4, |me, q, store| {
+                TendermintReplica::new(me, q, store, (d, interval), true, batch)
+            });
         }};
     }
 
@@ -3451,38 +3440,21 @@ mod tests {
         each_member!(&s, go);
     }
 
-    /// The ordered protocols without a checkpointing stage keep only what a
-    /// later step can still read, however long the run: Tendermint its
-    /// current height and no undo records, Chain (whose new head re-sends
-    /// its executed slots) no undo records.
+    /// Chain, the ordered protocol without a checkpointing stage, keeps no
+    /// undo records however long the run (its new head re-sends executed
+    /// slots, so those stay).
     #[test]
     fn ordered_logs_without_checkpoints_stay_bounded_whatever_the_run_length() {
         use crate::chain::{ChainClientProto, ChainReplica};
-        use crate::tendermint::{TendermintReplica, TmClientProto};
         for per_client in [200, 800] {
             let s = Scenario::small(1).with_load(2, per_client);
-            let (delta, batch) = (s.network.delta, s.batch_size);
-            let t4 = SimDuration(delta.0 * 4);
-            macro_rules! go {
-                ($name:expr, $proto:ty, $replica:expr, $size:expr) => {
-                    let (out, peak) = script::peak_size::<$proto, _>(&s, 4, $replica, $size);
-                    let accepted = out.log.client_latencies().len() as u64;
-                    assert_eq!(accepted, 2 * per_client, "{}", $name);
-                    assert!(peak <= 64, "{} at 2 × {per_client}: {peak}", $name);
-                };
-            }
-            go!(
-                "tendermint",
-                TmClientProto,
-                |me, q, store| TendermintReplica::new(me, q, store, delta, false, batch),
-                |r| r.log.len() + r.exec.sm().retained_entries()
-            );
-            go!(
-                "chain",
-                ChainClientProto,
-                |me, q, store| ChainReplica::new(me, q, store, t4, batch),
-                |r| r.exec.sm().retained_entries()
-            );
+            let t4 = SimDuration(s.network.delta.0 * 4);
+            let chain = |me, q, store| ChainReplica::new(me, q, store, t4, s.batch_size);
+            let undo = |r: &mut ChainReplica| r.exec.sm().retained_entries();
+            let (out, peak) = script::peak_size::<ChainClientProto, _>(&s, 4, chain, undo);
+            let accepted = out.log.client_latencies().len() as u64;
+            assert_eq!(accepted, 2 * per_client);
+            assert!(peak <= 64, "chain at 2 × {per_client}: {peak}");
         }
     }
 
@@ -3499,10 +3471,10 @@ mod tests {
     /// the dark replica's τ2 starts a view-change campaign nobody joins, so
     /// it follows the view by state transfer alone, and the last checkpoint
     /// has to cover the run's last request. Where the leader rotates
-    /// (HotStuff), every view the dark replica leads stalls until τ2, so
-    /// the others' first checkpoint comes later than half-way through the
-    /// fault-free run: the replica stays dark until that checkpoint is
-    /// stable, or no state exists to transfer.
+    /// (HotStuff, Tendermint), every view the dark replica leads stalls
+    /// until τ2, so the others' first checkpoint comes later than half-way
+    /// through the fault-free run: the replica stays dark until that
+    /// checkpoint is stable, or no state exists to transfer.
     #[test]
     fn every_member_brings_an_in_dark_replica_back_by_state_transfer() {
         use bft_sim::SafetyAuditor;

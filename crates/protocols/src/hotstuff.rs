@@ -164,11 +164,6 @@ impl HotStuffReplica {
         }
     }
 
-    /// Whether slot `seq` has decided here (executed or not).
-    fn decided(&self, seq: SeqNum) -> bool {
-        seq <= self.core.exec.cursor() || self.core.log.get(&seq).is_some_and(|s| s.committed)
-    }
-
     /// The commit QC that decided slot `seq` here, if it is still held.
     fn commit_qc(&self, seq: SeqNum) -> Option<Qc> {
         let slot = self.core.log.get(&seq)?;
@@ -230,7 +225,10 @@ impl HotStuffReplica {
         let awaited = log
             .get(&seq)
             .is_some_and(|s| s.digest == Some(digest) && s.batch.is_none());
-        if awaited && self.decided(seq) && from == NodeId::Replica(view.leader_of(self.core.q.n)) {
+        if awaited
+            && self.core.decided(seq)
+            && from == NodeId::Replica(view.leader_of(self.core.q.n))
+        {
             ctx.charge_crypto(CryptoOp::Verify);
             ctx.charge_crypto(CryptoOp::Hash);
             if digest_of(&batch) == digest {
@@ -242,7 +240,7 @@ impl HotStuffReplica {
         // one proposal per view (an equivocating leader cannot split
         // votes), never one into a slot that has decided here
         let admitted = self.admit_proposal(ctx, (from, view, msg), (seq, digest), &batch);
-        if !admitted || self.proposed == Some(view) || self.decided(seq) {
+        if !admitted || self.proposed == Some(view) || self.core.decided(seq) {
             return;
         }
         // a locked slot only accepts its locked digest, or a conflicting
@@ -356,8 +354,8 @@ impl HotStuffReplica {
     /// QC for a slot its view re-proposed: the replicas that voted for it
     /// lag too. A decision that ends the view rotates the leader.
     fn decide(&mut self, qc: Qc, ctx: &mut Context<'_, HsMsg>) {
-        let ends = self.ends_view(qc.view, qc.seq);
-        if !self.decided(qc.seq) {
+        let ends = self.core.ends_view((qc.view, qc.seq), |s| s.view);
+        if !self.core.decided(qc.seq) {
             let (view, leads) = (self.core.gate.view(), self.core.is_leader());
             let slot = self.core.log.slot(qc.seq);
             if slot.digest != Some(qc.digest) {
@@ -374,25 +372,6 @@ impl HotStuffReplica {
         if ends {
             self.rotate(qc.view.next(), ctx);
         }
-    }
-
-    /// Whether the commit QC of `view` for slot `seq` ends this replica's
-    /// view: a later view's at once (it is the catch-up path); the current
-    /// view's once it decides the last slot the view runs here — one
-    /// proposed or re-proposed in it, or one never seen, rather than a slot
-    /// this replica executed and the view runs again for replicas that lag.
-    fn ends_view(&self, view: View, seq: SeqNum) -> bool {
-        let current = self.core.gate.view();
-        if view != current {
-            return view > current;
-        }
-        let ours = |s: &Slot<HsSlot>| s.batch.is_none() || s.ext.view == view;
-        let open = |s: &Slot<HsSlot>| s.batch.is_some() && s.ext.view == view && !s.committed;
-        let above = self.core.log.range(self.core.exec.cursor().next()..);
-        let mut others = above.filter(|(s, _)| **s != seq).map(|(_, slot)| slot);
-        seq > self.core.exec.cursor()
-            && self.core.log.get(&seq).is_none_or(ours)
-            && !others.any(open)
     }
 
     /// A decision rotates the leader: enter `view` through the skeleton,

@@ -1,33 +1,39 @@
 //! Tendermint-style consensus (Buchman, Kwon; design choice 4).
 //!
 //! The *non-responsive leader rotation* point of the design space: the
-//! leader rotates every height **without** the extra ordering phase HotStuff
-//! adds. Instead, a new proposer assumes synchrony and waits the known bound
-//! **Δ** (timer τ5) before proposing, so that it is guaranteed to have heard
-//! the precommits of slow-but-correct replicas from the previous height.
-//! This sacrifices *responsiveness* (dimension E4): commit latency is
-//! `Δ + O(δ)` rather than `O(δ)`.
+//! proposer rotates on every decision **without** the extra ordering phase
+//! HotStuff adds. Instead, a new proposer assumes synchrony and waits the
+//! known bound **Δ** (timer τ5) before proposing, so that it is guaranteed
+//! to have heard the precommits of slow-but-correct replicas from the
+//! previous height. This sacrifices *responsiveness* (dimension E4): commit
+//! latency is `Δ + O(δ)` rather than `O(δ)`.
 //!
 //! The **informed-leader optimization** (attributed to HotStuff-2 in the
 //! paper) restores responsiveness opportunistically: a proposer that itself
 //! received 2f+1 precommits for the previous height already knows the
 //! decided value and proposes immediately.
 //!
-//! Structure per height: `propose` (linear) → `prevote` (quadratic, quorum
-//! 2f+1, lock on success, timeout τ4 → nil) → `precommit` (quadratic,
-//! quorum 2f+1 → decide, timeout τ4 → next round with proposer rotation).
+//! The replica is a member of the replica skeleton (`Core`): heights are
+//! slots, and requests, batches, the slot log, execution, checkpoints,
+//! state transfer and restarts are the skeleton's stages. Per view:
+//! `propose` (linear) → `prevote` (quadratic, 2f+1 lock the slot) →
+//! `precommit` (quadratic, 2f+1 decide). A decision enters the next view,
+//! led by the next replica; a stalled view (τ2, 4Δ, while requests are
+//! outstanding: it replaces the round timer τ4) runs the family's view
+//! change with PBFT's rule, and a locked slot takes a re-proposal only if
+//! it was certified later.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
 use bft_sim::runner::RunOutcome;
-use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
+use bft_sim::{Actor, Context, NodeId, Observation, RestartMode, SimDuration, TimerId};
 use bft_types::{Digest, QuorumRules, ReplicaId, Reply, SeqNum, TimerKind, View, WireSize};
 
 use crate::client::{launch, ClientProtocol, SubmitPolicy};
 use crate::common::{
-    reply_to_client, Early, Execution, Intake, Mempool, Scenario, SignedRequest, SlotLog,
+    Core, Entry, Execution, PbftCert, RequestWire, Scenario, SignedRequest, Slot, Tally,
+    ViewChanger, ViewMsg,
 };
 
 /// Vote kinds.
@@ -48,28 +54,31 @@ pub enum TmMsg {
     Reply(Reply),
     /// Proposer → all.
     Proposal {
-        /// Height (one decision per height).
+        /// Height: the slot it fills.
         height: SeqNum,
-        /// Round within the height.
-        round: u32,
+        /// Round: the view, whose leader proposes.
+        round: u64,
         /// Batch digest.
         digest: Digest,
         /// The batch.
         batch: Vec<SignedRequest>,
     },
-    /// All-to-all vote. `digest == None` is a nil vote.
+    /// All-to-all vote.
     Vote {
         /// Prevote or precommit.
         kind: VoteKind,
         /// Height.
         height: SeqNum,
-        /// Round.
-        round: u32,
-        /// Voted digest (None = nil).
-        digest: Option<Digest>,
+        /// Round (view).
+        round: u64,
+        /// Voted digest.
+        digest: Digest,
         /// Voter.
         from: ReplicaId,
     },
+    /// The family's messages: the view change (votes carry locks as
+    /// prepare certificates), checkpoints and state transfer.
+    View(ViewMsg<PbftCert>),
 }
 
 impl WireSize for TmMsg {
@@ -77,131 +86,77 @@ impl WireSize for TmMsg {
         match self {
             TmMsg::Request(r) => 1 + r.wire_size(),
             TmMsg::Reply(r) => 1 + r.wire_size(),
-            TmMsg::Proposal { batch, .. } => 1 + 8 + 4 + 32 + batch.wire_size() + 72,
-            TmMsg::Vote { .. } => 1 + 1 + 8 + 4 + 33 + 72,
+            TmMsg::Proposal { batch, .. } => 1 + 8 + 8 + 32 + batch.wire_size() + 72,
+            TmMsg::Vote { .. } => 1 + 1 + 8 + 8 + 32 + 72,
+            TmMsg::View(m) => m.wire_size(64, PbftCert::wire_size),
         }
     }
 }
 
-/// A buffered ahead-of-state message (signature already charged and the
-/// proposal digest already checked at arrival).
-enum PendingMsg {
-    Proposal {
-        from: ReplicaId,
-        round: u32,
-        digest: Digest,
-        batch: Vec<SignedRequest>,
-    },
-    Vote {
-        from: ReplicaId,
-        kind: VoteKind,
-        round: u32,
-        digest: Option<Digest>,
-    },
+/// Tendermint's agreement state for one slot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TmSlot {
+    /// The view its proposal was installed in.
+    view: View,
+    /// The view in which 2f+1 prevotes for its digest arrived here: the
+    /// lock, which a view-change vote reports as a prepare certificate.
+    locked: Option<View>,
+    /// Prevotes and precommits, in the latest view they were cast in.
+    votes: (View, [Tally; 2]),
 }
 
 /// A Tendermint replica.
 pub struct TendermintReplica {
-    me: ReplicaId,
-    q: QuorumRules,
-    store: Arc<KeyStore>,
-    height: SeqNum,
-    round: u32,
-    /// Proposal seen for (height, round).
-    proposal: Option<(Digest, Vec<SignedRequest>)>,
-    /// The current height's slot: the batches proposed in its rounds, and
-    /// once a precommit quorum decides, its digest and batch. Entering the
-    /// next height drops it.
-    pub(crate) log: SlotLog<BTreeMap<Digest, Vec<SignedRequest>>>,
-    /// Votes: (kind, height, round, digest) → voters.
-    votes: BTreeMap<(VoteKind, SeqNum, u32, Option<Digest>), Vec<ReplicaId>>,
-    /// Lock: digest we precommitted, with its round.
-    locked: Option<(Digest, u32)>,
-    /// This replica received 2f+1 precommits for the previous height
-    /// (informed-leader optimization).
-    informed: bool,
+    core: Core<TmMsg, TmSlot, PbftCert>,
+    /// The view whose one proposal this replica took (as proposer: made).
+    proposed: Option<View>,
     /// Enable the informed-leader optimization.
     opt_informed: bool,
-    mempool: Mempool,
-    pub(crate) exec: Execution,
-    /// Sent votes dedup: (kind, height, round).
-    voted: BTreeMap<(VoteKind, SeqNum, u32), ()>,
-    /// Messages that arrived ahead of our state, keyed by height: the
-    /// informed-leader optimization lets a fast proposer ship height-h+1
-    /// traffic before a slow replica has decided h (a constant occurrence
-    /// on the real-time threaded engine), and a proposer that advanced
-    /// rounds faster can ship a future-round proposal. Replayed on
-    /// entering the height/round (honest peers run at most one height
-    /// ahead, so the window only needs to cover scheduling skew).
-    pending: Early<PendingMsg>,
-    /// Δ-wait timer before proposing (τ5).
+    /// The Δ-wait before proposing (τ5) and its span.
     propose_timer: Option<TimerId>,
-    /// Round timeout (τ4).
-    round_timer: Option<TimerId>,
     delta: SimDuration,
-    round_timeout: SimDuration,
 }
 
 impl TendermintReplica {
-    /// Create a replica. `opt_informed` enables the informed-leader
-    /// optimization.
+    /// Create a replica waiting `delta` before it proposes, holding a view
+    /// to the family's τ2 (4Δ) and checkpointing every `interval` slots.
+    /// `opt_informed` enables the informed-leader optimization.
     pub fn new(
         me: ReplicaId,
         q: QuorumRules,
         store: Arc<KeyStore>,
-        delta: SimDuration,
+        (delta, interval): (SimDuration, u64),
         opt_informed: bool,
         batch_size: usize,
     ) -> Self {
+        let (exec, timing) = (
+            Execution::new().skipping_executed(),
+            (SimDuration(delta.0 * 4), interval),
+        );
         TendermintReplica {
-            me,
-            q,
-            store,
-            height: SeqNum(1),
-            round: 0,
-            proposal: None,
-            log: SlotLog::default(),
-            votes: BTreeMap::new(),
-            locked: None,
-            informed: true, // height 1 has no predecessor to learn about
+            core: Core::new((me, q, store), TmMsg::View, exec, timing, batch_size),
+            proposed: None,
             opt_informed,
-            mempool: Mempool::new(batch_size),
-            exec: Execution::new().skipping_executed(),
-            voted: BTreeMap::new(),
-            pending: Early::new(q.n),
             propose_timer: None,
-            round_timer: None,
             delta,
-            round_timeout: SimDuration(delta.0 * 2),
         }
     }
 
-    fn proposer(&self, height: SeqNum, round: u32) -> ReplicaId {
-        ReplicaId(((height.0 + round as u64) % self.q.n as u64) as u32)
-    }
-
-    fn i_propose_now(&self) -> bool {
-        self.proposer(self.height, self.round) == self.me
-            && self.proposal.is_none()
-            && !self.decided()
-    }
-
-    /// Whether this height has decided.
-    fn decided(&self) -> bool {
-        self.log.get(&self.height).is_some_and(|s| s.committed)
-    }
-
+    /// As the view's proposer with requests queued: propose at once when
+    /// the optimization is on and this replica decided the slot before the
+    /// one it proposes (it is informed: height 1 has no predecessor), else
+    /// after the Δ-wait (τ5).
     fn schedule_propose(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        if !self.i_propose_now() || self.mempool.is_empty() || self.propose_timer.is_some() {
+        if !self.may_propose() || self.propose_timer.is_some() || self.core.mempool.is_empty() {
             return;
         }
-        if self.opt_informed && self.informed {
-            // informed-leader optimization: we saw 2f+1 precommits for the
-            // previous height ourselves — no Δ-wait needed
+        if self.opt_informed && self.core.decided(self.core.next_seq.prev()) {
+            // informed-leader optimization: we know the previous height's
+            // decision ourselves — no Δ-wait needed
             ctx.observe(Observation::Marker {
                 label: "informed-skip-delta",
             });
-            self.do_propose(ctx);
+            self.propose(ctx);
         } else {
             // non-responsive: wait the full synchrony bound Δ so slow
             // correct replicas' decisions are surely known (τ5)
@@ -212,277 +167,285 @@ impl TendermintReplica {
         }
     }
 
-    fn do_propose(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        if !self.i_propose_now() {
+    /// Stop a Δ-wait still running (its view is over).
+    fn stop_wait(&mut self, ctx: &mut Context<'_, TmMsg>) {
+        if let Some(t) = self.propose_timer.take() {
+            ctx.cancel_timer(t);
+        }
+    }
+
+    /// Whether this replica leads the current view, outside a view change,
+    /// and has not proposed in it yet.
+    fn may_propose(&self) -> bool {
+        let view = self.core.gate.view();
+        self.core.is_leader() && !self.core.gate.in_view_change() && self.proposed != Some(view)
+    }
+
+    /// As the view's proposer: propose one fresh batch and prevote it.
+    fn propose(&mut self, ctx: &mut Context<'_, TmMsg>) {
+        if !self.may_propose() {
             return;
         }
-        self.mempool.drop_ordered(&self.exec, []);
-        // re-propose the locked value if we hold a lock, else a new batch
-        let (digest, batch) = if let Some((locked_digest, _)) = self.locked {
-            // locked on a value whose batch never arrived: nothing to
-            // re-propose — the round times out to the next proposer
-            let proposed = self.log.get(&self.height).map(|s| &s.ext);
-            let Some(batch) = proposed.and_then(|c| c.get(&locked_digest)).cloned() else {
-                return;
-            };
-            (locked_digest, batch)
-        } else {
-            let mut height = self.height;
-            let Some((_, digest, batch)) = self.mempool.cut(ctx, &mut height) else {
-                return;
-            };
-            (digest, batch)
+        let view = self.core.gate.view();
+        self.core.drop_ordered();
+        let Some((seq, digest, batch)) = self.core.cut(ctx) else {
+            return;
         };
         ctx.charge_crypto(CryptoOp::Sign);
-        let height = self.height;
-        let round = self.round;
+        self.proposed = Some(view);
+        self.install(view, seq, digest, batch.clone());
         ctx.broadcast_replicas(TmMsg::Proposal {
-            height,
-            round,
+            height: seq,
+            round: view.0,
             digest,
-            batch: batch.clone(),
+            batch,
         });
-        self.on_proposal(self.me, height, round, digest, batch, ctx);
+        self.cast(VoteKind::Prevote, seq, digest, ctx);
+    }
+
+    /// Install a proposal of `view` at slot `seq`; a lock the slot held
+    /// stands only for the same digest.
+    fn install(&mut self, view: View, seq: SeqNum, digest: Digest, batch: Vec<SignedRequest>) {
+        self.core.mempool.remove(&batch);
+        let slot = self.core.log.slot(seq);
+        if slot.digest != Some(digest) {
+            slot.ext.locked = None;
+        }
+        (slot.digest, slot.batch, slot.ext.view) = (Some(digest), Some(batch), view);
     }
 
     fn on_proposal(
         &mut self,
-        from: ReplicaId,
-        height: SeqNum,
-        round: u32,
-        digest: Digest,
-        batch: Vec<SignedRequest>,
+        (from, msg): (NodeId, &TmMsg),
+        (view, seq, digest): (View, SeqNum, Digest),
+        batch: &[SignedRequest],
         ctx: &mut Context<'_, TmMsg>,
     ) {
-        if height > self.height || (height == self.height && round > self.round) {
-            let proposal = PendingMsg::Proposal {
-                from,
-                round,
-                digest,
-                batch,
-            };
-            return self.pending.hold(self.height.0, height.0, proposal);
-        }
-        if height != self.height || from != self.proposer(height, round) {
+        // a proposal this replica can no longer vote for still brings a
+        // batch its slot lacks: a precommit quorum decides a slot whatever
+        // the view, and one that outran its proposal waits for the batch
+        if view < self.core.gate.view() || self.core.decided(seq) {
+            let bare = |s: &Slot<TmSlot>| s.batch.is_none() && s.digest.is_none_or(|d| d == digest);
+            if self.in_window(seq) && self.core.log.get(&seq).is_none_or(bare) {
+                ctx.charge_crypto(CryptoOp::Verify);
+                ctx.charge_crypto(CryptoOp::Hash);
+                if digest_of(&batch) == digest {
+                    self.install(view, seq, digest, batch.to_vec());
+                    self.execute(ctx);
+                }
+            }
             return;
         }
-        // whatever the round by now: a precommit quorum may still decide
-        // this value, and then the height needs its batch
-        let slot = self.log.slot(height);
-        slot.ext.insert(digest, batch.clone());
-        if slot.committed && slot.digest == Some(digest) {
-            // the quorum outran this proposal and was waiting for it
-            slot.batch = Some(batch);
-            return self.execute(ctx);
+        // one proposal per view: an equivocating proposer cannot split votes
+        let admitted = self.admit_proposal(ctx, (from, view, msg), (seq, digest), &batch);
+        if admitted && self.proposed != Some(view) {
+            self.proposed = Some(view);
+            self.install(view, seq, digest, batch.to_vec());
+            self.cast(VoteKind::Prevote, seq, digest, ctx);
         }
-        if round != self.round || slot.committed {
-            return;
-        }
-        self.mempool.remove(&batch);
-        self.proposal = Some((digest, batch));
-        self.arm_round_timer(ctx);
-        // prevote: the lock rule — vote for the proposal unless locked on a
-        // different value
-        let vote = match self.locked {
-            Some((l, _)) if l != digest => None, // nil
-            _ => Some(digest),
-        };
-        self.cast(VoteKind::Prevote, vote, ctx);
     }
 
-    fn cast(&mut self, kind: VoteKind, digest: Option<Digest>, ctx: &mut Context<'_, TmMsg>) {
-        let key = (kind, self.height, self.round);
-        if self.voted.contains_key(&key) {
-            return;
-        }
-        self.voted.insert(key, ());
+    /// Broadcast this replica's `kind` vote for `digest` at slot `seq` in
+    /// the current view, and count it.
+    fn cast(&mut self, kind: VoteKind, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, TmMsg>) {
         ctx.charge_crypto(CryptoOp::Sign);
-        let height = self.height;
-        let round = self.round;
-        let me = self.me;
+        let (view, from) = (self.core.gate.view(), self.core.me);
         ctx.broadcast_replicas(TmMsg::Vote {
             kind,
-            height,
-            round,
+            height: seq,
+            round: view.0,
             digest,
-            from: me,
+            from,
         });
-        self.record_vote(me, kind, height, round, digest, ctx);
+        self.count(from, kind, (view, seq), digest, ctx);
     }
 
-    fn record_vote(
+    /// Count `from`'s `kind` vote for `digest` at slot `seq` in `view`:
+    /// 2f+1 prevotes for the proposal installed in that view lock the slot
+    /// and draw this replica's precommit; 2f+1 precommits decide it.
+    fn count(
         &mut self,
         from: ReplicaId,
         kind: VoteKind,
-        height: SeqNum,
-        round: u32,
-        digest: Option<Digest>,
+        (view, seq): (View, SeqNum),
+        digest: Digest,
         ctx: &mut Context<'_, TmMsg>,
     ) {
-        if height > self.height {
-            let vote = PendingMsg::Vote {
-                from,
-                kind,
-                round,
-                digest,
-            };
-            return self.pending.hold(self.height.0, height.0, vote);
-        }
-        if height != self.height {
+        if !self.in_window(seq) {
             return;
         }
-        let voters = self.votes.entry((kind, height, round, digest)).or_default();
-        if voters.contains(&from) {
-            return;
+        let (quorum, slot) = (self.core.q.quorum(), self.core.log.slot(seq));
+        if view != slot.ext.votes.0 {
+            if view < slot.ext.votes.0 {
+                return;
+            }
+            slot.ext.votes = (view, Default::default());
         }
-        voters.push(from);
-        let count = voters.len();
-        if count < self.q.quorum() {
+        // a precommit quorum stands for its own digest, a prevote quorum
+        // only for the proposal installed in its view
+        let installed = match kind {
+            VoteKind::Prevote => slot.digest.filter(|_| slot.ext.view == view),
+            VoteKind::Precommit => Some(digest),
+        };
+        let tally = &mut slot.ext.votes.1[kind as usize];
+        let Some(digest) = tally.vote(from, digest, installed, quorum) else {
             return;
+        };
+        if kind == VoteKind::Precommit {
+            return self.decide(view, seq, digest, ctx);
         }
-        match (kind, digest) {
-            (VoteKind::Prevote, Some(d)) if round == self.round => {
-                // 2f+1 prevotes for a value: lock it and precommit
-                self.locked = Some((d, round));
-                self.cast(VoteKind::Precommit, Some(d), ctx);
+        slot.ext.locked = Some(view);
+        self.cast(VoteKind::Precommit, seq, digest, ctx);
+    }
+
+    /// Decide slot `seq` on `digest` by 2f+1 precommits of `view` — once; a
+    /// slot whose proposal has not arrived waits for its batch. A later
+    /// view's quorum is the catch-up path of a replica that lags: it enters
+    /// that view first, so what the gate held for it lands. A decision that
+    /// ends the view rotates the proposer.
+    fn decide(&mut self, view: View, seq: SeqNum, digest: Digest, ctx: &mut Context<'_, TmMsg>) {
+        if view > self.core.gate.view() {
+            self.core.enter_view(view, ctx);
+            self.replay(ctx);
+        }
+        let ends = self.core.ends_view((view, seq), |s| s.view);
+        if !self.core.decided(seq) {
+            let slot = self.core.log.slot(seq);
+            if slot.digest != Some(digest) {
+                (slot.digest, slot.batch) = (Some(digest), None);
             }
-            (VoteKind::Prevote, None) if round == self.round => {
-                // 2f+1 nil prevotes: precommit nil
-                self.cast(VoteKind::Precommit, None, ctx);
-            }
-            (VoteKind::Precommit, Some(d)) => {
-                self.decide(d, round, ctx);
-            }
-            (VoteKind::Precommit, None) if round == self.round => {
-                // the round failed: rotate the proposer
-                self.next_round(ctx);
-            }
-            _ => {}
+            slot.commit(ctx, seq, view, digest);
+            self.core.next_seq = self.core.next_seq.max(seq.next());
+            self.execute(ctx);
+        }
+        if ends {
+            self.rotate(view.next(), ctx);
         }
     }
 
-    fn decide(&mut self, digest: Digest, round: u32, ctx: &mut Context<'_, TmMsg>) {
-        let (height, slot) = (self.height, self.log.slot(self.height));
-        if slot.committed {
-            return;
+    /// A decision rotates the proposer: enter `view` through the skeleton,
+    /// hold its proposer to the outstanding requests (τ2), propose as its
+    /// proposer, and take the messages that raced ahead of it.
+    fn rotate(&mut self, view: View, ctx: &mut Context<'_, TmMsg>) {
+        self.core.enter_view(view, ctx);
+        if self.core.intake.has_pending() {
+            self.core.intake.arm(ctx);
         }
-        slot.commit(ctx, height, View(round as u64), digest);
-        slot.digest = Some(digest);
-        slot.batch = slot.ext.get(&digest).cloned();
-        self.execute(ctx);
+        self.stop_wait(ctx);
+        self.schedule_propose(ctx);
+        self.replay(ctx);
+    }
+}
+
+impl ViewChanger for TendermintReplica {
+    type Msg = TmMsg;
+    type Ext = TmSlot;
+    type Payload = PbftCert;
+
+    fn core(&mut self) -> &mut Core<TmMsg, TmSlot, PbftCert> {
+        &mut self.core
     }
 
-    /// Execute this height's decided value and move on. No batch, no
-    /// execution: decided ahead of its proposal, the height waits for it
-    /// (the proposal handler re-enters here). Replies carry the height.
+    /// A stuck campaign steps to the view after its own: each replica arms
+    /// τ2 at its own decision, so campaigns start apart, and jumping past
+    /// every view voted for would leapfrog the later campaigners for good.
+    fn escalation(&mut self, work_pending: bool) -> Option<View> {
+        let (core, me) = (&self.core, self.core.me);
+        let at = (core.gate.view(), core.gate.in_view_change());
+        core.votes.escalation_past_own(me, at, work_pending)
+    }
+
+    /// Every slot above the stable checkpoint locked here, executed or not,
+    /// with the view of its lock.
+    fn report(&mut self, _: &mut Context<'_, TmMsg>) -> Vec<Entry<PbftCert>> {
+        let above = self.core.log.range(self.core.ckpt.low_water().next()..);
+        let cert = |(seq, s): (&SeqNum, &Slot<TmSlot>)| {
+            Some((*seq, s.digest?, PbftCert(s.ext.locked?, s.batch.clone()?)))
+        };
+        above.filter_map(cert).collect()
+    }
+
+    fn assemble(&mut self, target: View) -> Vec<Entry<PbftCert>> {
+        self.core.votes.highest_certified(target)
+    }
+
+    /// The lock rule: a slot locked on another digest takes the
+    /// re-proposal only if it was certified in a later view than the lock,
+    /// a decided slot only its own digest. Then the prevote.
+    fn adopt(&mut self, (seq, digest, cert): Entry<PbftCert>, ctx: &mut Context<'_, TmMsg>) {
+        let (PbftCert(certified, batch), view) = (cert, self.core.gate.view());
+        let slot = self.core.log.slot(seq);
+        let locked = slot.ext.locked.is_some_and(|l| certified <= l);
+        if slot.digest != Some(digest) && (locked || slot.committed) {
+            return;
+        }
+        let waiting = slot.committed && slot.batch.is_none();
+        self.install(view, seq, digest, batch);
+        self.cast(VoteKind::Prevote, seq, digest, ctx);
+        if waiting {
+            self.execute(ctx);
+        }
+    }
+
+    /// A re-proposal this replica executed: prevote and precommit it again
+    /// in the new view, so the replicas that lag reach a quorum for it —
+    /// the digest it decided is the only one the slot can decide on.
+    fn confirm(&mut self, (seq, digest, _): Entry<PbftCert>, ctx: &mut Context<'_, TmMsg>) {
+        let executed = self.core.log.get(&seq).and_then(|s| s.digest);
+        if executed == Some(digest) {
+            self.cast(VoteKind::Prevote, seq, digest, ctx);
+            self.cast(VoteKind::Precommit, seq, digest, ctx);
+        }
+    }
+
+    /// Above the stable checkpoint and at most the log window beyond it.
+    fn in_window(&mut self, seq: SeqNum) -> bool {
+        seq > self.core.ckpt.low_water() && seq <= self.core.high_water()
+    }
+
+    fn requeue(&mut self, stranded: Vec<SignedRequest>) {
+        self.core.mempool.requeue(&self.core.exec, &stranded);
+    }
+
+    /// The proposer of a view the view change installed proposes past the
+    /// re-proposals (informed only if it decided the slot before).
+    fn resume(&mut self, ctx: &mut Context<'_, TmMsg>) {
+        self.stop_wait(ctx);
+        self.schedule_propose(ctx);
+    }
+
     fn execute(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        let height = self.height;
-        let deliver = reply_to_client(Some(CryptoOp::Sign), TmMsg::Reply);
-        self.exec.drain(
-            ctx,
-            &mut self.log,
-            |_, seq, _| View(seq.0),
-            deliver,
-            |_, _, _, _| {},
-            |_, _, _, _| {},
-        );
-        if self.exec.cursor() < height {
-            return;
-        }
-        // informed? we ourselves saw 2f+1 precommits for this height
-        self.informed = true;
-        self.enter_height(height.next(), ctx);
+        self.core.execute_ready(ctx, CryptoOp::Sign, TmMsg::Reply);
     }
 
-    fn enter_height(&mut self, height: SeqNum, ctx: &mut Context<'_, TmMsg>) {
-        self.height = height;
-        self.round = 0;
-        self.proposal = None;
-        self.locked = None;
-        // nothing reads an executed height: no rollback, no checkpoint
-        self.log.clear();
-        self.exec.forget_undo();
-        self.votes.retain(|(_, h, _, _), _| *h >= height);
-        self.voted.retain(|(_, h, _), _| *h >= height);
-        if let Some(t) = self.round_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        if let Some(t) = self.propose_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        ctx.observe(Observation::NewView {
-            view: View(height.0),
-        });
-        self.schedule_propose(ctx);
-        if !self.mempool.is_empty() {
-            self.arm_round_timer(ctx);
-        }
-        self.replay_pending(ctx);
-    }
-
-    fn next_round(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        self.round += 1;
-        self.proposal = None;
-        if let Some(t) = self.propose_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        // a proposer taking over mid-height has not necessarily heard the
-        // previous height's precommits recently: apply the Δ-wait rule again
-        self.schedule_propose(ctx);
-        self.arm_round_timer(ctx);
-        self.replay_pending(ctx);
-    }
-
-    /// Re-deliver traffic buffered for the height/round we just entered.
-    /// Entries that are still ahead (a future round of this height) are
-    /// re-buffered by the handlers; entries now behind fall through the
-    /// handlers' staleness guards.
-    fn replay_pending(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        let h = self.height;
-        for msg in self.pending.release(h.0) {
-            match msg {
-                PendingMsg::Proposal {
-                    from,
-                    round,
-                    digest,
-                    batch,
-                } => self.on_proposal(from, h, round, digest, batch, ctx),
-                PendingMsg::Vote {
-                    from,
-                    kind,
-                    round,
-                    digest,
-                } => self.record_vote(from, kind, h, round, digest, ctx),
-            }
-        }
-    }
-
-    fn arm_round_timer(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        if self.round_timer.is_none() {
-            self.round_timer =
-                Some(ctx.set_timer(TimerKind::T4QuorumConstruction, self.round_timeout));
+    /// The Δ-wait died with the crash; an amnesia restart also forgets the
+    /// proposal taken.
+    fn forget(&mut self, amnesia: bool) {
+        self.propose_timer = None;
+        if amnesia {
+            self.proposed = None;
         }
     }
 }
 
 impl Actor<TmMsg> for TendermintReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, TmMsg>) {
-        ctx.observe(Observation::StageEnter {
-            stage: Stage::Ordering,
-        });
+        self.start(ctx);
+    }
+
+    fn on_recover(&mut self, mode: RestartMode, ctx: &mut Context<'_, TmMsg>) {
+        self.restart(mode, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &TmMsg, ctx: &mut Context<'_, TmMsg>) {
         match msg {
             TmMsg::Request(signed) => {
-                let view = View(self.height.0);
-                let answer = reply_to_client(None, TmMsg::Reply);
-                if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
-                    return;
+                // clients broadcast, so the proposer has the request too: a
+                // backup only holds the proposer to it
+                let wire: RequestWire<TmMsg> = (|r, _| TmMsg::Reply(r), None);
+                if self.core.take_request(ctx, signed, wire) {
+                    self.schedule_propose(ctx);
                 }
-                self.mempool.push(signed);
-                self.schedule_propose(ctx);
-                self.arm_round_timer(ctx);
             }
             TmMsg::Proposal {
                 height,
@@ -490,14 +453,11 @@ impl Actor<TmMsg> for TendermintReplica {
                 digest,
                 batch,
             } => {
-                let NodeId::Replica(r) = from else { return };
-                ctx.charge_crypto(CryptoOp::Verify);
-                ctx.charge_crypto(CryptoOp::Hash);
-                if digest_of(batch) != *digest {
-                    return;
-                }
-                self.on_proposal(r, *height, *round, *digest, batch.clone(), ctx);
+                let at = (View(*round), *height, *digest);
+                self.on_proposal((from, msg), at, batch, ctx);
             }
+            // a precommit counts whatever the view (a later view's quorum is
+            // the catch-up path), a prevote in the current view only
             TmMsg::Vote {
                 kind,
                 height,
@@ -505,32 +465,23 @@ impl Actor<TmMsg> for TendermintReplica {
                 digest,
                 from: r,
             } => {
-                ctx.charge_crypto(CryptoOp::Verify);
-                self.record_vote(*r, *kind, *height, *round, *digest, ctx);
+                let view = View(*round);
+                if *kind == VoteKind::Precommit || self.core.gate.admit(from, view, msg) {
+                    ctx.charge_crypto(CryptoOp::Verify);
+                    self.count(*r, *kind, (view, *height), *digest, ctx);
+                }
             }
+            TmMsg::View(vc) => self.on_view_msg(from, vc, ctx),
             TmMsg::Reply(_) => {}
         }
     }
 
     fn on_timer(&mut self, id: TimerId, kind: TimerKind, ctx: &mut Context<'_, TmMsg>) {
-        match kind {
-            TimerKind::T5ViewSync if Some(id) == self.propose_timer => {
-                self.propose_timer = None;
-                self.do_propose(ctx);
-            }
-            TimerKind::T4QuorumConstruction if Some(id) == self.round_timer => {
-                self.round_timer = None;
-                if self.decided() || self.mempool.is_empty() && self.proposal.is_none() {
-                    return;
-                }
-                // the round stalled: prevote/precommit nil to unblock
-                if self.proposal.is_none() {
-                    self.cast(VoteKind::Prevote, None, ctx);
-                }
-                self.arm_round_timer(ctx);
-            }
-            _ => {}
+        if kind == TimerKind::T5ViewSync && self.propose_timer == Some(id) {
+            self.propose_timer = None;
+            return self.propose(ctx);
         }
+        self.on_view_timer(id, ctx);
     }
 }
 
@@ -557,10 +508,10 @@ impl ClientProtocol for TmClientProto {
 /// Run Tendermint. `informed_leader_opt` enables the responsive
 /// optimization the paper attributes to HotStuff-2.
 pub fn run(scenario: &Scenario, informed_leader_opt: bool) -> RunOutcome {
-    let delta = scenario.network.delta;
+    let timing = (scenario.network.delta, scenario.checkpoint_interval);
     launch::<TmClientProto, _>(scenario, scenario.n(3 * scenario.f + 1), |me, q, store| {
         let batch = scenario.batch_size;
-        TendermintReplica::new(me, q, store, delta, informed_leader_opt, batch)
+        TendermintReplica::new(me, q, store, timing, informed_leader_opt, batch)
     })
 }
 
@@ -595,7 +546,7 @@ mod tests {
             kind: VoteKind::Precommit,
             height,
             round,
-            digest: Some(digest),
+            digest,
             from: ReplicaId(from),
         };
         // replica 1 proposes height 1: 2f+1 precommits reach replica 2
@@ -609,13 +560,131 @@ mod tests {
         let now = vec![precommit(0), precommit(1), precommit(3)];
         let proposer = Script::new(2, now, vec![proposal]);
         let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
-        let replica = TendermintReplica::new(ReplicaId(2), q, store, delta, false, 1);
+        let replica = TendermintReplica::new(ReplicaId(2), q, store, (delta, 16), false, 1);
         let (out, _) = play(vec![(1, proposer)], replica);
         assert_eq!(
             executions(&out),
             vec![(NodeId::replica(2), signed.request.id, want)],
             "the height's request executes exactly once, on the state every other replica reaches"
         );
+    }
+
+    /// The case the old ahead-of-height buffer existed for: an informed
+    /// proposer runs a height ahead (routinely, on threads), so view 1's
+    /// proposal for slot 2, its prevotes and two of its precommits reach r3
+    /// before slot 1 decides there. The gate holds the proposal and the
+    /// prevotes; deciding slot 1 enters view 1, whose replay has r3 prevote,
+    /// precommit and decide slot 2 at once: both slots execute within 6 ms
+    /// of the start, before any Δ-wait (10 ms) or τ2 (40 ms) could end.
+    #[test]
+    fn next_view_traffic_ahead_of_the_decision_is_replayed_on_entry() {
+        use crate::common::script::{play, rival_batches, Script};
+
+        let store = Scenario::small(1).key_store();
+        let [(a, batch_a), (b, batch_b)] = rival_batches(&store);
+        let request = |batch: &[SignedRequest]| batch[0].request.id;
+        let (want_a, want_b) = (request(&batch_a), request(&batch_b));
+        let vote = |kind, (height, round, digest), from| TmMsg::Vote {
+            kind,
+            height: SeqNum(height),
+            round,
+            digest,
+            from: ReplicaId(from),
+        };
+        let (slot_1, slot_2) = ((1, 0, a), (2, 1, b));
+        // r1 leads view 1: its proposal for slot 2 and the view's votes
+        // arrive at once, slot 1's traffic from r0 (view 0) 5 ms later
+        let mut ahead = vec![TmMsg::Proposal {
+            height: SeqNum(2),
+            round: 1,
+            digest: b,
+            batch: batch_b,
+        }];
+        ahead.extend((0..3).map(|r| vote(VoteKind::Prevote, slot_2, r)));
+        ahead.extend((0..2).map(|r| vote(VoteKind::Precommit, slot_2, r)));
+        let mut current = vec![TmMsg::Proposal {
+            height: SeqNum(1),
+            round: 0,
+            digest: a,
+            batch: batch_a,
+        }];
+        current.extend((0..3).map(|r| vote(VoteKind::Prevote, slot_1, r)));
+        current.extend((0..3).map(|r| vote(VoteKind::Precommit, slot_1, r)));
+        let r0 = Script::new(3, vec![], current);
+        let r1 = Script::new(3, ahead, vec![]);
+        let (q, delta) = (QuorumRules { n: 4, f: 1 }, SimDuration::from_millis(10));
+        let replica = TendermintReplica::new(ReplicaId(3), q, store, (delta, 16), false, 1);
+        let (out, sent) = play(vec![(0, r0), (1, r1)], replica);
+        let executed: Vec<_> = out
+            .log
+            .entries
+            .iter()
+            .filter_map(|e| match e.obs {
+                Observation::Execute { request, .. } => Some((e.at, request)),
+                _ => None,
+            })
+            .collect();
+        let ids: Vec<_> = executed.iter().map(|(_, id)| *id).collect();
+        assert_eq!(ids, vec![want_a, want_b], "slot 1, then slot 2");
+        assert!(
+            executed.iter().all(|(at, _)| *at < SimTime(6_000_000)),
+            "both slots decide without a timeout: {executed:?}"
+        );
+        let precommitted = |m: &TmMsg| {
+            matches!(
+                m,
+                TmMsg::Vote {
+                    kind: VoteKind::Precommit,
+                    height: SeqNum(2),
+                    round: 1,
+                    ..
+                }
+            )
+        };
+        assert!(
+            sent.iter().any(precommitted),
+            "r3 precommits slot 2 in view 1"
+        );
+    }
+
+    /// An amnesia restart past a stable checkpoint: r3 is down for the
+    /// middle third of the run and comes back with only its stable
+    /// checkpoint (interval 16), while its peers have taken a later one. It
+    /// rejoins their view and catches up by state transfer. The run's 90
+    /// requests end past its last checkpoint, so r3 executes the tail
+    /// itself and ends at the others' state. Every request is accepted, and
+    /// safely — with and without the informed-leader optimization.
+    #[test]
+    fn an_amnesia_restart_past_a_stable_checkpoint_rejoins_by_state_transfer() {
+        use crate::common::script::final_readings;
+
+        let s = Scenario::small(1).with_load(2, 45);
+        let timing = (s.network.delta, s.checkpoint_interval);
+        let state = |r: &mut TendermintReplica| r.core.exec.sm().digest();
+        for informed in [false, true] {
+            let replica = |me, q, store| TendermintReplica::new(me, q, store, timing, informed, 1);
+            let (fault_free, _) = final_readings::<TmClientProto, _, _>(&s, 4, replica, state);
+            let mut entries = fault_free.log.entries.iter().rev();
+            let last = entries.find(|e| matches!(e.obs, Observation::Execute { .. }));
+            let third = last.expect("the run executes").at.0 / 3;
+            let (down, up) = (third, 2 * third);
+            let victim = NodeId::replica(3);
+            let faults =
+                FaultPlan::none().crash_recover_amnesia(victim, SimTime(down), SimTime(up));
+            let s = s.clone().with_faults(faults);
+            let (out, finals) = final_readings::<TmClientProto, _, _>(&s, 4, replica, state);
+            SafetyAuditor::all_correct().assert_safe(&out.log);
+            assert_eq!(accepted(&out), 90, "informed: {informed}");
+            assert_eq!(out.log.marker_count("amnesia-restart"), 1);
+            let stable_before = out.log.entries.iter().any(|e| {
+                e.node == victim
+                    && e.at.0 < down
+                    && matches!(e.obs, Observation::StableCheckpoint { .. })
+            });
+            assert!(stable_before, "r3 crashes past a stable checkpoint");
+            assert!(out.log.marker_count("state-transferred") > 0);
+            assert_eq!(finals[&ReplicaId(3)], finals[&ReplicaId(0)]);
+        }
     }
 
     #[test]
@@ -670,7 +739,7 @@ mod tests {
         assert_eq!(
             accepted(&out),
             10,
-            "nil-vote rounds must skip the crashed proposer"
+            "the view change must skip the crashed proposer"
         );
     }
 

@@ -94,6 +94,28 @@ use untrusted_txn::sim::SimDuration;
 /// - partition-heals: view 1 (led by r1) instead of the fixed leader's
 ///   fallback epoch, the last accept at 85.3 ms instead of 106.1 ms, and
 ///   one state transfer.
+///
+/// Re-pinned when Tendermint joined the skeleton: all sixteen `tendermint`
+/// and `tendermint-il` rows. Views now count from 0 and rotate on each
+/// decision (max view 21 → 20 in a run without a view change), a stalled
+/// view runs the family's view change (τ2, 4Δ) where a round used to time
+/// out after 2Δ into nil votes, and every 16 slots a checkpoint is
+/// broadcast. Every row accepts the same 20 requests with the same results;
+/// beyond that (mean client latency, plain / informed):
+/// - zero-knob: the same executions and final state, 620 → 632 replica
+///   messages (one checkpoint), 20.16 → 20.16 ms / 0.655 → 0.658 ms;
+/// - leader-crash, leader-mute: the same executions, r0's views run the
+///   view change: 29.3 → 48.3 ms / 9.8 → 28.8 ms;
+/// - backup-crash: the same, r2's views: 30.3 → 44.3 ms / 10.8 → 24.8 ms;
+/// - f2-two-leaders-crashed: the same, two of every seven views:
+///   34.3 → 52.3 ms / 14.8 → 32.8 ms;
+/// - leader-crash-recover: the restarted r0 ends at the others' state
+///   (plain: by one state transfer), where it executed none / 5 slots;
+/// - partition-heals: r0 and r1 end at the others' state, where r0
+///   executed none (plain) and r1 3 slots (informed): 29.3 → 24.2 ms /
+///   8.8 → 8.7 ms;
+/// - lossy-pre-gst: the same executions and final state, one checkpoint,
+///   24.2 → 23.9 ms / 4.7 → 4.4 ms.
 const GOLDEN: &str = "
 pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
 pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
@@ -143,22 +165,22 @@ hotstuff backup-crash 0cb823ae6399de040639c56c60ec2783fb888373067d653fa130431b95
 hotstuff partition-heals c256cbfb726fb5ed852d3e01b88646a8e0f8fe6628937219f7062d233e6f3493
 hotstuff lossy-pre-gst 883324f79ac71f735577ae03bc9a6d3f60769666857ed5e1e10202d63e2da816
 hotstuff f2-two-leaders-crashed 17bb5a93a3b25dbbcfa3216f870f5346b0a0a8855012856638cdbefc5212e31c
-tendermint zero-knob 525531e6346d425f26e88c392e21b5b1f48b64f5d0f1fc5b7f0bbdc212abae31
-tendermint leader-crash bcf129f19ac6fc6dc885922cb71969dd32d97c1cb027fccab864cabf820654d6
-tendermint leader-crash-recover 9f0fd2052be1de732afa05552d24c9cb0eefb05ba739054247af7fa145637456
-tendermint leader-mute 374df47765e5061352e5b5b3ca2bc9549af097a8d3aa2eb25203b568b97dee48
-tendermint backup-crash 5440805aeabc4a98b886192acce2e5ea80ce75a7224d117ef9ab0a7267593aaf
-tendermint partition-heals 0f2bb7eda6bf5134a951437d47a9745e906f7bad196e92537676e96092d92be7
-tendermint lossy-pre-gst 6990f80af058c88fecf6466b31abb35d7b01a10c39fc13a5ea2cacc7e753931a
-tendermint f2-two-leaders-crashed 87050b6911e0d730ef420aeecf1adde880214a92dcfdd2792c37da13dd5b08d9
-tendermint-il zero-knob 70ae7052bb4e4a5bae05bfe0293d74436475ee6f5e8c931c49642af05a7f4bf4
-tendermint-il leader-crash 9a1b6c3c5bb693b745c36322eb13f68af38bc7908d4b7caf604cb8bc6c57f41d
-tendermint-il leader-crash-recover 20d57c41d4471a8ec7f3844db84c38dc34fe65a76579e928940f8a3e343058dd
-tendermint-il leader-mute b91966d7ad0db35bb9ff2dfade337324fa2870aa5a8775654c347df90129b0a4
-tendermint-il backup-crash c9844ebbd1513169812268a1fc9f65a2e9dc095a5507a153cf2bd61b2f632508
-tendermint-il partition-heals 40ae760c600bf07f5a8aa6c71951c25b396b0cd1be838a0b6a058c55d3f45dd5
-tendermint-il lossy-pre-gst f682492b6ec9d0839fd30a579424deec4c7cd669ca715faee25afa628b52ef61
-tendermint-il f2-two-leaders-crashed 7435f14746387b6c6e9dbefb120ab6d47f0c9f77d4f8b87029cf6df36cc7384a
+tendermint zero-knob 5ab80abaf47c11145a54695fb430e072f5ad325a943378cd2cf0f4fbe0b4969e
+tendermint leader-crash 40925e4647a0e9150210517ac18fe730999c419f2a2d236a0dd4202eecfcc070
+tendermint leader-crash-recover 22be4d1c7ad806ba77788dbfaff964b1d897412695ab21bbd0e315d09782cfec
+tendermint leader-mute 5b7b9c2aafb73bda997914db39a7f4b9c929b86afd27585a38354e1b24ef551b
+tendermint backup-crash 28e9b7272cdd13193a25618f5493f0a002f3bcb68d49078a05d39bd3d000a9dd
+tendermint partition-heals c3cae9634f7d24b6e38feef0f54c862b4a47a3b350a908e817deec7ca2991d00
+tendermint lossy-pre-gst e915a89500c097e50498f2252ce612cebdf74bf502d107c114b7c640f0b4c61c
+tendermint f2-two-leaders-crashed e694e8ebb9b23dd20988cbcdcb8563cdb60e8d09c3c06890e0cc175ff8fda552
+tendermint-il zero-knob 0177e5802046bc8e68d982cb4b52c9c561e1c7bae1a78bba2fc6a1d5259c3701
+tendermint-il leader-crash 59920820392d2590a5352f0dd23912834026e3a8bc408d878a099b022457bc08
+tendermint-il leader-crash-recover 3422f17cd624e250bd499a390d028b6c848a5e040d13c669f568f494d4ef9677
+tendermint-il leader-mute b5c5be51194daf1bd52dbe384a6a01cce6809f95cf6b2aeba8c977e09e4c5d69
+tendermint-il backup-crash 4599d3198d01d4a91875c97d74cf1613a074f0b0566ee5fb2d696fbc8310a8a5
+tendermint-il partition-heals 567960aeb3fd8db7538c8957a03bf46bc3ad20604259929b8103ad2d168149b8
+tendermint-il lossy-pre-gst b4bbc469bfb7853f2c2b49389d4ccbb6ad4536c50b54bb8863d7c29d94f85ffa
+tendermint-il f2-two-leaders-crashed 6b6fd678aaef13232e7ea7a296af21ec644ca75c84bdb0d5dd9c9bf4759d6a58
 poe zero-knob 1bfb7379c2c5a07a4a27f72b841179f06ef19e94eb31901bbabfccad0fd5cab9
 poe leader-crash 82da1333ecf96e87dfa78eb3acfc9df7684225f9b8032ec2d17436d1238b9dc9
 poe leader-crash-recover fb820763e367464de83a6007a3ff4cd8fbb48055bd8aac5b6b705912c75c56c2
