@@ -416,11 +416,14 @@ mod tests {
     #[test]
     fn tolerance_scoping_shapes_the_profile() {
         let reg = registry();
-        let chain = reg.iter().find(|e| e.id == ProtocolId::Chain).unwrap();
-        let p = profile_for(chain, 1, 1);
-        assert!(!p.partitions && !p.isolation);
-        let p = profile_for(&unscoped(chain), 1, 1);
-        assert!(p.partitions && p.isolation, "unscoped is the full gallery");
+        let fair = reg.iter().find(|e| e.id == ProtocolId::Fair).unwrap();
+        let p = profile_for(fair, 1, 1);
+        assert!(p.max_reorder_prob == 0.0 && !p.gst_storm);
+        let p = profile_for(&unscoped(fair), 1, 1);
+        assert!(
+            p.max_reorder_prob > 0.0 && p.gst_storm,
+            "unscoped is the full gallery"
+        );
     }
 
     #[test]
@@ -435,12 +438,12 @@ mod tests {
             p.recovery.enabled() && p.recovery.amnesia,
             "every member of the replica skeleton restarts with amnesia"
         );
-        let chain = reg.iter().find(|e| e.id == ProtocolId::Chain).unwrap();
-        let p = recovery_profile_for(chain, 1, 1);
+        let qu = reg.iter().find(|e| e.id == ProtocolId::Qu).unwrap();
+        let p = recovery_profile_for(qu, 1, 1);
         assert!(
             p.recovery.enabled() && !p.recovery.amnesia,
             "amnesia restarts need the replica skeleton's restart stage \
-             (stable checkpoint, rejoin, state transfer), which Chain lacks"
+             (stable checkpoint, rejoin, state transfer), which Q/U lacks"
         );
     }
 

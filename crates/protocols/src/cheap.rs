@@ -411,7 +411,7 @@ impl Actor<CheapMsg> for CheapReplica {
         match msg {
             CheapMsg::Request(signed) => {
                 let wire: RequestWire<CheapMsg> =
-                    (|r, _| CheapMsg::Reply(r), Some(CheapMsg::Request));
+                    (Some(|r, _| CheapMsg::Reply(r)), Some(CheapMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

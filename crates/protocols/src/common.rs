@@ -726,9 +726,8 @@ impl<M: WireSize + serde::Serialize + 'static, X> RoundRules<M, X> {
 /// The committed-slot log of every ordering protocol but Q/U:
 /// consensus slots by sequence number, executed by [`Execution::drain`].
 /// The map is exposed (`Deref`) for protocol-specific queries; the verbs
-/// every protocol shares live here. What stays of an executed slot is the
-/// protocol's to say: the checkpointing stage collects the log at each
-/// stable checkpoint, and Chain keeps every slot.
+/// every protocol shares live here. The checkpointing stage collects the
+/// log at each stable checkpoint.
 #[derive(Debug)]
 pub struct SlotLog<X>(BTreeMap<SeqNum, Slot<X>>);
 
@@ -834,10 +833,8 @@ impl<X: Default> SlotLog<X> {
 /// members through [`Core::drain`], which adds the checkpointing stage).
 ///
 /// The undo log serves speculative rollback and the checkpointing stage's
-/// snapshots, so what is kept of it follows from what a protocol has: the
-/// checkpointing stage truncates it at each stable checkpoint, speculation
-/// keeps it for a rollback, and a protocol with neither drops it as it
-/// executes ([`Execution::forget_undo`]).
+/// snapshots; the checkpointing stage truncates it at each stable
+/// checkpoint.
 #[derive(Debug, Default)]
 pub struct Execution {
     sm: StateMachine,
@@ -900,17 +897,20 @@ impl Execution {
         self
     }
 
-    /// The reply this replica would re-send for `id`: the client's cached
-    /// result, if `id` is still the client's latest executed request.
-    pub fn cached_reply(&self, id: RequestId, view: View) -> Option<Reply> {
-        let (cached, result) = self.sm.cached_reply(id.client)?;
-        (*cached == id).then(|| Reply {
+    /// The reply this replica would re-send for `id`, if `id` is still the
+    /// client's latest executed request: its cached result and the state
+    /// digest its execution left, beside the sequence number it executed
+    /// at.
+    pub fn cached_reply(&self, id: RequestId, view: View) -> Option<(Reply, SeqNum)> {
+        let cached = self.sm.cached_reply(id.client)?;
+        let reply = Reply {
             request: id,
             view,
-            result: result.clone(),
-            state_digest: self.sm.digest(),
+            result: cached.result.clone(),
+            state_digest: cached.state_digest,
             speculative: self.speculative,
-        })
+        };
+        (cached.request == id).then_some((reply, cached.seq))
     }
 
     /// Whether execution is speculative.
@@ -986,17 +986,17 @@ impl Execution {
     /// batch*, run the batch bracketed by the Execution/Ordering stage
     /// observations and advance the cursor. A gap, an uncommitted slot or
     /// a slot still waiting for its proposal stops the loop; the caller
-    /// re-enters when that changes. Per slot, `open` names the view the
-    /// replies carry (Chain observes its commit there), `close` runs after
-    /// the last request and before the stage is left (PoE observes its
-    /// speculative commit), and `after` runs with the stage and the log
-    /// once the cursor is past the slot (the checkpointing stage, shipping
-    /// to passive replicas, forwarding down a chain, collecting the log).
+    /// re-enters when that changes. The replies carry `view`. Per slot,
+    /// `close` runs after the last request and before the stage is left
+    /// (PoE observes its speculative commit), and `after` runs with the
+    /// stage and the log once the cursor is past the slot (the
+    /// checkpointing stage, shipping to passive replicas, forwarding down a
+    /// chain).
     pub fn drain<M: WireSize + serde::Serialize + 'static, X>(
         &mut self,
         ctx: &mut Context<'_, M>,
         log: &mut SlotLog<X>,
-        mut open: impl FnMut(&mut Context<'_, M>, SeqNum, &mut Slot<X>) -> View,
+        view: View,
         mut deliver: impl FnMut(&mut Context<'_, M>, Reply, SeqNum),
         mut close: impl FnMut(&mut Context<'_, M>, &Execution, SeqNum, &mut Slot<X>),
         mut after: impl FnMut(&mut Context<'_, M>, &mut Execution, &mut SlotLog<X>, SeqNum),
@@ -1010,7 +1010,6 @@ impl Execution {
             else {
                 return;
             };
-            let view = open(ctx, next, slot);
             slot.sm_start = Some(self.sm.last_executed().next());
             ctx.observe(enter(Stage::Execution));
             for signed in slot.batch.iter().flatten() {
@@ -1060,13 +1059,6 @@ impl Execution {
     pub fn truncate_below(&mut self, seq: SeqNum) {
         self.sm.truncate_below(seq);
     }
-
-    /// Drop the undo/history records of everything executed so far: with
-    /// no speculation to roll back and no checkpoint to rebuild, nothing
-    /// reads them.
-    pub fn forget_undo(&mut self) {
-        self.sm.truncate_below(self.sm.last_executed());
-    }
 }
 
 /// Request intake on the path every replicated protocol shares: verify the
@@ -1110,9 +1102,9 @@ impl Intake {
     /// Verify a client request and decide whether it is new work. A
     /// request this replica already executed is answered through `deliver`
     /// when the client's cached reply is still for that request (`deliver`
-    /// gets the reply and the last executed state-machine sequence number),
-    /// and dropped either way. Returns `true` for a valid, unexecuted
-    /// request.
+    /// gets the reply and the state-machine sequence number the request
+    /// executed at), and dropped either way. Returns `true` for a valid,
+    /// unexecuted request.
     pub fn admit<M: WireSize + serde::Serialize + 'static>(
         ctx: &mut Context<'_, M>,
         store: &KeyStore,
@@ -1124,8 +1116,8 @@ impl Intake {
         if !Self::verify(ctx, store, signed) {
             return false;
         }
-        if let Some(reply) = exec.cached_reply(signed.request.id, view) {
-            deliver(ctx, reply, exec.sm.last_executed());
+        if let Some((reply, seq)) = exec.cached_reply(signed.request.id, view) {
+            deliver(ctx, reply, seq);
             return false;
         }
         !exec.is_executed(&signed.request.id)
@@ -1660,9 +1652,12 @@ impl VoteAuth {
 }
 
 /// The request arm's two messages: the reply to a retransmission (given the
-/// reply and the history position it reports) and the request relayed to
-/// the leader (`None`: not relayed).
-pub(crate) type RequestWire<M> = (fn(Reply, SeqNum) -> M, Option<fn(SignedRequest) -> M>);
+/// reply and the history position it reports; `None`: not answered) and
+/// the request relayed to the leader (`None`: not relayed).
+pub(crate) type RequestWire<M> = (
+    Option<fn(Reply, SeqNum) -> M>,
+    Option<fn(SignedRequest) -> M>,
+);
 
 /// A checkpoint attester: the replica, its vote authentication, its wire.
 type Attester<M, P> = (ReplicaId, VoteAuth, fn(ViewMsg<P>) -> M);
@@ -1780,7 +1775,9 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
     ) -> bool {
         let view = self.gate.view();
         let answer = |ctx: &mut Context<'_, M>, r: Reply, seq| {
-            ctx.send(NodeId::Client(r.request.client), reply(r, seq))
+            if let Some(reply) = reply {
+                ctx.send(NodeId::Client(r.request.client), reply(r, seq))
+            }
         };
         if !Intake::admit(ctx, &self.store, &self.exec, signed, view, answer) {
             return false;
@@ -1861,7 +1858,7 @@ impl<M: WireSize + Clone + serde::Serialize + 'static, X: Default, P: Clone> Cor
         self.exec.drain(
             ctx,
             &mut self.log,
-            |_, _, _| view,
+            view,
             deliver,
             |ctx, exec, seq, slot| {
                 if exec.is_speculative() {
@@ -2810,7 +2807,7 @@ mod tests {
         let slot = log.slot(next);
         (slot.batch, slot.committed) = (batch.map(<[_]>::to_vec), true);
         let end = |ctx: &mut Context<'_, TMsg>, _: &Execution, _, _: &mut Slot<()>| close(ctx);
-        exec.drain(ctx, &mut log, |_, _, _| view, deliver, end, |_, _, _, _| {});
+        exec.drain(ctx, &mut log, view, deliver, end, |_, _, _, _| {});
         exec.cursor() == next
     }
 
@@ -2866,6 +2863,7 @@ mod tests {
         let first = signed(&store, 1, 1, Op::Put(1, 10));
         let second = signed(&store, 1, 2, Op::Put(1, 20));
         let fresh = signed(&store, 2, 1, Op::Get(1));
+        let later = signed(&store, 3, 1, Op::Put(2, 5));
         let mut forged = second.clone();
         forged.request.txn = Transaction::single(Op::Put(1, 99));
         let answered = Sink::default();
@@ -2874,6 +2872,7 @@ mod tests {
             let mut exec = Execution::new();
             let batch = [first.clone(), second.clone()];
             run_slot(&mut exec, ctx, Some(&batch), View(0), |_, _, _| {});
+            let at_second = exec.sm().digest();
             let view = View(4);
             let admit = |ctx: &mut Context<'_, TMsg>, req| {
                 Intake::admit(ctx, &store, &exec, req, view, record(&sink))
@@ -2885,16 +2884,22 @@ mod tests {
                 "a bad signature never reaches the cache"
             );
             assert!(admit(ctx, &fresh));
-            let reply = exec.cached_reply(second.request.id, view).expect("cached");
+            let (reply, _) = exec.cached_reply(second.request.id, view).expect("cached");
             assert_eq!((reply.view, reply.speculative), (view, false));
             assert_eq!(exec.sm().last_executed(), SeqNum(2), "nothing re-executed");
+            // the cached reply carries the state its execution left and its
+            // position, not those of whatever executed since
+            run_slot(&mut exec, ctx, Some(&[later]), view, |_, _, _| {});
+            let cached = exec.cached_reply(second.request.id, view).expect("cached");
+            assert_ne!(exec.sm().digest(), at_second);
+            assert_eq!((cached.0.state_digest, cached.1), (at_second, SeqNum(2)));
         });
         let second_id = RequestId {
             client: ClientId(1),
             timestamp: 2,
         };
         assert_eq!(*answered.borrow(), vec![(second_id, SeqNum(2))]);
-        assert_eq!(executions(&out).len(), 2);
+        assert_eq!(executions(&out).len(), 3);
     }
 
     #[test]
@@ -3093,8 +3098,7 @@ mod tests {
                     assert_eq!(exec.cursor(), seq, "called once the slot has executed");
                     slots.push(seq.0);
                 };
-                let view = |_: &mut Context<'_, TMsg>, _, _: &mut Slot<u8>| View(0);
-                exec.drain(ctx, log, view, record(&sink), |_, _, _, _| {}, after);
+                exec.drain(ctx, log, View(0), record(&sink), |_, _, _, _| {}, after);
                 slots
             };
             // slot 1 committed by a certificate that outran its proposal
@@ -3138,11 +3142,10 @@ mod tests {
                 log.slot(seq).ext.push(7);
             }
             log.slot(SeqNum(1)).committed = true;
-            let view = |_: &mut Context<'_, TMsg>, _, _: &mut Slot<Vec<u32>>| View(0);
             exec.drain(
                 ctx,
                 &mut log,
-                view,
+                View(0),
                 |_, _, _| {},
                 |_, _, _, _| {},
                 |_, _, _, _| {},
@@ -3345,6 +3348,7 @@ mod tests {
     /// constructor.
     macro_rules! each_member {
         ($s:expr, $go:ident) => {{
+            use crate::chain::{ChainClientProto, ChainReplica};
             use crate::cheap::{CheapClientProto, CheapReplica};
             use crate::fab::{FabClientProto, FabReplica};
             use crate::fair::{FairClientProto, FairReplica};
@@ -3410,6 +3414,9 @@ mod tests {
             $go!("tendermint-il", TmClientProto, 4, |me, q, store| {
                 TendermintReplica::new(me, q, store, (d, interval), true, batch)
             });
+            $go!("chain", ChainClientProto, 4, |me, q, store| {
+                ChainReplica::new(me, q, store, (vt, interval), batch)
+            });
         }};
     }
 
@@ -3438,24 +3445,6 @@ mod tests {
             };
         }
         each_member!(&s, go);
-    }
-
-    /// Chain, the ordered protocol without a checkpointing stage, keeps no
-    /// undo records however long the run (its new head re-sends executed
-    /// slots, so those stay).
-    #[test]
-    fn ordered_logs_without_checkpoints_stay_bounded_whatever_the_run_length() {
-        use crate::chain::{ChainClientProto, ChainReplica};
-        for per_client in [200, 800] {
-            let s = Scenario::small(1).with_load(2, per_client);
-            let t4 = SimDuration(s.network.delta.0 * 4);
-            let chain = |me, q, store| ChainReplica::new(me, q, store, t4, s.batch_size);
-            let undo = |r: &mut ChainReplica| r.exec.sm().retained_entries();
-            let (out, peak) = script::peak_size::<ChainClientProto, _>(&s, 4, chain, undo);
-            let accepted = out.log.client_latencies().len() as u64;
-            assert_eq!(accepted, 2 * per_client);
-            assert!(peak <= 64, "chain at 2 × {per_client}: {peak}");
-        }
     }
 
     /// A family member's state digest.

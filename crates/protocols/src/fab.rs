@@ -218,7 +218,8 @@ impl Actor<FabMsg> for FabReplica {
     fn on_message(&mut self, from: NodeId, msg: &FabMsg, ctx: &mut Context<'_, FabMsg>) {
         match msg {
             FabMsg::Request(signed) => {
-                let wire: RequestWire<FabMsg> = (|r, _| FabMsg::Reply(r), Some(FabMsg::Request));
+                let wire: RequestWire<FabMsg> =
+                    (Some(|r, _| FabMsg::Reply(r)), Some(FabMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

@@ -506,7 +506,7 @@ impl Actor<HsMsg> for HotStuffReplica {
             HsMsg::Request(signed) => {
                 // clients broadcast, so the leader has the request too: a
                 // backup forwards nothing, only holds the leader to it
-                let wire: RequestWire<HsMsg> = (|r, _| HsMsg::Reply(r), None);
+                let wire: RequestWire<HsMsg> = (Some(|r, _| HsMsg::Reply(r)), None);
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

@@ -471,7 +471,7 @@ impl Actor<KauriMsg> for KauriReplica {
             KauriMsg::Request(signed) => {
                 // clients broadcast, so the root has the request too: a
                 // backup forwards nothing, only holds the root to it
-                let wire: RequestWire<KauriMsg> = (|r, _| KauriMsg::Reply(r), None);
+                let wire: RequestWire<KauriMsg> = (Some(|r, _| KauriMsg::Reply(r)), None);
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

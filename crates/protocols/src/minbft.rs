@@ -313,7 +313,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
         match msg {
             MinBftMsg::Request(signed) => {
                 let wire: RequestWire<MinBftMsg> =
-                    (|r, _| MinBftMsg::Reply(r), Some(MinBftMsg::Request));
+                    (Some(|r, _| MinBftMsg::Reply(r)), Some(MinBftMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

@@ -314,7 +314,8 @@ impl Actor<PoeMsg> for PoeReplica {
     fn on_message(&mut self, from: NodeId, msg: &PoeMsg, ctx: &mut Context<'_, PoeMsg>) {
         match msg {
             PoeMsg::Request(signed) => {
-                let wire: RequestWire<PoeMsg> = (|r, _| PoeMsg::Reply(r), Some(PoeMsg::Request));
+                let wire: RequestWire<PoeMsg> =
+                    (Some(|r, _| PoeMsg::Reply(r)), Some(PoeMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.known.insert(signed.request.id, signed.clone());
                     self.propose(ctx);

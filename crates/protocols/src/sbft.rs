@@ -426,7 +426,7 @@ impl SbftReplica {
                 .map(|(seq, _)| *seq)
                 .next();
             let reply = self.core.exec.cached_reply(id, self.core.gate.view());
-            if let (Some(seq), Some(reply)) = (seq, reply) {
+            if let (Some(seq), Some((reply, _))) = (seq, reply) {
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
                 ctx.send(
                     NodeId::Replica(self.core.leader()),

@@ -442,7 +442,7 @@ impl Actor<TmMsg> for TendermintReplica {
             TmMsg::Request(signed) => {
                 // clients broadcast, so the proposer has the request too: a
                 // backup only holds the proposer to it
-                let wire: RequestWire<TmMsg> = (|r, _| TmMsg::Reply(r), None);
+                let wire: RequestWire<TmMsg> = (Some(|r, _| TmMsg::Reply(r)), None);
                 if self.core.take_request(ctx, signed, wire) {
                     self.schedule_propose(ctx);
                 }

@@ -329,7 +329,7 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaReplica {
             // a backup relays either to the leader and holds it to it (τ2)
             ZyzzyvaMsg::Request(signed) | ZyzzyvaMsg::ConfirmRequest(signed) => {
                 let reply = |reply, seq| ZyzzyvaMsg::SpecReply { reply, seq };
-                let wire: RequestWire<ZyzzyvaMsg> = (reply, Some(ZyzzyvaMsg::Request));
+                let wire: RequestWire<ZyzzyvaMsg> = (Some(reply), Some(ZyzzyvaMsg::Request));
                 if self.core.take_request(ctx, signed, wire) {
                     self.propose(ctx);
                 }

@@ -23,4 +23,4 @@ pub mod machine;
 pub use app::{App, AppendLog, ComposedApp, GCounter, UndoOp};
 pub use checkpoint::{CheckpointManager, CheckpointProof};
 pub use kv::KvStore;
-pub use machine::{ExecutedEntry, Snapshot, StateMachine};
+pub use machine::{CachedReply, ExecutedEntry, Snapshot, StateMachine};

@@ -36,9 +36,23 @@ struct UndoRecord {
     /// rollback.
     prior: Vec<UndoOp>,
     /// Previous reply-cache entry for the client.
-    prior_reply: Option<(RequestId, TxnResult)>,
+    prior_reply: Option<CachedReply>,
     request: RequestId,
     speculative: bool,
+}
+
+/// A client's last executed request and what its execution answered: what
+/// a retransmission of that request is answered with.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CachedReply {
+    /// The request.
+    pub request: RequestId,
+    /// Its result.
+    pub result: TxnResult,
+    /// The sequence number it executed at.
+    pub seq: SeqNum,
+    /// The state digest its execution left.
+    pub state_digest: Digest,
 }
 
 /// A point-in-time copy of the full machine state.
@@ -49,7 +63,7 @@ pub struct Snapshot {
     /// State digest at that point.
     pub digest: Digest,
     app: ComposedApp,
-    replies: BTreeMap<ClientId, (RequestId, TxnResult)>,
+    replies: BTreeMap<ClientId, CachedReply>,
     executed: BTreeSet<RequestId>,
 }
 
@@ -92,7 +106,7 @@ pub struct StateMachine {
     /// numbers start at 1, as in PBFT).
     last_executed: SeqNum,
     /// Per-client last reply (at-most-once execution).
-    replies: BTreeMap<ClientId, (RequestId, TxnResult)>,
+    replies: BTreeMap<ClientId, CachedReply>,
     /// Every request executed and not rolled back.
     executed: BTreeSet<RequestId>,
     /// Undo log for sequence numbers that may still roll back.
@@ -140,8 +154,13 @@ impl StateMachine {
 
     /// The cached reply for a client, if any (used for request
     /// de-duplication: a replica answering a retransmitted request).
-    pub fn cached_reply(&self, client: ClientId) -> Option<&(RequestId, TxnResult)> {
+    pub fn cached_reply(&self, client: ClientId) -> Option<&CachedReply> {
         self.replies.get(&client)
+    }
+
+    /// Every client's cached reply.
+    pub fn cached_replies(&self) -> impl Iterator<Item = &CachedReply> {
+        self.replies.values()
     }
 
     /// Executed history entries still retained.
@@ -193,15 +212,15 @@ impl StateMachine {
 
         // At-most-once: if this exact request was the client's last executed
         // request, replay the cached result without re-applying effects.
-        if let Some((cached_id, cached_result)) = self.replies.get(&request.id.client) {
-            if *cached_id == request.id {
-                let result = cached_result.clone();
+        if let Some(cached) = self.replies.get(&request.id.client) {
+            if cached.request == request.id {
+                let (prior_reply, result) = (Some(cached.clone()), cached.result.clone());
                 self.last_executed = seq;
                 let digest = self.digest();
                 self.undo.push(UndoRecord {
                     seq,
                     prior: Vec::new(),
-                    prior_reply: Some((*cached_id, result.clone())),
+                    prior_reply,
                     request: request.id,
                     speculative,
                 });
@@ -223,11 +242,15 @@ impl StateMachine {
         }
 
         let result = TxnResult { reads };
-        let prior_reply = self.replies.get(&request.id.client).cloned();
-        self.replies
-            .insert(request.id.client, (request.id, result.clone()));
         self.last_executed = seq;
         let digest = self.digest();
+        let cached = CachedReply {
+            request: request.id,
+            result: result.clone(),
+            seq,
+            state_digest: digest,
+        };
+        let prior_reply = self.replies.insert(request.id.client, cached);
         self.undo.push(UndoRecord {
             seq,
             prior,
@@ -274,7 +297,7 @@ impl StateMachine {
             if rec
                 .prior_reply
                 .as_ref()
-                .is_none_or(|(id, _)| *id != rec.request)
+                .is_none_or(|cached| cached.request != rec.request)
             {
                 self.executed.remove(&rec.request);
             }
@@ -427,7 +450,7 @@ mod tests {
         assert_eq!(sm.store().get(2), None);
         assert_eq!(sm.store().get(3), None);
         // reply cache restored: client 1's last reply is for timestamp 1
-        assert_eq!(sm.cached_reply(ClientId(1)).unwrap().0.timestamp, 1);
+        assert_eq!(sm.cached_reply(ClientId(1)).unwrap().request.timestamp, 1);
         assert!(sm.cached_reply(ClientId(2)).is_none());
     }
 

@@ -116,6 +116,43 @@ use untrusted_txn::sim::SimDuration;
 ///   8.8 → 8.7 ms;
 /// - lossy-pre-gst: the same executions and final state, one checkpoint,
 ///   24.2 → 23.9 ms / 4.7 → 4.4 ms.
+///
+/// Re-pinned when a retransmission's cached reply came to carry the state
+/// digest (and position) of the execution it answers, not the replica's
+/// current one: `zyzzyva` and `zyzzyva5` leader-crash-recover. The
+/// client's reply collector matches replies on the state digest with the
+/// result, so the cached replies now match the speculative replies of the
+/// replicas that executed the request. Both accept the same 20 requests,
+/// all on the fast path, within 13 µs of the parent's last accept:
+/// - `zyzzyva`: a commit certificate lands a round earlier (final commits
+///   4 → 6, client c0 sends 26 messages instead of 30);
+/// - `zyzzyva5`: client c1's retransmission gathers 2f+1 matching replies
+///   and sends a commit certificate (6 messages more).
+///
+/// Re-pinned when Chain joined the skeleton: all eight `chain` rows.
+/// Execution is speculative (replies too, so every accept takes the fast
+/// path), only the tail observes final commits, every 16 slots a
+/// checkpoint is broadcast, and a stalled pipeline runs the family's view
+/// change. Every row accepts the same 20 requests with the same results;
+/// beyond that (mean client latency):
+/// - zero-knob: the same executions and final state, 100 → 111 replica
+///   messages (the checkpoint at slot 16, and one state request of the
+///   tail, which sees that checkpoint stable a hop before it executes the
+///   slot), 0.548 → 0.547 ms;
+/// - lossy-pre-gst: the same, 4.546 → 4.547 ms;
+/// - leader-crash, leader-mute: view 1 as before, 9.44 → 8.45 ms (the
+///   client's retransmission starts the backups' campaign at once); the
+///   mute r0 rolls back all it executed alone;
+/// - leader-crash-recover: view 1, 8.55 → 8.49 ms; the restarted r0 rolls
+///   back what it executed alone, catches up by one state transfer
+///   (answering the clients for what it covers) and, a suspect of view 1,
+///   stays there (10 executions instead of 20);
+/// - partition-heals: view 1 instead of 2, 20.5 → 8.5 ms; r0, cut off from
+///   its successor, rolls back what it executed alone, catches up by one
+///   state transfer (answering the clients for what it covers) and stays
+///   a suspect of view 1 (6 executions instead of 20);
+/// - backup-crash: view 3 instead of 2, 56.4 → 16.4 ms;
+/// - f2-two-leaders-crashed: view 2 instead of 5, 44.6 → 12.7 ms.
 const GOLDEN: &str = "
 pbft zero-knob 1c99fa5f6481c8e10b5bee343098feea350f633e916923d183fc191b624d50d1
 pbft leader-crash 6a6684d9f02f9ac4c667f8bd62652289361b0bafa1ed9846d5c69b7fbd6869f4
@@ -135,7 +172,7 @@ pbft-ro lossy-pre-gst 82e2a171813b76763a3ec4a59136e7a7db0c1da8d95c5780f8acc5492a
 pbft-ro f2-two-leaders-crashed 39ef411179e8a617ce37f88c5dcd6e7913162978efee8867052a183c01647cc3
 zyzzyva zero-knob d5486b63482e1ec8f2a17735d11b7f77badfe4a1b6322dce9ed580f4e709202c
 zyzzyva leader-crash 618843a1fb9f3206fba68e26f87851bc93f2acfe8c3f29058980f366b19cc03e
-zyzzyva leader-crash-recover 0797e6a3cfd7445d7cc13576c81618c6ba07b9f131724d3781a1bbf2abcfa816
+zyzzyva leader-crash-recover 9d1a0ccd0234ea274b97699445814a204246e07219fe293c9668812fa66d7eb2
 zyzzyva leader-mute a6db1f76e6f1d86f8f7667dc388f73e43ce4bba28826d38797b6f9dcb8fed4b3
 zyzzyva backup-crash cd481b973394fd222193cf892b08afd92a50ccb695fe04ec513f7d913c19fb06
 zyzzyva partition-heals 6ccfc9f60e492db1aff7e309e9c6c6a3aa365d3c5da5c00f564cb83a002f81be
@@ -143,7 +180,7 @@ zyzzyva lossy-pre-gst 4b19c61c5ecf5d2f2e8bc6f66496da07fe48786728ac0c1c4532436282
 zyzzyva f2-two-leaders-crashed b5e70d3efd1282b72b2c6cc64c573f25715e7ac652cba10286b95b8713c42865
 zyzzyva5 zero-knob ac29dd207471805214ee30c3cdf65616518316d199fd58cef8bed5a815d4665a
 zyzzyva5 leader-crash e3c89bc15f5e9c882843b45a5dd9d9471fc2cf698aa12bea6680d92bed41b111
-zyzzyva5 leader-crash-recover 896a532e17ad852e196fb598c07a880358b2e466c6355fe8309aca232d88a730
+zyzzyva5 leader-crash-recover ddeea01ba59eb6085707010ce2a5a030df1c56de9e31f175b9e0699bd23b6465
 zyzzyva5 leader-mute 1104761852c15b545d40d657529577b470b06c089f3cc99ab36a91e46535f7a1
 zyzzyva5 backup-crash b902e39928e2083580c84abf33c42bad90b40fab0dfdcdb864a00230393bef86
 zyzzyva5 partition-heals 1bb5d612562da9b3adece2fef12268462a35cff16a36c69875268a178472a367
@@ -245,14 +282,14 @@ minbft backup-crash 9edb829b9a428081d37e8020be2ae9a2fd2211cb7ae68226683cf44bc243
 minbft partition-heals f6664bec938459b35fc7955aa2d076829ec29ce445065d294e84018be268ee79
 minbft lossy-pre-gst 84a21f3b827ddd23804c5118fbb8b1b0b8b08cf99bf7f147d7803d4078ecba98
 minbft f2-two-leaders-crashed f76da04376e220bc86b564ef64786150a38b94ffcee2677c98c13e8940b4c30d
-chain zero-knob 408f24a634cd09bc0244e561a19392fbe3c2e053860e098937ae39795443b3bb
-chain leader-crash 9151f1fba5de2436b2fed833cd8d6b69d753b554cdd51f3815b441a6dc9e1be1
-chain leader-crash-recover 994bd36951a7e34d9dacac42d9c81ea376e31f5469b0bc309b4cf751c6654b63
-chain leader-mute 80a2188b61e42e71853fbeba525604cf0a8b17562422449cc8d3bcb5b4b64895
-chain backup-crash c3bcdf9409bc5839d95bbfac250bb4dc6763d6c83a6d668e2c8284dbd99440ca
-chain partition-heals 442d41bc5d8e742b32b893882aa21c08d358f1438afc6b67dac664aff2c74576
-chain lossy-pre-gst a211e5d8425e31a2797b02e7ce84d2bdda506a6e219fd2bb2e644bc8d46679b2
-chain f2-two-leaders-crashed 7a1b4ffd7fc5d72b32a8513f8c4d6d4975ad57de4a43aac3d00c60e0b52fa6c5
+chain zero-knob 817f42a9808f99e373047bd46e0c82927e7a759399360a08322de8180f6066f5
+chain leader-crash aeddcfa0b7840351dc27e8902f34d2702bc5448138aa502b11679e24aeba2f67
+chain leader-crash-recover fb8ca17c3f6d90c89e1ff7cc5638b2b8d6e2e7aad4290a31acd14bfab1a276df
+chain leader-mute 8a778759d0b7a9ed8d69ece8878921f72fd9e7c5563452f17d3a266d546ad910
+chain backup-crash 446d59419672404c0e51575b56d3644dfe44e688b07b5e633546d8cb2ab46560
+chain partition-heals a0ff451fae77866d981fad97306a5e0108113a63a5cfd83f8941a5a5ad233847
+chain lossy-pre-gst 4ef56059ed82c4d167337a1969c38e2d4fb55d46c679f94589911f08e0e67c63
+chain f2-two-leaders-crashed 66f8de7b8e77c887984ddff1be55970261bbdc558f747397d2a48d1d723cd5ab
 ";
 
 /// The rows of [`GOLDEN`] whose scenario label `keep` accepts.

@@ -159,11 +159,6 @@ fn minbft_matrix() {
 #[test]
 fn chain_matrix() {
     for (sname, s, faulty) in scenarios() {
-        if sname == "backup partitioned then healed" {
-            continue; // a partitioned chain node is indistinguishable from
-                      // a crashed one mid-pipeline; reconfiguration excludes
-                      // it and the healed node stays excluded (documented)
-        }
         let out = ProtocolId::Chain.run(&s);
         check("Chain", sname, &out, &faulty, s.total_requests());
     }
