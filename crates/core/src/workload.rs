@@ -306,7 +306,8 @@ impl Workload {
 
     /// Generate the next transaction.
     pub fn next_txn(&mut self) -> Transaction {
-        let mut ops = Vec::with_capacity(self.config.ops_per_txn + 1);
+        let work = usize::from(self.config.work_units > 0);
+        let mut ops = Vec::with_capacity(self.config.ops_per_txn + work);
         let read_only = self.rng.gen_bool(self.config.read_fraction.clamp(0.0, 1.0));
         for _ in 0..self.config.ops_per_txn {
             let key = self.pick_key();

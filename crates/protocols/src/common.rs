@@ -288,20 +288,19 @@ impl Scenario {
 
     /// The full request table the scenario's clients will generate:
     /// client ids are `0..clients`, timestamps `1..=requests_per_client`,
-    /// transactions drawn deterministically from [`Scenario::workload_for`].
-    /// Feeds the semantic checkers (phantom resolution and replay).
-    pub fn request_txns(&self) -> std::collections::BTreeMap<RequestId, Transaction> {
-        let mut txns = std::collections::BTreeMap::new();
+    /// transactions drawn deterministically from [`Scenario::workload_for`],
+    /// sorted by request id. Feeds the semantic checkers (phantom
+    /// resolution and replay).
+    pub fn request_txns(&self) -> Vec<(RequestId, Transaction)> {
+        let mut txns = Vec::with_capacity(self.clients * self.requests_per_client as usize);
         for c in 0..self.clients as u64 {
             let mut w = self.workload_for(c);
             for ts in 1..=self.requests_per_client {
-                txns.insert(
-                    RequestId {
-                        client: ClientId(c),
-                        timestamp: ts,
-                    },
-                    w.next_txn(),
-                );
+                let id = RequestId {
+                    client: ClientId(c),
+                    timestamp: ts,
+                };
+                txns.push((id, w.next_txn()));
             }
         }
         txns

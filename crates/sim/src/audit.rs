@@ -17,14 +17,16 @@
 //! A speculative commit that conflicts with the final one and is never
 //! rolled back is not flagged: that check is not implemented yet.
 //!
-//! The auditor reads the log's compact rows and compares digests by their
-//! ordinals; it decodes only the witnesses of a violation.
+//! The auditor reads the log's rows and compares digests by their
+//! ordinals; it decodes only the witnesses of a violation. It keeps
+//! execution state per replica in vectors indexed by seq, so a rollback
+//! is a truncation.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 use bft_types::{Digest, SeqNum};
 
+use crate::dense::DenseMap;
 use crate::event::{NodeId, PackedNode};
 use crate::obs::{ObservationLog, Ordinal, RowKind};
 
@@ -47,6 +49,25 @@ pub enum ViolationKind {
     /// Two executions leaving different state digests at one sequence
     /// number (divergent state machines).
     DivergentState,
+}
+
+/// `exec_state`'s index for `node`, added in node order if missing;
+/// `last` is tried first (consecutive rows are often one node's).
+fn state_of(
+    exec_state: &mut Vec<(PackedNode, DenseMap<NonZeroU32>)>,
+    last: usize,
+    node: PackedNode,
+) -> usize {
+    if exec_state.get(last).is_some_and(|(n, _)| *n == node) {
+        return last;
+    }
+    match exec_state.binary_search_by_key(&node, |(n, _)| *n) {
+        Ok(i) => i,
+        Err(i) => {
+            exec_state.insert(i, (node, DenseMap::default()));
+            i
+        }
+    }
 }
 
 /// Audits an observation log for safety.
@@ -77,10 +98,13 @@ impl SafetyAuditor {
         let mut violations = Vec::new();
 
         // seq → first (node, digest) final commit witness
-        let mut commit_witness: BTreeMap<SeqNum, (PackedNode, Ordinal)> = BTreeMap::new();
-        // (node, seq) → last state digest executed (speculative state may
-        // be overwritten by rollback + re-execution; last wins)
-        let mut exec_state: BTreeMap<(PackedNode, SeqNum), Ordinal> = BTreeMap::new();
+        let mut commit_witness: DenseMap<(PackedNode, Ordinal)> = DenseMap::default();
+        // per correct replica, in node order: seq → last state digest
+        // executed, as ordinal + 1 (speculative state may be overwritten by
+        // rollback + re-execution; last wins)
+        let mut exec_state: Vec<(PackedNode, DenseMap<NonZeroU32>)> = Vec::new();
+        // exec_state's index of the last row's node
+        let mut last = 0;
 
         for row in log.entries.rows() {
             if faulty.contains(&row.node) || !row.node.unpack().is_replica() {
@@ -92,15 +116,13 @@ impl SafetyAuditor {
                     digest,
                     speculative: false,
                     ..
-                } => match commit_witness.entry(seq) {
-                    Entry::Vacant(first) => {
-                        first.insert((row.node, digest));
-                    }
-                    Entry::Occupied(first) => {
-                        if first.get().1 != digest {
+                } => match commit_witness.get(seq.0) {
+                    None => commit_witness.set(seq.0, (row.node, digest)),
+                    Some(first) => {
+                        if first.1 != digest {
                             violations.push(SafetyViolation {
                                 seq,
-                                witnesses: [witness(*first.get()), witness((row.node, digest))],
+                                witnesses: [witness(first), witness((row.node, digest))],
                                 kind: ViolationKind::ConflictingCommit,
                             });
                         }
@@ -109,12 +131,14 @@ impl SafetyAuditor {
                 RowKind::Execute {
                     seq, state_digest, ..
                 } => {
-                    exec_state.insert((row.node, seq), state_digest);
+                    last = state_of(&mut exec_state, last, row.node);
+                    let digest = NonZeroU32::new(state_digest + 1).expect("< 2^32 - 1 digests");
+                    exec_state[last].1.set(seq.0, digest);
                 }
                 RowKind::Rollback { from_seq } => {
                     // discard rolled-back execution state for this node
-                    let undone = (row.node, from_seq)..=(row.node, SeqNum(u64::MAX));
-                    exec_state.extract_if(undone, |_, _| true).for_each(drop);
+                    last = state_of(&mut exec_state, last, row.node);
+                    exec_state[last].1.truncate(from_seq.0);
                 }
                 _ => {}
             }
@@ -122,19 +146,20 @@ impl SafetyAuditor {
 
         // Cross-replica execution-state agreement: for each seq, all correct
         // replicas that executed it must agree on the post-state digest.
-        let mut state_witness: BTreeMap<SeqNum, (PackedNode, Ordinal)> = BTreeMap::new();
-        for ((node, seq), digest) in exec_state {
-            match state_witness.entry(seq) {
-                Entry::Vacant(first) => {
-                    first.insert((node, digest));
-                }
-                Entry::Occupied(first) => {
-                    if first.get().1 != digest {
-                        violations.push(SafetyViolation {
-                            seq,
-                            witnesses: [witness(*first.get()), witness((node, digest))],
-                            kind: ViolationKind::DivergentState,
-                        });
+        let mut state_witness: DenseMap<(PackedNode, Ordinal)> = DenseMap::default();
+        for (node, states) in &exec_state {
+            for (seq, digest) in states.iter() {
+                let (seq, digest) = (SeqNum(seq), digest.get() - 1);
+                match state_witness.get(seq.0) {
+                    None => state_witness.set(seq.0, (*node, digest)),
+                    Some(first) => {
+                        if first.1 != digest {
+                            violations.push(SafetyViolation {
+                                seq,
+                                witnesses: [witness(first), witness((*node, digest))],
+                                kind: ViolationKind::DivergentState,
+                            });
+                        }
                     }
                 }
             }

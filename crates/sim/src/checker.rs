@@ -29,12 +29,13 @@
 //! checkpoint — the affected check degrades to a weaker one instead of
 //! reporting a false alarm.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::num::NonZeroU32;
 
 use bft_state::StateMachine;
-use bft_types::{Key, Op, Request, RequestId, SeqNum, Transaction, Value};
+use bft_types::{ClientId, Key, Op, Request, RequestId, SeqNum, Transaction, Value};
 
+use crate::dense::DenseMap;
 use crate::event::{NodeId, PackedNode};
 use crate::obs::{Accept, ObservationLog, RowKind};
 use crate::time::SimTime;
@@ -73,17 +74,24 @@ pub struct SemanticConfig {
     /// Execution semantics of the protocol under check.
     pub semantics: Option<ExecutionSemantics>,
     /// Every request the scenario's clients may send (phantom resolution
-    /// and replay). Leave empty when request ids are not reproducible
+    /// and replay), sorted by id with no id twice ([`Self::replicated`]
+    /// makes it so). Leave empty when request ids are not reproducible
     /// (e.g. Q/U's retry-bumped timestamps); phantom-dependent checks then
     /// degrade.
-    pub txns: BTreeMap<RequestId, Transaction>,
+    pub txns: Vec<(RequestId, Transaction)>,
     /// Nodes excluded from honest-replica checks (campaign suspects).
     pub faulty: Vec<NodeId>,
 }
 
 impl SemanticConfig {
-    /// Config for a replicated-state-machine protocol.
-    pub fn replicated(txns: BTreeMap<RequestId, Transaction>) -> Self {
+    /// Config for a replicated-state-machine protocol; of two entries for
+    /// one request id the first is kept.
+    pub fn replicated(txns: impl IntoIterator<Item = (RequestId, Transaction)>) -> Self {
+        let mut txns: Vec<(RequestId, Transaction)> = txns.into_iter().collect();
+        if !txns.is_sorted_by(|a, b| a.0 < b.0) {
+            txns.sort_by_key(|(id, _)| *id);
+            txns.dedup_by_key(|(id, _)| *id);
+        }
         SemanticConfig {
             semantics: Some(ExecutionSemantics::Replicated),
             txns,
@@ -95,9 +103,15 @@ impl SemanticConfig {
     pub fn versioned_objects() -> Self {
         SemanticConfig {
             semantics: Some(ExecutionSemantics::VersionedObjects),
-            txns: BTreeMap::new(),
+            txns: Vec::new(),
             faulty: Vec::new(),
         }
+    }
+
+    /// The transaction of request `id`, if the table has it.
+    fn txn(&self, id: &RequestId) -> Option<&Transaction> {
+        let i = self.txns.binary_search_by_key(id, |(id, _)| *id).ok()?;
+        Some(&self.txns[i].1)
     }
 
     /// Builder-style: mark nodes as faulty/suspect.
@@ -195,18 +209,30 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
     let semantics = cfg.semantics.unwrap_or(ExecutionSemantics::Replicated);
     let mut out = Vec::new();
 
-    // -- gather accepted requests (first accept wins per id) --------------
-    let mut accepted: Vec<Accepted> = Vec::new();
-    let mut index_of: BTreeMap<RequestId, usize> = BTreeMap::new();
+    // -- gather accepted requests (first accept wins per id) and the
+    // honest replicas the log shows ---------------------------------------
+    let faulty: Vec<PackedNode> = cfg.faulty.iter().map(|n| PackedNode::pack(*n)).collect();
+    let mut accepted: Vec<Accepted> = Vec::with_capacity(log.entries.accept_count());
+    let mut index_of = AcceptIndex::default();
+    let mut replicas: Vec<PackedNode> = Vec::new();
+    let mut last = None;
     for row in log.entries.rows() {
         if let RowKind::ClientAccept(index) = row.kind {
             let accept = log.entries.accept(index);
-            if let Entry::Vacant(first) = index_of.entry(accept.request) {
-                first.insert(accepted.len());
+            if index_of.get(&accept.request).is_none() {
+                index_of.set(&accept.request, accepted.len());
                 accepted.push(Accepted {
                     accept,
                     completed: row.at,
                 });
+            }
+        }
+        if last != Some(row.node) {
+            last = Some(row.node);
+            if row.node.unpack().is_replica() && !faulty.contains(&row.node) {
+                if let Err(i) = replicas.binary_search(&row.node) {
+                    replicas.insert(i, row.node);
+                }
             }
         }
     }
@@ -217,7 +243,7 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
     let mut phantom_writes: BTreeSet<(Family, Key)> = BTreeSet::new();
     let mut phantoms_unknown = cfg.txns.is_empty() && !accepted.is_empty();
     for (id, txn) in &cfg.txns {
-        if !index_of.contains_key(id) {
+        if index_of.get(id).is_none() {
             for op in &txn.ops {
                 if let (Some(fam), Some(k)) = (family_of(op), op.write_key()) {
                     phantom_writes.insert((fam, k));
@@ -226,7 +252,7 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
         }
     }
     // accepted requests outside the table also make phantom knowledge moot
-    let outside = |a: &Accepted| !cfg.txns.contains_key(&a.accept.request);
+    let outside = |a: &Accepted| cfg.txn(&a.accept.request).is_none();
     if !cfg.txns.is_empty() && accepted.iter().any(outside) {
         phantoms_unknown = true;
     }
@@ -235,7 +261,7 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
 
     // -- replicated-only checks: replay faithfulness + no lost writes -----
     if semantics == ExecutionSemantics::Replicated {
-        replay_and_membership(log, cfg, &accepted, &index_of, &mut out);
+        replay_and_membership(log, cfg, &accepted, &index_of, &replicas, &mut out);
     }
 
     // -- per-key histories from single-op accepted transactions -----------
@@ -293,52 +319,26 @@ fn replay_and_membership(
     log: &ObservationLog,
     cfg: &SemanticConfig,
     accepted: &[Accepted],
-    index_of: &BTreeMap<RequestId, usize>,
+    index_of: &AcceptIndex,
+    replicas: &[PackedNode],
     out: &mut Vec<SemanticViolation>,
 ) {
-    let faulty: Vec<PackedNode> = cfg.faulty.iter().map(|n| PackedNode::pack(*n)).collect();
-    // honest replicas observed in the log, and every request any of them
-    // ever executed (rollbacks included: for membership we only need "took
-    // effect somewhere at some point")
-    let mut replicas: BTreeSet<PackedNode> = BTreeSet::new();
-    let mut executed_union: BTreeSet<RequestId> = BTreeSet::new();
-    for row in log.entries.rows() {
-        if row.node.unpack().is_replica() && !faulty.contains(&row.node) {
-            replicas.insert(row.node);
-            if let RowKind::Execute { request, .. } = row.kind {
-                executed_union.insert(request);
-            }
-        }
-    }
-
-    for a in accepted.iter().map(|a| a.accept) {
-        if a.txn.is_read_only() {
-            continue; // served from current state, legitimately unordered
-        }
-        if !executed_union.contains(&a.request) {
-            out.push(SemanticViolation {
-                check: "lost-write",
-                detail: format!(
-                    "accepted write {:?} never executed on any honest replica",
-                    a.request
-                ),
-            });
-        }
-    }
-
-    if cfg.txns.is_empty() {
-        return; // cannot replay without the request table
-    }
+    // which accepted requests any honest replica ever executed (rollbacks
+    // included: for membership we only need "took effect somewhere at
+    // some point"), found by the replay's scans
+    let mut executed = vec![false; accepted.len()];
+    // the replay's violations, reported after the lost writes
+    let mut replayed = Vec::new();
 
     // replay each honest replica's execution stream through a fresh state
     // machine; a replica whose stream has a gap (snapshot catch-up), an
     // unknown request or a rollback below its own stable checkpoint
-    // degrades to membership-only above
-    let by_id: &BTreeMap<RequestId, Transaction> = &cfg.txns;
-    for &node in &replicas {
+    // degrades to membership-only above, and without the request table
+    // every replica is membership-only
+    for &node in replicas {
         let replica = node.unpack();
         let mut sm = StateMachine::new();
-        let mut degraded = false;
+        let mut degraded = cfg.txns.is_empty();
         let mut rolled_back = false;
         // the replay's undo records end at the replica's stable checkpoints:
         // everything at or below `collected` is gone
@@ -346,17 +346,21 @@ fn replay_and_membership(
         // accepted writes whose latest replayed result disagrees with the
         // accepted one, in accept order
         let mut mismatched = BTreeMap::new();
-        for row in log.entries.rows().filter(|row| row.node == node) {
-            match row.kind {
+        for kind in log.entries.rows_of(node) {
+            match kind {
                 RowKind::Execute {
                     seq,
                     request,
                     state_digest,
                 } => {
+                    let accept = index_of.get(&request);
+                    if let Some(i) = accept {
+                        executed[i] = true;
+                    }
                     if degraded {
                         continue;
                     }
-                    let Some(txn) = by_id.get(&request) else {
+                    let Some(txn) = cfg.txn(&request) else {
                         degraded = true;
                         continue;
                     };
@@ -370,7 +374,7 @@ fn replay_and_membership(
                     };
                     let (result, digest) = sm.execute(seq, &req);
                     if digest != log.entries.digest(state_digest) {
-                        out.push(SemanticViolation {
+                        replayed.push(SemanticViolation {
                             check: "replay-digest",
                             detail: format!(
                                 "{replica:?} seq {seq} digest diverges from faithful replay \
@@ -379,7 +383,7 @@ fn replay_and_membership(
                         });
                         degraded = true;
                     }
-                    let Some(&i) = index_of.get(&request) else {
+                    let Some(i) = accept else {
                         continue;
                     };
                     let a = accepted[i].accept;
@@ -413,17 +417,70 @@ fn replay_and_membership(
         if degraded || rolled_back {
             continue;
         }
-        for (i, replayed) in mismatched {
+        for (i, replayed_result) in mismatched {
             let a = accepted[i].accept;
-            out.push(SemanticViolation {
+            replayed.push(SemanticViolation {
                 check: "result-mismatch",
                 detail: format!(
                     "accepted result for {:?} disagrees with replay on {replica:?} \
                      ({:?} vs {:?})",
-                    a.request, a.result.reads, replayed.reads
+                    a.request, a.result.reads, replayed_result.reads
                 ),
             });
         }
+    }
+
+    for (a, executed) in accepted.iter().zip(executed) {
+        if a.accept.txn.is_read_only() {
+            continue; // served from current state, legitimately unordered
+        }
+        if !executed {
+            out.push(SemanticViolation {
+                check: "lost-write",
+                detail: format!(
+                    "accepted write {:?} never executed on any honest replica",
+                    a.accept.request
+                ),
+            });
+        }
+    }
+    out.append(&mut replayed);
+}
+
+/// Indices into the accepted list by request: one vector per client,
+/// indexed by the request's timestamp, of index + 1.
+#[derive(Debug, Default)]
+struct AcceptIndex {
+    /// Sorted by client.
+    clients: Vec<(ClientId, DenseMap<NonZeroU32>)>,
+}
+
+impl AcceptIndex {
+    fn get(&self, request: &RequestId) -> Option<usize> {
+        let i = self
+            .clients
+            .binary_search_by_key(&request.client, |(client, _)| *client)
+            .ok()?;
+        Some(self.clients[i].1.get(request.timestamp)?.get() as usize - 1)
+    }
+
+    fn set(&mut self, request: &RequestId, index: usize) {
+        let index = u32::try_from(index + 1)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("< 2^32 - 1 accepts");
+        let i = match self
+            .clients
+            .binary_search_by_key(&request.client, |(client, _)| *client)
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.clients
+                    .insert(i, (request.client, DenseMap::default()));
+                i
+            }
+        };
+        self.clients[i].1.set(request.timestamp, index);
     }
 }
 

@@ -92,6 +92,20 @@ impl PackedNode {
             NodeId::Client(ClientId(self.0 & !CLIENT_TAG))
         }
     }
+
+    /// The packed word with the client tag rotated into bit 0, so that a
+    /// small replica or client id is a small number (one varint byte in
+    /// the observation log).
+    #[inline]
+    pub(crate) fn to_compact(self) -> u64 {
+        self.0.rotate_left(1)
+    }
+
+    /// Inverse of [`Self::to_compact`].
+    #[inline]
+    pub(crate) fn from_compact(bits: u64) -> PackedNode {
+        PackedNode(bits.rotate_right(1))
+    }
 }
 
 /// An adversary-produced envelope (replay, equivocation substitute,
@@ -761,6 +775,8 @@ mod tests {
         ];
         for a in nodes {
             assert_eq!(PackedNode::pack(a).unpack(), a);
+            let packed = PackedNode::pack(a);
+            assert_eq!(PackedNode::from_compact(packed.to_compact()), packed);
             for b in nodes {
                 assert_eq!(PackedNode::pack(a).cmp(&PackedNode::pack(b)), a.cmp(&b));
             }

@@ -54,6 +54,7 @@ pub mod adversary;
 pub mod audit;
 pub mod campaign;
 pub mod checker;
+mod dense;
 pub mod engine;
 pub mod event;
 pub mod faults;

@@ -6,10 +6,10 @@
 //! these into an [`ObservationLog`] that the safety auditor and the
 //! experiment harness consume.
 //!
-//! The log stores each observation as a fixed-size row (DESIGN.md,
-//! "Observation log"): the run's memory is mostly this log, and the
-//! checker, the auditor and the semantic record read the rows without
-//! decoding them.
+//! The log stores each observation as a few bytes of varints in fixed-size
+//! blocks (DESIGN.md, "Observation log"): the run's memory is mostly this
+//! log. The checker, the auditor and the semantic record read it as
+//! [`Row`] values decoded on the way out, with digests as ordinals.
 
 use bft_types::{Digest, RequestId, SeqNum, Transaction, TxnResult, View};
 
@@ -144,9 +144,10 @@ pub struct LoggedObservation {
 /// [`RunOutcome::semantic_record`](crate::RunOutcome::semantic_record)).
 pub(crate) type Ordinal = u32;
 
-/// One stored observation: 48 bytes, where a [`LoggedObservation`] takes
-/// 104. Digests are [`Ordinal`]s into the log's digest table and a
-/// `ClientAccept` is an index into its accept table.
+/// One observation as the readers inside this crate see it: the node
+/// packed, digests as [`Ordinal`]s into the log's digest table and a
+/// `ClientAccept` as an index into its accept table. The log stores rows
+/// as bytes and decodes them on the way out ([`Entries::rows`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Row {
     pub(crate) at: SimTime,
@@ -252,22 +253,16 @@ impl Digests {
 
 /// log2 of [`SEGMENT_LEN`].
 const SEGMENT_BITS: u32 = 12;
-/// Elements per segment of a [`Segmented`] vector: 4 096 rows are
-/// 192 KiB. Peak RSS of the benchmark at 15 s, seed 1, two or three runs
-/// each (2-core Xeon 2.1 GHz, glibc malloc): `sim-pbft-n4-bigstate`
-/// 44.9–45.2 MiB with 2^12-element segments, 45.1–45.7 with 2^14 and
-/// 47.4–47.5 with 2^16, against 65.0 with one doubling `Vec`;
-/// `sim-pbft-n4` 64.9–65.0, 65.5–65.6 and 67.6–70.1, against 65.9–66.3.
+/// Elements per segment of a [`Segmented`] vector.
 const SEGMENT_LEN: usize = 1 << SEGMENT_BITS;
 
-/// An append-only vector stored in segments of [`SEGMENT_LEN`] elements.
+/// An append-only vector stored in segments of [`SEGMENT_LEN`] elements
+/// (the log's accept table).
 ///
 /// The first segment grows by doubling, as a `Vec` does, up to
 /// `SEGMENT_LEN`; every later segment is allocated at that size and never
-/// moves. A log that grows into the megabytes is therefore never copied
-/// into a larger block, and the blocks a finished log frees are all the
-/// same size, so the next run's log reuses them (DESIGN.md, "Observation
-/// log").
+/// moves, so a table that grows into the megabytes is never copied into
+/// a larger block (DESIGN.md, "Observation log").
 #[derive(Debug, Clone)]
 struct Segmented<T> {
     /// Elements `0 .. SEGMENT_LEN`.
@@ -321,57 +316,216 @@ impl<T> Segmented<T> {
             Some(segment) => self.tail.get(segment)?.get(i & (SEGMENT_LEN - 1)),
         }
     }
+}
 
-    fn last(&self) -> Option<&T> {
-        // a tail segment is never empty
-        self.tail
-            .last()
-            .map_or(self.head.last(), |last| last.last())
+/// Bytes of one block of the row stream. Every block after the first is
+/// allocated at this size and never moves; the first grows by doubling up
+/// to it. Peak RSS of the benchmark at 15 s, seed 1 (2-core Xeon, glibc
+/// malloc), with 4, 16 and 64 KiB blocks: `sim-pbft-n4` 36.0–36.5,
+/// 35.9–36.8 and 36.5–36.6 MiB; `sim-pbft-n4-bigstate` 32.7–32.8,
+/// 32.7–32.8 and 32.6–32.7; `sim-pbft-n16-open` 20.6, 20.6 and 20.5. The
+/// size does not move memory, so the smallest wins: `get(i)` and reverse
+/// iteration decode one block.
+const BLOCK_BYTES: usize = 1 << 12;
+
+/// The first block's capacity before it first doubles.
+const FIRST_BLOCK_BYTES: usize = 64;
+
+/// The longest encoded row: the tag byte, then the node, the `at` delta
+/// and an `Execute`'s four fields, each a varint of at most ten bytes.
+const MAX_ROW: usize = 1 + 6 * 10;
+
+/// A row's tag byte: its kind in the low four bits (a `Commit`'s
+/// speculative flag and a `StageEnter`'s stage are kinds of their own),
+/// and in the high four the number of bytes after the tag, or 0 when they
+/// are more than 15. The length lets a node-filtered scan step over
+/// another node's row without parsing it ([`Entries::rows_of`]).
+mod tag {
+    pub(super) const COMMIT: u8 = 0;
+    pub(super) const SPECULATIVE_COMMIT: u8 = 1;
+    pub(super) const EXECUTE: u8 = 2;
+    pub(super) const ROLLBACK: u8 = 3;
+    pub(super) const NEW_VIEW: u8 = 4;
+    pub(super) const STABLE_CHECKPOINT: u8 = 5;
+    /// `StageEnter` of `Stage::ALL[0]`; the other four stages follow.
+    pub(super) const STAGE_ENTER: u8 = 6;
+    pub(super) const STAGE_ENTER_LAST: u8 = STAGE_ENTER + 4;
+    pub(super) const RECOVERY_START: u8 = 11;
+    pub(super) const RECOVERY_DONE: u8 = 12;
+    pub(super) const CLIENT_ACCEPT: u8 = 13;
+    pub(super) const MARKER: u8 = 14;
+    pub(super) const KIND: u8 = 0x0f;
+    pub(super) const LEN_SHIFT: u32 = 4;
+    /// The largest length the high four bits hold.
+    pub(super) const LEN_MAX: usize = 15;
+    /// Varints after the `at` delta, by kind.
+    pub(super) const FIELDS: [u8; 16] = [3, 3, 4, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0];
+}
+
+/// One encoded row, built on the stack and then copied into a block.
+struct Encoded {
+    bytes: [u8; MAX_ROW],
+    len: usize,
+}
+
+impl Encoded {
+    /// A row with its tag byte left open.
+    fn new() -> Encoded {
+        Encoded {
+            bytes: [0; MAX_ROW],
+            len: 1,
+        }
     }
 
-    fn iter(&self) -> SegmentedIter<'_, T> {
-        SegmentedIter {
-            segments: std::iter::once(&self.head).chain(&self.tail).flatten(),
-            remaining: self.len(),
+    /// Writes the tag byte: `kind` and the length of what follows it.
+    fn close(&mut self, kind: u8) {
+        let len = if self.len - 1 <= tag::LEN_MAX {
+            self.len - 1
+        } else {
+            0
+        };
+        self.bytes[0] = kind | (len as u8) << tag::LEN_SHIFT;
+    }
+
+    /// Appends `value` as a LEB128 varint: seven bits a byte, low bits
+    /// first, the high bit set on every byte but the last.
+    #[inline]
+    fn put(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.bytes[self.len] = value as u8 | 0x80;
+            value >>= 7;
+            self.len += 1;
+        }
+        self.bytes[self.len] = value as u8;
+        self.len += 1;
+    }
+}
+
+/// A read position in the row stream: the block, its bytes, the offset
+/// of the next row in them, the `at` of the row before (the next row's
+/// delta base) and the accept-table index of the next `ClientAccept`.
+#[derive(Debug, Clone, Copy)]
+struct Cursor<'a> {
+    block: usize,
+    bytes: &'a [u8],
+    pos: usize,
+    at: u64,
+    accept: u32,
+}
+
+impl Cursor<'_> {
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let mut byte = self.bytes[self.pos];
+        self.pos += 1;
+        let mut value = u64::from(byte & 0x7f);
+        let mut shift = 0;
+        while byte >= 0x80 {
+            byte = self.bytes[self.pos];
+            self.pos += 1;
+            shift += 7;
+            value |= u64::from(byte & 0x7f) << shift;
+        }
+        value
+    }
+
+    /// The node of the row at the cursor, as [`PackedNode::to_compact`].
+    #[inline]
+    fn node(&self) -> u64 {
+        let mut at_node = Cursor {
+            pos: self.pos + 1,
+            ..*self
+        };
+        at_node.varint()
+    }
+
+    /// Moves past the row at the cursor without decoding it (its `at`
+    /// is not tracked).
+    #[inline]
+    fn skip(&mut self) {
+        let tag = self.bytes[self.pos];
+        let kind = tag & tag::KIND;
+        self.accept += u32::from(kind == tag::CLIENT_ACCEPT);
+        self.pos += 1;
+        match usize::from(tag >> tag::LEN_SHIFT) {
+            0 => {
+                for _ in 0..2 + tag::FIELDS[usize::from(kind)] {
+                    self.varint();
+                }
+            }
+            len => self.pos += len,
+        }
+    }
+
+    /// Decodes what [`Entries::push`] wrote at the cursor and moves past it.
+    #[inline]
+    fn decode(&mut self, labels: &[&'static str]) -> Row {
+        let tag = self.bytes[self.pos];
+        self.pos += 1;
+        let node = PackedNode::from_compact(self.varint());
+        let delta = self.varint();
+        self.at = self
+            .at
+            .wrapping_add(((delta >> 1) as i64 ^ -((delta & 1) as i64)) as u64);
+        let kind = match tag & tag::KIND {
+            kind @ (tag::COMMIT | tag::SPECULATIVE_COMMIT) => RowKind::Commit {
+                seq: SeqNum(self.varint()),
+                view: View(self.varint()),
+                digest: self.varint() as Ordinal,
+                speculative: kind == tag::SPECULATIVE_COMMIT,
+            },
+            tag::EXECUTE => RowKind::Execute {
+                seq: SeqNum(self.varint()),
+                request: RequestId {
+                    client: bft_types::ClientId(self.varint()),
+                    timestamp: self.varint(),
+                },
+                state_digest: self.varint() as Ordinal,
+            },
+            tag::ROLLBACK => RowKind::Rollback {
+                from_seq: SeqNum(self.varint()),
+            },
+            tag::NEW_VIEW => RowKind::NewView {
+                view: View(self.varint()),
+            },
+            tag::STABLE_CHECKPOINT => RowKind::StableCheckpoint {
+                seq: SeqNum(self.varint()),
+                state_digest: self.varint() as Ordinal,
+            },
+            kind @ tag::STAGE_ENTER..=tag::STAGE_ENTER_LAST => RowKind::StageEnter {
+                stage: Stage::ALL[usize::from(kind - tag::STAGE_ENTER)],
+            },
+            tag::RECOVERY_START => RowKind::RecoveryStart,
+            tag::RECOVERY_DONE => RowKind::RecoveryDone,
+            tag::CLIENT_ACCEPT => {
+                self.accept += 1;
+                RowKind::ClientAccept(self.accept - 1)
+            }
+            tag::MARKER => RowKind::Marker {
+                label: labels[self.varint() as usize],
+            },
+            _ => unreachable!("tag {tag:#x} is not one `Entries::push` writes"),
+        };
+        Row {
+            at: SimTime(self.at),
+            node,
+            kind,
         }
     }
 }
 
-/// A [`Segmented`] vector's segments in order: `head`, then `tail`.
-type Segments<'a, T> = std::iter::Chain<std::iter::Once<&'a Vec<T>>, std::slice::Iter<'a, Vec<T>>>;
-
-/// Iterator over a [`Segmented`] vector, in push order from either end.
+/// One block of the row stream. No row straddles two blocks (a block is
+/// closed once fewer than [`MAX_ROW`] bytes are left), and the first
+/// row's
+/// `at` is stored as a delta from zero, so a block decodes on its own.
 #[derive(Debug, Clone)]
-pub(crate) struct SegmentedIter<'a, T> {
-    segments: std::iter::Flatten<Segments<'a, T>>,
-    remaining: usize,
+struct Block {
+    /// Log index of its first row.
+    first: usize,
+    /// Accept-table index of its first `ClientAccept` row.
+    first_accept: u32,
+    bytes: Vec<u8>,
 }
-
-impl<'a, T> Iterator for SegmentedIter<'a, T> {
-    type Item = &'a T;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a T> {
-        let next = self.segments.next()?;
-        self.remaining -= 1;
-        Some(next)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<T> DoubleEndedIterator for SegmentedIter<'_, T> {
-    #[inline]
-    fn next_back(&mut self) -> Option<Self::Item> {
-        let next = self.segments.next_back()?;
-        self.remaining -= 1;
-        Some(next)
-    }
-}
-
-impl<T> ExactSizeIterator for SegmentedIter<'_, T> {}
 
 /// The rows of an [`ObservationLog`] and the tables they point into.
 /// Outside this crate it reads as a sequence of [`LoggedObservation`]s,
@@ -379,43 +533,90 @@ impl<T> ExactSizeIterator for SegmentedIter<'_, T> {}
 /// [`Entries::get`]).
 #[derive(Clone, Default)]
 pub struct Entries {
-    rows: Segmented<Row>,
+    /// The rows, encoded back to back ([`Entries::push`]).
+    blocks: Vec<Block>,
+    /// Rows in `blocks`.
+    len: usize,
+    /// `at` of the last row: the delta base of the next one.
+    last_at: SimTime,
     digests: Digests,
+    /// Marker labels in first-appearance order.
+    labels: Vec<&'static str>,
     accepts: Segmented<Accept>,
 }
 
 impl Entries {
+    /// Appends an observation: the tag, the node, the zigzag varint of
+    /// `at` minus the previous row's (or zero, first in a block), then the
+    /// fields as varints. A `ClientAccept` stores no index (its rows take
+    /// the accept table in order) and a `Marker` stores its label's index
+    /// in the label table.
     fn push(&mut self, at: SimTime, node: NodeId, obs: Observation) {
+        let accepts = u32::try_from(self.accepts.len()).expect("< 2^32 accepts");
+        let base = match self.blocks.last() {
+            Some(block) if block.bytes.len() + MAX_ROW <= BLOCK_BYTES => self.last_at,
+            // a row that might not fit starts the next block
+            _ => {
+                let capacity = if self.blocks.is_empty() {
+                    FIRST_BLOCK_BYTES
+                } else {
+                    BLOCK_BYTES
+                };
+                self.blocks.push(Block {
+                    first: self.len,
+                    first_accept: accepts,
+                    bytes: Vec::with_capacity(capacity),
+                });
+                SimTime(0)
+            }
+        };
+        let mut e = Encoded::new();
+        e.put(PackedNode::pack(node).to_compact());
+        let delta = at.0.wrapping_sub(base.0) as i64;
+        e.put(((delta << 1) ^ (delta >> 63)) as u64);
         let kind = match obs {
             Observation::Commit {
                 seq,
                 view,
                 digest,
                 speculative,
-            } => RowKind::Commit {
-                seq,
-                view,
-                digest: self.digests.intern(digest),
-                speculative,
-            },
+            } => {
+                e.put(seq.0);
+                e.put(view.0);
+                e.put(self.digests.intern(digest).into());
+                if speculative {
+                    tag::SPECULATIVE_COMMIT
+                } else {
+                    tag::COMMIT
+                }
+            }
             Observation::Execute {
                 seq,
                 request,
                 state_digest,
-            } => RowKind::Execute {
-                seq,
-                request,
-                state_digest: self.digests.intern(state_digest),
-            },
-            Observation::Rollback { from_seq } => RowKind::Rollback { from_seq },
-            Observation::NewView { view } => RowKind::NewView { view },
-            Observation::StableCheckpoint { seq, state_digest } => RowKind::StableCheckpoint {
-                seq,
-                state_digest: self.digests.intern(state_digest),
-            },
-            Observation::StageEnter { stage } => RowKind::StageEnter { stage },
-            Observation::RecoveryStart => RowKind::RecoveryStart,
-            Observation::RecoveryDone => RowKind::RecoveryDone,
+            } => {
+                e.put(seq.0);
+                e.put(request.client.0);
+                e.put(request.timestamp);
+                e.put(self.digests.intern(state_digest).into());
+                tag::EXECUTE
+            }
+            Observation::Rollback { from_seq } => {
+                e.put(from_seq.0);
+                tag::ROLLBACK
+            }
+            Observation::NewView { view } => {
+                e.put(view.0);
+                tag::NEW_VIEW
+            }
+            Observation::StableCheckpoint { seq, state_digest } => {
+                e.put(seq.0);
+                e.put(self.digests.intern(state_digest).into());
+                tag::STABLE_CHECKPOINT
+            }
+            Observation::StageEnter { stage } => tag::STAGE_ENTER + stage as u8,
+            Observation::RecoveryStart => tag::RECOVERY_START,
+            Observation::RecoveryDone => tag::RECOVERY_DONE,
             Observation::ClientAccept {
                 request,
                 sent_at,
@@ -423,7 +624,6 @@ impl Entries {
                 txn,
                 result,
             } => {
-                let index = u32::try_from(self.accepts.len()).expect("< 2^32 accepts");
                 self.accepts.push(Accept {
                     request,
                     sent_at,
@@ -431,27 +631,46 @@ impl Entries {
                     txn,
                     result,
                 });
-                RowKind::ClientAccept(index)
+                tag::CLIENT_ACCEPT
             }
-            Observation::Marker { label } => RowKind::Marker { label },
+            Observation::Marker { label } => {
+                e.put(self.label(label) as u64);
+                tag::MARKER
+            }
         };
-        let node = PackedNode::pack(node);
-        self.rows.push(Row { at, node, kind });
+        e.close(kind);
+        // the first block grows by doubling, as a `Vec` does, up to
+        // BLOCK_BYTES; a later one never grows
+        let bytes = &mut self.blocks.last_mut().expect("a block").bytes;
+        bytes.extend_from_slice(&e.bytes[..e.len]);
+        self.last_at = at;
+        self.len += 1;
+    }
+
+    /// `label`'s index in the label table, added on first sight.
+    fn label(&mut self, label: &'static str) -> usize {
+        self.labels
+            .iter()
+            .position(|known| *known == label)
+            .unwrap_or_else(|| {
+                self.labels.push(label);
+                self.labels.len() - 1
+            })
     }
 
     /// Number of observations.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True when nothing was observed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The `i`-th observation in emission order.
     pub fn get(&self, i: usize) -> Option<LoggedObservation> {
-        self.rows.get(i).map(|row| self.decode(row))
+        (i < self.len).then(|| self.observation(self.row(i)))
     }
 
     /// The first observation.
@@ -461,24 +680,44 @@ impl Entries {
 
     /// The last observation.
     pub fn last(&self) -> Option<LoggedObservation> {
-        self.rows.last().map(|row| self.decode(row))
+        self.get(self.len.checked_sub(1)?)
     }
 
     /// Every observation in emission order, decoded.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            entries: self,
-            rows: self.rows(),
-        }
+        Iter { rows: self.rows() }
     }
 
     /// The stored rows in emission order.
-    pub(crate) fn rows(&self) -> SegmentedIter<'_, Row> {
-        self.rows.iter()
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        Rows {
+            entries: self,
+            front: self.cursor(0),
+            front_index: 0,
+            back_index: self.len,
+            back_rows: Vec::new(),
+        }
+    }
+
+    /// The kinds of `node`'s rows in emission order. Other nodes' rows are
+    /// stepped over by their length, not decoded, so their `at` is not
+    /// known and neither is this one's.
+    pub(crate) fn rows_of(&self, node: PackedNode) -> NodeRows<'_> {
+        NodeRows {
+            entries: self,
+            cursor: self.cursor(0),
+            left: self.len,
+            node: node.to_compact(),
+        }
     }
 
     pub(crate) fn digest(&self, ordinal: Ordinal) -> Digest {
         self.digests.table[ordinal as usize]
+    }
+
+    /// Number of `ClientAccept` observations.
+    pub(crate) fn accept_count(&self) -> usize {
+        self.accepts.len()
     }
 
     pub(crate) fn accept(&self, index: u32) -> &Accept {
@@ -487,7 +726,48 @@ impl Entries {
             .expect("an accept of this log")
     }
 
-    fn decode(&self, row: &Row) -> LoggedObservation {
+    /// A cursor at the first row of block `block`, or past the end.
+    fn cursor(&self, block: usize) -> Cursor<'_> {
+        let (bytes, accept) = self
+            .blocks
+            .get(block)
+            .map_or((&[][..], 0), |b| (&b.bytes[..], b.first_accept));
+        Cursor {
+            block,
+            bytes,
+            pos: 0,
+            at: 0,
+            accept,
+        }
+    }
+
+    /// Decodes the row at `cursor` and moves it to the next row.
+    #[inline]
+    fn read<'a>(&'a self, cursor: &mut Cursor<'a>) -> Row {
+        let row = cursor.decode(&self.labels);
+        if cursor.pos == cursor.bytes.len() {
+            *cursor = self.cursor(cursor.block + 1);
+        }
+        row
+    }
+
+    /// A cursor at the start of the block holding row `i < len`, and the
+    /// index of that block's first row.
+    fn block_of(&self, i: usize) -> (Cursor<'_>, usize) {
+        let block = self.blocks.partition_point(|b| b.first <= i) - 1;
+        (self.cursor(block), self.blocks[block].first)
+    }
+
+    /// Row `i < len`, decoded from the start of its block.
+    fn row(&self, i: usize) -> Row {
+        let (mut cursor, first) = self.block_of(i);
+        for _ in first..i {
+            self.read(&mut cursor);
+        }
+        self.read(&mut cursor)
+    }
+
+    fn observation(&self, row: Row) -> LoggedObservation {
         let obs = match row.kind {
             RowKind::Commit {
                 seq,
@@ -553,18 +833,106 @@ impl<'a> IntoIterator for &'a Entries {
     }
 }
 
+/// The rows of [`Entries`] in emission order, decoded from either end.
+/// Forwards, each row is decoded once, in place. Backwards, the rows of a
+/// block are decoded into a buffer the iterator keeps, since a row's
+/// delta base is the row before it.
+#[derive(Debug, Clone)]
+pub(crate) struct Rows<'a> {
+    entries: &'a Entries,
+    front: Cursor<'a>,
+    /// Rows `front_index .. back_index` are left.
+    front_index: usize,
+    back_index: usize,
+    /// The rows before `back_index` in its block, decoded, or none yet.
+    back_rows: Vec<Row>,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Row;
+
+    #[inline]
+    fn next(&mut self) -> Option<Row> {
+        if self.front_index == self.back_index {
+            return None;
+        }
+        self.front_index += 1;
+        Some(self.entries.read(&mut self.front))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.back_index - self.front_index;
+        (left, Some(left))
+    }
+}
+
+impl DoubleEndedIterator for Rows<'_> {
+    fn next_back(&mut self) -> Option<Row> {
+        if self.front_index == self.back_index {
+            return None;
+        }
+        self.back_index -= 1;
+        if self.back_rows.is_empty() {
+            let (mut cursor, first) = self.entries.block_of(self.back_index);
+            for _ in first..=self.back_index {
+                self.back_rows.push(self.entries.read(&mut cursor));
+            }
+        }
+        self.back_rows.pop()
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// The row kinds of one node of [`Entries`] ([`Entries::rows_of`]).
+#[derive(Debug, Clone)]
+pub(crate) struct NodeRows<'a> {
+    entries: &'a Entries,
+    cursor: Cursor<'a>,
+    /// Rows after the cursor, of any node.
+    left: usize,
+    /// The node, as [`PackedNode::to_compact`].
+    node: u64,
+}
+
+impl Iterator for NodeRows<'_> {
+    type Item = RowKind;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowKind> {
+        while self.left > 0 {
+            self.left -= 1;
+            let cursor = &mut self.cursor;
+            // a node below 0x80 is one varint byte, and no other node's
+            // varint starts with that byte
+            let mine = match self.node {
+                node @ 0..0x80 => u64::from(cursor.bytes[cursor.pos + 1]) == node,
+                node => cursor.node() == node,
+            };
+            if mine {
+                return Some(self.entries.read(cursor).kind);
+            }
+            cursor.skip();
+            if cursor.pos == cursor.bytes.len() {
+                *cursor = self.entries.cursor(cursor.block + 1);
+            }
+        }
+        None
+    }
+}
+
 /// Decoding iterator over [`Entries`].
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    entries: &'a Entries,
-    rows: SegmentedIter<'a, Row>,
+    rows: Rows<'a>,
 }
 
 impl Iterator for Iter<'_> {
     type Item = LoggedObservation;
 
     fn next(&mut self) -> Option<LoggedObservation> {
-        self.rows.next().map(|row| self.entries.decode(row))
+        let row = self.rows.next()?;
+        Some(self.rows.entries.observation(row))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -574,7 +942,8 @@ impl Iterator for Iter<'_> {
 
 impl DoubleEndedIterator for Iter<'_> {
     fn next_back(&mut self) -> Option<LoggedObservation> {
-        self.rows.next_back().map(|row| self.entries.decode(row))
+        let row = self.rows.next_back()?;
+        Some(self.rows.entries.observation(row))
     }
 }
 
@@ -596,11 +965,9 @@ impl ObservationLog {
 
     /// All final (non-speculative) commits by `node`, as `(seq, digest)`.
     pub fn commits_of(&self, node: NodeId) -> Vec<(SeqNum, Digest)> {
-        let node = PackedNode::pack(node);
         self.entries
-            .rows()
-            .filter(|row| row.node == node)
-            .filter_map(|row| match row.kind {
+            .rows_of(PackedNode::pack(node))
+            .filter_map(|kind| match kind {
                 RowKind::Commit {
                     seq,
                     digest,
@@ -633,10 +1000,9 @@ impl ObservationLog {
 
     /// The set of stages `node` entered, in first-entry order.
     pub fn stages_of(&self, node: NodeId) -> Vec<Stage> {
-        let node = PackedNode::pack(node);
         let mut seen = Vec::new();
-        for row in self.entries.rows() {
-            if let (true, RowKind::StageEnter { stage }) = (row.node == node, row.kind) {
+        for kind in self.entries.rows_of(PackedNode::pack(node)) {
+            if let RowKind::StageEnter { stage } = kind {
                 if !seen.contains(&stage) {
                     seen.push(stage);
                 }
@@ -749,15 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn a_row_is_at_most_48_bytes() {
-        assert!(
-            std::mem::size_of::<Row>() <= 48,
-            "{}",
-            std::mem::size_of::<Row>()
-        );
-    }
-
-    #[test]
     fn digests_get_first_appearance_ordinals() {
         let mut digests = Digests::default();
         let digest = |i: u32| {
@@ -774,6 +1131,9 @@ mod tests {
         assert_eq!(digests.table.len(), 1_000);
         assert!(2 * digests.table.len() <= digests.slots.len());
     }
+
+    /// Marker labels the generated logs draw from.
+    const LABELS: [&str; 4] = ["fallback", "fast path", "amnesia-restart", ""];
 
     /// One of every [`Observation`] variant, picked by `variant`; the
     /// digests come from a pool of four so that values repeat.
@@ -818,17 +1178,22 @@ mod tests {
                 },
             },
             _ => Observation::Marker {
-                label: if flag { "fallback" } else { "fast path" },
+                label: LABELS[(a % 4) as usize],
             },
         }
     }
 
+    /// Bytes the log's rows occupy in its blocks.
+    fn stored(entries: &Entries) -> usize {
+        entries.blocks.iter().map(|b| b.bytes.len()).sum()
+    }
+
     #[test]
-    fn a_log_past_its_first_segments_reads_in_emission_order() {
-        let n = 2 * SEGMENT_LEN + 3;
+    fn a_log_past_its_first_blocks_reads_in_emission_order() {
+        let n = 20_000;
         let pushed: Vec<LoggedObservation> = (0..n as u64)
             .map(|i| LoggedObservation {
-                at: SimTime(i),
+                at: SimTime(1_000 * i),
                 node: NodeId::replica((i % 4) as u32),
                 obs: observation((i % 10) as u8, i, i % 1_000, (i % 4) as u8, i % 3 == 0),
             })
@@ -838,52 +1203,75 @@ mod tests {
             log.push(e.at, e.node, e.obs.clone());
         }
         let entries = &log.entries;
-        assert_eq!(entries.rows.tail.len(), 2);
-        for segment in std::iter::once(&entries.rows.head).chain(&entries.rows.tail) {
-            assert!(segment.capacity() <= SEGMENT_LEN);
+        assert!(entries.blocks.len() >= 4, "{}", entries.blocks.len());
+        for block in &entries.blocks[1..] {
+            assert_eq!(block.bytes.capacity(), BLOCK_BYTES);
         }
+        assert!(entries.blocks[0].bytes.capacity() <= BLOCK_BYTES);
         assert_eq!(entries.len(), n);
         assert_eq!(entries.iter().len(), n);
         assert!(entries.iter().eq(pushed.iter().cloned()));
         assert!(entries.iter().rev().eq(pushed.iter().rev().cloned()));
         assert_eq!(entries.rows().len(), n);
-        assert!(entries.rows().map(|row| row.at.0).eq(0..n as u64));
+        assert!(entries
+            .rows()
+            .map(|row| row.at.0)
+            .eq((0..n as u64).map(|i| 1_000 * i)));
         assert!(entries
             .rows()
             .rev()
             .map(|row| row.at.0)
-            .eq((0..n as u64).rev()));
-        for i in [
-            0,
-            SEGMENT_LEN - 1,
-            SEGMENT_LEN,
-            2 * SEGMENT_LEN - 1,
-            2 * SEGMENT_LEN,
-            n - 1,
-        ] {
-            assert_eq!(entries.get(i).as_ref(), Some(&pushed[i]), "row {i}");
+            .eq((0..n as u64).rev().map(|i| 1_000 * i)));
+        for block in &entries.blocks {
+            for i in [block.first.saturating_sub(1), block.first, block.first + 1] {
+                assert_eq!(entries.get(i).as_ref(), Some(&pushed[i]), "row {i}");
+            }
         }
         assert_eq!(entries.get(n), None);
         assert_eq!(entries.first().as_ref(), pushed.first());
         assert_eq!(entries.last().as_ref(), pushed.last());
     }
 
-    /// Bytes a [`Segmented`] vector has allocated.
-    fn allocated<T>(segmented: &Segmented<T>) -> usize {
-        let elements: usize = std::iter::once(&segmented.head)
-            .chain(&segmented.tail)
-            .map(Vec::capacity)
-            .sum();
-        elements * std::mem::size_of::<T>()
-            + segmented.tail.capacity() * std::mem::size_of::<Vec<T>>()
-    }
-
-    /// Bytes a plain `Vec` allocates for its first push.
-    #[allow(clippy::vec_init_then_push)] // `vec![value]` allocates less than a push
-    fn one_element_vec<T>(value: T) -> usize {
-        let mut vec = Vec::new();
-        vec.push(value);
-        vec.capacity() * std::mem::size_of::<T>()
+    #[test]
+    fn a_run_shaped_row_is_stored_in_at_most_six_and_a_half_bytes() {
+        // what a replica of a four-replica run logs per batch: stage
+        // entries, a commit and an execution, microseconds apart, at
+        // growing seqs and one digest a batch
+        let mut log = ObservationLog::default();
+        for seq in 1..2_000u64 {
+            for r in 0..4 {
+                let at = SimTime(1_000_000 * seq + 3_000 * r);
+                let node = NodeId::replica(r as u32);
+                let digest = Digest([(seq % 200) as u8; 32]);
+                let stage = |stage| Observation::StageEnter { stage };
+                log.push(at, node, stage(Stage::Ordering));
+                log.push(
+                    at,
+                    node,
+                    Observation::Commit {
+                        seq: SeqNum(seq),
+                        view: View(0),
+                        digest,
+                        speculative: false,
+                    },
+                );
+                log.push(at, node, stage(Stage::Execution));
+                log.push(
+                    SimTime(at.0 + 1_500),
+                    node,
+                    Observation::Execute {
+                        seq: SeqNum(seq),
+                        request: RequestId {
+                            client: bft_types::ClientId(seq % 4),
+                            timestamp: seq / 4,
+                        },
+                        state_digest: digest,
+                    },
+                );
+            }
+        }
+        let per_row = stored(&log.entries) as f64 / log.entries.len() as f64;
+        assert!(per_row <= 6.5, "{per_row} bytes per row");
     }
 
     #[test]
@@ -891,50 +1279,91 @@ mod tests {
         let mut log = ObservationLog::default();
         log.push(SimTime(1), NodeId::client(1), observation(8, 1, 2, 0, true));
         let entries = &log.entries;
-        assert_eq!(
-            allocated(&entries.rows),
-            one_element_vec(entries.rows.head[0])
-        );
-        assert_eq!(
-            allocated(&entries.accepts),
-            one_element_vec(entries.accepts.head[0].clone())
-        );
+        let blocks = entries.blocks.capacity() * std::mem::size_of::<Block>()
+            + entries.blocks[0].bytes.capacity();
+        let vec = 4 * std::mem::size_of::<LoggedObservation>();
+        assert!(blocks <= vec, "{blocks} > {vec}");
+        assert_eq!(entries.accepts.head.capacity(), 4);
+    }
+
+    /// A 64-bit field: its extremes as often as a small or an arbitrary
+    /// value.
+    fn field() -> impl proptest::prelude::Strategy<Value = u64> {
+        use proptest::prelude::Strategy;
+        (0u8..4, proptest::prelude::any::<u64>()).prop_map(|(pick, v)| match pick {
+            0 => u64::MAX,
+            1 => 0,
+            2 => v % 1_000,
+            _ => v,
+        })
+    }
+
+    /// An `at` step: forwards a little, not at all, backwards, or anywhere.
+    fn step() -> impl proptest::prelude::Strategy<Value = (u8, u64)> {
+        (0u8..4, proptest::prelude::any::<u64>())
+    }
+
+    fn next_at(at: u64, (pick, v): (u8, u64)) -> u64 {
+        match pick {
+            0 => at.wrapping_add(v % 5_000),
+            1 => at,
+            2 => at.wrapping_sub(v % 5_000),
+            _ => v,
+        }
     }
 
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 24, ..proptest::ProptestConfig::default() })]
         #[test]
         fn every_observation_comes_back_equal(
             drawn in proptest::collection::vec(
-                (0u8..10, proptest::prelude::any::<u64>(), 0u64..1_000, 0u8..4,
-                 proptest::prelude::any::<bool>(), 0u64..6),
-                0..60,
+                (0u8..10, field(), field(), 0u8..4, proptest::prelude::any::<bool>(), 0u64..6, step()),
+                0..3_000,
             ),
         ) {
+            let mut at = 0;
             let pushed: Vec<LoggedObservation> = drawn
                 .into_iter()
-                .enumerate()
-                .map(|(i, (variant, a, b, digest, flag, node))| LoggedObservation {
-                    at: SimTime(i as u64 * 10 + b % 10),
-                    node: if node < 4 { NodeId::replica(node as u32) } else { NodeId::client(node) },
-                    obs: observation(variant, a, b, digest, flag),
+                .map(|(variant, a, b, digest, flag, node, step)| {
+                    at = next_at(at, step);
+                    LoggedObservation {
+                        at: SimTime(at),
+                        node: if node < 4 { NodeId::replica(node as u32) } else { NodeId::client(node) },
+                        obs: observation(variant, a, b, digest, flag),
+                    }
                 })
                 .collect();
             let mut log = ObservationLog::default();
             for e in &pushed {
                 log.push(e.at, e.node, e.obs.clone());
             }
-            proptest::prop_assert_eq!(log.entries.len(), pushed.len());
-            proptest::prop_assert_eq!(log.entries.iter().len(), pushed.len());
-            let forwards: Vec<LoggedObservation> = log.entries.iter().collect();
+            let entries = &log.entries;
+            proptest::prop_assert_eq!(entries.len(), pushed.len());
+            proptest::prop_assert_eq!(entries.iter().len(), pushed.len());
+            let forwards: Vec<LoggedObservation> = entries.iter().collect();
             proptest::prop_assert_eq!(&forwards, &pushed);
-            let mut reversed: Vec<LoggedObservation> = (&log.entries).into_iter().rev().collect();
+            let mut reversed: Vec<LoggedObservation> = entries.into_iter().rev().collect();
             reversed.reverse();
             proptest::prop_assert_eq!(&reversed, &pushed);
-            for (i, e) in pushed.iter().enumerate() {
-                proptest::prop_assert_eq!(log.entries.get(i).as_ref(), Some(e));
+            // both ends at once meet in the middle
+            let mut both = entries.iter();
+            let mut head = Vec::new();
+            let mut tail = Vec::new();
+            while let Some(e) = both.next() {
+                head.push(e);
+                tail.extend(both.next_back());
             }
-            proptest::prop_assert_eq!(log.entries.first().as_ref(), pushed.first());
-            proptest::prop_assert_eq!(log.entries.last().as_ref(), pushed.last());
+            head.extend(tail.into_iter().rev());
+            proptest::prop_assert_eq!(&head, &pushed);
+            for (i, e) in pushed.iter().enumerate() {
+                proptest::prop_assert_eq!(entries.get(i).as_ref(), Some(e));
+            }
+            proptest::prop_assert_eq!(entries.get(pushed.len()), None);
+            proptest::prop_assert_eq!(entries.first().as_ref(), pushed.first());
+            proptest::prop_assert_eq!(entries.last().as_ref(), pushed.last());
+            for block in &entries.blocks {
+                proptest::prop_assert!(block.bytes.len() <= BLOCK_BYTES);
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! What a run costs in memory, per request: the peak bytes the engine holds
-//! beyond the log it returns, the bytes the finished observation log holds,
-//! and the peak transient bytes of the two readers every run ends with,
-//! `suite::check_run` and `SafetyAuditor::check`.
+//! beyond the log it returns and the bytes of that log, at an open-loop
+//! n = 16 shape; then, at a closed-loop n = 4 shape, the bytes the finished
+//! observation log holds and the peak transient bytes of the two readers
+//! every run ends with, `suite::check_run` and `SafetyAuditor::check`.
 //!
 //! A counting global allocator measures them, so this file is its own test
 //! binary with one test: a second test running in parallel would allocate
@@ -95,11 +96,24 @@ struct Bytes {
     audit: f64,
 }
 
+/// The same run's bytes per request when the log stored each observation
+/// as a 48-byte row: the log, and the peak transients of `check_run` and
+/// of the audit before they kept their indices in vectors.
+const ROWS: Bytes = Bytes {
+    log: 1_112.768,
+    check_run: 274.71,
+    audit: 220.076,
+};
+
 /// Peak live bytes of one `ProtocolId::Pbft.run` above the log it returns,
 /// per request, at the shape of `open_loop_n16` below, before the calendar
 /// queue released burst storage and the log grew in fixed segments
 /// (measured with this file's code, rustc 1.95, x86-64).
 const ENGINE_BEFORE: f64 = 33_837.0;
+
+/// The log's bytes per request at the shape of `open_loop_n16` with
+/// 48-byte rows (measured with this file's code, rustc 1.95, x86-64).
+const OPEN_LOOP_LOG_ROWS: f64 = 3_943.0;
 
 /// The `sim-pbft-n16-open` benchmark shape at a debug-mode size: PBFT
 /// f = 5, n = 16, eight open-loop clients at 1 000 requests per second
@@ -127,10 +141,17 @@ fn the_log_and_its_readers_stay_within_half_their_former_bytes_per_request() {
     );
     let before = ALLOC.live();
     drop(std::mem::take(&mut out.log));
-    let engine = (peak - (before - ALLOC.live())) as f64 / open.total_requests() as f64;
+    let open_log = before - ALLOC.live();
+    let engine = (peak - open_log) as f64 / open.total_requests() as f64;
+    let open_log = open_log as f64 / open.total_requests() as f64;
     drop(out);
     println!("engine bytes per request above the log: {engine:.1} (before: {ENGINE_BEFORE})");
     assert!(engine <= 0.5 * ENGINE_BEFORE, "{engine}");
+    println!(
+        "log bytes per request at this shape: {open_log:.1} (48-byte rows: {OPEN_LOOP_LOG_ROWS})"
+    );
+    // 620.0 since rows are byte-packed, with 10 % headroom
+    assert!(open_log <= 680.0, "{open_log}");
 
     let scenario = Scenario::small(1).with_load(2, 2_000).with_seed(1);
     let requests = scenario.total_requests() as f64;
@@ -152,9 +173,9 @@ fn the_log_and_its_readers_stay_within_half_their_former_bytes_per_request() {
         check_run: check_run as f64 / requests,
         audit: audit as f64 / requests,
     };
-    println!("bytes per request: {now:?} (before: {BEFORE:?})");
-    // 1 112.8 bytes since the log grows in fixed segments (1 800.7 before)
-    assert!(now.log <= 0.33 * BEFORE.log, "{now:?}");
-    assert!(now.check_run <= 0.5 * BEFORE.check_run, "{now:?}");
-    assert!(now.audit <= 0.5 * BEFORE.audit, "{now:?}");
+    println!("bytes per request: {now:?} (before: {BEFORE:?}, 48-byte rows: {ROWS:?})");
+    // 315.7 since rows are byte-packed, with 10 % headroom
+    assert!(now.log <= 350.0, "{now:?}");
+    assert!(now.check_run <= 0.5 * ROWS.check_run, "{now:?}");
+    assert!(now.audit <= 0.5 * ROWS.audit, "{now:?}");
 }
