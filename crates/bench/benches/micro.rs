@@ -309,7 +309,7 @@ mod bench_json {
             for (clients, requests) in [(2usize, 25u64), (4, 50)] {
                 let s = entry.scenario(1, clients, requests, 11);
                 let out = ProtocolId::Pbft.run(&s);
-                let accepted = out.log.client_latencies().len() as u64;
+                let accepted = out.log.accepted() as u64;
                 let secs = out.end_time.0 as f64 / 1e9;
                 points.push(WorkloadPoint {
                     family: entry.name.to_string(),

@@ -5,7 +5,7 @@ use bft_sim::{NodeId, SafetyAuditor};
 
 /// Requests accepted by clients.
 pub fn accepted(out: &RunOutcome) -> usize {
-    out.log.client_latencies().len()
+    out.log.accepted()
 }
 
 /// Mean client latency in virtual nanoseconds (0 when nothing completed).

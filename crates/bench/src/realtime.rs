@@ -162,7 +162,7 @@ pub fn run_realtime(cfg: &RealtimeConfig) -> RealtimeReport {
             } else {
                 (started.elapsed().as_nanos() as u64).max(1)
             };
-            let accepted = out.log.client_latencies().len() as u64;
+            let accepted = out.log.accepted() as u64;
             let checker_clean = check_run(id, &scenario, &out).is_empty();
             let wall_ms = wall_ns as f64 / 1e6;
             let req_per_sec = accepted as f64 / (wall_ns as f64 / 1e9);

@@ -46,7 +46,7 @@ pub fn measure(protocol: ProtocolId, requests_per_client: u64, repeats: usize) -
         let start = Instant::now();
         let out = protocol.run(&scenario);
         let us = start.elapsed().as_secs_f64() * 1e6;
-        accepted = out.log.client_latencies().len() as u64;
+        accepted = out.log.accepted() as u64;
         best = best.min(us / issued as f64);
     }
     Point {

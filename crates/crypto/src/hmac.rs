@@ -34,32 +34,54 @@ impl MacKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Mac(pub [u8; 32]);
 
+/// One HMAC-SHA-256 key with its padded blocks already absorbed: `inner`
+/// has compressed `key ⊕ ipad` and `outer` `key ⊕ opad`, so a tag costs
+/// the message's blocks and one outer block, not two key blocks more.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Hasher,
+    outer: Hasher,
+}
+
+impl HmacKey {
+    /// Absorb `key` (hashed first when longer than a block, per RFC 2104).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&crate::hash::sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
+            let mut h = Hasher::new();
+            h.update(&key_block.map(|k| k ^ byte));
+            h
+        };
+        HmacKey {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
+    }
+
+    /// The tag of `message` under this key.
+    pub fn mac(&self, message: &[u8]) -> Mac {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        Mac(outer.finalize())
+    }
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
+
 /// HMAC-SHA-256 as specified in RFC 2104 / FIPS 198-1.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Mac {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        let digest = crate::hash::sha256(key);
-        key_block[..32].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Hasher::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Hasher::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    Mac(outer.finalize())
+    HmacKey::new(key).mac(message)
 }
 
 /// Compute a MAC for a message under a channel key.
@@ -163,6 +185,36 @@ mod tests {
             hex(&tag.0),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn an_absorbed_key_matches_rfc4231_and_stays_reusable() {
+        let long_key = [0xaau8; 131];
+        let vectors: [(&[u8], &[u8], &str); 3] = [
+            (
+                &[0x0bu8; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, data, expected) in vectors {
+            let absorbed = HmacKey::new(key);
+            // a tag leaves the key as it was: the second one is the same
+            for _ in 0..2 {
+                assert_eq!(hex(&absorbed.mac(data).0), expected);
+            }
+            assert_eq!(absorbed.mac(data), hmac_sha256(key, data));
+        }
     }
 
     #[test]

@@ -38,6 +38,21 @@
 //! must behave like proper cryptographic hashes for checkpoint comparison
 //! and duplicate detection to be meaningful.
 //!
+//! ## What is hashed and what is signed
+//!
+//! A request is hashed once into its [`digest_of`], and that 32-byte
+//! digest is what its client signs ([`sign::Signer::sign_value`]) and what
+//! every verifier checks ([`sign::verify_value`]). A batch digest hashes
+//! one fixed-width *leaf* per request: its digest, the signer and the
+//! signature's tag (72 bytes, `bft_protocols::common::SignedRequest`'s
+//! stable encoding). The slot digest replicas agree on thus binds every
+//! request and its signature, and costs the same per request however large
+//! the transaction is. Every party computes each leaf from the request it
+//! holds; none takes a digest from another.
+//!
+//! [`digest_of`] streams the stable encoding into SHA-256 without a buffer;
+//! [`stable_bytes`] (the adversary's wire MACs) reserves its buffer up front.
+//!
 //! ## The hardware path
 //!
 //! Every digest, MAC and signature ends in [`hash`]'s compression function,
@@ -60,7 +75,7 @@ pub mod threshold;
 
 pub use cost::{CostTable, CryptoCostModel, CryptoOp};
 pub use hash::{sha256, Hasher};
-pub use hmac::{hmac_sha256, Mac, MacKey};
+pub use hmac::{hmac_sha256, HmacKey, Mac, MacKey};
 pub use sign::{KeyStore, SecretKey, Signature, Signer};
 pub use threshold::{ThresholdScheme, ThresholdSig, ThresholdSigner};
 
@@ -69,18 +84,25 @@ use bft_types::Digest;
 /// Hash any `serde`-serializable value into a [`Digest`].
 ///
 /// Used to derive request digests, batch digests, and message digests. The
-/// value is serialized with a stable, compact, deterministic encoding and
-/// hashed with SHA-256.
+/// value's stable encoding ([`stable_bytes`]) is streamed into SHA-256, so
+/// no buffer is built. A type may give itself a short fixed encoding: a
+/// signed request encodes as its 72-byte leaf (its request digest, signer
+/// and tag), so a batch digest hashes leaves, never whole requests.
 pub fn digest_of<T: serde::Serialize>(value: &T) -> Digest {
-    let bytes = stable_bytes(value);
-    Digest(sha256(&bytes))
+    let mut enc = enc::ByteEncoder { out: Hasher::new() };
+    value
+        .serialize(&mut enc)
+        .expect("stable encoding cannot fail");
+    Digest(enc.out.finalize())
 }
 
 /// Deterministic byte encoding for hashing. We avoid pulling in a binary
 /// serde format by writing a tiny self-describing encoder: field order is
 /// struct order, which serde guarantees stable for a fixed type.
 pub fn stable_bytes<T: serde::Serialize>(value: &T) -> Vec<u8> {
-    let mut enc = enc::ByteEncoder::default();
+    let mut enc = enc::ByteEncoder {
+        out: Vec::with_capacity(enc::RESERVE),
+    };
     value
         .serialize(&mut enc)
         .expect("stable encoding cannot fail");
@@ -89,13 +111,37 @@ pub fn stable_bytes<T: serde::Serialize>(value: &T) -> Vec<u8> {
 
 mod enc {
     //! Minimal deterministic serde serializer producing length-prefixed
-    //! bytes. Every value is tagged so that adjacent fields cannot alias.
+    //! bytes. Every value is tagged so that adjacent fields cannot alias;
+    //! a `u8` has a tag of its own and one byte, so a 32-byte digest or
+    //! tag costs 65 bytes.
 
     use serde::ser::{self, Serialize};
 
-    #[derive(Default)]
-    pub struct ByteEncoder {
-        pub out: Vec<u8>,
+    use crate::Hasher;
+
+    /// Bytes [`crate::stable_bytes`] reserves: a message under an adversary
+    /// (a proposal with a few leaves, a vote) fits without growing.
+    pub const RESERVE: usize = 256;
+
+    /// Where the encoding goes: a buffer, or straight into a hash.
+    pub trait Sink {
+        fn put(&mut self, bytes: &[u8]);
+    }
+
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+    }
+
+    impl Sink for Hasher {
+        fn put(&mut self, bytes: &[u8]) {
+            self.update(bytes);
+        }
+    }
+
+    pub struct ByteEncoder<S> {
+        pub out: S,
     }
 
     #[derive(Debug)]
@@ -115,16 +161,19 @@ mod enc {
 
     type R = Result<(), NoErr>;
 
-    impl ByteEncoder {
+    impl<S: Sink> ByteEncoder<S> {
         fn tag(&mut self, t: u8) {
-            self.out.push(t);
+            self.out.put(&[t]);
         }
-        fn raw_u64(&mut self, v: u64) {
-            self.out.extend_from_slice(&v.to_le_bytes());
+        /// A tag and a little-endian u64, in one write.
+        fn tagged_u64(&mut self, t: u8, v: u64) {
+            let mut bytes = [t; 9];
+            bytes[1..].copy_from_slice(&v.to_le_bytes());
+            self.out.put(&bytes);
         }
     }
 
-    impl ser::Serializer for &mut ByteEncoder {
+    impl<S: Sink> ser::Serializer for &mut ByteEncoder<S> {
         type Ok = ();
         type Error = NoErr;
         type SerializeSeq = Self;
@@ -136,8 +185,7 @@ mod enc {
         type SerializeStructVariant = Self;
 
         fn serialize_bool(self, v: bool) -> R {
-            self.tag(1);
-            self.out.push(v as u8);
+            self.out.put(&[1, v as u8]);
             Ok(())
         }
         fn serialize_i8(self, v: i8) -> R {
@@ -150,12 +198,12 @@ mod enc {
             self.serialize_i64(v as i64)
         }
         fn serialize_i64(self, v: i64) -> R {
-            self.tag(2);
-            self.raw_u64(v as u64);
+            self.tagged_u64(2, v as u64);
             Ok(())
         }
         fn serialize_u8(self, v: u8) -> R {
-            self.serialize_u64(v as u64)
+            self.out.put(&[17, v]);
+            Ok(())
         }
         fn serialize_u16(self, v: u16) -> R {
             self.serialize_u64(v as u64)
@@ -164,16 +212,14 @@ mod enc {
             self.serialize_u64(v as u64)
         }
         fn serialize_u64(self, v: u64) -> R {
-            self.tag(3);
-            self.raw_u64(v);
+            self.tagged_u64(3, v);
             Ok(())
         }
         fn serialize_f32(self, v: f32) -> R {
             self.serialize_f64(v as f64)
         }
         fn serialize_f64(self, v: f64) -> R {
-            self.tag(4);
-            self.raw_u64(v.to_bits());
+            self.tagged_u64(4, v.to_bits());
             Ok(())
         }
         fn serialize_char(self, v: char) -> R {
@@ -183,9 +229,8 @@ mod enc {
             self.serialize_bytes(v.as_bytes())
         }
         fn serialize_bytes(self, v: &[u8]) -> R {
-            self.tag(5);
-            self.raw_u64(v.len() as u64);
-            self.out.extend_from_slice(v);
+            self.tagged_u64(5, v.len() as u64);
+            self.out.put(v);
             Ok(())
         }
         fn serialize_none(self) -> R {
@@ -209,8 +254,7 @@ mod enc {
             variant_index: u32,
             _variant: &'static str,
         ) -> R {
-            self.tag(9);
-            self.raw_u64(variant_index as u64);
+            self.tagged_u64(9, variant_index as u64);
             Ok(())
         }
         fn serialize_newtype_struct<T: ?Sized + Serialize>(
@@ -227,13 +271,11 @@ mod enc {
             _variant: &'static str,
             value: &T,
         ) -> R {
-            self.tag(10);
-            self.raw_u64(variant_index as u64);
+            self.tagged_u64(10, variant_index as u64);
             value.serialize(self)
         }
         fn serialize_seq(self, len: Option<usize>) -> Result<Self, NoErr> {
-            self.tag(11);
-            self.raw_u64(len.unwrap_or(0) as u64);
+            self.tagged_u64(11, len.unwrap_or(0) as u64);
             Ok(self)
         }
         fn serialize_tuple(self, _len: usize) -> Result<Self, NoErr> {
@@ -251,13 +293,11 @@ mod enc {
             _variant: &'static str,
             _len: usize,
         ) -> Result<Self, NoErr> {
-            self.tag(13);
-            self.raw_u64(variant_index as u64);
+            self.tagged_u64(13, variant_index as u64);
             Ok(self)
         }
         fn serialize_map(self, len: Option<usize>) -> Result<Self, NoErr> {
-            self.tag(14);
-            self.raw_u64(len.unwrap_or(0) as u64);
+            self.tagged_u64(14, len.unwrap_or(0) as u64);
             Ok(self)
         }
         fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, NoErr> {
@@ -271,15 +311,14 @@ mod enc {
             _variant: &'static str,
             _len: usize,
         ) -> Result<Self, NoErr> {
-            self.tag(16);
-            self.raw_u64(variant_index as u64);
+            self.tagged_u64(16, variant_index as u64);
             Ok(self)
         }
     }
 
     macro_rules! impl_compound {
         ($trait:ident, $method:ident) => {
-            impl<'a> ser::$trait for &'a mut ByteEncoder {
+            impl<'a, S: Sink> ser::$trait for &'a mut ByteEncoder<S> {
                 type Ok = ();
                 type Error = NoErr;
                 fn $method<T: ?Sized + Serialize>(&mut self, value: &T) -> R {
@@ -296,7 +335,7 @@ mod enc {
     impl_compound!(SerializeTupleStruct, serialize_field);
     impl_compound!(SerializeTupleVariant, serialize_field);
 
-    impl ser::SerializeMap for &mut ByteEncoder {
+    impl<S: Sink> ser::SerializeMap for &mut ByteEncoder<S> {
         type Ok = ();
         type Error = NoErr;
         fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> R {
@@ -310,7 +349,7 @@ mod enc {
         }
     }
 
-    impl ser::SerializeStruct for &mut ByteEncoder {
+    impl<S: Sink> ser::SerializeStruct for &mut ByteEncoder<S> {
         type Ok = ();
         type Error = NoErr;
         fn serialize_field<T: ?Sized + Serialize>(&mut self, _key: &'static str, value: &T) -> R {
@@ -321,7 +360,7 @@ mod enc {
         }
     }
 
-    impl ser::SerializeStructVariant for &mut ByteEncoder {
+    impl<S: Sink> ser::SerializeStructVariant for &mut ByteEncoder<S> {
         type Ok = ();
         type Error = NoErr;
         fn serialize_field<T: ?Sized + Serialize>(&mut self, _key: &'static str, value: &T) -> R {
@@ -394,6 +433,26 @@ mod tests {
             c: Some(false),
         });
         assert_ne!(d1, d2);
+    }
+
+    #[test]
+    fn the_streamed_digest_hashes_the_stable_bytes() {
+        let demo = Demo {
+            a: u64::MAX,
+            b: (0..=255).collect(),
+            c: Some(true),
+        };
+        assert_eq!(digest_of(&demo), Digest(sha256(&stable_bytes(&demo))));
+        assert_eq!(digest_of(&()), Digest(sha256(&[8])));
+    }
+
+    #[test]
+    fn a_u8_is_its_own_tag_and_one_byte() {
+        assert_eq!(stable_bytes(&7u8), [17, 7]);
+        assert_eq!(stable_bytes(&[0u8; 32]).len(), 1 + 32 * 2);
+        // a u8 never reads as the u64 of the same value, nor as a bool
+        assert_ne!(digest_of(&1u8), digest_of(&1u64));
+        assert_ne!(digest_of(&1u8), digest_of(&true));
     }
 
     #[test]

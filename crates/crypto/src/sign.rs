@@ -13,6 +13,13 @@
 //! * **Signer binding** — the signature carries the signer identity and
 //!   verifies only against that identity's registered key.
 //!
+//! What is signed is a value's 32-byte [`digest_of`](crate::digest_of), not
+//! its encoding ("sign the hash"): [`Signer::sign_value`] and
+//! [`verify_value`] hash the value once and tag the digest, so a client's
+//! request signature covers exactly the request digest the protocols agree
+//! on. A [`Signer`] absorbs its key once ([`HmacKey`]); every tag after that
+//! costs the digest's block and one outer block.
+//!
 //! The CPU-cost asymmetry of real signatures (orders of magnitude slower
 //! than MACs) is modeled in virtual time by [`crate::cost::CryptoCostModel`].
 
@@ -21,7 +28,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::Hasher;
-use crate::hmac::{hmac_sha256, Mac};
+use crate::hmac::{hmac_sha256, HmacKey, Mac};
 
 /// Identity of a signing party. Replicas use their replica index; clients
 /// use `CLIENT_BASE + client id` (see [`PartyId::client`] / [`PartyId::replica`]).
@@ -91,7 +98,7 @@ impl KeyStore {
     pub fn signer_for(&self, party: PartyId) -> Signer {
         Signer {
             party,
-            key: self.key_of(party),
+            key: HmacKey::new(&self.key_of(party).0),
         }
     }
 
@@ -112,7 +119,7 @@ impl KeyStore {
 #[derive(Debug, Clone)]
 pub struct Signer {
     party: PartyId,
-    key: SecretKey,
+    key: HmacKey,
 }
 
 impl Signer {
@@ -125,19 +132,21 @@ impl Signer {
     pub fn sign(&self, message: &[u8]) -> Signature {
         Signature {
             signer: self.party,
-            tag: hmac_sha256(&self.key.0, message),
+            tag: self.key.mac(message),
         }
     }
 
-    /// Sign a serializable value (signs its stable byte encoding).
+    /// Sign a serializable value: the tag is over its
+    /// [`digest_of`](crate::digest_of).
     pub fn sign_value<T: serde::Serialize>(&self, value: &T) -> Signature {
-        self.sign(&crate::stable_bytes(value))
+        self.sign(&crate::digest_of(value).0)
     }
 }
 
-/// Verify a signature over a serializable value.
+/// Verify a signature over a serializable value's
+/// [`digest_of`](crate::digest_of).
 pub fn verify_value<T: serde::Serialize>(store: &KeyStore, value: &T, sig: &Signature) -> bool {
-    store.verify(&crate::stable_bytes(value), sig)
+    store.verify(&crate::digest_of(value).0, sig)
 }
 
 #[cfg(test)]
@@ -179,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn sign_value_matches_stable_encoding() {
+    fn a_value_signature_covers_its_digest() {
         let store = KeyStore::new([7u8; 32]);
         let signer = store.signer_for(PartyId::client(1));
         #[derive(serde::Serialize)]
@@ -187,7 +196,17 @@ mod tests {
             x: u64,
         }
         let sig = signer.sign_value(&V { x: 9 });
+        assert_eq!(sig, signer.sign(&crate::digest_of(&V { x: 9 }).0));
+        assert!(store.verify(&crate::digest_of(&V { x: 9 }).0, &sig));
         assert!(verify_value(&store, &V { x: 9 }, &sig));
         assert!(!verify_value(&store, &V { x: 10 }, &sig));
+        // the same tag claimed by another signer does not verify
+        let claimed = Signature {
+            signer: PartyId::client(2),
+            ..sig
+        };
+        assert!(!verify_value(&store, &V { x: 9 }, &claimed));
+        let other = store.signer_for(PartyId::client(2)).sign_value(&V { x: 9 });
+        assert_ne!(other.tag, sig.tag);
     }
 }

@@ -464,7 +464,7 @@ mod tests {
     };
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     /// What the head scans per dissemination — the log above the cursor —

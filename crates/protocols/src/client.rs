@@ -24,7 +24,8 @@ use std::sync::Arc;
 
 use bft_core::client::{CollectStatus, ReplyCollector};
 use bft_core::workload::Workload;
-use bft_crypto::{CryptoOp, KeyStore};
+use bft_crypto::sign::PartyId;
+use bft_crypto::{CryptoOp, KeyStore, Signer};
 use bft_sim::{
     Actor, Context, Engine, NodeId, Observation, RunOutcome, SimDuration, SimTime, TimerId,
 };
@@ -152,7 +153,8 @@ pub trait ClientProtocol: Send + 'static {
 pub struct GenericClient<P: ClientProtocol> {
     id: ClientId,
     q: QuorumRules,
-    store: Arc<KeyStore>,
+    /// This client's signer, its key absorbed once.
+    signer: Signer,
     workload: Workload,
     total: u64,
     sent: u64,
@@ -178,7 +180,7 @@ impl<P: ClientProtocol> GenericClient<P> {
         GenericClient {
             id: ClientId(id),
             q,
-            store: scenario.key_store(),
+            signer: scenario.key_store().signer_for(PartyId::client(id)),
             workload: scenario.workload_for(id),
             total: scenario.requests_per_client,
             sent: 0,
@@ -198,7 +200,7 @@ impl<P: ClientProtocol> GenericClient<P> {
         self.sent += 1;
         let request = Request::new(self.id, self.sent, self.workload.next_txn());
         let id = request.id;
-        let signed = SignedRequest::new(&self.store, request);
+        let signed = SignedRequest::new(&self.signer, request);
         ctx.charge_crypto(CryptoOp::Sign);
         let sent_at = ctx.now();
         P::submit(signed.clone(), self.leader_hint, ctx);
@@ -388,7 +390,7 @@ mod tests {
             (ProtocolId::Qu, &closed, (100_000_000, 3_900)),
         ] {
             let out = protocol.run(scenario);
-            let accepted = out.log.client_latencies().len() as u64;
+            let accepted = out.log.accepted() as u64;
             assert_eq!(accepted, scenario.total_requests());
             assert_eq!((out.end_time.0, out.events_processed), want);
         }

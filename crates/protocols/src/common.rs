@@ -17,8 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bft_core::workload::{Workload, WorkloadConfig};
-use bft_crypto::sign::PartyId;
-use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature};
+use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature, Signer};
 use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
     NodeId, Observation, RestartMode, SimDuration, SimTime, Simulation, Stage, ThreadedEngine,
@@ -30,19 +29,25 @@ use bft_types::{
     Transaction, View, WireSize,
 };
 
-/// A client request plus the client's signature over it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+/// A client request plus the client's signature over its digest.
+///
+/// Its stable encoding is its *leaf* ([`SignedRequest::leaf`]): the request
+/// digest, the signer and the tag, 72 bytes whatever the transaction. Every
+/// `digest_of` over requests — a batch, a nested batch, the null batch —
+/// therefore hashes leaves, and a slot digest binds each request and its
+/// signature. The leaf is computed from the request each time it is
+/// encoded; no digest travels with a request.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedRequest {
     /// The request.
     pub request: Request,
-    /// Client signature over the request.
+    /// Client signature over the request's digest.
     pub sig: Signature,
 }
 
 impl SignedRequest {
-    /// Sign a request on behalf of a client.
-    pub fn new(store: &KeyStore, request: Request) -> SignedRequest {
-        let signer = store.signer_for(PartyId::client(request.id.client.0));
+    /// Sign a request with its client's signer.
+    pub fn new(signer: &Signer, request: Request) -> SignedRequest {
         let sig = signer.sign_value(&request);
         SignedRequest { request, sig }
     }
@@ -55,6 +60,21 @@ impl SignedRequest {
     /// Digest identifying the request.
     pub fn digest(&self) -> Digest {
         digest_of(&self.request)
+    }
+
+    /// The request digest, the signer (little-endian) and the tag.
+    pub fn leaf(&self) -> [u8; 72] {
+        let mut leaf = [0u8; 72];
+        leaf[..32].copy_from_slice(&self.digest().0);
+        leaf[32..40].copy_from_slice(&self.sig.signer.0.to_le_bytes());
+        leaf[40..].copy_from_slice(&self.sig.tag.0);
+        leaf
+    }
+}
+
+impl serde::Serialize for SignedRequest {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(&self.leaf())
     }
 }
 
@@ -2437,6 +2457,7 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 pub(crate) mod script {
     use super::*;
     use crate::client::{launch, ClientProtocol};
+    use bft_crypto::sign::PartyId;
     use bft_sim::RunOutcome;
 
     /// Sends its rounds of messages to replica `to`, the first at start-up
@@ -2648,7 +2669,8 @@ pub(crate) mod script {
     /// first.
     pub(crate) fn first_write(store: &KeyStore) -> (SignedRequest, Digest) {
         let txn = Transaction::single(Op::Put(7, 7));
-        let signed = SignedRequest::new(store, Request::new(ClientId(0), 1, txn));
+        let signer = store.signer_for(PartyId::client(0));
+        let signed = SignedRequest::new(&signer, Request::new(ClientId(0), 1, txn));
         let digest = StateMachine::new().execute(SeqNum(1), &signed.request).1;
         (signed, digest)
     }
@@ -2659,7 +2681,7 @@ pub(crate) mod script {
         [1u64, 2].map(|client| {
             let txn = Transaction::single(Op::Put(7, client as i64));
             let batch = vec![SignedRequest::new(
-                store,
+                &store.signer_for(PartyId::client(client)),
                 Request::new(ClientId(client), 1, txn),
             )];
             (digest_of(&batch), batch)
@@ -2717,6 +2739,7 @@ pub(crate) mod script {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_crypto::sign::PartyId;
     use bft_sim::RunOutcome;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -2771,7 +2794,8 @@ mod tests {
 
     fn signed(store: &KeyStore, client: u64, ts: u64, op: Op) -> SignedRequest {
         let txn = Transaction::single(op);
-        SignedRequest::new(store, Request::new(ClientId(client), ts, txn))
+        let signer = store.signer_for(PartyId::client(client));
+        SignedRequest::new(&signer, Request::new(ClientId(client), ts, txn))
     }
 
     /// A `deliver` closure that records `(request, sm seq)` into `sink`.
@@ -3439,7 +3463,7 @@ mod tests {
         macro_rules! go {
             ($name:expr, $proto:ty, $n:expr, $replica:expr) => {
                 let (out, peak) = script::peak_size::<$proto, _>(&s, $n, $replica, retained);
-                assert_eq!(out.log.client_latencies().len(), 1_600, "{}", $name);
+                assert_eq!(out.log.accepted(), 1_600, "{}", $name);
                 assert!(peak <= bound, "{}: {peak} entries retained", $name);
             };
         }
@@ -3487,7 +3511,7 @@ mod tests {
                 let s = s.clone().with_faults(isolated(mid_run));
                 let (out, finals) = script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
                 SafetyAuditor::all_correct().assert_safe(&out.log);
-                assert_eq!(out.log.client_latencies().len(), 13 * 16, "{}", $name);
+                assert_eq!(out.log.accepted(), 13 * 16, "{}", $name);
                 let transfers = out.log.marker_count("state-transferred");
                 assert!(
                     transfers > 0,
@@ -3529,7 +3553,7 @@ mod tests {
                 let s = s.clone().with_faults(faults);
                 let (out, readings) = script::readings::<$proto, _, _>(&s, $n, $replica, state);
                 SafetyAuditor::all_correct().assert_safe(&out.log);
-                assert_eq!(out.log.client_latencies().len(), 400, "{}", $name);
+                assert_eq!(out.log.accepted(), 400, "{}", $name);
                 assert_eq!(out.log.marker_count("durable-restart"), 1, "{}", $name);
                 let popped = |r: ReplicaId| {
                     let after = readings[&r].pops.iter().filter(|(at, _)| *at > ms(10));
@@ -3565,7 +3589,7 @@ mod tests {
                     .with_faults(FaultPlan::none().crash_recover_amnesia(victim, down, up));
                 let (out, finals) = script::final_readings::<$proto, _, _>(&s, $n, $replica, state);
                 SafetyAuditor::all_correct().assert_safe(&out.log);
-                assert_eq!(out.log.client_latencies().len(), 400, "{}", $name);
+                assert_eq!(out.log.accepted(), 400, "{}", $name);
                 assert_eq!(out.log.marker_count("amnesia-restart"), 1, "{}", $name);
                 let transfers = out.log.marker_count("state-transferred");
                 assert!(
@@ -3589,12 +3613,92 @@ mod tests {
         let s = Scenario::small(1);
         let store = s.key_store();
         let req = Request::new(ClientId(1), 1, bft_types::Transaction::default());
-        let signed = SignedRequest::new(&store, req);
+        let signed = SignedRequest::new(&store.signer_for(PartyId::client(1)), req);
         assert!(signed.verify(&store));
         // tampering breaks it
         let mut bad = signed.clone();
         bad.request.id.timestamp = 99;
         assert!(!bad.verify(&store));
+    }
+
+    #[test]
+    fn a_signature_is_over_its_own_request_and_signer() {
+        let store = Scenario::small(1).key_store();
+        let a = signed(&store, 1, 1, Op::Put(1, 1));
+        let b = signed(&store, 1, 2, Op::Put(1, 1));
+        assert_eq!(
+            a.sig,
+            store.signer_for(PartyId::client(1)).sign(&a.digest().0)
+        );
+        let a_signed_as_b = SignedRequest {
+            request: b.request.clone(),
+            sig: a.sig,
+        };
+        assert!(!a_signed_as_b.verify(&store));
+        let claimed_by_another = SignedRequest {
+            sig: Signature {
+                signer: PartyId::client(2),
+                ..a.sig
+            },
+            ..a.clone()
+        };
+        assert!(!claimed_by_another.verify(&store));
+    }
+
+    #[test]
+    fn a_leaf_is_the_request_digest_signer_and_tag() {
+        let store = Scenario::small(1).key_store();
+        let a = signed(&store, 1, 1, Op::Put(1, 1));
+        let leaf = a.leaf();
+        assert_eq!(leaf[..32], a.digest().0);
+        assert_eq!(leaf[32..40], PartyId::client(1).0.to_le_bytes());
+        assert_eq!(leaf[40..], a.sig.tag.0);
+        // its stable encoding is the leaf as one byte string, whatever the
+        // transaction's size
+        let mut encoded = vec![5];
+        encoded.extend_from_slice(&72u64.to_le_bytes());
+        encoded.extend_from_slice(&leaf);
+        assert_eq!(bft_crypto::stable_bytes(&a), encoded);
+        let big = SignedRequest::new(
+            &store.signer_for(PartyId::client(1)),
+            Request::new(
+                ClientId(1),
+                1,
+                Transaction {
+                    ops: vec![Op::Put(1, 1); 64],
+                },
+            ),
+        );
+        assert_eq!(bft_crypto::stable_bytes(&big).len(), encoded.len());
+    }
+
+    #[test]
+    fn a_batch_digest_moves_with_every_part_of_every_leaf() {
+        let store = Scenario::small(1).key_store();
+        let a = signed(&store, 1, 1, Op::Put(1, 1));
+        let b = signed(&store, 2, 1, Op::Put(2, 2));
+        let batch = vec![a.clone(), b.clone()];
+        let digest = digest_of(&batch);
+        let mut one_op = a.clone();
+        one_op.request.txn.ops[0] = Op::Put(1, 2);
+        let mut one_tag = a.clone();
+        one_tag.sig.tag.0[31] ^= 1;
+        let mut signer = a.clone();
+        signer.sig.signer = PartyId::client(3);
+        let moved = [
+            vec![b.clone(), a.clone()],
+            vec![one_op.clone(), b.clone()],
+            vec![one_tag, b.clone()],
+            vec![signer, b.clone()],
+            vec![a.clone()],
+            vec![a.clone(), b.clone(), a.clone()],
+            vec![],
+        ];
+        for other in &moved {
+            assert_ne!(digest_of(other), digest, "{other:?}");
+        }
+        assert_ne!(one_op.leaf(), a.leaf());
+        assert_eq!(digest_of(&batch.clone()), digest);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
     use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     #[test]

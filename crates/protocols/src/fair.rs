@@ -628,7 +628,7 @@ mod tests {
     use bft_types::ClientId;
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     #[test]
@@ -636,7 +636,7 @@ mod tests {
         let store = KeyStore::new([1u8; 32]);
         let req = |c: u64, ts: u64| {
             SignedRequest::new(
-                &store,
+                &store.signer_for(bft_crypto::sign::PartyId::client(c)),
                 bft_types::Request::new(ClientId(c), ts, bft_types::Transaction::default()),
             )
         };

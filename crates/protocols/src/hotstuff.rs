@@ -586,7 +586,7 @@ mod tests {
     use bft_sim::{FaultPlan, Observation, SafetyAuditor, SimTime, Stage};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     #[test]

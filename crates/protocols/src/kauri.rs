@@ -595,7 +595,7 @@ mod tests {
     use bft_sim::{FaultPlan, SafetyAuditor};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     #[test]

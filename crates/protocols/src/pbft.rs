@@ -926,7 +926,7 @@ mod tests {
     }
 
     fn accepted(outcome: &RunOutcome) -> usize {
-        outcome.log.client_latencies().len()
+        outcome.log.accepted()
     }
 
     /// What a [`Spy`] saw at its replica.

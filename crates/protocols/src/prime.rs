@@ -577,7 +577,7 @@ mod tests {
     use bft_sim::SafetyAuditor;
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     fn throughput(out: &RunOutcome) -> f64 {

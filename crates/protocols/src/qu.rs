@@ -29,7 +29,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bft_crypto::{CryptoOp, KeyStore};
+use bft_crypto::sign::PartyId;
+use bft_crypto::{CryptoOp, KeyStore, Signer};
 use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, TimerId};
 use bft_types::{
@@ -250,7 +251,8 @@ impl Actor<QuMsg> for QuReplica {
 pub struct QuClient {
     id: ClientId,
     q: QuorumRules,
-    store: Arc<KeyStore>,
+    /// This client's signer, its key absorbed once.
+    signer: Signer,
     workload: Workload,
     total: u64,
     sent: u64,
@@ -273,7 +275,7 @@ impl QuClient {
         QuClient {
             id: ClientId(id),
             q,
-            store: scenario.key_store(),
+            signer: scenario.key_store().signer_for(PartyId::client(id)),
             workload: scenario.workload_for(id),
             total: scenario.requests_per_client,
             sent: 0,
@@ -312,7 +314,7 @@ impl QuClient {
             .and_then(|op| op.read_key().or_else(|| op.write_key()))
             .unwrap_or(0);
         let expected = *self.versions.get(&key).unwrap_or(&0);
-        let signed = SignedRequest::new(&self.store, request.clone());
+        let signed = SignedRequest::new(&self.signer, request.clone());
         ctx.charge_crypto(CryptoOp::Sign);
         self.in_flight = Some((request.id, signed.clone(), expected, ctx.now()));
         self.answers.clear();
@@ -355,7 +357,7 @@ impl QuClient {
         // schedule via timer: the actual re-proposal happens on fire
         self.in_flight = Some((
             request.id,
-            SignedRequest::new(&self.store, request),
+            SignedRequest::new(&self.signer, request),
             0,
             ctx.now(),
         ));
@@ -517,7 +519,7 @@ mod tests {
     use bft_core::workload::WorkloadConfig;
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     /// The table digest recomputed from the table alone (test oracle for

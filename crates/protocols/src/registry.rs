@@ -646,7 +646,7 @@ mod tests {
             let out = entry.id.run(&scenario);
             SafetyAuditor::all_correct().assert_safe(&out.log);
             assert_eq!(
-                out.log.client_latencies().len(),
+                out.log.accepted(),
                 5,
                 "{} did not complete the workload",
                 entry.name

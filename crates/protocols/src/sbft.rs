@@ -736,7 +736,7 @@ mod tests {
     use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     /// Only f+1 *matching* execution shares combine into the client's

@@ -112,7 +112,7 @@ mod tests {
             let s = entry.scenario(1, 2, 6, 7);
             let out = ProtocolId::Pbft.run(&s);
             assert_eq!(
-                out.log.client_latencies().len(),
+                out.log.accepted(),
                 s.total_requests() as usize,
                 "{}: incomplete",
                 entry.name

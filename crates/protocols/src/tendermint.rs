@@ -521,7 +521,7 @@ mod tests {
     use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     fn mean_latency(out: &RunOutcome) -> f64 {

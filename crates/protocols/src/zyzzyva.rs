@@ -537,7 +537,7 @@ mod tests {
     use bft_sim::{FaultPlan, SafetyAuditor, SimTime};
 
     fn accepted(out: &RunOutcome) -> usize {
-        out.log.client_latencies().len()
+        out.log.accepted()
     }
 
     fn fast_accepts(out: &RunOutcome) -> usize {

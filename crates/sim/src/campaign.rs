@@ -698,7 +698,7 @@ pub fn check_outcome(
     if !violations.is_empty() {
         return Some(CampaignViolation::Safety(violations));
     }
-    let accepted = log.client_latencies().len() as u64;
+    let accepted = log.accepted() as u64;
     if accepted != expected {
         return Some(CampaignViolation::Liveness { accepted, expected });
     }

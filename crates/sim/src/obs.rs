@@ -457,16 +457,38 @@ impl Cursor<'_> {
         }
     }
 
+    /// Reads the zigzag varint `at` delta at the cursor and applies it.
+    #[inline]
+    fn advance_at(&mut self) {
+        let delta = self.varint();
+        self.at = self
+            .at
+            .wrapping_add(((delta >> 1) as i64 ^ -((delta & 1) as i64)) as u64);
+    }
+
+    /// Moves past the row at the cursor like [`Cursor::skip`], but tracks
+    /// its `at`; true if it was a `ClientAccept`.
+    #[inline]
+    fn step(&mut self) -> bool {
+        let kind = self.bytes[self.pos] & tag::KIND;
+        let mut at = Cursor {
+            pos: self.pos + 1,
+            ..*self
+        };
+        at.varint();
+        at.advance_at();
+        self.at = at.at;
+        self.skip();
+        kind == tag::CLIENT_ACCEPT
+    }
+
     /// Decodes what [`Entries::push`] wrote at the cursor and moves past it.
     #[inline]
     fn decode(&mut self, labels: &[&'static str]) -> Row {
         let tag = self.bytes[self.pos];
         self.pos += 1;
         let node = PackedNode::from_compact(self.varint());
-        let delta = self.varint();
-        self.at = self
-            .at
-            .wrapping_add(((delta >> 1) as i64 ^ -((delta & 1) as i64)) as u64);
+        self.advance_at();
         let kind = match tag & tag::KIND {
             kind @ (tag::COMMIT | tag::SPECULATIVE_COMMIT) => RowKind::Commit {
                 seq: SeqNum(self.varint()),
@@ -718,6 +740,19 @@ impl Entries {
     /// Number of `ClientAccept` observations.
     pub(crate) fn accept_count(&self) -> usize {
         self.accepts.len()
+    }
+
+    /// Each `ClientAccept` row's `at` and its accept, in row order. The
+    /// other rows are stepped over: their `at` delta is read, no field.
+    fn each_accept(&self, mut f: impl FnMut(SimTime, &Accept)) {
+        for block in 0..self.blocks.len() {
+            let mut cursor = self.cursor(block);
+            while cursor.pos < cursor.bytes.len() {
+                if cursor.step() {
+                    f(SimTime(cursor.at), self.accept(cursor.accept - 1));
+                }
+            }
+        }
     }
 
     pub(crate) fn accept(&self, index: u32) -> &Accept {
@@ -979,18 +1014,17 @@ impl ObservationLog {
             .collect()
     }
 
-    /// All client-accepted requests with their latencies.
+    /// All client-accepted requests with their latencies, in accept order.
     pub fn client_latencies(&self) -> Vec<(RequestId, crate::time::SimDuration)> {
+        let mut latencies = Vec::with_capacity(self.accepted());
         self.entries
-            .rows()
-            .filter_map(|row| match row.kind {
-                RowKind::ClientAccept(index) => {
-                    let a = self.entries.accept(index);
-                    Some((a.request, row.at.since(a.sent_at)))
-                }
-                _ => None,
-            })
-            .collect()
+            .each_accept(|at, a| latencies.push((a.request, at.since(a.sent_at))));
+        latencies
+    }
+
+    /// Number of client-accepted requests.
+    pub fn accepted(&self) -> usize {
+        self.entries.accept_count()
     }
 
     /// Count observations matching a predicate.
@@ -1359,6 +1393,17 @@ mod tests {
                 proptest::prop_assert_eq!(entries.get(i).as_ref(), Some(e));
             }
             proptest::prop_assert_eq!(entries.get(pushed.len()), None);
+            let latencies: Vec<_> = pushed
+                .iter()
+                .filter_map(|e| match e.obs {
+                    Observation::ClientAccept { request, sent_at, .. } => {
+                        Some((request, e.at.since(sent_at)))
+                    }
+                    _ => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(log.accepted(), latencies.len());
+            proptest::prop_assert_eq!(log.client_latencies(), latencies);
             proptest::prop_assert_eq!(entries.first().as_ref(), pushed.first());
             proptest::prop_assert_eq!(entries.last().as_ref(), pushed.last());
             for block in &entries.blocks {

@@ -1345,7 +1345,7 @@ mod tests {
         s.add_client(0, Box::new(Client { left: 40 }));
         s.schedule_crash(NodeId::replica(0), SimTime(10_500_000));
         s.schedule_recover(NodeId::replica(0), SimTime(20_500_000));
-        let counted = |s: &Simulation<Ping>| s.log().client_latencies().len() as u64;
+        let counted = |s: &Simulation<Ping>| s.log().accepted() as u64;
         let mut t = SimTime::ZERO;
         while s.accepted() < 30 {
             t = t + SimDuration::from_millis(5);

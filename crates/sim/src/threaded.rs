@@ -616,7 +616,7 @@ mod tests {
             }),
         );
         let out = eng.run(1, SimDuration::from_secs(10));
-        assert_eq!(out.log.client_latencies().len(), 1);
+        assert_eq!(out.log.accepted(), 1);
         assert!(out.metrics.wall_elapsed_ns > 0);
         assert_eq!(out.metrics.wall_threads, 2);
         assert_eq!(out.metrics.node(NodeId::replica(0)).msgs_received, 1);

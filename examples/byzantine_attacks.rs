@@ -31,7 +31,7 @@ fn main() {
     println!("   prepare phase's quorum intersection makes divergent commits impossible.");
     println!(
         "   liveness: {} of {} requests still completed (view changes replaced the leader).\n",
-        out.log.client_latencies().len(),
+        out.log.accepted(),
         base.total_requests()
     );
 
@@ -49,7 +49,7 @@ fn main() {
     println!(
         "   timer τ2 fired, the cluster moved to view {}, all {} requests completed.\n",
         out.log.max_view(),
-        out.log.client_latencies().len()
+        out.log.accepted()
     );
 
     // ── 3. the censoring leader ─────────────────────────────────────────
@@ -119,7 +119,7 @@ fn main() {
     .run(&base);
     let pr = Protocol::Prime(vec![(ReplicaId(0), prime::PrimeBehavior::DelayLeader(d))]).run(&base);
     SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&pr.log);
-    let tput = |o: &RunOutcome| o.log.client_latencies().len() as f64 / (o.end_time.0 as f64 / 1e9);
+    let tput = |o: &RunOutcome| o.log.accepted() as f64 / (o.end_time.0 as f64 / 1e9);
     println!(
         "   PBFT under attack:  {:>7.1} req/s (the attack works)",
         tput(&pb)

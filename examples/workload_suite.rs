@@ -41,7 +41,7 @@ fn main() {
             let scenario = entry.scenario(1, 2, 10, 42);
             let out = protocol.run(&scenario);
             SafetyAuditor::all_correct().assert_safe(&out.log);
-            let accepted = out.log.client_latencies().len();
+            let accepted = out.log.accepted();
             let violations = check_run(protocol, &scenario, &out);
             println!(
                 "   {:<12} accepted {accepted:>2}/{:<2}  checker: {}",

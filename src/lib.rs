@@ -34,7 +34,7 @@
 //!
 //! // every run is audited: no two correct replicas may disagree
 //! SafetyAuditor::all_correct().assert_safe(&outcome.log);
-//! assert_eq!(outcome.log.client_latencies().len(), 20);
+//! assert_eq!(outcome.log.accepted(), 20);
 //! ```
 //!
 //! See `examples/` for protocol comparisons, Byzantine attack demos,

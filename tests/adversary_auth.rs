@@ -30,7 +30,7 @@ fn tampered_envelopes_are_rejected_under_every_auth_mode() {
         );
         SafetyAuditor::excluding(vec![NodeId::replica(1)]).assert_safe(&out.log);
         assert_eq!(
-            out.log.client_latencies().len(),
+            out.log.accepted(),
             8,
             "{auth:?}: one corrupting replica of four cannot stall PBFT"
         );
@@ -59,7 +59,7 @@ fn delayed_envelopes_are_genuine_and_never_rejected() {
         "delayed traffic is genuine — no substitute tags to check"
     );
     SafetyAuditor::excluding(vec![NodeId::replica(3)]).assert_safe(&out.log);
-    assert_eq!(out.log.client_latencies().len(), 6);
+    assert_eq!(out.log.accepted(), 6);
 }
 
 /// Replayed envelopes carry *valid* tags (they were genuinely authored by
@@ -82,7 +82,7 @@ fn replayed_envelopes_verify_but_do_not_double_execute() {
     );
     SafetyAuditor::excluding(vec![NodeId::replica(2)]).assert_safe(&out.log);
     assert_eq!(
-        out.log.client_latencies().len(),
+        out.log.accepted(),
         8,
         "duplicate-suppression keeps replays harmless"
     );

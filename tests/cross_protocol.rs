@@ -39,7 +39,7 @@ fn all_ordering_protocols_agree_on_final_state() {
     let reference = final_state_digest(&outs[0].1, 1).expect("PBFT executed something");
     for (name, out) in &outs {
         assert_eq!(
-            out.log.client_latencies().len(),
+            out.log.accepted(),
             20,
             "{name} did not complete the workload"
         );
@@ -98,16 +98,16 @@ fn seed_changes_the_microtiming_but_not_the_outcome() {
     assert_ne!(lat_sum(&a), lat_sum(&b), "seeds must matter");
     // …but the same logical outcome: everything commits. (Final state
     // digests differ because the workload itself derives from the seed.)
-    assert_eq!(a.log.client_latencies().len(), 10);
-    assert_eq!(b.log.client_latencies().len(), 10);
+    assert_eq!(a.log.accepted(), 10);
+    assert_eq!(b.log.accepted(), 10);
 }
 
 #[test]
 fn batching_preserves_final_state() {
     let unbatched = ProtocolId::Pbft.run(&Scenario::small(1).with_load(4, 10).with_batch(1));
     let batched = ProtocolId::Pbft.run(&Scenario::small(1).with_load(4, 10).with_batch(8));
-    assert_eq!(unbatched.log.client_latencies().len(), 40);
-    assert_eq!(batched.log.client_latencies().len(), 40);
+    assert_eq!(unbatched.log.accepted(), 40);
+    assert_eq!(batched.log.accepted(), 40);
     // same per-client request streams; with multiple clients the interleaving
     // may differ, so compare per-protocol safety instead of digests here
     SafetyAuditor::all_correct().assert_safe(&unbatched.log);
@@ -132,7 +132,7 @@ mod matrix {
         let s = entry.scenario(1, 2, 5, seed);
         let out = protocol.run(&s);
         assert_eq!(
-            out.log.client_latencies().len(),
+            out.log.accepted(),
             s.total_requests() as usize,
             "{} × {family} seed {seed}: incomplete clean run",
             protocol.name()

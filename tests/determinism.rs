@@ -142,7 +142,7 @@ fn open_loop_pbft_n16_identical_across_schedulers() {
     let run = |scheduler: SchedulerKind| {
         let out = ProtocolId::Pbft.run(&s.clone().with_scheduler(scheduler));
         assert_eq!(
-            out.log.client_latencies().len() as u64,
+            out.log.accepted() as u64,
             s.total_requests(),
             "{scheduler:?}: not every request was accepted"
         );
@@ -176,7 +176,7 @@ fn open_loop_schedule_holds_for_every_registry_protocol_but_qu() {
     {
         let out = id.run(&s);
         assert_eq!(
-            out.log.client_latencies().len() as u64,
+            out.log.accepted() as u64,
             s.total_requests(),
             "{id:?}: not every request was accepted"
         );

@@ -428,7 +428,7 @@ fn threaded_engine_semantic_smoke_matrix() {
             let scenario = threaded_scenario(&family);
             let out = entry.id.run(&scenario);
             assert_eq!(
-                out.log.client_latencies().len(),
+                out.log.accepted(),
                 scenario.total_requests() as usize,
                 "{}/{}: threaded run incomplete",
                 entry.name,

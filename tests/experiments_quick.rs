@@ -50,7 +50,7 @@ fn exp_p5_full_mode_liveness_is_repaired() {
             ..Default::default()
         })
         .run(&s);
-        let accepted = out.log.client_latencies().len() as u64;
+        let accepted = out.log.accepted() as u64;
         assert!(
             accepted >= floor,
             "exp_p5 (n_override={n_override:?}) regressed: accepted \

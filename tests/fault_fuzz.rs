@@ -54,7 +54,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Pbft.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -67,7 +67,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::HotStuff.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -81,7 +81,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Zyzzyva.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -94,7 +94,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Sbft.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -108,7 +108,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Poe.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -121,7 +121,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Fab.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -134,7 +134,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::Tendermint.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -147,7 +147,7 @@ proptest! {
             .with_faults(plan(&s));
         let out = ProtocolId::MinBft.run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(s.victim)]).assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS,
+        prop_assert_eq!(out.log.accepted() as u64, REQS,
             "liveness lost under {:?}", s);
     }
 
@@ -175,7 +175,7 @@ proptest! {
             ));
         let out = ProtocolId::Pbft.run(&scenario);
         SafetyAuditor::all_correct().assert_safe(&out.log);
-        prop_assert_eq!(out.log.client_latencies().len() as u64, REQS);
+        prop_assert_eq!(out.log.accepted() as u64, REQS);
     }
 
     /// A Byzantine PBFT leader drawn from the attack gallery can never
@@ -199,7 +199,7 @@ proptest! {
         let out = Protocol::Pbft(options).run(&scenario);
         SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
         // liveness too: every attack in the gallery is recoverable
-        prop_assert_eq!(out.log.client_latencies().len() as u64, 12);
+        prop_assert_eq!(out.log.accepted() as u64, 12);
     }
 }
 
@@ -213,11 +213,7 @@ fn pbft_is_live_after_gst() {
     let s = Scenario::small(1).with_load(1, 10).with_network(net);
     let out = ProtocolId::Pbft.run(&s);
     SafetyAuditor::all_correct().assert_safe(&out.log);
-    assert_eq!(
-        out.log.client_latencies().len(),
-        10,
-        "all requests commit after GST"
-    );
+    assert_eq!(out.log.accepted(), 10, "all requests commit after GST");
     // at least some acceptances happen only after stabilization
     let after_gst = out
         .log
@@ -240,7 +236,7 @@ fn two_fault_budget_holds_at_f2() {
     );
     let out = ProtocolId::Pbft.run(&s);
     SafetyAuditor::excluding(vec![NodeId::replica(3), NodeId::replica(5)]).assert_safe(&out.log);
-    assert_eq!(out.log.client_latencies().len(), 10);
+    assert_eq!(out.log.accepted(), 10);
 }
 
 #[test]
@@ -256,7 +252,7 @@ fn exceeding_f_crashes_stalls_but_stays_safe() {
     let out = ProtocolId::Pbft.run(&s);
     SafetyAuditor::excluding(vec![NodeId::replica(2), NodeId::replica(3)]).assert_safe(&out.log);
     assert!(
-        (out.log.client_latencies().len() as u64) < 10,
+        (out.log.accepted() as u64) < 10,
         "with 2f crashes a quorum is unreachable — the run must stall"
     );
 }

@@ -1,8 +1,9 @@
 //! What a run costs in memory, per request: the peak bytes the engine holds
 //! beyond the log it returns and the bytes of that log, at an open-loop
-//! n = 16 shape; then, at a closed-loop n = 4 shape, the bytes the finished
-//! observation log holds and the peak transient bytes of the two readers
-//! every run ends with, `suite::check_run` and `SafetyAuditor::check`.
+//! n = 16 shape; then, at a closed-loop n = 4 shape, the heap allocations
+//! the run makes, the bytes the finished observation log holds and the
+//! peak transient bytes of the two readers every run ends with,
+//! `suite::check_run` and `SafetyAuditor::check`.
 //!
 //! A counting global allocator measures them, so this file is its own test
 //! binary with one test: a second test running in parallel would allocate
@@ -20,10 +21,12 @@ use untrusted_txn::prelude::*;
 use untrusted_txn::protocols::suite::check_run;
 
 /// The system allocator, counting the bytes live now and their high-water
-/// mark since the last [`Counting::reset_peak`].
+/// mark since the last [`Counting::reset_peak`], and every allocation and
+/// reallocation.
 struct Counting {
     live: AtomicUsize,
     peak: AtomicUsize,
+    allocations: AtomicUsize,
 }
 
 impl Counting {
@@ -43,7 +46,15 @@ impl Counting {
         (value, self.peak.load(Relaxed) - base)
     }
 
+    /// Allocations and reallocations while `f` ran.
+    fn allocations<T>(&self, f: impl FnOnce() -> T) -> (T, usize) {
+        let base = self.allocations.load(Relaxed);
+        let value = f();
+        (value, self.allocations.load(Relaxed) - base)
+    }
+
     fn grew(&self, bytes: usize) {
+        self.allocations.fetch_add(1, Relaxed);
         let live = self.live.fetch_add(bytes, Relaxed) + bytes;
         self.peak.fetch_max(live, Relaxed);
     }
@@ -78,6 +89,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting {
     live: AtomicUsize::new(0),
     peak: AtomicUsize::new(0),
+    allocations: AtomicUsize::new(0),
 };
 
 /// Bytes per request on PBFT, 2 clients × 2 000 requests, seed 1, before
@@ -104,6 +116,12 @@ const ROWS: Bytes = Bytes {
     check_run: 274.71,
     audit: 220.076,
 };
+
+/// Heap allocations and reallocations per request of the n = 4 run below
+/// while a batch digest hashed each request's whole encoding, signatures
+/// covered it too and clients derived their key per request (measured with
+/// this file's code, rustc 1.95, x86-64).
+const ALLOCATIONS_BEFORE: f64 = 77.44;
 
 /// Peak live bytes of one `ProtocolId::Pbft.run` above the log it returns,
 /// per request, at the shape of `open_loop_n16` below, before the calendar
@@ -135,10 +153,7 @@ fn the_log_and_its_readers_stay_within_half_their_former_bytes_per_request() {
     // the engine: what a run holds at its peak beyond the log it returns
     let open = open_loop_n16();
     let (mut out, peak) = ALLOC.transient(|| ProtocolId::Pbft.run(&open));
-    assert_eq!(
-        out.log.client_latencies().len() as u64,
-        open.total_requests()
-    );
+    assert_eq!(out.log.accepted() as u64, open.total_requests());
     let before = ALLOC.live();
     drop(std::mem::take(&mut out.log));
     let open_log = before - ALLOC.live();
@@ -155,8 +170,12 @@ fn the_log_and_its_readers_stay_within_half_their_former_bytes_per_request() {
 
     let scenario = Scenario::small(1).with_load(2, 2_000).with_seed(1);
     let requests = scenario.total_requests() as f64;
-    let mut out = ProtocolId::Pbft.run(&scenario);
-    assert_eq!(out.log.client_latencies().len() as f64, requests);
+    let (mut out, allocations) = ALLOC.allocations(|| ProtocolId::Pbft.run(&scenario));
+    assert_eq!(out.log.accepted() as f64, requests);
+    let allocations = allocations as f64 / requests;
+    println!("heap allocations per request: {allocations:.2} (before: {ALLOCATIONS_BEFORE})");
+    // 41.44 since digests stream into the hash, with 3 % headroom
+    assert!(allocations <= 1.03 * 41.44, "{allocations}");
 
     let (violations, check_run) =
         ALLOC.transient(|| check_run(ProtocolId::Pbft, &scenario, &out).len());

@@ -39,7 +39,7 @@ fn check(name: &str, scenario_name: &str, out: &RunOutcome, faulty: &[u32], expe
     SafetyAuditor::excluding(faulty.iter().map(|i| NodeId::replica(*i)).collect())
         .assert_safe(&out.log);
     assert_eq!(
-        out.log.client_latencies().len() as u64,
+        out.log.accepted() as u64,
         expect,
         "{name} under '{scenario_name}' lost liveness"
     );
@@ -170,10 +170,10 @@ fn qu_conflict_free_matrix() {
     // (4f+1 of 5f+1 still reachable)
     let s = Scenario::small(1).with_load(2, REQS);
     let out = ProtocolId::Qu.run(&s);
-    assert_eq!(out.log.client_latencies().len() as u64, s.total_requests());
+    assert_eq!(out.log.accepted() as u64, s.total_requests());
     let s = Scenario::small(1)
         .with_load(2, REQS)
         .with_faults(FaultPlan::none().crash(NodeId::replica(5), SimTime::ZERO));
     let out = ProtocolId::Qu.run(&s);
-    assert_eq!(out.log.client_latencies().len() as u64, s.total_requests());
+    assert_eq!(out.log.accepted() as u64, s.total_requests());
 }

@@ -26,11 +26,7 @@ fn pbft_large_cluster_compound_faults() {
     s.checkpoint_interval = 32;
     let out = ProtocolId::Pbft.run(&s);
     SafetyAuditor::excluding(vec![NodeId::replica(7)]).assert_safe(&out.log);
-    assert_eq!(
-        out.log.client_latencies().len(),
-        300,
-        "all requests complete"
-    );
+    assert_eq!(out.log.accepted(), 300, "all requests complete");
     let stable = out
         .log
         .count(|e| matches!(e.obs, Observation::StableCheckpoint { .. }));
@@ -47,7 +43,7 @@ fn hotstuff_wan_with_crash() {
         .with_faults(FaultPlan::none().crash(NodeId::replica(3), SimTime(50_000_000)));
     let out = ProtocolId::HotStuff.run(&s);
     SafetyAuditor::excluding(vec![NodeId::replica(3)]).assert_safe(&out.log);
-    assert_eq!(out.log.client_latencies().len(), 30);
+    assert_eq!(out.log.accepted(), 30);
 }
 
 #[test]
@@ -60,7 +56,7 @@ fn zyzzyva_sustained_slow_path() {
         .with_faults(FaultPlan::none().crash(NodeId::replica(3), SimTime::ZERO));
     let out = ProtocolId::Zyzzyva.run(&s);
     SafetyAuditor::excluding(vec![NodeId::replica(3)]).assert_safe(&out.log);
-    assert_eq!(out.log.client_latencies().len(), 120);
+    assert_eq!(out.log.accepted(), 120);
     let fast = out.log.count(|e| {
         matches!(
             e.obs,
@@ -88,7 +84,7 @@ fn mixed_contention_many_clients() {
         ));
     let out = ProtocolId::Pbft.run(&s);
     SafetyAuditor::all_correct().assert_safe(&out.log);
-    assert_eq!(out.log.client_latencies().len(), 300);
+    assert_eq!(out.log.accepted(), 300);
 }
 
 #[test]
@@ -106,5 +102,5 @@ fn long_view_change_cascade() {
         out.log.max_view() >= View(2),
         "both dead leaders must be skipped"
     );
-    assert_eq!(out.log.client_latencies().len(), 20);
+    assert_eq!(out.log.accepted(), 20);
 }
