@@ -50,8 +50,10 @@
 //! the transaction is. Every party computes each leaf from the request it
 //! holds; none takes a digest from another.
 //!
-//! [`digest_of`] streams the stable encoding into SHA-256 without a buffer;
-//! [`stable_bytes`] (the adversary's wire MACs) reserves its buffer up front.
+//! [`digest_of`] streams the stable encoding into SHA-256 without a buffer.
+//! The simulator's wire MACs tag a payload's digest too, so no step of a
+//! run builds the encoding as bytes; [`stable_bytes`] does, for tests and
+//! for digests of inputs taken outside a run.
 //!
 //! ## The hardware path
 //!
@@ -99,10 +101,10 @@ pub fn digest_of<T: serde::Serialize>(value: &T) -> Digest {
 /// Deterministic byte encoding for hashing. We avoid pulling in a binary
 /// serde format by writing a tiny self-describing encoder: field order is
 /// struct order, which serde guarantees stable for a fixed type.
+///
+/// [`digest_of`] hashes exactly these bytes without building them.
 pub fn stable_bytes<T: serde::Serialize>(value: &T) -> Vec<u8> {
-    let mut enc = enc::ByteEncoder {
-        out: Vec::with_capacity(enc::RESERVE),
-    };
+    let mut enc = enc::ByteEncoder { out: Vec::new() };
     value
         .serialize(&mut enc)
         .expect("stable encoding cannot fail");
@@ -118,10 +120,6 @@ mod enc {
     use serde::ser::{self, Serialize};
 
     use crate::Hasher;
-
-    /// Bytes [`crate::stable_bytes`] reserves: a message under an adversary
-    /// (a proposal with a few leaves, a vote) fits without growing.
-    pub const RESERVE: usize = 256;
 
     /// Where the encoding goes: a buffer, or straight into a hash.
     pub trait Sink {

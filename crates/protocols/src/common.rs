@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bft_core::workload::{Workload, WorkloadConfig};
+use bft_crypto::sign::PartyId;
 use bft_crypto::{digest_of, CryptoCostModel, CryptoOp, KeyStore, Signature, Signer};
 use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
@@ -52,9 +53,11 @@ impl SignedRequest {
         SignedRequest { request, sig }
     }
 
-    /// Verify the client signature.
+    /// Verify the client signature: it is by the request's own client, and
+    /// its tag is over the request's digest under that client's key.
     pub fn verify(&self, store: &KeyStore) -> bool {
-        bft_crypto::sign::verify_value(store, &self.request, &self.sig)
+        self.sig.signer == PartyId::client(self.request.id.client.0)
+            && bft_crypto::sign::verify_value(store, &self.request, &self.sig)
     }
 
     /// Digest identifying the request.
@@ -2457,7 +2460,6 @@ pub(crate) trait ViewChanger: Actor<Self::Msg> + Sized {
 pub(crate) mod script {
     use super::*;
     use crate::client::{launch, ClientProtocol};
-    use bft_crypto::sign::PartyId;
     use bft_sim::RunOutcome;
 
     /// Sends its rounds of messages to replica `to`, the first at start-up
@@ -2739,7 +2741,6 @@ pub(crate) mod script {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_crypto::sign::PartyId;
     use bft_sim::RunOutcome;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -3643,6 +3644,13 @@ mod tests {
             ..a.clone()
         };
         assert!(!claimed_by_another.verify(&store));
+        // a genuine signature, but by another client or a replica, over
+        // this request's digest
+        for party in [PartyId::client(2), PartyId::replica(1)] {
+            let by_another = SignedRequest::new(&store.signer_for(party), a.request.clone());
+            assert!(store.verify(&a.digest().0, &by_another.sig));
+            assert!(!by_another.verify(&store), "{party:?}");
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! deterministic; a simulation with no adversaries installed draws no
 //! adversary randomness at all.
 
+use bft_crypto::digest_of;
 use bft_crypto::hmac::{mac, verify_mac, Mac, MacKey};
-use bft_crypto::stable_bytes;
 use serde::Serialize;
 
 use crate::event::NodeId;
@@ -310,8 +310,8 @@ impl std::error::Error for AdversaryError {}
 /// the simulator *is* the wire, and honest senders by construction put
 /// genuine bytes on it. Attack-produced envelopes — replays, equivocation
 /// substitutes, corruptions — carry an explicit HMAC tag over the
-/// payload's canonical encoding under the (sender, receiver) channel key,
-/// verified at delivery. Replayed payloads authenticate (the compromised
+/// payload's digest (its canonical encoding streamed into SHA-256, no
+/// buffer) under the (sender, receiver) channel key, verified at delivery. Replayed payloads authenticate (the compromised
 /// node authored them under its own key); corrupted payloads must not.
 #[derive(Debug, Clone)]
 pub struct WireAuth {
@@ -344,24 +344,21 @@ impl WireAuth {
 
     /// Tag a payload for the `from → to` channel.
     pub fn tag<M: Serialize>(&self, from: NodeId, to: NodeId, msg: &M) -> Mac {
-        mac(&self.key(from, to), &stable_bytes(msg))
+        mac(&self.key(from, to), &digest_of(msg).0)
     }
 
-    /// A tag over in-flight-tampered bytes: models payload corruption. The
-    /// receiver verifies against the *actual* payload encoding, so this
+    /// A tag over an in-flight-tampered digest: models payload corruption.
+    /// The receiver verifies against the *actual* payload's digest, so this
     /// tag must fail verification.
     pub fn tamper_tag<M: Serialize>(&self, from: NodeId, to: NodeId, msg: &M) -> Mac {
-        let mut bytes = stable_bytes(msg);
-        match bytes.first_mut() {
-            Some(b) => *b ^= 0xFF,
-            None => bytes.push(0xFF),
-        }
-        mac(&self.key(from, to), &bytes)
+        let mut digest = digest_of(msg).0;
+        digest[0] ^= 0xFF;
+        mac(&self.key(from, to), &digest)
     }
 
     /// Verify an envelope tag against the payload actually delivered.
     pub fn verify<M: Serialize>(&self, from: NodeId, to: NodeId, msg: &M, tag: &Mac) -> bool {
-        verify_mac(&self.key(from, to), &stable_bytes(msg), tag)
+        verify_mac(&self.key(from, to), &digest_of(msg).0, tag)
     }
 }
 

@@ -443,18 +443,40 @@ impl Cursor<'_> {
     /// is not tracked).
     #[inline]
     fn skip(&mut self) {
-        let tag = self.bytes[self.pos];
-        let kind = tag & tag::KIND;
-        self.accept += u32::from(kind == tag::CLIENT_ACCEPT);
+        let start = self.pos;
         self.pos += 1;
+        self.skip_rest(start, 0);
+    }
+
+    /// Moves past the row at the cursor, reading its node and `at` only;
+    /// true if it was a `ClientAccept`.
+    #[inline]
+    fn step(&mut self) -> bool {
+        let start = self.pos;
+        self.pos += 1;
+        self.varint();
+        self.advance_at();
+        self.skip_rest(start, 2)
+    }
+
+    /// Moves past the rest of the row whose tag is at `start`, of which
+    /// the tag and `read` varints have been read; true if the row was a
+    /// `ClientAccept`.
+    #[inline]
+    fn skip_rest(&mut self, start: usize, read: u8) -> bool {
+        let tag = self.bytes[start];
+        let kind = tag & tag::KIND;
+        let accept = kind == tag::CLIENT_ACCEPT;
+        self.accept += u32::from(accept);
         match usize::from(tag >> tag::LEN_SHIFT) {
             0 => {
-                for _ in 0..2 + tag::FIELDS[usize::from(kind)] {
+                for _ in read..2 + tag::FIELDS[usize::from(kind)] {
                     self.varint();
                 }
             }
-            len => self.pos += len,
+            len => self.pos = start + 1 + len,
         }
+        accept
     }
 
     /// Reads the zigzag varint `at` delta at the cursor and applies it.
@@ -464,22 +486,6 @@ impl Cursor<'_> {
         self.at = self
             .at
             .wrapping_add(((delta >> 1) as i64 ^ -((delta & 1) as i64)) as u64);
-    }
-
-    /// Moves past the row at the cursor like [`Cursor::skip`], but tracks
-    /// its `at`; true if it was a `ClientAccept`.
-    #[inline]
-    fn step(&mut self) -> bool {
-        let kind = self.bytes[self.pos] & tag::KIND;
-        let mut at = Cursor {
-            pos: self.pos + 1,
-            ..*self
-        };
-        at.varint();
-        at.advance_at();
-        self.at = at.at;
-        self.skip();
-        kind == tag::CLIENT_ACCEPT
     }
 
     /// Decodes what [`Entries::push`] wrote at the cursor and moves past it.
